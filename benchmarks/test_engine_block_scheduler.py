@@ -14,8 +14,6 @@ Two acceptance numbers guard the engine refactors:
   **1.5x** on the hard m=50 shape (it measured ~1.3x before converged
   rows were dropped from the stack, ~2.2x after).
 
-A further (informational) timing compares the whole engines.
-
 Run with ``python -m pytest -m bench benchmarks/test_engine_block_scheduler.py -s``.
 """
 
@@ -26,7 +24,7 @@ import time
 import pytest
 
 from repro.core import Mapping, evaluate
-from repro.experiments import CellBlock, HeuristicProvider, run_scenario
+from repro.experiments import CellBlock, HeuristicProvider
 from repro.generators import ScenarioConfig
 from repro.simulation.rng import RandomStreamFactory
 
@@ -167,25 +165,6 @@ def test_batch_refine_speedup_at_r50(block):
         f"batch {batch_time * 1e3:.0f} ms, speedup {speedup:.1f}x"
     )
     assert speedup >= 1.5
-
-
-def test_end_to_end_engines_report(scenario):
-    """Informational: whole-run block vs cells timing (sampling is shared
-    work and bounds the ratio; the solve itself is batched at this R)."""
-    cells_time = _time(
-        lambda: run_scenario(scenario, seed=17, engine="cells"), repeats=2
-    )
-    block_time = _time(
-        lambda: run_scenario(scenario, seed=17, engine="block"), repeats=2
-    )
-    print(
-        f"\nend-to-end R={R} sweep point: cells {cells_time * 1e3:.0f} ms, "
-        f"block {block_time * 1e3:.0f} ms ({cells_time / block_time:.2f}x)"
-    )
-    # The block engine must never be slower than the per-cell path by more
-    # than measurement noise (best-of-2 timings still jitter on a loaded
-    # machine — this is a guard rail, not the speedup assertion above).
-    assert block_time <= cells_time * 1.25
 
 
 def test_bench_block_scoring(benchmark, block):

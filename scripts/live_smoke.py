@@ -23,9 +23,8 @@ replays the same timeline through ``microrepro live --url ... --verify
 * the reported availability equals phase 1's bit for bit;
 * ``/v1/stats`` accounts the session (created, closed, events, replan
   tiers, availability);
-* the legacy unversioned routes still answer, flagged with a
-  ``Deprecation: true`` header, and error responses carry the
-  ``{"error": {"code", "message"}}`` envelope.
+* the unversioned routes are gone (404 ``not_found``), and error
+  responses carry the ``{"error": {"code", "message"}}`` envelope.
 
 Exit code 0 on success; any assertion or timeout kills the server and
 exits non-zero.  Runs from a source checkout::
@@ -43,7 +42,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -192,9 +190,12 @@ def phase_over_http(expected_availability: float) -> bool:
 
         with ServiceClient(url) as client:
             stats = client.stats()["sessions"]
-            # Legacy alias: same answer, Deprecation header set.
-            with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
-                deprecation = response.headers.get("Deprecation")
+            # Unversioned paths are not served: the standard 404 envelope.
+            try:
+                client.get("/healthz")
+                unversioned_gone = False
+            except ExperimentError as exc:
+                unversioned_gone = "no such endpoint" in str(exc)
             # Error envelope on a 404.
             try:
                 client.get("/v1/session/never-created")
@@ -221,7 +222,7 @@ def phase_over_http(expected_availability: float) -> bool:
                     stats["replans"]["warm"] > 0 and stats["replans"]["cold"] > 0,
                     "replan tiers surfaced in /v1/stats",
                 ),
-                (deprecation == "true", "legacy alias flagged with Deprecation"),
+                (unversioned_gone, "unversioned /healthz answers 404"),
                 (envelope_ok, "errors carry the structured envelope"),
             ]
         )

@@ -6,7 +6,7 @@ free port:
 
 **Phase 1 — mixed traffic through the worker pool** (``--workers 2``):
 fires a mix of concurrent solve requests — several signatures, several
-heuristics, deliberate duplicates — through the stdlib client, and
+heuristics, deliberate duplicates — through ``ServiceClient``, and
 asserts:
 
 * every response is **bit-for-bit identical** to the direct (unbatched,
@@ -67,13 +67,22 @@ from repro.service import (  # noqa: E402 - path bootstrap above
     ServiceClient,
     direct_response,
     normalize_request,
-    service_stats,
-    solve_remote,
 )
 
 STARTUP_TIMEOUT = 30.0
 #: How long a shed request keeps retrying before the smoke gives up.
 RETRY_TIMEOUT = 60.0
+
+
+def solve_once(url: str, payload: dict) -> dict:
+    """One solve on a fresh connection; a 429 raises instead of retrying."""
+    with ServiceClient(url, retries=0) as client:
+        return client.solve(payload)
+
+
+def stats_of(url: str) -> dict:
+    with ServiceClient(url) as client:
+        return client.stats()
 
 
 def request_mix() -> list[dict]:
@@ -206,12 +215,12 @@ def phase_mixed_traffic() -> bool:
         # window actually has company to group.
         with ThreadPoolExecutor(max_workers=len(unique)) as pool:
             responses = list(
-                pool.map(lambda payload: solve_remote(url, payload), unique)
+                pool.map(lambda payload: solve_once(url, payload), unique)
             )
         # Wave 2: re-fire a few duplicates after the first wave settled —
         # these must be answered from the solve cache.
         duplicates = [dict(unique[0]), dict(unique[3]), dict(unique[8]), dict(unique[13])]
-        duplicate_responses = [solve_remote(url, payload) for payload in duplicates]
+        duplicate_responses = [solve_once(url, payload) for payload in duplicates]
         requests = unique + duplicates
         responses = responses + duplicate_responses
 
@@ -230,7 +239,7 @@ def phase_mixed_traffic() -> bool:
             return False
         print(f"{len(responses)} service responses bit-for-bit match direct solves")
 
-        stats = service_stats(url)
+        stats = stats_of(url)
         print("stats:", stats)
         service, batcher, cache = stats["service"], stats["batcher"], stats["cache"]
         return report(
@@ -273,7 +282,7 @@ def phase_overload() -> bool:
             deadline = time.time() + RETRY_TIMEOUT
             while True:
                 try:
-                    return solve_remote(url, payload)
+                    return solve_once(url, payload)
                 except ServiceOverloadedError as exc:
                     if exc.retry_after_seconds is None or exc.retry_after_seconds < 1:
                         raise RuntimeError(
@@ -302,7 +311,7 @@ def phase_overload() -> bool:
             f"({len(shed_hints)} shed-and-retried)"
         )
 
-        stats = service_stats(url)
+        stats = stats_of(url)
         print("stats:", stats)
         service = stats["service"]
         return report(

@@ -97,12 +97,6 @@ from .campaign import (
 from .core.failure import FailureModel
 from .core.instance import ProblemInstance
 from .core.platform import Platform
-from .dag import (
-    artifact_store_for,
-    build_pipeline,
-    run_pipeline,
-    unit_cost,
-)
 from .exact.milp import solve_specialized_milp
 from .exceptions import ExperimentError, ReproError
 from .experiments.figures import FIGURES, figure_ids
@@ -146,6 +140,57 @@ def _add_store_argument(parser: argparse.ArgumentParser, *, required_hint: bool)
     )
 
 
+def _add_figure_axes(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("figures", nargs="+", choices=figure_ids(), help="figures to run")
+    parser.add_argument(
+        "--seeds", default="0", metavar="SPEC", help="seed axis, e.g. '0..9' or '0,5,9'"
+    )
+
+
+def _add_manifest_arguments(parser: argparse.ArgumentParser, *, run_knobs: bool) -> None:
+    """The campaign-manifest knobs of ``run``, ``campaign``, ``shard plan`` and ``dag``.
+
+    ``run_knobs`` adds ``--workers`` and ``--memoize-instances``, which
+    change how fast a run computes, never what it computes.
+    """
+    parser.add_argument(
+        "--repetitions", type=int, default=None, help="repetitions per sweep point"
+    )
+    parser.add_argument(
+        "--max-points", type=int, default=None, help="maximum number of sweep points"
+    )
+    parser.add_argument(
+        "--no-milp", action="store_true", help="skip the exact MIP even where a figure uses it"
+    )
+    parser.add_argument(
+        "--milp-time-limit", type=float, default=30.0, help="per-instance MIP time limit (s)"
+    )
+    parser.add_argument(
+        "--optional-curves",
+        action="store_true",
+        help="also run each figure's optional curves (e.g. H4ls on fig6)",
+    )
+    if run_knobs:
+        parser.add_argument(
+            "--workers",
+            type=int,
+            default=None,
+            help=(
+                "run repetition blocks on a process pool of this size (heuristic/OtO "
+                "curves match the serial run exactly; MIP cells may time out "
+                "under CPU oversubscription)"
+            ),
+        )
+        parser.add_argument(
+            "--memoize-instances",
+            action="store_true",
+            help=(
+                "cache sampled instances per process (pays off with --workers, "
+                "where curve jobs share each sweep point's instances)"
+            ),
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -175,48 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help="reproduce one figure of the paper")
     run_parser.add_argument("figure", choices=figure_ids(), help="figure identifier")
     run_parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    run_parser.add_argument(
-        "--repetitions", type=int, default=None, help="repetitions per sweep point"
-    )
-    run_parser.add_argument(
-        "--max-points", type=int, default=None, help="maximum number of sweep points"
-    )
-    run_parser.add_argument(
-        "--no-milp", action="store_true", help="skip the exact MIP even if the figure uses it"
-    )
-    run_parser.add_argument(
-        "--milp-time-limit", type=float, default=30.0, help="per-instance MIP time limit (s)"
-    )
+    _add_manifest_arguments(run_parser, run_knobs=True)
     run_parser.add_argument("--csv", action="store_true", help="print CSV instead of a table")
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "run repetition blocks on a process pool of this size (heuristic/OtO "
-            "curves match the serial run exactly; MIP cells may time out "
-            "under CPU oversubscription)"
-        ),
-    )
-    run_parser.add_argument(
-        "--engine",
-        choices=("block", "cells"),
-        default="block",
-        help="block-scheduled engine (default) or the per-cell reference path",
-    )
-    run_parser.add_argument(
-        "--memoize-instances",
-        action="store_true",
-        help=(
-            "cache sampled instances per process (pays off with --workers, "
-            "where curve jobs share each sweep point's instances)"
-        ),
-    )
-    run_parser.add_argument(
-        "--optional-curves",
-        action="store_true",
-        help="also run the figure's optional curves (e.g. H4ls on fig6)",
-    )
     _add_store_argument(run_parser, required_hint=False)
     run_parser.add_argument(
         "--resume",
@@ -243,31 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
             "comma list '0,5,9', or a mix; replaces --seed"
         ),
     )
-    campaign_parser.add_argument(
-        "--repetitions", type=int, default=None, help="repetitions per sweep point"
-    )
-    campaign_parser.add_argument(
-        "--max-points", type=int, default=None, help="maximum number of sweep points"
-    )
-    campaign_parser.add_argument(
-        "--no-milp", action="store_true", help="skip the exact MIP everywhere"
-    )
-    campaign_parser.add_argument(
-        "--milp-time-limit", type=float, default=30.0, help="per-instance MIP time limit (s)"
-    )
-    campaign_parser.add_argument(
-        "--workers", type=int, default=None, help="block process-pool size"
-    )
-    campaign_parser.add_argument(
-        "--optional-curves",
-        action="store_true",
-        help="also run each figure's optional curves",
-    )
-    campaign_parser.add_argument(
-        "--memoize-instances",
-        action="store_true",
-        help="cache sampled instances per process (pays off with --workers)",
-    )
+    _add_manifest_arguments(campaign_parser, run_knobs=True)
     campaign_parser.set_defaults(func=_cmd_campaign)
 
     resume_parser = subparsers.add_parser(
@@ -334,12 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_parser = shard_sub.add_parser(
         "plan", help="split a campaign into disjoint per-host work-unit manifests"
     )
-    plan_parser.add_argument(
-        "figures", nargs="+", choices=figure_ids(), help="figures to run"
-    )
-    plan_parser.add_argument(
-        "--seeds", default="0", metavar="SPEC", help="seed axis, e.g. '0..9' or '0,5,9'"
-    )
+    _add_figure_axes(plan_parser)
     plan_parser.add_argument(
         "--shards", type=int, required=True, help="number of worker shards"
     )
@@ -362,23 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_parser.add_argument(
         "--out", required=True, metavar="DIR", help="directory for the plan files"
     )
-    plan_parser.add_argument(
-        "--repetitions", type=int, default=None, help="repetitions per sweep point"
-    )
-    plan_parser.add_argument(
-        "--max-points", type=int, default=None, help="maximum number of sweep points"
-    )
-    plan_parser.add_argument(
-        "--no-milp", action="store_true", help="skip the exact MIP everywhere"
-    )
-    plan_parser.add_argument(
-        "--milp-time-limit", type=float, default=30.0, help="per-instance MIP time limit (s)"
-    )
-    plan_parser.add_argument(
-        "--optional-curves",
-        action="store_true",
-        help="also plan each figure's optional curves",
-    )
+    _add_manifest_arguments(plan_parser, run_knobs=False)
     plan_parser.set_defaults(func=_cmd_shard_plan)
 
     shard_run_parser = shard_sub.add_parser(
@@ -473,50 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dag_sub = dag_parser.add_subparsers(dest="dag_command", required=True)
 
-    def _add_manifest_arguments(target, *, run_knobs: bool) -> None:
-        target.add_argument(
-            "figures", nargs="+", choices=figure_ids(), help="figures to run"
-        )
-        target.add_argument(
-            "--seeds",
-            default="0",
-            metavar="SPEC",
-            help="seed axis, e.g. '0..9' or '0,5,9'",
-        )
-        target.add_argument(
-            "--repetitions", type=int, default=None, help="repetitions per sweep point"
-        )
-        target.add_argument(
-            "--max-points", type=int, default=None, help="maximum number of sweep points"
-        )
-        target.add_argument(
-            "--no-milp", action="store_true", help="skip the exact MIP everywhere"
-        )
-        target.add_argument(
-            "--milp-time-limit",
-            type=float,
-            default=30.0,
-            help="per-instance MIP time limit (s)",
-        )
-        target.add_argument(
-            "--optional-curves",
-            action="store_true",
-            help="also run each figure's optional curves",
-        )
-        if run_knobs:
-            target.add_argument(
-                "--workers", type=int, default=None, help="block process-pool size"
-            )
-            target.add_argument(
-                "--memoize-instances",
-                action="store_true",
-                help="cache sampled instances per process (pays off with --workers)",
-            )
-
     dag_plan_parser = dag_sub.add_parser(
         "plan",
         help="compile the campaign DAG and report stages, costs and cache status",
     )
+    _add_figure_axes(dag_plan_parser)
     _add_manifest_arguments(dag_plan_parser, run_knobs=False)
     dag_plan_parser.add_argument(
         "--shards",
@@ -546,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
             "skipped, so re-running an unchanged campaign performs zero solves"
         ),
     )
+    _add_figure_axes(dag_run_parser)
     _add_manifest_arguments(dag_run_parser, run_knobs=True)
     _add_store_argument(dag_run_parser, required_hint=True)
     dag_run_parser.add_argument(
@@ -806,13 +728,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     store_path = _store_path(args, required=args.resume)
-    if args.engine == "cells" and args.store is None:
-        # The per-cell reference engine has no store support; only an
-        # explicit --store should surface that as an error, not the
-        # $REPRO_STORE convenience fallback.
-        store_path = None
-    store = ResultStore(store_path) if store_path is not None else None
-    try:
+    if store_path is None:
         result = run_figure(
             args.figure,
             seed=args.seed,
@@ -822,14 +738,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             milp_time_limit=args.milp_time_limit,
             workers=args.workers,
             memoize_instances=args.memoize_instances,
-            engine=args.engine,
             include_optional=args.optional_curves,
-            store=store,
-            resume=args.resume,
         )
-    finally:
-        if store is not None:
-            store.close()
+    else:
+        # A one-figure, one-seed campaign without the campaign.json: the
+        # store gets what `campaign` would write, and --resume skips it.
+        manifest = _manifest(args, figures=(args.figure,), seeds=(args.seed,))
+        with ResultStore(store_path) as store:
+            (result,) = _run_campaign(manifest, store, resume=args.resume, announce=False)
     if args.csv:
         print(result.to_csv(), end="")
     else:
@@ -837,16 +753,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_campaign(manifest: CampaignManifest, store: ResultStore) -> list:
+def _run_campaign(
+    manifest: CampaignManifest,
+    store: ResultStore,
+    *,
+    resume: bool = True,
+    announce: bool = True,
+) -> list:
     """Run (or finish) every (figure, seed) run of a campaign manifest.
 
-    Since the campaign DAG landed this is a thin wrapper over
-    :func:`repro.dag.scheduler.execute_solves`: each run's solve stages
-    execute (or cache-hit) in manifest order, the store receives the
-    same cells and run headers as before, and the per-run summary lines
-    keep printing as each run completes.
+    A thin wrapper over :func:`repro.dag.scheduler.execute_solves`: each
+    run's solve stages execute (or, with ``resume``, cache-hit) in
+    manifest order and the store receives their cells and run headers.
+    With ``announce`` a summary line prints as each run completes.
     """
-    from .dag.scheduler import execute_solves
+    from .dag import artifact_store_for, build_pipeline, execute_solves
 
     pipeline = build_pipeline(manifest)
     artifacts = artifact_store_for(store.path)
@@ -860,12 +781,13 @@ def _run_campaign(manifest: CampaignManifest, store: ResultStore) -> list:
                 if unit.figure_id == figure_id and unit.seed == seed
             ]
             execute_solves(
-                pipeline, solves, store, artifacts, workers=manifest.workers
+                pipeline, solves, store, artifacts, workers=manifest.workers, resume=resume
             )
             result = store.load_result(
                 figure_id, scenario_hash=scenario_hash, seed=seed
             )
-            print(summary_line(result), flush=True)
+            if announce:
+                print(summary_line(result), flush=True)
             results.append(result)
     artifacts.flush()
     store.flush()
@@ -883,17 +805,7 @@ def _campaign_seeds(args: argparse.Namespace) -> tuple[int, ...]:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     store = ResultStore(_store_path(args, required=True))
-    manifest = CampaignManifest(
-        figures=tuple(args.figures),
-        seeds=_campaign_seeds(args),
-        repetitions=args.repetitions,
-        max_points=args.max_points,
-        no_milp=bool(args.no_milp),
-        milp_time_limit=args.milp_time_limit,
-        workers=args.workers,
-        optional_curves=bool(args.optional_curves),
-        memoize_instances=bool(args.memoize_instances),
-    )
+    manifest = _manifest(args, seeds=_campaign_seeds(args))
     manifest_path = store.path / CAMPAIGN_MANIFEST
     manifest_path.write_text(
         json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
@@ -965,15 +877,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    manifest = CampaignManifest(
-        figures=tuple(args.figures),
-        seeds=parse_seed_spec(args.seeds),
-        repetitions=args.repetitions,
-        max_points=args.max_points,
-        no_milp=bool(args.no_milp),
-        milp_time_limit=args.milp_time_limit,
-        optional_curves=bool(args.optional_curves),
-    )
+    from .dag import unit_cost
+
+    manifest = _manifest(args)
     written = write_plans(
         manifest, args.out, shards=args.shards, by=args.by, balance=args.balance
     )
@@ -1044,11 +950,17 @@ def _cmd_shard_status(args: argparse.Namespace) -> int:
     return _print_status(rows, as_json=args.json)
 
 
-def _dag_manifest(args: argparse.Namespace) -> CampaignManifest:
-    """The campaign manifest a ``dag`` subcommand's arguments describe."""
+def _manifest(
+    args: argparse.Namespace, *, figures=None, seeds=None
+) -> CampaignManifest:
+    """The campaign manifest a command's arguments describe.
+
+    ``figures``/``seeds`` default to the positional figures and the
+    ``--seeds`` spec of :func:`_add_figure_axes`.
+    """
     return CampaignManifest(
-        figures=tuple(args.figures),
-        seeds=parse_seed_spec(args.seeds),
+        figures=tuple(args.figures if figures is None else figures),
+        seeds=parse_seed_spec(args.seeds) if seeds is None else tuple(seeds),
         repetitions=args.repetitions,
         max_points=args.max_points,
         no_milp=bool(args.no_milp),
@@ -1060,7 +972,9 @@ def _dag_manifest(args: argparse.Namespace) -> CampaignManifest:
 
 
 def _cmd_dag_plan(args: argparse.Namespace) -> int:
-    manifest = _dag_manifest(args)
+    from .dag import artifact_store_for, build_pipeline, unit_cost
+
+    manifest = _manifest(args)
     pipeline = build_pipeline(manifest)
     counts = pipeline.counts()
     total = sum(counts.values())
@@ -1088,7 +1002,9 @@ def _cmd_dag_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_dag_run(args: argparse.Namespace) -> int:
-    manifest = _dag_manifest(args)
+    from .dag import build_pipeline, run_pipeline
+
+    manifest = _manifest(args)
     store = ResultStore(_store_path(args, required=True))
     manifest_path = store.path / CAMPAIGN_MANIFEST
     manifest_path.write_text(

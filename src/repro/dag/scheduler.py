@@ -1,22 +1,27 @@
 """Execute the campaign DAG: cache-hit skipping, cost-aware stealing.
 
 Two layers live here.  :func:`steal_dispatch` is the generic
-work-stealing core: per-queue pending deques (one queue per shard-like
-group), a fixed number of executor slots, each slot draining its owned
-queues front-first in canonical order and — once they are empty —
-*stealing* from the tail of whichever queue has the most remaining
-estimated cost, so no slot idles while a straggler queue still holds
-work.  It is executor-agnostic (thread pools in the benchmarks, process
-pools for real solves).
+work-stealing core and the one dispatch loop of every parallel block
+run — the DAG's solve phase and ``run_scenario(workers=N)`` alike:
+per-queue pending deques (one queue per shard-like group), a fixed
+number of executor slots, each slot draining its owned queues
+front-first in canonical order and — once they are empty — *stealing*
+from the tail of whichever queue has the most remaining estimated
+cost, so no slot idles while a straggler queue still holds work.  It
+is executor-agnostic (thread pools in the benchmarks, process pools
+for real solves).
 
 :func:`run_pipeline` executes a compiled :class:`~repro.dag.pipeline.
-Pipeline` against a result store: every stage whose content key is
+Pipeline` against a result store.  Its solve phase,
+:func:`execute_solves`, is the one place stored blocks are skipped —
+``microrepro run --store``, ``campaign``, ``resume``, ``shard run`` and
+``dag run`` all resume through it: every stage whose content key is
 already in the :class:`~repro.dag.artifacts.ArtifactStore` is a cache
 hit and is not run; legacy cell records with enough repetitions are
 adopted into the artifact log (so pre-DAG stores migrate without
-recomputing); the remaining solve stages run through the same block
-engine as the legacy paths — serial runs keep the cross-point stacking
-of :func:`~repro.experiments.runner.execute_blocks`, parallel runs
+recomputing); the remaining solve stages run through the block
+engine — serial runs keep the cross-point stacking of
+:func:`~repro.experiments.runner.execute_blocks`, parallel runs
 dispatch picklable block jobs through :func:`steal_dispatch` with the
 :mod:`repro.dag.cost` estimates.  Cell records and run headers keep
 flowing into the :class:`~repro.experiments.store.ResultStore`, so

@@ -1,9 +1,8 @@
 """Pluggable curve providers for the block-scheduled experiment engine.
 
-PR 1's runner hardcoded the curve set of every figure: ``_evaluate_cell``
-knew about heuristics, the exact MIP and the optimal one-to-one mapping,
-and re-entered Python once per (sweep point, repetition) cell.  This
-module splits that into *curve providers* discovered through a registry
+A figure's curve set — heuristics, the exact MIP, the optimal
+one-to-one mapping, refinements — is not hardcoded in the runner.  This
+module splits it into *curve providers* discovered through a registry
 mirroring :mod:`repro.heuristics.base`: a figure (or a CLI flag) names
 its curves, the engine resolves each name to a provider, and each
 provider scores one whole **block** — the ``R`` structurally identical
@@ -25,8 +24,8 @@ Built-in providers
 
 Randomness contract: every provider derives its per-repetition streams
 from the block's :class:`~repro.simulation.rng.RandomStreamFactory` with
-the same labels the per-cell runner used, so the block engine reproduces
-the per-cell series bit for bit and stays process-independent.
+the same labels a per-instance solve loop uses, so the block engine
+reproduces that loop's series bit for bit and stays process-independent.
 """
 
 from __future__ import annotations

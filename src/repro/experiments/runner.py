@@ -10,59 +10,53 @@ CSV and computes the aggregate normalisation factors of Section 7.
 
 Block scheduling
 ----------------
-The default engine (``engine="block"``) groups the ``R`` structurally
-identical repetitions of each sweep point into one
-:class:`~repro.batch.InstanceStack` and hands whole blocks to the curve
-providers, which score each curve's ``R`` mappings in a single
-vectorized pass instead of re-entering the scalar evaluator per cell.
-Heuristics implementing the :class:`~repro.heuristics.BatchHeuristic`
-protocol (H2/H3, the H4 family, H4ls) additionally *solve* the whole
-block in one lock-step ``solve_batch`` call — both on the serial path
-and inside each pool worker — so neither solving nor scoring re-enters
-Python per repetition; heuristics without a batch kernel (H1) fall back
-to the per-instance solve loop transparently.  The original per-cell
-path of PR 1 is kept as ``engine="cells"`` — the bit-for-bit reference
-the equivalence tests compare against.
+The engine groups the ``R`` structurally identical repetitions of each
+sweep point into one :class:`~repro.batch.InstanceStack` and hands
+whole blocks to the curve providers, which score each curve's ``R``
+mappings in a single vectorized pass instead of re-entering the scalar
+evaluator per cell.  Heuristics implementing the
+:class:`~repro.heuristics.BatchHeuristic` protocol (H2/H3, the H4
+family, H4ls) additionally *solve* the whole block in one lock-step
+``solve_batch`` call — both on the serial path and inside each pool
+worker — so neither solving nor scoring re-enters Python per
+repetition; heuristics without a batch kernel (H1) fall back to the
+per-instance solve loop transparently.  The equivalence tests hold
+every mode to a per-instance ``Heuristic.solve`` oracle bit for bit.
 
 Repetition blocks are independent, so the engine can fan the (sweep
-point, curve) blocks out over a process pool (``workers=N``).  Every
-block re-derives its random streams from the root seed through
-:class:`~repro.simulation.rng.RandomStreamFactory` — whose label hashing
-is process-independent — and results are folded back in the serial
-iteration order, so a parallel run is bit-for-bit identical to the
-serial one for the same seed.  The one caveat is the MIP curve: the
-backend solves under a *wall-clock* time limit, so a cell that proves
-optimality in a lightly loaded serial run may time out (and report NaN)
-when ``workers`` oversubscribes the CPU.  Heuristic and one-to-one
-curves are pure functions of the seed and carry the full guarantee.
+point, curve) blocks out over a process pool (``workers=N``) through
+the campaign DAG's work-stealing dispatcher
+(:func:`repro.dag.scheduler.steal_dispatch`, imported only on that
+path).  Every block re-derives its random streams from the root seed
+through :class:`~repro.simulation.rng.RandomStreamFactory` — whose
+label hashing is process-independent — and results are folded back in
+the serial iteration order, so a parallel run is bit-for-bit identical
+to the serial one for the same seed.  The one caveat is the MIP curve:
+the backend solves under a *wall-clock* time limit, so a cell that
+proves optimality in a lightly loaded serial run may time out (and
+report NaN) when ``workers`` oversubscribes the CPU.  Heuristic and
+one-to-one curves are pure functions of the seed and carry the full
+guarantee.
 
-Persistence
------------
-Pass ``store=ResultStore(path)`` to append every completed block to an
-on-disk store the moment it finishes, and ``resume=True`` to skip the
-blocks already stored under the same (figure, scenario hash, seed,
-curve, sweep value) key — the engine then only computes the remainder,
-which is what makes long campaigns interruptible (see ``microrepro
-campaign`` / ``resume``).
+Runs are pure in-memory computations.  Persistent, resumable runs go
+through the campaign DAG (``microrepro run --store``, ``campaign``,
+``dag run``); :meth:`~repro.experiments.store.ResultStore.save_result`
+stores an in-memory result after the fact.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..analysis.normalize import NormalizationReport, normalize_series
-from ..backend import get_backend
 from ..analysis.stats import Series
 from ..analysis.tables import series_table, series_to_csv
-from ..exact.milp import solve_specialized_milp
-from ..exact.one_to_one import optimal_one_to_one
-from ..exceptions import ExperimentError, SolverError
-from ..generators.scenarios import ScenarioConfig, sample_instance
-from ..heuristics import get_heuristic
+from ..exceptions import ExperimentError
+from ..generators.scenarios import ScenarioConfig
 from ..simulation.rng import RandomStreamFactory
 from .figures import FIGURES, FigureSpec
 from .providers import (
@@ -73,7 +67,6 @@ from .providers import (
     resolve_curves,
     resolve_provider,
 )
-from .store import CellRecord, ResultStore, RunMeta
 
 __all__ = [
     "ExperimentResult",
@@ -147,56 +140,6 @@ class ExperimentResult:
         return NormalizationReport.from_series(self.series, reference)
 
 
-def _evaluate_cell(
-    scenario: ScenarioConfig,
-    sweep_value: int,
-    repetition: int,
-    entropy,
-    use_milp: bool,
-    use_oto: bool,
-    milp_time_limit: float,
-    memoize: bool,
-) -> tuple[dict[str, float], int]:
-    """Run every curve of one (sweep point, repetition) cell.
-
-    The per-cell reference path (PR 1's scalar engine, reachable through
-    ``run_scenario(engine="cells")``).  Returns ``({curve label: period},
-    milp_failures)``.  All randomness is re-derived from ``entropy``
-    through the stream factory, so the result is a pure function of its
-    arguments — the property that makes the process-pool path bit-for-bit
-    identical to the serial one.  The exception is the MIP curve, whose
-    wall-clock ``milp_time_limit`` makes timeout-induced NaNs
-    load-dependent.
-    """
-    streams = RandomStreamFactory(np.random.SeedSequence(entropy))
-    instance = sample_instance(
-        scenario, sweep_value, repetition, streams, memoize=memoize
-    )
-    periods: dict[str, float] = {}
-    for name in scenario.heuristics:
-        rng = streams.stream(f"heuristic/{name}/{sweep_value}", repetition)
-        periods[name] = get_heuristic(name).solve(instance, rng).period
-    if use_oto:
-        try:
-            periods[OTO_LABEL] = optimal_one_to_one(instance).period
-        except SolverError:
-            periods[OTO_LABEL] = float("nan")
-    milp_failures = 0
-    if use_milp:
-        milp = solve_specialized_milp(instance, time_limit=milp_time_limit)
-        if milp.is_optimal:
-            periods[MIP_LABEL] = milp.period
-        else:
-            milp_failures = 1
-            periods[MIP_LABEL] = float("nan")
-    return periods, milp_failures
-
-
-def _evaluate_cell_args(args) -> tuple[dict[str, float], int]:
-    """Tuple-unpacking adapter for ``ProcessPoolExecutor.map``."""
-    return _evaluate_cell(*args)
-
-
 def _evaluate_block_job(args) -> tuple[list[float], int]:
     """Worker entry point: sample one block and score one curve on it.
 
@@ -213,30 +156,6 @@ def _evaluate_block_job(args) -> tuple[list[float], int]:
     return result.values(), result.failures
 
 
-def _stored_block(
-    store: ResultStore | None,
-    resume: bool,
-    figure_id: str,
-    scenario_hash: str,
-    seed: int | None,
-    label: str,
-    sweep_value: int,
-    repetitions: int,
-) -> tuple[list[float], int] | None:
-    """Reusable stored values for one block, or ``None`` if it must run.
-
-    A record with at least as many repetitions serves a smaller run by
-    slicing (repetition streams are independent of ``R``, see
-    :meth:`CellRecord.sliced`).
-    """
-    if store is None or not resume or seed is None:
-        return None
-    record = store.get_cell(figure_id, scenario_hash, seed, label, sweep_value)
-    if record is None or record.repetitions < repetitions:
-        return None
-    return record.sliced(repetitions)
-
-
 def run_scenario(
     scenario: ScenarioConfig,
     *,
@@ -248,10 +167,7 @@ def run_scenario(
     normalize_to: str | None = None,
     workers: int | None = None,
     memoize_instances: bool = False,
-    engine: str = "block",
     extra_curves: tuple[str, ...] = (),
-    store: ResultStore | None = None,
-    resume: bool = False,
 ) -> ExperimentResult:
     """Run one scenario and collect the per-curve period series.
 
@@ -279,57 +195,55 @@ def run_scenario(
         Honoured on the serial path *and*, per worker process, on the
         parallel path — each worker keeps its own cache, so curve jobs
         that share a sweep point re-draw each instance at most once per
-        worker.  (PR 1's parallel path silently dropped the flag; both
-        engines now honour it, with identical results either way since
-        memoized instances are bit-identical.)
-    engine:
-        ``"block"`` (default) schedules whole repetition blocks through
-        the curve providers and the vectorized
-        :class:`~repro.batch.InstanceStack` pass; ``"cells"`` is the
-        per-cell reference path, kept for equivalence testing.
+        worker.  Memoized instances are bit-identical, so results never
+        depend on the flag.
     extra_curves:
         Additional curve labels resolved through
         :func:`~repro.experiments.providers.resolve_provider` (e.g.
-        ``"H4ls"`` or ``"H2+ls"``).  Requires the block engine.
-    store:
-        A :class:`~repro.experiments.store.ResultStore`: every completed
-        block is appended to it immediately, and the run header is saved
-        on completion.  Requires the block engine and an explicit seed.
-    resume:
-        With ``store``, skip blocks whose results are already stored
-        (same figure, scenario hash, seed, curve and sweep value) instead
-        of recomputing them.
+        ``"H4ls"`` or ``"H2+ls"``).
     """
-    if engine not in ("block", "cells"):
-        raise ExperimentError(f"unknown engine {engine!r}; use 'block' or 'cells'")
-    if engine == "cells" and (store is not None or resume or extra_curves):
-        raise ExperimentError(
-            "the per-cell reference engine supports neither result stores nor "
-            "extra curves; use engine='block'"
-        )
-    if store is not None and seed is None:
-        raise ExperimentError("a result store requires an explicit seed (got None)")
-
     start = time.perf_counter()
-    streams = RandomStreamFactory(seed)
     # Resolve the effective entropy up front: with seed=None a random one
-    # is drawn here once, so serial and parallel cells share it.
-    entropy = streams.entropy
+    # is drawn here once, so serial and parallel blocks share it.
+    entropy = RandomStreamFactory(seed).entropy
     use_milp = scenario.include_milp if include_milp is None else include_milp
     use_oto = (
         scenario.include_one_to_one if include_one_to_one is None else include_one_to_one
     )
+    providers = resolve_curves(
+        scenario,
+        use_milp=use_milp,
+        use_oto=use_oto,
+        milp_time_limit=milp_time_limit,
+        extra_curves=extra_curves,
+    )
+    labels = [provider.label for provider in providers]
 
-    if engine == "cells":
-        series, milp_failures = _run_cells(
-            scenario, entropy, use_milp, use_oto, milp_time_limit, workers,
-            memoize_instances,
-        )
-    else:
-        series, milp_failures = _run_blocks(
-            scenario, entropy, use_milp, use_oto, milp_time_limit, workers,
-            memoize_instances, extra_curves, figure_id, seed, store, resume,
-        )
+    outcomes: dict[tuple[int, str], tuple[list[float], int]] = {}
+
+    def record(sweep_value: int, label: str, values: list[float], failures: int) -> None:
+        outcomes[(sweep_value, label)] = (values, failures)
+
+    execute_blocks(
+        scenario,
+        entropy,
+        [(sweep_value, label) for sweep_value in scenario.sweep_values for label in labels],
+        dict(zip(labels, providers)),
+        record,
+        milp_time_limit=milp_time_limit,
+        workers=workers,
+        memoize=memoize_instances,
+    )
+
+    # Fold in the fixed (sweep value, curve) order so series contents do
+    # not depend on worker scheduling.
+    series: dict[str, Series] = {label: Series(label=label) for label in labels}
+    milp_failures = 0
+    for sweep_value in scenario.sweep_values:
+        for label in labels:
+            values, failures = outcomes[(sweep_value, label)]
+            series[label].extend(sweep_value, values)
+            milp_failures += failures
 
     normalized: dict[str, Series] | None = None
     if normalize_to is not None:
@@ -344,7 +258,7 @@ def run_scenario(
             if label != normalize_to
         }
 
-    result = ExperimentResult(
+    return ExperimentResult(
         figure_id=figure_id,
         scenario=scenario,
         series=series,
@@ -353,21 +267,6 @@ def run_scenario(
         elapsed_seconds=time.perf_counter() - start,
         milp_failures=milp_failures,
     )
-    if store is not None:
-        store.put_meta(
-            RunMeta(
-                figure_id=figure_id,
-                scenario_hash=scenario.stable_hash(),
-                seed=seed,
-                scenario=scenario.to_dict(),
-                curves=list(series),
-                normalize_to=normalize_to,
-                elapsed_seconds=result.elapsed_seconds,
-                backend=get_backend().name,
-            )
-        )
-        store.flush()
-    return result
 
 
 def execute_blocks(
@@ -384,224 +283,90 @@ def execute_blocks(
     """Compute a set of (sweep value, curve label) blocks, in any subset.
 
     The shared execution core of the block engine: :func:`run_scenario`
-    feeds it a figure's full grid, the distributed shard worker
-    (:mod:`repro.campaign.worker`) exactly its shard's units.  Each
-    completed block is handed to ``record(sweep_value, label, values,
-    failures)`` — on the parallel path in completion order, so callers
-    that need a deterministic layout must fold afterwards (series
-    folding, or the store's key-addressed records).
+    feeds it a figure's full grid, the campaign DAG's serial solve phase
+    (:func:`repro.dag.scheduler.execute_solves`) exactly the blocks a
+    run still misses.  Each completed block is handed to
+    ``record(sweep_value, label, values, failures)`` — on the parallel
+    path in completion order, so callers that need a deterministic
+    layout must fold afterwards.
 
     ``provider_by_label`` supplies the resolved providers for the serial
-    path; the process-pool path re-resolves providers by label in each
+    path; the parallel path re-resolves providers by label in each
     worker (jobs must stay picklable), which is why every curve label
     must round-trip through
     :func:`~repro.experiments.providers.resolve_provider`.
     """
     if workers is not None and workers > 1 and pending:
-        job_args = [
+        # Imported here: the serial path (and every import of this
+        # module) stays free of the DAG and campaign packages.
+        from ..dag.scheduler import steal_dispatch
+
+        jobs = [
             (scenario, sweep_value, label, entropy, milp_time_limit, memoize)
             for sweep_value, label in pending
         ]
+
+        def on_result(job, result) -> None:
+            values, failures = result
+            record(job[1], job[2], values, failures)
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_evaluate_block_job, args): key
-                for key, args in zip(pending, job_args)
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                # Record blocks as they complete so an interrupt loses at
-                # most the blocks in flight.
-                for future in done:
-                    sweep_value, label = futures[future]
-                    values, failures = future.result()
-                    record(sweep_value, label, values, failures)
-    else:
-        by_point: dict[int, list[str]] = {}
-        for sweep_value, label in pending:
-            by_point.setdefault(sweep_value, []).append(label)
-        streams = RandomStreamFactory(np.random.SeedSequence(entropy))
-        # Chunk consecutive points with the same predicted (n, m) so a
-        # provider can stack them across sweep points into one kernel
-        # pass (types sweeps share the chain across points; tasks sweeps
-        # chunk per point).  Sampling is label-keyed in the stream
-        # factory, so sampling a chunk up front draws exactly the blocks
-        # the per-point loop would.  Providers re-verify the true
-        # structural signature before stacking, so the prediction only
-        # affects grouping efficiency, never results.
-        chunks: list[list[int]] = []
-        current: list[int] = []
-        current_key: tuple[int, int] | None = None
-        rows = 0
-        for sweep_value in by_point:
-            n, _, m = scenario.dimensions_at(sweep_value)
-            key = (n, m)
-            if current and (
-                key != current_key
-                or rows + scenario.repetitions > CROSS_POINT_MAX_ROWS
-            ):
-                chunks.append(current)
-                current, rows = [], 0
-            current_key = key
-            current.append(sweep_value)
-            rows += scenario.repetitions
-        if current:
+            steal_dispatch(
+                pool,
+                _evaluate_block_job,
+                [jobs[slot::workers] for slot in range(workers)],
+                slots=workers,
+                on_result=on_result,
+            )
+        return
+
+    by_point: dict[int, list[str]] = {}
+    for sweep_value, label in pending:
+        by_point.setdefault(sweep_value, []).append(label)
+    streams = RandomStreamFactory(np.random.SeedSequence(entropy))
+    # Chunk consecutive points with the same predicted (n, m) so a
+    # provider can stack them across sweep points into one kernel pass
+    # (types sweeps share the chain across points; tasks sweeps chunk
+    # per point).  Sampling is label-keyed in the stream factory, so
+    # sampling a chunk up front draws exactly the blocks the per-point
+    # loop would.  Providers re-verify the true structural signature
+    # before stacking, so the prediction only affects grouping
+    # efficiency, never results.
+    chunks: list[list[int]] = []
+    current: list[int] = []
+    current_key: tuple[int, int] | None = None
+    rows = 0
+    for sweep_value in by_point:
+        n, _, m = scenario.dimensions_at(sweep_value)
+        key = (n, m)
+        if current and (
+            key != current_key or rows + scenario.repetitions > CROSS_POINT_MAX_ROWS
+        ):
             chunks.append(current)
-        for chunk in chunks:
-            # One sampling pass serves every curve of every chunked point.
-            blocks = {
-                sweep_value: CellBlock.sample(
-                    scenario, sweep_value, streams, memoize=memoize
-                )
-                for sweep_value in chunk
-            }
-            chunk_labels: list[str] = []
-            for sweep_value in chunk:
-                for label in by_point[sweep_value]:
-                    if label not in chunk_labels:
-                        chunk_labels.append(label)
-            for label in chunk_labels:
-                points = [v for v in chunk if label in by_point[v]]
-                results = provider_by_label[label].evaluate_blocks(
-                    [blocks[v] for v in points]
-                )
-                for sweep_value, result in zip(points, results):
-                    record(sweep_value, label, result.values(), result.failures)
-
-
-def _run_blocks(
-    scenario: ScenarioConfig,
-    entropy,
-    use_milp: bool,
-    use_oto: bool,
-    milp_time_limit: float,
-    workers: int | None,
-    memoize: bool,
-    extra_curves: tuple[str, ...],
-    figure_id: str,
-    seed: int | None,
-    store: ResultStore | None,
-    resume: bool,
-) -> tuple[dict[str, Series], int]:
-    """The block-scheduled engine: one (sweep point, curve) unit at a time."""
-    providers = resolve_curves(
-        scenario,
-        use_milp=use_milp,
-        use_oto=use_oto,
-        milp_time_limit=milp_time_limit,
-        extra_curves=extra_curves,
-    )
-    labels = [provider.label for provider in providers]
-    scenario_hash = scenario.stable_hash()
-    repetitions = scenario.repetitions
-
-    # Partition the (sweep point, curve) grid into already-stored blocks
-    # and blocks that still need computing.
-    outcomes: dict[tuple[int, str], tuple[list[float], int]] = {}
-    pending: list[tuple[int, str]] = []
-    for sweep_value in scenario.sweep_values:
-        for label in labels:
-            stored = _stored_block(
-                store, resume, figure_id, scenario_hash, seed, label,
-                sweep_value, repetitions,
+            current, rows = [], 0
+        current_key = key
+        current.append(sweep_value)
+        rows += scenario.repetitions
+    if current:
+        chunks.append(current)
+    for chunk in chunks:
+        # One sampling pass serves every curve of every chunked point.
+        blocks = {
+            sweep_value: CellBlock.sample(scenario, sweep_value, streams, memoize=memoize)
+            for sweep_value in chunk
+        }
+        chunk_labels: list[str] = []
+        for sweep_value in chunk:
+            for label in by_point[sweep_value]:
+                if label not in chunk_labels:
+                    chunk_labels.append(label)
+        for label in chunk_labels:
+            points = [v for v in chunk if label in by_point[v]]
+            results = provider_by_label[label].evaluate_blocks(
+                [blocks[v] for v in points]
             )
-            if stored is not None:
-                outcomes[(sweep_value, label)] = stored
-            else:
-                pending.append((sweep_value, label))
-
-    def record(sweep_value: int, label: str, values: list[float], failures: int) -> None:
-        outcomes[(sweep_value, label)] = (values, failures)
-        if store is not None:
-            store.put_cell(
-                CellRecord(
-                    figure_id=figure_id,
-                    scenario_hash=scenario_hash,
-                    seed=seed,
-                    curve=label,
-                    sweep_value=int(sweep_value),
-                    repetitions=repetitions,
-                    values=values,
-                    failures=failures,
-                )
-            )
-
-    execute_blocks(
-        scenario,
-        entropy,
-        pending,
-        dict(zip(labels, providers)),
-        record,
-        milp_time_limit=milp_time_limit,
-        workers=workers,
-        memoize=memoize,
-    )
-
-    # Fold in the fixed (sweep value, curve) order so series contents do
-    # not depend on worker scheduling or resume state.
-    series: dict[str, Series] = {label: Series(label=label) for label in labels}
-    milp_failures = 0
-    for sweep_value in scenario.sweep_values:
-        for label in labels:
-            values, failures = outcomes[(sweep_value, label)]
-            series[label].extend(sweep_value, values)
-            milp_failures += failures
-    return series, milp_failures
-
-
-def _run_cells(
-    scenario: ScenarioConfig,
-    entropy,
-    use_milp: bool,
-    use_oto: bool,
-    milp_time_limit: float,
-    workers: int | None,
-    memoize: bool,
-) -> tuple[dict[str, Series], int]:
-    """PR 1's per-cell reference engine (kept for equivalence testing)."""
-    series: dict[str, Series] = {
-        name: Series(label=name) for name in scenario.heuristics
-    }
-    if use_milp:
-        series[MIP_LABEL] = Series(label=MIP_LABEL)
-    if use_oto:
-        series[OTO_LABEL] = Series(label=OTO_LABEL)
-
-    cells = [
-        (sweep_value, repetition)
-        for sweep_value in scenario.sweep_values
-        for repetition in range(scenario.repetitions)
-    ]
-    if workers is not None and workers > 1:
-        # PR 1 hardcoded memoize=False here, silently dropping
-        # run_scenario(workers=N, memoize_instances=True); the flag is now
-        # honoured through each worker's process-local instance cache
-        # (results are unaffected — memoized instances are identical).
-        job_args = [
-            (scenario, sweep_value, repetition, entropy, use_milp, use_oto,
-             milp_time_limit, memoize)
-            for sweep_value, repetition in cells
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(job_args) // (workers * 4))
-            outcomes = list(pool.map(_evaluate_cell_args, job_args, chunksize=chunksize))
-    else:
-        outcomes = [
-            _evaluate_cell(
-                scenario, sweep_value, repetition, entropy, use_milp, use_oto,
-                milp_time_limit, memoize,
-            )
-            for sweep_value, repetition in cells
-        ]
-
-    # Fold the per-cell results back in the serial iteration order, so the
-    # series contents do not depend on worker scheduling.
-    milp_failures = 0
-    for (sweep_value, _repetition), (periods, cell_failures) in zip(cells, outcomes):
-        milp_failures += cell_failures
-        for label, value in periods.items():
-            series[label].add(sweep_value, value)
-    return series, milp_failures
+            for sweep_value, result in zip(points, results):
+                record(sweep_value, label, result.values(), result.failures)
 
 
 def run_figure(
@@ -611,14 +376,10 @@ def run_figure(
     repetitions: int | None = None,
     max_points: int | None = None,
     include_milp: bool | None = None,
-    include_one_to_one: bool | None = None,
     milp_time_limit: float = 30.0,
     workers: int | None = None,
     memoize_instances: bool = False,
-    engine: str = "block",
     include_optional: bool = False,
-    store: ResultStore | None = None,
-    resume: bool = False,
 ) -> ExperimentResult:
     """Reproduce one figure of the paper.
 
@@ -638,15 +399,9 @@ def run_figure(
         Cache sampled instances per process (worth enabling on parallel
         block runs, where several curve jobs share each sweep point's
         instances — see :func:`run_scenario`).
-    engine:
-        ``"block"`` (default) or the per-cell reference path ``"cells"``.
     include_optional:
         Also run the figure's optional curves (e.g. the H4ls refinement
-        on Figure 6); block engine only.
-    store, resume:
-        Persist completed blocks to a
-        :class:`~repro.experiments.store.ResultStore` / skip the blocks
-        it already holds (see :func:`run_scenario`).
+        on Figure 6).
     """
     try:
         spec: FigureSpec = FIGURES[figure_id]
@@ -659,14 +414,10 @@ def run_figure(
         scenario,
         seed=seed,
         include_milp=include_milp,
-        include_one_to_one=include_one_to_one,
         milp_time_limit=milp_time_limit,
         figure_id=figure_id,
         normalize_to=spec.normalize_to,
         workers=workers,
         memoize_instances=memoize_instances,
-        engine=engine,
         extra_curves=spec.optional_curves if include_optional else (),
-        store=store,
-        resume=resume,
     )

@@ -4,9 +4,9 @@ A :class:`ResultStore` is a directory holding an **append-only**
 JSON-lines file (``results.jsonl``) plus a byte-offset index
 (``index.json``).  Every completed ``(figure, scenario hash, seed,
 curve, sweep value)`` block lands as one line the moment it finishes, so
-an interrupted campaign loses at most the block in flight;
-``run_figure(..., store=..., resume=True)`` then skips every stored
-block and only computes the remainder.
+an interrupted campaign loses at most the block in flight; resuming it
+(``microrepro resume``, ``run --store ... --resume``, ``dag run``) skips
+every stored block and only computes the remainder.
 
 The append/scan/index machinery itself is format-agnostic and lives in
 :class:`JsonlStore`: a directory with one append-only JSONL file of

@@ -13,10 +13,10 @@ equivalent of the service's batched-equals-direct contract.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..exceptions import ExperimentError
+from ..obs.metrics import nearest_rank
 from ..service.requests import normalize_session_request
 from .replanner import Replanner
 from .timeline import LiveConfig, generate_timeline
@@ -37,13 +37,6 @@ _STATE_FIELDS = (
     "up_count",
     "availability",
 )
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +96,8 @@ def _latency_summary(records: list[dict]) -> dict:
         )
         summary[tier] = {
             "count": len(samples),
-            "p50": _percentile(samples, 0.50),
-            "p95": _percentile(samples, 0.95),
+            "p50": nearest_rank(samples, 0.50),
+            "p95": nearest_rank(samples, 0.95),
             "max": samples[-1] if samples else 0.0,
         }
     return summary

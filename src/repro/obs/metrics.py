@@ -14,8 +14,7 @@ The exposition format is the Prometheus text format (``# HELP`` /
 histogram buckets) — scrapable by any Prometheus-compatible collector
 without a client-library dependency.
 
-:class:`LatencyReservoir` lives here now (relocated from
-``repro.service.metrics``, which remains as a deprecated re-export):
+:class:`LatencyReservoir` and :func:`nearest_rank` live here too:
 nearest-rank percentiles over a ring buffer are a metric primitive, not
 a service detail.
 """
@@ -35,6 +34,7 @@ __all__ = [
     "MetricsRegistry",
     "RESERVOIR_SIZE",
     "DEFAULT_BUCKETS",
+    "nearest_rank",
 ]
 
 #: Latency samples kept for the ``/v1/stats`` percentiles.
@@ -56,6 +56,16 @@ DEFAULT_BUCKETS = (
     5.0,
     10.0,
 )
+
+
+def nearest_rank(ordered, q: float) -> float:
+    """Nearest-rank percentile (``0 < q <= 1``) of ascending ``ordered``.
+
+    ``0.0`` when there are no samples.
+    """
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 @dataclass(slots=True)
@@ -81,11 +91,7 @@ class LatencyReservoir:
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile (``0 < q <= 1``); ``0.0`` when empty."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(q * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self._samples), q)
 
 
 class Counter:

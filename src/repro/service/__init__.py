@@ -22,15 +22,13 @@ Layers (one module each):
   (the picklable group-solve function + its executor);
 * :mod:`~repro.service.cache` — the two-tier response cache
   (size-bounded persistent tier with compaction + eviction);
-* :mod:`~repro.service.metrics` — shared latency reservoir;
 * :mod:`~repro.service.sessions` — live replanning sessions
   (:class:`SessionManager`: table, counters, idle expiry);
 * :mod:`~repro.service.server` — the asyncio HTTP front end
-  (versioned ``/v1`` routes — solve, stats, healthz, session — plus
-  deprecated unversioned aliases);
+  (versioned ``/v1`` routes — solve, stats, metrics, healthz, session);
 * :mod:`~repro.service.client` — :class:`ServiceClient` (keep-alive,
-  429 retry, sessions) plus the deprecated one-shot helpers
-  (``microrepro request``, tests, CI smoke).
+  429 retry, sessions; used by ``microrepro request``, the tests and the
+  CI smokes).
 
 Responses are **bit-for-bit identical** to per-request direct solves no
 matter how requests were grouped, cached or ordered — batching and
@@ -38,17 +36,10 @@ caching are scheduling choices, never semantic ones.
 """
 
 from ..exceptions import ServiceOverloadedError
+from ..obs.metrics import LatencyReservoir
 from .batcher import BatcherStats, MicroBatcher
 from .cache import CacheStats, SolveCache, SolveCacheStore
-from .client import (
-    ServiceClient,
-    ServiceSession,
-    get_json,
-    post_json,
-    service_stats,
-    solve_remote,
-)
-from .metrics import LatencyReservoir
+from .client import ServiceClient, ServiceSession
 from .pool import SolveWorkerPool, solve_group
 from .requests import (
     SessionRequest,
@@ -73,10 +64,6 @@ __all__ = [
     "solve_group",
     "ServiceClient",
     "ServiceSession",
-    "get_json",
-    "post_json",
-    "service_stats",
-    "solve_remote",
     "SessionRequest",
     "SolveRequest",
     "build_response",

@@ -8,38 +8,20 @@ methods against the versioned ``/v1`` API.  Server errors surface as
 :class:`~repro.exceptions.ExperimentError` carrying the message from the
 ``{"error": {"code", "message"}}`` envelope; a 429 that exhausts the
 retry budget raises :class:`~repro.exceptions.ServiceOverloadedError`
-with the ``Retry-After`` hint intact.
-
-The module-level helpers (:func:`get_json`, :func:`post_json`,
-:func:`solve_remote`, :func:`service_stats`) predate the class and are
-kept as deprecated one-shot wrappers: they still open a fresh connection
-per call, still talk to the unversioned legacy paths, and — deliberately
-— do *not* retry on 429, because existing callers (the CI smoke's
-load-shedding phase among them) rely on seeing the
-:class:`~repro.exceptions.ServiceOverloadedError` themselves.
+with the ``Retry-After`` hint intact (``retries=0`` surfaces every 429).
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import urllib.error
 import urllib.parse
-import urllib.request
-import warnings
 from http.client import HTTPConnection, HTTPException
 from time import sleep
 
 from ..exceptions import ExperimentError, ServiceOverloadedError
 
-__all__ = [
-    "ServiceClient",
-    "ServiceSession",
-    "get_json",
-    "post_json",
-    "solve_remote",
-    "service_stats",
-]
+__all__ = ["ServiceClient", "ServiceSession"]
 
 #: Default per-call timeout (seconds); a queued solve answers within the
 #: batching window plus one solve, which is far below this.
@@ -308,82 +290,3 @@ class ServiceSession:
         except ExperimentError:
             pass  # session already expired or server gone; nothing to release
 
-
-# -- deprecated one-shot helpers ---------------------------------------------------
-
-
-def _request(url: str, data: bytes | None, timeout: float) -> dict:
-    try:
-        request = urllib.request.Request(
-            url,
-            data=data,
-            headers={"Content-Type": "application/json"} if data is not None else {},
-            method="POST" if data is not None else "GET",
-        )
-    except ValueError as exc:
-        raise ExperimentError(f"bad service URL {url!r}: {exc}") from exc
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return _decode(response.read(), url)
-    except urllib.error.HTTPError as exc:
-        payload = _decode(exc.read(), url)
-        message = _error_message(payload, url, exc.code)
-        if exc.code == 429:
-            raise ServiceOverloadedError(
-                message,
-                retry_after_seconds=_retry_after(exc.headers.get("Retry-After"), payload),
-            ) from exc
-        raise ExperimentError(message) from exc
-    except urllib.error.URLError as exc:
-        raise ExperimentError(f"cannot reach {url}: {exc.reason}") from exc
-
-
-def _warn_deprecated(helper: str, replacement: str) -> None:
-    warnings.warn(
-        f"{helper}() is deprecated; use {replacement} on a ServiceClient "
-        "(keep-alive connection, versioned endpoints, optional 429 retry)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def get_json(url: str, *, timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """GET a JSON object.
-
-    .. deprecated:: use :meth:`ServiceClient.get`.
-    """
-    _warn_deprecated("get_json", "ServiceClient.get")
-    return _request(url, None, timeout)
-
-
-def post_json(url: str, payload: dict, *, timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """POST a JSON object, return the JSON response.
-
-    .. deprecated:: use :meth:`ServiceClient.post`.
-    """
-    _warn_deprecated("post_json", "ServiceClient.post")
-    return _request(url, json.dumps(payload).encode("utf-8"), timeout)
-
-
-def solve_remote(base_url: str, request: dict, *, timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """Send one solve request to a running service.
-
-    .. deprecated:: use :meth:`ServiceClient.solve`.  Unlike the class
-       method this never retries a 429 — existing callers catch the
-       :class:`~repro.exceptions.ServiceOverloadedError` themselves.
-    """
-    _warn_deprecated("solve_remote", "ServiceClient.solve")
-    return _request(
-        base_url.rstrip("/") + "/solve",
-        json.dumps(request).encode("utf-8"),
-        timeout,
-    )
-
-
-def service_stats(base_url: str, *, timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """Fetch a running service's stats counters.
-
-    .. deprecated:: use :meth:`ServiceClient.stats`.
-    """
-    _warn_deprecated("service_stats", "ServiceClient.stats")
-    return _request(base_url.rstrip("/") + "/stats", None, timeout)

@@ -2,9 +2,9 @@
 
 A deliberately small, dependency-free HTTP/1.1 server on
 ``asyncio.start_server`` (the container ships no async HTTP framework).
-All routes live under the **versioned** ``/v1/`` prefix; the original
-unversioned paths (``/solve``, ``/stats``, ``/healthz``) survive as
-aliases that answer identically plus a ``Deprecation: true`` header:
+All routes live under the **versioned** ``/v1/`` prefix; any other path
+(the unversioned ``/solve``, ``/stats`` and ``/healthz`` included) gets
+the 404 ``not_found`` envelope:
 
 ``POST /v1/solve``
     One solve request (see :mod:`repro.service.requests` for the
@@ -76,9 +76,6 @@ __all__ = ["LatencyReservoir", "ServiceStats", "SolveService", "serve"]
 MAX_BODY_BYTES = 1 << 20
 #: Largest accepted request line + header section.
 MAX_HEADER_BYTES = 1 << 14
-
-#: Unversioned routes kept as deprecated aliases of their /v1 versions.
-LEGACY_ALIASES = ("/solve", "/stats", "/healthz")
 
 #: ``/v1/session/{id}`` and ``/v1/session/{id}/event`` (already stripped
 #: of the version prefix when matched).
@@ -392,13 +389,6 @@ class SolveService:
         self, method: str, target: str, body: bytes
     ) -> tuple[int, dict, dict | None]:
         path = target.split("?", 1)[0]
-        if path in LEGACY_ALIASES:
-            # Unversioned alias of the /v1 route: same answer, flagged
-            # deprecated so callers can migrate on their own schedule.
-            status, payload, headers = await self._route(method, path, path, body)
-            headers = dict(headers or {})
-            headers["Deprecation"] = "true"
-            return status, payload, headers
         if path == "/v1" or path.startswith("/v1/"):
             return await self._route(method, path[3:] or "/", path, body)
         self.stats.note_error()

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.analysis.stats import Series
 from repro.core import FailureModel, Platform, ProblemInstance
+from repro.exact.milp import solve_specialized_milp
+from repro.exact.one_to_one import optimal_one_to_one
+from repro.exceptions import SolverError
+from repro.experiments.providers import MIP_LABEL, OTO_LABEL
 from repro.generators import (
     random_chain_application,
     random_failure_rates,
     random_processing_times,
 )
+from repro.generators.scenarios import ScenarioConfig, sample_instance
+from repro.heuristics import get_heuristic
+from repro.simulation.rng import RandomStreamFactory
 
-__all__ = ["make_random_instance"]
+__all__ = ["make_random_instance", "per_instance_series"]
 
 
 def make_random_instance(
@@ -37,3 +47,49 @@ def make_random_instance(
         task_dependent=task_dependent,
     )
     return ProblemInstance(app, Platform(w, types=app.types), FailureModel(f))
+
+
+def per_instance_series(
+    scenario: ScenarioConfig,
+    seed: int,
+    *,
+    include_milp: bool | None = None,
+    include_one_to_one: bool | None = None,
+    milp_time_limit: float = 30.0,
+) -> tuple[dict[str, Series], int]:
+    """The engine's equivalence oracle: every cell solved per instance.
+
+    Each (sweep point, repetition) instance is solved by every heuristic
+    on that cell's own stream (``Heuristic.solve``), then by the optimal
+    one-to-one mapping and the MIP (NaN, plus one failure, on any
+    non-optimal result).  Returns ``({curve label: Series},
+    milp_failures)``; the block engine must match it bit for bit.
+    """
+    use_milp = scenario.include_milp if include_milp is None else include_milp
+    use_oto = (
+        scenario.include_one_to_one if include_one_to_one is None else include_one_to_one
+    )
+    series = {name: Series(label=name) for name in scenario.heuristics}
+    if use_oto:
+        series[OTO_LABEL] = Series(label=OTO_LABEL)
+    if use_milp:
+        series[MIP_LABEL] = Series(label=MIP_LABEL)
+    streams = RandomStreamFactory(seed)
+    milp_failures = 0
+    for x in scenario.sweep_values:
+        for repetition in range(scenario.repetitions):
+            instance = sample_instance(scenario, x, repetition, streams)
+            for name in scenario.heuristics:
+                rng = streams.stream(f"heuristic/{name}/{x}", repetition)
+                series[name].add(x, get_heuristic(name).solve(instance, rng).period)
+            if use_oto:
+                try:
+                    period = optimal_one_to_one(instance).period
+                except SolverError:
+                    period = math.nan
+                series[OTO_LABEL].add(x, period)
+            if use_milp:
+                milp = solve_specialized_milp(instance, time_limit=milp_time_limit)
+                milp_failures += not milp.is_optimal
+                series[MIP_LABEL].add(x, milp.period if milp.is_optimal else math.nan)
+    return series, milp_failures

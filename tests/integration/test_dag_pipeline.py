@@ -34,12 +34,13 @@ def legacy_store(manifest, tmp_path_factory) -> ResultStore:
     store = ResultStore(tmp_path_factory.mktemp("legacy"))
     for figure_id in manifest.figures:
         for seed in manifest.seeds:
-            run_figure(
-                figure_id,
-                seed=seed,
-                repetitions=manifest.repetitions,
-                max_points=manifest.max_points,
-                store=store,
+            store.save_result(
+                run_figure(
+                    figure_id,
+                    seed=seed,
+                    repetitions=manifest.repetitions,
+                    max_points=manifest.max_points,
+                )
             )
     store.close()
     return store

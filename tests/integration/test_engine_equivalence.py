@@ -1,13 +1,13 @@
-"""Block-scheduled engine vs the PR 1 per-cell reference path.
+"""Block-scheduled engine vs the per-instance oracle; stored runs.
 
 The contract under test: for the same seed, ``run_scenario`` /
-``run_figure`` produce bit-for-bit identical series whether whole
-repetition blocks are scheduled through the curve providers and the
-vectorized :class:`~repro.batch.InstanceStack` pass (``engine="block"``,
-the default) or every (sweep point, repetition) cell is scored through
-the scalar path (``engine="cells"``, PR 1's engine kept as reference) —
-serially or on a process pool.  A second battery checks that a result
-store makes runs resumable without recomputing stored blocks.
+``run_figure`` produce bit-for-bit the series of a per-instance
+``Heuristic.solve`` loop (:func:`tests.helpers.per_instance_series`) —
+serially, on a process pool, with memoized sampling, with cross-point
+stacking and with the exact baselines.  A second battery checks that
+``microrepro run --store`` runs through the campaign DAG: it prints the
+in-memory run's bytes, resumes without recomputing stored blocks, and
+leaves a store that ``dag run`` serves entirely from cache.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import ExperimentError
+from repro.campaign import CampaignManifest
+from repro.cli import CAMPAIGN_MANIFEST, STORE_ENV_VAR, main
+from repro.dag import artifact_store_for, build_pipeline, execute_solves
 from repro.experiments import ResultStore, run_figure, run_scenario
 from repro.experiments import providers as providers_module
 from repro.experiments.figures import FIGURES
@@ -26,19 +28,17 @@ from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
 from repro.heuristics.base import batch_solve_min_repetitions
 from repro.simulation.rng import RandomStreamFactory
+from tests.helpers import per_instance_series
 
 
-def _series_payload(result):
-    return {
-        label: (series.x_values, series.samples)
-        for label, series in result.series.items()
-    }
+def _series_payload(series):
+    return {label: (curve.x_values, curve.samples) for label, curve in series.items()}
 
 
-def _assert_identical(a, b):
-    """Bit-for-bit series equality, treating NaN cells (MIP timeouts /
-    OtO infeasibility) as equal when they coincide."""
-    pa, pb = _series_payload(a), _series_payload(b)
+def _assert_identical(expected, actual):
+    """Bit-for-bit equality of two ``{label: Series}`` maps, treating NaN
+    cells (MIP timeouts / OtO infeasibility) as equal when they coincide."""
+    pa, pb = _series_payload(expected), _series_payload(actual)
     assert pa.keys() == pb.keys()
     for label in pa:
         xa, sa = pa[label]
@@ -51,6 +51,14 @@ def _assert_identical(a, b):
                 if math.isnan(left) and math.isnan(right):
                     continue
                 assert left == right, (label, x)
+
+
+def _oracle(scenario: ScenarioConfig, seed: int, **overrides):
+    return per_instance_series(scenario, seed, **overrides)[0]
+
+
+def _figure_scenario(figure_id: str, **scale) -> ScenarioConfig:
+    return FIGURES[figure_id].scenario.scaled(**scale)
 
 
 def _small_scenario(**overrides) -> ScenarioConfig:
@@ -67,12 +75,11 @@ def _small_scenario(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
-class TestBlockVsCells:
+class TestBlockVsOracle:
     def test_custom_scenario_identical(self):
         scenario = _small_scenario()
         _assert_identical(
-            run_scenario(scenario, seed=11, engine="cells"),
-            run_scenario(scenario, seed=11, engine="block"),
+            _oracle(scenario, 11), run_scenario(scenario, seed=11).series
         )
 
     def test_custom_scenario_with_exact_baselines(self):
@@ -83,19 +90,19 @@ class TestBlockVsCells:
             heuristics=("H2", "H4w"),
             task_dependent_failures=True,
         )
-        cells = run_scenario(
-            scenario, seed=3, engine="cells", include_milp=True, include_one_to_one=True
+        expected, failures = per_instance_series(
+            scenario, 3, include_milp=True, include_one_to_one=True
         )
         block = run_scenario(
-            scenario, seed=3, engine="block", include_milp=True, include_one_to_one=True
+            scenario, seed=3, include_milp=True, include_one_to_one=True
         )
-        _assert_identical(cells, block)
-        assert cells.milp_failures == block.milp_failures
+        _assert_identical(expected, block.series)
+        assert failures == block.milp_failures
 
     def test_fig9_reduced_identical(self):
         _assert_identical(
-            run_figure("fig9", seed=5, repetitions=2, max_points=2, engine="cells"),
-            run_figure("fig9", seed=5, repetitions=2, max_points=2, engine="block"),
+            _oracle(_figure_scenario("fig9", repetitions=2, max_points=2), 5),
+            run_figure("fig9", seed=5, repetitions=2, max_points=2).series,
         )
 
     def test_fig10_reduced_identical(self):
@@ -104,67 +111,42 @@ class TestBlockVsCells:
         # test_custom_scenario_with_exact_baselines keeps a cheap
         # MILP-inclusive equivalence check in tier 1.
         _assert_identical(
-            run_figure(
-                "fig10", seed=1, repetitions=2, max_points=2, engine="cells",
+            _oracle(
+                _figure_scenario("fig10", repetitions=2, max_points=2),
+                1,
                 include_milp=False,
             ),
             run_figure(
-                "fig10", seed=1, repetitions=2, max_points=2, engine="block",
-                include_milp=False,
-            ),
+                "fig10", seed=1, repetitions=2, max_points=2, include_milp=False
+            ).series,
         )
 
     @pytest.mark.slow
     def test_fig10_reduced_identical_including_milp(self):
         _assert_identical(
-            run_figure(
-                "fig10", seed=1, repetitions=2, max_points=2, engine="cells"
-            ),
-            run_figure(
-                "fig10", seed=1, repetitions=2, max_points=2, engine="block"
-            ),
+            _oracle(_figure_scenario("fig10", repetitions=2, max_points=2), 1),
+            run_figure("fig10", seed=1, repetitions=2, max_points=2).series,
         )
 
     @pytest.mark.slow
     def test_fig5_reduced_identical(self):
         _assert_identical(
-            run_figure("fig5", seed=7, repetitions=2, max_points=2, engine="cells"),
-            run_figure("fig5", seed=7, repetitions=2, max_points=2, engine="block"),
+            _oracle(_figure_scenario("fig5", repetitions=2, max_points=2), 7),
+            run_figure("fig5", seed=7, repetitions=2, max_points=2).series,
         )
 
-    def test_parallel_block_matches_serial_block(self):
-        scenario = _small_scenario()
-        _assert_identical(
-            run_scenario(scenario, seed=11, engine="block"),
-            run_scenario(scenario, seed=11, engine="block", workers=2),
-        )
-
-    def test_parallel_block_matches_parallel_cells(self):
+    def test_parallel_block_matches_oracle(self):
         scenario = _small_scenario(repetitions=3)
         _assert_identical(
-            run_scenario(scenario, seed=23, engine="cells", workers=2),
-            run_scenario(scenario, seed=23, engine="block", workers=2),
+            _oracle(scenario, 23), run_scenario(scenario, seed=23, workers=2).series
         )
 
     def test_memoized_block_run_is_identical(self):
         scenario = _small_scenario(repetitions=2)
         _assert_identical(
-            run_scenario(scenario, seed=9, engine="block"),
-            run_scenario(scenario, seed=9, engine="block", memoize_instances=True),
+            _oracle(scenario, 9),
+            run_scenario(scenario, seed=9, memoize_instances=True).series,
         )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_scenario(_small_scenario(), engine="warp")
-
-    def test_cells_engine_rejects_block_only_features(self, tmp_path):
-        scenario = _small_scenario()
-        with pytest.raises(ExperimentError):
-            run_scenario(scenario, engine="cells", extra_curves=("H4ls",))
-        with pytest.raises(ExperimentError):
-            run_scenario(
-                scenario, engine="cells", store=ResultStore(tmp_path / "s")
-            )
 
 
 class TestBatchSolveEquivalence:
@@ -191,8 +173,8 @@ class TestBatchSolveEquivalence:
         assert covered >= 3  # H2/H3 and at least one H4-family curve
 
     def test_engine_uses_batch_solve_above_threshold(self, monkeypatch):
-        """A block-engine run at production depth routes through solve_batch
-        and still matches the per-cell reference engine bit for bit."""
+        """A run at production depth routes through solve_batch and still
+        matches the per-instance oracle bit for bit."""
         calls = []
         scenario = _small_scenario(
             repetitions=max(
@@ -210,10 +192,9 @@ class TestBatchSolveEquivalence:
                 return _original(self, instances)
 
             monkeypatch.setattr(cls, "solve_batch", counting)
-        block = run_scenario(scenario, seed=29, engine="block")
+        block = run_scenario(scenario, seed=29)
         assert sorted(set(calls)) == ["H2", "H4w"]
-        cells = run_scenario(scenario, seed=29, engine="cells")
-        _assert_identical(cells, block)
+        _assert_identical(_oracle(scenario, 29), block.series)
 
 
 class TestCrossPointStacking:
@@ -221,7 +202,7 @@ class TestCrossPointStacking:
 
     A types sweep keeps (n, m) fixed across points, so the serial block
     engine chunks the whole figure into one solve per curve; results
-    must stay bit-for-bit identical to the per-cell reference, and the
+    must stay bit-for-bit identical to the per-instance oracle, and the
     lock-step kernel must actually be entered once with every point's
     rows."""
 
@@ -239,12 +220,9 @@ class TestCrossPointStacking:
         defaults.update(overrides)
         return ScenarioConfig(**defaults)
 
-    def test_types_sweep_identical_to_cells(self):
+    def test_types_sweep_identical_to_oracle(self):
         scenario = self._types_scenario()
-        _assert_identical(
-            run_scenario(scenario, seed=7, engine="cells"),
-            run_scenario(scenario, seed=7, engine="block"),
-        )
+        _assert_identical(_oracle(scenario, 7), run_scenario(scenario, seed=7).series)
 
     def test_aligned_points_solve_in_one_batch_call(self, monkeypatch):
         calls = []
@@ -258,7 +236,7 @@ class TestCrossPointStacking:
                 return _original(self, instances)
 
             monkeypatch.setattr(cls, "solve_batch", counting)
-        run_scenario(scenario, seed=7, engine="block")
+        run_scenario(scenario, seed=7)
         rows = len(scenario.sweep_values) * scenario.repetitions
         assert sorted(calls) == [("H2", rows), ("H4w", rows)]
 
@@ -313,14 +291,14 @@ class TestBatchFallback:
     def test_h1_has_no_batch_kernel(self):
         assert not supports_batch(get_heuristic("H1"))
 
-    def test_fallback_block_run_matches_cells_with_workers(self):
+    def test_fallback_block_run_matches_oracle_with_workers(self):
         scenario = _small_scenario(
             repetitions=batch_solve_min_repetitions("H4w"),
             heuristics=("H1", "RoundRobin", "H4w"),
         )
-        cells = run_scenario(scenario, seed=31, engine="cells")
-        block = run_scenario(scenario, seed=31, engine="block", workers=2)
-        _assert_identical(cells, block)
+        _assert_identical(
+            _oracle(scenario, 31), run_scenario(scenario, seed=31, workers=2).series
+        )
 
     def test_fallback_provider_solves_blocks_directly(self):
         scenario = _small_scenario(repetitions=4, heuristics=("H1",))
@@ -355,76 +333,98 @@ class TestOptionalCurves:
             )
 
 
+def _fig6(*, seed: int = 4, repetitions: int = 2) -> list[str]:
+    """``microrepro run`` arguments of a small MIP-free fig6 run."""
+    return [
+        "run", "fig6", "--seed", str(seed), "--repetitions", str(repetitions),
+        "--max-points", "2", "--no-milp", "--csv",
+    ]
+
+
+def _cli(capsys, args: list[str]) -> str:
+    assert main(args) == 0
+    return capsys.readouterr().out
+
+
+def _count_sampled_blocks(monkeypatch) -> list[int]:
+    """Record the sweep value of every ``CellBlock.sample`` call from now on."""
+    sampled: list[int] = []
+    original = providers_module.CellBlock.sample.__func__
+
+    def counting(cls, *args, **kwargs):
+        sampled.append(args[1])
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(providers_module.CellBlock, "sample", classmethod(counting))
+    return sampled
+
+
 class TestStoreResume:
-    def test_resume_skips_stored_blocks(self, tmp_path, monkeypatch):
-        scenario = _small_scenario(repetitions=2)
-        with ResultStore(tmp_path / "s") as store:
-            first = run_scenario(scenario, seed=4, figure_id="figE", store=store)
+    """``run --store`` is a one-figure, one-seed campaign through the DAG."""
 
-        sampled = []
-        original = providers_module.CellBlock.sample.__func__
+    @pytest.fixture(autouse=True)
+    def _no_env_store(self, monkeypatch):
+        # Without --store, `run` must stay in memory even where
+        # $REPRO_STORE is set.
+        monkeypatch.delenv(STORE_ENV_VAR, raising=False)
 
-        def counting(cls, *args, **kwargs):
-            sampled.append(args[1])
-            return original(cls, *args, **kwargs)
+    def test_store_run_prints_the_in_memory_csv(self, tmp_path, capsys):
+        in_memory = _cli(capsys, _fig6())
+        stored = _cli(capsys, _fig6() + ["--store", str(tmp_path / "s")])
+        assert stored == in_memory
+        # One run, not a campaign: no manifest is left behind.
+        assert not (tmp_path / "s" / CAMPAIGN_MANIFEST).exists()
 
-        monkeypatch.setattr(
-            providers_module.CellBlock, "sample", classmethod(counting)
-        )
-        with ResultStore(tmp_path / "s") as store:
-            second = run_scenario(
-                scenario, seed=4, figure_id="figE", store=store, resume=True
-            )
+    def test_resume_skips_stored_blocks(self, tmp_path, capsys, monkeypatch):
+        store = str(tmp_path / "s")
+        first = _cli(capsys, _fig6() + ["--store", store])
+        sampled = _count_sampled_blocks(monkeypatch)
+        second = _cli(capsys, _fig6() + ["--store", store, "--resume"])
         assert sampled == []  # nothing recomputed
-        _assert_identical(first, second)
+        assert second == first
+
+    def test_dag_run_serves_a_run_store_from_cache(self, tmp_path, capsys):
+        store = str(tmp_path / "s")
+        _cli(capsys, _fig6() + ["--store", store])
+        report = _cli(
+            capsys,
+            [
+                "dag", "run", "fig6", "--seeds", "4", "--repetitions", "2",
+                "--max-points", "2", "--no-milp", "--store", store,
+            ],
+        )
+        assert "; 0 block solve(s)" in report
 
     def test_resume_only_computes_missing_blocks(self, tmp_path):
-        scenario = _small_scenario(repetitions=2)
-        full = run_scenario(scenario, seed=4, figure_id="figE")
+        manifest = CampaignManifest(
+            figures=("fig6",), seeds=(4,), repetitions=2, max_points=2, no_milp=True
+        )
+        pipeline = build_pipeline(manifest)
+        solves = list(pipeline.solves.values())
         with ResultStore(tmp_path / "s") as store:
-            run_scenario(scenario, seed=4, figure_id="figE", store=store)
-            # Drop one stored block from the index: only that block reruns.
-            key = next(k for k in store._cells if "|H2|9" in k)
-            del store._cells[key]
-            resumed = run_scenario(
-                scenario, seed=4, figure_id="figE", store=store, resume=True
-            )
-        _assert_identical(full, resumed)
+            artifacts = artifact_store_for(store.path)
+            execute_solves(pipeline, solves[:-1], store, artifacts)
+            report = execute_solves(pipeline, solves, store, artifacts)
+            resumed = store.load_result("fig6", seed=4)
+            artifacts.close()
+        assert report.computed["solve"] == 1
+        assert report.hits["solve"] == len(solves) - 1
+        full = run_figure("fig6", seed=4, repetitions=2, max_points=2, include_milp=False)
+        _assert_identical(full.series, resumed.series)
 
-    def test_resume_with_different_seed_recomputes(self, tmp_path):
-        scenario = _small_scenario(repetitions=2, heuristics=("H4w",))
-        with ResultStore(tmp_path / "s") as store:
-            run_scenario(scenario, seed=4, figure_id="figE", store=store)
-            other = run_scenario(
-                scenario, seed=5, figure_id="figE", store=store, resume=True
-            )
-        fresh = run_scenario(scenario, seed=5, figure_id="figE")
-        _assert_identical(other, fresh)
+    def test_resume_with_different_seed_recomputes(self, tmp_path, capsys):
+        store = str(tmp_path / "s")
+        _cli(capsys, _fig6(seed=4) + ["--store", store])
+        other = _cli(capsys, _fig6(seed=5) + ["--store", store, "--resume"])
+        assert other == _cli(capsys, _fig6(seed=5))
 
-    def test_stored_blocks_serve_smaller_repetition_counts(self, tmp_path):
-        big = _small_scenario(repetitions=4, heuristics=("H4w",))
-        small = _small_scenario(repetitions=2, heuristics=("H4w",))
-        with ResultStore(tmp_path / "s") as store:
-            run_scenario(big, seed=4, figure_id="figE", store=store)
-            resumed = run_scenario(
-                small, seed=4, figure_id="figE", store=store, resume=True
-            )
-        fresh = run_scenario(small, seed=4, figure_id="figE")
-        _assert_identical(resumed, fresh)
-
-    def test_parallel_run_with_store_matches_serial(self, tmp_path):
-        scenario = _small_scenario(repetitions=3)
-        with ResultStore(tmp_path / "s") as store:
-            parallel = run_scenario(
-                scenario, seed=13, figure_id="figP", store=store, workers=2
-            )
-        serial = run_scenario(scenario, seed=13, figure_id="figP")
-        _assert_identical(parallel, serial)
-        with ResultStore(tmp_path / "s") as store:
-            assert store.load_result("figP").seed == 13
-
-    def test_store_requires_seed(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            run_scenario(
-                _small_scenario(), seed=None, store=ResultStore(tmp_path / "s")
-            )
+    def test_stored_blocks_serve_smaller_repetition_counts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        store = str(tmp_path / "s")
+        expected = _cli(capsys, _fig6(repetitions=2))
+        _cli(capsys, _fig6(repetitions=4) + ["--store", store])
+        sampled = _count_sampled_blocks(monkeypatch)
+        resumed = _cli(capsys, _fig6(repetitions=2) + ["--store", store, "--resume"])
+        assert sampled == []
+        assert resumed == expected

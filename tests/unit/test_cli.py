@@ -132,16 +132,6 @@ class TestRunCommand:
         assert code == 0
         assert "H4ls" in capsys.readouterr().out
 
-    def test_run_cells_engine(self, capsys):
-        code = main(
-            [
-                "run", "fig6", "--repetitions", "1", "--max-points", "2",
-                "--seed", "0", "--no-milp", "--engine", "cells",
-            ]
-        )
-        assert code == 0
-        assert "== fig6 ==" in capsys.readouterr().out
-
     def test_run_resume_requires_store(self, monkeypatch, capsys):
         monkeypatch.delenv(STORE_ENV_VAR, raising=False)
         assert main(["run", "fig6", "--repetitions", "1", "--resume"]) == 2

@@ -313,8 +313,8 @@ class TestRunPipeline:
             repetitions=manifest.repetitions,
             max_points=manifest.max_points,
             include_milp=False,
-            store=store,
         )
+        store.save_result(legacy)
         run = run_pipeline(build_pipeline(manifest), store)
         assert run.report.computed["solve"] == 0
         assert run.report.hits["solve"] == len(expand_units(manifest))

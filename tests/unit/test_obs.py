@@ -15,11 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import trace
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    LatencyReservoir,
-    MetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.summary import format_table, format_tree, load_spans, summarize_spans
 from repro.obs.trace import (
     TraceContext,
@@ -87,17 +83,6 @@ class TestMetricsPrimitives:
         assert child.bucket_counts() == [2, 2, 3, 4]
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(5.515)
-
-    def test_latency_reservoir_relocated_with_deprecated_alias(self):
-        from repro.service.metrics import LatencyReservoir as aliased
-
-        assert aliased is LatencyReservoir
-        reservoir = LatencyReservoir(size=4)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0):  # wraps: 5.0 evicts 1.0
-            reservoir.add(value)
-        # Ring wrapped: samples are {2, 3, 4, 5}; nearest-rank p50 is 3.
-        assert reservoir.percentile(0.5) == 3.0
-        assert reservoir.percentile(1.0) == 5.0
 
 
 class TestMetricsRegistry:

@@ -12,23 +12,22 @@ import pytest
 from repro.exceptions import ExperimentError, ServiceOverloadedError
 from repro.heuristics import available_heuristics
 from repro.heuristics.base import batch_solve_min_repetitions
-
-# The micro-batcher's crossover for the heuristic used by make_payload.
-BATCH_THRESHOLD = batch_solve_min_repetitions("H4w")
+from repro.obs.metrics import nearest_rank
 from repro.service import (
     LatencyReservoir,
     MicroBatcher,
+    ServiceClient,
     ServiceStats,
     SolveCache,
     SolveCacheStore,
     SolveService,
     SolveWorkerPool,
     direct_response,
-    get_json,
     normalize_request,
-    service_stats,
-    solve_remote,
 )
+
+# The micro-batcher's crossover for the heuristic used by make_payload.
+BATCH_THRESHOLD = batch_solve_min_repetitions("H4w")
 
 
 def make_payload(**overrides) -> dict:
@@ -52,6 +51,12 @@ def make_payload(**overrides) -> dict:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def remote(url: str, method: str, *args):
+    """One ``ServiceClient`` call on a fresh connection; a 429 is not retried."""
+    with ServiceClient(url, retries=0) as client:
+        return getattr(client, method)(*args)
 
 
 class TestNormalizeRequest:
@@ -377,14 +382,14 @@ class TestSolveService:
             payload = make_payload(seed=2)
             try:
                 response = await self.request_in_executor(
-                    lambda: solve_remote(url, payload)
+                    lambda: remote(url, "solve", payload)
                 )
                 duplicate = await self.request_in_executor(
-                    lambda: solve_remote(url, payload)
+                    lambda: remote(url, "solve", payload)
                 )
-                stats = await self.request_in_executor(lambda: service_stats(url))
+                stats = await self.request_in_executor(lambda: remote(url, "stats"))
                 health = await self.request_in_executor(
-                    lambda: get_json(url + "/healthz")
+                    lambda: remote(url, "healthz")
                 )
             finally:
                 await service.stop()
@@ -408,15 +413,15 @@ class TestSolveService:
             try:
                 with pytest.raises(ExperimentError, match="unknown heuristic"):
                     await self.request_in_executor(
-                        lambda: solve_remote(
-                            url, make_payload(heuristic="NoSuchHeuristic")
+                        lambda: remote(
+                            url, "solve", make_payload(heuristic="NoSuchHeuristic")
                         )
                     )
                 with pytest.raises(ExperimentError, match="no such endpoint"):
                     await self.request_in_executor(
-                        lambda: get_json(url + "/nowhere")
+                        lambda: remote(url, "get", "/nowhere")
                     )
-                stats = await self.request_in_executor(lambda: service_stats(url))
+                stats = await self.request_in_executor(lambda: remote(url, "stats"))
             finally:
                 await service.stop()
             return stats
@@ -439,7 +444,7 @@ class TestSolveService:
                 writer.close()
                 # ...but the server survives and keeps answering.
                 health = await self.request_in_executor(
-                    lambda: get_json(service.url + "/healthz")
+                    lambda: remote(service.url, "healthz")
                 )
             finally:
                 await service.stop()
@@ -460,9 +465,9 @@ class TestSolveService:
             try:
                 with pytest.raises(ExperimentError, match="kernel exploded"):
                     await self.request_in_executor(
-                        lambda: solve_remote(url, make_payload())
+                        lambda: remote(url, "solve", make_payload())
                     )
-                stats = await self.request_in_executor(lambda: service_stats(url))
+                stats = await self.request_in_executor(lambda: remote(url, "stats"))
             finally:
                 await service.stop()
             return stats
@@ -480,7 +485,7 @@ class TestSolveService:
             await service.start()
             try:
                 return await self.request_in_executor(
-                    lambda: solve_remote(service.url, payload)
+                    lambda: remote(service.url, "solve", payload)
                 )
             finally:
                 await service.stop()
@@ -490,7 +495,7 @@ class TestSolveService:
             await service.start()
             try:
                 return await self.request_in_executor(
-                    lambda: solve_remote(service.url, payload)
+                    lambda: remote(service.url, "solve", payload)
                 )
             finally:
                 await service.stop()
@@ -557,10 +562,10 @@ class TestSolveWorkerPool:
             loop = asyncio.get_running_loop()
             try:
                 response = await loop.run_in_executor(
-                    None, lambda: solve_remote(url, payload)
+                    None, lambda: remote(url, "solve", payload)
                 )
                 stats = await loop.run_in_executor(
-                    None, lambda: service_stats(url)
+                    None, lambda: remote(url, "stats")
                 )
             finally:
                 await service.stop()
@@ -632,7 +637,7 @@ class TestAdmissionControl:
         def ask(url, payload):
             while True:
                 try:
-                    return solve_remote(url, payload)
+                    return remote(url, "solve", payload)
                 except ServiceOverloadedError as exc:
                     # The server's Retry-After header reached the client.
                     assert exc.retry_after_seconds is not None
@@ -654,7 +659,7 @@ class TestAdmissionControl:
                     )
                 )
                 stats = await loop.run_in_executor(
-                    None, lambda: service_stats(url)
+                    None, lambda: remote(url, "stats")
                 )
             finally:
                 await service.stop()
@@ -686,10 +691,10 @@ class TestDeadlines:
             try:
                 with pytest.raises(ExperimentError, match="deadline of 100 ms"):
                     await loop.run_in_executor(
-                        None, lambda: solve_remote(url, payload)
+                        None, lambda: remote(url, "solve", payload)
                     )
                 stats = await loop.run_in_executor(
-                    None, lambda: service_stats(url)
+                    None, lambda: remote(url, "stats")
                 )
             finally:
                 # stop() drains the batcher: the group the 504'd request
@@ -715,7 +720,7 @@ class TestDeadlines:
             loop = asyncio.get_running_loop()
             try:
                 return payload, await loop.run_in_executor(
-                    None, lambda: solve_remote(service.url, payload)
+                    None, lambda: remote(service.url, "solve", payload)
                 )
             finally:
                 await service.stop()
@@ -810,7 +815,7 @@ class TestWaiterLifecycle:
             payload = make_payload(seed=81)
             url = service.url
             pending = asyncio.get_running_loop().run_in_executor(
-                None, lambda: solve_remote(url, payload)
+                None, lambda: remote(url, "solve", payload)
             )
             while not service.batcher._inflight:  # parked in the window
                 await asyncio.sleep(0.005)
@@ -907,6 +912,8 @@ class TestLatencyReservoir:
         assert reservoir.percentile(0.50) == pytest.approx(0.050)
         assert reservoir.percentile(0.95) == pytest.approx(0.095)
         assert reservoir.percentile(0.99) == pytest.approx(0.099)
+        assert reservoir.percentile(1.0) == pytest.approx(0.100)
+        assert nearest_rank([], 0.5) == 0.0
 
     def test_ring_buffer_keeps_only_the_most_recent_samples(self):
         reservoir = LatencyReservoir(size=4)

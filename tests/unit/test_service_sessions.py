@@ -17,10 +17,8 @@ from repro.service import (
     ServiceClient,
     SessionManager,
     SolveService,
-    get_json,
     normalize_event,
     normalize_session_request,
-    solve_remote,
 )
 
 
@@ -403,37 +401,25 @@ class TestVersionedAPI:
 
         return run(scenario())
 
-    def test_v1_and_legacy_routes_answer_identically(self):
-        payload = make_session_payload()
+    def test_unversioned_routes_get_404_envelopes(self):
+        routes = (
+            ("POST", "/solve", make_session_payload()),
+            ("GET", "/stats", None),
+            ("GET", "/healthz", None),
+        )
 
         async def inner(service):
-            legacy = await self.request_in_executor(
-                lambda: raw_http(service.url, "POST", "/solve", payload)
-            )
-            versioned = await self.request_in_executor(
-                lambda: raw_http(service.url, "POST", "/v1/solve", payload)
-            )
-            return legacy, versioned
-
-        legacy, versioned = self.with_service(inner)
-        assert legacy[0] == versioned[0] == 200
-        assert legacy[2]["assignment"] == versioned[2]["assignment"]
-        assert legacy[2]["key"] == versioned[2]["key"]
-
-    def test_legacy_aliases_carry_the_deprecation_header(self):
-        async def inner(service):
-            results = {}
-            for path in ("/stats", "/healthz", "/v1/stats", "/v1/healthz"):
-                results[path] = await self.request_in_executor(
-                    lambda p=path: raw_http(service.url, "GET", p)
+            return [
+                await self.request_in_executor(
+                    lambda route=route: raw_http(service.url, *route)
                 )
-            return results
+                for route in routes
+            ]
 
-        results = self.with_service(inner)
-        for path in ("/stats", "/healthz"):
-            assert results[path][1].get("Deprecation") == "true", path
-        for path in ("/v1/stats", "/v1/healthz"):
-            assert "Deprecation" not in results[path][1], path
+        for status, headers, body in self.with_service(inner):
+            assert status == 404
+            assert body["error"]["code"] == "not_found"
+            assert "Deprecation" not in headers
 
     def test_unknown_routes_get_404_envelopes(self):
         async def inner(service):
@@ -493,23 +479,6 @@ class TestVersionedAPI:
         assert sessions["events"] == 2  # initial solve + one failure
         assert sessions["replans"]["cold"] >= 1
         assert 0.0 <= sessions["availability"] <= 1.0
-
-    def test_legacy_client_helpers_still_work(self):
-        payload = make_session_payload()
-
-        async def inner(service):
-            url = service.url
-            response = await self.request_in_executor(
-                lambda: solve_remote(url, payload)
-            )
-            health = await self.request_in_executor(
-                lambda: get_json(url + "/healthz")
-            )
-            return response, health
-
-        response, health = self.with_service(inner)
-        assert response["period"] > 0
-        assert health["status"] == "ok"
 
 
 class TestServiceClient:
