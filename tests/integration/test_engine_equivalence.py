@@ -12,6 +12,7 @@ leaves a store that ``dag run`` serves entirely from cache.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -141,11 +142,42 @@ class TestBlockVsOracle:
             _oracle(scenario, 23), run_scenario(scenario, seed=23, workers=2).series
         )
 
+    def test_parallel_block_matches_serial_block(self):
+        scenario = _small_scenario()
+        _assert_identical(
+            run_scenario(scenario, seed=11).series,
+            run_scenario(scenario, seed=11, workers=2).series,
+        )
+
+    def test_parallel_blocks_go_through_steal_dispatch(self, monkeypatch):
+        from repro.dag import scheduler
+
+        executed = []
+        original = scheduler.steal_dispatch
+
+        def counting(*args, **kwargs):
+            report = original(*args, **kwargs)
+            executed.append(report.executed)
+            return report
+
+        monkeypatch.setattr(scheduler, "steal_dispatch", counting)
+        scenario = _small_scenario(repetitions=2)
+        result = run_scenario(scenario, seed=11, workers=2)
+        # One dispatch loop ran every (sweep point, curve) block.
+        assert executed == [len(scenario.sweep_values) * len(result.series)]
+
     def test_memoized_block_run_is_identical(self):
         scenario = _small_scenario(repetitions=2)
         _assert_identical(
             _oracle(scenario, 9),
             run_scenario(scenario, seed=9, memoize_instances=True).series,
+        )
+
+    def test_run_functions_take_no_engine_store_or_resume(self):
+        removed = {"engine", "store", "resume"}
+        assert not removed & set(inspect.signature(run_scenario).parameters)
+        assert not (removed | {"include_one_to_one"}) & set(
+            inspect.signature(run_figure).parameters
         )
 
 
@@ -411,6 +443,13 @@ class TestStoreResume:
         assert report.hits["solve"] == len(solves) - 1
         full = run_figure("fig6", seed=4, repetitions=2, max_points=2, include_milp=False)
         _assert_identical(full.series, resumed.series)
+
+    def test_parallel_run_with_store_matches_serial(self, tmp_path, capsys):
+        store = str(tmp_path / "s")
+        parallel = _cli(capsys, _fig6(seed=13) + ["--store", store, "--workers", "2"])
+        assert parallel == _cli(capsys, _fig6(seed=13))
+        with ResultStore(store) as opened:
+            assert opened.load_result("fig6", seed=13).seed == 13
 
     def test_resume_with_different_seed_recomputes(self, tmp_path, capsys):
         store = str(tmp_path / "s")

@@ -28,6 +28,55 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig99"])
 
+    def test_run_has_no_engine_flag(self, capsys):
+        # One block engine: the per-cell reference engine left the CLI.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig6", "--engine", "cells"])
+        assert "--engine" in capsys.readouterr().err
+
+
+#: Every command that describes a campaign manifest, with the arguments
+#: it needs besides the shared manifest flags.
+_MANIFEST_COMMANDS = {
+    "run": ["run", "fig6"],
+    "campaign": ["campaign", "fig6"],
+    "shard plan": ["shard", "plan", "fig6", "--shards", "2", "--out", "plans"],
+    "dag plan": ["dag", "plan", "fig6"],
+    "dag run": ["dag", "run", "fig6"],
+}
+_MANIFEST_FIELDS = ("repetitions", "max_points", "no_milp", "milp_time_limit", "optional_curves")
+
+
+class TestManifestArguments:
+    """``run``, ``campaign``, ``shard plan`` and ``dag plan/run`` share one
+    block of manifest flags: same names, defaults and dests everywhere."""
+
+    @pytest.mark.parametrize("command", sorted(_MANIFEST_COMMANDS))
+    def test_shared_flags_parse_alike(self, command):
+        parser = build_parser()
+        argv = _MANIFEST_COMMANDS[command]
+        defaults = vars(parser.parse_args(argv))
+        given = vars(
+            parser.parse_args(
+                argv
+                + [
+                    "--repetitions", "3", "--max-points", "2", "--no-milp",
+                    "--milp-time-limit", "5", "--optional-curves",
+                ]
+            )
+        )
+        assert [defaults[field] for field in _MANIFEST_FIELDS] == [
+            None, None, False, 30.0, False,
+        ]
+        assert [given[field] for field in _MANIFEST_FIELDS] == [3, 2, True, 5.0, True]
+        # Only the commands that compute take the speed-only run knobs.
+        if command in ("run", "campaign", "dag run"):
+            knobs = vars(parser.parse_args(argv + ["--workers", "2", "--memoize-instances"]))
+            assert (knobs["workers"], knobs["memoize_instances"]) == (2, True)
+            assert (defaults["workers"], defaults["memoize_instances"]) == (None, False)
+        else:
+            assert "workers" not in defaults and "memoize_instances" not in defaults
+
 
 class TestListCommand:
     def test_lists_every_figure(self, capsys):

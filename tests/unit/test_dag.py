@@ -355,3 +355,29 @@ def test_dag_package_imports_first():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "build_pipeline"
+
+
+def test_serial_figure_run_loads_no_dag_or_campaign_module():
+    # The runner imports the DAG scheduler only for workers > 1: neither
+    # importing it nor a serial run_figure pulls in repro.dag/repro.campaign.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from repro.experiments.runner import run_figure\n"
+        "run_figure('fig6', seed=0, repetitions=1, max_points=1, include_milp=False)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.dag', 'repro.campaign'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
