@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -54,6 +55,17 @@ class PointSummary:
         }
 
 
+@lru_cache(maxsize=1024)
+def _t_critical(confidence: float, df: int) -> float:
+    """Two-sided Student t critical value, memoized per ``(confidence, df)``.
+
+    ``t.ppf`` costs tens of microseconds a call, and a figure export
+    summarises every sweep point of every curve with the same few ``df``
+    values.
+    """
+    return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+
+
 def summarize(samples: Iterable[float], *, confidence: float = 0.95) -> PointSummary:
     """Summarise a collection of samples, ignoring NaN / infinite values."""
     values = np.asarray([float(v) for v in samples], dtype=np.float64)
@@ -65,8 +77,7 @@ def summarize(samples: Iterable[float], *, confidence: float = 0.95) -> PointSum
     std = float(values.std(ddof=1)) if values.size > 1 else 0.0
     if values.size > 1 and std > 0.0:
         sem = std / math.sqrt(values.size)
-        t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1))
-        half_width = t_crit * sem
+        half_width = _t_critical(confidence, values.size - 1) * sem
     else:
         half_width = 0.0
     return PointSummary(

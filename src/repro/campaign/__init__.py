@@ -31,6 +31,7 @@ from .plan import (
     ShardPlan,
     WorkUnit,
     expand_units,
+    group_by_run,
     load_plan,
     parse_seed_spec,
     plan,
@@ -52,6 +53,7 @@ __all__ = [
     "ShardPlan",
     "WorkUnit",
     "expand_units",
+    "group_by_run",
     "load_plan",
     "parse_seed_spec",
     "plan",

@@ -56,6 +56,7 @@ __all__ = [
     "ShardPlan",
     "parse_seed_spec",
     "expand_units",
+    "group_by_run",
     "plan",
     "write_plans",
     "load_plan",
@@ -255,6 +256,14 @@ def expand_units(manifest: CampaignManifest) -> list[WorkUnit]:
     return units
 
 
+def group_by_run(units) -> dict[tuple[str, int], list[WorkUnit]]:
+    """Units grouped per ``(figure, seed)`` run, preserving their order."""
+    groups: dict[tuple[str, int], list[WorkUnit]] = {}
+    for unit in units:
+        groups.setdefault((unit.figure_id, unit.seed), []).append(unit)
+    return groups
+
+
 @dataclass(frozen=True, slots=True)
 class ShardPlan:
     """One worker's slice of a campaign: the manifest plus its units."""
@@ -283,12 +292,19 @@ class ShardPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardPlan":
+        """Parse a ``shard_k.json`` payload; every unit must be the campaign's."""
+        manifest = CampaignManifest.from_dict(data["manifest"])
+        units = tuple(WorkUnit.from_list(unit) for unit in data["units"])
+        known = set(expand_units(manifest))
+        for unit in units:
+            if unit not in known:
+                raise ExperimentError(f"unit {unit} is not part of this campaign")
         return cls(
-            manifest=CampaignManifest.from_dict(data["manifest"]),
+            manifest=manifest,
             index=int(data["shard"]),
             shards=int(data["shards"]),
             by=str(data["by"]),
-            units=tuple(WorkUnit.from_list(unit) for unit in data["units"]),
+            units=units,
             balance=str(data.get("balance", "round_robin")),
         )
 

@@ -20,12 +20,11 @@ curve list of the run — not just this shard's — so the merged store can
 rebuild :class:`~repro.experiments.runner.ExperimentResult` objects as
 soon as every shard landed.
 
-Since the campaign DAG landed, this module is a thin wrapper: the
-shard's units map to their :class:`~repro.dag.stage.SolveStage` s and
-run through :func:`repro.dag.scheduler.execute_solves`, which adds
-content-addressed artifact caching (``artifacts/`` inside the shard
-store) and cost-aware work stealing on parallel runs while preserving
-the store layout, resume semantics and progress lines above.
+The shard's units run through :func:`repro.dag.scheduler.execute_solves`,
+the one resume path of every campaign command: a unit whose cell the
+store already holds at full depth is skipped, parallel runs get
+cost-aware work stealing, and the store layout, resume semantics and
+progress lines above are the same as a single-host campaign's.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 from ..experiments.store import ResultStore
 from ..obs.trace import span
-from .plan import ShardPlan, WorkUnit
+from .plan import ShardPlan, group_by_run
 
 __all__ = ["ShardReport", "run_shard"]
 
@@ -72,14 +71,6 @@ class ShardReport:
         )
 
 
-def _group_units(units: tuple[WorkUnit, ...]) -> dict[tuple[str, int], list[WorkUnit]]:
-    """Units grouped per (figure, seed) run, preserving canonical order."""
-    groups: dict[tuple[str, int], list[WorkUnit]] = {}
-    for unit in units:
-        groups.setdefault((unit.figure_id, unit.seed), []).append(unit)
-    return groups
-
-
 def run_shard(
     shard: ShardPlan,
     store: ResultStore,
@@ -108,11 +99,9 @@ def run_shard(
     log:
         Optional callable for per-run progress lines.
     """
-    # Imported lazily: repro.dag.pipeline itself imports campaign.plan,
+    # Imported lazily: repro.dag.scheduler itself imports campaign.plan,
     # so a module-level import here would make `import repro.dag` (which
     # triggers this package's __init__) a circular-import error.
-    from ..dag.artifacts import artifact_store_for
-    from ..dag.pipeline import build_pipeline
     from ..dag.scheduler import execute_solves
 
     manifest = shard.manifest
@@ -124,26 +113,20 @@ def run_shard(
         shards=shard.shards,
         units=len(shard.units),
     ) as shard_span:
-        pipeline = build_pipeline(manifest)
-        artifacts = artifact_store_for(store.path)
-        pipeline_report = execute_solves(
-            pipeline,
-            pipeline.solves_for(shard.units),
+        solves = execute_solves(
+            manifest,
+            shard.units,
             store,
-            artifacts,
             workers=workers,
             resume=resume,
             log=log,
         )
         shard_span.set(
-            computed=pipeline_report.computed["solve"],
-            hits=pipeline_report.hits["solve"],
-            stolen=pipeline_report.stolen,
+            computed=solves.computed, hits=solves.hits, stolen=solves.stolen
         )
-    report.computed = pipeline_report.computed["solve"]
-    report.skipped = pipeline_report.hits["solve"]
-    report.runs = list(_group_units(shard.units))
-    artifacts.flush()
+    report.computed = solves.computed
+    report.skipped = solves.hits
+    report.runs = list(group_by_run(shard.units))
     store.flush()
     report.elapsed_seconds = time.perf_counter() - start
     return report

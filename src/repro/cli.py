@@ -84,12 +84,15 @@ from .campaign import (
     PLAN_AXES,
     PLAN_BALANCES,
     CampaignManifest,
+    expand_units,
+    group_by_run,
     load_plan,
     load_shard_plans,
     merge_stores,
     parse_seed_spec,
     plan,
     run_shard,
+    shard_status,
     status_payload,
     status_rows,
     write_plans,
@@ -427,15 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     dag_parser = subparsers.add_parser(
         "dag",
         help=(
-            "content-addressed campaign pipeline: plan/run/status of the "
-            "generate -> solve -> aggregate -> render stage DAG"
+            "campaign pipeline: plan/run/status of a campaign whose stored "
+            "cells are its cache and whose exports are derived from them"
         ),
     )
     dag_sub = dag_parser.add_subparsers(dest="dag_command", required=True)
 
     dag_plan_parser = dag_sub.add_parser(
         "plan",
-        help="compile the campaign DAG and report stages, costs and cache status",
+        help="report the campaign's units, runs, estimated cost and store status",
     )
     _add_figure_axes(dag_plan_parser)
     _add_manifest_arguments(dag_plan_parser, run_knobs=False)
@@ -463,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     dag_run_parser = dag_sub.add_parser(
         "run",
         help=(
-            "execute the campaign DAG against a store; cached stages are "
-            "skipped, so re-running an unchanged campaign performs zero solves"
+            "execute the campaign against a store; stored cells are skipped, "
+            "so re-running an unchanged campaign performs zero solves"
         ),
     )
     _add_figure_axes(dag_run_parser)
@@ -474,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-resume",
         action="store_true",
         help=(
-            "recompute every solve even when its artifact is cached "
-            "(downstream stages keep hitting: same inputs, same keys)"
+            "recompute every solve even when its cell is stored (the new "
+            "cells replace the old ones)"
         ),
     )
     dag_run_parser.add_argument(
@@ -491,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dag_status_parser = dag_sub.add_parser(
         "status",
-        help="stage completeness of the store's campaign (from its campaign.json)",
+        help="unit completeness of the store's campaign (from its campaign.json)",
     )
     _add_store_argument(dag_status_parser, required_hint=True)
     dag_status_parser.add_argument(
@@ -763,33 +766,24 @@ def _run_campaign(
     """Run (or finish) every (figure, seed) run of a campaign manifest.
 
     A thin wrapper over :func:`repro.dag.scheduler.execute_solves`: each
-    run's solve stages execute (or, with ``resume``, cache-hit) in
-    manifest order and the store receives their cells and run headers.
-    With ``announce`` a summary line prints as each run completes.
+    run's work units execute (or, with ``resume``, are served from their
+    stored cells) in manifest order and the store receives their cells
+    and run headers.  With ``announce`` a summary line prints as each
+    run completes.
     """
-    from .dag import artifact_store_for, build_pipeline, execute_solves
+    from .dag import execute_solves
 
-    pipeline = build_pipeline(manifest)
-    artifacts = artifact_store_for(store.path)
     results = []
-    for figure_id in manifest.figures:
-        scenario_hash = manifest.scenario_for(figure_id).stable_hash()
-        for seed in manifest.seeds:
-            solves = [
-                stage
-                for unit, stage in pipeline.solves.items()
-                if unit.figure_id == figure_id and unit.seed == seed
-            ]
-            execute_solves(
-                pipeline, solves, store, artifacts, workers=manifest.workers, resume=resume
-            )
-            result = store.load_result(
-                figure_id, scenario_hash=scenario_hash, seed=seed
-            )
-            if announce:
-                print(summary_line(result), flush=True)
-            results.append(result)
-    artifacts.flush()
+    for (figure_id, seed), units in group_by_run(expand_units(manifest)).items():
+        execute_solves(manifest, units, store, workers=manifest.workers, resume=resume)
+        result = store.load_result(
+            figure_id,
+            scenario_hash=manifest.scenario_for(figure_id).stable_hash(),
+            seed=seed,
+        )
+        if announce:
+            print(summary_line(result), flush=True)
+        results.append(result)
     store.flush()
     return results
 
@@ -972,15 +966,13 @@ def _manifest(
 
 
 def _cmd_dag_plan(args: argparse.Namespace) -> int:
-    from .dag import artifact_store_for, build_pipeline, unit_cost
+    from .dag import unit_cost
 
     manifest = _manifest(args)
-    pipeline = build_pipeline(manifest)
-    counts = pipeline.counts()
-    total = sum(counts.values())
-    per_kind = ", ".join(f"{kind}: {count}" for kind, count in counts.items())
-    cost = sum(unit_cost(manifest, unit) for unit in pipeline.solves)
-    print(f"{total} stage(s) ({per_kind}); est. solve cost {cost:.0f}")
+    units = expand_units(manifest)
+    runs = len(group_by_run(units))
+    cost = sum(unit_cost(manifest, unit) for unit in units)
+    print(f"{len(units)} unit(s) over {runs} run(s); est. solve cost {cost:.0f}")
     if args.shards > 1:
         shards = plan(manifest, shards=args.shards, by=args.by, balance=args.balance)
         print(f"partition by {args.by} ({args.balance}) over {args.shards} shard(s):")
@@ -992,17 +984,14 @@ def _cmd_dag_plan(args: argparse.Namespace) -> int:
             )
     store_path = _store_path(args, required=False)
     if store_path is not None:
-        artifacts = artifact_store_for(store_path)
-        try:
-            cached = sum(1 for stage in pipeline.stages() if artifacts.has(stage.key))
-        finally:
-            artifacts.close()
-        print(f"artifact cache at {store_path}: {cached}/{total} stage(s) cached")
+        with ResultStore(store_path) as store:
+            status = shard_status(plan(manifest, shards=1)[0], store)
+        print(f"store at {store_path}: {status.done}/{status.units} unit(s) stored")
     return 0
 
 
 def _cmd_dag_run(args: argparse.Namespace) -> int:
-    from .dag import build_pipeline, run_pipeline
+    from .dag import run_pipeline
 
     manifest = _manifest(args)
     store = ResultStore(_store_path(args, required=True))
@@ -1010,10 +999,9 @@ def _cmd_dag_run(args: argparse.Namespace) -> int:
     manifest_path.write_text(
         json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
     )
-    pipeline = build_pipeline(manifest)
     try:
         run = run_pipeline(
-            pipeline,
+            manifest,
             store,
             workers=manifest.workers,
             resume=not args.no_resume,

@@ -1,29 +1,25 @@
-"""Content-addressed campaign pipeline: typed stages, cached artifacts.
+"""Campaign execution: stored cells as the cache, cost-aware stealing.
 
-The campaign workflow — generate instances, solve (curve, sweep point)
-blocks, aggregate seeds, render exports — as an explicit DAG of
-:class:`~repro.dag.stage.Stage` objects with content-addressed outputs:
+A campaign manifest expands into work units — one per ``(figure, seed,
+curve, sweep value)`` block, each stored as one
+:class:`~repro.experiments.store.CellRecord` of the campaign's
+:class:`~repro.experiments.store.ResultStore`.  Those cells are the
+campaign's only record; everything else is derived from them on read:
 
-* :mod:`repro.dag.stage` — the stage types and their content keys;
-* :mod:`repro.dag.pipeline` — compile a
-  :class:`~repro.campaign.plan.CampaignManifest` into the DAG;
-* :mod:`repro.dag.artifacts` — the ``content key -> output`` log on the
-  :class:`~repro.experiments.store.JsonlStore` base;
 * :mod:`repro.dag.cost` — calibrated per-provider cost estimates
   (MIP ~100x a heuristic block) for shard balancing and stealing order;
-* :mod:`repro.dag.scheduler` — cache-hit execution with cost-aware
-  work stealing.
+* :mod:`repro.dag.scheduler` — solve what the store lacks (a unit whose
+  cell holds the run's repetitions is a hit) with cost-aware work
+  stealing, then render the exports from the stored cells.
 
-Unchanged stages are cache hits: re-running an identical campaign
-performs zero block solves and reproduces its exports bit-for-bit.
-``microrepro dag plan/run/status`` is the CLI surface; the legacy
-``campaign`` and ``shard run`` commands are thin wrappers over the same
-machinery.
+Re-running an identical campaign performs zero block solves, writes
+nothing and reproduces its exports bit-for-bit.  ``microrepro dag
+plan/run/status`` is the CLI surface; ``run --store``, ``campaign``,
+``resume`` and ``shard run`` go through the same
+:func:`~repro.dag.scheduler.execute_solves`.
 """
 
-from .artifacts import ArtifactStore, artifact_store_for
 from .cost import classify_curve, provider_cost, unit_cost
-from .pipeline import Pipeline, build_pipeline
 from .scheduler import (
     DispatchReport,
     PipelineReport,
@@ -32,26 +28,8 @@ from .scheduler import (
     run_pipeline,
     steal_dispatch,
 )
-from .stage import (
-    AggregateStage,
-    GenerateStage,
-    RenderStage,
-    SolveStage,
-    Stage,
-    content_key,
-)
 
 __all__ = [
-    "Stage",
-    "GenerateStage",
-    "SolveStage",
-    "AggregateStage",
-    "RenderStage",
-    "content_key",
-    "Pipeline",
-    "build_pipeline",
-    "ArtifactStore",
-    "artifact_store_for",
     "classify_curve",
     "provider_cost",
     "unit_cost",

@@ -1,8 +1,8 @@
-"""Execute the campaign DAG: cache-hit skipping, cost-aware stealing.
+"""Execute a campaign against its result store: cell hits, cost-aware stealing.
 
 Two layers live here.  :func:`steal_dispatch` is the generic
 work-stealing core and the one dispatch loop of every parallel block
-run — the DAG's solve phase and ``run_scenario(workers=N)`` alike:
+run — the campaign's solve phase and ``run_scenario(workers=N)`` alike:
 per-queue pending deques (one queue per shard-like group), a fixed
 number of executor slots, each slot draining its owned queues
 front-first in canonical order and — once they are empty — *stealing*
@@ -11,21 +11,19 @@ cost, so no slot idles while a straggler queue still holds work.  It
 is executor-agnostic (thread pools in the benchmarks, process pools
 for real solves).
 
-:func:`run_pipeline` executes a compiled :class:`~repro.dag.pipeline.
-Pipeline` against a result store.  Its solve phase,
-:func:`execute_solves`, is the one place stored blocks are skipped —
+:func:`execute_solves` is the one place stored blocks are skipped —
 ``microrepro run --store``, ``campaign``, ``resume``, ``shard run`` and
-``dag run`` all resume through it: every stage whose content key is
-already in the :class:`~repro.dag.artifacts.ArtifactStore` is a cache
-hit and is not run; legacy cell records with enough repetitions are
-adopted into the artifact log (so pre-DAG stores migrate without
-recomputing); the remaining solve stages run through the block
-engine — serial runs keep the cross-point stacking of
+``dag run`` all resume through it.  The
+:class:`~repro.experiments.store.ResultStore` is the campaign's only
+record: a work unit whose cell the store holds with at least the run's
+repetitions is a hit and is not run.  The remaining units run through
+the block engine — serial runs keep the cross-point stacking of
 :func:`~repro.experiments.runner.execute_blocks`, parallel runs
 dispatch picklable block jobs through :func:`steal_dispatch` with the
-:mod:`repro.dag.cost` estimates.  Cell records and run headers keep
-flowing into the :class:`~repro.experiments.store.ResultStore`, so
-merge/status/export work unchanged on a DAG-produced store.
+:mod:`repro.dag.cost` estimates — and each computed block is written
+once, as a cell.  :func:`run_pipeline` then derives every export on
+read from the stored cells, with the same ``load_result`` and
+``aggregate_results`` calls ``microrepro export`` uses.
 """
 
 from __future__ import annotations
@@ -36,16 +34,15 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from ..backend import get_backend
-from ..campaign.plan import WorkUnit
+from ..campaign.plan import CampaignManifest, WorkUnit, expand_units, group_by_run
 from ..experiments.providers import resolve_provider
+from ..experiments.reporting import aggregate_results
 from ..experiments.runner import _evaluate_block_job, execute_blocks
-from ..experiments.store import CellRecord, ResultStore, RunMeta
+from ..experiments.store import CellRecord, ResultStore, RunMeta, _metas_compatible
 from ..obs.instrument import timed_kernels
 from ..obs.trace import activate, capture, current_context, emit_spans, span, tracing_active
-from .artifacts import ArtifactStore, artifact_store_for
+from ..simulation.rng import RandomStreamFactory
 from .cost import unit_cost
-from .pipeline import Pipeline
-from .stage import SolveStage, Stage, values_consistent
 
 __all__ = [
     "DispatchReport",
@@ -143,46 +140,31 @@ def steal_dispatch(
 
 
 # ---------------------------------------------------------------------------
-# Pipeline execution
+# Campaign execution
 # ---------------------------------------------------------------------------
 
 
 @dataclass(slots=True)
 class PipelineReport:
-    """Per-kind cache-hit/computed accounting of one DAG execution."""
+    """Solve accounting of one campaign execution."""
 
-    hits: dict[str, int] = field(
-        default_factory=lambda: {"generate": 0, "solve": 0, "aggregate": 0, "render": 0}
-    )
-    computed: dict[str, int] = field(
-        default_factory=lambda: {"generate": 0, "solve": 0, "aggregate": 0, "render": 0}
-    )
+    #: Units whose cell the store already held at full depth.
+    hits: int = 0
+    #: Units solved (one block solve each) and written as cells.
+    computed: int = 0
     stolen: int = 0
     elapsed_seconds: float = 0.0
 
-    @property
-    def total_hits(self) -> int:
-        return sum(self.hits.values())
-
-    @property
-    def total_stages(self) -> int:
-        return self.total_hits + sum(self.computed.values())
-
     def hit_rate(self) -> float:
-        """Fraction of stages served from the artifact cache."""
-        total = self.total_stages
-        return (self.total_hits / total) if total else 1.0
+        """Fraction of units served from the store."""
+        total = self.hits + self.computed
+        return (self.hits / total) if total else 1.0
 
     def summary(self) -> str:
         """One-line report for the CLI (the smoke jobs grep these fields)."""
-        per_kind = ", ".join(
-            f"{kind}: {self.hits[kind]} hit / {self.computed[kind]} computed"
-            for kind in self.hits
-        )
         line = (
-            f"{per_kind}; {self.computed['solve']} block solve(s), "
-            f"{self.total_hits} stage-cache hit(s) "
-            f"({self.hit_rate():.0%} stage-cache hits)"
+            f"solve: {self.hits} stored / {self.computed} computed; "
+            f"{self.computed} block solve(s) ({self.hit_rate():.0%} from the store)"
         )
         if self.stolen:
             line += f", {self.stolen} unit(s) stolen"
@@ -191,46 +173,11 @@ class PipelineReport:
 
 @dataclass(slots=True)
 class PipelineRun:
-    """Result of :func:`run_pipeline`: the report plus render outputs."""
+    """Result of :func:`run_pipeline`: the report plus the derived exports."""
 
     report: PipelineReport
+    #: ``{figure: {"per_seed": {"<seed>": csv}, "aggregate": csv | None}}``.
     renders: dict[str, dict] = field(default_factory=dict)
-
-
-def _load(stage: Stage, artifacts: ArtifactStore, report: PipelineReport) -> dict:
-    """A stage's output as *input* to a downstream stage.
-
-    Cached outputs load without touching the hit counters (they were
-    already accounted for when their own stage was ensured); a genuinely
-    missing upstream output is computed and counted.
-    """
-    output = artifacts.get(stage.key)
-    if output is not None:
-        return output
-    inputs = [_load(parent, artifacts, report) for parent in stage.inputs]
-    output = _run_stage(stage, inputs)
-    artifacts.put(stage.key, stage.name, output)
-    report.computed[stage.kind] += 1
-    return output
-
-
-def _ensure(stage: Stage, artifacts: ArtifactStore, report: PipelineReport) -> dict:
-    """The stage's output, from cache when possible (recursing upstream)."""
-    output = artifacts.get(stage.key)
-    if output is not None:
-        report.hits[stage.kind] += 1
-        return output
-    inputs = [_load(parent, artifacts, report) for parent in stage.inputs]
-    output = _run_stage(stage, inputs)
-    artifacts.put(stage.key, stage.name, output)
-    report.computed[stage.kind] += 1
-    return output
-
-
-def _run_stage(stage: Stage, inputs: list[dict]) -> dict:
-    """Run one stage under a ``dag.stage`` span keyed by its content key."""
-    with span("dag.stage", kind=stage.kind, key=stage.key, stage=stage.name):
-        return stage.run(inputs)
 
 
 def _evaluate_block_job_traced(payload):
@@ -252,137 +199,95 @@ def _evaluate_block_job_traced(payload):
     return result, spans
 
 
-def _cell_from_output(stage: SolveStage, scenario_hash: str, output: dict) -> CellRecord:
-    values = [float(value) for value in output["values"]]
-    return CellRecord(
-        figure_id=stage.figure_id,
-        scenario_hash=scenario_hash,
-        seed=stage.seed,
-        curve=stage.curve,
-        sweep_value=stage.sweep_value,
-        repetitions=len(values),
-        values=values,
-        failures=int(output["failures"]),
-    )
-
-
-def _group_solves(solves) -> dict[tuple[str, int], list[SolveStage]]:
-    """Solve stages per (figure, seed) run, preserving canonical order."""
-    groups: dict[tuple[str, int], list[SolveStage]] = {}
-    for stage in solves:
-        groups.setdefault((stage.figure_id, stage.seed), []).append(stage)
-    return groups
-
-
 def execute_solves(
-    pipeline: Pipeline,
-    solves: list[SolveStage],
+    manifest: CampaignManifest,
+    units,
     store: ResultStore,
-    artifacts: ArtifactStore,
     *,
     workers: int | None = None,
     resume: bool = True,
     report: PipelineReport | None = None,
     log=None,
 ) -> PipelineReport:
-    """Bring every stage of ``solves`` into cache, computing what's missing.
+    """Bring every work unit of ``units`` into ``store``, computing what's missing.
 
-    The solve phase of the DAG: artifact hits and adoptable legacy cell
-    records are skipped, the remainder runs through the block engine —
-    serially with cross-point stacking per run, or in parallel through
-    :func:`steal_dispatch` with cost-priced per-run queues.  Both the
-    artifact log *and* the result store receive every output (cells and
-    per-run :class:`RunMeta` headers), so the store stays a complete
-    legacy store.  ``log`` receives the per-run progress lines the shard
-    worker has always printed.
+    With ``resume``, a unit is a hit when the store holds its cell with
+    at least the scenario's repetitions — what
+    :func:`~repro.campaign.status.shard_status` calls ``done``.  The
+    remainder runs through the block engine — serially with cross-point
+    stacking per run, or in parallel through :func:`steal_dispatch` with
+    cost-priced per-run queues.  Each computed block is written once,
+    with :meth:`~ResultStore.put_cell`, and each run gets a
+    :class:`RunMeta` header unless a compatible one is already stored
+    (so an identical re-run writes nothing).  ``log`` receives the
+    per-run progress lines the shard worker has always printed.
     """
-    manifest = pipeline.manifest
     report = report if report is not None else PipelineReport()
     start = time.perf_counter()
-    groups = _group_solves(solves)
+    groups = group_by_run(units)
+    scenarios = {figure_id: manifest.scenario_for(figure_id) for figure_id, _ in groups}
+    hashes = {figure_id: scenario.stable_hash() for figure_id, scenario in scenarios.items()}
 
-    # -- classify: artifact hit / legacy adoption / pending ---------------------
-    pending_by_run: dict[tuple[str, int], list[SolveStage]] = {}
-    for run_key, stages in groups.items():
-        figure_id, seed = run_key
-        scenario = manifest.scenario_for(figure_id)
-        scenario_hash = scenario.stable_hash()
-        repetitions = scenario.repetitions
-        pending: list[SolveStage] = []
-        for stage in stages:
-            output = artifacts.get(stage.key) if resume else None
-            if output is not None and values_consistent(output, repetitions):
-                report.hits["solve"] += 1
-                if store.get_cell(
-                    figure_id, scenario_hash, seed, stage.curve, stage.sweep_value
-                ) is None:
-                    store.put_cell(_cell_from_output(stage, scenario_hash, output))
-                continue
+    pending_by_run: dict[tuple[str, int], list[WorkUnit]] = {}
+    for (figure_id, seed), run_units in groups.items():
+        repetitions = scenarios[figure_id].repetitions
+        pending = []
+        for unit in run_units:
             record = (
                 store.get_cell(
-                    figure_id, scenario_hash, seed, stage.curve, stage.sweep_value
+                    figure_id, hashes[figure_id], seed, unit.curve, unit.sweep_value
                 )
                 if resume
                 else None
             )
             if record is not None and record.repetitions >= repetitions:
-                # Pre-DAG stores migrate for free: adopt the stored cell
-                # as this stage's artifact instead of re-solving.
-                artifacts.put(
-                    stage.key,
-                    stage.name,
-                    {
-                        "values": list(record.values),
-                        "failures": int(record.failures),
-                        "repetitions": int(record.repetitions),
-                    },
-                )
-                report.hits["solve"] += 1
-                continue
-            pending.append(stage)
-        pending_by_run[run_key] = pending
-
-    # -- generate stages of the touched runs ------------------------------------
-    generated: dict[tuple[str, int], dict] = {
-        run_key: _ensure(pipeline.generates[run_key], artifacts, report)
-        for run_key in groups
+                report.hits += 1
+            else:
+                pending.append(unit)
+        pending_by_run[(figure_id, seed)] = pending
+    entropy = {
+        run_key: int(RandomStreamFactory(run_key[1]).entropy) for run_key in groups
     }
 
-    def record_solve(stage: SolveStage, values, failures: int) -> None:
-        scenario_hash = generated[(stage.figure_id, stage.seed)]["scenario_hash"]
-        output = {
-            "values": [float(value) for value in values],
-            "failures": int(failures),
-            "repetitions": int(stage.generate.scenario.repetitions),
-        }
-        store.put_cell(_cell_from_output(stage, scenario_hash, output))
-        artifacts.put(stage.key, stage.name, output)
-        report.computed["solve"] += 1
+    def record_solve(unit: WorkUnit, values, failures: int) -> None:
+        values = [float(value) for value in values]
+        store.put_cell(
+            CellRecord(
+                figure_id=unit.figure_id,
+                scenario_hash=hashes[unit.figure_id],
+                seed=unit.seed,
+                curve=unit.curve,
+                sweep_value=unit.sweep_value,
+                repetitions=len(values),
+                values=values,
+                failures=int(failures),
+            )
+        )
+        report.computed += 1
 
     def finish_run(run_key: tuple[str, int], elapsed: float) -> None:
         figure_id, seed = run_key
-        scenario = manifest.scenario_for(figure_id)
-        store.put_meta(
-            RunMeta(
-                figure_id=figure_id,
-                scenario_hash=scenario.stable_hash(),
-                seed=seed,
-                scenario=scenario.to_dict(),
-                # The run's *full* curve order (a shard may hold only a
-                # slice): the header must describe the whole run so the
-                # merged store rebuilds results (see campaign.worker).
-                curves=list(manifest.curves_for(figure_id)),
-                normalize_to=manifest.spec_for(figure_id).normalize_to,
-                elapsed_seconds=elapsed,
-                backend=get_backend().name,
-            )
+        meta = RunMeta(
+            figure_id=figure_id,
+            scenario_hash=hashes[figure_id],
+            seed=seed,
+            scenario=scenarios[figure_id].to_dict(),
+            # The run's *full* curve order (a shard may hold only a
+            # slice): the header must describe the whole run so the
+            # merged store rebuilds results (see campaign.worker).
+            curves=list(manifest.curves_for(figure_id)),
+            normalize_to=manifest.spec_for(figure_id).normalize_to,
+            elapsed_seconds=elapsed,
+            backend=get_backend().name,
         )
+        stored = store.get_meta(*meta.key)
+        if stored is None or not _metas_compatible(stored, meta):
+            store.put_meta(meta)
         if log is not None:
             pending = pending_by_run[run_key]
-            stages = groups[run_key]
             log(
                 f"{figure_id} seed={seed}: {len(pending)} block(s) computed, "
-                f"{len(stages) - len(pending)} stored"
+                f"{len(groups[run_key]) - len(pending)} stored"
             )
 
     pool_size = workers if workers is not None else manifest.workers
@@ -394,64 +299,47 @@ def execute_solves(
         # the traced items carry is the dispatch itself — block-job spans
         # coming back from the workers hang directly off it.
         with span("dag.dispatch", slots=pool_size) as dispatch_span:
-
-            def job_args(stage: SolveStage):
-                return (
-                    stage.generate.scenario,
-                    stage.sweep_value,
-                    stage.curve,
-                    generated[(stage.figure_id, stage.seed)]["entropy"],
-                    manifest.milp_time_limit,
-                    manifest.memoize_instances,
-                )
-
             # Queue items are the picklable job-arg tuples (the executor
             # pickles what it is submitted); identity maps each tuple back
-            # to its stage for recording.  Under tracing, each item also
+            # to its unit for recording.  Under tracing, each item also
             # carries the dispatching context so worker spans attach to it.
             traced = tracing_active()
             trace_context = current_context() if traced else None
             job_fn = _evaluate_block_job_traced if traced else _evaluate_block_job
-            stage_of: dict[int, SolveStage] = {}
+            unit_of: dict[int, WorkUnit] = {}
             queues, costs = [], []
-            for run_key, stages in pending_by_run.items():
+            for run_key, pending in pending_by_run.items():
                 queue = []
-                for stage in stages:
-                    item = job_args(stage)
+                for unit in pending:
+                    item = (
+                        scenarios[unit.figure_id],
+                        unit.sweep_value,
+                        unit.curve,
+                        entropy[run_key],
+                        manifest.milp_time_limit,
+                        manifest.memoize_instances,
+                    )
                     if traced:
                         item = (trace_context, item)
-                    stage_of[id(item)] = stage
+                    unit_of[id(item)] = unit
                     queue.append(item)
                 queues.append(queue)
-                costs.append(
-                    [
-                        unit_cost(
-                            manifest,
-                            WorkUnit(
-                                stage.figure_id,
-                                stage.seed,
-                                stage.curve,
-                                stage.sweep_value,
-                            ),
-                        )
-                        for stage in stages
-                    ]
-                )
+                costs.append([unit_cost(manifest, unit) for unit in pending])
             outstanding = {
-                run_key: len(stages) for run_key, stages in pending_by_run.items()
+                run_key: len(pending) for run_key, pending in pending_by_run.items()
             }
             for run_key, count in outstanding.items():
                 if count == 0:
                     finish_run(run_key, 0.0)
 
             def on_result(args, result) -> None:
-                stage = stage_of[id(args)]
+                unit = unit_of[id(args)]
                 if traced:
                     result, worker_spans = result
                     emit_spans(worker_spans)
                 values, failures = result
-                record_solve(stage, values, failures)
-                run_key = (stage.figure_id, stage.seed)
+                record_solve(unit, values, failures)
+                run_key = (unit.figure_id, unit.seed)
                 outstanding[run_key] -= 1
                 if outstanding[run_key] == 0:
                     finish_run(run_key, time.perf_counter() - start)
@@ -471,30 +359,26 @@ def execute_solves(
             )
         report.stolen += dispatch.stolen
     else:
-        for run_key, stages in groups.items():
+        for run_key, pending in pending_by_run.items():
             figure_id, seed = run_key
-            scenario = manifest.scenario_for(figure_id)
-            pending = pending_by_run[run_key]
             providers = {
-                stage.curve: resolve_provider(
-                    stage.curve, milp_time_limit=manifest.milp_time_limit
+                unit.curve: resolve_provider(
+                    unit.curve, milp_time_limit=manifest.milp_time_limit
                 )
-                for stage in pending
+                for unit in pending
             }
-            by_unit = {
-                (stage.sweep_value, stage.curve): stage for stage in pending
-            }
+            by_block = {(unit.sweep_value, unit.curve): unit for unit in pending}
             run_start = time.perf_counter()
             with span(
                 "dag.run", figure=figure_id, seed=seed, blocks=len(pending)
             ), timed_kernels():
                 execute_blocks(
-                    scenario,
-                    generated[run_key]["entropy"],
-                    [(stage.sweep_value, stage.curve) for stage in pending],
+                    scenarios[figure_id],
+                    entropy[run_key],
+                    list(by_block),
                     providers,
                     lambda sweep_value, label, values, failures: record_solve(
-                        by_unit[(int(sweep_value), label)], values, failures
+                        by_block[(int(sweep_value), label)], values, failures
                     ),
                     milp_time_limit=manifest.milp_time_limit,
                     workers=None,
@@ -505,47 +389,57 @@ def execute_solves(
     return report
 
 
+def _render(manifest: CampaignManifest, store: ResultStore, figure_id: str) -> dict:
+    """One figure's exports, derived from the stored cells of every seed."""
+    scenario_hash = manifest.scenario_for(figure_id).stable_hash()
+    results = [
+        store.load_result(figure_id, scenario_hash=scenario_hash, seed=seed)
+        for seed in manifest.seeds
+    ]
+    return {
+        "per_seed": {str(result.seed): result.to_csv() for result in results},
+        "aggregate": (
+            aggregate_results(results, ci="pooled").to_csv()
+            if len(results) > 1
+            else None
+        ),
+    }
+
+
 def run_pipeline(
-    pipeline: Pipeline,
+    manifest: CampaignManifest,
     store: ResultStore,
     *,
-    artifacts: ArtifactStore | None = None,
     workers: int | None = None,
     resume: bool = True,
     log=None,
 ) -> PipelineRun:
-    """Execute a campaign's full DAG against ``store``.
+    """Execute a whole campaign against ``store`` and derive its exports.
 
-    Solve stages run (or cache-hit) first through :func:`execute_solves`;
-    the cheap aggregate and render stages then fold the cached outputs,
-    each skipped when its content key is already stored.  Returns the
-    per-kind report plus every figure's render output (per-seed CSVs and
-    the cross-seed aggregate), which is exactly what ``microrepro dag
-    run`` exports.
+    Every work unit is solved (or served from its stored cell) through
+    :func:`execute_solves`; each figure's exports are then read back
+    from the store — one ``load_result(...).to_csv()`` per seed plus,
+    for more than one seed, the pooled ``aggregate_results`` CSV —
+    exactly what ``microrepro export`` prints and ``dag run
+    --export-dir`` writes.
     """
-    artifacts = artifacts if artifacts is not None else artifact_store_for(store.path)
     report = PipelineReport()
     start = time.perf_counter()
-    with span(
-        "dag.pipeline", solves=len(pipeline.solves), figures=len(pipeline.renders)
-    ):
+    units = expand_units(manifest)
+    with span("dag.pipeline", solves=len(units), figures=len(manifest.figures)):
         execute_solves(
-            pipeline,
-            list(pipeline.solves.values()),
+            manifest,
+            units,
             store,
-            artifacts,
             workers=workers,
             resume=resume,
             report=report,
             log=log,
         )
-        for stage in pipeline.aggregates.values():
-            _ensure(stage, artifacts, report)
         renders = {
-            figure_id: _ensure(stage, artifacts, report)
-            for figure_id, stage in pipeline.renders.items()
+            figure_id: _render(manifest, store, figure_id)
+            for figure_id in manifest.figures
         }
-    artifacts.flush()
     store.flush()
     report.elapsed_seconds = time.perf_counter() - start
     return PipelineRun(report=report, renders=renders)

@@ -8,6 +8,13 @@ an interrupted campaign loses at most the block in flight; resuming it
 (``microrepro resume``, ``run --store ... --resume``, ``dag run``) skips
 every stored block and only computes the remainder.
 
+The store is a campaign's only record.  A cell holding at least a
+run's repetitions is the cache hit for its work unit
+(:func:`repro.dag.scheduler.execute_solves`), and every export — the
+per-seed CSVs and the cross-seed aggregate of ``dag run
+--export-dir`` and ``export`` — is derived on read from the cells
+(:meth:`ResultStore.load_result`).
+
 The append/scan/index machinery itself is format-agnostic and lives in
 :class:`JsonlStore`: a directory with one append-only JSONL file of
 ``{"kind": ..., "data": {...}}`` records plus a byte-offset index over

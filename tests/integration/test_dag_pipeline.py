@@ -1,12 +1,12 @@
-"""Integration: the campaign DAG reproduces the legacy pipeline bit-for-bit.
+"""Integration: a `repro.dag` campaign reproduces `run_figure` bit-for-bit.
 
 The acceptance test of the `repro.dag` subsystem: running a campaign
-through the content-addressed stage DAG must produce (1) the same cell
-records and exports as the pre-DAG `run_figure` path, byte for byte;
-(2) a second identical run that performs **zero** solves and serves
-every stage from the artifact cache with unchanged exports; (3) the
-same bytes again when the solve phase runs through the work-stealing
-process pool instead of the serial engine.
+through `run_pipeline` must produce (1) the same cell records and
+exports as the pre-DAG `run_figure` path, byte for byte; (2) a second
+identical run that performs **zero** solves, serves every unit from its
+stored cell and derives unchanged exports; (3) the same bytes again
+when the solve phase runs through the work-stealing process pool
+instead of the serial engine.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import CampaignManifest
-from repro.dag import build_pipeline, run_pipeline
+from repro.dag import run_pipeline
 from repro.experiments import ResultStore, aggregate_seeds, run_figure
 
 SEEDS = (0, 1)
@@ -50,7 +50,7 @@ def legacy_store(manifest, tmp_path_factory) -> ResultStore:
 def dag_store(manifest, tmp_path_factory):
     """One DAG execution plus its run result."""
     store = ResultStore(tmp_path_factory.mktemp("dag"))
-    run = run_pipeline(build_pipeline(manifest), store)
+    run = run_pipeline(manifest, store)
     return store, run
 
 
@@ -62,10 +62,10 @@ def _cell_map(store: ResultStore) -> dict:
 
 
 class TestDagEqualsLegacy:
-    def test_first_run_computes_every_stage(self, dag_store):
+    def test_first_run_computes_every_unit(self, dag_store):
         _, run = dag_store
-        assert run.report.total_hits == 0
-        assert run.report.computed["solve"] > 0
+        assert run.report.hits == 0
+        assert run.report.computed > 0
         assert run.report.hit_rate() == 0.0
 
     def test_cells_are_bit_for_bit_identical(self, dag_store, legacy_store):
@@ -87,20 +87,19 @@ class TestDagEqualsLegacy:
 
 
 class TestZeroSolveRerun:
-    def test_identical_rerun_hits_every_stage(self, dag_store, manifest):
+    def test_identical_rerun_hits_every_unit(self, dag_store, manifest):
         store, first = dag_store
-        second = run_pipeline(build_pipeline(manifest), store)
-        assert second.report.computed["solve"] == 0
-        assert sum(second.report.computed.values()) == 0
+        second = run_pipeline(manifest, store)
+        assert second.report.computed == 0
         assert second.report.hit_rate() == 1.0
         assert second.renders == first.renders
 
     def test_legacy_store_adopts_without_solving(self, legacy_store, manifest):
-        # A store written entirely by the pre-DAG path: the DAG adopts
-        # its cells as solve hits and still renders the same bytes.
+        # A store written entirely by the pre-DAG path: its cells are
+        # solve hits and the derived exports are the same bytes.
         with ResultStore(legacy_store.path) as store:
-            run = run_pipeline(build_pipeline(manifest), store)
-        assert run.report.computed["solve"] == 0
+            run = run_pipeline(manifest, store)
+        assert run.report.computed == 0
         for seed in manifest.seeds:
             legacy_csv = legacy_store.load_result("fig5", seed=seed).to_csv()
             assert run.renders["fig5"]["per_seed"][str(seed)] == legacy_csv
@@ -112,8 +111,8 @@ class TestParallelDispatch:
     ):
         serial_store, serial_run = dag_store
         store = ResultStore(tmp_path_factory.mktemp("dag-parallel"))
-        run = run_pipeline(build_pipeline(manifest), store, workers=2)
-        assert run.report.computed["solve"] == serial_run.report.computed["solve"]
+        run = run_pipeline(manifest, store, workers=2)
+        assert run.report.computed == serial_run.report.computed
         assert run.renders == serial_run.renders
         assert _cell_map(store) == _cell_map(serial_store)
         store.close()

@@ -18,9 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignManifest
+from repro.campaign import CampaignManifest, expand_units
 from repro.cli import CAMPAIGN_MANIFEST, STORE_ENV_VAR, main
-from repro.dag import artifact_store_for, build_pipeline, execute_solves
+from repro.dag import execute_solves
 from repro.experiments import ResultStore, run_figure, run_scenario
 from repro.experiments import providers as providers_module
 from repro.experiments.figures import FIGURES
@@ -431,16 +431,13 @@ class TestStoreResume:
         manifest = CampaignManifest(
             figures=("fig6",), seeds=(4,), repetitions=2, max_points=2, no_milp=True
         )
-        pipeline = build_pipeline(manifest)
-        solves = list(pipeline.solves.values())
+        units = expand_units(manifest)
         with ResultStore(tmp_path / "s") as store:
-            artifacts = artifact_store_for(store.path)
-            execute_solves(pipeline, solves[:-1], store, artifacts)
-            report = execute_solves(pipeline, solves, store, artifacts)
+            execute_solves(manifest, units[:-1], store)
+            report = execute_solves(manifest, units, store)
             resumed = store.load_result("fig6", seed=4)
-            artifacts.close()
-        assert report.computed["solve"] == 1
-        assert report.hits["solve"] == len(solves) - 1
+        assert report.computed == 1
+        assert report.hits == len(units) - 1
         full = run_figure("fig6", seed=4, repetitions=2, max_points=2, include_milp=False)
         _assert_identical(full.series, resumed.series)
 

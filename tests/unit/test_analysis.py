@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.analysis import (
     NormalizationReport,
@@ -29,6 +30,13 @@ class TestSummarize:
         assert s.maximum == 4.0
         assert s.std == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
         assert s.ci_low < 2.5 < s.ci_high
+        # The memoized critical value is exactly scipy's, per confidence.
+        sem = s.std / math.sqrt(4)
+        assert s.ci_high - s.mean == scipy_stats.t.ppf(0.975, 3) * sem
+        narrow = summarize([1.0, 2.0, 3.0, 4.0], confidence=0.9)
+        assert narrow.ci_high == narrow.mean + scipy_stats.t.ppf(0.95, 3) * sem
+        assert narrow.ci_low == narrow.mean - scipy_stats.t.ppf(0.95, 3) * sem
+        assert narrow.ci_high < s.ci_high
 
     def test_single_sample(self):
         s = summarize([5.0])

@@ -160,6 +160,15 @@ class TestPlanFiles:
         with pytest.raises(ExperimentError):
             load_plan(campaign, shard=(5, 2))
 
+    def test_shard_file_rejects_units_outside_the_campaign(self, tmp_path):
+        (path, _), _ = write_plans(_manifest(), tmp_path / "plans", shards=2, by="seed")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        figure_id, _, curve, sweep_value = data["units"][0]
+        data["units"].append([figure_id, 7, curve, sweep_value])  # seed 7 is not planned
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ExperimentError, match="not part of this campaign"):
+            load_plan(path)
+
     def test_shard_file_rejects_wrong_coordinates(self, tmp_path):
         (path, _), _ = write_plans(_manifest(), tmp_path / "plans", shards=2, by="seed")
         with pytest.raises(ExperimentError):

@@ -1,4 +1,5 @@
-"""Unit tests for the content-addressed campaign DAG (`repro.dag`)."""
+"""Unit tests for campaign execution (`repro.dag`): cost model, stealing,
+cell-store resume and exports derived on read."""
 
 from __future__ import annotations
 
@@ -7,27 +8,19 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.campaign import CampaignManifest, expand_units, plan
+from repro.cli import main
 from repro.dag import (
-    ArtifactStore,
     DispatchReport,
-    artifact_store_for,
-    build_pipeline,
+    PipelineReport,
     classify_curve,
     provider_cost,
     run_pipeline,
     steal_dispatch,
     unit_cost,
 )
-from repro.dag.stage import (
-    GenerateStage,
-    SolveStage,
-    content_key,
-    sliced_cell,
-    values_consistent,
-)
 from repro.exceptions import ExperimentError
 from repro.experiments.providers import MIP_LABEL
-from repro.experiments.store import CellRecord, ResultStore
+from repro.experiments.store import ResultStore
 
 
 def _manifest(**overrides) -> CampaignManifest:
@@ -43,65 +36,9 @@ def _manifest(**overrides) -> CampaignManifest:
     return CampaignManifest(**defaults)
 
 
-class TestContentKey:
-    def test_deterministic_and_order_independent(self):
-        a = content_key({"x": 1, "y": [2, 3]})
-        b = content_key({"y": [2, 3], "x": 1})
-        assert a == b
-        assert len(a) == 16
-        assert content_key({"x": 2, "y": [2, 3]}) != a
-
-    def test_stage_key_covers_params_and_inputs(self):
-        manifest = _manifest()
-        scenario = manifest.scenario_for("fig5")
-        gen_a = GenerateStage("fig5", 0, scenario)
-        gen_b = GenerateStage("fig5", 1, scenario)
-        assert gen_a.key != gen_b.key
-        solve_a = SolveStage(gen_a, "H4w", scenario.sweep_values[0])
-        solve_b = SolveStage(gen_b, "H4w", scenario.sweep_values[0])
-        # Same params, different upstream input -> different key.
-        assert solve_a.params == solve_b.params
-        assert solve_a.key != solve_b.key
-
-    def test_milp_time_limit_keys_only_the_mip_curve(self):
-        manifest = _manifest(no_milp=False)
-        generate = GenerateStage("fig5", 0, manifest.scenario_for("fig5"))
-        x = manifest.scenario_for("fig5").sweep_values[0]
-        heur_30 = SolveStage(generate, "H4w", x, milp_time_limit=30.0)
-        heur_60 = SolveStage(generate, "H4w", x, milp_time_limit=60.0)
-        assert heur_30.key == heur_60.key
-        mip_30 = SolveStage(generate, MIP_LABEL, x, milp_time_limit=30.0)
-        mip_60 = SolveStage(generate, MIP_LABEL, x, milp_time_limit=60.0)
-        assert mip_30.key != mip_60.key
-
-    def test_code_version_invalidates(self, monkeypatch):
-        generate = GenerateStage("fig5", 0, _manifest().scenario_for("fig5"))
-        before = generate.key
-        monkeypatch.setattr(GenerateStage, "CODE_VERSION", "999")
-        assert GenerateStage("fig5", 0, _manifest().scenario_for("fig5")).key != before
-
-
-class TestArtifactStore:
-    def test_roundtrip_and_reopen(self, tmp_path):
-        store = artifact_store_for(tmp_path / "s")
-        assert isinstance(store, ArtifactStore)
-        assert store.path == tmp_path / "s" / "artifacts"
-        store.put("k1", "solve:x", {"values": [1.0, 2.0]})
-        assert store.has("k1")
-        assert not store.has("k2")
-        assert store.get("k1") == {"values": [1.0, 2.0]}
-        assert store.get("k2") is None
-        store.flush()
-        reopened = artifact_store_for(tmp_path / "s")
-        assert reopened.get("k1") == {"values": [1.0, 2.0]}
-        assert len(reopened) == 1
-
-    def test_last_put_wins(self, tmp_path):
-        store = artifact_store_for(tmp_path / "s")
-        store.put("k", "solve:x", {"generation": 0})
-        store.put("k", "solve:x", {"generation": 1})
-        assert store.get("k") == {"generation": 1}
-        assert len(store) == 1
+def _run_manifest(**overrides) -> CampaignManifest:
+    """A campaign small enough to execute in a unit test (fig6, one point)."""
+    return _manifest(**{"figures": ("fig6",), "max_points": 1, **overrides})
 
 
 class TestCostModel:
@@ -218,127 +155,154 @@ class TestStealDispatch:
         assert executed == []
 
 
-class TestSlicedCell:
-    def _output(self, values, failures):
-        return {"values": values, "failures": failures, "repetitions": len(values)}
+class TestPipelineReport:
+    def test_summary_line(self):
+        report = PipelineReport(hits=30, computed=10, stolen=2, elapsed_seconds=1.26)
+        assert report.summary() == (
+            "solve: 30 stored / 10 computed; 10 block solve(s) (75% from the store), "
+            "2 unit(s) stolen, 1.3s"
+        )
 
-    def test_matches_cell_record_sliced(self):
-        nan = float("nan")
-        for values, failures, want in [
-            ([1.0, 2.0, 3.0], 0, 3),
-            ([1.0, nan, 3.0], 1, 3),
-            ([1.0, nan, 3.0], 1, 2),
-            ([nan, 2.0, 3.0], 1, 1),
-            ([1.0, 2.0, 3.0], 0, 2),
-        ]:
-            record = CellRecord(
-                figure_id="figX",
-                scenario_hash="abc",
-                seed=0,
-                curve="H4w",
-                sweep_value=10,
-                repetitions=len(values),
-                values=list(values),
-                failures=failures,
-            )
-            want_values, want_failures = record.sliced(want)
-            got_values, got_failures = sliced_cell(self._output(values, failures), want)
-            assert got_values == pytest.approx(want_values, nan_ok=True)
-            assert got_failures == want_failures
-
-    def test_values_consistent(self):
-        assert values_consistent(self._output([1.0, 2.0], 0), 2)
-        assert values_consistent(self._output([1.0, 2.0, 3.0], 0), 2)
-        assert not values_consistent(self._output([1.0], 0), 2)
-
-
-class TestPipeline:
-    def test_counts_and_wiring(self):
-        manifest = _manifest(seeds=(0, 1))
-        pipeline = build_pipeline(manifest)
-        counts = pipeline.counts()
-        units = expand_units(manifest)
-        assert counts["generate"] == 2
-        assert counts["solve"] == len(units)
-        assert counts["aggregate"] == 2
-        assert counts["render"] == 1
-        # Solve stages follow the canonical unit expansion order.
-        assert list(pipeline.solves) == units
-        # Each aggregate consumes exactly its own run's solve stages,
-        # which all hang off that run's generate stage.
-        for (figure_id, seed), aggregate in pipeline.aggregates.items():
-            expected = [
-                stage
-                for unit, stage in pipeline.solves.items()
-                if (unit.figure_id, unit.seed) == (figure_id, seed)
-            ]
-            assert list(aggregate.inputs) == expected
-            generate = pipeline.generates[(figure_id, seed)]
-            assert all(stage.inputs == (generate,) for stage in aggregate.inputs)
-
-    def test_solves_for_unknown_unit_rejected(self):
-        manifest = _manifest()
-        pipeline = build_pipeline(manifest)
-        foreign = expand_units(_manifest(seeds=(7,)))
-        with pytest.raises(ExperimentError):
-            pipeline.solves_for(foreign)
+    def test_nothing_to_do_counts_as_all_stored(self):
+        report = PipelineReport()
+        assert report.hit_rate() == 1.0
+        assert report.summary() == (
+            "solve: 0 stored / 0 computed; 0 block solve(s) (100% from the store), 0.0s"
+        )
 
 
 class TestRunPipeline:
     def test_second_run_is_all_hits_and_bit_identical(self, tmp_path):
-        manifest = _manifest()
+        manifest = _run_manifest()
         store = ResultStore(tmp_path / "s")
-        first = run_pipeline(build_pipeline(manifest), store)
-        assert first.report.computed["solve"] == len(expand_units(manifest))
-        assert first.report.total_hits == 0
-        second = run_pipeline(build_pipeline(manifest), store)
-        assert second.report.computed == {
-            "generate": 0,
-            "solve": 0,
-            "aggregate": 0,
-            "render": 0,
-        }
+        first = run_pipeline(manifest, store)
+        assert first.report.computed == len(expand_units(manifest))
+        assert first.report.hits == 0
+        second = run_pipeline(manifest, store)
+        assert second.report.computed == 0
         assert second.report.hit_rate() == 1.0
         assert second.renders == first.renders
         store.close()
 
-    def test_legacy_store_is_adopted_without_resolving(self, tmp_path):
+    def test_identical_rerun_writes_nothing(self, tmp_path):
+        manifest = _run_manifest()
+        with ResultStore(tmp_path / "s") as store:
+            run_pipeline(manifest, store)
+            records = (store.path / "results.jsonl").read_bytes()
+            (meta,) = store.runs()
+            run_pipeline(manifest, store)
+            assert (store.path / "results.jsonl").read_bytes() == records
+            # The first run's wall-clock survives the no-op re-run.
+            assert store.runs() == [meta]
+            assert meta.elapsed_seconds > 0.0
+
+    def test_store_holds_only_cells_and_run_headers(self, tmp_path):
+        manifest = _run_manifest(seeds=(0, 1))
+        with ResultStore(tmp_path / "s") as store:
+            run = run_pipeline(manifest, store)
+            assert len(store.cells()) == len(expand_units(manifest))
+            assert [meta.seed for meta in store.runs()] == [0, 1]
+            # Exports are derived from the cells, exactly as `export` reads them.
+            for seed in manifest.seeds:
+                assert run.renders["fig6"]["per_seed"][str(seed)] == (
+                    store.load_result("fig6", seed=seed).to_csv()
+                )
+        assert sorted(path.name for path in (tmp_path / "s").iterdir()) == [
+            "index.json",
+            "results.jsonl",
+        ]
+
+    def test_single_seed_has_no_aggregate(self, tmp_path):
+        with ResultStore(tmp_path / "s") as store:
+            run = run_pipeline(_run_manifest(), store)
+        assert set(run.renders["fig6"]["per_seed"]) == {"0"}
+        assert run.renders["fig6"]["aggregate"] is None
+
+    def test_pre_dag_store_is_served_without_solving(self, tmp_path):
         from repro.experiments.runner import run_figure
 
-        manifest = _manifest()
+        manifest = _run_manifest()
         store = ResultStore(tmp_path / "s")
         legacy = run_figure(
-            "fig5",
+            "fig6",
             seed=0,
             repetitions=manifest.repetitions,
             max_points=manifest.max_points,
             include_milp=False,
         )
         store.save_result(legacy)
-        run = run_pipeline(build_pipeline(manifest), store)
-        assert run.report.computed["solve"] == 0
-        assert run.report.hits["solve"] == len(expand_units(manifest))
-        # The DAG's per-seed render is byte-identical to the legacy result.
-        assert run.renders["fig5"]["per_seed"]["0"] == legacy.to_csv()
+        run = run_pipeline(manifest, store)
+        assert run.report.computed == 0
+        assert run.report.hits == len(expand_units(manifest))
+        # The per-seed export is byte-identical to the stored result's.
+        assert run.renders["fig6"]["per_seed"]["0"] == legacy.to_csv()
         store.close()
+
+    def test_old_artifact_log_is_neither_read_nor_deleted(self, tmp_path):
+        manifest = _run_manifest()
+        with ResultStore(tmp_path / "s") as store:
+            first = run_pipeline(manifest, store)
+        artifacts = tmp_path / "s" / "artifacts"
+        artifacts.mkdir()
+        (artifacts / "artifacts.jsonl").write_text("not json\n", encoding="utf-8")
+        with ResultStore(tmp_path / "s") as store:
+            second = run_pipeline(manifest, store)
+        assert second.report.computed == 0
+        assert second.renders == first.renders
+        assert (artifacts / "artifacts.jsonl").read_text(encoding="utf-8") == "not json\n"
 
     def test_no_resume_recomputes_solves(self, tmp_path):
-        manifest = _manifest()
+        manifest = _run_manifest()
         store = ResultStore(tmp_path / "s")
-        run_pipeline(build_pipeline(manifest), store)
-        forced = run_pipeline(build_pipeline(manifest), store, resume=False)
-        assert forced.report.hits["solve"] == 0
-        assert forced.report.computed["solve"] == len(expand_units(manifest))
+        run_pipeline(manifest, store)
+        forced = run_pipeline(manifest, store, resume=False)
+        assert forced.report.hits == 0
+        assert forced.report.computed == len(expand_units(manifest))
         store.close()
 
-    def test_changed_repetitions_invalidates_only_downstream(self, tmp_path):
+    def test_more_repetitions_recompute_every_unit(self, tmp_path):
         store = ResultStore(tmp_path / "s")
-        run_pipeline(build_pipeline(_manifest(repetitions=2)), store)
-        # More repetitions: every solve key changes (scenario changed).
-        deeper = run_pipeline(build_pipeline(_manifest(repetitions=3)), store)
-        assert deeper.report.computed["solve"] > 0
-        assert deeper.report.hits["solve"] == 0
+        run_pipeline(_run_manifest(repetitions=2), store)
+        # Stored cells are too shallow for three repetitions.
+        deeper = run_pipeline(_run_manifest(repetitions=3), store)
+        assert deeper.report.computed == len(expand_units(_run_manifest()))
+        assert deeper.report.hits == 0
         store.close()
+
+    def test_fewer_repetitions_rewrite_the_run_header(self, tmp_path):
+        with ResultStore(tmp_path / "s") as store:
+            run_pipeline(_run_manifest(repetitions=3), store)
+            shallow = run_pipeline(_run_manifest(repetitions=2), store)
+            assert shallow.report.computed == 0
+            (meta,) = store.runs()
+            assert meta.scenario["repetitions"] == 2
+            assert store.load_result("fig6", seed=0).scenario.repetitions == 2
+
+
+class TestDagPlanCli:
+    def _plan(self, capsys, manifest_args, store=None):
+        args = ["dag", "plan", "fig6", *manifest_args]
+        if store is not None:
+            args += ["--store", str(store)]
+        assert main(args) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_reports_units_runs_and_store_progress(self, tmp_path, capsys):
+        manifest_args = [
+            "--seeds", "0..1", "--repetitions", "2", "--max-points", "1", "--no-milp",
+        ]
+        manifest = _run_manifest(seeds=(0, 1))
+        units = len(expand_units(manifest))
+        store = tmp_path / "s"
+        totals, before = self._plan(capsys, manifest_args, store)
+        assert totals.startswith(f"{units} unit(s) over 2 run(s); est. solve cost ")
+        assert before == f"store at {store}: 0/{units} unit(s) stored"
+        with ResultStore(store) as opened:
+            run_pipeline(manifest, opened)
+        _, after = self._plan(capsys, manifest_args, store)
+        assert after == f"store at {store}: {units}/{units} unit(s) stored"
+        # Without --store only the totals print.
+        assert self._plan(capsys, manifest_args) == [totals]
 
 
 def test_dag_package_imports_first():
@@ -349,12 +313,12 @@ def test_dag_package_imports_first():
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-c", "import repro.dag; print(repro.dag.build_pipeline.__name__)"],
+        [sys.executable, "-c", "import repro.dag; print(repro.dag.run_pipeline.__name__)"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "build_pipeline"
+    assert proc.stdout.strip() == "run_pipeline"
 
 
 def test_serial_figure_run_loads_no_dag_or_campaign_module():

@@ -300,7 +300,7 @@ class TestPropagation:
 
     def test_dag_parallel_block_jobs_join_the_pipeline_trace(self, tmp_path):
         from repro.campaign import CampaignManifest
-        from repro.dag import build_pipeline, run_pipeline
+        from repro.dag import run_pipeline
         from repro.experiments.store import ResultStore
 
         manifest = CampaignManifest(
@@ -313,7 +313,7 @@ class TestPropagation:
         )
         trace.configure(tmp_path / "traces")
         store = ResultStore(tmp_path / "s")
-        run_pipeline(build_pipeline(manifest), store, workers=2)
+        run_pipeline(manifest, store, workers=2)
         store.close()
         trace.disable()
         spans = load_spans(tmp_path / "traces")
@@ -330,10 +330,6 @@ class TestPropagation:
             # dispatching trace, hung off the dispatch span.
             assert block["trace_id"] == pipeline_span["trace_id"]
             assert block["parent_id"] == dispatch_span["span_id"]
-        # Stage executions are keyed by their content key.
-        stage_keys = {record["key"] for record in by_name["dag.stage"]}
-        pipeline = build_pipeline(manifest)
-        assert {s.key for s in pipeline.generates.values()} <= stage_keys
 
     def test_http_request_trace_links_batcher_pool_and_cache(self, tmp_path):
         trace.configure(tmp_path / "traces")

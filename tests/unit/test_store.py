@@ -50,6 +50,28 @@ class TestCellRecord:
         with pytest.raises(ExperimentError):
             _record(values=[1.0])
 
+    @pytest.mark.parametrize(
+        "values, failures, want, want_failures",
+        [
+            ([1.0, 2.0, 3.0], 0, 3, 0),
+            ([1.0, math.nan, 3.0], 1, 3, 1),
+            ([1.0, math.nan, 3.0], 1, 2, 1),
+            ([math.nan, 2.0, 3.0], 1, 1, 1),
+            ([1.0, 2.0, 3.0], 0, 2, 0),
+        ],
+    )
+    def test_sliced_serves_a_prefix_and_recounts_failures(
+        self, values, failures, want, want_failures
+    ):
+        record = _record(repetitions=len(values), values=values, failures=failures)
+        got_values, got_failures = record.sliced(want)
+        assert got_values == pytest.approx(values[:want], nan_ok=True)
+        assert got_failures == want_failures
+
+    def test_sliced_rejects_more_repetitions_than_stored(self):
+        with pytest.raises(ExperimentError):
+            _record().sliced(4)
+
 
 class TestStoreBasics:
     def test_put_get_roundtrip(self, tmp_path):
