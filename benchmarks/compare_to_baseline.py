@@ -57,6 +57,7 @@ KEY_BENCHMARKS = (
     "benchmarks/test_engine_block_scheduler.py::test_bench_block_pipeline_cross_point",
     "benchmarks/test_live_replan.py::test_bench_live_replan",
     "benchmarks/test_dag_scheduler.py::test_bench_dag_pipeline",
+    "benchmarks/test_solver_microbench.py::test_bench_bottleneck_assignment_100x100",
 )
 
 #: Benchmarks gated only when their dependency is installed: missing from

@@ -2,8 +2,8 @@
 
 These benchmarks time the building blocks (rather than whole figures) so
 that performance regressions in the hot paths — period evaluation, the
-greedy heuristics, the bisection heuristics, the Hungarian solver and the
-MIP — show up individually in ``pytest benchmarks/ --benchmark-only``.
+greedy heuristics, the bisection heuristics, the Hungarian and bottleneck
+assignment solvers and the MIP — show up individually in ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import evaluate
-from repro.exact.hungarian import min_cost_assignment
+from repro.exact.hungarian import bottleneck_assignment, min_cost_assignment
 from repro.exact.milp import solve_specialized_milp
 from repro.heuristics import get_heuristic
 from tests.helpers import make_random_instance
@@ -65,6 +65,14 @@ def test_bench_hungarian_100x100(benchmark):
     rng = np.random.default_rng(3)
     cost = rng.uniform(0.0, 1.0, size=(100, 100))
     columns = benchmark(min_cost_assignment, cost)
+    assert len(set(columns.tolist())) == 100
+
+
+def test_bench_bottleneck_assignment_100x100(benchmark):
+    """Figure 9's one-to-one optimum: a bottleneck assignment at n = m = 100."""
+    rng = np.random.default_rng(3)
+    cost = rng.uniform(0.0, 1.0, size=(100, 100))
+    columns = benchmark(bottleneck_assignment, cost)
     assert len(set(columns.tolist())) == 100
 
 

@@ -95,10 +95,11 @@ class KernelBackend:
         added at ``u == v``.  Compiled backends fuse the max instead of
         materialising the ``(R, m, m)`` candidate tensor.
     first_feasible:
-        ``(order, feasible) -> chosen`` — per row, the first machine of
-        the ``(R, m)`` preference permutation whose ``feasible`` entry is
-        true (``order[r, 0]`` when no machine is feasible, matching the
-        numpy argmax-of-all-False convention).
+        ``(feasible, primary, secondary) -> chosen`` — per row, the
+        ``feasible`` machine that sorts first by ascending ``(primary,
+        secondary, index)``, all ``(R, m)``: the first feasible machine
+        of the greedy placement's preference order, picked with
+        comparisons only (0 when no machine is feasible).
     """
 
     name: str

@@ -99,18 +99,29 @@ def _compile_kernels():
         return out
 
     @njit(cache=True)
-    def first_feasible(order, feasible):
-        R, m = order.shape
-        chosen = np.empty(R, dtype=np.int64)
+    def first_feasible(feasible, primary, secondary):
+        R, m = feasible.shape
+        chosen = np.zeros(R, dtype=np.int64)
         for r in range(R):
-            # Default to the most preferred machine, matching numpy's
-            # argmax-of-all-False convention for infeasible rows.
-            chosen[r] = order[r, 0]
-            for j in range(m):
-                u = order[r, j]
-                if feasible[r, u]:
-                    chosen[r] = u
-                    break
+            # Lexicographic argmin over the feasible machines: only a
+            # strictly smaller key replaces the incumbent, so ties keep
+            # the lower index (and -0.0 ties 0.0), as in the numpy
+            # reference; rows with no feasible machine return 0.
+            best = -1
+            for u in range(m):
+                if not feasible[r, u]:
+                    continue
+                if (
+                    best < 0
+                    or primary[r, u] < primary[r, best]
+                    or (
+                        primary[r, u] == primary[r, best]
+                        and secondary[r, u] < secondary[r, best]
+                    )
+                ):
+                    best = u
+            if best >= 0:
+                chosen[r] = best
         return chosen
 
     return (
@@ -141,7 +152,7 @@ def _smoke(kernels) -> None:
         np.ones(1, dtype=np.float64),
         np.ones((1, 2), dtype=np.float64),
     )
-    first(np.array([[1, 0]], dtype=np.int64), np.array([[True, False]]))
+    first(np.array([[True, False]]), np.ones((1, 2)), np.ones((1, 2)))
 
 
 def make_backend():

@@ -95,18 +95,23 @@ def probe_candidates(
     return candidates.max(axis=2)
 
 
-def first_feasible(order: np.ndarray, feasible: np.ndarray) -> np.ndarray:
-    """Per row, the first machine of the preference order that is feasible.
+def first_feasible(
+    feasible: np.ndarray, primary: np.ndarray, secondary: np.ndarray
+) -> np.ndarray:
+    """Per row, the feasible machine that sorts first by ``(primary, secondary, index)``.
 
-    ``order`` is an ``(R, m)`` permutation (most preferred first);
-    ``feasible`` an ``(R, m)`` boolean mask indexed by machine.  Rows
-    with no feasible machine return ``order[r, 0]`` (the argmax of an
-    all-False row) — callers mask those rows out via their own
-    ``feasible.any`` bookkeeping.
+    All three arguments are ``(R, m)``; the keys ascend (most preferred
+    first).  The pick is a lexicographic argmin built from comparisons
+    only, so it equals the first feasible machine of the stable
+    ``np.lexsort((index, secondary, primary))`` order bit for bit —
+    ``-0.0`` and ``0.0`` tie, as in the sort.  Keys must not be NaN.
+    Rows with no feasible machine return 0; callers mask those rows out
+    via their own ``feasible.any`` bookkeeping.
     """
-    feasible_ordered = np.take_along_axis(feasible, order, axis=1)
-    first = np.argmax(feasible_ordered, axis=1)
-    return np.take_along_axis(order, first[:, np.newaxis], axis=1)[:, 0]
+    lead = np.where(feasible, primary, np.inf).min(axis=1, keepdims=True)
+    tied = feasible & (primary == lead)
+    best = np.where(tied, secondary, np.inf).min(axis=1, keepdims=True)
+    return np.argmax(tied & (secondary == best), axis=1)
 
 
 def make_backend():

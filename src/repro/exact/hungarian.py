@@ -8,13 +8,18 @@ This module provides a from-scratch O(n^2·m) implementation of the
 Hungarian algorithm (Jonker–Volgenant style shortest augmenting paths) for
 rectangular cost matrices with ``n <= m``, plus a *bottleneck* assignment
 solver (minimise the maximum selected cost) used for the task-dependent
-failure case of Figure 9.  Both are cross-checked against
-``scipy.optimize.linear_sum_assignment`` in the test suite.
+failure case of Figure 9.  The bottleneck solver bisects the distinct
+cost values and decides each threshold with scipy's compiled
+Hopcroft–Karp matching (``scipy.sparse.csgraph.maximum_bipartite_matching``).
+Both are cross-checked against ``scipy.optimize.linear_sum_assignment``
+in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ..exceptions import InfeasibleProblemError, SolverError
 
@@ -115,34 +120,6 @@ def assignment_cost(cost: np.ndarray, columns: np.ndarray) -> float:
     return float(c[np.arange(cols.size), cols].sum())
 
 
-def _has_perfect_matching(adjacency: np.ndarray) -> np.ndarray | None:
-    """Hopcroft–Karp style matching on a boolean (n, m) adjacency matrix.
-
-    Returns the column matched to each row (length ``n``) or ``None`` when
-    no perfect matching of the rows exists.
-    """
-    n, m = adjacency.shape
-    match_col = np.full(m, -1, dtype=np.int64)
-    match_row = np.full(n, -1, dtype=np.int64)
-
-    def try_augment(row: int, visited: np.ndarray) -> bool:
-        for col in np.flatnonzero(adjacency[row]):
-            if visited[col]:
-                continue
-            visited[col] = True
-            if match_col[col] == -1 or try_augment(int(match_col[col]), visited):
-                match_col[col] = row
-                match_row[row] = col
-                return True
-        return False
-
-    for row in range(n):
-        visited = np.zeros(m, dtype=bool)
-        if not try_augment(row, visited):
-            return None
-    return match_row
-
-
 def bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
     """Solve the bottleneck assignment problem (minimise the max cost).
 
@@ -174,9 +151,12 @@ def bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
     # The largest threshold always admits a perfect matching (complete graph).
     while lo <= hi:
         mid = (lo + hi) // 2
-        matching = _has_perfect_matching(c <= thresholds[mid])
-        if matching is not None:
-            best = matching
+        # Column matched to each row, -1 where the row stays unmatched.
+        matching = maximum_bipartite_matching(
+            csr_matrix(c <= thresholds[mid]), perm_type="column"
+        )
+        if (matching >= 0).all():
+            best = matching.astype(np.int64)
             hi = mid - 1
         else:
             lo = mid + 1

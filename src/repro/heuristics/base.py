@@ -414,9 +414,9 @@ class BatchAssignmentState:
     instance ``r`` operation for operation, so the resulting assignments
     are bit-for-bit identical to ``R`` sequential solves.
 
-    Rows can be deactivated (``rows`` index arguments) so drivers with
-    per-repetition early exit — the batched binary search marks rows
-    infeasible for their candidate period — simply stop updating them.
+    Every step updates every row.  Solvers with per-repetition early
+    exit — the batched binary search marks rows infeasible for their
+    candidate period — keep stepping a dead row and discard its result.
     """
 
     __slots__ = (
@@ -529,19 +529,19 @@ class BatchAssignmentState:
         )
         return dedicated_ok | (free & free_ok[:, np.newaxis])
 
-    def assign(self, task: int, machines: np.ndarray, rows: np.ndarray | None = None) -> None:
-        """Assign ``task`` to ``machines[k]`` in row ``rows[k]``, lock-step.
+    def assign(self, task: int, machines: np.ndarray) -> None:
+        """Assign ``task`` to ``machines[r]`` in every row, lock-step.
 
-        ``rows`` defaults to every row; pass the indices of the still
-        active rows to leave dead rows untouched.  Eligibility is
-        guaranteed by construction in the batch drivers (they mask
-        ineligible machines before choosing), so no per-row check is
-        re-run here.
+        Eligibility is guaranteed by construction in the batch solvers
+        (they mask ineligible machines before choosing), so no per-row
+        check is re-run here.  A solver that has given up on a row (the
+        batched binary search's infeasible rows) may pass any machine
+        for it: the row's state stops meaning anything, and the solver
+        discards its assignment.
         """
-        if rows is None:
-            rows = self._all_rows
+        rows = self._all_rows
         machines = np.asarray(machines, dtype=np.int64)
-        task_type = self.types[rows, task]
+        task_type = self.types[:, task]
         newly = self.machine_type[rows, machines] == -1
         if newly.any():
             nrows, nmachines, ntypes = (
@@ -554,11 +554,10 @@ class BatchAssignmentState:
             self.pending_types[nrows] -= ~had_machine
             self._has_machine[nrows, ntypes] = True
             self.free_machines[nrows] -= 1
-        demand = self.downstream_demand(task)[rows]
-        x_task = demand / (1.0 - self.f[rows, task, machines])
-        self.x[rows, task] = x_task
+        x_task = self.downstream_demand(task) / (1.0 - self.f[rows, task, machines])
+        self.x[:, task] = x_task
         self.accumulated[rows, machines] += x_task * self.w[rows, task, machines]
-        self.assignment[rows, task] = machines
+        self.assignment[:, task] = machines
 
 
 @runtime_checkable

@@ -49,6 +49,7 @@ import contextlib
 import json
 import math
 import re
+import signal
 import time
 
 from .._version import __version__
@@ -703,9 +704,14 @@ async def _serve_async(service: SolveService, *, announce=_announce) -> None:
         f"solve service listening on {service.url} "
         "(POST /v1/solve, POST /v1/session, GET /v1/stats)"
     )
+    # SIGTERM stops the service like Ctrl-C does: cancel this task, so
+    # stop() below shuts the worker pool down instead of orphaning it.
+    loop = asyncio.get_running_loop()
+    loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
     try:
         await service.serve_forever()
     finally:
+        loop.remove_signal_handler(signal.SIGTERM)
         await service.stop()
 
 
@@ -725,7 +731,7 @@ def serve(
     trace: str | None = None,
     announce=_announce,
 ) -> None:
-    """Blocking entry point: run a solve service until interrupted.
+    """Blocking entry point: run a solve service until SIGINT or SIGTERM.
 
     Announces the effective URL on stdout once the socket is bound
     (``port=0`` binds a free port), which is what ``microrepro serve``
@@ -752,5 +758,5 @@ def serve(
     )
     try:
         asyncio.run(_serve_async(service, announce=announce))
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+    except (KeyboardInterrupt, asyncio.CancelledError):  # SIGINT / SIGTERM
         pass

@@ -21,7 +21,12 @@ from repro.generators.scenarios import ScenarioConfig, sample_instance
 from repro.heuristics import get_heuristic
 from repro.simulation.rng import RandomStreamFactory
 
-__all__ = ["make_random_instance", "per_instance_series"]
+__all__ = [
+    "dfs_bottleneck_assignment",
+    "lexsort_first_feasible",
+    "make_random_instance",
+    "per_instance_series",
+]
 
 
 def make_random_instance(
@@ -93,3 +98,62 @@ def per_instance_series(
                 milp_failures += not milp.is_optimal
                 series[MIP_LABEL].add(x, milp.period if milp.is_optimal else math.nan)
     return series, milp_failures
+
+
+def lexsort_first_feasible(
+    feasible: np.ndarray, primary: np.ndarray, secondary: np.ndarray
+) -> np.ndarray:
+    """The greedy pick by sorting, the oracle of the ``first_feasible`` kernel.
+
+    Per row of the ``(R, m)`` arguments: sort the machines by ascending
+    ``(primary, secondary, index)`` with a stable ``np.lexsort``, then
+    take the first feasible one (the order's head when none is).
+    """
+    index = np.broadcast_to(np.arange(feasible.shape[1]), feasible.shape)
+    order = np.lexsort((index, secondary, primary))
+    first = np.argmax(np.take_along_axis(feasible, order, axis=1), axis=1)
+    return np.take_along_axis(order, first[:, np.newaxis], axis=1)[:, 0]
+
+
+def dfs_bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
+    """Bottleneck assignment by threshold bisection and DFS augmenting paths.
+
+    A pure-Python oracle for :func:`repro.exact.hungarian.bottleneck_assignment`:
+    the same ``np.unique`` threshold bisection, each threshold decided by
+    Kuhn's recursive augmenting-path matching.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    n, m = c.shape
+
+    def perfect_matching(adjacency: np.ndarray) -> np.ndarray | None:
+        match_col = np.full(m, -1, dtype=np.int64)
+        match_row = np.full(n, -1, dtype=np.int64)
+
+        def augment(row: int, visited: np.ndarray) -> bool:
+            for col in np.flatnonzero(adjacency[row]):
+                if visited[col]:
+                    continue
+                visited[col] = True
+                if match_col[col] == -1 or augment(int(match_col[col]), visited):
+                    match_col[col] = row
+                    match_row[row] = col
+                    return True
+            return False
+
+        for row in range(n):
+            if not augment(row, np.zeros(m, dtype=bool)):
+                return None
+        return match_row
+
+    thresholds = np.unique(c)
+    lo, hi = 0, thresholds.size - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        matching = perfect_matching(c <= thresholds[mid])
+        if matching is not None:
+            best, hi = matching, mid - 1
+        else:
+            lo = mid + 1
+    assert best is not None
+    return best

@@ -25,6 +25,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro.backend as backend_mod
 from repro.backend import (
@@ -42,6 +45,7 @@ from repro.exceptions import ReproError
 from repro.experiments.figures import FIGURES
 from repro.experiments.providers import CellBlock, HeuristicProvider
 from repro.simulation.rng import RandomStreamFactory
+from tests.helpers import lexsort_first_feasible
 
 #: Every batch-capable heuristic of the paper set (H1 is randomized and
 #: has no lock-step kernel; the scalar fallback path covers it).
@@ -145,9 +149,11 @@ def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
     ratios = rng.uniform(0.5, 2.0, size=(R, m))
     x_task = rng.uniform(1.0, 3.0, size=R)
     w_task = rng.uniform(0.1, 5.0, size=(R, m))
-    pref = np.stack([rng.permutation(m) for _ in range(R)]).astype(np.int64)
+    # Few distinct key values, so the pick's tie-breaks are exercised.
+    primary = rng.integers(0, 3, size=(R, m)).astype(np.float64)
+    secondary = rng.integers(0, 3, size=(R, m)).astype(np.float64)
     feasible = rng.random(size=(R, m)) < 0.4
-    feasible[0, :] = False  # exercise the argmax-of-all-False convention
+    feasible[0, :] = False  # exercise the no-feasible-machine convention
     return {
         "order": order,
         "succ": succ,
@@ -160,7 +166,8 @@ def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
         "ratios": ratios,
         "x_task": x_task,
         "w_task": w_task,
-        "pref": pref,
+        "primary": primary,
+        "secondary": secondary,
         "feasible": feasible,
     }
 
@@ -231,10 +238,40 @@ class TestKernelEquivalence:
     def test_first_feasible(self, backend_name, seed):
         inputs = _random_kernel_inputs(seed)
         backend = get_backend(backend_name)
+        args = (inputs["feasible"], inputs["primary"], inputs["secondary"])
         assert np.array_equal(
-            backend.first_feasible(inputs["pref"], inputs["feasible"]),
-            numpy_backend.first_feasible(inputs["pref"], inputs["feasible"]),
+            backend.first_feasible(*args), numpy_backend.first_feasible(*args)
         )
+
+
+@st.composite
+def _tied_pick_inputs(draw):
+    """``(feasible, primary, secondary)`` with few distinct key values.
+
+    Primary keys look like H2's integer ranks or H3's negated, repeated
+    heterogeneity (``-0.0`` next to ``0.0``); secondary keys like integer
+    ``w`` or tied completion times.
+    """
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 9)))
+    primary = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0])
+    secondary = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 7.0])
+    return (
+        draw(hnp.arrays(np.bool_, shape)),
+        draw(hnp.arrays(np.float64, shape, elements=primary)),
+        draw(hnp.arrays(np.float64, shape, elements=secondary)),
+    )
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+@given(inputs=_tied_pick_inputs())
+def test_first_feasible_equals_the_lexsort_pick(backend_name, inputs):
+    """The sort-free pick is the first feasible machine of the sorted order."""
+    feasible, primary, secondary = inputs
+    chosen = get_backend(backend_name).first_feasible(feasible, primary, secondary)
+    # Rows without a feasible machine are masked out by every caller.
+    live = feasible.any(axis=1)
+    expected = lexsort_first_feasible(feasible, primary, secondary)
+    assert np.array_equal(chosen[live], expected[live])
 
 
 def _figure_block(figure_id: str) -> CellBlock:

@@ -24,7 +24,7 @@ from repro.experiments.providers import (
     LocalSearchProvider,
 )
 from repro.generators import ScenarioConfig
-from repro.heuristics import get_heuristic, supports_batch
+from repro.heuristics import binary_search, get_heuristic, supports_batch
 from repro.heuristics.base import BatchAssignmentState
 from repro.heuristics.binary_search import (
     RankBinarySearchHeuristic,
@@ -117,6 +117,81 @@ class TestSolveBatchEquivalence:
         for name in ("H2", "H4w"):
             batch = get_heuristic(name).solve_batch(block.instances)
             assert (batch == sequential_assignments(name, block)).all()
+
+
+class TestSpeculativeBisection:
+    """``solve_batch`` speculates on narrow rounds; rows stay sequential."""
+
+    @staticmethod
+    def sequential(make, block):
+        return np.stack(
+            [make().solve_mapping(instance)[0].as_array for instance in block.instances]
+        )
+
+    @pytest.mark.parametrize("integer_search", [True, False])
+    @pytest.mark.parametrize("gate", [0, 2, 1000])
+    @pytest.mark.parametrize("name", ["H2", "H3"])
+    def test_matches_sequential_at_any_gate(self, monkeypatch, name, gate, integer_search):
+        # gate 0 never speculates, 1000 always does, 2 switches once the
+        # round narrows to two open rows.
+        monkeypatch.setattr(binary_search, "SPECULATION_MAX_ROWS", gate)
+        block = make_block(seed=13)
+
+        def make():
+            return type(get_heuristic(name))(integer_search=integer_search, rel_tol=1e-3)
+
+        batch = make().solve_batch(block.instances)
+        assert (batch == self.sequential(make, block)).all()
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", ["H2", "H3"])
+    def test_iteration_cap_between_the_levels_of_a_round(self, name, max_iterations):
+        # An odd cap ends the bisection after a round's first level.
+        block = make_block(seed=17)
+
+        def make():
+            return type(get_heuristic(name))(max_iterations=max_iterations)
+
+        batch = make().solve_batch(block.instances)
+        assert (batch == self.sequential(make, block)).all()
+
+    def test_speculation_halves_the_passes(self, monkeypatch):
+        block = make_block(repetitions=1, seed=19)
+        heuristic = RankBinarySearchHeuristic()
+        _, iterations, _ = heuristic.solve_mapping(block.instances[0])
+        passes = []
+        original = RankBinarySearchHeuristic._try_period_batch
+
+        def counting(self, template, rows, targets):
+            passes.append(rows.size)
+            return original(self, template, rows, targets)
+
+        monkeypatch.setattr(RankBinarySearchHeuristic, "_try_period_batch", counting)
+        heuristic.solve_batch(block.instances)
+        # One pass at the upper bound, then one per two bisection steps.
+        assert len(passes) == 1 + (iterations + 1) // 2
+        assert max(passes) == 3
+
+    @pytest.mark.parametrize("name", ["H2", "H3"])
+    def test_doubled_bound_fallback(self, monkeypatch, name):
+        # Start every bisection at a period the greedy placement cannot
+        # meet (the sequential solve's final lower bound), so both solvers
+        # take the doubled-bound fallback.
+        block = make_block(seed=23)
+        lows = {
+            id(instance): get_heuristic(name).solve_mapping(instance)[2]["final_low"]
+            for instance in block.instances
+        }
+        for instance in block.instances:
+            low, probe = lows[id(instance)], get_heuristic(name)
+            probe.prepare(instance)
+            assert probe._try_period(instance, low) is None
+            assert probe._try_period(instance, 2.0 * low) is not None
+        monkeypatch.setattr(
+            binary_search, "worst_case_period_bound", lambda instance: lows[id(instance)]
+        )
+        batch = get_heuristic(name).solve_batch(block.instances)
+        assert (batch == self.sequential(lambda: get_heuristic(name), block)).all()
 
 
 class TestBatchAssignmentState:

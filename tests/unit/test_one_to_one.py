@@ -12,6 +12,7 @@ from repro.core import (
     evaluate,
     linear_chain,
 )
+from repro.exact import one_to_one
 from repro.exact.bruteforce import bruteforce_optimal
 from repro.exact.one_to_one import (
     optimal_one_to_one,
@@ -19,7 +20,7 @@ from repro.exact.one_to_one import (
     optimal_one_to_one_task_dependent,
 )
 from repro.exceptions import InfeasibleProblemError, SolverError
-from tests.helpers import make_random_instance
+from tests.helpers import dfs_bottleneck_assignment, make_random_instance
 
 
 def _homogeneous_chain_instance(n: int, m: int, seed: int) -> ProblemInstance:
@@ -90,6 +91,38 @@ class TestTaskDependentBottleneck:
         result = optimal_one_to_one_task_dependent(inst)
         result.mapping.validate(inst, "one-to-one")
         assert result.method == "bottleneck-task-dependent"
+
+
+def _tied_task_dependent_instance(n: int, m: int, seed: int) -> ProblemInstance:
+    """Integer ``w`` from a handful of values and ``f = 0``: every cost
+    ``x_i * w[i, u]`` is an integer, with many ties."""
+    rng = np.random.default_rng(seed)
+    app = linear_chain(n, num_types=n)
+    w = rng.integers(1, 4, size=(n, m)).astype(np.float64)
+    return ProblemInstance(app, Platform(w, types=app.types), FailureModel(np.zeros((n, m))))
+
+
+class TestCompiledBottleneckMatching:
+    """The scipy-matched bottleneck optimum equals the DFS matching's."""
+
+    @staticmethod
+    def instances():
+        for seed in range(6):
+            n = 5 + 4 * seed
+            yield make_random_instance(n, 3, n + seed % 3, seed, task_dependent=True)
+            yield _tied_task_dependent_instance(n, n + seed % 2, seed)
+
+    def test_period_is_bit_identical_to_the_dfs_matching(self, monkeypatch):
+        for inst in self.instances():
+            result = optimal_one_to_one(inst)
+            assert result.method == "bottleneck-task-dependent"
+            x = np.asarray(result.evaluation.expected_products)
+            cost = x[:, None] * inst.processing_times
+            chosen = cost[np.arange(inst.num_tasks), result.mapping.as_array]
+            assert result.period == chosen.max()
+            with monkeypatch.context() as patch:
+                patch.setattr(one_to_one, "bottleneck_assignment", dfs_bottleneck_assignment)
+                assert optimal_one_to_one(inst).period == result.period
 
 
 class TestDispatcher:

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -549,6 +554,33 @@ class TestSolveWorkerPool:
         with SolveWorkerPool(2) as pool:
             assert len(pool.worker_pids()) == 2
 
+    def test_sigterm_shuts_down_the_worker_pool(self):
+        """``serve`` handles SIGTERM like SIGINT: no orphaned workers."""
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            # The pool is warmed before the announcement, so the worker
+            # exists once the URL is printed.
+            lines = iter(process.stdout.readline, "")
+            assert any("listening on" in line for line in lines)
+            workers = _child_pids(process.pid)
+            assert len(workers) == 1
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+            deadline = time.monotonic() + 30.0
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, "worker outlived the server"
+                time.sleep(0.05)
+        finally:
+            process.kill()
+            process.wait(timeout=30)
+            process.stdout.close()
+
     def test_pool_requires_at_least_one_worker(self):
         with pytest.raises(ValueError, match=">= 1 workers"):
             SolveWorkerPool(0)
@@ -576,6 +608,31 @@ class TestSolveWorkerPool:
         assert strip_markers(response) == strip_markers(reference)
         assert stats["workers"] == 2
         assert stats["service"]["solved"] == 1
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` fields after the command name, or ``None``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat[stat.rfind(")") + 2 :].split()
+
+
+def _child_pids(parent: int) -> list[int]:
+    return [
+        int(entry.name)
+        for entry in Path("/proc").iterdir()
+        if entry.name.isdigit()
+        and (fields := _proc_stat(int(entry.name))) is not None
+        and int(fields[1]) == parent
+    ]
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
 
 
 class TestAdmissionControl:
