@@ -58,6 +58,8 @@ KEY_BENCHMARKS = (
     "benchmarks/test_live_replan.py::test_bench_live_replan",
     "benchmarks/test_dag_scheduler.py::test_bench_dag_pipeline",
     "benchmarks/test_solver_microbench.py::test_bench_bottleneck_assignment_100x100",
+    "benchmarks/test_solver_microbench.py::test_bench_heuristic_h2_binary_search",
+    "benchmarks/test_solver_microbench.py::test_bench_heuristic_h3_binary_search",
 )
 
 #: Benchmarks gated only when their dependency is installed: missing from

@@ -8,10 +8,12 @@ the per-request path.  Both paths run through the same
 window, so the measured ratio isolates the lock-step ``solve_batch`` +
 stacked scoring pass against 32 individual solves — scheduling,
 normalisation and instance sampling costs are identical on both sides,
-and the responses are asserted bit-for-bit equal first.
+and the responses are asserted bit-for-bit equal first.  The ratio is
+measured on H4ls (``n=40, p=4, m=10``), whose batched descent carries
+the lock-step gain; H2/H3 have no lock-step kernel.
 
-``test_bench_service_microbatch`` additionally pins the batched path's
-wall-clock in the CI regression gate (``benchmarks/baseline.json``), and
+``test_bench_service_microbatch`` additionally pins the wall-clock of
+a 32-deep H2 round in the CI regression gate (``benchmarks/baseline.json``), and
 ``test_bench_service_sustained_mixed`` pins a **sustained-throughput**
 round: 256 concurrent *mixed* requests (four signatures, four
 heuristics, batch-kernel and fallback paths together) through one
@@ -32,10 +34,10 @@ CONCURRENCY = 32
 MIXED_CONCURRENCY = 256
 
 #: The mixed round's signatures: (heuristic, tasks, types, machines).
-#: Four heuristics across four platform shapes — H4w/H2/H3 take the
-#: lock-step batch kernels at this depth, H4f exercises whatever path
-#: its registration supports, so the round spans the service's code
-#: paths instead of one hot loop.
+#: Four heuristics across four platform shapes — H4w/H4f take the
+#: lock-step batch kernels at this depth, H2/H3 the per-instance greedy
+#: walk, so the round spans the service's code paths instead of one hot
+#: loop.
 MIXED_SPECS = (
     ("H4w", 40, 3, 8),
     ("H2", 25, 2, 6),
@@ -44,14 +46,14 @@ MIXED_SPECS = (
 )
 
 
-def _requests():
+def _requests(heuristic="H2", tasks=100, types=5, machines=50):
     """32 compatible requests: one signature, 32 distinct seeds."""
     return [
         normalize_request(
             {
-                "heuristic": "H2",
-                "application": {"tasks": 100, "types": 5},
-                "platform": {"machines": 50},
+                "heuristic": heuristic,
+                "application": {"tasks": tasks, "types": types},
+                "platform": {"machines": machines},
                 "options": {"seed": seed},
             }
         )
@@ -90,7 +92,7 @@ def _time(fn, repeats=3):
 
 def test_service_batching_speedup_at_32_concurrent():
     """Acceptance: batched service throughput >= 2x per-request at 32."""
-    requests = _requests()
+    requests = _requests("H4ls", tasks=40, types=4, machines=10)
     batched = _serve_all(requests, batch=True)
     fallback = _serve_all(requests, batch=False)
     reference = [direct_response(request) for request in requests]
@@ -103,7 +105,7 @@ def test_service_batching_speedup_at_32_concurrent():
     fallback_time = _time(lambda: _serve_all(requests, batch=False))
     speedup = fallback_time / batched_time
     print(
-        f"\n{CONCURRENCY} concurrent compatible requests: per-request "
+        f"\n{CONCURRENCY} concurrent compatible H4ls requests: per-request "
         f"{fallback_time * 1e3:.0f} ms, micro-batched {batched_time * 1e3:.0f} ms "
         f"({speedup:.1f}x)"
     )

@@ -1,13 +1,12 @@
 """Runtime-selected kernel backends for the hot batch loops.
 
 The batch modules (:mod:`repro.batch.evaluation`,
-:mod:`repro.batch.incremental`) and the batched bisection driver
-(:mod:`repro.heuristics.binary_search`) spend essentially all of their
-time in a handful of inner kernels: the backward ``x`` propagation, the
-row-wise scatter-add of task contributions into machine periods, the
-single-move candidate probe, and the first-feasible machine selection of
-the greedy placement.  This package puts those kernels behind a small
-registry so they can be swapped at runtime:
+:mod:`repro.batch.incremental`) spend essentially all of their time in a
+handful of inner kernels: the backward ``x`` propagation, the row-wise
+scatter-add of task contributions into machine periods and the
+single-move candidate probe; a lexicographic first-feasible pick rides
+along (see :class:`KernelBackend`).  This package puts those kernels
+behind a small registry so they can be swapped at runtime:
 
 * ``numpy`` — the default, extracted behavior-identically from the
   previously inlined code; always available.
@@ -97,9 +96,11 @@ class KernelBackend:
     first_feasible:
         ``(feasible, primary, secondary) -> chosen`` — per row, the
         ``feasible`` machine that sorts first by ascending ``(primary,
-        secondary, index)``, all ``(R, m)``: the first feasible machine
-        of the greedy placement's preference order, picked with
-        comparisons only (0 when no machine is feasible).
+        secondary, index)``, all ``(R, m)``: a lexicographic pick with
+        comparisons only (0 when no machine is feasible).  No solver
+        calls it since the binary-search heuristics walk in plain
+        Python; it stays a backend field because ``perfbench/layers.py``
+        rebuilds the backend by field name to time every kernel.
     """
 
     name: str

@@ -258,9 +258,10 @@ class HeuristicProvider(CurveProvider):
 
     When the heuristic implements the
     :class:`~repro.heuristics.BatchHeuristic` protocol (the greedy H4
-    family, the binary-search H2/H3, H4ls), the whole block is solved in
-    one lock-step ``solve_batch`` call; otherwise (randomized heuristics
-    such as H1, or third-party heuristics without a batch kernel) the
+    family, H4ls), the whole block is solved in one lock-step
+    ``solve_batch`` call; otherwise (randomized heuristics such as H1,
+    the binary-search H2/H3 whose per-instance greedy walk beats any
+    lock-step pass, or third-party heuristics without a batch kernel) the
     mappings are produced per instance exactly as before.  Either way the
     block's periods come from one vectorized stack pass, and both paths
     are bit-for-bit identical to ``R`` sequential solve + evaluate calls.

@@ -15,12 +15,12 @@ sweep point into one :class:`~repro.batch.InstanceStack` and hands
 whole blocks to the curve providers, which score each curve's ``R``
 mappings in a single vectorized pass instead of re-entering the scalar
 evaluator per cell.  Heuristics implementing the
-:class:`~repro.heuristics.BatchHeuristic` protocol (H2/H3, the H4
-family, H4ls) additionally *solve* the whole block in one lock-step
+:class:`~repro.heuristics.BatchHeuristic` protocol (the H4 family,
+H4ls) additionally *solve* the whole block in one lock-step
 ``solve_batch`` call — both on the serial path and inside each pool
 worker — so neither solving nor scoring re-enters Python per
-repetition; heuristics without a batch kernel (H1) fall back to the
-per-instance solve loop transparently.  The equivalence tests hold
+repetition; heuristics without a batch kernel (H1, H2, H3) fall back to
+the per-instance solve loop transparently.  The equivalence tests hold
 every mode to a per-instance ``Heuristic.solve`` oracle bit for bit.
 
 Repetition blocks are independent, so the engine can fan the (sweep

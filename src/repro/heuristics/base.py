@@ -413,10 +413,6 @@ class BatchAssignmentState:
     Row ``r``'s arithmetic mirrors a scalar :class:`AssignmentState` on
     instance ``r`` operation for operation, so the resulting assignments
     are bit-for-bit identical to ``R`` sequential solves.
-
-    Every step updates every row.  Solvers with per-repetition early
-    exit — the batched binary search marks rows infeasible for their
-    candidate period — keep stepping a dead row and discard its result.
     """
 
     __slots__ = (
@@ -447,10 +443,6 @@ class BatchAssignmentState:
         self._succ = np.asarray(
             [-1 if succ is None else succ for succ in successors], dtype=np.int64
         )
-        self._reset_progress()
-
-    def _reset_progress(self) -> None:
-        """(Re)initialise every assignment-progress array to the empty state."""
         R, n, m = self.w.shape
         self.assignment = np.full((R, n), -1, dtype=np.int64)
         #: per-row machine -> dedicated type (-1 = free machine)
@@ -468,25 +460,6 @@ class BatchAssignmentState:
             sorted_types[:, 1:] != sorted_types[:, :-1], axis=1
         ).astype(np.int64)
         self._all_rows = np.arange(R)
-
-    def subset(self, rows: np.ndarray) -> "BatchAssignmentState":
-        """A fresh, unassigned state restricted to the given rows.
-
-        Shares the traversal order and successor table with the receiver;
-        ``types``/``w``/``f`` are sliced per row, and every progress array
-        starts empty.  Drivers that re-run the greedy placement several
-        times over shrinking row sets — the batched binary search tries
-        one candidate period per active row and pass — build each pass's
-        state this way instead of restacking the instances.
-        """
-        clone = object.__new__(type(self))
-        clone.order = self.order
-        clone._succ = self._succ
-        clone.types = self.types[rows]
-        clone.w = self.w[rows]
-        clone.f = self.f[rows]
-        clone._reset_progress()
-        return clone
 
     @property
     def num_rows(self) -> int:
@@ -534,10 +507,7 @@ class BatchAssignmentState:
 
         Eligibility is guaranteed by construction in the batch solvers
         (they mask ineligible machines before choosing), so no per-row
-        check is re-run here.  A solver that has given up on a row (the
-        batched binary search's infeasible rows) may pass any machine
-        for it: the row's state stops meaning anything, and the solver
-        discards its assignment.
+        check is re-run here.
         """
         rows = self._all_rows
         machines = np.asarray(machines, dtype=np.int64)

@@ -20,7 +20,16 @@ They differ only in how candidate machines are *ranked* for a task:
   tasks*.
 * **H3 (heterogeneity)** prefers the most *heterogeneous* eligible machine
   (largest standard deviation of its ``w[:, u]`` column), keeping the more
-  homogeneous machines in reserve for later (earlier) tasks.
+  homogeneous machines in reserve for later (earlier) tasks; among equally
+  heterogeneous machines it takes the smallest completion time.
+
+Both rankings are static, so each heuristic states its preference once
+per solve as ordered *tie groups* of machines (a
+:class:`MachinePreference`), and every probe is one plain-Python
+:func:`greedy_walk` over per-solve tables.  A walk also returns a proof
+interval of target periods on which its outcome cannot change, which
+lets :meth:`BinarySearchHeuristic.solve_mapping` settle many bisection
+steps without walking.
 
 The paper bisects integer millisecond values (``while max - min > 1``);
 :class:`BinarySearchHeuristic` reproduces that behaviour but also accepts a
@@ -32,30 +41,23 @@ from __future__ import annotations
 import abc
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend import get_backend
-from ..core.instance import ProblemInstance
+from ..core.instance import ProblemInstance, shared_successor_table
 from ..core.mapping import Mapping
 from ..exceptions import ReproError
-from .base import (
-    AssignmentState,
-    BatchAssignmentState,
-    Heuristic,
-    backward_task_order,
-    register_heuristic,
-)
+from .base import Heuristic, backward_task_order, register_heuristic
 
-__all__ = ["BinarySearchHeuristic", "RankBinarySearchHeuristic", "HeterogeneityBinarySearchHeuristic"]
-
-#: Open-row count up to which a ``solve_batch`` round speculates.  A
-#: speculative pass carries three probes per open row and settles two
-#: bisection steps.  Measured at n=100, m=50 (numpy backend, 2-vCPU x86
-#: host) it wins up to R = 12 (H2 R=2: 93 -> 51 ms, R=12: 161 -> 121
-#: ms), is neutral at R = 24 and loses at R = 48 (H3: 236 -> 282 ms),
-#: where the wider pass costs more than the pass it saves.
-SPECULATION_MAX_ROWS = 24
+__all__ = [
+    "BinarySearchHeuristic",
+    "RankBinarySearchHeuristic",
+    "HeterogeneityBinarySearchHeuristic",
+    "MachinePreference",
+    "WalkTables",
+    "greedy_walk",
+]
 
 
 def worst_case_period_bound(instance: ProblemInstance) -> float:
@@ -65,16 +67,143 @@ def worst_case_period_bound(instance: ProblemInstance) -> float:
     with the *largest* failure rate over machines, cf. the ``MAXx_i`` bound
     of the MIP) and its slowest processing time, all on one machine.
     """
-    worst_attempts = instance.failures.worst_case_attempts()
+    worst_attempts = instance.failures.worst_case_attempts().tolist()
     app = instance.application
     # Worst-case x_i: product of worst attempt factors along the path to the sink.
-    x_max = np.ones(instance.num_tasks)
+    x_max = [1.0] * instance.num_tasks
     for task in app.reverse_topological_order():
         succ = app.successor(task)
         downstream = 1.0 if succ is None else x_max[succ]
         x_max[task] = downstream * worst_attempts[task]
     slowest_w = instance.processing_times.max(axis=1)
-    return float(np.sum(x_max * slowest_w))
+    return float(np.sum(np.asarray(x_max) * slowest_w))
+
+
+@dataclass(frozen=True, slots=True)
+class MachinePreference:
+    """A heuristic's static machine preference: ordered tie groups per task.
+
+    ``orders[i]`` lists every machine, most preferred first, tie groups
+    contiguous and ascending by index inside a group.  ``mates[i][u]``
+    holds the machines after ``u`` in ``u``'s tie group (empty for a
+    singleton group).  Tasks with the same preference may share lists.
+    """
+
+    orders: Sequence[Sequence[int]]
+    mates: Sequence[Sequence[Sequence[int]]]
+
+    @classmethod
+    def uniform(cls, groups: Sequence[Sequence[int]], num_tasks: int) -> "MachinePreference":
+        """One list of tie groups shared by every task."""
+        order = [u for group in groups for u in group]
+        mates: list[tuple[int, ...]] = [()] * len(order)
+        for group in groups:
+            for position, u in enumerate(group):
+                mates[u] = tuple(group[position + 1 :])
+        return cls(orders=[order] * num_tasks, mates=[mates] * num_tasks)
+
+
+@dataclass(frozen=True, slots=True)
+class WalkTables:
+    """The per-solve inputs of :func:`greedy_walk`, as plain Python lists.
+
+    Built once per solve with ``.tolist()``, so a walk's inner loop
+    touches only Python floats and ints.  ``keep[i][u]`` is
+    ``1.0 - f[i, u]``.
+    """
+
+    order: tuple[int, ...]
+    successors: list[int]
+    types: list[int]
+    keep: list[list[float]]
+    w: list[list[float]]
+    preference: MachinePreference
+    num_machines: int
+    num_types: int
+
+    @classmethod
+    def build(cls, instance: ProblemInstance, preference: MachinePreference) -> "WalkTables":
+        successors = shared_successor_table([instance])
+        types = instance.application.types.as_array.tolist()
+        return cls(
+            order=backward_task_order(instance),
+            successors=[-1 if succ is None else succ for succ in successors],
+            types=types,
+            keep=(1.0 - instance.failure_rates).tolist(),
+            w=instance.processing_times.tolist(),
+            preference=preference,
+            num_machines=instance.num_machines,
+            num_types=len(set(types)),
+        )
+
+
+def greedy_walk(tables: WalkTables, target: float) -> tuple[list[int] | None, float]:
+    """One greedy placement under period ``target``, with its proof.
+
+    Tasks go sinks first.  Each task takes the first tie group of its
+    preference holding an eligible machine whose completion time is
+    ``<= target``, and in it the smallest completion time (lowest index
+    on ties).  Eligibility is :meth:`AssignmentState.eligible_mask`'s
+    ``nbFreeMachines / nbTypesToGo`` guard, and the arithmetic is
+    :class:`AssignmentState`'s operation for operation, so the result
+    is the sorted-preference probe's bit for bit.
+
+    Returns ``(assignment, lo)`` when every task is placed: ``lo`` is the
+    largest completion time accepted, and every target in ``[lo,
+    target]`` yields the same assignment (accepted machines stay
+    feasible, skipped ones stay infeasible).  Returns ``(None, hi)`` on
+    failure: ``hi`` is the smallest completion time among the eligible
+    machines rejected before each pick, the failing step included, and
+    every target in ``[target, hi)`` fails the same way.
+    """
+    successors, types, keep, w = tables.successors, tables.types, tables.keep, tables.w
+    orders, mates = tables.preference.orders, tables.preference.mates
+    machine_type = [-1] * tables.num_machines
+    accumulated = [0.0] * tables.num_machines
+    x = [0.0] * len(types)
+    assignment = [-1] * len(types)
+    has_machine = [False] * (max(types) + 1)
+    free, pending = tables.num_machines, tables.num_types
+    lo, hi = -math.inf, math.inf
+    for task in tables.order:
+        succ = successors[task]
+        demand = 1.0 if succ < 0 else x[succ]
+        task_type = types[task]
+        free_ok = free > (pending if has_machine[task_type] else pending - 1)
+        keep_row, w_row = keep[task], w[task]
+        # The first feasible machine in preference order opens its group.
+        for pick in orders[task]:
+            owner = machine_type[pick]
+            if owner != task_type and (owner >= 0 or not free_ok):
+                continue
+            best = accumulated[pick] + demand / keep_row[pick] * w_row[pick]
+            if best <= target:
+                break
+            if best < hi:
+                hi = best
+        else:
+            return None, hi
+        # The rest of its tie group may finish sooner.
+        for u in mates[task][pick]:
+            owner = machine_type[u]
+            if owner != task_type and (owner >= 0 or not free_ok):
+                continue
+            completion = accumulated[u] + demand / keep_row[u] * w_row[u]
+            if completion < best:
+                pick, best = u, completion
+        if best > lo:
+            lo = best
+        if machine_type[pick] < 0:
+            machine_type[pick] = task_type
+            if not has_machine[task_type]:
+                has_machine[task_type] = True
+                pending -= 1
+            free -= 1
+        products = demand / keep_row[pick]
+        x[task] = products
+        accumulated[pick] += products * w_row[pick]
+        assignment[task] = pick
+    return assignment, lo
 
 
 class BinarySearchHeuristic(Heuristic):
@@ -103,230 +232,44 @@ class BinarySearchHeuristic(Heuristic):
         self.rel_tol = float(rel_tol)
         self.max_iterations = int(max_iterations)
         self._period_bound: float | None = None
-        self._period_bounds: np.ndarray | None = None
 
     # -- machine ranking (heuristic-specific) -----------------------------------------
     @abc.abstractmethod
-    def machine_order(
-        self, instance: ProblemInstance, state: AssignmentState, task: int
-    ) -> np.ndarray:
-        """Permutation of *all* machine indices, most preferred first.
+    def machine_preference(self, instance: ProblemInstance) -> MachinePreference:
+        """The static machine preference of every task, as tie groups.
 
-        The bisection driver intersects this order with the eligibility
-        and period-feasibility masks; returning a full permutation lets
-        the ranking itself be computed with vectorized NumPy sorts.
+        Called after :meth:`prepare`.  A walk places a task in the first
+        group holding a feasible machine, on that group's smallest
+        completion time.
         """
-
-    @abc.abstractmethod
-    def pick_keys_batch(
-        self,
-        state: BatchAssignmentState,
-        task: int,
-        rows: np.ndarray,
-        exec_times: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(primary, secondary)`` sort keys of the batched greedy pick.
-
-        Both are ``(len(rows), m)``: row ``k`` prefers machines by
-        ascending ``(primary, secondary, index)``, the order
-        :meth:`machine_order` returns on instance ``rows[k]``.  ``rows``
-        indexes the original instance list so stacked precomputations
-        from :meth:`prepare_batch` can be sliced; ``exec_times`` is the
-        step's :meth:`BatchAssignmentState.candidate_exec`.
-        """
-
-    def machine_priority(
-        self, instance: ProblemInstance, state: AssignmentState, task: int, machines: list[int]
-    ) -> list[int]:
-        """Order the given eligible machines from most to least preferred.
-
-        Convenience wrapper restricting :meth:`machine_order` to a subset;
-        kept for introspection and tests.
-        """
-        keep = set(machines)
-        return [int(u) for u in self.machine_order(instance, state, task) if int(u) in keep]
 
     def prepare(self, instance: ProblemInstance) -> None:
         """Per-instance precomputation run once per solve.
 
-        Caches the bisection's worst-case upper bound (previously
-        recomputed by every solve entry point) so the driver and any
-        introspection share one value; subclasses extend it with their
-        ranking data (ranks, heterogeneity) and must call ``super()``.
+        Caches the bisection's worst-case upper bound so the driver and
+        any introspection share one value; subclasses extend it with
+        their ranking data (ranks, heterogeneity) and must call
+        ``super()``.
         """
         self._period_bound = worst_case_period_bound(instance)
 
-    def prepare_batch(
-        self, instances: Sequence[ProblemInstance], state: BatchAssignmentState
-    ) -> None:
-        """Stacked counterpart of :meth:`prepare` for the batched driver.
-
-        Caches the per-row period bounds; subclasses stack their ranking
-        data and must call ``super()``.
-        """
-        self._period_bounds = np.asarray(
-            [worst_case_period_bound(inst) for inst in instances], dtype=np.float64
-        )
-
-    # -- one greedy assignment round ---------------------------------------------------
-    def _try_period(
-        self, instance: ProblemInstance, target_period: float
-    ) -> Mapping | None:
-        """Attempt to place every task under ``target_period``; ``None`` on failure."""
-        state = AssignmentState(instance, backward_task_order(instance))
-        while not state.is_complete():
-            task = state.next_task()
-            assert task is not None
-            # One vectorized pass: eligibility, projected completion times
-            # and the preference order are all (m,) arrays; the chosen
-            # machine is the first of the order that satisfies both masks.
-            feasible = state.eligible_mask(task) & (
-                state.candidate_exec_vector(task) <= target_period
-            )
-            if not feasible.any():
-                return None
-            order = self.machine_order(instance, state, task)
-            ranked = np.flatnonzero(feasible[order])
-            state.assign(task, int(order[ranked[0]]))
-        return state.to_mapping()
-
-    # -- one batched greedy assignment round -------------------------------------------
-    def _try_period_batch(
-        self,
-        template: BatchAssignmentState,
-        rows: np.ndarray,
-        targets: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Attempt every row's candidate period in one lock-step pass.
-
-        Row ``k`` runs the same greedy placement as :meth:`_try_period`
-        on instance ``rows[k]`` under period ``targets[k]``; a row whose
-        placement becomes infeasible is marked dead and its assignment
-        is meaningless from then on.  ``rows`` may repeat an instance.
-        Returns ``(ok, assignments)`` where ``ok[k]`` says whether row
-        ``k`` placed every task.
-        """
-        state = template.subset(rows)
-        backend = get_backend()
-        alive = np.ones(rows.size, dtype=bool)
-        targets_col = targets[:, np.newaxis]
-        for task in state.order:
-            exec_times = state.candidate_exec(task)
-            feasible = state.eligible_mask(task) & (exec_times <= targets_col)
-            alive &= feasible.any(axis=1)
-            if not alive.any():
-                break
-            # First machine of each row's preference order that satisfies
-            # both masks — the batched form of order[ranked[0]], selected
-            # by the active kernel backend without sorting.  Dead rows get
-            # an arbitrary machine; their assignments are discarded.
-            primary, secondary = self.pick_keys_batch(state, task, rows, exec_times)
-            state.assign(task, backend.first_feasible(feasible, primary, secondary))
-        return alive, state.assignment
+    def walk_tables(self, instance: ProblemInstance) -> WalkTables:
+        """The prepared instance's :func:`greedy_walk` inputs."""
+        return WalkTables.build(instance, self.machine_preference(instance))
 
     # -- Heuristic API ------------------------------------------------------------------
-    def _open(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """Rowwise: does the bracket ``(low, high)`` still need a probe?"""
-        if self.integer_search:
-            return high - low > 1.0
-        return high - low > self.rel_tol * np.maximum(high, 1.0)
-
-    def _midpoint(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """Rowwise probe of the bracket, exactly the sequential ``mid``."""
-        if self.integer_search:
-            return low + np.floor((high - low) / 2.0)
-        return (low + high) / 2.0
-
-    def solve_batch(self, instances: Sequence[ProblemInstance]) -> np.ndarray:
-        """Bisect all ``R`` instances lock-step; row ``r`` equals the
-        sequential :meth:`solve_mapping` on ``instances[r]`` bit for bit.
-
-        Every row keeps its own ``(low, high)`` bracket and converges on
-        its own schedule — converged rows leave the active set while the
-        rest keep bisecting, and each round's feasibility checks run as
-        one vectorized greedy pass over the still-active rows.
-
-        A round with at most :data:`SPECULATION_MAX_ROWS` open rows
-        speculates: one pass tries each row's midpoint and both child
-        midpoints, then the walk keeps the child on the side the
-        midpoint's outcome selects.  Each probe is the sequential
-        solve's next ``mid`` (same bracket, same arithmetic, same
-        ``max_iterations`` cap), so speculation changes only how many
-        passes run.
-        """
-        template = BatchAssignmentState(instances)
-        self.prepare_batch(instances, template)
-        if self._period_bounds is None:  # prepare_batch overridden without super()
-            self._period_bounds = np.asarray(
-                [worst_case_period_bound(inst) for inst in instances], dtype=np.float64
-            )
-        num_tasks = template.assignment.shape[1]
-        all_rows = np.arange(template.num_rows)
-        high = self._period_bounds.copy()
-        low = np.zeros_like(high)
-        best = np.full((template.num_rows, num_tasks), -1, dtype=np.int64)
-
-        ok, assignments = self._try_period_batch(template, all_rows, high)
-        best[ok] = assignments[ok]
-        if not ok.all():
-            # Defensive fallback mirroring the sequential driver: the
-            # feasibility guard makes the worst-case bound feasible
-            # whenever m >= p, but double it once just in case.
-            retry = all_rows[~ok]
-            high[retry] *= 2.0
-            ok, assignments = self._try_period_batch(template, retry, high[retry])
-            best[retry[ok]] = assignments[ok]
-        iterations = np.zeros(template.num_rows, dtype=np.int64)
-
-        def settle(rows, targets, ok, assignments) -> None:
-            # One sequential bisection step for each of ``rows`` (distinct).
-            iterations[rows] += 1
-            best[rows[ok]] = assignments[ok]
-            high[rows[ok]] = targets[ok]
-            low[rows[~ok]] = targets[~ok]
-
-        while True:
-            rows = all_rows[self._open(low, high) & (iterations < self.max_iterations)]
-            if rows.size == 0:
-                break
-            mid = self._midpoint(low[rows], high[rows])
-            # The bracket after a feasible mid is (low, mid), after an
-            # infeasible one (mid, high); a narrow round also probes each
-            # child midpoint the sequential solve could reach next.
-            deeper = (iterations[rows] + 1 < self.max_iterations) & (
-                rows.size <= SPECULATION_MAX_ROWS
-            )
-            left = deeper & self._open(low[rows], mid)
-            right = deeper & self._open(mid, high[rows])
-            targets = np.concatenate(
-                (
-                    mid,
-                    self._midpoint(low[rows[left]], mid[left]),
-                    self._midpoint(mid[right], high[rows[right]]),
-                )
-            )
-            probes = np.concatenate((rows, rows[left], rows[right]))
-            ok, assignments = self._try_period_batch(template, probes, targets)
-            k, num_left = rows.size, np.count_nonzero(left)
-            settle(rows, mid, ok[:k], assignments[:k])
-            left_at = np.full(k, -1)
-            left_at[left] = k + np.arange(num_left)
-            right_at = np.full(k, -1)
-            right_at[right] = k + num_left + np.arange(np.count_nonzero(right))
-            child = np.where(ok[:k], left_at, right_at)
-            walked = child >= 0
-            picks = child[walked]
-            settle(rows[walked], targets[picks], ok[picks], assignments[picks])
-        if (best < 0).any():
-            raise ReproError(
-                "batched binary search failed to place some repetitions even "
-                "at the doubled worst-case bound"
-            )
-        return best
-
     def solve_mapping(
         self, instance: ProblemInstance, rng: np.random.Generator | None = None
     ) -> tuple[Mapping, int, dict]:
+        """Bisect the target period, walking only where no proof decides.
+
+        The midpoints, iteration count, ``max_iterations`` cap and final
+        bracket are those of a bisection that walks at every midpoint.
+        A midpoint inside the current best walk's proof interval ``[lo,
+        T]`` has the best's mapping, so it sets ``high`` unwalked; one
+        inside the last failed walk's ``[T, hi)`` fails, so it sets
+        ``low``.  ``metadata["walks"]`` counts the walks that ran.
+        """
         self.prepare(instance)
         low = 0.0
         # The base prepare() caches the bound; recompute lazily if a
@@ -334,13 +277,24 @@ class BinarySearchHeuristic(Heuristic):
         if self._period_bound is None:
             self._period_bound = worst_case_period_bound(instance)
         high = self._period_bound
-        best = self._try_period(instance, high)
+        tables = self.walk_tables(instance)
+        best, best_lo = greedy_walk(tables, high)
+        walks = 1
+        failed_at, failed_below = math.inf, -math.inf
         if best is None:
             # The guard in AssignmentState guarantees eligibility whenever a
             # specialized mapping exists, so the upper bound is always
             # feasible; keep a defensive fallback nonetheless.
+            failed_at, failed_below = high, best_lo
             high *= 2.0
-            best = self._try_period(instance, high)
+            best, best_lo = greedy_walk(tables, high)
+            walks += 1
+            if best is None:
+                raise ReproError(
+                    "binary search failed to place every task even at the "
+                    "doubled worst-case bound"
+                )
+        best_at = high
         iterations = 0
         while iterations < self.max_iterations:
             if self.integer_search:
@@ -352,14 +306,22 @@ class BinarySearchHeuristic(Heuristic):
                     break
                 mid = (low + high) / 2.0
             iterations += 1
-            candidate = self._try_period(instance, mid)
+            if best_lo <= mid <= best_at:
+                high = mid
+                continue
+            if failed_at <= mid < failed_below:
+                low = mid
+                continue
+            candidate, proof = greedy_walk(tables, mid)
+            walks += 1
             if candidate is not None:
-                best = candidate
+                best, best_lo, best_at = candidate, proof, mid
                 high = mid
             else:
+                failed_at, failed_below = mid, proof
                 low = mid
-        assert best is not None
-        return best, iterations, {"final_low": low, "final_high": high}
+        mapping = Mapping(np.asarray(best, dtype=np.int64), instance.num_machines)
+        return mapping, iterations, {"final_low": low, "final_high": high, "walks": walks}
 
 
 @register_heuristic
@@ -371,9 +333,6 @@ class RankBinarySearchHeuristic(BinarySearchHeuristic):
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self._ranks: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
-        self._orders_of: np.ndarray | None = None
-        self._rank_keys: np.ndarray | None = None
 
     def prepare(self, instance: ProblemInstance) -> None:
         super().prepare(instance)
@@ -382,55 +341,18 @@ class RankBinarySearchHeuristic(BinarySearchHeuristic):
         # ascending (0 = the task this machine performs fastest).
         order = np.argsort(w, axis=0, kind="stable")
         ranks = np.empty_like(order)
-        n = w.shape[0]
-        rows = np.arange(n)
-        for u in range(w.shape[1]):
-            ranks[order[:, u], u] = rows
+        np.put_along_axis(ranks, order, np.arange(w.shape[0])[:, np.newaxis], axis=0)
         self._ranks = ranks
 
-    def prepare_batch(
-        self, instances, state: BatchAssignmentState
-    ) -> None:
-        super().prepare_batch(instances, state)
-        # Stacked rank matrices: a stable argsort along the task axis of
-        # the (R, n, m) stack equals R independent per-instance argsorts.
-        order = np.argsort(state.w, axis=1, kind="stable")
-        ranks = np.empty_like(order)
-        np.put_along_axis(
-            ranks,
-            order,
-            np.broadcast_to(
-                np.arange(order.shape[1])[np.newaxis, :, np.newaxis], order.shape
-            ),
-            axis=1,
-        )
-        # Float keys (exact: ranks are < 2**53) so the pick's masked
-        # minimum needs no per-step conversion.
-        self._rank_keys = ranks.astype(np.float64)
-
-    def machine_order(
-        self, instance: ProblemInstance, state: AssignmentState, task: int
-    ) -> np.ndarray:
+    def machine_preference(self, instance: ProblemInstance) -> MachinePreference:
         assert self._ranks is not None
-        # The order depends only on w and the ranks, never on the state or
-        # the period: sort every task's row once per prepared instance
-        # (keyed on the ranks array, so a prepare() override that sets
-        # only the ranks still gets fresh orders).  lexsort: last key is
-        # primary — rank, then w[task, u], then u (the sort is stable).
-        if self._orders_of is not self._ranks:
-            self._orders = np.lexsort((instance.processing_times, self._ranks), axis=1)
-            self._orders_of = self._ranks
-        return self._orders[task]
-
-    def pick_keys_batch(
-        self,
-        state: BatchAssignmentState,
-        task: int,
-        rows: np.ndarray,
-        exec_times: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        assert self._rank_keys is not None
-        return self._rank_keys[rows, task], state.w[:, task, :]
+        # Singleton groups in (rank, w[task, u], u) order: lexsort's last
+        # key is primary, and the sort is stable.
+        order = np.lexsort((instance.processing_times, self._ranks), axis=1)
+        singletons = [()] * instance.num_machines
+        return MachinePreference(
+            orders=order.tolist(), mates=[singletons] * instance.num_tasks
+        )
 
 
 @register_heuristic
@@ -442,45 +364,21 @@ class HeterogeneityBinarySearchHeuristic(BinarySearchHeuristic):
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self._heterogeneity: np.ndarray | None = None
-        self._heterogeneity_keys: np.ndarray | None = None
 
     def prepare(self, instance: ProblemInstance) -> None:
         super().prepare(instance)
         self._heterogeneity = instance.platform.machine_heterogeneity()
 
-    def prepare_batch(
-        self, instances, state: BatchAssignmentState
-    ) -> None:
-        super().prepare_batch(instances, state)
-        # Stacked per-instance (not axis-reduced on the stack) so each
-        # row's std reduction is the exact float sequence of the scalar
-        # path — heterogeneity feeds a sort key, where one ulp flips ties.
-        self._heterogeneity_keys = -np.stack(
-            [inst.platform.machine_heterogeneity() for inst in instances]
-        )
-
-    def machine_order(
-        self, instance: ProblemInstance, state: AssignmentState, task: int
-    ) -> np.ndarray:
+    def machine_preference(self, instance: ProblemInstance) -> MachinePreference:
         assert self._heterogeneity is not None
-        # Most heterogeneous first; break ties with the smaller projected
-        # completion time, then the machine index for determinism.
-        return np.lexsort(
-            (
-                np.arange(instance.num_machines),
-                state.candidate_exec_vector(task),
-                -self._heterogeneity,
-            )
-        )
-
-    def pick_keys_batch(
-        self,
-        state: BatchAssignmentState,
-        task: int,
-        rows: np.ndarray,
-        exec_times: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        assert self._heterogeneity_keys is not None
-        # The same keys as machine_order; the projected completion times
-        # are the ones the feasibility test already computed.
-        return self._heterogeneity_keys[rows], exec_times
+        # Most heterogeneous first, in groups of exactly equal
+        # heterogeneity (float ==, so -0.0 ties 0.0 as in a sort); the
+        # walk breaks ties inside a group by completion time, then index.
+        keys = (-self._heterogeneity).tolist()
+        groups: list[list[int]] = []
+        for u in sorted(range(instance.num_machines), key=keys.__getitem__):
+            if groups and keys[u] == keys[groups[-1][0]]:
+                groups[-1].append(u)
+            else:
+                groups.append([u])
+        return MachinePreference.uniform(groups, instance.num_tasks)

@@ -19,6 +19,8 @@ from repro.generators import (
 )
 from repro.generators.scenarios import ScenarioConfig, sample_instance
 from repro.heuristics import get_heuristic
+from repro.heuristics.base import AssignmentState
+from repro.heuristics.binary_search import worst_case_period_bound
 from repro.simulation.rng import RandomStreamFactory
 
 __all__ = [
@@ -26,6 +28,8 @@ __all__ = [
     "lexsort_first_feasible",
     "make_random_instance",
     "per_instance_series",
+    "reference_bisection",
+    "reference_try_period",
 ]
 
 
@@ -157,3 +161,100 @@ def dfs_bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
             lo = mid + 1
     assert best is not None
     return best
+
+
+def _reference_order(name: str, instance: ProblemInstance, state, task: int) -> np.ndarray:
+    """H2's or H3's full machine preference for ``task``, by sorting.
+
+    H2: ascending ``(rank[task, u], w[task, u], u)`` where ``rank[i, u]``
+    is task ``i``'s position in the stable ascending sort of column
+    ``w[:, u]``.  H3: ascending ``(-heterogeneity[u], exec[u], u)`` with
+    the state's projected completion times.
+    """
+    w = instance.processing_times
+    if name == "H2":
+        column_order = np.argsort(w, axis=0, kind="stable")
+        ranks = np.empty_like(column_order)
+        for u in range(w.shape[1]):
+            ranks[column_order[:, u], u] = np.arange(w.shape[0])
+        return np.lexsort((w[task], ranks[task]))
+    if name == "H3":
+        return np.lexsort(
+            (
+                np.arange(instance.num_machines),
+                state.candidate_exec_vector(task),
+                -instance.platform.machine_heterogeneity(),
+            )
+        )
+    raise ValueError(f"no reference order for {name!r}")
+
+
+def reference_try_period(
+    name: str, instance: ProblemInstance, target_period: float
+) -> np.ndarray | None:
+    """One greedy probe of H2/H3 on an :class:`AssignmentState`.
+
+    Sinks first, each task goes to the first machine of the heuristic's
+    sorted preference that is eligible and whose completion time stays
+    ``<= target_period``.  Returns the ``(n,)`` assignment, or ``None``
+    when some task has no such machine.
+    """
+    state = AssignmentState(instance)
+    while not state.is_complete():
+        task = state.next_task()
+        feasible = state.eligible_mask(task) & (
+            state.candidate_exec_vector(task) <= target_period
+        )
+        if not feasible.any():
+            return None
+        order = _reference_order(name, instance, state, task)
+        ranked = np.flatnonzero(feasible[order])
+        state.assign(task, int(order[ranked[0]]))
+    return state.assignment.copy()
+
+
+def reference_bisection(
+    name: str,
+    instance: ProblemInstance,
+    *,
+    integer_search: bool = True,
+    rel_tol: float = 1e-4,
+    max_iterations: int = 128,
+    bound: float | None = None,
+) -> tuple[np.ndarray | None, int, float, float, int]:
+    """The H2/H3 bisection with a full probe at every midpoint.
+
+    The oracle of ``BinarySearchHeuristic.solve_mapping``: returns
+    ``(assignment, iterations, final_low, final_high, probes)``, with a
+    ``None`` assignment when even the doubled upper bound fails.
+    ``probes`` counts the greedy placements run; ``bound`` replaces the
+    worst-case upper bound the bisection starts from.
+    """
+    low = 0.0
+    high = worst_case_period_bound(instance) if bound is None else bound
+    best = reference_try_period(name, instance, high)
+    probes = 1
+    if best is None:
+        high *= 2.0
+        best = reference_try_period(name, instance, high)
+        probes += 1
+        if best is None:
+            return None, 0, low, high, probes
+    iterations = 0
+    while iterations < max_iterations:
+        if integer_search:
+            if high - low <= 1.0:
+                break
+            mid = low + math.floor((high - low) / 2.0)
+        else:
+            if high - low <= rel_tol * max(high, 1.0):
+                break
+            mid = (low + high) / 2.0
+        iterations += 1
+        candidate = reference_try_period(name, instance, mid)
+        probes += 1
+        if candidate is not None:
+            best, high = candidate, mid
+        else:
+            low = mid
+    return best, iterations, low, high, probes

@@ -4,10 +4,12 @@ The contract: for every heuristic implementing the
 :class:`~repro.heuristics.BatchHeuristic` protocol, ``solve_batch`` over a
 block of structurally identical instances returns, row for row, exactly
 the assignment that ``solve_mapping`` produces on the corresponding
-instance — bit for bit, including binary-search trajectories and
-local-search move sequences.  A second battery covers the stacked
-incremental evaluator, the provider-level wiring (auto threshold,
-validation, fallback) and the hoisted binary-search period bound.
+instance — bit for bit, including local-search move sequences.  The
+binary-search heuristics (H2, H3) have no lock-step kernel: ``solve_stack``
+runs them per instance and must still return the sequential rows.  A
+second battery covers the stacked incremental evaluator, the
+provider-level wiring (auto threshold, validation, fallback) and the
+hoisted binary-search period bound.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from repro.experiments.providers import (
     LocalSearchProvider,
 )
 from repro.generators import ScenarioConfig
-from repro.heuristics import binary_search, get_heuristic, supports_batch
-from repro.heuristics.base import BatchAssignmentState
+from repro.heuristics import get_heuristic, supports_batch
+from repro.heuristics.base import BatchAssignmentState, solve_stack
 from repro.heuristics.binary_search import (
     RankBinarySearchHeuristic,
     worst_case_period_bound,
@@ -38,7 +40,11 @@ from repro.heuristics.local_search import (
 )
 from repro.simulation.rng import RandomStreamFactory
 
-BATCHABLE = ("H2", "H3", "H4", "H4w", "H4f", "H4ls")
+BATCHABLE = ("H4", "H4w", "H4f", "H4ls")
+
+#: Every deterministic paper heuristic: the batchable ones plus H2/H3,
+#: which ``solve_stack`` runs per instance.
+DETERMINISTIC = ("H2", "H3", *BATCHABLE)
 
 
 def make_block(
@@ -58,6 +64,11 @@ def make_block(
     return CellBlock.sample(scenario, num_tasks, RandomStreamFactory(seed))
 
 
+def stacked_assignments(heuristic, block: CellBlock) -> np.ndarray:
+    """The block solved through ``solve_stack`` with the batch path forced."""
+    return solve_stack(heuristic, block.instances, batch=True)
+
+
 def sequential_assignments(name: str, block: CellBlock) -> np.ndarray:
     return np.stack(
         [
@@ -72,16 +83,18 @@ class TestProtocol:
     def test_paper_heuristics_support_batch(self, name):
         assert supports_batch(get_heuristic(name))
 
-    @pytest.mark.parametrize("name", ["H1", "RandomUniform", "RoundRobin", "H4-forward"])
+    @pytest.mark.parametrize(
+        "name", ["H1", "H2", "H3", "RandomUniform", "RoundRobin", "H4-forward"]
+    )
     def test_non_batch_heuristics_are_flagged(self, name):
         assert not supports_batch(get_heuristic(name))
 
 
 class TestSolveBatchEquivalence:
-    @pytest.mark.parametrize("name", BATCHABLE)
+    @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_matches_sequential_solves(self, name):
         block = make_block()
-        batch = get_heuristic(name).solve_batch(block.instances)
+        batch = stacked_assignments(get_heuristic(name), block)
         assert batch.shape == (block.repetitions, block.stack.num_tasks)
         assert (batch == sequential_assignments(name, block)).all()
 
@@ -89,19 +102,19 @@ class TestSolveBatchEquivalence:
     def test_matches_sequential_when_machines_barely_suffice(self, name):
         # m close to p exercises the free-machine feasibility guard rows.
         block = make_block(num_machines=5, num_types=4, num_tasks=10, seed=11)
-        batch = get_heuristic(name).solve_batch(block.instances)
+        batch = stacked_assignments(get_heuristic(name), block)
         assert (batch == sequential_assignments(name, block)).all()
 
     @pytest.mark.parametrize("name", ["H2", "H3"])
     def test_matches_sequential_with_task_dependent_failures(self, name):
         block = make_block(task_dependent_failures=True, seed=7)
-        batch = get_heuristic(name).solve_batch(block.instances)
+        batch = stacked_assignments(get_heuristic(name), block)
         assert (batch == sequential_assignments(name, block)).all()
 
     def test_non_integer_bisection_matches_sequential(self):
         block = make_block(seed=5)
         batch_h = RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-3)
-        batch = batch_h.solve_batch(block.instances)
+        batch = stacked_assignments(batch_h, block)
         expected = np.stack(
             [
                 RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-3)
@@ -115,83 +128,8 @@ class TestSolveBatchEquivalence:
     def test_single_row_block(self):
         block = make_block(repetitions=1)
         for name in ("H2", "H4w"):
-            batch = get_heuristic(name).solve_batch(block.instances)
+            batch = stacked_assignments(get_heuristic(name), block)
             assert (batch == sequential_assignments(name, block)).all()
-
-
-class TestSpeculativeBisection:
-    """``solve_batch`` speculates on narrow rounds; rows stay sequential."""
-
-    @staticmethod
-    def sequential(make, block):
-        return np.stack(
-            [make().solve_mapping(instance)[0].as_array for instance in block.instances]
-        )
-
-    @pytest.mark.parametrize("integer_search", [True, False])
-    @pytest.mark.parametrize("gate", [0, 2, 1000])
-    @pytest.mark.parametrize("name", ["H2", "H3"])
-    def test_matches_sequential_at_any_gate(self, monkeypatch, name, gate, integer_search):
-        # gate 0 never speculates, 1000 always does, 2 switches once the
-        # round narrows to two open rows.
-        monkeypatch.setattr(binary_search, "SPECULATION_MAX_ROWS", gate)
-        block = make_block(seed=13)
-
-        def make():
-            return type(get_heuristic(name))(integer_search=integer_search, rel_tol=1e-3)
-
-        batch = make().solve_batch(block.instances)
-        assert (batch == self.sequential(make, block)).all()
-
-    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 5])
-    @pytest.mark.parametrize("name", ["H2", "H3"])
-    def test_iteration_cap_between_the_levels_of_a_round(self, name, max_iterations):
-        # An odd cap ends the bisection after a round's first level.
-        block = make_block(seed=17)
-
-        def make():
-            return type(get_heuristic(name))(max_iterations=max_iterations)
-
-        batch = make().solve_batch(block.instances)
-        assert (batch == self.sequential(make, block)).all()
-
-    def test_speculation_halves_the_passes(self, monkeypatch):
-        block = make_block(repetitions=1, seed=19)
-        heuristic = RankBinarySearchHeuristic()
-        _, iterations, _ = heuristic.solve_mapping(block.instances[0])
-        passes = []
-        original = RankBinarySearchHeuristic._try_period_batch
-
-        def counting(self, template, rows, targets):
-            passes.append(rows.size)
-            return original(self, template, rows, targets)
-
-        monkeypatch.setattr(RankBinarySearchHeuristic, "_try_period_batch", counting)
-        heuristic.solve_batch(block.instances)
-        # One pass at the upper bound, then one per two bisection steps.
-        assert len(passes) == 1 + (iterations + 1) // 2
-        assert max(passes) == 3
-
-    @pytest.mark.parametrize("name", ["H2", "H3"])
-    def test_doubled_bound_fallback(self, monkeypatch, name):
-        # Start every bisection at a period the greedy placement cannot
-        # meet (the sequential solve's final lower bound), so both solvers
-        # take the doubled-bound fallback.
-        block = make_block(seed=23)
-        lows = {
-            id(instance): get_heuristic(name).solve_mapping(instance)[2]["final_low"]
-            for instance in block.instances
-        }
-        for instance in block.instances:
-            low, probe = lows[id(instance)], get_heuristic(name)
-            probe.prepare(instance)
-            assert probe._try_period(instance, low) is None
-            assert probe._try_period(instance, 2.0 * low) is not None
-        monkeypatch.setattr(
-            binary_search, "worst_case_period_bound", lambda instance: lows[id(instance)]
-        )
-        batch = get_heuristic(name).solve_batch(block.instances)
-        assert (batch == self.sequential(lambda: get_heuristic(name), block)).all()
 
 
 class TestBatchAssignmentState:
@@ -204,16 +142,6 @@ class TestBatchAssignmentState:
         big = make_block(num_tasks=12, repetitions=2)
         with pytest.raises(ReproError):
             BatchAssignmentState([small.instances[0], big.instances[0]])
-
-    def test_subset_resets_progress(self):
-        block = make_block()
-        state = BatchAssignmentState(block.instances)
-        rows = np.array([0, 2])
-        clone = state.subset(rows)
-        assert clone.num_rows == 2
-        assert (clone.assignment == -1).all()
-        assert (clone.types == state.types[rows]).all()
-        assert (clone.pending_types == state.pending_types[rows]).all()
 
 
 class TestStackMappingEvaluator:
@@ -373,14 +301,6 @@ class TestPeriodBoundHoist:
         legacy = LegacyH2().solve_mapping(instance)[0]
         modern = RankBinarySearchHeuristic().solve_mapping(instance)[0]
         assert (legacy.as_array == modern.as_array).all()
-
-    def test_batch_prepare_caches_per_row_bounds(self):
-        block = make_block()
-        heuristic = RankBinarySearchHeuristic()
-        heuristic.solve_batch(block.instances)
-        expected = [worst_case_period_bound(inst) for inst in block.instances]
-        assert heuristic._period_bounds is not None
-        assert heuristic._period_bounds.tolist() == expected
 
 
 class TestProviderWiring:

@@ -11,6 +11,7 @@ from repro.heuristics import get_heuristic
 from repro.heuristics.binary_search import (
     HeterogeneityBinarySearchHeuristic,
     RankBinarySearchHeuristic,
+    greedy_walk,
     worst_case_period_bound,
 )
 from repro.heuristics.greedy import (
@@ -92,8 +93,11 @@ class TestBinarySearchHeuristics:
         )
         h3 = HeterogeneityBinarySearchHeuristic()
         h3.prepare(inst)
-        order = h3.machine_priority(inst, _state_for(inst), 1, [0, 1])
-        assert order[0] == 0
+        assert list(h3.machine_preference(inst).orders[1]) == [0, 1]
+        # The walk at a period both machines meet places the sink (task
+        # 1, first in the backward order) on machine 0.
+        assignment, _ = greedy_walk(h3.walk_tables(inst), 10_000.0)
+        assert assignment[1] == 0
 
     def test_integer_search_iteration_count_bounded(self):
         inst = make_random_instance(12, 2, 5, seed=7)
@@ -106,12 +110,6 @@ class TestBinarySearchHeuristics:
         strict = RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-6).solve(inst)
         loose = RankBinarySearchHeuristic(integer_search=False, rel_tol=0.2).solve(inst)
         assert strict.period <= loose.period + 1e-9
-
-
-def _state_for(instance):
-    from repro.heuristics.base import AssignmentState
-
-    return AssignmentState(instance)
 
 
 class TestGreedyFamily:
