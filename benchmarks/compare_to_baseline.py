@@ -22,10 +22,7 @@ Refresh the baseline after an intentional performance change::
 
 A per-benchmark delta table is printed on every gate run (pass or fail);
 ``--json`` emits the same comparison as a machine-readable document for
-dashboards/CI annotations.  Benchmarks listed in ``OPTIONAL_BENCHMARKS``
-(the numba-backend bench) gate only when present in both the baseline
-and the run, so numpy-only environments are never failed for lacking
-the optional JIT dependency.
+dashboards/CI annotations.
 
 The module is also importable (``benchmarks.compare_to_baseline``) so the
 comparison logic itself is unit-tested in tier 1.
@@ -62,12 +59,6 @@ KEY_BENCHMARKS = (
     "benchmarks/test_solver_microbench.py::test_bench_heuristic_h3_binary_search",
 )
 
-#: Benchmarks gated only when their dependency is installed: missing from
-#: a run (or from the baseline) is "skipped", never a failure.
-OPTIONAL_BENCHMARKS = (
-    "benchmarks/test_backends.py::test_bench_batch_refine_numba",
-)
-
 #: Default failure threshold: a key benchmark may be at most this much
 #: slower (relative) than its baseline before the gate trips.
 DEFAULT_MAX_REGRESSION = 0.30
@@ -93,8 +84,7 @@ def evaluate(results: dict, baseline: dict) -> tuple[list[dict], list[str]]:
     """Per-benchmark delta rows plus the gate's failure messages.
 
     Each row: ``{name, baseline, current, delta, status}`` with status
-    one of ``ok`` / ``regression`` / ``missing`` / ``skipped``
-    (optional benchmark absent from this run).  ``failures`` is empty
+    one of ``ok`` / ``regression`` / ``missing``.  ``failures`` is empty
     exactly when the gate passes.
     """
     medians = load_medians(results)
@@ -107,19 +97,12 @@ def evaluate(results: dict, baseline: dict) -> tuple[list[dict], list[str]]:
     failures: list[str] = []
     for name, entry in baseline["benchmarks"].items():
         reference = float(entry["normalized"])
-        optional = bool(entry.get("optional")) or name in OPTIONAL_BENCHMARKS
         if name not in current:
-            if optional:
-                rows.append(
-                    {"name": name, "baseline": reference, "current": None,
-                     "delta": None, "status": "skipped"}
-                )
-            else:
-                rows.append(
-                    {"name": name, "baseline": reference, "current": None,
-                     "delta": None, "status": "missing"}
-                )
-                failures.append(f"key benchmark missing from results: {name}")
+            rows.append(
+                {"name": name, "baseline": reference, "current": None,
+                 "delta": None, "status": "missing"}
+            )
+            failures.append(f"key benchmark missing from results: {name}")
             continue
         value = current[name]
         delta = value / reference - 1.0
@@ -166,15 +149,11 @@ def make_baseline(
     *,
     calibration: str = CALIBRATION,
     keys: tuple[str, ...] = KEY_BENCHMARKS,
-    optional: tuple[str, ...] = OPTIONAL_BENCHMARKS,
     max_regression: float = DEFAULT_MAX_REGRESSION,
 ) -> dict:
     """Build a baseline document from one benchmark run.
 
-    Every ``keys`` benchmark must be in the run; ``optional`` ones are
-    recorded (and tagged) only when present, so a numpy-only machine can
-    refresh the baseline without dropping the numba gate from machines
-    that do run it.
+    Every ``keys`` benchmark must be in the run.
     """
     medians = load_medians(results)
     missing = [name for name in (calibration, *keys) if name not in medians]
@@ -188,13 +167,6 @@ def make_baseline(
         }
         for name in keys
     }
-    for name in optional:
-        if name in medians:
-            benchmarks[name] = {
-                "median_seconds": medians[name],
-                "normalized": normalized[name],
-                "optional": True,
-            }
     return {
         "calibration": calibration,
         "max_regression": max_regression,

@@ -328,14 +328,13 @@ def phase_overload() -> bool:
 
 
 #: Series every scrape must expose once a solve went through — one per
-#: instrumented subsystem (service, batcher, cache, sessions, backend).
+#: instrumented subsystem (service, batcher, cache, sessions).
 REQUIRED_SERIES = (
     "repro_service_requests_total",
     "repro_service_latency_seconds_bucket",
     "repro_batcher_requests_total",
     "repro_cache_misses_total",
     "repro_sessions_lifecycle_total",
-    "repro_backend_info",
 )
 
 #: A well-formed Prometheus text sample: name, optional labels, value.
@@ -365,7 +364,7 @@ def check_prometheus_text(text: str) -> list[tuple[bool, str]]:
         (bool(samples), "scrape carries sample lines"),
         (not malformed, "every sample line is well-formed"),
         (bool(typed), "scrape carries # TYPE headers"),
-        (not missing, "service/batcher/cache/session/backend series present"),
+        (not missing, "service/batcher/cache/session series present"),
     ]
 
 

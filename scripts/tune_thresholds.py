@@ -34,7 +34,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.backend import get_backend  # noqa: E402
 from repro.generators.scenarios import ScenarioConfig, sample_instance  # noqa: E402
 from repro.heuristics import (  # noqa: E402
     available_heuristics,
@@ -137,8 +136,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    backend = get_backend()
-    print(f"kernel backend: {backend.name}")
     thresholds = calibrate(args.repeats)
     payload = {
         "comment": (
@@ -146,7 +143,6 @@ def main(argv=None) -> int:
             "scripts/tune_thresholds.py; regenerate with --write after "
             "kernel changes."
         ),
-        "backend": backend.name,
         "thresholds": thresholds,
     }
     print(json.dumps(payload, indent=2))

@@ -1,24 +1,38 @@
-"""Pure-numpy kernel backend — the default and the bit-for-bit reference.
+"""The numpy kernels of the hot batch loops, and the seam that times them.
 
-These functions are the hot kernels previously inlined in
-:mod:`repro.batch.evaluation`, :mod:`repro.batch.incremental` and
-:mod:`repro.heuristics.binary_search`, extracted verbatim: every other
-backend must reproduce their operation and accumulation order exactly
-(see the :class:`~repro.backend.KernelBackend` contract).
+The batch modules (:mod:`repro.batch.evaluation`,
+:mod:`repro.batch.incremental`) spend essentially all of their time in a
+handful of inner kernels: the backward ``x`` propagation, the row-wise
+scatter-add of task contributions into machine periods and the
+single-move candidate probe; a lexicographic first-feasible pick rides
+along (see :class:`KernelBackend`).  They keep the scalar reference
+path's operation and accumulation order, so batch results stay
+bit-for-bit equal to it.
+
+Callers reach the kernels through :func:`get_backend` rather than by
+name so that :func:`activate_backend` can swap in a wrapped kernel set
+for one solve — the span-timed wrappers of :mod:`repro.obs.instrument`
+and the benchmark harness's layer clock.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
+    "KernelBackend",
+    "NUMPY_BACKEND",
+    "get_backend",
+    "activate_backend",
     "propagate_x",
     "scatter_periods",
     "scatter_add_rows",
     "critical_mask",
     "probe_candidates",
     "first_feasible",
-    "make_backend",
 ]
 
 
@@ -114,16 +128,72 @@ def first_feasible(
     return np.argmax(tied & (secondary == best), axis=1)
 
 
-def make_backend():
-    """The numpy :class:`~repro.backend.KernelBackend` (always available)."""
-    from . import KernelBackend
+@dataclass(frozen=True, slots=True)
+class KernelBackend:
+    """The kernel set the batch modules call through :func:`get_backend`.
 
-    return KernelBackend(
-        name="numpy",
-        propagate_x=propagate_x,
-        scatter_periods=scatter_periods,
-        scatter_add_rows=scatter_add_rows,
-        critical_mask=critical_mask,
-        probe_candidates=probe_candidates,
-        first_feasible=first_feasible,
-    )
+    One field per kernel function of this module, under the same name,
+    plus ``name`` (``"numpy"``, recorded in stored run headers and trace
+    spans).  A wrapper installed with :func:`activate_backend` must keep
+    the kernels' signatures, dtypes and operation order (the bit-for-bit
+    contract); the timing wrappers simply call them.  No solver calls
+    ``first_feasible`` since the binary-search heuristics walk in plain
+    Python; it stays a field because ``perfbench/layers.py`` rebuilds the
+    kernel set by field name to time every kernel.
+    """
+
+    name: str
+    propagate_x: Callable
+    scatter_periods: Callable
+    scatter_add_rows: Callable
+    critical_mask: Callable
+    probe_candidates: Callable
+    first_feasible: Callable
+
+
+#: The numpy kernel set, active unless a wrapper is installed.
+NUMPY_BACKEND = KernelBackend(
+    name="numpy",
+    propagate_x=propagate_x,
+    scatter_periods=scatter_periods,
+    scatter_add_rows=scatter_add_rows,
+    critical_mask=critical_mask,
+    probe_candidates=probe_candidates,
+    first_feasible=first_feasible,
+)
+
+_ACTIVE: KernelBackend = NUMPY_BACKEND
+
+
+def get_backend() -> KernelBackend:
+    """The active kernel set: :data:`NUMPY_BACKEND` or an installed wrapper."""
+    return _ACTIVE
+
+
+class activate_backend:
+    """Temporarily install a :class:`KernelBackend` instance as active.
+
+    The seam the tracing instrumentation uses to swap in a span-timed
+    wrapper of the current kernels for the duration of one solve
+    (:mod:`repro.obs.instrument`).  Activations nest; each restores the
+    instance it replaced, also when its body raises.  Concurrent
+    activations on different threads may briefly see each other's
+    instance; that is harmless for wrappers that keep the wrapped
+    kernels' bit-for-bit behaviour (the only supported use).
+    """
+
+    __slots__ = ("_backend", "_previous")
+
+    def __init__(self, backend: KernelBackend):
+        self._backend = backend
+        self._previous: KernelBackend | None = None
+
+    def __enter__(self) -> KernelBackend:
+        global _ACTIVE
+        self._previous = _ACTIVE
+        _ACTIVE = self._backend
+        return self._backend
+
+    def __exit__(self, *exc_info) -> None:
+        global _ACTIVE
+        _ACTIVE = self._previous

@@ -87,11 +87,11 @@ def as_assignment_array(
 
 
 def _graph_arrays(application: Application) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, succ)`` arrays driving the backend's ``x`` propagation.
+    """``(order, succ)`` arrays driving the kernels' ``x`` propagation.
 
     ``order`` is the reverse topological task order; ``succ[t]`` is the
     successor of task ``t`` or -1 at a sink — the array form of the
-    graph walk every kernel backend consumes.
+    graph walk the ``propagate_x`` kernel consumes.
     """
     order = np.asarray(application.reverse_topological_order(), dtype=np.int64)
     succ = np.full(application.num_tasks, -1, dtype=np.int64)
@@ -109,7 +109,7 @@ def _propagate_expected_products(
 
     ``f_used[r, i]`` is the failure rate of task ``i`` under row ``r``'s
     assignment; returns ``x`` of the same shape.  The walk itself runs in
-    the active kernel backend (see :mod:`repro.backend`).
+    the ``propagate_x`` kernel (see :mod:`repro.backend`).
     """
     order, succ = _graph_arrays(application)
     return get_backend().propagate_x(order, succ, f_used)
@@ -141,7 +141,7 @@ def _scatter_periods(
 ) -> np.ndarray:
     """Row-wise segment sum of task contributions into machine periods.
 
-    Every backend visits the tasks of each row in ascending order — the
+    The kernel visits the tasks of each row in ascending order — the
     same accumulation order as the scalar kernel, keeping results
     bit-for-bit identical.
     """

@@ -111,7 +111,7 @@ class MappingEvaluator:
     def refresh(self) -> None:
         """Recompute ``x``, contributions and periods from scratch.
 
-        Runs as a depth-1 stack through the active kernel backend — the
+        Runs as a depth-1 stack through the batch kernels — the
         same kernels the batched evaluators use, so the scalar and
         stacked states stay bit-for-bit interchangeable.
         """
@@ -475,8 +475,7 @@ class StackMappingEvaluator:
         ratios = (1.0 - self._f[self._rows, task, old_machine])[:, np.newaxis] / (
             1.0 - self._f[:, task, :]
         )
-        # Fused probe: max over destinations without materialising the
-        # (R, m, m) candidate tensor on compiled backends.
+        # Fused probe: every destination's candidate period in one call.
         return backend.probe_candidates(
             base, rest, ratios, self._x[:, task], self._w[:, task, :]
         )

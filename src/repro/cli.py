@@ -79,7 +79,6 @@ import numpy as np
 
 from ._version import __version__
 from .analysis.tables import catalog_table
-from .backend import BACKEND_ENV_VAR, set_backend
 from .campaign import (
     PLAN_AXES,
     PLAN_BALANCES,
@@ -204,17 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "kernel backend for the hot solve loops (e.g. numpy, numba); "
-            f"overrides ${BACKEND_ENV_VAR}.  Defaults to auto-detection "
-            "(numba when importable, else numpy).  All backends produce "
-            "bit-for-bit identical results."
-        ),
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     list_parser = subparsers.add_parser("list", help="list reproducible figures")
@@ -1191,8 +1179,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.backend is not None:
-            set_backend(args.backend)
         # Tracing is process-wide: $REPRO_TRACE switches it on for any
         # command (campaign/dag runs trace too, not just `serve`, whose
         # --trace flag still takes precedence over the variable).

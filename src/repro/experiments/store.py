@@ -142,9 +142,9 @@ class RunMeta:
     curves: list[str]
     normalize_to: str | None = None
     elapsed_seconds: float = 0.0
-    #: Kernel backend the run was computed with (informational — results
-    #: are bit-for-bit backend-independent, so shards solved on different
-    #: backends still merge).
+    #: Kernel set the run was computed with (informational, ``"numpy"``).
+    #: Stored run headers carry it and load through ``RunMeta(**data)``,
+    #: so it stays a field.
     backend: str | None = None
 
     @property
@@ -183,10 +183,10 @@ def _cells_equal(left: CellRecord, right: CellRecord) -> bool:
 def _metas_compatible(left: RunMeta, right: RunMeta) -> bool:
     """Same-run headers may differ only in ``elapsed_seconds``/``backend``.
 
-    Shards of one distributed campaign each record their own wall-clock
-    and may have solved on different kernel backends (every backend is
-    bit-for-bit identical), but must agree on everything that defines
-    the run (scenario, curve order, normalisation).
+    Shards of one distributed campaign each record their own wall-clock,
+    and ``backend`` is informational (every kernel set it has named
+    solves bit-for-bit identically), but they must agree on everything
+    that defines the run (scenario, curve order, normalisation).
     """
     return replace(left, elapsed_seconds=0.0, backend=None) == replace(
         right, elapsed_seconds=0.0, backend=None

@@ -78,8 +78,8 @@ def _load_batch_thresholds() -> dict[str, int]:
     """Per-heuristic crossovers calibrated by ``scripts/tune_thresholds.py``.
 
     The calibration lives in ``thresholds.json`` next to this module; a
-    missing or unreadable file degrades to the shared default so numpy-only
-    source checkouts keep working.
+    missing or unreadable file degrades to the shared default so source
+    checkouts without it keep working.
     """
     path = Path(__file__).with_name("thresholds.json")
     try:

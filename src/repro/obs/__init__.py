@@ -14,12 +14,13 @@ The telemetry layer every other subsystem reports into:
   :class:`~repro.obs.metrics.LatencyReservoir`.
 * :mod:`~repro.obs.summary` — span-tree aggregation behind
   ``microrepro trace summarize`` (self/total-time hot-path table).
-* :mod:`~repro.obs.instrument` — aggregated per-kernel backend timings
+* :mod:`~repro.obs.instrument` — aggregated per-kernel timings
   for traced solves.
 
 Deliberately a leaf package (it imports only ``repro.experiments.store``
-and, lazily, ``repro.backend``), so the service, DAG, campaign and live
-layers can all instrument through it without import cycles.
+and, from :mod:`~repro.obs.instrument`, ``repro.backend``), so the
+service, DAG, campaign and live layers can all instrument through it
+without import cycles.
 """
 
 from .metrics import (

@@ -1,4 +1,4 @@
-"""Span-timed wrappers for the hot kernel backend.
+"""Span-timed wrappers for the hot batch kernels.
 
 Per-call spans around kernels would swamp a trace — one solve can make
 thousands of kernel calls — so :func:`timed_kernels` wraps the active
@@ -6,7 +6,7 @@ thousands of kernel calls — so :func:`timed_kernels` wraps the active
 emits **one** synthetic span per kernel on exit
 (``kernel.propagate_x`` etc., with ``calls`` and ``backend`` attrs, via
 :func:`repro.obs.trace.emit_timing`).  The wrappers call the wrapped
-kernels unchanged, so the bit-for-bit backend contract is untouched;
+kernels unchanged, so the bit-for-bit contract is untouched;
 they are only installed inside already-traced solves
 (:func:`repro.service.pool.solve_group_traced`, the traced DAG block
 job), never on the default path.
@@ -16,21 +16,15 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
+from ..backend import KernelBackend, activate_backend, get_backend
 from .trace import emit_timing, tracing_active
 
 __all__ = ["KERNEL_NAMES", "timed_kernels"]
 
 #: The :class:`~repro.backend.KernelBackend` kernel attributes.
-KERNEL_NAMES = (
-    "propagate_x",
-    "scatter_periods",
-    "scatter_add_rows",
-    "critical_mask",
-    "probe_candidates",
-    "first_feasible",
-)
+KERNEL_NAMES = tuple(f.name for f in fields(KernelBackend) if f.name != "name")
 
 
 class _KernelTimer:
@@ -84,8 +78,6 @@ def timed_kernels():
     if not tracing_active():
         yield
         return
-    from ..backend import activate_backend, get_backend
-
     timer = _KernelTimer(get_backend())
     with activate_backend(timer.wrapped()):
         try:

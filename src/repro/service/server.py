@@ -53,7 +53,6 @@ import signal
 import time
 
 from .._version import __version__
-from ..backend import backend_info
 from ..exceptions import ReproError, ServiceOverloadedError
 from ..live.replanner import Replanner
 from ..obs.metrics import LatencyReservoir, MetricsRegistry
@@ -280,11 +279,6 @@ class SolveService:
         self.sessions = SessionManager(
             ttl=session_ttl, max_sessions=max_sessions, registry=self.registry
         )
-        self.registry.gauge(
-            "repro_backend_info",
-            "Active kernel backend (value is always 1).",
-            labels=("name",),
-        ).labels(name=backend_info()["name"]).set(1)
         self.registry.gauge(
             "repro_service_workers", "Solve worker processes attached."
         ).set(workers)
@@ -553,10 +547,6 @@ class SolveService:
             "service": self.stats.as_dict(),
             "batcher": self.batcher.stats.as_dict(),
             "sessions": self.sessions.stats_payload(),
-            # Which kernel backend this process solves on (and whether the
-            # optional numba one could be used at all) — operational
-            # visibility for mixed fleets; results are backend-independent.
-            "backend": backend_info(),
         }
         payload["cache"] = (
             self.cache.stats_payload() if self.cache is not None else None

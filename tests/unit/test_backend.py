@@ -1,27 +1,18 @@
-"""The pluggable kernel-backend registry and its bit-for-bit contract.
+"""The numpy kernel set, its activation seam and its bit-for-bit contract.
 
-Three batteries:
-
-* registry semantics — selection order (``set_backend`` > the
-  ``REPRO_BACKEND`` environment variable > auto-detection), unknown
-  names, and the single-warning numpy fallback when the numba backend
-  cannot load;
-* kernel-level equivalence — every available backend's six kernels
-  against the numpy reference on randomized inputs, exact equality;
-* solver-level equivalence — every available backend x every
-  batch-capable heuristic on scaled fig5/fig9/fig10 sweep points,
-  bit-for-bit against the per-instance scalar path run on the numpy
-  reference backend.
-
-The numba batteries run wherever ``pip install -e .[numba]`` happened
-(the CI ``backend-numba`` job); on numpy-only installs
-``available_backends()`` simply yields fewer parameters.
+* every kernel against a plain-Python loop that states its definition,
+  exact equality on randomized inputs;
+* the lexicographic first-feasible pick against a stable-sort oracle;
+* every batch-capable heuristic on scaled fig5/fig9/fig10 sweep points,
+  bit-for-bit against the per-instance scalar path (assignments and
+  periods);
+* :func:`~repro.backend.activate_backend`, the seam through which
+  :func:`~repro.obs.instrument.timed_kernels` swaps in timed wrappers.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,19 +22,23 @@ from hypothesis.extra import numpy as hnp
 
 import repro.backend as backend_mod
 from repro.backend import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    backend_info,
+    NUMPY_BACKEND,
+    KernelBackend,
+    activate_backend,
+    critical_mask,
+    first_feasible,
     get_backend,
-    numba_status,
-    registered_backends,
-    set_backend,
-    use_backend,
+    probe_candidates,
+    propagate_x,
+    scatter_add_rows,
+    scatter_periods,
 )
-from repro.backend import numpy_backend
-from repro.exceptions import ReproError
+from repro.core import Mapping
+from repro.core.period import period
 from repro.experiments.figures import FIGURES
 from repro.experiments.providers import CellBlock, HeuristicProvider
+from repro.obs import trace
+from repro.obs.instrument import KERNEL_NAMES, timed_kernels
 from repro.simulation.rng import RandomStreamFactory
 from tests.helpers import lexsort_first_feasible
 
@@ -54,87 +49,6 @@ BATCH_HEURISTICS = ("H2", "H3", "H4", "H4w", "H4f", "H4ls")
 #: Figures whose shapes the solver-level battery samples (task sweep at
 #: m=50, types sweep at n=m=100, the small-platform tasks sweep).
 EQUIVALENCE_FIGURES = ("fig5", "fig9", "fig10")
-
-
-@pytest.fixture
-def registry_state(monkeypatch):
-    """Isolate the module-level backend state for one test."""
-    monkeypatch.setattr(backend_mod, "_INSTANCES", dict(backend_mod._INSTANCES))
-    monkeypatch.setattr(backend_mod, "_ACTIVE", None)
-    monkeypatch.setattr(backend_mod, "_EXPLICIT", None)
-    monkeypatch.setattr(backend_mod, "_WARNED", set())
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-
-
-class TestRegistry:
-    def test_builtins_are_registered(self):
-        assert registered_backends() == ["numpy", "numba"]
-
-    def test_numpy_is_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ReproError):
-            backend_mod.register_backend("numpy", numpy_backend.make_backend)
-
-    def test_auto_detection_matches_numba_presence(self, registry_state):
-        expected = "numba" if numba_status()[0] else "numpy"
-        assert get_backend().name == expected
-
-    def test_env_var_selects_backend(self, registry_state, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert get_backend().name == "numpy"
-
-    def test_unknown_env_var_raises(self, registry_state, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ReproError, match="unknown kernel backend"):
-            get_backend()
-
-    def test_set_backend_overrides_env(self, registry_state, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        assert set_backend("numpy").name == "numpy"
-        assert get_backend().name == "numpy"
-
-    def test_set_backend_unknown_name_raises(self, registry_state):
-        with pytest.raises(ReproError, match="unknown kernel backend"):
-            set_backend("fortran")
-
-    def test_use_backend_restores_previous(self, registry_state):
-        set_backend("numpy")
-        with use_backend("numpy") as active:
-            assert active.name == "numpy"
-        assert get_backend().name == "numpy"
-
-    def test_backend_info_shape(self, registry_state):
-        info = backend_info()
-        assert set(info) == {"name", "registered", "numba"}
-        assert info["name"] in info["registered"]
-        assert set(info["numba"]) == {"available", "version"}
-
-    def test_broken_numba_falls_back_with_single_warning(
-        self, registry_state, monkeypatch
-    ):
-        # A poisoned sys.modules entry makes `from numba import njit`
-        # raise whether or not numba is actually installed.
-        monkeypatch.setitem(sys.modules, "numba", None)
-        backend_mod._INSTANCES.pop("numba", None)
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-            assert set_backend("numba").name == "numpy"
-        # Selecting it again must not warn a second time.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert set_backend("numba").name == "numpy"
-        assert caught == []
-
-    def test_auto_detection_is_silent_without_numba(
-        self, registry_state, monkeypatch
-    ):
-        monkeypatch.setitem(sys.modules, "numba", None)
-        backend_mod._INSTANCES.pop("numba", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert get_backend().name == "numpy"
-        assert caught == []
 
 
 def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
@@ -169,79 +83,128 @@ def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
         "primary": primary,
         "secondary": secondary,
         "feasible": feasible,
+        # scatter_add_rows adds one value per machine slot into `base`.
+        "cols": assignments[:, :m] % m,
+        "vals": contributions[:, :m],
     }
 
 
-@pytest.mark.parametrize("backend_name", available_backends())
-@pytest.mark.parametrize("seed", (0, 1, 2))
-class TestKernelEquivalence:
-    """Each backend kernel vs the numpy reference, exact equality."""
+def _kernel_args(name: str, inputs: dict) -> tuple:
+    """Positional arguments of kernel ``name`` drawn from ``inputs``.
 
-    def test_propagate_x(self, backend_name, seed):
-        inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
-        expected = numpy_backend.propagate_x(
-            inputs["order"], inputs["succ"], inputs["f_used"]
-        )
-        actual = backend.propagate_x(
-            inputs["order"], inputs["succ"], inputs["f_used"]
-        )
-        assert np.array_equal(actual, expected)
-
-    def test_scatter_periods(self, backend_name, seed):
-        inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
-        expected = numpy_backend.scatter_periods(
-            inputs["assignments"], inputs["contributions"], inputs["m"]
-        )
-        actual = backend.scatter_periods(
-            inputs["assignments"], inputs["contributions"], inputs["m"]
-        )
-        assert np.array_equal(actual, expected)
-
-    def test_scatter_add_rows(self, backend_name, seed):
-        inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
-        expected = inputs["base"].copy()
-        cols = inputs["assignments"][:, : inputs["m"]] % inputs["m"]
-        vals = inputs["contributions"][:, : inputs["m"]]
-        numpy_backend.scatter_add_rows(expected, cols, vals)
-        actual = inputs["base"].copy()
-        backend.scatter_add_rows(actual, cols, vals)
-        assert np.array_equal(actual, expected)
-
-    def test_critical_mask(self, backend_name, seed):
-        inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
-        periods = numpy_backend.scatter_periods(
-            inputs["assignments"], inputs["contributions"], inputs["m"]
-        )
-        expected = numpy_backend.critical_mask(periods, 1e-9)
-        actual = backend.critical_mask(periods, 1e-9)
-        assert np.array_equal(actual, expected)
-
-    def test_probe_candidates(self, backend_name, seed):
-        inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
-        args = (
+    ``scatter_add_rows`` writes into its first argument, so it gets a
+    fresh copy of ``base`` on every call.
+    """
+    return {
+        "propagate_x": lambda: (inputs["order"], inputs["succ"], inputs["f_used"]),
+        "scatter_periods": lambda: (
+            inputs["assignments"],
+            inputs["contributions"],
+            inputs["m"],
+        ),
+        "scatter_add_rows": lambda: (
+            inputs["base"].copy(),
+            inputs["cols"],
+            inputs["vals"],
+        ),
+        "critical_mask": lambda: (
+            scatter_periods(inputs["assignments"], inputs["contributions"], inputs["m"]),
+            1e-9,
+        ),
+        "probe_candidates": lambda: (
             inputs["base"],
             inputs["rest"],
             inputs["ratios"],
             inputs["x_task"],
             inputs["w_task"],
-        )
-        assert np.array_equal(
-            backend.probe_candidates(*args),
-            numpy_backend.probe_candidates(*args),
-        )
+        ),
+        "first_feasible": lambda: (
+            inputs["feasible"],
+            inputs["primary"],
+            inputs["secondary"],
+        ),
+    }[name]()
 
-    def test_first_feasible(self, backend_name, seed):
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+class TestKernelOracles:
+    """Each kernel against a scalar loop, in the same operation order.
+
+    The loops are the kernels' definitions written one element at a
+    time; the numpy versions must reproduce them exactly, which is what
+    keeps the batch path bit-for-bit equal to the scalar one.
+    """
+
+    def test_propagate_x(self, seed):
         inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
-        args = (inputs["feasible"], inputs["primary"], inputs["secondary"])
-        assert np.array_equal(
-            backend.first_feasible(*args), numpy_backend.first_feasible(*args)
-        )
+        order, succ, f_used = _kernel_args("propagate_x", inputs)
+        expected = np.ones_like(f_used)
+        for r in range(f_used.shape[0]):
+            for task in order:
+                down = 1.0 if succ[task] < 0 else expected[r, succ[task]]
+                expected[r, task] = down / (1.0 - f_used[r, task])
+        assert np.array_equal(propagate_x(order, succ, f_used), expected)
+
+    def test_scatter_periods(self, seed):
+        inputs = _random_kernel_inputs(seed)
+        assignments, contributions, m = _kernel_args("scatter_periods", inputs)
+        expected = np.zeros((assignments.shape[0], m))
+        for r, row in enumerate(assignments):
+            for task, machine in enumerate(row):
+                expected[r, machine] += contributions[r, task]
+        assert np.array_equal(scatter_periods(assignments, contributions, m), expected)
+
+    def test_scatter_add_rows(self, seed):
+        inputs = _random_kernel_inputs(seed)
+        out, cols, vals = _kernel_args("scatter_add_rows", inputs)
+        expected = out.copy()
+        for r in range(out.shape[0]):
+            for k in range(cols.shape[1]):
+                expected[r, cols[r, k]] += vals[r, k]
+        assert scatter_add_rows(out, cols, vals) is None
+        assert np.array_equal(out, expected)
+
+    def test_critical_mask(self, seed):
+        inputs = _random_kernel_inputs(seed)
+        periods, rel_tol = _kernel_args("critical_mask", inputs)
+        # Exact ties at the top, so every row has several critical machines.
+        periods[:, :2] = periods.max(axis=1, keepdims=True)
+        periods[-1, :] = 0.0  # an empty row has no critical machine
+        expected = np.zeros(periods.shape, dtype=bool)
+        for r, row in enumerate(periods):
+            top = max(row)
+            for u, value in enumerate(row):
+                expected[r, u] = top > 0.0 and value >= top * (1.0 - rel_tol)
+        actual = critical_mask(periods, rel_tol)
+        assert np.array_equal(actual, expected)
+        assert actual[:-1].sum(axis=1).min() >= 2 and not actual[-1].any()
+
+    def test_probe_candidates(self, seed):
+        inputs = _random_kernel_inputs(seed)
+        base, rest, ratios, x_task, w_task = _kernel_args("probe_candidates", inputs)
+        R, m = base.shape
+        expected = np.empty((R, m))
+        for r in range(R):
+            for v in range(m):
+                moved = [base[r, u] + rest[r, u] * ratios[r, v] for u in range(m)]
+                moved[v] += x_task[r] * ratios[r, v] * w_task[r, v]
+                expected[r, v] = max(moved)
+        actual = probe_candidates(base, rest, ratios, x_task, w_task)
+        assert np.array_equal(actual, expected)
+
+    def test_first_feasible(self, seed):
+        inputs = _random_kernel_inputs(seed)
+        feasible, primary, secondary = _kernel_args("first_feasible", inputs)
+        expected = np.zeros(feasible.shape[0], dtype=np.int64)
+        for r in range(feasible.shape[0]):
+            candidates = [
+                (primary[r, u], secondary[r, u], u)
+                for u in range(feasible.shape[1])
+                if feasible[r, u]
+            ]
+            if candidates:  # rows with no feasible machine return 0
+                expected[r] = min(candidates)[2]
+        assert np.array_equal(first_feasible(feasible, primary, secondary), expected)
 
 
 @st.composite
@@ -262,12 +225,11 @@ def _tied_pick_inputs(draw):
     )
 
 
-@pytest.mark.parametrize("backend_name", available_backends())
 @given(inputs=_tied_pick_inputs())
-def test_first_feasible_equals_the_lexsort_pick(backend_name, inputs):
+def test_first_feasible_equals_the_lexsort_pick(inputs):
     """The sort-free pick is the first feasible machine of the sorted order."""
     feasible, primary, secondary = inputs
-    chosen = get_backend(backend_name).first_feasible(feasible, primary, secondary)
+    chosen = first_feasible(feasible, primary, secondary)
     # Rows without a feasible machine are masked out by every caller.
     live = feasible.any(axis=1)
     expected = lexsort_first_feasible(feasible, primary, secondary)
@@ -289,37 +251,98 @@ def figure_blocks() -> dict[str, CellBlock]:
 
 @pytest.fixture(scope="module")
 def scalar_references(figure_blocks) -> dict[tuple[str, str], np.ndarray]:
-    """Per-instance scalar solves on the numpy reference backend."""
+    """Per-instance scalar solves, the reference every batch path must match."""
     references = {}
-    with use_backend("numpy"):
-        for figure_id, block in figure_blocks.items():
-            for name in BATCH_HEURISTICS:
-                provider = HeuristicProvider(name, batch=False)
-                references[(figure_id, name)] = provider.solve_block(block)
+    for figure_id, block in figure_blocks.items():
+        for name in BATCH_HEURISTICS:
+            provider = HeuristicProvider(name, batch=False)
+            references[(figure_id, name)] = provider.solve_block(block)
     return references
 
 
-@pytest.mark.parametrize("backend_name", available_backends())
 @pytest.mark.parametrize("heuristic", BATCH_HEURISTICS)
 @pytest.mark.parametrize("figure_id", EQUIVALENCE_FIGURES)
 class TestSolverEquivalence:
-    """Backend x heuristic x figure: bit-for-bit vs the scalar path."""
+    """Heuristic x figure: the batch path is bit-for-bit the scalar path."""
 
     def test_batch_solve_matches_scalar_reference(
-        self, backend_name, heuristic, figure_id, figure_blocks, scalar_references
+        self, heuristic, figure_id, figure_blocks, scalar_references
     ):
         block = figure_blocks[figure_id]
-        with use_backend(backend_name):
-            batched = HeuristicProvider(heuristic, batch=True).solve_block(block)
+        batched = HeuristicProvider(heuristic, batch=True).solve_block(block)
         assert (batched == scalar_references[(figure_id, heuristic)]).all()
 
-    def test_periods_match_across_backends(
-        self, backend_name, heuristic, figure_id, figure_blocks, scalar_references
+    def test_stacked_periods_match_scalar_periods(
+        self, heuristic, figure_id, figure_blocks, scalar_references
     ):
         block = figure_blocks[figure_id]
         assignments = scalar_references[(figure_id, heuristic)]
-        with use_backend("numpy"):
-            expected = block.stack.periods(assignments)
-        with use_backend(backend_name):
-            actual = block.stack.periods(assignments)
+        expected = [
+            period(instance, Mapping(row, instance.num_machines))
+            for instance, row in zip(block.instances, assignments)
+        ]
+        assert np.array_equal(block.stack.periods(assignments), expected)
+
+
+class TestActivationSeam:
+    """``activate_backend`` is how tracing and the benchmark time kernels."""
+
+    def test_activations_nest_and_restore(self):
+        outer = replace(NUMPY_BACKEND, name="outer")
+        inner = replace(NUMPY_BACKEND, name="inner")
+        assert get_backend() is NUMPY_BACKEND
+        with activate_backend(outer) as active:
+            assert active is outer and get_backend() is outer
+            with activate_backend(inner):
+                assert get_backend() is inner
+            assert get_backend() is outer
+        assert get_backend() is NUMPY_BACKEND
+
+    def test_activation_restores_when_the_body_raises(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with activate_backend(replace(NUMPY_BACKEND, name="wrapper")):
+                raise RuntimeError("boom")
+        assert get_backend() is NUMPY_BACKEND
+
+    def test_timed_kernels_leave_the_solve_unchanged(self, figure_blocks):
+        block = figure_blocks["fig5"]
+        provider = HeuristicProvider("H4ls", batch=True)
+        untraced = provider.solve_block(block)
+        with trace.capture() as spans:
+            with timed_kernels():
+                assert get_backend() is not NUMPY_BACKEND
+                traced = provider.solve_block(block)
+        assert get_backend() is NUMPY_BACKEND
+        assert (traced == untraced).all()
+        kernels = {r["name"]: r for r in spans if r["name"].startswith("kernel.")}
+        assert set(kernels) <= {f"kernel.{name}" for name in KERNEL_NAMES}
+        assert kernels["kernel.probe_candidates"]["calls"] > 0
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_timed_wrapper_returns_the_kernel_result(self, name):
+        inputs = _random_kernel_inputs(5)
+        direct_args = _kernel_args(name, inputs)
+        expected = getattr(NUMPY_BACKEND, name)(*direct_args)
+        with trace.capture() as spans:
+            with timed_kernels():
+                timed_args = _kernel_args(name, inputs)
+                actual = getattr(get_backend(), name)(*timed_args)
+        if name == "scatter_add_rows":  # in place: compare what it wrote
+            expected, actual = direct_args[0], timed_args[0]
         assert np.array_equal(actual, expected)
+        (span,) = [r for r in spans if r["name"] == f"kernel.{name}"]
+        assert span["calls"] == 1 and span["backend"] == "numpy"
+
+    def test_kernel_names_are_the_backend_fields(self):
+        kernels = [f.name for f in fields(KernelBackend) if f.name != "name"]
+        assert list(KERNEL_NAMES) == kernels
+        # Each field holds the module's kernel of the same name, the
+        # contract a wrapper rebuilt by field name relies on.
+        for name in KERNEL_NAMES:
+            assert getattr(NUMPY_BACKEND, name) is getattr(backend_mod, name)
+
+    def test_timed_kernels_is_a_no_op_without_tracing(self):
+        assert not trace.tracing_active()
+        with timed_kernels():
+            assert get_backend() is NUMPY_BACKEND
+        assert get_backend() is NUMPY_BACKEND

@@ -21,7 +21,6 @@ from benchmarks.compare_to_baseline import (
     CALIBRATION,
     DEFAULT_BASELINE_PATH,
     KEY_BENCHMARKS,
-    OPTIONAL_BENCHMARKS,
     compare,
     evaluate,
     format_delta_table,
@@ -106,19 +105,9 @@ class TestBaselineDocument:
     def test_committed_baseline_covers_the_key_benchmarks(self):
         committed = json.loads(DEFAULT_BASELINE_PATH.read_text())
         assert committed["calibration"] == CALIBRATION
-        recorded = set(committed["benchmarks"])
-        assert recorded >= set(KEY_BENCHMARKS)
-        # Anything beyond the required keys must be a declared optional.
-        assert recorded - set(KEY_BENCHMARKS) <= set(OPTIONAL_BENCHMARKS)
+        assert set(committed["benchmarks"]) == set(KEY_BENCHMARKS)
         for entry in committed["benchmarks"].values():
             assert entry["normalized"] > 0.0
-
-    def test_optional_benchmark_recorded_only_when_present(self):
-        results = synthetic_results()
-        assert OPTIONAL_BENCHMARKS[0] not in make_baseline(results)["benchmarks"]
-        with_numba = synthetic_results(**{OPTIONAL_BENCHMARKS[0]: 0.001})
-        entry = make_baseline(with_numba)["benchmarks"][OPTIONAL_BENCHMARKS[0]]
-        assert entry["optional"] is True
 
     def test_load_medians(self):
         medians = load_medians(synthetic_results())
@@ -134,20 +123,15 @@ class TestDeltaRows:
         assert all(row["status"] == "ok" for row in rows)
         assert all(row["delta"] == 0.0 for row in rows)
 
-    def test_missing_optional_is_skipped_not_failed(self):
-        with_numba = synthetic_results(**{OPTIONAL_BENCHMARKS[0]: 0.001})
-        baseline = make_baseline(with_numba)
+    def test_every_baselined_benchmark_is_required(self):
+        # A stale ``optional`` tag from an older baseline no longer
+        # excuses a benchmark that is missing from the run.
+        baseline = make_baseline(synthetic_results(**{"extra::bench": 0.001}))
+        baseline["benchmarks"]["extra::bench"] = {"normalized": 0.1, "optional": True}
         rows, failures = evaluate(synthetic_results(), baseline)
-        assert failures == []
         by_name = {row["name"]: row for row in rows}
-        assert by_name[OPTIONAL_BENCHMARKS[0]]["status"] == "skipped"
-
-    def test_present_optional_gates_like_any_key(self):
-        with_numba = synthetic_results(**{OPTIONAL_BENCHMARKS[0]: 0.001})
-        baseline = make_baseline(with_numba)
-        slow = synthetic_results(**{OPTIONAL_BENCHMARKS[0]: 0.002})  # +100%
-        rows, failures = evaluate(slow, baseline)
-        assert len(failures) == 1 and OPTIONAL_BENCHMARKS[0] in failures[0]
+        assert by_name["extra::bench"]["status"] == "missing"
+        assert failures == ["key benchmark missing from results: extra::bench"]
 
     def test_format_delta_table_lists_every_row(self):
         results = synthetic_results()

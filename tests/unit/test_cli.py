@@ -34,6 +34,14 @@ class TestParser:
             build_parser().parse_args(["run", "fig6", "--engine", "cells"])
         assert "--engine" in capsys.readouterr().err
 
+    def test_has_no_backend_flag(self, capsys):
+        # One kernel set: no option selects the kernels any more.
+        for argv in (["--backend", "numpy", "list"], ["list", "--backend", "numpy"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
+
 
 #: Every command that describes a campaign manifest, with the arguments
 #: it needs besides the shared manifest flags.

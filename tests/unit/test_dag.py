@@ -4,6 +4,7 @@ cell-store resume and exports derived on read."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -195,6 +196,28 @@ class TestRunPipeline:
             # The first run's wall-clock survives the no-op re-run.
             assert store.runs() == [meta]
             assert meta.elapsed_seconds > 0.0
+
+    def test_run_header_names_the_numpy_kernels(self, tmp_path):
+        with ResultStore(tmp_path / "s") as store:
+            run_pipeline(_run_manifest(), store)
+            (meta,) = store.runs()
+        assert meta.backend == "numpy"
+
+    def test_header_naming_another_kernel_set_still_resumes(self, tmp_path):
+        manifest = _run_manifest()
+        with ResultStore(tmp_path / "fresh") as fresh:
+            first = run_pipeline(manifest, fresh)
+            (meta,) = fresh.runs()
+        # A store written when other kernel implementations existed.
+        with ResultStore(tmp_path / "old") as old:
+            old.put_meta(replace(meta, backend="jit"))
+            old.merge(ResultStore(tmp_path / "fresh"))
+            records = (old.path / "results.jsonl").read_bytes()
+            again = run_pipeline(manifest, old)
+            assert again.report.computed == 0
+            assert again.renders == first.renders
+            assert (old.path / "results.jsonl").read_bytes() == records
+            assert [m.backend for m in old.runs()] == ["jit"]
 
     def test_store_holds_only_cells_and_run_headers(self, tmp_path):
         manifest = _run_manifest(seeds=(0, 1))

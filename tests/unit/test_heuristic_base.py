@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.heuristics import (
     backward_task_order,
     get_heuristic,
 )
+from repro.heuristics import base
 from repro.heuristics.base import AssignmentState
 
 
@@ -33,6 +37,18 @@ class TestRegistry:
 
     def test_get_heuristic_returns_fresh_instances(self):
         assert get_heuristic("H2") is not get_heuristic("H2")
+
+
+class TestBatchThresholds:
+    def test_calibration_file_holds_only_read_keys(self):
+        path = Path(base.__file__).with_name("thresholds.json")
+        data = json.loads(path.read_text())
+        assert set(data) == {"comment", "thresholds"}
+        assert base.BATCH_SOLVE_THRESHOLDS == {
+            name: max(2, value) for name, value in data["thresholds"].items()
+        }
+        for name, depth in base.BATCH_SOLVE_THRESHOLDS.items():
+            assert base.batch_solve_min_repetitions(name) == depth
 
 
 class TestBackwardOrder:

@@ -365,7 +365,6 @@ class TestPropagation:
             "repro_cache_misses_total",
             "repro_sessions_lifecycle_total",
             "repro_service_latency_seconds_bucket",
-            "repro_backend_info",
         ):
             assert series in metrics_text, series
         # /v1/stats carries the registry snapshot; the two cannot drift.

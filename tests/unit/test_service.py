@@ -984,6 +984,20 @@ class TestLatencyReservoir:
         assert LatencyReservoir().percentile(0.5) == 0.0
 
 
+class TestServicePayloads:
+    def test_stats_name_no_kernel_backend(self):
+        payload = SolveService(port=0, window=0.001).stats_payload()
+        assert set(payload) == {
+            "service", "batcher", "sessions", "cache", "workers", "metrics",
+        }
+        assert not any("backend" in name for name in payload["metrics"])
+
+    def test_metrics_export_no_backend_series(self):
+        text = SolveService(port=0, window=0.001).registry.render()
+        assert "repro_service_workers 0" in text
+        assert "backend" not in text
+
+
 class TestServiceStatsClock:
     def test_uptime_is_monotonic_and_start_is_wall_clock(self):
         stats = ServiceStats()

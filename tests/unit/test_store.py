@@ -402,6 +402,19 @@ class TestStoreMerge:
         assert again.metas_added == 0 and again.metas_updated == 0
         assert dest.get_meta("figX", "abc123", 0).elapsed_seconds == 5.0
 
+    def test_headers_naming_other_kernel_sets_merge(self, tmp_path):
+        # ``backend`` is informational: shards written while other kernel
+        # implementations existed merge with today's ``"numpy"`` headers.
+        with ResultStore(tmp_path / "a") as a:
+            a.put_meta(self._meta(backend="jit"))
+        dest = ResultStore(tmp_path / "m")
+        dest.put_meta(self._meta(backend="numpy"))
+        report = dest.merge(ResultStore(tmp_path / "a"))
+        assert report.metas_added == 0
+        assert dest.get_meta("figX", "abc123", 0).backend == "numpy"
+        reopened = ResultStore(tmp_path / "a").get_meta("figX", "abc123", 0)
+        assert reopened == self._meta(backend="jit")
+
     def test_differing_meta_conflicts(self, tmp_path):
         with ResultStore(tmp_path / "a") as a:
             a.put_meta(self._meta())
