@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["PointSummary", "Series", "summarize", "paired_ratio"]
 
@@ -63,7 +62,9 @@ def _t_critical(confidence: float, df: int) -> float:
     summarises every sweep point of every curve with the same few ``df``
     values.
     """
-    return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+    from scipy import stats
+
+    return float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
 
 
 def summarize(samples: Iterable[float], *, confidence: float = 0.95) -> PointSummary:

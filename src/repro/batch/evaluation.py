@@ -28,7 +28,7 @@ import numpy as np
 from ..backend import get_backend
 from ..core.application import Application
 from ..core.failure import FailureModel
-from ..core.instance import ProblemInstance
+from ..core.instance import ProblemInstance, shared_successor_table
 from ..core.mapping import Mapping
 from ..core.period import MappingEvaluation
 from ..core.platform import Platform
@@ -94,11 +94,9 @@ def _graph_arrays(application: Application) -> tuple[np.ndarray, np.ndarray]:
     graph walk the ``propagate_x`` kernel consumes.
     """
     order = np.asarray(application.reverse_topological_order(), dtype=np.int64)
-    succ = np.full(application.num_tasks, -1, dtype=np.int64)
-    for task in range(application.num_tasks):
-        s = application.successor(task)
-        if s is not None:
-            succ[task] = s
+    succ = np.asarray(
+        [-1 if s is None else s for s in application.successors], dtype=np.int64
+    )
     return order, succ
 
 
@@ -348,25 +346,12 @@ class InstanceStack:
         """
         if not instances:
             raise InvalidInstanceError("cannot stack zero instances")
+        shared_successor_table(instances)
         first = instances[0]
-
-        def signature(inst: ProblemInstance) -> tuple:
-            structural = (
-                tuple(sorted(inst.application.graph.edges)),
-                inst.num_tasks,
-                inst.num_machines,
-            )
-            if require_uniform_types:
-                return (tuple(inst.application.types),) + structural
-            return structural
-
-        reference = signature(first)
-        for inst in instances[1:]:
-            if signature(inst) != reference:
-                raise InvalidInstanceError(
-                    "instances in a stack must share application structure "
-                    "and platform size"
-                )
+        if require_uniform_types:
+            types = tuple(first.application.types)
+            if any(tuple(inst.application.types) != types for inst in instances[1:]):
+                raise InvalidInstanceError("instances in a stack must share task types")
         return cls(
             first.application,
             np.stack([inst.processing_times for inst in instances]),

@@ -6,7 +6,7 @@ processing-time matrix, the per-(task, machine) transient failure model,
 the three mapping rules, and the period / throughput objective.
 """
 
-from .application import Application, Task, from_edges, in_tree, linear_chain
+from .application import Application, Task, in_tree, linear_chain
 from .failure import FailureModel
 from .instance import ProblemInstance
 from .mapping import Mapping, MappingRule
@@ -32,7 +32,6 @@ from .types import (
 __all__ = [
     "Application",
     "Task",
-    "from_edges",
     "in_tree",
     "linear_chain",
     "FailureModel",

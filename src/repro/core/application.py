@@ -13,6 +13,11 @@ The applicative framework of the paper (Section 3.1):
 * the evaluation of the paper concentrates on **linear chains**, which we
   provide as a convenience constructor.
 
+Since no task has two successors, the whole graph is one *successor
+tuple*: entry ``i`` is the index of task ``i``'s successor, or ``None``
+for a sink.  :class:`Application` stores only that tuple, the inverted
+predecessor index and a topological order derived from them.
+
 Tasks are identified by their zero-based index ``0 .. n-1`` (the paper uses
 1-based ``T1 .. Tn``; the documentation of each function states which
 convention it uses — the code is consistently zero-based).
@@ -20,15 +25,14 @@ convention it uses — the code is consistently zero-based).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..exceptions import InvalidApplicationError
 from .types import TypeAssignment, cyclic_type_assignment
 
-__all__ = ["Task", "Application", "linear_chain", "in_tree", "from_edges"]
+__all__ = ["Task", "Application", "linear_chain", "in_tree"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,10 +83,11 @@ class Application:
     ------
     InvalidApplicationError
         If the graph has a cycle, a fork (out-degree > 1), a self loop,
-        references an unknown task, or is empty.
+        references an unknown task or a non-integer endpoint, or is empty.
+        A repeated edge counts once.
     """
 
-    __slots__ = ("_types", "_graph", "_tasks", "_successor", "_predecessors", "_topo")
+    __slots__ = ("_types", "_tasks", "_successors", "_predecessors", "_topo")
 
     def __init__(
         self,
@@ -99,43 +104,55 @@ class Application:
                 f"names has {len(names)} entries for {n} tasks"
             )
 
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
+        successors: list[int | None] = [None] * n
         for i, j in edges:
-            i, j = int(i), int(j)
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise InvalidApplicationError(
+                    f"edge ({i!r}, {j!r}) has a non-integer endpoint"
+                ) from None
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidApplicationError(
                     f"edge ({i}, {j}) references a task outside 0..{n - 1}"
                 )
             if i == j:
                 raise InvalidApplicationError(f"self loop on task {i} is not allowed")
-            graph.add_edge(i, j)
-
-        if not nx.is_directed_acyclic_graph(graph):
-            raise InvalidApplicationError("the application graph contains a cycle")
-
-        # No forks: every task has at most one successor (its product cannot
-        # be duplicated, Section 3.1).
-        for node in graph.nodes:
-            out_deg = graph.out_degree(node)
-            if out_deg > 1:
+            # No forks: every task has at most one successor (its product
+            # cannot be duplicated, Section 3.1).  A repeated edge is one edge.
+            if successors[i] not in (None, j):
                 raise InvalidApplicationError(
-                    f"task {node} has {out_deg} successors; forks are not allowed "
+                    f"task {i} has two successors; forks are not allowed "
                     "because a physical product cannot be split"
                 )
+            successors[i] = j
 
-        self._graph = graph
+        predecessors: list[list[int]] = [[] for _ in range(n)]
+        for i, j in enumerate(successors):
+            if j is not None:
+                predecessors[j].append(i)
+        # FIFO Kahn pass: sources in index order, then each task once its
+        # last predecessor is placed, so the order runs generation by
+        # generation.  The heuristics walk it backward; the application
+        # golden fixture pins it.
+        pending = [len(preds) for preds in predecessors]
+        topo = [i for i in range(n) if not pending[i]]
+        for i in topo:
+            j = successors[i]
+            if j is not None:
+                pending[j] -= 1
+                if not pending[j]:
+                    topo.append(j)
+        if len(topo) < n:
+            raise InvalidApplicationError("the application graph contains a cycle")
+
         self._tasks = tuple(
             Task(index=i, type_index=types[i], name=names[i] if names else "")
             for i in range(n)
         )
-        self._successor = {
-            node: next(iter(graph.successors(node)), None) for node in graph.nodes
-        }
-        self._predecessors = {
-            node: tuple(sorted(graph.predecessors(node))) for node in graph.nodes
-        }
-        self._topo = tuple(nx.topological_sort(graph))
+        self._successors = tuple(successors)
+        self._predecessors = tuple(tuple(preds) for preds in predecessors)
+        self._topo = tuple(topo)
 
     # -- constructors ------------------------------------------------------------
     @classmethod
@@ -179,7 +196,7 @@ class Application:
     @property
     def num_edges(self) -> int:
         """Number of precedence edges."""
-        return self._graph.number_of_edges()
+        return sum(succ is not None for succ in self._successors)
 
     @property
     def types(self) -> TypeAssignment:
@@ -192,9 +209,10 @@ class Application:
         return self._tasks
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """A copy of the underlying precedence graph."""
-        return self._graph.copy()
+    def successors(self) -> tuple[int | None, ...]:
+        """The successor tuple: entry ``i`` is task ``i``'s successor, or
+        ``None`` for a sink.  It fully determines the precedence graph."""
+        return self._successors
 
     # -- structure queries ----------------------------------------------------------
     def type_of(self, task_index: int) -> int:
@@ -203,23 +221,25 @@ class Application:
 
     def successor(self, task_index: int) -> int | None:
         """The unique successor of a task, or ``None`` for a sink."""
-        if task_index not in self._successor:
-            raise InvalidApplicationError(f"unknown task index {task_index}")
-        return self._successor[task_index]
+        return self._successors[self._checked(task_index)]
 
     def predecessors(self, task_index: int) -> tuple[int, ...]:
         """Sorted tuple of direct predecessors of a task."""
-        if task_index not in self._predecessors:
+        return self._predecessors[self._checked(task_index)]
+
+    def _checked(self, task_index: int) -> int:
+        # Tuple indexing would wrap a negative index onto a real task.
+        if not 0 <= task_index < len(self._tasks):
             raise InvalidApplicationError(f"unknown task index {task_index}")
-        return self._predecessors[task_index]
+        return task_index
 
     def sinks(self) -> list[int]:
         """Tasks with no successor (each outputs a finished product)."""
-        return [i for i, succ in self._successor.items() if succ is None]
+        return [i for i, succ in enumerate(self._successors) if succ is None]
 
     def sources(self) -> list[int]:
         """Tasks with no predecessor (entry points of raw products)."""
-        return [i for i in range(self.num_tasks) if not self._predecessors[i]]
+        return [i for i, preds in enumerate(self._predecessors) if not preds]
 
     def topological_order(self) -> tuple[int, ...]:
         """A topological order of the tasks (sources first)."""
@@ -232,24 +252,11 @@ class Application:
 
     def is_chain(self) -> bool:
         """True if the application is a single linear chain."""
-        if self.num_tasks == 1:
-            return True
-        if self.num_edges != self.num_tasks - 1:
-            return False
-        in_deg = [len(self._predecessors[i]) for i in range(self.num_tasks)]
-        out_deg = [0 if self._successor[i] is None else 1 for i in range(self.num_tasks)]
-        return (
-            max(in_deg) <= 1
-            and sum(1 for d in in_deg if d == 0) == 1
-            and sum(1 for d in out_deg if d == 0) == 1
-            and nx.is_weakly_connected(self._graph)
+        # An acyclic graph with out-degree <= 1 has n - edges components, so
+        # n - 1 edges and in-degree <= 1 leave exactly one path.
+        return self.num_edges == self.num_tasks - 1 and all(
+            len(preds) <= 1 for preds in self._predecessors
         )
-
-    def is_in_tree(self) -> bool:
-        """True if every connected component converges to a single sink."""
-        # By construction out-degree <= 1 and the graph is acyclic, so each
-        # weakly connected component has exactly one sink.
-        return True
 
     def chain_order(self) -> tuple[int, ...]:
         """Task indices from the first to the last task of a linear chain.
@@ -267,7 +274,7 @@ class Application:
         """Distance (number of edges) from each task to its component sink."""
         depth: dict[int, int] = {}
         for node in reversed(self._topo):
-            succ = self._successor[node]
+            succ = self._successors[node]
             depth[node] = 0 if succ is None else depth[succ] + 1
         return depth
 
@@ -281,7 +288,7 @@ class Application:
         return {
             "types": list(self._types),
             "num_types": self.num_types,
-            "edges": sorted((int(u), int(v)) for u, v in self._graph.edges),
+            "edges": [(i, j) for i, j in enumerate(self._successors) if j is not None],
             "names": [t.name for t in self._tasks],
         }
 
@@ -320,13 +327,6 @@ def linear_chain(
             f"types covers {types.num_tasks} tasks, expected {num_tasks}"
         )
     return Application.chain(types)
-
-
-def from_edges(
-    types: Sequence[int] | TypeAssignment, edges: Iterable[tuple[int, int]]
-) -> Application:
-    """Build an application from an explicit edge list."""
-    return Application(types, edges)
 
 
 def in_tree(

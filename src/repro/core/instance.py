@@ -25,11 +25,11 @@ def shared_successor_table(
 ) -> tuple[int | None, ...]:
     """The successor table all ``instances`` share, validating they do.
 
-    The successor table fully determines an in-tree's edge set, so
-    comparing it is an exact shared-precedence-graph check without the
-    graph-copying ``Application.graph`` property.  The batch layers
-    (lock-step solvers, stacked evaluators) call this to guarantee one
-    traversal order fits every repetition.
+    :attr:`Application.successors` is the whole precedence graph (and
+    its length the task count), so comparing it is an exact
+    shared-graph check.  The batch layers (lock-step solvers, stacked
+    evaluators) call this to guarantee one traversal order fits every
+    repetition.
 
     Raises
     ------
@@ -37,17 +37,11 @@ def shared_successor_table(
         If any instance differs in task count, machine count or edges.
     """
     first = instances[0]
-    n, m = first.num_tasks, first.num_machines
-    successors = tuple(first.application.successor(task) for task in range(n))
+    successors = first.application.successors
     for inst in instances[1:]:
-        if (
-            inst.num_tasks != n
-            or inst.num_machines != m
-            or (
-                inst.application is not first.application
-                and tuple(inst.application.successor(task) for task in range(n))
-                != successors
-            )
+        if inst.num_machines != first.num_machines or (
+            inst.application is not first.application
+            and inst.application.successors != successors
         ):
             raise InvalidInstanceError(
                 "instances must share the precedence graph and platform size"

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping, MappingRule
@@ -175,6 +174,8 @@ def build_milp_model(instance: ProblemInstance) -> MilpModel:
     InfeasibleProblemError
         If ``m < p`` (no specialized mapping exists).
     """
+    from scipy.optimize import LinearConstraint
+
     if not instance.supports_specialized():
         raise InfeasibleProblemError(
             f"specialized mappings need m >= p; got m={instance.num_machines}, "
@@ -357,6 +358,8 @@ def solve_specialized_milp(
         ``status`` set to the failure kind otherwise (never raises for
         solver-side failures so that experiment sweeps can continue).
     """
+    from scipy.optimize import Bounds, milp
+
     model = build_milp_model(instance)
     options: dict = {"mip_rel_gap": mip_rel_gap}
     if time_limit is not None:

@@ -96,11 +96,7 @@ def block_signature(block: "CellBlock") -> tuple:
     and the batch solvers carry them per row.
     """
     first = block.instances[0]
-    return (
-        tuple(sorted(first.application.graph.edges)),
-        first.num_tasks,
-        first.num_machines,
-    )
+    return (first.application.successors, first.num_machines)
 
 
 def _aligned_chunks(

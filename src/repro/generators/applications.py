@@ -73,4 +73,5 @@ def random_in_tree_application(
     types = random_type_assignment(
         num_tasks, min(num_types, num_tasks), rng, ensure_all_types=True
     )
-    return Application(types, [(u, v) for u, v in skeleton.graph.edges])
+    edges = [(i, j) for i, j in enumerate(skeleton.successors) if j is not None]
+    return Application(types, edges)

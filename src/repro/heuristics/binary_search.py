@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.instance import ProblemInstance, shared_successor_table
+from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
 from ..exceptions import ReproError
 from .base import Heuristic, backward_task_order, register_heuristic
@@ -123,7 +123,7 @@ class WalkTables:
 
     @classmethod
     def build(cls, instance: ProblemInstance, preference: MachinePreference) -> "WalkTables":
-        successors = shared_successor_table([instance])
+        successors = instance.application.successors
         types = instance.application.types.as_array.tolist()
         return cls(
             order=backward_task_order(instance),

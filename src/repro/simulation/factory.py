@@ -96,7 +96,7 @@ class MicroFactorySimulation:
 
         app = instance.application
         self._sources = sorted(app.sources())
-        self._successor = {i: app.successor(i) for i in range(instance.num_tasks)}
+        self._successor = app.successors
         self._predecessors = {i: app.predecessors(i) for i in range(instance.num_tasks)}
         # Sources feeding each task (transitive predecessors that are sources,
         # or the task itself for a source).  Used by the closed-loop feed to

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.application import Application, from_edges, in_tree, linear_chain
+from repro.core.application import Application, in_tree, linear_chain
 from repro.core.types import TypeAssignment
 from repro.exceptions import InvalidApplicationError
 
@@ -26,6 +27,9 @@ class TestConstruction:
     def test_rejects_cycle(self):
         with pytest.raises(InvalidApplicationError):
             Application(TypeAssignment([0, 0, 0]), [(0, 1), (1, 2), (2, 0)])
+        # A cycle beside a valid component leaves tasks the order never reaches.
+        with pytest.raises(InvalidApplicationError, match="cycle"):
+            Application(TypeAssignment([0, 0, 0, 0]), [(2, 3), (0, 1), (1, 0)])
 
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidApplicationError):
@@ -35,6 +39,8 @@ class TestConstruction:
         # Task 0 with two successors is a fork: physical products cannot split.
         with pytest.raises(InvalidApplicationError, match="fork"):
             Application(TypeAssignment([0, 0, 0]), [(0, 1), (0, 2)])
+        with pytest.raises(InvalidApplicationError, match="fork"):
+            Application(TypeAssignment([0, 0, 0]), [(0, 1), (0, 1), (0, 2)])
 
     def test_allows_join(self):
         app = Application(TypeAssignment([0, 0, 0]), [(0, 2), (1, 2)])
@@ -44,6 +50,11 @@ class TestConstruction:
     def test_rejects_unknown_task_in_edge(self):
         with pytest.raises(InvalidApplicationError):
             Application(TypeAssignment([0, 0]), [(0, 5)])
+        with pytest.raises(InvalidApplicationError):
+            Application(TypeAssignment([0, 0]), [(-1, 0)])
+        # Non-integral endpoints are rejected, not truncated to a task index.
+        with pytest.raises(InvalidApplicationError, match="non-integer"):
+            Application(TypeAssignment([0, 0, 0]), [(0, 1.7)])
 
     def test_names_length_checked(self):
         with pytest.raises(InvalidApplicationError):
@@ -81,6 +92,11 @@ class TestStructureQueries:
             app.successor(9)
         with pytest.raises(InvalidApplicationError):
             app.predecessors(9)
+        # Negative indices must not wrap onto the last task.
+        with pytest.raises(InvalidApplicationError):
+            app.successor(-1)
+        with pytest.raises(InvalidApplicationError):
+            app.predecessors(-1)
 
     def test_sources_and_sinks_for_tree(self):
         tree = in_tree([2, 3], num_types=2, shared_tail_length=2)
@@ -88,7 +104,6 @@ class TestStructureQueries:
         assert tree.num_tasks == 7
         assert len(tree.sinks()) == 1
         assert len(tree.sources()) == 2
-        assert tree.is_in_tree()
         assert not tree.is_chain()
 
     def test_depth_from_sink_chain(self):
@@ -110,12 +125,10 @@ class TestStructureQueries:
         assert not app.is_chain()
         assert len(app.sinks()) == 2
 
-    def test_graph_returns_copy(self):
-        app = linear_chain(3, num_types=1)
-        graph = app.graph
-        graph.add_edge(2, 0)
-        # The application itself must be unchanged.
-        assert app.num_edges == 2
+    def test_successors_is_the_graph(self):
+        tree = in_tree([2, 1], num_types=1)
+        assert tree.successors == (1, 3, 3, None)
+        assert tree.predecessors(3) == (1, 2)
 
 
 class TestConstructors:
@@ -140,9 +153,11 @@ class TestConstructors:
         with pytest.raises(InvalidApplicationError):
             linear_chain(3, types=[0, 1])
 
-    def test_from_edges(self):
-        app = from_edges([0, 1, 0], [(0, 1), (1, 2)])
+    def test_constructor_accepts_numpy_int_edges(self):
+        edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        app = Application([0, 1, 0], [tuple(edge) for edge in edges])
         assert app.is_chain()
+        assert app.to_dict()["edges"] == [(0, 1), (1, 2)]
 
     def test_in_tree_structure(self):
         tree = in_tree([1, 1, 1], num_types=2, shared_tail_length=1)
@@ -171,7 +186,7 @@ class TestSerialization:
         tree = in_tree([2, 2], num_types=3, shared_tail_length=2)
         clone = Application.from_dict(tree.to_dict())
         assert clone.num_tasks == tree.num_tasks
-        assert sorted(clone.graph.edges) == sorted(tree.graph.edges)
+        assert clone.successors == tree.successors
 
     def test_round_trip_names(self):
         app = Application(TypeAssignment([0, 1]), [(0, 1)], names=["a", "b"])

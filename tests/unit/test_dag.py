@@ -347,6 +347,8 @@ def test_dag_package_imports_first():
 def test_serial_figure_run_loads_no_dag_or_campaign_module():
     # The runner imports the DAG scheduler only for workers > 1: neither
     # importing it nor a serial run_figure pulls in repro.dag/repro.campaign.
+    # The graph library is no dependency at all, and scipy.stats (the CI
+    # critical value) and scipy.optimize (the MIP) load only when first used.
     import os
     import subprocess
     import sys
@@ -361,7 +363,8 @@ def test_serial_figure_run_loads_no_dag_or_campaign_module():
         "from repro.experiments.runner import run_figure\n"
         "run_figure('fig6', seed=0, repetitions=1, max_points=1, include_milp=False)\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('repro.dag', 'repro.campaign'))))\n"
+        "             if m.startswith(('repro.dag', 'repro.campaign', 'networkx',\n"
+        "                              'scipy.stats', 'scipy.optimize'))))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
