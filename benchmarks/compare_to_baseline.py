@@ -49,7 +49,9 @@ KEY_BENCHMARKS = (
     "benchmarks/test_engine_block_scheduler.py::test_bench_batch_solve_greedy",
     "benchmarks/test_engine_block_scheduler.py::test_bench_batch_solve_binary_search",
     "benchmarks/test_engine_block_scheduler.py::test_bench_batch_refine",
+    "benchmarks/test_engine_block_scheduler.py::test_bench_cross_point_h4ls",
     "benchmarks/test_service_batching.py::test_bench_service_microbatch",
+    "benchmarks/test_service_batching.py::test_bench_service_h4ls_round",
     "benchmarks/test_service_batching.py::test_bench_service_sustained_mixed",
     "benchmarks/test_engine_block_scheduler.py::test_bench_block_pipeline_cross_point",
     "benchmarks/test_live_replan.py::test_bench_live_replan",

@@ -101,9 +101,10 @@ def probe_candidates(
     axis.
     """
     m = base.shape[1]
-    candidates = (
-        base[:, np.newaxis, :] + rest[:, np.newaxis, :] * ratios[:, :, np.newaxis]
-    )
+    # Built in place: IEEE addition commutes, so ``rest * ratio + base``
+    # equals ``base + rest * ratio`` bit for bit, without a second tensor.
+    candidates = rest[:, np.newaxis, :] * ratios[:, :, np.newaxis]
+    candidates += base[:, np.newaxis, :]
     diag = np.arange(m)
     candidates[:, diag, diag] += x_task[:, np.newaxis] * ratios * w_task
     return candidates.max(axis=2)

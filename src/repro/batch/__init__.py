@@ -28,7 +28,7 @@ from .evaluation import (
     batch_throughputs,
     evaluate_batch,
 )
-from .incremental import MappingEvaluator, StackMappingEvaluator
+from .incremental import MappingEvaluator
 
 __all__ = [
     "BatchEvaluation",
@@ -40,5 +40,4 @@ __all__ = [
     "batch_throughputs",
     "evaluate_batch",
     "MappingEvaluator",
-    "StackMappingEvaluator",
 ]

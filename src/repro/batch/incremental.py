@@ -13,26 +13,28 @@ machine periods, ``x``, critical machines) up to date in vectorized
 O(upstream) work instead of re-evaluating from scratch.
 
 This is the building block for local-search procedures and for any loop
-that probes many single-task reassignments (e.g. "what is the best
-machine for task ``i`` given everything else?", answered in one call by
-:meth:`MappingEvaluator.candidate_periods`).
+that probes many single-task reassignments: "what is the best machine
+for task ``i`` given everything else?" is one
+:meth:`MappingEvaluator.candidate_periods` call, and "what is the best
+single move of any task?" is one :meth:`MappingEvaluator.best_move`
+call, which scores all ``n`` tasks in one ``probe_candidates`` kernel
+call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
 from ..backend import get_backend
-from ..core.instance import ProblemInstance, shared_successor_table
+from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
 from ..core.period import MappingEvaluation
 from ..exceptions import InvalidMappingError
 from .evaluation import _graph_arrays
 
-__all__ = ["MappingEvaluator", "StackMappingEvaluator"]
+__all__ = ["MappingEvaluator"]
 
 
 def _coerce_assignment(
@@ -69,6 +71,21 @@ def _upstream_sets(instance: ProblemInstance) -> list[np.ndarray]:
     return [np.asarray(collected[i], dtype=np.int64) for i in range(instance.num_tasks)]
 
 
+def _upstream_pairs(upstream: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``(task, upstream task)`` pairs of every upstream set, in order.
+
+    Returns ``(tasks, ups, rest)``: pair ``k`` is ``ups[k]`` in the upstream
+    set of ``tasks[k]``, task-major and in each set's own order, and
+    ``rest`` indexes the pairs after each set's leading task (the
+    ``ups[1:]`` slices).
+    """
+    lengths = np.asarray([ups.size for ups in upstream], dtype=np.int64)
+    tasks = np.repeat(np.arange(lengths.size), lengths)
+    lead = np.zeros(tasks.size, dtype=bool)
+    lead[np.cumsum(lengths) - lengths] = True
+    return tasks, np.concatenate(upstream), np.flatnonzero(~lead)
+
+
 class MappingEvaluator:
     """Evaluation of one mapping that stays current under task moves.
 
@@ -95,6 +112,7 @@ class MappingEvaluator:
         "_contrib",
         "_periods",
         "_upstream",
+        "_pairs",
         "_f",
         "_w",
     )
@@ -105,6 +123,7 @@ class MappingEvaluator:
         self._f = instance.failure_rates
         self._w = instance.processing_times
         self._upstream = _upstream_sets(instance)
+        self._pairs = _upstream_pairs(self._upstream)
         self.refresh()
 
     # -- state ------------------------------------------------------------------
@@ -139,8 +158,8 @@ class MappingEvaluator:
         a chain of moves — lands in exactly the numeric state a freshly
         constructed evaluator would hold, because :meth:`refresh`
         recomputes everything from the assignment alone.  Only the
-        upstream sets (fixed by the precedence graph, O(n²) to rebuild)
-        are carried over.
+        upstream sets and their flat pairs (fixed by the precedence graph,
+        O(n²) to rebuild) are carried over.
         """
         self._assignment = _coerce_assignment(self.instance, mapping)
         self.refresh()
@@ -263,12 +282,19 @@ class MappingEvaluator:
     ) -> tuple[int, int, float] | None:
         """The single-task move that lowers the period the most, if any.
 
-        Scans every (task, destination) pair through
-        :meth:`candidate_periods` and returns ``(task, machine,
-        new_period)`` for the best strictly improving move, or ``None``
-        when the mapping is a local optimum of the single-move
+        Scores every (task, destination) pair and returns ``(task,
+        machine, new_period)`` for the best strictly improving move, or
+        ``None`` when the mapping is a local optimum of the single-move
         neighbourhood.  Ties are broken by lowest task index, then lowest
         machine index, so the result is deterministic.
+
+        Row ``i`` of the scored ``(n, m)`` matrix is
+        :meth:`candidate_periods` ``(i)`` bit for bit, but the whole
+        matrix is one probe: ``removed`` and ``rest`` for all tasks come
+        from one scatter each over a flat ``(1, n*m)`` view, indexed by
+        ``task*m + a(upstream)`` in upstream-set order, so every cell sums
+        the same terms in the same order as the per-task scatter.  Then
+        one ``probe_candidates`` call scores all ``n`` rows.
 
         Parameters
         ----------
@@ -288,18 +314,33 @@ class MappingEvaluator:
                 raise InvalidMappingError(
                     f"allowed mask must have shape ({n}, {m}), got {allowed.shape}"
                 )
-        current = self.period
-        threshold = current * (1.0 - rel_tol)
-        best: tuple[int, int, float] | None = None
-        for task in range(n):
-            candidates = self.candidate_periods(task)
-            if allowed is not None:
-                candidates = np.where(allowed[task], candidates, np.inf)
-            machine = int(np.argmin(candidates))
-            value = float(candidates[machine])
-            if value < threshold and (best is None or value < best[2]):
-                best = (task, machine, value)
-        return best
+        backend = get_backend()
+        pair_task, pair_up, rest_pairs = self._pairs
+        cells = (pair_task * m + self._assignment[pair_up])[np.newaxis, :]
+        contrib = self._contrib[pair_up][np.newaxis, :]
+        removed = np.zeros((1, n * m), dtype=np.float64)
+        backend.scatter_add_rows(removed, cells, contrib)
+        # Unscaled re-add pattern for each task's unmoved upstream tasks.
+        rest = np.zeros((1, n * m), dtype=np.float64)
+        backend.scatter_add_rows(rest, cells[:, rest_pairs], contrib[:, rest_pairs])
+        tasks = np.arange(n)
+        ratios = (1.0 - self._f[tasks, self._assignment])[:, np.newaxis] / (1.0 - self._f)
+        candidates = backend.probe_candidates(
+            self._periods - removed.reshape(n, m),
+            rest.reshape(n, m),
+            ratios,
+            self._x,
+            self._w,
+        )
+        if allowed is not None:
+            candidates = np.where(allowed, candidates, np.inf)
+        machines = np.argmin(candidates, axis=1)
+        values = candidates[tasks, machines]
+        task = int(np.argmin(values))
+        value = float(values[task])
+        if not value < self.period * (1.0 - rel_tol):
+            return None
+        return task, int(machines[task]), value
 
     # -- mutation ---------------------------------------------------------------
     def move(self, task: int, machine: int) -> float:
@@ -321,232 +362,3 @@ class MappingEvaluator:
         self._contrib[ups] = self._x[ups] * self._w[ups, self._assignment[ups]]
         np.add.at(self._periods, self._assignment[ups], self._contrib[ups])
         return self.period
-
-
-class StackMappingEvaluator:
-    """``R`` independent :class:`MappingEvaluator` states advanced lock-step.
-
-    One evaluator per repetition of an instance stack, sharing the
-    precedence graph (and therefore the upstream sets) but each with its
-    own ``w``/``f`` matrices and mapping.  The batched probe
-    :meth:`candidate_periods` answers "best destination for task ``i``"
-    for *every* row in one vectorized pass — the building block that lets
-    local-search refinement run across a whole repetition block without
-    re-entering Python per repetition.
-
-    Row ``r``'s arithmetic (including the ``np.add.at`` scatter order)
-    mirrors a scalar :class:`MappingEvaluator` on instance ``r``
-    operation for operation, so probes and moves are bit-for-bit
-    identical to ``R`` sequential evaluators.
-    """
-
-    __slots__ = (
-        "instances",
-        "_assignment",
-        "_x",
-        "_contrib",
-        "_periods",
-        "_upstream",
-        "_f",
-        "_w",
-        "_rows",
-    )
-
-    def __init__(
-        self,
-        instances: Sequence[ProblemInstance],
-        mappings: np.ndarray,
-    ):
-        if not instances:
-            raise InvalidMappingError("cannot evaluate an empty instance stack")
-        first = instances[0]
-        n, m = first.num_tasks, first.num_machines
-        shared_successor_table(instances)
-        arr = np.asarray(mappings, dtype=np.int64).copy()
-        if arr.shape != (len(instances), n):
-            raise InvalidMappingError(
-                f"mappings must have shape ({len(instances)}, {n}), got {arr.shape}"
-            )
-        if arr.size and (arr.min() < 0 or arr.max() >= m):
-            raise InvalidMappingError(
-                f"mappings use machine indices outside 0..{m - 1}"
-            )
-        self.instances = tuple(instances)
-        self._assignment = arr
-        self._w = np.stack([inst.processing_times for inst in instances])
-        self._f = np.stack([inst.failure_rates for inst in instances])
-        self._upstream = _upstream_sets(first)
-        self._rows = np.arange(len(instances))
-        self.refresh()
-
-    # -- state ------------------------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        """Stack depth ``R``."""
-        return int(self._assignment.shape[0])
-
-    @property
-    def num_machines(self) -> int:
-        """Platform size ``m``."""
-        return int(self._w.shape[2])
-
-    @property
-    def assignment(self) -> np.ndarray:
-        """Copy of the current ``(R, n)`` allocation array."""
-        return self._assignment.copy()
-
-    @property
-    def periods(self) -> np.ndarray:
-        """Current per-row application periods (``(R,)``)."""
-        return self._periods.max(axis=1)
-
-    @property
-    def machine_periods(self) -> np.ndarray:
-        """Copy of the current ``(R, m)`` machine-period matrix."""
-        return self._periods.copy()
-
-    def refresh(self) -> None:
-        """Recompute every row's ``x``, contributions and periods."""
-        backend = get_backend()
-        order, succ = _graph_arrays(self.instances[0].application)
-        n = self._assignment.shape[1]
-        tasks = np.arange(n)
-        f_used = self._f[self._rows[:, np.newaxis], tasks[np.newaxis, :], self._assignment]
-        x = backend.propagate_x(order, succ, f_used)
-        self._x = x
-        w_used = self._w[self._rows[:, np.newaxis], tasks[np.newaxis, :], self._assignment]
-        self._contrib = x * w_used
-        self._periods = backend.scatter_periods(
-            self._assignment, self._contrib, self.num_machines
-        )
-
-    def subset(self, rows: np.ndarray) -> "StackMappingEvaluator":
-        """A new evaluator holding only ``rows``, state carried over as is.
-
-        Every per-row array is sliced (not recomputed), so row ``rows[j]``
-        of this evaluator and row ``j`` of the subset are in *identical*
-        numeric state — probes and moves on the subset are bit-for-bit
-        what the full stack would produce for those rows, because every
-        batched operation here is row-independent.  This is what lets
-        local-search descents drop converged rows instead of paying
-        full-stack probes to the end (see
-        :func:`repro.heuristics.local_search.refine_specialized_batch`).
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or rows.size == 0:
-            raise InvalidMappingError("subset needs a non-empty 1-d row selection")
-        if rows.min() < 0 or rows.max() >= self.num_rows:
-            raise InvalidMappingError(
-                f"subset rows outside 0..{self.num_rows - 1}"
-            )
-        clone = object.__new__(StackMappingEvaluator)
-        clone.instances = tuple(self.instances[int(row)] for row in rows)
-        clone._assignment = self._assignment[rows]
-        clone._x = self._x[rows]
-        clone._contrib = self._contrib[rows]
-        clone._periods = self._periods[rows]
-        clone._upstream = self._upstream  # shared precedence graph
-        clone._f = self._f[rows]
-        clone._w = self._w[rows]
-        clone._rows = np.arange(rows.size)
-        return clone
-
-    # -- batched delta queries -----------------------------------------------------
-    def candidate_periods(self, task: int) -> np.ndarray:
-        """Rowwise :meth:`MappingEvaluator.candidate_periods` (``(R, m)``).
-
-        Entry ``[r, u]`` is row ``r``'s period with ``task`` moved to
-        machine ``u``; entry ``[r, a_r(task)]`` is row ``r``'s current
-        period.  One vectorized pass over all rows and destinations.
-        """
-        if not 0 <= task < self._assignment.shape[1]:
-            raise InvalidMappingError(f"unknown task index {task}")
-        backend = get_backend()
-        m = self.num_machines
-        old_machine = self._assignment[:, task]
-        ups = self._upstream[task]
-        old_c = self._contrib[:, ups]
-        removed = np.zeros((self.num_rows, m), dtype=np.float64)
-        backend.scatter_add_rows(removed, self._assignment[:, ups], old_c)
-        base = self._periods - removed
-        # Unscaled re-add pattern for the unmoved upstream tasks.
-        rest = np.zeros((self.num_rows, m), dtype=np.float64)
-        backend.scatter_add_rows(rest, self._assignment[:, ups[1:]], old_c[:, 1:])
-        ratios = (1.0 - self._f[self._rows, task, old_machine])[:, np.newaxis] / (
-            1.0 - self._f[:, task, :]
-        )
-        # Fused probe: every destination's candidate period in one call.
-        return backend.probe_candidates(
-            base, rest, ratios, self._x[:, task], self._w[:, task, :]
-        )
-
-    def best_moves(
-        self,
-        *,
-        allowed: np.ndarray | None = None,
-        rel_tol: float = 1e-12,
-        active: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rowwise :meth:`MappingEvaluator.best_move` in one batched scan.
-
-        Returns ``(tasks, machines, has_move)``: row ``r``'s best strictly
-        improving single-task move is ``tasks[r] -> machines[r]`` when
-        ``has_move[r]``, with the same lowest-task / lowest-machine tie
-        breaking as the scalar scan.  ``allowed`` optionally masks
-        destinations per row (``(R, n, m)`` boolean); ``active`` restricts
-        the probe work to a subset of rows (others report no move).
-        """
-        R, n = self._assignment.shape
-        if allowed is not None:
-            allowed = np.asarray(allowed, dtype=bool)
-            if allowed.shape != (R, n, self.num_machines):
-                raise InvalidMappingError(
-                    f"allowed mask must have shape ({R}, {n}, {self.num_machines}), "
-                    f"got {allowed.shape}"
-                )
-        best_value = np.full(R, np.inf)
-        best_task = np.zeros(R, dtype=np.int64)
-        best_machine = np.zeros(R, dtype=np.int64)
-        threshold = self.periods * (1.0 - rel_tol)
-        for task in range(n):
-            candidates = self.candidate_periods(task)
-            if allowed is not None:
-                candidates = np.where(allowed[:, task, :], candidates, np.inf)
-            machine = np.argmin(candidates, axis=1)
-            value = candidates[self._rows, machine]
-            # Strict improvement over the running best keeps the scalar
-            # scan's first-task tie break.
-            better = value < best_value
-            if active is not None:
-                better &= active
-            best_value[better] = value[better]
-            best_task[better] = task
-            best_machine[better] = machine[better]
-        has_move = best_value < threshold
-        if active is not None:
-            has_move &= active
-        return best_task, best_machine, has_move
-
-    # -- mutation ---------------------------------------------------------------
-    def move(self, row: int, task: int, machine: int) -> None:
-        """Reassign ``task`` to ``machine`` in one row (scalar delta update).
-
-        Rowwise moves differ in their upstream sets, so applying them is
-        per-row work — the cost that matters, the candidate scan, is the
-        batched :meth:`best_moves`.
-        """
-        old_machine = int(self._assignment[row, task])
-        if machine == old_machine:
-            return
-        ups = self._upstream[task]
-        ratio = (1.0 - self._f[row, task, old_machine]) / (
-            1.0 - self._f[row, task, machine]
-        )
-        old_c = self._contrib[row, ups]
-        np.add.at(self._periods[row], self._assignment[row, ups], -old_c)
-        self._x[row, ups] *= ratio
-        self._assignment[row, task] = machine
-        self._contrib[row, ups] = self._x[row, ups] * self._w[
-            row, ups, self._assignment[row, ups]
-        ]
-        np.add.at(self._periods[row], self._assignment[row, ups], self._contrib[row, ups])

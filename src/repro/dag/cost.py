@@ -1,8 +1,8 @@
 """Per-unit solve-cost model driving shard balancing and stealing order.
 
 A campaign's solve units are wildly uneven: a MIP block at its time
-limit costs ~100x a heuristic block of the same shape, local search a
-few x, OtO somewhere between.  Round-robin sharding ignores this and
+limit costs ~100x a heuristic block of the same shape, local search
+~20x, OtO somewhere between.  Round-robin sharding ignores this and
 routinely parks every MIP block on one shard; the scheduler instead
 prices each unit with calibrated per-provider estimates and balances
 shards by total estimated cost (LPT greedy), with work stealing mopping
@@ -32,7 +32,7 @@ __all__ = ["classify_curve", "provider_cost", "unit_cost", "plan_costs"]
 #: Fallback relative costs when ``costs.json`` is missing or unreadable.
 _DEFAULT_COSTS = {
     "heuristic": 1.0,
-    "local_search": 2.5,
+    "local_search": 20.0,
     "oto": 8.0,
     "mip": 100.0,
 }

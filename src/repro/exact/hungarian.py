@@ -18,8 +18,6 @@ in the test suite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ..exceptions import InfeasibleProblemError, SolverError
 
@@ -134,6 +132,11 @@ def bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
     numpy.ndarray
         Integer vector ``col`` of length ``n``.
     """
+    # scipy.sparse loads on first use: importing it costs ~30 MB of RSS
+    # in every process that imports repro.exact but never matches.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.size == 0:
         raise SolverError("cost must be a non-empty 2-D matrix")

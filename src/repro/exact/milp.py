@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping, MappingRule
@@ -174,6 +173,7 @@ def build_milp_model(instance: ProblemInstance) -> MilpModel:
     InfeasibleProblemError
         If ``m < p`` (no specialized mapping exists).
     """
+    import scipy.sparse as sp
     from scipy.optimize import LinearConstraint
 
     if not instance.supports_specialized():

@@ -44,7 +44,7 @@ from ..exceptions import ExperimentError, ReproError, SolverError
 from ..generators.scenarios import ScenarioConfig, sample_instance
 from ..heuristics import get_heuristic
 from ..heuristics.base import batch_solve_min_repetitions, solve_stack
-from ..heuristics.local_search import refine_specialized, refine_specialized_batch
+from ..heuristics.local_search import refine_specialized_batch
 from ..simulation.rng import RandomStreamFactory
 
 __all__ = [
@@ -385,15 +385,7 @@ class LocalSearchProvider(CurveProvider):
 
     def evaluate_block(self, block: CellBlock) -> BlockResult:
         seeds = self._base.solve_block(block)
-        if self._base._use_batch(block):
-            # One lock-step descent across the whole block (bit-for-bit
-            # the per-repetition refine_specialized loop below).
-            refined, _ = refine_specialized_batch(block.instances, seeds)
-        else:
-            refined = np.empty_like(seeds)
-            for repetition, instance in enumerate(block.instances):
-                mapping, _ = refine_specialized(instance, seeds[repetition])
-                refined[repetition] = mapping.as_array
+        refined, _ = refine_specialized_batch(block.instances, seeds)
         periods = np.minimum(
             block.stack.periods(refined), block.stack.periods(seeds)
         )
@@ -407,13 +399,7 @@ class LocalSearchProvider(CurveProvider):
                 continue
             instances = [inst for block in chunk for inst in block.instances]
             seeds = self._base.solve_blocks(chunk)
-            if self._base._use_batch_rows(len(instances)):
-                refined, _ = refine_specialized_batch(instances, seeds)
-            else:
-                refined = np.empty_like(seeds)
-                for row, instance in enumerate(instances):
-                    mapping, _ = refine_specialized(instance, seeds[row])
-                    refined[row] = mapping.as_array
+            refined, _ = refine_specialized_batch(instances, seeds)
             stack = InstanceStack.from_instances(
                 instances, require_uniform_types=False
             )

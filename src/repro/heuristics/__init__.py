@@ -59,7 +59,6 @@ from .local_search import (
     refine_specialized,
     refine_specialized_batch,
     specialized_move_mask,
-    specialized_move_mask_batch,
 )
 
 #: The six heuristics evaluated in the paper, in presentation order.
@@ -92,6 +91,5 @@ __all__ = [
     "refine_specialized",
     "refine_specialized_batch",
     "specialized_move_mask",
-    "specialized_move_mask_batch",
     "PAPER_HEURISTICS",
 ]

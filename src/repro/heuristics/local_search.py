@@ -1,12 +1,12 @@
 """H4ls — local-search refinement of H4w (best single-task moves).
 
-The ROADMAP's open item: a refinement heuristic on top of
-:meth:`repro.batch.MappingEvaluator.candidate_periods`.  ``H4ls`` starts
-from the mapping produced by H4w (the paper's overall winner) and
-repeatedly applies the *best* single-task move — the reassignment of one
-task to one machine that lowers the period the most — until no improving
-move exists.  Every probe is an O(upstream + m^2) incremental query
-instead of a full re-evaluation, so a refinement pass costs a small
+``H4ls`` starts from the mapping produced by H4w (the paper's overall
+winner) and repeatedly applies the *best* single-task move — the
+reassignment of one task to one machine that lowers the period the most
+— until no improving move exists.  Each step is one
+:meth:`repro.batch.MappingEvaluator.best_move` call, which scores every
+(task, destination) pair incrementally in one kernel call instead of
+re-evaluating ``n * m`` mappings, so a refinement pass costs a small
 multiple of one greedy run.
 
 Moves are restricted to destinations that keep the mapping *specialized*
@@ -25,7 +25,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..batch.evaluation import InstanceStack
-from ..batch.incremental import MappingEvaluator, StackMappingEvaluator
+from ..batch.incremental import MappingEvaluator
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
 from ..core.period import evaluate
@@ -37,7 +37,6 @@ __all__ = [
     "refine_specialized",
     "refine_specialized_batch",
     "specialized_move_mask",
-    "specialized_move_mask_batch",
 ]
 
 
@@ -48,51 +47,14 @@ def specialized_move_mask(instance: ProblemInstance, assignment: np.ndarray) -> 
     a type other than ``t(i)`` — i.e. moving task ``i`` there leaves every
     machine dedicated to at most one type.
     """
-    n, m = instance.num_tasks, instance.num_machines
-    types = np.asarray(
-        [instance.type_of(task) for task in range(n)], dtype=np.int64
-    )
-    p = instance.num_types
-    counts = np.zeros((m, p), dtype=np.int64)
+    types = instance.application.types.as_array
+    counts = np.zeros((instance.num_machines, instance.num_types), dtype=np.int64)
     np.add.at(counts, (np.asarray(assignment, dtype=np.int64), types), 1)
     hosted = counts > 0
     distinct = hosted.sum(axis=1)
     # Machine u accepts type t when it is empty or dedicated to t already.
     accepts = (distinct == 0)[:, np.newaxis] | ((distinct == 1)[:, np.newaxis] & hosted)
     return accepts[:, types].T
-
-
-def specialized_move_mask_batch(
-    instances: Sequence[ProblemInstance], assignments: np.ndarray
-) -> np.ndarray:
-    """Rowwise :func:`specialized_move_mask` as one ``(R, n, m)`` array.
-
-    Entry ``[r, i, u]`` is true when moving task ``i`` of repetition ``r``
-    to machine ``u`` keeps row ``r``'s mapping specialized.
-    """
-    R = len(instances)
-    n, m = instances[0].num_tasks, instances[0].num_machines
-    types = np.stack([inst.application.types.as_array for inst in instances])
-    p = max(inst.num_types for inst in instances)
-    rows = np.arange(R)
-    counts = np.zeros((R, m, p), dtype=np.int64)
-    np.add.at(
-        counts,
-        (rows[:, np.newaxis], np.asarray(assignments, dtype=np.int64), types),
-        1,
-    )
-    hosted = counts > 0
-    distinct = hosted.sum(axis=2)
-    # Machine u accepts type t when it is empty or dedicated to t already.
-    accepts = (distinct == 0)[:, :, np.newaxis] | (
-        (distinct == 1)[:, :, np.newaxis] & hosted
-    )
-    # result[r, i, u] = accepts[r, u, types[r, i]]
-    return accepts[
-        rows[:, np.newaxis, np.newaxis],
-        np.arange(m)[np.newaxis, np.newaxis, :],
-        types[:, :, np.newaxis],
-    ]
 
 
 def refine_specialized_batch(
@@ -104,51 +66,20 @@ def refine_specialized_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise :func:`refine_specialized` over a whole repetition block.
 
-    Every row descends through its own best-single-move sequence, but the
-    expensive part — probing all ``(task, destination)`` candidates — runs
-    as one :meth:`~repro.batch.StackMappingEvaluator.best_moves` scan per
-    round across the still-improving rows.  Rows reach their local optima
-    on their own schedule and are then *dropped from the stack*
-    (:meth:`~repro.batch.StackMappingEvaluator.subset`), so late rounds
-    probe only the rows still descending instead of paying the full
-    ``R``-row scan to the very last move — the difference between the
-    deepest row's round count and the *average* row's.  Because rows are
-    independent and subsetting carries row state over bit for bit, row
-    ``r``'s move sequence (and final mapping) is exactly the sequential
-    refinement of ``instances[r]``.
+    Row ``r`` is the descent of ``instances[r]`` from ``seeds[r]``.  Each
+    descent step already scores all ``n`` tasks in one probe, so rows run
+    one after another: a lock-step descent across the block measured no
+    faster, even at its best shape.
 
     Returns ``(refined assignments, per-row move counts)``.
     """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    R, n = seeds.shape
-    result = seeds.copy()
-    moves = np.zeros(R, dtype=np.int64)
-    cap = max_moves if max_moves is not None else 100 * n
-    # The scalar loop checks the cap before probing, so cap=0 must not
-    # move at all; start from the same guard.
-    if cap <= 0 or R == 0:
-        return result, moves
-    evaluator = StackMappingEvaluator(instances, seeds)
-    live = np.arange(R)  # original index of each evaluator row
-    live_instances = list(instances)
-    while True:
-        allowed = specialized_move_mask_batch(live_instances, evaluator.assignment)
-        tasks, machines, has_move = evaluator.best_moves(allowed=allowed, rel_tol=rel_tol)
-        for row in np.flatnonzero(has_move):
-            evaluator.move(int(row), int(tasks[row]), int(machines[row]))
-        moves[live[has_move]] += 1
-        done = ~has_move | (moves[live] >= cap)
-        if not done.any():
-            continue
-        finished = np.flatnonzero(done)
-        result[live[finished]] = evaluator.assignment[finished]
-        keep = np.flatnonzero(~done)
-        if keep.size == 0:
-            break
-        # Compact the stack to the rows still descending.
-        evaluator = evaluator.subset(keep)
-        live = live[keep]
-        live_instances = [live_instances[int(row)] for row in keep]
+    result = np.array(seeds, dtype=np.int64)
+    moves = np.zeros(len(instances), dtype=np.int64)
+    for row, instance in enumerate(instances):
+        mapping, moves[row] = refine_specialized(
+            instance, result[row], max_moves=max_moves, rel_tol=rel_tol
+        )
+        result[row] = mapping.as_array
     return result, moves
 
 
@@ -217,7 +148,7 @@ class LocalSearchHeuristic(Heuristic):
         return seed_mapping, 1, {"base": self.base, "moves": 0, "seed_period": seed_period}
 
     def solve_batch(self, instances: Sequence[ProblemInstance]) -> np.ndarray:
-        """Batched H4ls: one H4w batch solve, one lock-step refinement.
+        """Batched H4ls: one H4w batch solve, then each row's refinement.
 
         The seed/refined comparison runs through the stack's vectorized
         evaluation, which is bit-for-bit the scalar evaluation — so each

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from repro.analysis.stats import Series
+from repro.batch import MappingEvaluator
 from repro.core import FailureModel, Platform, ProblemInstance
 from repro.exact.milp import solve_specialized_milp
 from repro.exact.one_to_one import optimal_one_to_one
@@ -28,6 +29,7 @@ __all__ = [
     "lexsort_first_feasible",
     "make_random_instance",
     "per_instance_series",
+    "reference_best_move",
     "reference_bisection",
     "reference_try_period",
 ]
@@ -160,6 +162,32 @@ def dfs_bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
         else:
             lo = mid + 1
     assert best is not None
+    return best
+
+
+def reference_best_move(
+    evaluator: MappingEvaluator,
+    *,
+    allowed: np.ndarray | None = None,
+    rel_tol: float = 1e-12,
+) -> tuple[int, int, float] | None:
+    """The single-move scan ``MappingEvaluator.best_move`` must reproduce.
+
+    One :meth:`~repro.batch.MappingEvaluator.candidate_periods` probe per
+    task, in task order: the best strictly improving ``(task, machine,
+    new_period)``, ties to the lowest task and then the lowest machine,
+    or ``None`` at a local optimum.
+    """
+    threshold = evaluator.period * (1.0 - rel_tol)
+    best: tuple[int, int, float] | None = None
+    for task in range(evaluator.instance.num_tasks):
+        candidates = evaluator.candidate_periods(task)
+        if allowed is not None:
+            candidates = np.where(allowed[task], candidates, np.inf)
+        machine = int(np.argmin(candidates))
+        value = float(candidates[machine])
+        if value < threshold and (best is None or value < best[2]):
+            best = (task, machine, value)
     return best
 
 

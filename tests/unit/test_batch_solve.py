@@ -7,7 +7,7 @@ the assignment that ``solve_mapping`` produces on the corresponding
 instance — bit for bit, including local-search move sequences.  The
 binary-search heuristics (H2, H3) have no lock-step kernel: ``solve_stack``
 runs them per instance and must still return the sequential rows.  A
-second battery covers the stacked incremental evaluator, the
+second battery covers the block refinement, the
 provider-level wiring (auto threshold, validation, fallback) and the
 hoisted binary-search period bound.
 """
@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch.incremental import MappingEvaluator, StackMappingEvaluator
-from repro.exceptions import InvalidMappingError, MappingRuleViolation, ReproError
+from repro.exceptions import MappingRuleViolation, ReproError
 from repro.experiments.providers import (
     batch_solve_min_repetitions,
     CellBlock,
@@ -35,8 +34,6 @@ from repro.heuristics.binary_search import (
 from repro.heuristics.local_search import (
     refine_specialized,
     refine_specialized_batch,
-    specialized_move_mask,
-    specialized_move_mask_batch,
 )
 from repro.simulation.rng import RandomStreamFactory
 
@@ -144,99 +141,7 @@ class TestBatchAssignmentState:
             BatchAssignmentState([small.instances[0], big.instances[0]])
 
 
-class TestStackMappingEvaluator:
-    def setup_method(self):
-        self.block = make_block(seed=9)
-        self.seeds = get_heuristic("H4w").solve_batch(self.block.instances)
-
-    def test_candidate_periods_matches_scalar_evaluators(self):
-        stacked = StackMappingEvaluator(self.block.instances, self.seeds)
-        for task in range(self.block.stack.num_tasks):
-            candidates = stacked.candidate_periods(task)
-            for repetition, instance in enumerate(self.block.instances):
-                scalar = MappingEvaluator(instance, self.seeds[repetition])
-                assert (
-                    candidates[repetition] == scalar.candidate_periods(task)
-                ).all(), (task, repetition)
-
-    def test_best_moves_matches_scalar_best_move(self):
-        stacked = StackMappingEvaluator(self.block.instances, self.seeds)
-        allowed = specialized_move_mask_batch(self.block.instances, self.seeds)
-        tasks, machines, has_move = stacked.best_moves(allowed=allowed)
-        for repetition, instance in enumerate(self.block.instances):
-            scalar = MappingEvaluator(instance, self.seeds[repetition])
-            best = scalar.best_move(allowed=allowed[repetition])
-            if best is None:
-                assert not has_move[repetition]
-            else:
-                assert has_move[repetition]
-                assert (tasks[repetition], machines[repetition]) == best[:2]
-
-    def test_move_matches_scalar_move(self):
-        stacked = StackMappingEvaluator(self.block.instances, self.seeds)
-        scalar = MappingEvaluator(self.block.instances[1], self.seeds[1])
-        task = 3
-        machine = int(
-            np.argmin(MappingEvaluator(
-                self.block.instances[1], self.seeds[1]
-            ).candidate_periods(task))
-        )
-        stacked.move(1, task, machine)
-        scalar.move(task, machine)
-        assert (stacked.assignment[1] == scalar.assignment).all()
-        assert stacked.periods[1] == scalar.period
-        assert (stacked.machine_periods[1] == scalar.machine_periods).all()
-
-    def test_subset_carries_state_bit_for_bit(self):
-        stacked = StackMappingEvaluator(self.block.instances, self.seeds)
-        stacked.move(2, 1, int(np.argmin(stacked.candidate_periods(1)[2])))
-        rows = np.array([2, 0])
-        sub = stacked.subset(rows)
-        assert sub.num_rows == 2
-        assert (sub.assignment == stacked.assignment[rows]).all()
-        assert (sub.machine_periods == stacked.machine_periods[rows]).all()
-        assert (sub.periods == stacked.periods[rows]).all()
-        # Probes on the subset are exactly the full stack's rows.
-        for task in range(self.block.stack.num_tasks):
-            assert (
-                sub.candidate_periods(task) == stacked.candidate_periods(task)[rows]
-            ).all(), task
-        # Moves on the subset do not touch the parent.
-        before = stacked.assignment
-        sub.move(0, 0, int(np.argmin(sub.candidate_periods(0)[0])))
-        assert (stacked.assignment == before).all()
-
-    def test_subset_rejects_bad_rows(self):
-        stacked = StackMappingEvaluator(self.block.instances, self.seeds)
-        with pytest.raises(InvalidMappingError):
-            stacked.subset(np.array([], dtype=np.int64))
-        with pytest.raises(InvalidMappingError):
-            stacked.subset(np.array([stacked.num_rows]))
-        with pytest.raises(InvalidMappingError):
-            stacked.subset(np.array([-1]))
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(InvalidMappingError):
-            StackMappingEvaluator(self.block.instances, self.seeds[:, :-1])
-        with pytest.raises(InvalidMappingError):
-            StackMappingEvaluator([], self.seeds)
-        bad = self.seeds.copy()
-        bad[0, 0] = self.block.stack.num_machines
-        with pytest.raises(InvalidMappingError):
-            StackMappingEvaluator(self.block.instances, bad)
-
-
 class TestRefineBatch:
-    def test_mask_matches_scalar(self):
-        block = make_block(seed=13)
-        seeds = get_heuristic("H4w").solve_batch(block.instances)
-        batched = specialized_move_mask_batch(block.instances, seeds)
-        for repetition, instance in enumerate(block.instances):
-            assert (
-                batched[repetition]
-                == specialized_move_mask(instance, seeds[repetition])
-            ).all()
-
     def test_refinement_matches_scalar_descents(self):
         block = make_block(num_machines=10, num_types=2, num_tasks=20, seed=2)
         seeds = get_heuristic("H4w").solve_batch(block.instances)

@@ -50,12 +50,11 @@ class TestCostModel:
         assert classify_curve("H4w") == "heuristic"
 
     def test_provider_cost_ordering(self):
-        assert (
-            provider_cost(MIP_LABEL)
-            > provider_cost("OtO")
-            > provider_cost("H4+ls")
-            > provider_cost("H4w")
-        )
+        # Local search is dearer than OtO at the m=10 shapes it runs on
+        # (a descent of ~50 moves), but both stay between MIP and a
+        # plain heuristic.
+        assert provider_cost(MIP_LABEL) > provider_cost("H4+ls") > provider_cost("H4w")
+        assert provider_cost(MIP_LABEL) > provider_cost("OtO") > provider_cost("H4w")
 
     def test_unit_cost_scales_with_size_and_repetitions(self):
         manifest = _manifest(figures=("fig10",), no_milp=False)

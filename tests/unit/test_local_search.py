@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import MappingEvaluator
-from repro.core import Mapping, MappingRule, evaluate
+from repro.core import (
+    Application,
+    FailureModel,
+    Mapping,
+    MappingRule,
+    Platform,
+    ProblemInstance,
+    TypeAssignment,
+    evaluate,
+)
 from repro.heuristics import available_heuristics, get_heuristic
 from repro.heuristics.local_search import refine_specialized, specialized_move_mask
-from tests.helpers import make_random_instance
+from tests.helpers import make_random_instance, reference_best_move
 
 
 class TestSpecializedMoveMask:
@@ -76,6 +87,59 @@ class TestRefineSpecialized:
             pytest.skip("seed mapping already locally optimal")
         _, capped = refine_specialized(instance, bad, max_moves=1)
         assert capped == 1
+
+
+@st.composite
+def _probe_states(draw):
+    """An evaluator mid-descent, plus an ``allowed`` mask and ``rel_tol``.
+
+    Tie-heavy on purpose: ``w`` is drawn from a few integers per type and
+    some machine columns (``w`` and ``f`` alike) are copies of others, so
+    equal candidate periods across tasks and machines are common.  The
+    graph is a chain or a random in-forest, the mapping is arbitrary
+    (not necessarily specialized) and a few moves are applied before the
+    probe, so the incremental state is exercised too.
+    """
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 6))
+    p = draw(st.integers(1, min(n, 3)))
+    types = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    types[:p] = range(p)
+    if draw(st.booleans()):
+        app = Application.chain(TypeAssignment(types, num_types=p))
+    else:
+        successors = [draw(st.none() | st.integers(i + 1, n - 1)) for i in range(n - 1)]
+        edges = [(i, j) for i, j in enumerate(successors) if j is not None]
+        app = Application(TypeAssignment(types, num_types=p), edges)
+    grid = st.lists(st.integers(1, 3), min_size=m, max_size=m)
+    per_type_w = np.asarray(draw(st.lists(grid, min_size=p, max_size=p)), dtype=np.float64)
+    w = per_type_w[np.asarray(types)]
+    rate = st.sampled_from([0.0, 0.01, 0.05, 0.2])
+    f = np.asarray(draw(st.lists(st.lists(rate, min_size=m, max_size=m), min_size=n, max_size=n)))
+    for target in range(m):
+        source = draw(st.integers(0, target))
+        w[:, target], f[:, target] = w[:, source], f[:, source]
+    instance = ProblemInstance(app, Platform(w), FailureModel(f))
+    assignment = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    evaluator = MappingEvaluator(instance, np.asarray(assignment))
+    for _ in range(draw(st.integers(0, 3))):
+        evaluator.move(draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)))
+    allowed = None
+    if draw(st.booleans()):
+        cells = st.lists(st.booleans(), min_size=m, max_size=m)
+        allowed = np.asarray(draw(st.lists(cells, min_size=n, max_size=n)), dtype=bool)
+        allowed[draw(st.integers(0, n - 1))] = False  # an all-False row
+    rel_tol = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    return evaluator, allowed, rel_tol
+
+
+@settings(max_examples=200)
+@given(state=_probe_states())
+def test_best_move_equals_the_per_task_scan(state):
+    """One probe per step picks exactly the per-task scan's move."""
+    evaluator, allowed, rel_tol = state
+    expected = reference_best_move(evaluator, allowed=allowed, rel_tol=rel_tol)
+    assert evaluator.best_move(allowed=allowed, rel_tol=rel_tol) == expected
 
 
 class TestBestMove:
