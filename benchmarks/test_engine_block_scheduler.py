@@ -28,6 +28,8 @@ import pytest
 from repro.core import Mapping, evaluate
 from repro.experiments import CellBlock, HeuristicProvider
 from repro.generators import ScenarioConfig
+from repro.heuristics import get_heuristic
+from repro.heuristics.base import solve_one
 from repro.simulation.rng import RandomStreamFactory
 
 #: The batch-capable greedy paper heuristics (H1 is randomized; H2/H3
@@ -105,13 +107,17 @@ def test_batch_solve_speedup_at_r50(block):
     per_curve = {}
     total_batch = total_loop = 0.0
     for name in BATCHABLE_HEURISTICS:
-        batch_provider = HeuristicProvider(name, batch=True)
-        loop_provider = HeuristicProvider(name, batch=False)
-        assert (
-            batch_provider.solve_block(block) == loop_provider.solve_block(block)
-        ).all(), name  # bit-for-bit
-        batch_time = _time(lambda: batch_provider.solve_block(block))
-        loop_time = _time(lambda: loop_provider.solve_block(block))
+        heuristic = get_heuristic(name)
+
+        def batch():
+            return heuristic.solve_batch(block.instances)
+
+        def loop():
+            return [solve_one(heuristic, instance) for instance in block.instances]
+
+        assert (batch() == loop()).all(), name  # bit-for-bit
+        batch_time = _time(batch)
+        loop_time = _time(loop)
         per_curve[name] = (loop_time, batch_time)
         total_batch += batch_time
         total_loop += loop_time
@@ -149,19 +155,19 @@ def test_bench_block_pipeline(benchmark, scenario):
 
 def test_bench_batch_solve_greedy(benchmark, block):
     """Lock-step H4w solve of one R=50 block (greedy family kernel)."""
-    provider = HeuristicProvider("H4w", batch=True)
+    provider = HeuristicProvider("H4w")
     assignments = benchmark(provider.solve_block, block)
     assert assignments.shape == (R, block.stack.num_tasks)
 
 
 def test_bench_batch_solve_binary_search(benchmark, block):
-    """H2 solve of one R=50 block through the forced batch route.
+    """H2 solve of one R=50 block.
 
     H2 has no lock-step kernel, so ``solve_stack`` runs the per-instance
     greedy walk on every row: this pins the binary-search family's
     block cost.
     """
-    provider = HeuristicProvider("H2", batch=True)
+    provider = HeuristicProvider("H2")
     assignments = benchmark(provider.solve_block, block)
     assert assignments.shape == (R, block.stack.num_tasks)
 
@@ -170,7 +176,7 @@ def test_bench_batch_refine(benchmark, block):
     """H4ls descent of one R=50 block, one row after another."""
     from repro.heuristics.local_search import refine_specialized_batch
 
-    seeds = HeuristicProvider("H4w", batch=True).solve_block(block)
+    seeds = HeuristicProvider("H4w").solve_block(block)
     refined, moves = benchmark(refine_specialized_batch, block.instances, seeds)
     assert refined.shape == (R, block.stack.num_tasks)
     assert int(moves.sum()) > 0

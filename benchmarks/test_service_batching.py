@@ -1,10 +1,11 @@
 """Benchmark: micro-batched service throughput vs the per-request path.
 
 At 32 concurrent *compatible* requests (same heuristic, task count and
-platform size — one batching signature), both paths run through the
-same :class:`~repro.service.batcher.MicroBatcher` under the same
-batching window, so the only difference is the lock-step ``solve_batch``
-+ stacked scoring pass against 32 individual solves.  On H4ls
+platform size — one batching signature), both paths run through a
+:class:`~repro.service.batcher.MicroBatcher` under the same batching
+window: one 32-deep group (the lock-step ``solve_batch`` + stacked
+scoring pass) against ``max_batch=1``, where every request is its own
+group solved per instance.  On H4ls
 (``n=40, p=4, m=10``) the responses are asserted bit-for-bit equal and
 both clocks are printed; no ratio is asserted, because the per-request
 descent now scores all tasks in one probe per step and the two paths
@@ -13,7 +14,8 @@ H4ls round's wall-clock in the CI regression gate
 (``benchmarks/baseline.json``).
 
 ``test_bench_service_microbatch`` additionally pins the wall-clock of
-a 32-deep H2 round, and
+a 32-deep H2 round (H2 has no lock-step kernel, so the group runs the
+per-instance greedy walk), and
 ``test_bench_service_sustained_mixed`` pins a **sustained-throughput**
 round: 256 concurrent *mixed* requests (four signatures, four
 heuristics, batch-kernel and fallback paths together) through one
@@ -61,19 +63,17 @@ def _requests(heuristic="H2", tasks=100, types=5, machines=50):
     ]
 
 
-def _serve_all(requests, *, batch: bool) -> list[dict]:
-    """All requests through one service batcher, batched or per-request.
+def _serve_all(requests, *, max_batch: int = CONCURRENCY) -> list[dict]:
+    """All requests through one service batcher.
 
     No cache — every round must actually solve (the benchmark measures
     solving, not dict lookups).  The window is wide enough that all 32
-    requests always land in one group on both paths; ``batch`` is then
-    the only difference.
+    requests land in one group at the default ``max_batch``;
+    ``max_batch=1`` flushes every request alone (the per-request path).
     """
 
     async def scenario():
-        batcher = MicroBatcher(
-            window=0.05, max_batch=CONCURRENCY, batch=batch, cache=None
-        )
+        batcher = MicroBatcher(window=0.05, max_batch=max_batch, cache=None)
         return await asyncio.gather(
             *(batcher.submit(request) for request in requests)
         )
@@ -93,16 +93,16 @@ def _time(fn, repeats=3):
 def test_service_batching_speedup_at_32_concurrent():
     """Batched and per-request H4ls rounds agree bit for bit at 32 deep."""
     requests = _requests("H4ls", tasks=40, types=4, machines=10)
-    batched = _serve_all(requests, batch=True)
-    fallback = _serve_all(requests, batch=False)
+    batched = _serve_all(requests)
+    fallback = _serve_all(requests, max_batch=1)
     reference = [direct_response(request) for request in requests]
     for response, other, direct in zip(batched, fallback, reference):
         # Bit-for-bit across all three paths before comparing clocks.
         assert response["assignment"] == other["assignment"] == direct["assignment"]
         assert response["period"] == other["period"] == direct["period"]
 
-    batched_time = _time(lambda: _serve_all(requests, batch=True))
-    fallback_time = _time(lambda: _serve_all(requests, batch=False))
+    batched_time = _time(lambda: _serve_all(requests))
+    fallback_time = _time(lambda: _serve_all(requests, max_batch=1))
     print(
         f"\n{CONCURRENCY} concurrent compatible H4ls requests: per-request "
         f"{fallback_time * 1e3:.0f} ms, micro-batched {batched_time * 1e3:.0f} ms "
@@ -113,19 +113,13 @@ def test_service_batching_speedup_at_32_concurrent():
 def test_bench_service_h4ls_round(benchmark):
     """Key benchmark: one 32-deep micro-batched H4ls service round."""
     requests = _requests("H4ls", tasks=40, types=4, machines=10)
-    benchmark(lambda: _serve_all(requests, batch=True))
+    benchmark(lambda: _serve_all(requests))
 
 
 def test_bench_service_microbatch(benchmark):
-    """Key benchmark: one 32-deep micro-batched service round."""
+    """Key benchmark: one 32-deep micro-batched H2 service round."""
     requests = _requests()
-    benchmark(lambda: _serve_all(requests, batch=True))
-
-
-def test_bench_service_per_request(benchmark):
-    """Companion: the same 32 requests on the per-request path."""
-    requests = _requests()
-    benchmark(lambda: _serve_all(requests, batch=False))
+    benchmark(lambda: _serve_all(requests))
 
 
 def _mixed_requests():
@@ -149,15 +143,15 @@ def _mixed_requests():
 def _serve_mixed(requests) -> list[dict]:
     """One sustained round: every mixed request through one batcher.
 
-    Production knobs: the batch/fallback crossover decides per group
-    (``batch=None``) and no cache — a sustained-load benchmark must
+    Production knobs: ``solve_stack`` picks batch or loop per group,
+    and no cache — a sustained-load benchmark must
     measure solving under concurrency, not lookups.  64 requests per
     signature means each group flushes on the ``max_batch`` size
     trigger, not the window.
     """
 
     async def scenario():
-        batcher = MicroBatcher(window=0.05, batch=None, cache=None)
+        batcher = MicroBatcher(window=0.05, cache=None)
         return await asyncio.gather(
             *(batcher.submit(request) for request in requests)
         )

@@ -8,57 +8,35 @@ prices each unit with calibrated per-provider estimates and balances
 shards by total estimated cost (LPT greedy), with work stealing mopping
 up whatever the estimates still get wrong.
 
-The estimates are persisted in ``costs.json`` next to this module —
-the :mod:`repro.heuristics` ``thresholds.json`` pattern — as *relative*
-costs in units of one heuristic repetition; a missing or unreadable
-file degrades to built-in defaults so source checkouts keep working.
-Costs scale linearly with repetitions and sublinearly (calibrated
-exponent) with the instance size at the unit's sweep point.
+The estimates are *relative* costs in units of one heuristic
+repetition, plain constants below (H2/H3/H4-family = 1.0; MIP reflects
+the worst case of a block solved at its time limit).  Costs scale
+linearly with repetitions and sublinearly (calibrated exponent) with
+the instance size at the unit's sweep point.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..exceptions import ReproError
 from ..experiments.providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
+from ..heuristics import LocalSearchHeuristic, get_heuristic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..campaign.manifest import CampaignManifest, WorkUnit
 
 __all__ = ["classify_curve", "provider_cost", "unit_cost", "plan_costs"]
 
-#: Fallback relative costs when ``costs.json`` is missing or unreadable.
-_DEFAULT_COSTS = {
+#: Relative per-repetition solve cost of each provider class.
+PROVIDER_COSTS = {
     "heuristic": 1.0,
     "local_search": 20.0,
     "oto": 8.0,
     "mip": 100.0,
 }
-_DEFAULT_SIZE_EXPONENT = 0.5
-
-
-def _load_costs() -> tuple[dict[str, float], float]:
-    path = Path(__file__).with_name("costs.json")
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return dict(_DEFAULT_COSTS), _DEFAULT_SIZE_EXPONENT
-    costs = dict(_DEFAULT_COSTS)
-    for name, value in data.get("costs", {}).items():
-        try:
-            costs[str(name)] = float(value)
-        except (TypeError, ValueError):
-            continue
-    try:
-        exponent = float(data.get("size_exponent", _DEFAULT_SIZE_EXPONENT))
-    except (TypeError, ValueError):
-        exponent = _DEFAULT_SIZE_EXPONENT
-    return costs, exponent
-
-
-PROVIDER_COSTS, SIZE_EXPONENT = _load_costs()
+#: Exponent of the instance size ``n*m`` in :func:`unit_cost`.
+SIZE_EXPONENT = 0.5
 
 
 def classify_curve(curve: str) -> str:
@@ -67,14 +45,22 @@ def classify_curve(curve: str) -> str:
         return "mip"
     if curve == OTO_LABEL:
         return "oto"
-    if curve.endswith(LOCAL_SEARCH_SUFFIX):
+    if curve.endswith(LOCAL_SEARCH_SUFFIX) or _is_local_search(curve):
         return "local_search"
     return "heuristic"
 
 
+def _is_local_search(curve: str) -> bool:
+    """Whether ``curve`` names a registered local-search heuristic (H4ls)."""
+    try:
+        return isinstance(get_heuristic(curve), LocalSearchHeuristic)
+    except ReproError:
+        return False
+
+
 def provider_cost(curve: str) -> float:
     """Relative per-repetition cost of one curve's provider."""
-    return PROVIDER_COSTS.get(classify_curve(curve), _DEFAULT_COSTS["heuristic"])
+    return PROVIDER_COSTS[classify_curve(curve)]
 
 
 def unit_cost(manifest: "CampaignManifest", unit: "WorkUnit") -> float:

@@ -43,7 +43,7 @@ from ..exact.one_to_one import optimal_one_to_one
 from ..exceptions import ExperimentError, ReproError, SolverError
 from ..generators.scenarios import ScenarioConfig, sample_instance
 from ..heuristics import get_heuristic
-from ..heuristics.base import batch_solve_min_repetitions, solve_stack
+from ..heuristics.base import solve_stack
 from ..heuristics.local_search import refine_specialized_batch
 from ..simulation.rng import RandomStreamFactory
 
@@ -72,10 +72,6 @@ MIP_LABEL = "MIP"
 OTO_LABEL = "OtO"
 #: Curve-label suffix resolved to a :class:`LocalSearchProvider`.
 LOCAL_SEARCH_SUFFIX = "+ls"
-# The batch/per-instance crossover moved to repro.heuristics.base when the
-# routing became provider-agnostic (the solve service's micro-batcher uses
-# the same solve_stack entry and the crossover is now calibrated per
-# heuristic; see repro.heuristics.base.batch_solve_min_repetitions).
 
 #: Row cap for one cross-point stacked solve.  Signature-aligned blocks
 #: are concatenated up to this many repetitions per kernel pass; beyond
@@ -254,11 +250,13 @@ class HeuristicProvider(CurveProvider):
 
     When the heuristic implements the
     :class:`~repro.heuristics.BatchHeuristic` protocol (the greedy H4
-    family, H4ls), the whole block is solved in one lock-step
-    ``solve_batch`` call; otherwise (randomized heuristics such as H1,
-    the binary-search H2/H3 whose per-instance greedy walk beats any
-    lock-step pass, or third-party heuristics without a batch kernel) the
-    mappings are produced per instance exactly as before.  Either way the
+    family, H4ls) and the block is deep enough for
+    :func:`~repro.heuristics.base.solve_stack`, the whole block is
+    solved in one lock-step ``solve_batch`` call.  Otherwise (shallow
+    blocks, randomized heuristics such as H1, the binary-search H2/H3
+    whose per-instance greedy walk beats any lock-step pass, or
+    third-party heuristics without a batch kernel) the mappings are
+    produced per instance.  Either way the
     block's periods come from one vectorized stack pass, and both paths
     are bit-for-bit identical to ``R`` sequential solve + evaluate calls.
 
@@ -266,40 +264,22 @@ class HeuristicProvider(CurveProvider):
     ----------
     name:
         Registered heuristic name (also the curve label).
-    batch:
-        ``None`` (default) batch-solves blocks of at least
-        :data:`BATCH_SOLVE_MIN_REPETITIONS` repetitions — below the
-        crossover, array-op overhead makes lock-step slower than the
-        plain loop.  ``True``/``False`` force one path (tests,
-        benchmarks); results are identical either way.
     """
 
-    def __init__(self, name: str, *, batch: bool | None = None):
+    def __init__(self, name: str):
         self._heuristic = get_heuristic(name)
-        self._batch = batch
         # Keep the *requested* spelling: it is both the series key and the
         # RNG stream label, which the per-cell runner derived from the
         # scenario's declared name.
         self.label = name
 
-    def _use_batch_rows(self, rows: int) -> bool:
-        if self._batch is not None:
-            return self._batch
-        return rows >= batch_solve_min_repetitions(
-            getattr(self._heuristic, "name", None)
-        )
-
-    def _use_batch(self, block: CellBlock) -> bool:
-        return self._use_batch_rows(block.repetitions)
-
     def solve_block(self, block: CellBlock) -> np.ndarray:
         """The ``(R, n)`` assignment array of the heuristic over the block.
 
-        Routing (lock-step ``solve_batch`` above the depth crossover,
-        per-instance loop below it or for heuristics without a kernel)
-        lives in :func:`repro.heuristics.base.solve_stack`, the same
-        entry the solve service's micro-batcher uses; per-repetition RNG
-        streams keep the per-cell runner's labels.
+        The batch/loop choice lives in
+        :func:`repro.heuristics.base.solve_stack`, the same entry the
+        solve service's micro-batcher uses; per-repetition RNG streams
+        keep the per-cell runner's labels.
         """
         return solve_stack(
             self._heuristic,
@@ -307,18 +287,16 @@ class HeuristicProvider(CurveProvider):
             lambda repetition: block.streams.stream(
                 f"heuristic/{self.label}/{block.sweep_value}", repetition
             ),
-            batch=self._use_batch(block),
         )
 
     def solve_blocks(self, chunk: Sequence[CellBlock]) -> np.ndarray:
         """Concatenated assignments over signature-aligned blocks.
 
         One ``solve_stack`` entry for ``sum(R)`` rows; the batch/loop
-        crossover is decided on the *total* depth, so shallow sweep
-        points that would each fall below the per-heuristic threshold
-        still ride the lock-step kernels together.  Every row keeps its
-        own block's RNG stream label, so results are bit-for-bit the
-        per-block ones.
+        choice is made on the *total* depth, so shallow sweep points
+        that would each fall below it still ride the lock-step kernels
+        together.  Every row keeps its own block's RNG stream label, so
+        results are bit-for-bit the per-block ones.
         """
         instances = [inst for block in chunk for inst in block.instances]
         sources = [
@@ -333,12 +311,7 @@ class HeuristicProvider(CurveProvider):
                 f"heuristic/{self.label}/{block.sweep_value}", repetition
             )
 
-        return solve_stack(
-            self._heuristic,
-            instances,
-            stream,
-            batch=self._use_batch_rows(len(instances)),
-        )
+        return solve_stack(self._heuristic, instances, stream)
 
     def evaluate_block(self, block: CellBlock) -> BlockResult:
         periods = block.stack.periods(self.solve_block(block))
@@ -372,10 +345,8 @@ class LocalSearchProvider(CurveProvider):
     never above the base's).
     """
 
-    def __init__(
-        self, base: str = "H4w", label: str | None = None, *, batch: bool | None = None
-    ):
-        self._base = HeuristicProvider(base, batch=batch)
+    def __init__(self, base: str = "H4w", label: str | None = None):
+        self._base = HeuristicProvider(base)
         self.label = label if label is not None else f"{base}{LOCAL_SEARCH_SUFFIX}"
 
     @property

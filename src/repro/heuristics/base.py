@@ -33,10 +33,8 @@ exists (``m >= p``).
 from __future__ import annotations
 
 import abc
-import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -52,10 +50,9 @@ __all__ = [
     "AssignmentState",
     "BatchAssignmentState",
     "BatchHeuristic",
-    "BATCH_SOLVE_MIN_REPETITIONS",
-    "BATCH_SOLVE_THRESHOLDS",
-    "batch_solve_min_repetitions",
+    "BATCH_MIN_ROWS",
     "supports_batch",
+    "solves_in_batch",
     "solve_one",
     "solve_stack",
     "validate_assignments",
@@ -64,50 +61,6 @@ __all__ = [
     "available_heuristics",
     "backward_task_order",
 ]
-
-#: Default smallest stack depth at which the lock-step batch solvers beat
-#: the per-instance loop (both paths are bit-for-bit identical, so this is
-#: purely a scheduling choice).  Shared by the block engine's curve
-#: providers and the solve service's micro-batcher; heuristics with an
-#: empirically measured crossover override it through
-#: :data:`BATCH_SOLVE_THRESHOLDS` / :func:`batch_solve_min_repetitions`.
-BATCH_SOLVE_MIN_REPETITIONS = 8
-
-
-def _load_batch_thresholds() -> dict[str, int]:
-    """Per-heuristic crossovers calibrated by ``scripts/tune_thresholds.py``.
-
-    The calibration lives in ``thresholds.json`` next to this module; a
-    missing or unreadable file degrades to the shared default so source
-    checkouts without it keep working.
-    """
-    path = Path(__file__).with_name("thresholds.json")
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return {}
-    thresholds = data.get("thresholds", {})
-    return {
-        str(name): max(2, int(value))
-        for name, value in thresholds.items()
-        if isinstance(value, (int, float))
-    }
-
-
-#: ``{heuristic name: measured batch/per-instance crossover depth}``.
-BATCH_SOLVE_THRESHOLDS: dict[str, int] = _load_batch_thresholds()
-
-
-def batch_solve_min_repetitions(heuristic: str | None = None) -> int:
-    """The batch-solve crossover depth for one heuristic.
-
-    Falls back to :data:`BATCH_SOLVE_MIN_REPETITIONS` for heuristics
-    without a calibrated entry (and for ``None``).
-    """
-    if heuristic is None:
-        return BATCH_SOLVE_MIN_REPETITIONS
-    return BATCH_SOLVE_THRESHOLDS.get(heuristic, BATCH_SOLVE_MIN_REPETITIONS)
-
 
 @dataclass(frozen=True, slots=True)
 class HeuristicResult:
@@ -258,25 +211,18 @@ class AssignmentState:
         demand = self.downstream_demand(task)
         return demand / (1.0 - self.instance.f(task, machine))
 
-    def candidate_exec(self, task: int, machine: int) -> float:
-        """Machine completion time if ``task`` were assigned to ``machine``.
-
-        ``accu_u + x_i(u) * w[i, u]`` with the true (failure-aware) ``x_i``.
-        This is the quantity compared against the period bound in the
-        binary-search heuristics.
-        """
-        return float(
-            self.accumulated[machine]
-            + self.candidate_products(task, machine) * self.instance.w(task, machine)
-        )
-
     def candidate_products_vector(self, task: int) -> np.ndarray:
         """``x_i`` the task would get on each machine, as an ``(m,)`` vector."""
         demand = self.downstream_demand(task)
         return demand / (1.0 - self.instance.failure_rates[task, :])
 
     def candidate_exec_vector(self, task: int) -> np.ndarray:
-        """Vectorized :meth:`candidate_exec` over every machine at once."""
+        """Machine completion times if ``task`` went to each machine (``(m,)``).
+
+        ``accu_u + x_i(u) * w[i, u]`` with the true (failure-aware) ``x_i``:
+        the quantity the binary-search heuristics compare against the
+        period bound.
+        """
         return self.accumulated + self.candidate_products_vector(
             task
         ) * self.instance.processing_times[task, :]
@@ -478,13 +424,6 @@ class BatchAssignmentState:
             return np.ones(self.num_rows, dtype=np.float64)
         return self.x[:, succ]
 
-    def candidate_exec(self, task: int) -> np.ndarray:
-        """Batched :meth:`AssignmentState.candidate_exec_vector` (``(R, m)``)."""
-        products = self.downstream_demand(task)[:, np.newaxis] / (
-            1.0 - self.f[:, task, :]
-        )
-        return self.accumulated + products * self.w[:, task, :]
-
     def eligible_mask(self, task: int) -> np.ndarray:
         """Batched :meth:`AssignmentState.eligible_mask` (``(R, m)`` bool)."""
         task_type = self.types[:, task]
@@ -554,6 +493,23 @@ def supports_batch(heuristic: object) -> bool:
     return isinstance(heuristic, BatchHeuristic)
 
 
+#: Smallest stack solved lock-step.  Both paths are bit-for-bit
+#: identical, so this is purely a speed choice: at 2 rows the
+#: per-instance loop is as fast or faster for every kernel (H4 family,
+#: H4ls), at 3 the two are within noise, and from 4 rows lock-step wins.
+BATCH_MIN_ROWS = 3
+
+
+def solves_in_batch(heuristic: object, rows: int) -> bool:
+    """Whether :func:`solve_stack` solves ``rows`` instances lock-step.
+
+    The one batch/loop decision: the experiment engine's providers and
+    the solve service (its ``batched`` response flag and counters) all
+    route through it.
+    """
+    return rows >= BATCH_MIN_ROWS and supports_batch(heuristic)
+
+
 def validate_assignments(
     instances: Sequence[ProblemInstance],
     assignments: np.ndarray,
@@ -605,17 +561,13 @@ def solve_stack(
     heuristic: Heuristic,
     instances: Sequence[ProblemInstance],
     rng_for: Callable[[int], np.random.Generator] | None = None,
-    *,
-    batch: bool | None = None,
 ) -> np.ndarray:
     """Solve a stack of structurally identical instances; ``(R, n)`` int64.
 
-    The provider-agnostic routing entry shared by the experiment engine's
+    The routing entry shared by the experiment engine's
     :class:`~repro.experiments.providers.HeuristicProvider` and the solve
-    service's micro-batcher: when ``heuristic`` implements
-    :class:`BatchHeuristic` and the stack is at least the heuristic's
-    :func:`batch_solve_min_repetitions` deep (or ``batch=True`` forces
-    it), the whole stack is solved in one lock-step ``solve_batch`` call;
+    service's micro-batcher: when :func:`solves_in_batch` holds, the
+    whole stack is solved in one lock-step ``solve_batch`` call;
     otherwise each instance is solved through :func:`solve_one`.  Row
     ``r`` is bit-for-bit identical either way.
 
@@ -630,19 +582,10 @@ def solve_stack(
         ``rng_for(r)`` supplies the generator for row ``r`` on the
         per-instance path (randomized heuristics); ``None`` passes no
         generator, which deterministic heuristics ignore.
-    batch:
-        ``None`` (default) applies the depth crossover;
-        ``True``/``False`` force one path (tests, benchmarks).
     """
     if not instances:
         raise ReproError("cannot solve an empty instance stack")
-    use_batch = (
-        batch
-        if batch is not None
-        else len(instances)
-        >= batch_solve_min_repetitions(getattr(heuristic, "name", None))
-    )
-    if use_batch and supports_batch(heuristic):
+    if solves_in_batch(heuristic, len(instances)):
         for instance in instances:
             heuristic.check_feasible(instance)
         assignments = heuristic.solve_batch(instances)

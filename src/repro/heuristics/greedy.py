@@ -54,21 +54,9 @@ class GreedyCompletionHeuristic(Heuristic):
     """
 
     @abc.abstractmethod
-    def criterion(
-        self, instance: ProblemInstance, task: int, machine: int, downstream_demand: float
-    ) -> float:
-        """The task-local cost added to ``accu_u`` when scoring ``machine``."""
-
     def criterion_matrix(self, instance: ProblemInstance) -> np.ndarray:
-        """The ``(n, m)`` matrix ``C`` with ``criterion = demand * C[i, u]``.
-
-        Subclasses override this with a closed-form NumPy expression; the
-        fallback builds it from the scalar :meth:`criterion`.
-        """
-        n, m = instance.num_tasks, instance.num_machines
-        return np.array(
-            [[self.criterion(instance, i, u, 1.0) for u in range(m)] for i in range(n)]
-        )
+        """The ``(n, m)`` matrix ``C``: scoring ``task`` on ``machine``
+        adds ``downstream_demand * C[task, machine]`` to ``accu_u``."""
 
     def solve_mapping(
         self, instance: ProblemInstance, rng: np.random.Generator | None = None
@@ -119,15 +107,6 @@ class BestPerformanceHeuristic(GreedyCompletionHeuristic):
 
     name = "H4"
 
-    def criterion(
-        self, instance: ProblemInstance, task: int, machine: int, downstream_demand: float
-    ) -> float:
-        return (
-            downstream_demand
-            * instance.w(task, machine)
-            * instance.attempts_factor(task, machine)
-        )
-
     def criterion_matrix(self, instance: ProblemInstance) -> np.ndarray:
         return instance.processing_times * instance.failures.attempts_factors
 
@@ -138,11 +117,6 @@ class FastestMachineHeuristic(GreedyCompletionHeuristic):
 
     name = "H4w"
 
-    def criterion(
-        self, instance: ProblemInstance, task: int, machine: int, downstream_demand: float
-    ) -> float:
-        return downstream_demand * instance.w(task, machine)
-
     def criterion_matrix(self, instance: ProblemInstance) -> np.ndarray:
         return instance.processing_times
 
@@ -152,11 +126,6 @@ class ReliableMachineHeuristic(GreedyCompletionHeuristic):
     """Paper heuristic H4f: minimise failure impact, ignore speed."""
 
     name = "H4f"
-
-    def criterion(
-        self, instance: ProblemInstance, task: int, machine: int, downstream_demand: float
-    ) -> float:
-        return downstream_demand * instance.attempts_factor(task, machine)
 
     def criterion_matrix(self, instance: ProblemInstance) -> np.ndarray:
         return instance.failures.attempts_factors

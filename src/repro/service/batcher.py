@@ -19,13 +19,13 @@ batcher recreates that shape from independent requests:
    instances to stack);
 3. the group is **flushed** when its batching window (a few ms) expires
    or it reaches ``max_batch`` requests, whichever comes first;
-4. a flushed group of at least ``batch_min`` requests whose heuristic
-   has a batch kernel is solved in one lock-step ``solve_batch`` call
-   and scored in one vectorized :class:`~repro.batch.InstanceStack`
-   pass; smaller groups (and kernel-less heuristics such as H1) fall
-   back to per-instance solves.  **Responses are bit-for-bit identical
-   either way** — batching is a scheduling choice, never a semantic
-   one.
+4. a flushed group goes through ``solve_stack``, which solves it in one
+   lock-step ``solve_batch`` call when the heuristic has a batch kernel
+   and the group is deep enough, and per instance otherwise (shallow
+   groups, kernel-less heuristics such as H1); either way it is scored
+   in one vectorized :class:`~repro.batch.InstanceStack` pass.
+   **Responses are bit-for-bit identical either way** — batching is a
+   scheduling choice, never a semantic one.
 
 Solves run off the event loop: on the asyncio thread executor by
 default, or — when a :class:`~repro.service.pool.SolveWorkerPool` is
@@ -39,11 +39,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..exceptions import ServiceOverloadedError
-from ..heuristics.base import batch_solve_min_repetitions
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import (
     TraceContext,
@@ -201,18 +199,8 @@ class MicroBatcher:
         flushed (``0`` flushes on the next loop tick — grouping then
         only catches requests submitted in the same tick).
     max_batch:
-        Group depth that triggers an immediate flush.
-    batch_min:
-        Smallest flushed group routed through the lock-step batch
-        kernels; ``None`` (default) applies the per-heuristic crossover
-        :func:`~repro.heuristics.base.batch_solve_min_repetitions`
-        (calibrated by ``scripts/tune_thresholds.py``, falling back to
-        the engine-wide
-        :data:`~repro.heuristics.base.BATCH_SOLVE_MIN_REPETITIONS`).
-    batch:
-        ``None`` applies the ``batch_min`` crossover per flush;
-        ``True``/``False`` force one path (benchmarks, tests).  Results
-        are identical either way.
+        Group depth that triggers an immediate flush (``1`` solves every
+        request on its own, through the per-instance loop).
     cache:
         Optional :class:`~repro.service.cache.SolveCache` consulted
         before grouping and written through after solving.
@@ -234,8 +222,6 @@ class MicroBatcher:
         *,
         window: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_min: int | None = None,
-        batch: bool | None = None,
         cache: SolveCache | None = None,
         pool: SolveWorkerPool | None = None,
         max_pending: int | None = None,
@@ -247,8 +233,6 @@ class MicroBatcher:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.window = float(window)
         self.max_batch = int(max_batch)
-        self.batch_min = None if batch_min is None else int(batch_min)
-        self.batch = batch
         self.cache = cache
         self.pool = pool
         self.max_pending = max_pending
@@ -344,18 +328,6 @@ class MicroBatcher:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    def _use_batch(self, requests: Sequence[SolveRequest]) -> bool:
-        """Whether a flushed group takes the lock-step kernel path.
-
-        The crossover depth is the group heuristic's calibrated one
-        unless the constructor pinned an explicit ``batch_min``.
-        """
-        if self.batch is not None:
-            return self.batch
-        if self.batch_min is not None:
-            return len(requests) >= self.batch_min
-        return len(requests) >= batch_solve_min_repetitions(requests[0].heuristic)
-
     async def _run_solve(
         self, loop: asyncio.AbstractEventLoop, group: _Group
     ) -> tuple[list[dict], bool]:
@@ -366,21 +338,19 @@ class MicroBatcher:
         context crosses the thread/process boundary in the payload and
         the worker-side spans come back with the result.
         """
-        use_batch = self._use_batch(group.requests)
         if tracing_active():
             with span("pool.roundtrip", pooled=self.pool is not None):
                 responses, batched, worker_spans = await loop.run_in_executor(
                     self.pool.executor if self.pool is not None else None,
                     solve_group_traced,
                     tuple(group.requests),
-                    use_batch,
                     current_context(),
                 )
             emit_spans(worker_spans)
             return responses, batched
         if self.pool is not None:
             return await loop.run_in_executor(
-                self.pool.executor, solve_group, tuple(group.requests), use_batch
+                self.pool.executor, solve_group, tuple(group.requests)
             )
         return await loop.run_in_executor(None, self._solve, tuple(group.requests))
 
@@ -457,7 +427,7 @@ class MicroBatcher:
         :func:`~repro.service.pool.solve_group` so tests can gate or
         fake the solve by patching one attribute.
         """
-        return solve_group(requests, self._use_batch(requests))
+        return solve_group(requests)
 
     async def aclose(self) -> None:
         """Flush every pending group and wait for all in-flight solves.

@@ -28,7 +28,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, wait
 
 from ..batch import InstanceStack
-from ..heuristics.base import solve_stack, supports_batch
+from ..heuristics.base import solve_stack, solves_in_batch
 from ..obs import trace
 from ..obs.instrument import timed_kernels
 from .requests import SolveRequest, build_response
@@ -36,26 +36,23 @@ from .requests import SolveRequest, build_response
 __all__ = ["solve_group", "solve_group_traced", "SolveWorkerPool"]
 
 
-def solve_group(
-    requests: tuple[SolveRequest, ...], use_batch: bool
-) -> tuple[list[dict], bool]:
+def solve_group(requests: tuple[SolveRequest, ...]) -> tuple[list[dict], bool]:
     """Solve one flushed group; ``(responses, batched)``.
 
     Pure — touches no batcher or service state — which is what lets the
     same function run on the in-process thread executor and inside pool
     workers interchangeably.  Group members share a batching signature,
-    so their instances stack; the lock-step kernel runs when the caller
-    decided the group clears the crossover (``use_batch``) and the
-    heuristic supports it, otherwise each row solves per instance.
+    so their instances stack; :func:`~repro.heuristics.base.solve_stack`
+    picks the lock-step kernel or the per-instance loop, and ``batched``
+    reports its choice.
     """
     heuristic = requests[0].resolve_heuristic()
     instances = [request.sample() for request in requests]
-    batched = use_batch and supports_batch(heuristic)
+    batched = solves_in_batch(heuristic, len(instances))
     assignments = solve_stack(
         heuristic,
         instances,
         lambda row: requests[row].rng() if heuristic.randomized else None,
-        batch=use_batch,
     )
     stack = InstanceStack.from_instances(instances, require_uniform_types=False)
     periods = stack.periods(assignments)
@@ -68,7 +65,6 @@ def solve_group(
 
 def solve_group_traced(
     requests: tuple[SolveRequest, ...],
-    use_batch: bool,
     context: trace.TraceContext | None,
 ) -> tuple[list[dict], bool, list[dict]]:
     """:func:`solve_group` plus span capture; ``(responses, batched, spans)``.
@@ -91,7 +87,7 @@ def solve_group_traced(
                 heuristic=requests[0].heuristic,
             ) as solve_span:
                 with timed_kernels():
-                    responses, batched = solve_group(requests, use_batch)
+                    responses, batched = solve_group(requests)
                 solve_span.set(batched=batched)
     return responses, batched, spans
 

@@ -199,7 +199,7 @@ class SolveService:
     host, port:
         Bind address; ``port=0`` picks a free port (``self.port`` holds
         the effective one after :meth:`start`).
-    window, max_batch, batch:
+    window, max_batch:
         Micro-batcher knobs (see
         :class:`~repro.service.batcher.MicroBatcher`).
     cache_dir:
@@ -237,7 +237,6 @@ class SolveService:
         port: int = 0,
         window: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch: bool | None = None,
         cache_dir: str | None = None,
         cache_capacity: int = 1024,
         cache_max_bytes: int | None = None,
@@ -269,7 +268,6 @@ class SolveService:
         self.batcher = MicroBatcher(
             window=window,
             max_batch=max_batch,
-            batch=batch,
             cache=self.cache,
             pool=self.pool,
             max_pending=max_pending,

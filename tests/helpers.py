@@ -20,13 +20,15 @@ from repro.generators import (
 )
 from repro.generators.scenarios import ScenarioConfig, sample_instance
 from repro.heuristics import get_heuristic
-from repro.heuristics.base import AssignmentState
+from repro.heuristics.base import AssignmentState, solve_one, supports_batch
 from repro.heuristics.binary_search import worst_case_period_bound
 from repro.simulation.rng import RandomStreamFactory
 
 __all__ = [
     "dfs_bottleneck_assignment",
+    "kernel_assignments",
     "lexsort_first_feasible",
+    "loop_assignments",
     "make_random_instance",
     "per_instance_series",
     "reference_best_move",
@@ -58,6 +60,21 @@ def make_random_instance(
         task_dependent=task_dependent,
     )
     return ProblemInstance(app, Platform(w, types=app.types), FailureModel(f))
+
+
+def loop_assignments(heuristic, instances) -> np.ndarray:
+    """``(R, n)`` assignments through the per-instance path, one
+    ``solve_one`` per row (deterministic heuristics only)."""
+    return np.stack([solve_one(heuristic, instance) for instance in instances])
+
+
+def kernel_assignments(heuristic, instances) -> np.ndarray:
+    """``(R, n)`` assignments through the lock-step ``solve_batch``
+    kernel at any depth; heuristics without one (H2, H3) take the
+    per-instance path."""
+    if supports_batch(heuristic):
+        return heuristic.solve_batch(instances)
+    return loop_assignments(heuristic, instances)
 
 
 def per_instance_series(

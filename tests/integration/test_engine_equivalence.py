@@ -27,9 +27,9 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.providers import CellBlock, HeuristicProvider
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
-from repro.heuristics.base import batch_solve_min_repetitions
+from repro.heuristics.base import BATCH_MIN_ROWS
 from repro.simulation.rng import RandomStreamFactory
-from tests.helpers import per_instance_series
+from tests.helpers import kernel_assignments, loop_assignments, per_instance_series
 
 
 def _series_payload(series):
@@ -200,10 +200,13 @@ class TestBatchSolveEquivalence:
         for name in scenario.heuristics:
             if get_heuristic(name).randomized:
                 continue  # H1 draws per repetition; the oracle tests cover it
-            batched = HeuristicProvider(name, batch=True).solve_block(block)
-            looped = HeuristicProvider(name, batch=False).solve_block(block)
+            heuristic = get_heuristic(name)
+            batched = kernel_assignments(heuristic, block.instances)
+            looped = loop_assignments(heuristic, block.instances)
             assert (batched == looped).all(), (figure_id, name)
-            batchable += supports_batch(get_heuristic(name))
+            solved = HeuristicProvider(name).solve_block(block)
+            assert (solved == looped).all(), (figure_id, name)
+            batchable += supports_batch(heuristic)
         assert batchable >= 1  # at least one H4-family lock-step kernel
 
     def test_engine_uses_batch_solve_above_threshold(self, monkeypatch):
@@ -212,10 +215,7 @@ class TestBatchSolveEquivalence:
         the per-instance oracle bit for bit."""
         calls = []
         scenario = _small_scenario(
-            repetitions=max(
-                batch_solve_min_repetitions("H4"),
-                batch_solve_min_repetitions("H4w"),
-            ),
+            repetitions=BATCH_MIN_ROWS,
             heuristics=("H2", "H4", "H4w"),
         )
         assert not supports_batch(get_heuristic("H2"))
@@ -329,7 +329,7 @@ class TestBatchFallback:
 
     def test_fallback_block_run_matches_oracle_with_workers(self):
         scenario = _small_scenario(
-            repetitions=batch_solve_min_repetitions("H4w"),
+            repetitions=BATCH_MIN_ROWS,
             heuristics=("H1", "RoundRobin", "H4w"),
         )
         _assert_identical(

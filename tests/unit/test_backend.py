@@ -36,11 +36,12 @@ from repro.backend import (
 from repro.core import Mapping
 from repro.core.period import period
 from repro.experiments.figures import FIGURES
-from repro.experiments.providers import CellBlock, HeuristicProvider
+from repro.experiments.providers import CellBlock
+from repro.heuristics import get_heuristic
 from repro.obs import trace
 from repro.obs.instrument import KERNEL_NAMES, timed_kernels
 from repro.simulation.rng import RandomStreamFactory
-from tests.helpers import lexsort_first_feasible
+from tests.helpers import kernel_assignments, lexsort_first_feasible, loop_assignments
 
 #: Every batch-capable heuristic of the paper set (H1 is randomized and
 #: has no lock-step kernel; the scalar fallback path covers it).
@@ -255,8 +256,9 @@ def scalar_references(figure_blocks) -> dict[tuple[str, str], np.ndarray]:
     references = {}
     for figure_id, block in figure_blocks.items():
         for name in BATCH_HEURISTICS:
-            provider = HeuristicProvider(name, batch=False)
-            references[(figure_id, name)] = provider.solve_block(block)
+            references[(figure_id, name)] = loop_assignments(
+                get_heuristic(name), block.instances
+            )
     return references
 
 
@@ -269,7 +271,7 @@ class TestSolverEquivalence:
         self, heuristic, figure_id, figure_blocks, scalar_references
     ):
         block = figure_blocks[figure_id]
-        batched = HeuristicProvider(heuristic, batch=True).solve_block(block)
+        batched = kernel_assignments(get_heuristic(heuristic), block.instances)
         assert (batched == scalar_references[(figure_id, heuristic)]).all()
 
     def test_stacked_periods_match_scalar_periods(
@@ -306,12 +308,12 @@ class TestActivationSeam:
 
     def test_timed_kernels_leave_the_solve_unchanged(self, figure_blocks):
         block = figure_blocks["fig5"]
-        provider = HeuristicProvider("H4ls", batch=True)
-        untraced = provider.solve_block(block)
+        heuristic = get_heuristic("H4ls")
+        untraced = heuristic.solve_batch(block.instances)
         with trace.capture() as spans:
             with timed_kernels():
                 assert get_backend() is not NUMPY_BACKEND
-                traced = provider.solve_block(block)
+                traced = heuristic.solve_batch(block.instances)
         assert get_backend() is NUMPY_BACKEND
         assert (traced == untraced).all()
         kernels = {r["name"]: r for r in spans if r["name"].startswith("kernel.")}

@@ -5,10 +5,10 @@ The contract: for every heuristic implementing the
 block of structurally identical instances returns, row for row, exactly
 the assignment that ``solve_mapping`` produces on the corresponding
 instance — bit for bit, including local-search move sequences.  The
-binary-search heuristics (H2, H3) have no lock-step kernel: ``solve_stack``
-runs them per instance and must still return the sequential rows.  A
+binary-search heuristics (H2, H3) have no lock-step kernel: they run
+per instance and must still return the sequential rows.  A
 second battery covers the block refinement, the
-provider-level wiring (auto threshold, validation, fallback) and the
+provider-level wiring (batch/loop route, validation, fallback) and the
 hoisted binary-search period bound.
 """
 
@@ -19,14 +19,13 @@ import pytest
 
 from repro.exceptions import MappingRuleViolation, ReproError
 from repro.experiments.providers import (
-    batch_solve_min_repetitions,
     CellBlock,
     HeuristicProvider,
     LocalSearchProvider,
 )
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
-from repro.heuristics.base import BatchAssignmentState, solve_stack
+from repro.heuristics.base import BATCH_MIN_ROWS, BatchAssignmentState
 from repro.heuristics.binary_search import (
     RankBinarySearchHeuristic,
     worst_case_period_bound,
@@ -36,11 +35,12 @@ from repro.heuristics.local_search import (
     refine_specialized_batch,
 )
 from repro.simulation.rng import RandomStreamFactory
+from tests.helpers import kernel_assignments
 
 BATCHABLE = ("H4", "H4w", "H4f", "H4ls")
 
 #: Every deterministic paper heuristic: the batchable ones plus H2/H3,
-#: which ``solve_stack`` runs per instance.
+#: which run per instance.
 DETERMINISTIC = ("H2", "H3", *BATCHABLE)
 
 
@@ -62,8 +62,7 @@ def make_block(
 
 
 def stacked_assignments(heuristic, block: CellBlock) -> np.ndarray:
-    """The block solved through ``solve_stack`` with the batch path forced."""
-    return solve_stack(heuristic, block.instances, batch=True)
+    return kernel_assignments(heuristic, block.instances)
 
 
 def sequential_assignments(name: str, block: CellBlock) -> np.ndarray:
@@ -209,12 +208,11 @@ class TestPeriodBoundHoist:
 
 
 class TestProviderWiring:
-    def test_forced_paths_agree(self):
+    def test_provider_matches_sequential_solves(self):
         block = make_block(repetitions=4)
         for name in ("H2", "H4w", "H4ls"):
-            batched = HeuristicProvider(name, batch=True).solve_block(block)
-            looped = HeuristicProvider(name, batch=False).solve_block(block)
-            assert (batched == looped).all(), name
+            solved = HeuristicProvider(name).solve_block(block)
+            assert (solved == sequential_assignments(name, block)).all(), name
 
     def test_auto_threshold_switches_on_block_depth(self, monkeypatch):
         calls = []
@@ -226,15 +224,15 @@ class TestProviderWiring:
             return original(self, instances)
 
         monkeypatch.setattr(type(heuristic), "solve_batch", counting)
-        small = make_block(repetitions=batch_solve_min_repetitions("H4w") - 1)
+        small = make_block(repetitions=BATCH_MIN_ROWS - 1)
         HeuristicProvider("H4w").solve_block(small)
         assert calls == []
-        big = make_block(repetitions=batch_solve_min_repetitions("H4w"))
+        big = make_block(repetitions=BATCH_MIN_ROWS)
         HeuristicProvider("H4w").solve_block(big)
-        assert calls == [batch_solve_min_repetitions("H4w")]
+        assert calls == [BATCH_MIN_ROWS]
 
     def test_fallback_for_heuristic_without_solve_batch(self):
-        block = make_block(repetitions=batch_solve_min_repetitions("H4w"))
+        block = make_block(repetitions=BATCH_MIN_ROWS)
         provider = HeuristicProvider("H1")
         result = provider.evaluate_block(block)
         assert result.periods.shape == (block.repetitions,)
@@ -251,10 +249,17 @@ class TestProviderWiring:
 
         monkeypatch.setattr(type(heuristic), "solve_batch", corrupted)
         with pytest.raises(MappingRuleViolation):
-            HeuristicProvider("H4w", batch=True).solve_block(block)
+            HeuristicProvider("H4w").solve_block(block)
 
-    def test_local_search_provider_paths_agree(self):
+    def test_local_search_provider_matches_scalar_descents(self):
         block = make_block(num_machines=10, num_types=2, num_tasks=15, repetitions=4)
-        batched = LocalSearchProvider("H4w", batch=True).evaluate_block(block)
-        looped = LocalSearchProvider("H4w", batch=False).evaluate_block(block)
-        assert (batched.periods == looped.periods).all()
+        result = LocalSearchProvider("H4w").evaluate_block(block)
+        seeds = sequential_assignments("H4w", block)
+        refined = np.stack(
+            [
+                refine_specialized(instance, seed)[0].as_array
+                for instance, seed in zip(block.instances, seeds)
+            ]
+        )
+        expected = np.minimum(block.stack.periods(refined), block.stack.periods(seeds))
+        assert (result.periods == expected).all()

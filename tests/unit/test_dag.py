@@ -47,6 +47,7 @@ class TestCostModel:
         assert classify_curve(MIP_LABEL) == "mip"
         assert classify_curve("OtO") == "oto"
         assert classify_curve("H4+ls") == "local_search"
+        assert classify_curve("H4ls") == "local_search"
         assert classify_curve("H4w") == "heuristic"
 
     def test_provider_cost_ordering(self):
@@ -54,6 +55,7 @@ class TestCostModel:
         # (a descent of ~50 moves), but both stay between MIP and a
         # plain heuristic.
         assert provider_cost(MIP_LABEL) > provider_cost("H4+ls") > provider_cost("H4w")
+        assert provider_cost(MIP_LABEL) > provider_cost("H4ls") > provider_cost("H4w")
         assert provider_cost(MIP_LABEL) > provider_cost("OtO") > provider_cost("H4w")
 
     def test_unit_cost_scales_with_size_and_repetitions(self):

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -16,9 +13,11 @@ from repro.heuristics import (
     available_heuristics,
     backward_task_order,
     get_heuristic,
+    supports_batch,
 )
 from repro.heuristics import base
-from repro.heuristics.base import AssignmentState
+from repro.heuristics.base import BATCH_MIN_ROWS, AssignmentState, solve_stack
+from tests.helpers import make_random_instance
 
 
 class TestRegistry:
@@ -39,16 +38,43 @@ class TestRegistry:
         assert get_heuristic("H2") is not get_heuristic("H2")
 
 
-class TestBatchThresholds:
-    def test_calibration_file_holds_only_read_keys(self):
-        path = Path(base.__file__).with_name("thresholds.json")
-        data = json.loads(path.read_text())
-        assert set(data) == {"comment", "thresholds"}
-        assert base.BATCH_SOLVE_THRESHOLDS == {
-            name: max(2, value) for name, value in data["thresholds"].items()
-        }
-        for name, depth in base.BATCH_SOLVE_THRESHOLDS.items():
-            assert base.batch_solve_min_repetitions(name) == depth
+class TestBatchRoute:
+    """``solve_stack`` takes exactly one path, decided by ``solves_in_batch``."""
+
+    @pytest.mark.parametrize("rows", [1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, 5])
+    @pytest.mark.parametrize("name", available_heuristics())
+    def test_solve_batch_runs_exactly_when_supported_and_deep(
+        self, name, rows, monkeypatch
+    ):
+        heuristic = get_heuristic(name)
+        batch_calls, loop_calls = [], []
+        if supports_batch(heuristic):
+            original = type(heuristic).solve_batch
+
+            def spy_batch(self, instances):
+                batch_calls.append(len(instances))
+                return original(self, instances)
+
+            monkeypatch.setattr(type(heuristic), "solve_batch", spy_batch)
+        original_one = base.solve_one
+
+        def spy_one(heuristic, instance, rng=None):
+            loop_calls.append(instance)
+            return original_one(heuristic, instance, rng)
+
+        monkeypatch.setattr(base, "solve_one", spy_one)
+        instances = [make_random_instance(8, 3, 5, seed=row) for row in range(rows)]
+        solve_stack(heuristic, instances, np.random.default_rng)
+        batched = supports_batch(heuristic) and rows >= BATCH_MIN_ROWS
+        assert base.solves_in_batch(heuristic, rows) == batched
+        assert batch_calls == ([rows] if batched else [])
+        assert len(loop_calls) == (0 if batched else rows)
+
+    @pytest.mark.parametrize("name", ["H1", "H2", "H3"])
+    def test_loop_heuristics_never_batch(self, name):
+        heuristic = get_heuristic(name)
+        assert not supports_batch(heuristic)
+        assert not base.solves_in_batch(heuristic, 10_000)
 
 
 class TestBackwardOrder:

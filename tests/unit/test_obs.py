@@ -282,9 +282,9 @@ class TestPropagation:
         )
         with SolveWorkerPool(1) as pool:
             responses, batched, spans = pool.executor.submit(
-                solve_group_traced, requests, False, context
+                solve_group_traced, requests, context
             ).result()
-        reference, reference_batched = solve_group(requests, False)
+        reference, reference_batched = solve_group(requests)
         assert responses == reference  # tracing never changes results
         assert batched is reference_batched
         by_name = {r["name"]: r for r in spans}

@@ -16,7 +16,7 @@ import pytest
 
 from repro.exceptions import ExperimentError, ServiceOverloadedError
 from repro.heuristics import available_heuristics
-from repro.heuristics.base import batch_solve_min_repetitions
+from repro.heuristics.base import BATCH_MIN_ROWS
 from repro.obs.metrics import nearest_rank
 from repro.service import (
     LatencyReservoir,
@@ -30,9 +30,6 @@ from repro.service import (
     direct_response,
     normalize_request,
 )
-
-# The micro-batcher's crossover for the heuristic used by make_payload.
-BATCH_THRESHOLD = batch_solve_min_repetitions("H4w")
 
 
 def make_payload(**overrides) -> dict:
@@ -263,7 +260,7 @@ class TestMicroBatcher:
             batcher = MicroBatcher(window=0.02)
             requests = [
                 normalize_request(make_payload(seed=seed))
-                for seed in range(BATCH_THRESHOLD - 1)
+                for seed in range(BATCH_MIN_ROWS - 1)
             ]
             return await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
@@ -279,7 +276,7 @@ class TestMicroBatcher:
             batcher = MicroBatcher(window=0.05)
             requests = [
                 normalize_request(make_payload(seed=seed))
-                for seed in range(BATCH_THRESHOLD)
+                for seed in range(BATCH_MIN_ROWS)
             ]
             return await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
@@ -288,6 +285,23 @@ class TestMicroBatcher:
         responses, stats = run(scenario())
         assert stats.batched_requests == len(responses)
         assert all(response["batched"] is True for response in responses)
+
+    def test_two_deep_local_search_groups_fall_back_per_instance(self):
+        async def scenario():
+            batcher = MicroBatcher(window=0.05)
+            requests = [
+                normalize_request(make_payload(heuristic="H4ls", seed=seed))
+                for seed in range(2)
+            ]
+            return await asyncio.gather(
+                *(batcher.submit(request) for request in requests)
+            ), batcher.stats
+
+        responses, stats = run(scenario())
+        assert stats.max_group == 2
+        assert stats.batched_requests == 0
+        assert stats.fallback_requests == 2
+        assert all(response["batched"] is False for response in responses)
 
     def test_identical_requests_coalesce_into_one_solve(self):
         async def scenario():
@@ -349,17 +363,22 @@ class TestMicroBatcher:
             k: v for k, v in first.items() if k != "cached"
         }
 
+    @pytest.mark.parametrize("max_batch", [1, BATCH_MIN_ROWS])
     @pytest.mark.parametrize("heuristic", available_heuristics())
-    def test_batched_service_solves_match_direct_solves(self, heuristic):
-        """Bit-for-bit equivalence, batched and fallback, every heuristic."""
+    def test_batched_service_solves_match_direct_solves(self, heuristic, max_batch):
+        """Bit-for-bit equivalence, batched and fallback, every heuristic.
+
+        ``max_batch=1`` solves every request alone (the per-instance
+        loop); ``BATCH_MIN_ROWS`` flushes one lock-step-deep group.
+        """
 
         async def scenario():
-            batcher = MicroBatcher(window=0.05, batch=True)
+            batcher = MicroBatcher(window=0.05, max_batch=max_batch)
             requests = [
                 normalize_request(
                     make_payload(heuristic=heuristic, seed=seed)
                 )
-                for seed in range(BATCH_THRESHOLD)
+                for seed in range(BATCH_MIN_ROWS)
             ]
             responses = await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
@@ -528,7 +547,7 @@ class TestSolveWorkerPool:
                 batcher = MicroBatcher(window=0.05, pool=pool)
                 requests = [
                     normalize_request(make_payload(seed=seed))
-                    for seed in range(BATCH_THRESHOLD)
+                    for seed in range(BATCH_MIN_ROWS)
                 ] + [
                     normalize_request(
                         make_payload(heuristic="H1", tasks=8, seed=seed)
@@ -544,7 +563,7 @@ class TestSolveWorkerPool:
         stats, requests, responses = run(scenario())
         # The deep H4w group took the batch kernel inside a worker, the
         # H1 group fell back per instance — both inside workers.
-        assert stats.batched_requests == BATCH_THRESHOLD
+        assert stats.batched_requests == BATCH_MIN_ROWS
         assert stats.fallback_requests == 3
         for request, response in zip(requests, responses):
             reference = direct_response(request)
