@@ -27,7 +27,8 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.service import MicroBatcher, direct_response, normalize_request
+from repro.service.batcher import MicroBatcher
+from repro.service.requests import direct_response, normalize_request
 
 #: Concurrent compatible requests, per the acceptance criterion.
 CONCURRENCY = 32

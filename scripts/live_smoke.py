@@ -53,7 +53,7 @@ from repro.live import (  # noqa: E402 - path bootstrap above
     compare_reports,
     run_timeline,
 )
-from repro.service import ServiceClient  # noqa: E402 - path bootstrap
+from repro.service.client import ServiceClient  # noqa: E402 - path bootstrap
 
 STARTUP_TIMEOUT = 30.0
 

@@ -63,11 +63,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.exceptions import ServiceOverloadedError  # noqa: E402 - path bootstrap
-from repro.service import (  # noqa: E402 - path bootstrap above
-    ServiceClient,
-    direct_response,
-    normalize_request,
-)
+from repro.service.client import ServiceClient  # noqa: E402
+from repro.service.requests import direct_response, normalize_request  # noqa: E402
 
 STARTUP_TIMEOUT = 30.0
 #: How long a shed request keeps retrying before the smoke gives up.

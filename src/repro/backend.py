@@ -5,9 +5,11 @@ The batch modules (:mod:`repro.batch.evaluation`,
 handful of inner kernels: the backward ``x`` propagation, the row-wise
 scatter-add of task contributions into machine periods and the
 single-move candidate probe; a lexicographic first-feasible pick rides
-along (see :class:`KernelBackend`).  They keep the scalar reference
-path's operation and accumulation order, so batch results stay
-bit-for-bit equal to it.
+along (see :class:`KernelBackend`).  The move probe scores only the
+(task, destination) cells its caller lists, and the row scatter is one
+``np.bincount``.  The kernels keep the scalar reference path's
+operation and accumulation order, so batch results stay bit-for-bit
+equal to it.
 
 Callers reach the kernels through :func:`get_backend` rather than by
 name so that :func:`activate_backend` can swap in a wrapped kernel set
@@ -69,14 +71,20 @@ def scatter_periods(
     return periods
 
 
-def scatter_add_rows(out: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """In-place row-wise scatter-add: ``out[r, cols[r, k]] += vals[r, k]``.
+def scatter_add_rows(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """Zero-start scatter-add: ``out[rows[k], cols[k]] += vals[k]`` into ``shape`` zeros.
 
-    Visits ``k`` ascending per row (row-major ``np.add.at`` order), the
+    One ``np.bincount`` over the flat cells ``rows * width + cols``: it
+    visits ``k`` ascending and adds each term into its cell from ``0.0``,
+    the same terms in the same order as ``np.add.at`` — the
     accumulation order the incremental probes rely on.
     """
-    rows = np.arange(out.shape[0])[:, np.newaxis]
-    np.add.at(out, (rows, cols), vals)
+    num_rows, width = shape
+    flat = np.bincount(rows * width + cols, weights=vals, minlength=num_rows * width)
+    # With no terms, bincount returns int64 zeros whatever the weights' dtype.
+    return flat.astype(np.float64, copy=False).reshape(num_rows, width)
 
 
 def critical_mask(machine_periods: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -89,25 +97,29 @@ def probe_candidates(
     base: np.ndarray,
     rest: np.ndarray,
     ratios: np.ndarray,
-    x_task: np.ndarray,
-    w_task: np.ndarray,
+    x: np.ndarray,
+    w: np.ndarray,
+    tasks: np.ndarray,
+    dests: np.ndarray,
 ) -> np.ndarray:
-    """Fused single-move candidate probe; ``(R, m)`` periods per destination.
+    """Fused single-move probe of a list of cells; ``(K,)`` periods.
 
-    Entry ``[r, v]`` is ``max_u(base[r, u] + rest[r, u] * ratios[r, v])``
-    with ``(x_task[r] * ratios[r, v]) * w_task[r, v]`` added at the moved
-    task's destination ``u == v`` — exactly the candidate tensor the
-    incremental evaluators used to materialise, reduced over its last
-    axis.
+    Cell ``k`` moves task ``t = tasks[k]`` to machine ``v = dests[k]``
+    with attempt-factor ratio ``ratios[k]``.  ``base`` and ``rest`` are
+    machine-major ``(m, n)``: column ``t`` holds task ``t``'s machine
+    periods.  The cell's entry is ``max_u(rest[u, t] * ratios[k] +
+    base[u, t])`` with ``(x[t] * ratios[k]) * w[t, v]`` added at the
+    destination ``u == v``; ``x`` and ``w`` are the evaluator's ``(n,)``
+    and ``(n, m)`` arrays.  Only the listed cells are built, as the
+    columns of one ``(m, K)`` array, so the max runs down contiguous rows.
     """
-    m = base.shape[1]
     # Built in place: IEEE addition commutes, so ``rest * ratio + base``
-    # equals ``base + rest * ratio`` bit for bit, without a second tensor.
-    candidates = rest[:, np.newaxis, :] * ratios[:, :, np.newaxis]
-    candidates += base[:, np.newaxis, :]
-    diag = np.arange(m)
-    candidates[:, diag, diag] += x_task[:, np.newaxis] * ratios * w_task
-    return candidates.max(axis=2)
+    # equals ``base + rest * ratio`` bit for bit, without a second array.
+    candidates = rest.take(tasks, axis=1)
+    candidates *= ratios
+    candidates += base.take(tasks, axis=1)
+    candidates[dests, np.arange(tasks.size)] += x[tasks] * ratios * w[tasks, dests]
+    return candidates.max(axis=0)
 
 
 def first_feasible(

@@ -13,12 +13,12 @@ machine periods, ``x``, critical machines) up to date in vectorized
 O(upstream) work instead of re-evaluating from scratch.
 
 This is the building block for local-search procedures and for any loop
-that probes many single-task reassignments: "what is the best machine
-for task ``i`` given everything else?" is one
-:meth:`MappingEvaluator.candidate_periods` call, and "what is the best
+that probes many single-task reassignments: "what is the period with
+task ``i`` on machine ``u``?" is one
+:meth:`MappingEvaluator.candidate_period` call, and "what is the best
 single move of any task?" is one :meth:`MappingEvaluator.best_move`
-call, which scores all ``n`` tasks in one ``probe_candidates`` kernel
-call.
+call, which scores every (task, destination) cell its mask admits in
+one ``probe_candidates`` kernel call.
 """
 
 from __future__ import annotations
@@ -71,19 +71,22 @@ def _upstream_sets(instance: ProblemInstance) -> list[np.ndarray]:
     return [np.asarray(collected[i], dtype=np.int64) for i in range(instance.num_tasks)]
 
 
-def _upstream_pairs(upstream: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _upstream_pairs(
+    upstream: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flat ``(task, upstream task)`` pairs of every upstream set, in order.
 
-    Returns ``(tasks, ups, rest)``: pair ``k`` is ``ups[k]`` in the upstream
-    set of ``tasks[k]``, task-major and in each set's own order, and
-    ``rest`` indexes the pairs after each set's leading task (the
-    ``ups[1:]`` slices).
+    Returns ``(tasks, ups, rest_tasks, rest_ups)``: pair ``k`` is
+    ``ups[k]`` in the upstream set of ``tasks[k]``, task-major and in each
+    set's own order; ``rest_tasks``/``rest_ups`` are the same pairs
+    without each set's leading task (the ``ups[1:]`` slices).
     """
     lengths = np.asarray([ups.size for ups in upstream], dtype=np.int64)
     tasks = np.repeat(np.arange(lengths.size), lengths)
-    lead = np.zeros(tasks.size, dtype=bool)
-    lead[np.cumsum(lengths) - lengths] = True
-    return tasks, np.concatenate(upstream), np.flatnonzero(~lead)
+    ups = np.concatenate(upstream)
+    rest = np.ones(tasks.size, dtype=bool)
+    rest[np.cumsum(lengths) - lengths] = False
+    return tasks, ups, tasks[rest], ups[rest]
 
 
 class MappingEvaluator:
@@ -114,6 +117,7 @@ class MappingEvaluator:
         "_upstream",
         "_pairs",
         "_f",
+        "_keep",
         "_w",
     )
 
@@ -121,6 +125,8 @@ class MappingEvaluator:
         self.instance = instance
         self._assignment = _coerce_assignment(instance, mapping)
         self._f = instance.failure_rates
+        # Per-attempt success rates; a move's ratio is keep[t, a(t)] / keep[t, u].
+        self._keep = 1.0 - self._f
         self._w = instance.processing_times
         self._upstream = _upstream_sets(instance)
         self._pairs = _upstream_pairs(self._upstream)
@@ -232,7 +238,7 @@ class MappingEvaluator:
         if machine == old_machine:
             return self.period
         ups = self._upstream[task]
-        ratio = (1.0 - self._f[task, old_machine]) / (1.0 - self._f[task, machine])
+        ratio = self._keep[task, old_machine] / self._keep[task, machine]
         delta = np.zeros(self.instance.num_machines, dtype=np.float64)
         old_c = self._contrib[ups]
         np.add.at(delta, self._assignment[ups], -old_c)
@@ -242,38 +248,6 @@ class MappingEvaluator:
         delta[machine] += self._x[task] * ratio * self._w[task, machine]
         return float((self._periods + delta).max())
 
-    def candidate_periods(self, task: int) -> np.ndarray:
-        """Period for every possible destination of ``task``, vectorized.
-
-        Entry ``u`` equals ``candidate_period(task, u)``; entry
-        ``a(task)`` is the current period.  Costs O(upstream(task) + m^2),
-        far cheaper than ``m`` full evaluations.
-        """
-        self._check_move(task, 0)
-        backend = get_backend()
-        m = self.instance.num_machines
-        old_machine = int(self._assignment[task])
-        ups = self._upstream[task]
-        old_c = self._contrib[ups]
-        removed = np.zeros((1, m), dtype=np.float64)
-        backend.scatter_add_rows(
-            removed, self._assignment[ups][np.newaxis, :], old_c[np.newaxis, :]
-        )
-        base = self._periods[np.newaxis, :] - removed
-        # Unscaled re-add pattern for the unmoved upstream tasks.
-        rest = np.zeros((1, m), dtype=np.float64)
-        backend.scatter_add_rows(
-            rest, self._assignment[ups[1:]][np.newaxis, :], old_c[1:][np.newaxis, :]
-        )
-        ratios = (1.0 - self._f[task, old_machine]) / (1.0 - self._f[task, :])
-        return backend.probe_candidates(
-            base,
-            rest,
-            ratios[np.newaxis, :],
-            self._x[task : task + 1],
-            self._w[task][np.newaxis, :],
-        )[0]
-
     def best_move(
         self,
         *,
@@ -282,19 +256,22 @@ class MappingEvaluator:
     ) -> tuple[int, int, float] | None:
         """The single-task move that lowers the period the most, if any.
 
-        Scores every (task, destination) pair and returns ``(task,
+        Scores every allowed (task, destination) cell and returns ``(task,
         machine, new_period)`` for the best strictly improving move, or
-        ``None`` when the mapping is a local optimum of the single-move
-        neighbourhood.  Ties are broken by lowest task index, then lowest
-        machine index, so the result is deterministic.
+        ``None`` when the mapping is a local optimum of the (allowed)
+        single-move neighbourhood.  Ties are broken by lowest task index,
+        then lowest machine index, so the result is deterministic.
 
-        Row ``i`` of the scored ``(n, m)`` matrix is
-        :meth:`candidate_periods` ``(i)`` bit for bit, but the whole
-        matrix is one probe: ``removed`` and ``rest`` for all tasks come
-        from one scatter each over a flat ``(1, n*m)`` view, indexed by
-        ``task*m + a(upstream)`` in upstream-set order, so every cell sums
-        the same terms in the same order as the per-task scatter.  Then
-        one ``probe_candidates`` call scores all ``n`` rows.
+        Each cell is the per-task probe bit for bit (take task ``i``'s
+        upstream contributions off their machines, re-add the unmoved ones
+        scaled by the move's ratio, add task ``i`` at its destination, take
+        the max), but the whole step is one probe.  ``removed`` and
+        ``rest`` for all tasks come from one zero-start scatter each over
+        the flat ``(task, upstream)`` pairs, so every ``(task, machine)``
+        slot sums the same terms in the same order as a per-task scatter.
+        Then one ``probe_candidates`` call scores the cells of ``allowed``
+        in row-major order, and the first cell holding the minimum is the
+        lowest task's lowest machine.
 
         Parameters
         ----------
@@ -308,39 +285,43 @@ class MappingEvaluator:
             from cycling on floating-point noise.
         """
         n, m = self.instance.num_tasks, self.instance.num_machines
-        if allowed is not None:
+        if allowed is None:
+            allowed = np.ones((n, m), dtype=bool)
+        else:
             allowed = np.asarray(allowed, dtype=bool)
             if allowed.shape != (n, m):
                 raise InvalidMappingError(
                     f"allowed mask must have shape ({n}, {m}), got {allowed.shape}"
                 )
+        tasks, dests = np.nonzero(allowed)
+        if not tasks.size:
+            return None
         backend = get_backend()
-        pair_task, pair_up, rest_pairs = self._pairs
-        cells = (pair_task * m + self._assignment[pair_up])[np.newaxis, :]
-        contrib = self._contrib[pair_up][np.newaxis, :]
-        removed = np.zeros((1, n * m), dtype=np.float64)
-        backend.scatter_add_rows(removed, cells, contrib)
+        pair_task, pair_up, rest_task, rest_up = self._pairs
+        assignment, contrib = self._assignment, self._contrib
+        # Machine-major (m, n) sums: column t is task t's machine periods.
+        removed = backend.scatter_add_rows(
+            assignment[pair_up], pair_task, contrib[pair_up], (m, n)
+        )
         # Unscaled re-add pattern for each task's unmoved upstream tasks.
-        rest = np.zeros((1, n * m), dtype=np.float64)
-        backend.scatter_add_rows(rest, cells[:, rest_pairs], contrib[:, rest_pairs])
-        tasks = np.arange(n)
-        ratios = (1.0 - self._f[tasks, self._assignment])[:, np.newaxis] / (1.0 - self._f)
-        candidates = backend.probe_candidates(
-            self._periods - removed.reshape(n, m),
-            rest.reshape(n, m),
+        rest = backend.scatter_add_rows(
+            assignment[rest_up], rest_task, contrib[rest_up], (m, n)
+        )
+        ratios = self._keep[tasks, assignment[tasks]] / self._keep[tasks, dests]
+        values = backend.probe_candidates(
+            self._periods[:, np.newaxis] - removed,
+            rest,
             ratios,
             self._x,
             self._w,
+            tasks,
+            dests,
         )
-        if allowed is not None:
-            candidates = np.where(allowed, candidates, np.inf)
-        machines = np.argmin(candidates, axis=1)
-        values = candidates[tasks, machines]
-        task = int(np.argmin(values))
-        value = float(values[task])
+        best = int(np.argmin(values))
+        value = float(values[best])
         if not value < self.period * (1.0 - rel_tol):
             return None
-        return task, int(machines[task]), value
+        return int(tasks[best]), int(dests[best]), value
 
     # -- mutation ---------------------------------------------------------------
     def move(self, task: int, machine: int) -> float:
@@ -354,7 +335,7 @@ class MappingEvaluator:
         if machine == old_machine:
             return self.period
         ups = self._upstream[task]
-        ratio = (1.0 - self._f[task, old_machine]) / (1.0 - self._f[task, machine])
+        ratio = self._keep[task, old_machine] / self._keep[task, machine]
         old_c = self._contrib[ups]
         np.add.at(self._periods, self._assignment[ups], -old_c)
         self._x[ups] *= ratio

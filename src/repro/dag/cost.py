@@ -2,7 +2,7 @@
 
 A campaign's solve units are wildly uneven: a MIP block at its time
 limit costs ~100x a heuristic block of the same shape, local search
-~20x, OtO somewhere between.  Round-robin sharding ignores this and
+~10x, OtO somewhere between.  Round-robin sharding ignores this and
 routinely parks every MIP block on one shard; the scheduler instead
 prices each unit with calibrated per-provider estimates and balances
 shards by total estimated cost (LPT greedy), with work stealing mopping
@@ -31,7 +31,7 @@ __all__ = ["classify_curve", "provider_cost", "unit_cost", "plan_costs"]
 #: Relative per-repetition solve cost of each provider class.
 PROVIDER_COSTS = {
     "heuristic": 1.0,
-    "local_search": 20.0,
+    "local_search": 10.0,
     "oto": 8.0,
     "mip": 100.0,
 }

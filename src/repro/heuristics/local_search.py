@@ -5,9 +5,11 @@ winner) and repeatedly applies the *best* single-task move — the
 reassignment of one task to one machine that lowers the period the most
 — until no improving move exists.  Each step is one
 :meth:`repro.batch.MappingEvaluator.best_move` call, which scores every
-(task, destination) pair incrementally in one kernel call instead of
-re-evaluating ``n * m`` mappings, so a refinement pass costs a small
-multiple of one greedy run.
+allowed (task, destination) cell incrementally in one kernel call
+instead of re-evaluating ``n * m`` mappings, so a refinement pass costs
+a small multiple of one greedy run.  :func:`descend` is the one descent
+loop: H4ls refines through it, and so does the live replanner's warm
+tier (restricted to the surviving machines).
 
 Moves are restricted to destinations that keep the mapping *specialized*
 (a machine only ever hosts tasks of a single type), so the refined
@@ -34,6 +36,7 @@ from .greedy import FastestMachineHeuristic
 
 __all__ = [
     "LocalSearchHeuristic",
+    "descend",
     "refine_specialized",
     "refine_specialized_batch",
     "specialized_move_mask",
@@ -54,7 +57,43 @@ def specialized_move_mask(instance: ProblemInstance, assignment: np.ndarray) -> 
     distinct = hosted.sum(axis=1)
     # Machine u accepts type t when it is empty or dedicated to t already.
     accepts = (distinct == 0)[:, np.newaxis] | ((distinct == 1)[:, np.newaxis] & hosted)
-    return accepts[:, types].T
+    return accepts.T[types]
+
+
+def descend(
+    evaluator: MappingEvaluator,
+    *,
+    up: np.ndarray | None = None,
+    max_moves: int | None = None,
+    rel_tol: float = 1e-12,
+) -> int:
+    """Best-single-move descent of ``evaluator``, in place, within the specialized rule.
+
+    Repeatedly applies the globally best improving single-task move (via
+    :meth:`~repro.batch.MappingEvaluator.best_move`) until the mapping is
+    a local optimum, and returns the number of moves.  ``up`` is an
+    optional boolean ``(m,)`` mask of the machines a move may target (the
+    live replanner's surviving machines).
+
+    ``max_moves`` is a hard cap on the number of moves (defaults to
+    ``100 * n``, a safety net far above what the descent ever uses in
+    practice — each move must lower the period by a relative
+    ``rel_tol``).
+    """
+    instance = evaluator.instance
+    cap = max_moves if max_moves is not None else 100 * instance.num_tasks
+    moves = 0
+    while moves < cap:
+        allowed = specialized_move_mask(instance, evaluator.assignment)
+        if up is not None:
+            allowed &= up
+        best = evaluator.best_move(allowed=allowed, rel_tol=rel_tol)
+        if best is None:
+            break
+        task, machine, _ = best
+        evaluator.move(task, machine)
+        moves += 1
+    return moves
 
 
 def refine_specialized_batch(
@@ -90,30 +129,12 @@ def refine_specialized(
     max_moves: int | None = None,
     rel_tol: float = 1e-12,
 ) -> tuple[Mapping, int]:
-    """Best-single-move descent from ``mapping`` within the specialized rule.
+    """:func:`descend` from ``mapping`` on a fresh evaluator.
 
-    Repeatedly applies the globally best improving single-task move (via
-    :meth:`~repro.batch.MappingEvaluator.best_move`) until the mapping is
-    a local optimum.  Returns ``(refined mapping, number of moves)``.
-
-    Parameters
-    ----------
-    max_moves:
-        Optional hard cap on the number of moves (defaults to ``100 * n``,
-        a safety net far above what the descent ever uses in practice —
-        each move must lower the period by a relative ``rel_tol``).
+    Returns ``(refined mapping, number of moves)``.
     """
     evaluator = MappingEvaluator(instance, mapping)
-    cap = max_moves if max_moves is not None else 100 * instance.num_tasks
-    moves = 0
-    while moves < cap:
-        allowed = specialized_move_mask(instance, evaluator.assignment)
-        best = evaluator.best_move(allowed=allowed, rel_tol=rel_tol)
-        if best is None:
-            break
-        task, machine, _ = best
-        evaluator.move(task, machine)
-        moves += 1
+    moves = descend(evaluator, max_moves=max_moves, rel_tol=rel_tol)
     return evaluator.mapping, moves
 
 

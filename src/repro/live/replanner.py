@@ -59,7 +59,7 @@ from ..exceptions import ExperimentError
 from ..heuristics import get_heuristic
 from ..obs.trace import span
 from ..heuristics.base import solve_one
-from ..heuristics.local_search import specialized_move_mask
+from ..heuristics.local_search import descend
 
 __all__ = ["ReplanRecord", "Replanner", "sub_instance"]
 
@@ -337,7 +337,8 @@ class Replanner:
             return "cache"
         if self._mapping is not None and bool(self._up[self._mapping].all()):
             evaluator = self._evaluator_for(self._mapping)
-            self._period = self._descend(evaluator)
+            descend(evaluator, up=self._up)
+            self._period = evaluator.period
             self._mapping = evaluator.assignment
             via = "warm"
         else:
@@ -364,23 +365,6 @@ class Replanner:
         else:
             self._evaluator.reassign(mapping)
         return self._evaluator
-
-    def _descend(self, evaluator: MappingEvaluator) -> float:
-        """Best-single-move descent restricted to up, specialized moves."""
-        cap = 100 * self.instance.num_tasks
-        moves = 0
-        while moves < cap:
-            allowed = (
-                specialized_move_mask(self.instance, evaluator.assignment)
-                & self._up[np.newaxis, :]
-            )
-            best = evaluator.best_move(allowed=allowed)
-            if best is None:
-                break
-            task, machine, _ = best
-            evaluator.move(task, machine)
-            moves += 1
-        return evaluator.period
 
     def _cold_solve(self) -> tuple[np.ndarray, float]:
         """From-scratch heuristic solve of the surviving sub-platform."""

@@ -6,7 +6,7 @@ The telemetry layer every other subsystem reports into:
   (``contextvars``-propagated trace/span ids, explicit hand-off across
   executor threads and pool worker processes, spans appended to a
   :class:`~repro.obs.trace.TraceStore` on the shared
-  :class:`~repro.experiments.store.JsonlStore` base).  Off by default;
+  :class:`~repro.jsonl_store.JsonlStore` base).  Off by default;
   enabled via ``--trace PATH`` / ``REPRO_TRACE``.
 * :mod:`~repro.obs.metrics` — :class:`~repro.obs.metrics.MetricsRegistry`
   of counters/gauges/histograms with Prometheus text exposition (the
@@ -17,7 +17,7 @@ The telemetry layer every other subsystem reports into:
 * :mod:`~repro.obs.instrument` — aggregated per-kernel timings
   for traced solves.
 
-Deliberately a leaf package (it imports only ``repro.experiments.store``
+Deliberately a leaf package (it imports only ``repro.jsonl_store``
 and, from :mod:`~repro.obs.instrument`, ``repro.backend``), so the
 service, DAG, campaign and live layers can all instrument through it
 without import cycles.

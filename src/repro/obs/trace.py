@@ -29,7 +29,7 @@ stay within noise on the sustained-mixed service benchmark.  It is
 switched on per process with :func:`configure` (the ``--trace PATH``
 CLI flag / ``REPRO_TRACE`` environment variable), which appends
 finished spans to a :class:`TraceStore` — a JSONL+index store on the
-same :class:`~repro.experiments.store.JsonlStore` base as the result
+same :class:`~repro.jsonl_store.JsonlStore` base as the result
 store and the solve cache.
 """
 
@@ -43,7 +43,7 @@ import time
 import uuid
 from dataclasses import dataclass
 
-from ..experiments.store import JsonlStore
+from ..jsonl_store import JsonlStore
 
 __all__ = [
     "TraceContext",
@@ -111,7 +111,7 @@ def trace_path() -> str | None:
 class TraceStore(JsonlStore):
     """Append-only span log: ``trace.jsonl`` + ``index.json`` in a directory.
 
-    Rides the :class:`~repro.experiments.store.JsonlStore` base, so a
+    Rides the :class:`~repro.jsonl_store.JsonlStore` base, so a
     trace directory has the same durability story as the result store —
     append-only records, tail recovery after a kill, an index that
     rebuilds itself from the log when stale.  Spans are keyed by

@@ -9,7 +9,7 @@ coalesced by a **micro-batcher** into one
 :class:`~repro.batch.InstanceStack` solved through the same lock-step
 ``solve_batch`` kernels that amortize a block's repetitions, and a
 two-tier **solve cache** (LRU over a persistent
-:class:`~repro.experiments.store.JsonlStore` log) makes repeated
+:class:`~repro.jsonl_store.JsonlStore` log) makes repeated
 requests O(lookup).
 
 Layers (one module each):
@@ -33,48 +33,9 @@ Layers (one module each):
 Responses are **bit-for-bit identical** to per-request direct solves no
 matter how requests were grouped, cached or ordered — batching and
 caching are scheduling choices, never semantic ones.
+
+The package re-exports nothing: import from the submodules, so a caller
+that needs one layer (the live runner needs only
+:mod:`~repro.service.requests`) does not load the server, client and
+pool.
 """
-
-from ..exceptions import ServiceOverloadedError
-from ..obs.metrics import LatencyReservoir
-from .batcher import BatcherStats, MicroBatcher
-from .cache import CacheStats, SolveCache, SolveCacheStore
-from .client import ServiceClient, ServiceSession
-from .pool import SolveWorkerPool, solve_group
-from .requests import (
-    SessionRequest,
-    SolveRequest,
-    build_response,
-    direct_response,
-    normalize_event,
-    normalize_request,
-    normalize_session_request,
-)
-from .server import ServiceStats, SolveService, serve
-from .sessions import LiveSession, SessionManager
-
-__all__ = [
-    "BatcherStats",
-    "MicroBatcher",
-    "CacheStats",
-    "SolveCache",
-    "SolveCacheStore",
-    "ServiceOverloadedError",
-    "SolveWorkerPool",
-    "solve_group",
-    "ServiceClient",
-    "ServiceSession",
-    "SessionRequest",
-    "SolveRequest",
-    "build_response",
-    "direct_response",
-    "normalize_event",
-    "normalize_request",
-    "normalize_session_request",
-    "LatencyReservoir",
-    "LiveSession",
-    "SessionManager",
-    "ServiceStats",
-    "SolveService",
-    "serve",
-]

@@ -7,7 +7,7 @@ caching is a pure space/time trade.  The cache therefore has two tiers:
 * a bounded in-process **LRU** answering repeated requests at dict
   speed;
 * an optional **persistent tier** (:class:`SolveCacheStore`) reusing
-  the :class:`~repro.experiments.store.JsonlStore` append/scan
+  the :class:`~repro.jsonl_store.JsonlStore` append/scan
   machinery, so a restarted service warms up from disk instead of
   recomputing, with the same durability story as the result store
   (append-only records, byte-offset index, tail recovery, stale-index
@@ -25,7 +25,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..experiments.store import JsonlStore
+from ..jsonl_store import JsonlStore
 from ..obs.metrics import MetricsRegistry
 
 __all__ = ["CacheStats", "SolveCacheStore", "SolveCache"]

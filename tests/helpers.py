@@ -33,6 +33,7 @@ __all__ = [
     "per_instance_series",
     "reference_best_move",
     "reference_bisection",
+    "reference_candidate_periods",
     "reference_try_period",
 ]
 
@@ -182,6 +183,49 @@ def dfs_bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
     return best
 
 
+def _reference_upstream(evaluator: MappingEvaluator, task: int) -> list[int]:
+    """``task`` first, then every task whose sink path passes through it, ascending."""
+    successors = evaluator.instance.application.successors
+    upstream = []
+    for start in range(evaluator.instance.num_tasks):
+        node = start
+        while node is not None and node != task:
+            node = successors[node]
+        if node == task and start != task:
+            upstream.append(start)
+    return [task] + upstream
+
+
+def reference_candidate_periods(evaluator: MappingEvaluator, task: int) -> np.ndarray:
+    """Period for every destination of ``task``: the per-task probe, written out.
+
+    Entry ``u`` is the period with ``task`` moved to machine ``u``.  The
+    evaluator's upstream contributions are scattered with ``np.add.at``
+    (upstream-set order), and the full ``(m, m)`` candidate tensor is
+    broadcast and reduced — the math ``MappingEvaluator.best_move``'s
+    kernels must reproduce bit for bit, built here from the evaluator's
+    public state only.
+    """
+    instance = evaluator.instance
+    m = instance.num_machines
+    f, w = instance.failure_rates, instance.processing_times
+    assignment = evaluator.assignment
+    x = evaluator.expected_products
+    ups = np.asarray(_reference_upstream(evaluator, task), dtype=np.int64)
+    old_c = x[ups] * w[ups, assignment[ups]]
+    removed = np.zeros(m)
+    np.add.at(removed, assignment[ups], old_c)
+    base = evaluator.machine_periods - removed
+    rest = np.zeros(m)
+    np.add.at(rest, assignment[ups[1:]], old_c[1:])
+    ratios = (1.0 - f[task, assignment[task]]) / (1.0 - f[task, :])
+    candidates = rest[np.newaxis, :] * ratios[:, np.newaxis]
+    candidates += base[np.newaxis, :]
+    diag = np.arange(m)
+    candidates[diag, diag] += x[task] * ratios * w[task]
+    return candidates.max(axis=1)
+
+
 def reference_best_move(
     evaluator: MappingEvaluator,
     *,
@@ -190,15 +234,15 @@ def reference_best_move(
 ) -> tuple[int, int, float] | None:
     """The single-move scan ``MappingEvaluator.best_move`` must reproduce.
 
-    One :meth:`~repro.batch.MappingEvaluator.candidate_periods` probe per
-    task, in task order: the best strictly improving ``(task, machine,
-    new_period)``, ties to the lowest task and then the lowest machine,
-    or ``None`` at a local optimum.
+    One :func:`reference_candidate_periods` probe per task, in task
+    order: the best strictly improving ``(task, machine, new_period)``,
+    ties to the lowest task and then the lowest machine, or ``None`` at a
+    local optimum.
     """
     threshold = evaluator.period * (1.0 - rel_tol)
     best: tuple[int, int, float] | None = None
     for task in range(evaluator.instance.num_tasks):
-        candidates = evaluator.candidate_periods(task)
+        candidates = reference_candidate_periods(evaluator, task)
         if allowed is not None:
             candidates = np.where(allowed[task], candidates, np.inf)
         machine = int(np.argmin(candidates))

@@ -59,11 +59,14 @@ def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
     f_used = rng.uniform(0.01, 0.3, size=(R, n))
     assignments = rng.integers(0, m, size=(R, n), dtype=np.int64)
     contributions = rng.uniform(0.1, 5.0, size=(R, n))
-    base = rng.uniform(0.0, 10.0, size=(R, m))
-    rest = rng.uniform(0.0, 10.0, size=(R, m))
-    ratios = rng.uniform(0.5, 2.0, size=(R, m))
-    x_task = rng.uniform(1.0, 3.0, size=R)
-    w_task = rng.uniform(0.1, 5.0, size=(R, m))
+    # Machine-major (m, n), as best_move hands them to probe_candidates.
+    base = rng.uniform(0.0, 10.0, size=(m, n))
+    rest = rng.uniform(0.0, 10.0, size=(m, n))
+    x = rng.uniform(1.0, 3.0, size=n)
+    w = rng.uniform(0.1, 5.0, size=(n, m))
+    # About half of the (task, machine) cells, in row-major order.
+    tasks, dests = np.nonzero(rng.random(size=(n, m)) < 0.5)
+    ratios = rng.uniform(0.5, 2.0, size=tasks.size)
     # Few distinct key values, so the pick's tie-breaks are exercised.
     primary = rng.integers(0, 3, size=(R, m)).astype(np.float64)
     secondary = rng.integers(0, 3, size=(R, m)).astype(np.float64)
@@ -79,23 +82,24 @@ def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
         "base": base,
         "rest": rest,
         "ratios": ratios,
-        "x_task": x_task,
-        "w_task": w_task,
+        "x": x,
+        "w": w,
+        "tasks": tasks,
+        "dests": dests,
         "primary": primary,
         "secondary": secondary,
         "feasible": feasible,
-        # scatter_add_rows adds one value per machine slot into `base`.
-        "cols": assignments[:, :m] % m,
-        "vals": contributions[:, :m],
+        # scatter_add_rows: every (row, task) term of `contributions`,
+        # row-major, into an (R, m) grid keyed by `assignments`.
+        "rows": np.repeat(np.arange(R), n),
+        "cols": assignments.ravel(),
+        "vals": contributions.ravel(),
+        "shape": (R, m),
     }
 
 
 def _kernel_args(name: str, inputs: dict) -> tuple:
-    """Positional arguments of kernel ``name`` drawn from ``inputs``.
-
-    ``scatter_add_rows`` writes into its first argument, so it gets a
-    fresh copy of ``base`` on every call.
-    """
+    """Positional arguments of kernel ``name`` drawn from ``inputs``."""
     return {
         "propagate_x": lambda: (inputs["order"], inputs["succ"], inputs["f_used"]),
         "scatter_periods": lambda: (
@@ -104,9 +108,10 @@ def _kernel_args(name: str, inputs: dict) -> tuple:
             inputs["m"],
         ),
         "scatter_add_rows": lambda: (
-            inputs["base"].copy(),
+            inputs["rows"],
             inputs["cols"],
             inputs["vals"],
+            inputs["shape"],
         ),
         "critical_mask": lambda: (
             scatter_periods(inputs["assignments"], inputs["contributions"], inputs["m"]),
@@ -116,8 +121,10 @@ def _kernel_args(name: str, inputs: dict) -> tuple:
             inputs["base"],
             inputs["rest"],
             inputs["ratios"],
-            inputs["x_task"],
-            inputs["w_task"],
+            inputs["x"],
+            inputs["w"],
+            inputs["tasks"],
+            inputs["dests"],
         ),
         "first_feasible": lambda: (
             inputs["feasible"],
@@ -157,13 +164,11 @@ class TestKernelOracles:
 
     def test_scatter_add_rows(self, seed):
         inputs = _random_kernel_inputs(seed)
-        out, cols, vals = _kernel_args("scatter_add_rows", inputs)
-        expected = out.copy()
-        for r in range(out.shape[0]):
-            for k in range(cols.shape[1]):
-                expected[r, cols[r, k]] += vals[r, k]
-        assert scatter_add_rows(out, cols, vals) is None
-        assert np.array_equal(out, expected)
+        rows, cols, vals, shape = _kernel_args("scatter_add_rows", inputs)
+        assert np.array_equal(
+            scatter_add_rows(rows, cols, vals, shape),
+            _loop_scatter_add_rows(rows, cols, vals, shape),
+        )
 
     def test_critical_mask(self, seed):
         inputs = _random_kernel_inputs(seed)
@@ -181,17 +186,8 @@ class TestKernelOracles:
         assert actual[:-1].sum(axis=1).min() >= 2 and not actual[-1].any()
 
     def test_probe_candidates(self, seed):
-        inputs = _random_kernel_inputs(seed)
-        base, rest, ratios, x_task, w_task = _kernel_args("probe_candidates", inputs)
-        R, m = base.shape
-        expected = np.empty((R, m))
-        for r in range(R):
-            for v in range(m):
-                moved = [base[r, u] + rest[r, u] * ratios[r, v] for u in range(m)]
-                moved[v] += x_task[r] * ratios[r, v] * w_task[r, v]
-                expected[r, v] = max(moved)
-        actual = probe_candidates(base, rest, ratios, x_task, w_task)
-        assert np.array_equal(actual, expected)
+        args = _kernel_args("probe_candidates", _random_kernel_inputs(seed))
+        assert np.array_equal(probe_candidates(*args), _loop_probe_candidates(*args))
 
     def test_first_feasible(self, seed):
         inputs = _random_kernel_inputs(seed)
@@ -206,6 +202,45 @@ class TestKernelOracles:
             if candidates:  # rows with no feasible machine return 0
                 expected[r] = min(candidates)[2]
         assert np.array_equal(first_feasible(feasible, primary, secondary), expected)
+
+
+def _loop_scatter_add_rows(rows, cols, vals, shape) -> np.ndarray:
+    """``scatter_add_rows`` one term at a time, ``k`` ascending, from zeros."""
+    expected = np.zeros(shape)
+    for row, col, val in zip(rows, cols, vals):
+        expected[row, col] += val
+    return expected
+
+
+def _loop_probe_candidates(base, rest, ratios, x, w, tasks, dests) -> np.ndarray:
+    """``probe_candidates`` one cell and one machine at a time."""
+    expected = np.empty(len(tasks))
+    for k, (t, v) in enumerate(zip(tasks, dests)):
+        moved = [rest[u, t] * ratios[k] + base[u, t] for u in range(base.shape[0])]
+        moved[v] += x[t] * ratios[k] * w[t, v]
+        expected[k] = max(moved)
+    return expected
+
+
+class TestEmptyKernelInputs:
+    """No terms and no cells: the shapes and dtypes callers rely on."""
+
+    def test_scatter_add_rows_without_terms_is_float_zeros(self):
+        # np.bincount returns int64 when its weights are empty, as for the
+        # rest pairs of a one-task instance; probe_candidates scales the
+        # gathered rest periods in place, so they must stay float64.
+        empty = np.zeros(0, dtype=np.int64)
+        out = scatter_add_rows(empty, empty, np.zeros(0), (1, 3))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, _loop_scatter_add_rows(empty, empty, [], (1, 3)))
+
+    def test_probe_candidates_without_cells(self):
+        inputs = _random_kernel_inputs(0)
+        none = np.zeros(0, dtype=np.int64)
+        args = (inputs["base"], inputs["rest"], np.zeros(0), inputs["x"], inputs["w"], none, none)
+        out = probe_candidates(*args)
+        assert out.shape == (0,) and out.dtype == np.float64
+        assert np.array_equal(out, _loop_probe_candidates(*args))
 
 
 @st.composite
@@ -329,8 +364,6 @@ class TestActivationSeam:
             with timed_kernels():
                 timed_args = _kernel_args(name, inputs)
                 actual = getattr(get_backend(), name)(*timed_args)
-        if name == "scatter_add_rows":  # in place: compare what it wrote
-            expected, actual = direct_args[0], timed_args[0]
         assert np.array_equal(actual, expected)
         (span,) = [r for r in spans if r["name"] == f"kernel.{name}"]
         assert span["calls"] == 1 and span["backend"] == "numpy"

@@ -29,7 +29,7 @@ from repro.experiments.figures import FIGURES
 from repro.generators.scenarios import sample_instance
 from repro.heuristics import get_heuristic
 from repro.live.replanner import sub_instance
-from repro.service import normalize_request
+from repro.service.requests import normalize_request
 from repro.simulation.rng import RandomStreamFactory
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "binary_search_golden.json"

@@ -11,7 +11,8 @@ import pytest
 
 from repro.cli import CAMPAIGN_MANIFEST, STORE_ENV_VAR, build_parser, main
 from repro.experiments import ResultStore
-from repro.service import SolveService, direct_response, normalize_request
+from repro.service.requests import direct_response, normalize_request
+from repro.service.server import SolveService
 
 
 class TestParser:

@@ -291,3 +291,36 @@ class TestSubInstance:
                 replanner.instance,
                 np.zeros(replanner.instance.num_machines, dtype=bool),
             )
+
+
+def test_live_runner_loads_no_service_or_experiment_engine():
+    # A live timeline runs in process: importing its runner must not pull
+    # in the HTTP server, client or worker pool, the experiment engine or
+    # the MIP, which would only weigh on the live process's memory.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    heavy = (
+        "repro.service.server",
+        "repro.service.client",
+        "repro.service.pool",
+        "repro.experiments.runner",
+        "repro.exact.milp",
+        "http.client",
+    )
+    code = (
+        "import sys\n"
+        "import repro.live.runner\n"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

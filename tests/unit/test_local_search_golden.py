@@ -40,7 +40,7 @@ from repro.generators.scenarios import sample_instance
 from repro.heuristics import get_heuristic
 from repro.heuristics.local_search import refine_specialized
 from repro.live.replanner import sub_instance
-from repro.service import normalize_request
+from repro.service.requests import normalize_request
 from repro.simulation.rng import RandomStreamFactory
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "local_search_golden.json"

@@ -23,9 +23,10 @@ from repro.obs.trace import (
     request_id_or_new,
     span,
 )
-from repro.service import SolveService, SolveWorkerPool, normalize_request
 from repro.service.client import ServiceClient
-from repro.service.pool import solve_group, solve_group_traced
+from repro.service.pool import SolveWorkerPool, solve_group, solve_group_traced
+from repro.service.requests import normalize_request
+from repro.service.server import SolveService
 
 
 @pytest.fixture(autouse=True)

@@ -17,19 +17,13 @@ import pytest
 from repro.exceptions import ExperimentError, ServiceOverloadedError
 from repro.heuristics import available_heuristics
 from repro.heuristics.base import BATCH_MIN_ROWS
-from repro.obs.metrics import nearest_rank
-from repro.service import (
-    LatencyReservoir,
-    MicroBatcher,
-    ServiceClient,
-    ServiceStats,
-    SolveCache,
-    SolveCacheStore,
-    SolveService,
-    SolveWorkerPool,
-    direct_response,
-    normalize_request,
-)
+from repro.obs.metrics import LatencyReservoir, nearest_rank
+from repro.service.batcher import MicroBatcher
+from repro.service.cache import SolveCache, SolveCacheStore
+from repro.service.client import ServiceClient
+from repro.service.pool import SolveWorkerPool
+from repro.service.requests import direct_response, normalize_request
+from repro.service.server import ServiceStats, SolveService
 
 
 def make_payload(**overrides) -> dict:

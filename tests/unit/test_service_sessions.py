@@ -13,13 +13,10 @@ from repro.exceptions import ExperimentError, ServiceOverloadedError
 from repro.heuristics import get_heuristic
 from repro.heuristics.base import solve_one
 from repro.live import LiveConfig, build_replanner, generate_timeline, sub_instance
-from repro.service import (
-    ServiceClient,
-    SessionManager,
-    SolveService,
-    normalize_event,
-    normalize_session_request,
-)
+from repro.service.client import ServiceClient
+from repro.service.requests import normalize_event, normalize_session_request
+from repro.service.server import SolveService
+from repro.service.sessions import SessionManager
 
 
 def run(coro):

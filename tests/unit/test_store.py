@@ -219,7 +219,7 @@ class TestStoreRecovery:
         # crash right after the rewrite makes the record invisible (the
         # reopen scan starts past it).  Simulate the crash by never
         # calling flush()/close() after the puts.
-        from repro.experiments.store import _INDEX_EVERY
+        from repro.jsonl_store import _INDEX_EVERY
 
         store = ResultStore(tmp_path / "s")
         for sweep_value in range(_INDEX_EVERY):
@@ -529,6 +529,32 @@ class TestCompactConcurrency:
         assert healed.values == [1.0, 1.0, 1.0]
         assert sorted(cell.sweep_value for cell in reader.cells()) == list(range(10))
         assert all(cell.values == [1.0, 1.0, 1.0] for cell in reader.cells())
+
+    def test_reader_survives_a_compact_between_rebuild_and_read(self, tmp_path):
+        writer = ResultStore(tmp_path / "s")
+        for i in range(8):
+            writer.put_cell(self._cell(i, generation=0))
+        writer.flush()
+        reader = ResultStore(tmp_path / "s")
+        # Compaction keeps append order: re-putting keys 0-4 moves key 5
+        # to the front, so the reader's offsets are stale.
+        for i in range(5):
+            writer.put_cell(self._cell(i, generation=1))
+        writer.compact()
+        rebuild = reader._rebuild
+
+        def rebuild_then_compact() -> None:
+            # Another instance compacts right after the reader's rescan and
+            # moves key 5 back behind keys 0-4.
+            rebuild()
+            reader._rebuild = rebuild
+            for i in range(5, 8):
+                writer.put_cell(self._cell(i, generation=2))
+            writer.compact()
+
+        reader._rebuild = rebuild_then_compact
+        cell = reader.get_cell("figX", "abc123", 0, "H4w", 5)
+        assert cell.sweep_value == 5 and cell.values == [2.0, 2.0, 2.0]
 
     def test_reader_thread_racing_repeated_compacts(self, tmp_path):
         import threading
