@@ -25,7 +25,6 @@ classes directly.
 """
 
 from .base import (
-    AssignmentState,
     BatchAssignmentState,
     BatchHeuristic,
     Heuristic,
@@ -65,7 +64,6 @@ from .local_search import (
 PAPER_HEURISTICS = ("H1", "H2", "H3", "H4", "H4w", "H4f")
 
 __all__ = [
-    "AssignmentState",
     "BatchAssignmentState",
     "BatchHeuristic",
     "Heuristic",

@@ -3,31 +3,39 @@
 The six heuristics of the paper (H1, H2, H3, H4, H4w, H4f) all build a
 *specialized* mapping by walking the application graph **backward** (from
 the last task towards the first) and greedily choosing a machine for each
-task.  They share a substantial amount of state-keeping:
+task.  Every walk keeps the same per-solve state, as plain Python lists
+and counters:
 
-* which machine is *dedicated* to which task type (a machine becomes
-  dedicated to ``t(i)`` the first time a task of that type is assigned to
-  it, and can then only receive tasks of that type);
-* the accumulated expected execution time of each machine
-  (``accu_u = sum_{j assigned to u} x_j * w[j, u]``);
-* the expected-product values ``x_j`` of already assigned tasks, which are
-  known because assignment proceeds sinks-first.
+* ``machine_type[u]``, the type machine ``u`` is dedicated to (``-1``
+  while free): a machine becomes dedicated to ``t(i)`` the first time a
+  task of that type is assigned to it, and can then only receive tasks
+  of that type;
+* ``accumulated[u]``, the expected busy time of machine ``u``
+  (``sum_{j assigned to u} x_j * w[j, u]``);
+* ``x[j]``, the expected products of an assigned task, known for the
+  successor of every task the walk reaches because it goes sinks-first;
+* ``has_machine[t]``, ``free`` and ``pending``: whether type ``t`` owns
+  a machine, how many machines are still free, and how many of the
+  instance's types own none yet.
 
-:class:`AssignmentState` encapsulates this bookkeeping; the concrete
-heuristics only differ in *how* they rank candidate machines.
+The heuristics only differ in *how* they rank the eligible machines.
+:class:`WalkTables` holds the per-solve inputs of the walks.
 
 Feasibility guard
 -----------------
 The paper's pseudo-code assumes that a type-compatible machine always
 exists.  When the number of machines is close to the number of types this
 is not guaranteed (all machines could become dedicated to other types
-before some type shows up).  :class:`AssignmentState` therefore refuses to
-dedicate a *free* machine to a new type when doing so would leave fewer
-free machines than the number of still-unseen types — exactly the
-``nbFreeMachines > nbTypesToGo`` bookkeeping that the paper makes explicit
-in Algorithm 1 (H1).  This guard is applied uniformly to every heuristic so
-that all of them always return a valid specialized mapping whenever one
-exists (``m >= p``).
+before some type shows up).  A walk therefore lets a task take a *free*
+machine only when ``free > (pending if has_machine[t] else pending - 1)``:
+a type that already owns a machine must leave one free machine per
+pending type, and a pending type may take one of the machines reserved
+for the pending set.  This is exactly the ``nbFreeMachines >
+nbTypesToGo`` bookkeeping that the paper makes explicit in Algorithm 1
+(H1).  It is applied uniformly to every heuristic, so that all of them
+return a valid specialized mapping whenever one exists (``m >= p``).
+:class:`BatchAssignmentState` keeps the same state and guard with a
+leading repetition axis.
 """
 
 from __future__ import annotations
@@ -47,7 +55,6 @@ from ..exceptions import InfeasibleProblemError, MappingRuleViolation, ReproErro
 __all__ = [
     "HeuristicResult",
     "Heuristic",
-    "AssignmentState",
     "BatchAssignmentState",
     "BatchHeuristic",
     "BATCH_MIN_ROWS",
@@ -60,6 +67,7 @@ __all__ = [
     "get_heuristic",
     "available_heuristics",
     "backward_task_order",
+    "WalkTables",
 ]
 
 @dataclass(frozen=True, slots=True)
@@ -107,248 +115,44 @@ def backward_task_order(instance: ProblemInstance) -> tuple[int, ...]:
     return instance.application.reverse_topological_order()
 
 
-class AssignmentState:
-    """Incremental state of a backward greedy assignment.
+@dataclass(frozen=True, slots=True)
+class WalkTables:
+    """The per-solve inputs of a greedy walk, as plain Python lists.
 
-    Parameters
-    ----------
-    instance:
-        The problem instance being solved.
-    order:
-        The task order used by the heuristic (defaults to the backward
-        order).  The state tracks which types still have unassigned tasks
-        to implement the free-machine feasibility guard.
+    Built once per solve with ``.tolist()``, so a walk's inner loop
+    touches only Python floats and ints.  ``keep[i][u]`` is
+    ``1.0 - f[i, u]``; ``num_types`` counts the types the tasks use.
     """
 
-    __slots__ = (
-        "instance",
-        "_order",
-        "_position",
-        "assignment",
-        "machine_type",
-        "accumulated",
-        "x",
-        "_remaining_type_counts",
-        "_free_machines",
-        "_machine_type_arr",
-        "_types_with_machine",
-        "_pending_types",
-    )
+    order: tuple[int, ...]
+    successors: list[int]
+    types: list[int]
+    keep: list[list[float]]
+    w: list[list[float]]
+    num_machines: int
+    num_types: int
 
-    def __init__(self, instance: ProblemInstance, order: Sequence[int] | None = None):
-        self.instance = instance
-        self._order = tuple(order) if order is not None else backward_task_order(instance)
-        if sorted(self._order) != list(range(instance.num_tasks)):
-            raise ReproError("order must be a permutation of all task indices")
-        self._position = 0
-        n, m = instance.num_tasks, instance.num_machines
-        self.assignment = np.full(n, -1, dtype=np.int64)
-        #: machine index -> type it is dedicated to (absent = free machine)
-        self.machine_type: dict[int, int] = {}
-        #: vectorized mirror of machine_type (-1 = free machine)
-        self._machine_type_arr = np.full(m, -1, dtype=np.int64)
-        #: types that own at least one dedicated machine
-        self._types_with_machine: set[int] = set()
-        #: accumulated expected busy time per machine (x_j * w[j, u] summed)
-        self.accumulated = np.zeros(m, dtype=np.float64)
-        #: expected products per task; -1 until the task is assigned
-        self.x = np.full(n, -1.0, dtype=np.float64)
-        types = instance.application.types
-        self._remaining_type_counts: dict[int, int] = {}
-        for task in range(n):
-            t = types[task]
-            self._remaining_type_counts[t] = self._remaining_type_counts.get(t, 0) + 1
-        self._free_machines = m
-        # Types with unassigned tasks and no dedicated machine.  No machine
-        # is dedicated yet, so initially every type present is pending; the
-        # count is maintained incrementally by :meth:`assign` (a type leaves
-        # the pending set exactly when it gains its first machine, because a
-        # type's task count only ever drops through an assignment that also
-        # guarantees it a machine).
-        self._pending_types = len(self._remaining_type_counts)
-
-    # -- traversal ------------------------------------------------------------------
-    @property
-    def order(self) -> tuple[int, ...]:
-        """The task traversal order."""
-        return self._order
-
-    def remaining_tasks(self) -> tuple[int, ...]:
-        """Tasks not yet assigned, in traversal order."""
-        return self._order[self._position :]
-
-    def next_task(self) -> int | None:
-        """The next task to assign, or ``None`` when every task is assigned."""
-        if self._position >= len(self._order):
-            return None
-        return self._order[self._position]
-
-    def is_complete(self) -> bool:
-        """True when every task has been assigned."""
-        return self._position >= len(self._order)
-
-    # -- demand bookkeeping ------------------------------------------------------------
-    def downstream_demand(self, task: int) -> float:
-        """Products the successor of ``task`` requires (1.0 for a sink).
-
-        Because assignment proceeds sinks-first, the successor of the next
-        task to assign has always been assigned already, so its ``x`` value
-        is known exactly.
-        """
-        succ = self.instance.application.successor(task)
-        if succ is None:
-            return 1.0
-        x_succ = self.x[succ]
-        if x_succ < 0:
-            raise ReproError(
-                f"successor {succ} of task {task} has not been assigned yet; "
-                "heuristics must traverse the graph sinks-first"
-            )
-        return float(x_succ)
-
-    def candidate_products(self, task: int, machine: int) -> float:
-        """``x_i`` that task would get if assigned to ``machine``."""
-        demand = self.downstream_demand(task)
-        return demand / (1.0 - self.instance.f(task, machine))
-
-    def candidate_products_vector(self, task: int) -> np.ndarray:
-        """``x_i`` the task would get on each machine, as an ``(m,)`` vector."""
-        demand = self.downstream_demand(task)
-        return demand / (1.0 - self.instance.failure_rates[task, :])
-
-    def candidate_exec_vector(self, task: int) -> np.ndarray:
-        """Machine completion times if ``task`` went to each machine (``(m,)``).
-
-        ``accu_u + x_i(u) * w[i, u]`` with the true (failure-aware) ``x_i``:
-        the quantity the binary-search heuristics compare against the
-        period bound.
-        """
-        return self.accumulated + self.candidate_products_vector(
-            task
-        ) * self.instance.processing_times[task, :]
-
-    # -- machine eligibility --------------------------------------------------------------
-    def num_free_machines(self) -> int:
-        """Machines not yet dedicated to any type."""
-        return self._free_machines
-
-    def num_pending_types(self) -> int:
-        """Types that still have unassigned tasks and no dedicated machine.
-
-        Maintained incrementally by :meth:`assign` (O(1)) instead of
-        rescanning the per-type counts on every eligibility check.
-        """
-        return self._pending_types
-
-    def _has_machine_for(self, type_index: int) -> bool:
-        return type_index in self._types_with_machine
-
-    def machines_of_type(self, type_index: int) -> list[int]:
-        """Machines already dedicated to ``type_index``."""
-        return sorted(u for u, t in self.machine_type.items() if t == type_index)
-
-    def is_eligible(self, task: int, machine: int) -> bool:
-        """True if ``machine`` may receive ``task`` under the specialized rule.
-
-        A machine is eligible when it is already dedicated to ``t(task)``,
-        or when it is free *and* dedicating it would not starve another
-        still-pending type of its last free machine.
-        """
-        task_type = self.instance.type_of(task)
-        dedicated = self.machine_type.get(machine)
-        if dedicated is not None:
-            return dedicated == task_type
-        # Free machine: apply the nbFreeMachines / nbTypesToGo guard.
-        pending = self.num_pending_types()
-        if self._has_machine_for(task_type):
-            # The type already owns a machine; taking a new free machine is
-            # only allowed if enough free machines remain for pending types.
-            return self._free_machines - 1 >= pending
-        # The type has no machine yet: it is itself one of the pending
-        # types, so using a free machine for it always keeps the invariant.
-        return self._free_machines - 1 >= pending - 1
-
-    def eligible_mask(self, task: int) -> np.ndarray:
-        """Boolean ``(m,)`` mask of machines that may receive ``task``.
-
-        Vectorized equivalent of calling :meth:`is_eligible` for every
-        machine: a machine qualifies when it is dedicated to the task's
-        type, or free and the ``nbFreeMachines / nbTypesToGo`` guard
-        allows dedicating it.
-        """
-        task_type = self.instance.type_of(task)
-        dedicated_ok = self._machine_type_arr == task_type
-        free = self._machine_type_arr == -1
-        pending = self.num_pending_types()
-        if self._has_machine_for(task_type):
-            free_ok = self._free_machines - 1 >= pending
-        else:
-            free_ok = self._free_machines - 1 >= pending - 1
-        if not free_ok:
-            return dedicated_ok
-        return dedicated_ok | free
-
-    def eligible_machines(self, task: int) -> list[int]:
-        """All machines that may receive ``task`` (ascending index)."""
-        return [int(u) for u in np.flatnonzero(self.eligible_mask(task))]
-
-    # -- mutation ---------------------------------------------------------------------
-    def assign(self, task: int, machine: int) -> None:
-        """Assign the next task of the traversal to ``machine``.
-
-        Raises
-        ------
-        ReproError
-            If ``task`` is not the next task in the traversal order or the
-            machine is not eligible.
-        """
-        expected = self.next_task()
-        if expected is None or task != expected:
-            raise ReproError(
-                f"tasks must be assigned in traversal order; expected task {expected}, "
-                f"got {task}"
-            )
-        if not self.is_eligible(task, machine):
-            raise ReproError(
-                f"machine {machine} is not eligible for task {task} under the "
-                "specialized rule"
-            )
-        task_type = self.instance.type_of(task)
-        if machine not in self.machine_type:
-            self.machine_type[machine] = task_type
-            self._machine_type_arr[machine] = task_type
-            if task_type not in self._types_with_machine:
-                # The type gains its first machine: it stops being pending.
-                self._pending_types -= 1
-            self._types_with_machine.add(task_type)
-            self._free_machines -= 1
-        x_task = self.candidate_products(task, machine)
-        self.x[task] = x_task
-        self.accumulated[machine] += x_task * self.instance.w(task, machine)
-        self.assignment[task] = machine
-        self._remaining_type_counts[task_type] -= 1
-        self._position += 1
-
-    # -- result ---------------------------------------------------------------------
-    def to_mapping(self) -> Mapping:
-        """Freeze the assignment into a :class:`~repro.core.Mapping`.
-
-        Raises
-        ------
-        ReproError
-            If some tasks are still unassigned.
-        """
-        if not self.is_complete():
-            raise ReproError("assignment is incomplete")
-        return Mapping(self.assignment, self.instance.num_machines)
+    @classmethod
+    def build(cls, instance: ProblemInstance) -> "WalkTables":
+        successors = instance.application.successors
+        types = instance.application.types.as_array.tolist()
+        return cls(
+            order=backward_task_order(instance),
+            successors=[-1 if succ is None else succ for succ in successors],
+            types=types,
+            keep=(1.0 - instance.failure_rates).tolist(),
+            w=instance.processing_times.tolist(),
+            num_machines=instance.num_machines,
+            num_types=len(set(types)),
+        )
 
 
 class BatchAssignmentState:
-    """Lock-step :class:`AssignmentState` over ``R`` stacked instances.
+    """The greedy walk's state over ``R`` stacked instances, lock-step.
 
     The batch solvers advance all ``R`` repetitions of a block through the
     same backward traversal simultaneously: every piece of per-instance
-    greedy state (assignment, dedicated machines, accumulated busy time,
+    walk state (assignment, dedicated machines, accumulated busy time,
     expected products, the free-machine feasibility guard) becomes an
     array with a leading repetition axis, and each greedy step is a
     handful of vectorized operations over ``(R, m)`` slices instead of
@@ -356,9 +160,9 @@ class BatchAssignmentState:
 
     All instances must share the precedence graph (and therefore the
     backward traversal order); types, ``w`` and ``f`` are per repetition.
-    Row ``r``'s arithmetic mirrors a scalar :class:`AssignmentState` on
-    instance ``r`` operation for operation, so the resulting assignments
-    are bit-for-bit identical to ``R`` sequential solves.
+    Row ``r``'s arithmetic mirrors the scalar walk on instance ``r``
+    operation for operation, so the resulting assignments are bit-for-bit
+    identical to ``R`` sequential solves.
     """
 
     __slots__ = (
@@ -425,7 +229,7 @@ class BatchAssignmentState:
         return self.x[:, succ]
 
     def eligible_mask(self, task: int) -> np.ndarray:
-        """Batched :meth:`AssignmentState.eligible_mask` (``(R, m)`` bool)."""
+        """``(R, m)`` bool: the machines each row's walk may give ``task``."""
         task_type = self.types[:, task]
         dedicated_ok = self.machine_type == task_type[:, np.newaxis]
         free = self.machine_type == -1
@@ -494,9 +298,12 @@ def supports_batch(heuristic: object) -> bool:
 
 
 #: Smallest stack solved lock-step.  Both paths are bit-for-bit
-#: identical, so this is purely a speed choice: at 2 rows the
-#: per-instance loop is as fast or faster for every kernel (H4 family,
-#: H4ls), at 3 the two are within noise, and from 4 rows lock-step wins.
+#: identical, so this is purely a speed choice, and the crossover moves
+#: with ``m``: per row, the plain-Python H4/H4w walk and the lock-step
+#: kernel tie at 3 rows at m=100 (n=150), at 6 rows at m=50 (n=100) and
+#: at about 12 rows at m=10 (n=60); H4ls is within noise either way.
+#: The threshold is the m=100 crossover, so smaller platforms solve
+#: lock-step somewhat early.
 BATCH_MIN_ROWS = 3
 
 
@@ -511,20 +318,12 @@ def solves_in_batch(heuristic: object, rows: int) -> bool:
 
 
 def validate_assignments(
-    instances: Sequence[ProblemInstance],
-    assignments: np.ndarray,
-    rule: MappingRule,
+    instances: Sequence[ProblemInstance], assignments: np.ndarray
 ) -> None:
-    """Batched counterpart of ``Mapping.validate`` over a stack of solves.
+    """Batched ``Mapping.validate`` of the specialized rule over a stack.
 
-    The specialized rule — every batchable heuristic's rule — is checked
-    in one vectorized counts pass; any other rule falls back to the
-    per-instance validation.
+    One vectorized counts pass: no machine may run tasks of two types.
     """
-    if rule is not MappingRule.SPECIALIZED:
-        for row, instance in enumerate(instances):
-            Mapping(assignments[row], instance.num_machines).validate(instance, rule)
-        return
     R = len(instances)
     m = instances[0].num_machines
     types = np.stack([inst.application.types.as_array for inst in instances])
@@ -553,7 +352,7 @@ def solve_one(
     """
     heuristic.check_feasible(instance)
     mapping, _, _ = heuristic.solve_mapping(instance, rng)
-    mapping.validate(instance, heuristic.rule)
+    mapping.validate(instance, MappingRule.SPECIALIZED)
     return mapping.as_array
 
 
@@ -589,7 +388,7 @@ def solve_stack(
         for instance in instances:
             heuristic.check_feasible(instance)
         assignments = heuristic.solve_batch(instances)
-        validate_assignments(instances, assignments, heuristic.rule)
+        validate_assignments(instances, assignments)
         return assignments
     assignments = np.empty(
         (len(instances), instances[0].num_tasks), dtype=np.int64
@@ -603,14 +402,13 @@ def solve_stack(
 class Heuristic(abc.ABC):
     """Base class for mapping heuristics.
 
-    Subclasses implement :meth:`solve_mapping` and set the class attributes
-    ``name`` (paper identifier) and ``rule`` (mapping rule they produce).
+    Subclasses implement :meth:`solve_mapping`, which must return a
+    specialized mapping, and set the class attribute ``name`` (paper
+    identifier).
     """
 
     #: Paper identifier (e.g. ``"H4w"``); must be unique across the registry.
     name: str = ""
-    #: Mapping rule produced by the heuristic.
-    rule: MappingRule = MappingRule.SPECIALIZED
     #: Whether the heuristic uses randomness (and therefore an RNG argument).
     randomized: bool = False
 
@@ -636,7 +434,7 @@ class Heuristic(abc.ABC):
         if self.randomized and rng is None:
             rng = np.random.default_rng()
         mapping, iterations, metadata = self.solve_mapping(instance, rng)
-        mapping.validate(instance, self.rule)
+        mapping.validate(instance, MappingRule.SPECIALIZED)
         return HeuristicResult(
             heuristic=self.name,
             mapping=mapping,

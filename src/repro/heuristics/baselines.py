@@ -16,6 +16,7 @@ baselines that downstream users of the library may find handy:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -118,59 +119,43 @@ class GreedyLoadBalanceHeuristic(Heuristic):
         self, instance: ProblemInstance, rng: np.random.Generator | None = None
     ) -> tuple[Mapping, int, dict]:
         app = instance.application
-        worst_attempts = instance.failures.worst_case_attempts()
+        worst_attempts = instance.failures.worst_case_attempts().tolist()
         # Estimate of x_i assuming worst-case failures downstream.
-        x_estimate = np.ones(instance.num_tasks)
+        x_estimate = [1.0] * instance.num_tasks
         for task in app.reverse_topological_order():
             succ = app.successor(task)
             downstream = 1.0 if succ is None else x_estimate[succ]
             x_estimate[task] = downstream * worst_attempts[task]
 
-        order = app.topological_order()
-        machine_type: dict[int, int] = {}
-        accumulated = np.zeros(instance.num_machines)
-        assignment = np.full(instance.num_tasks, -1, dtype=np.int64)
-        remaining_types: dict[int, int] = defaultdict(int)
-        for task in range(instance.num_tasks):
-            remaining_types[instance.type_of(task)] += 1
-        free = instance.num_machines
-
-        def pending_types() -> int:
-            dedicated = set(machine_type.values())
-            return sum(
-                1 for t, c in remaining_types.items() if c > 0 and t not in dedicated
-            )
-
-        for task in order:
-            task_type = instance.type_of(task)
-            candidates = []
-            for u in range(instance.num_machines):
-                dedicated = machine_type.get(u)
-                if dedicated is not None and dedicated != task_type:
+        types = app.types.as_array.tolist()
+        w = instance.processing_times.tolist()
+        attempts = instance.failures.attempts_factors.tolist()
+        machine_type = [-1] * instance.num_machines
+        accumulated = [0.0] * instance.num_machines
+        assignment = [-1] * instance.num_tasks
+        # The backward walks' free-machine guard (see repro.heuristics.base).
+        has_machine = [False] * (max(types) + 1)
+        free, pending = instance.num_machines, len(set(types))
+        for task in app.topological_order():
+            task_type = types[task]
+            free_ok = free > (pending if has_machine[task_type] else pending - 1)
+            w_row, attempts_row = w[task], attempts[task]
+            best, best_cost = -1, math.inf
+            for u, owner in enumerate(machine_type):
+                if owner != task_type and (owner >= 0 or not free_ok):
                     continue
-                if dedicated is None:
-                    has_machine = task_type in machine_type.values()
-                    needed = pending_types() - (0 if has_machine else 1)
-                    if free - 1 < needed:
-                        continue
-                candidates.append(u)
-            if not candidates:
+                cost = accumulated[u] + x_estimate[task] * w_row[u] * attempts_row[u]
+                if cost < best_cost:
+                    best, best_cost = u, cost
+            if best < 0:
                 raise ReproError("no eligible machine; instance has more types than machines")
-            cost = lambda u: (
-                accumulated[u]
-                + x_estimate[task]
-                * instance.w(task, u)
-                * instance.attempts_factor(task, u),
-                u,
-            )
-            best = min(candidates, key=cost)
-            if best not in machine_type:
+            if machine_type[best] < 0:
                 machine_type[best] = task_type
+                if not has_machine[task_type]:
+                    has_machine[task_type] = True
+                    pending -= 1
                 free -= 1
-            accumulated[best] += (
-                x_estimate[task] * instance.w(task, best) * instance.attempts_factor(task, best)
-            )
+            accumulated[best] += x_estimate[task] * w_row[best] * attempts_row[best]
             assignment[task] = best
-            remaining_types[task_type] -= 1
 
-        return Mapping(assignment, instance.num_machines), 1, {}
+        return Mapping(np.asarray(assignment, dtype=np.int64), instance.num_machines), 1, {}

@@ -48,14 +48,13 @@ import numpy as np
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
 from ..exceptions import ReproError
-from .base import Heuristic, backward_task_order, register_heuristic
+from .base import Heuristic, WalkTables, register_heuristic
 
 __all__ = [
     "BinarySearchHeuristic",
     "RankBinarySearchHeuristic",
     "HeterogeneityBinarySearchHeuristic",
     "MachinePreference",
-    "WalkTables",
     "greedy_walk",
 ]
 
@@ -103,50 +102,18 @@ class MachinePreference:
         return cls(orders=[order] * num_tasks, mates=[mates] * num_tasks)
 
 
-@dataclass(frozen=True, slots=True)
-class WalkTables:
-    """The per-solve inputs of :func:`greedy_walk`, as plain Python lists.
-
-    Built once per solve with ``.tolist()``, so a walk's inner loop
-    touches only Python floats and ints.  ``keep[i][u]`` is
-    ``1.0 - f[i, u]``.
-    """
-
-    order: tuple[int, ...]
-    successors: list[int]
-    types: list[int]
-    keep: list[list[float]]
-    w: list[list[float]]
-    preference: MachinePreference
-    num_machines: int
-    num_types: int
-
-    @classmethod
-    def build(cls, instance: ProblemInstance, preference: MachinePreference) -> "WalkTables":
-        successors = instance.application.successors
-        types = instance.application.types.as_array.tolist()
-        return cls(
-            order=backward_task_order(instance),
-            successors=[-1 if succ is None else succ for succ in successors],
-            types=types,
-            keep=(1.0 - instance.failure_rates).tolist(),
-            w=instance.processing_times.tolist(),
-            preference=preference,
-            num_machines=instance.num_machines,
-            num_types=len(set(types)),
-        )
-
-
-def greedy_walk(tables: WalkTables, target: float) -> tuple[list[int] | None, float]:
+def greedy_walk(
+    tables: WalkTables, preference: MachinePreference, target: float
+) -> tuple[list[int] | None, float]:
     """One greedy placement under period ``target``, with its proof.
 
     Tasks go sinks first.  Each task takes the first tie group of its
-    preference holding an eligible machine whose completion time is
+    ``preference`` holding an eligible machine whose completion time is
     ``<= target``, and in it the smallest completion time (lowest index
-    on ties).  Eligibility is :meth:`AssignmentState.eligible_mask`'s
-    ``nbFreeMachines / nbTypesToGo`` guard, and the arithmetic is
-    :class:`AssignmentState`'s operation for operation, so the result
-    is the sorted-preference probe's bit for bit.
+    on ties).  Eligibility is the walks' ``nbFreeMachines /
+    nbTypesToGo`` guard (see :mod:`repro.heuristics.base`), so the
+    result is that of a probe that sorts every machine by the
+    preference and takes the first eligible one meeting ``target``.
 
     Returns ``(assignment, lo)`` when every task is placed: ``lo`` is the
     largest completion time accepted, and every target in ``[lo,
@@ -157,7 +124,7 @@ def greedy_walk(tables: WalkTables, target: float) -> tuple[list[int] | None, fl
     every target in ``[target, hi)`` fails the same way.
     """
     successors, types, keep, w = tables.successors, tables.types, tables.keep, tables.w
-    orders, mates = tables.preference.orders, tables.preference.mates
+    orders, mates = preference.orders, preference.mates
     machine_type = [-1] * tables.num_machines
     accumulated = [0.0] * tables.num_machines
     x = [0.0] * len(types)
@@ -253,10 +220,6 @@ class BinarySearchHeuristic(Heuristic):
         """
         self._period_bound = worst_case_period_bound(instance)
 
-    def walk_tables(self, instance: ProblemInstance) -> WalkTables:
-        """The prepared instance's :func:`greedy_walk` inputs."""
-        return WalkTables.build(instance, self.machine_preference(instance))
-
     # -- Heuristic API ------------------------------------------------------------------
     def solve_mapping(
         self, instance: ProblemInstance, rng: np.random.Generator | None = None
@@ -277,17 +240,18 @@ class BinarySearchHeuristic(Heuristic):
         if self._period_bound is None:
             self._period_bound = worst_case_period_bound(instance)
         high = self._period_bound
-        tables = self.walk_tables(instance)
-        best, best_lo = greedy_walk(tables, high)
+        tables = WalkTables.build(instance)
+        preference = self.machine_preference(instance)
+        best, best_lo = greedy_walk(tables, preference, high)
         walks = 1
         failed_at, failed_below = math.inf, -math.inf
         if best is None:
-            # The guard in AssignmentState guarantees eligibility whenever a
-            # specialized mapping exists, so the upper bound is always
+            # The walk's free-machine guard guarantees eligibility whenever
+            # a specialized mapping exists, so the upper bound is always
             # feasible; keep a defensive fallback nonetheless.
             failed_at, failed_below = high, best_lo
             high *= 2.0
-            best, best_lo = greedy_walk(tables, high)
+            best, best_lo = greedy_walk(tables, preference, high)
             walks += 1
             if best is None:
                 raise ReproError(
@@ -312,7 +276,7 @@ class BinarySearchHeuristic(Heuristic):
             if failed_at <= mid < failed_below:
                 low = mid
                 continue
-            candidate, proof = greedy_walk(tables, mid)
+            candidate, proof = greedy_walk(tables, preference, mid)
             walks += 1
             if candidate is not None:
                 best, best_lo, best_at = candidate, proof, mid

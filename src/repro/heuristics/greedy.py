@@ -22,19 +22,15 @@ with the true failure-aware expected product counts.
 from __future__ import annotations
 
 import abc
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
-from .base import (
-    AssignmentState,
-    BatchAssignmentState,
-    Heuristic,
-    backward_task_order,
-    register_heuristic,
-)
+from ..exceptions import ReproError
+from .base import BatchAssignmentState, Heuristic, WalkTables, register_heuristic
 
 __all__ = [
     "GreedyCompletionHeuristic",
@@ -47,10 +43,10 @@ __all__ = [
 class GreedyCompletionHeuristic(Heuristic):
     """Shared single-pass greedy driver for the H4 family.
 
-    The inner loop scores every machine at once: the per-(task, machine)
-    part of each criterion is a fixed matrix (``w * F``, ``w`` or ``F``)
-    scaled by the downstream demand, so one NumPy expression replaces the
-    per-machine Python comparison loop.
+    A solve is one plain-Python walk over per-solve lists (the
+    :class:`~repro.heuristics.base.WalkTables` and the criterion rows):
+    each task scans the machines in index order and keeps the eligible
+    one of smallest score, the lowest index on exact ties.
     """
 
     @abc.abstractmethod
@@ -61,23 +57,43 @@ class GreedyCompletionHeuristic(Heuristic):
     def solve_mapping(
         self, instance: ProblemInstance, rng: np.random.Generator | None = None
     ) -> tuple[Mapping, int, dict]:
-        state = AssignmentState(instance, backward_task_order(instance))
-        criterion = self.criterion_matrix(instance)
-        while not state.is_complete():
-            task = state.next_task()
-            assert task is not None
-            demand = state.downstream_demand(task)
-            # The AssignmentState feasibility guard guarantees eligibility
-            # whenever m >= p, which check_feasible() has already verified.
-            scores = np.where(
-                state.eligible_mask(task),
-                state.accumulated + demand * criterion[task],
-                np.inf,
-            )
-            # np.argmin keeps the lowest machine index among exact ties,
-            # matching the old (score, machine) lexicographic selection.
-            state.assign(task, int(np.argmin(scores)))
-        return state.to_mapping(), 1, {}
+        tables = WalkTables.build(instance)
+        successors, types, keep, w = tables.successors, tables.types, tables.keep, tables.w
+        criterion = self.criterion_matrix(instance).tolist()
+        machine_type = [-1] * tables.num_machines
+        accumulated = [0.0] * tables.num_machines
+        x = [0.0] * len(types)
+        assignment = [-1] * len(types)
+        has_machine = [False] * (max(types) + 1)
+        free, pending = tables.num_machines, tables.num_types
+        for task in tables.order:
+            succ = successors[task]
+            demand = 1.0 if succ < 0 else x[succ]
+            task_type = types[task]
+            free_ok = free > (pending if has_machine[task_type] else pending - 1)
+            criterion_row = criterion[task]
+            pick, best = -1, math.inf
+            for u, owner in enumerate(machine_type):
+                if owner != task_type and (owner >= 0 or not free_ok):
+                    continue
+                score = accumulated[u] + demand * criterion_row[u]
+                if score < best:
+                    pick, best = u, score
+            if pick < 0:
+                raise ReproError(
+                    f"no machine may receive task {task} under the specialized rule"
+                )
+            if machine_type[pick] < 0:
+                machine_type[pick] = task_type
+                if not has_machine[task_type]:
+                    has_machine[task_type] = True
+                    pending -= 1
+                free -= 1
+            products = demand / keep[task][pick]
+            x[task] = products
+            accumulated[pick] += products * w[task][pick]
+            assignment[task] = pick
+        return Mapping(np.asarray(assignment, dtype=np.int64), tables.num_machines), 1, {}
 
     def solve_batch(self, instances: Sequence[ProblemInstance]) -> np.ndarray:
         """Solve all ``R`` instances lock-step; row ``r`` equals the

@@ -1,10 +1,14 @@
 """H1 — random heuristic (Algorithm 1 of the paper).
 
-Tasks are grouped by type at random: when a task's type already owns at
-least one group, the heuristic either opens a new group (if enough free
-machines remain for the types that have not been seen yet) or picks one of
-the existing groups of that type, uniformly at random.  Groups are finally
-assigned to machines by a random one-to-one draw.
+Tasks are walked sinks first and grouped by type at random; a *group*
+is a machine dedicated to one type.  The first task of a type opens a
+new group on a free machine drawn uniformly.  A later task of the type
+flips a fair coin when the free-machine guard (``nbFreeMachines >
+nbTypesToGo``) allows a new group: heads opens one on a uniformly drawn
+free machine, tails joins one of the type's existing groups, drawn
+uniformly.  Without a spare free machine it always joins an existing
+group.  The draws are ``rng.choice`` over the ascending lists of
+candidate machines and ``rng.random()`` for the coin.
 
 H1 is the *baseline* of the experimental section — it produces valid
 specialized mappings but ignores both processing times and failure rates.
@@ -12,11 +16,14 @@ specialized mappings but ignores both processing times and failure rates.
 
 from __future__ import annotations
 
+from bisect import insort
+
 import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
-from .base import AssignmentState, Heuristic, backward_task_order, register_heuristic
+from ..exceptions import ReproError
+from .base import Heuristic, backward_task_order, register_heuristic
 
 __all__ = ["RandomHeuristic"]
 
@@ -33,39 +40,32 @@ class RandomHeuristic(Heuristic):
     ) -> tuple[Mapping, int, dict]:
         if rng is None:  # pragma: no cover - Heuristic.solve always passes one
             rng = np.random.default_rng()
-        state = AssignmentState(instance, backward_task_order(instance))
-
-        new_groups_opened = 0
-        while not state.is_complete():
-            task = state.next_task()
-            assert task is not None
-            task_type = instance.type_of(task)
-            existing = [
-                u for u in state.machines_of_type(task_type) if state.is_eligible(task, u)
-            ]
-            free = [
-                u
-                for u in range(instance.num_machines)
-                if u not in state.machine_type and state.is_eligible(task, u)
-            ]
-
-            if not existing:
-                # First task of this type: a new group must be opened.
+        types = instance.application.types.as_array.tolist()
+        free = list(range(instance.num_machines))
+        # groups[t]: the machines dedicated to type t, ascending.
+        groups: list[list[int]] = [[] for _ in range(max(types) + 1)]
+        pending = len(set(types))
+        assignment = [-1] * len(types)
+        groups_opened = 0
+        for task in backward_task_order(instance):
+            existing = groups[types[task]]
+            free_ok = len(free) > (pending if existing else pending - 1)
+            if not existing and not free_ok:
+                raise ReproError(
+                    f"no machine may receive task {task} under the specialized rule"
+                )
+            # The paper opens a new group when spare machines remain;
+            # "choose a new group" and "choose an existing group" are the
+            # two branches of Algorithm 1's coin.
+            if not existing or (free_ok and rng.random() < 0.5):
                 machine = int(rng.choice(free))
-                new_groups_opened += 1
-            elif free and state.num_free_machines() > state.num_pending_types():
-                # The paper opens a new group when spare machines remain;
-                # choose at random between opening one and reusing a group,
-                # matching the "choose a new group" / "choose an existing
-                # group" branches of Algorithm 1.
-                if rng.random() < 0.5:
-                    machine = int(rng.choice(free))
-                    new_groups_opened += 1
-                else:
-                    machine = int(rng.choice(existing))
+                free.remove(machine)
+                if not existing:
+                    pending -= 1
+                insort(existing, machine)
+                groups_opened += 1
             else:
                 machine = int(rng.choice(existing))
-
-            state.assign(task, machine)
-
-        return state.to_mapping(), 1, {"groups_opened": new_groups_opened}
+            assignment[task] = machine
+        mapping = Mapping(np.asarray(assignment, dtype=np.int64), instance.num_machines)
+        return mapping, 1, {"groups_opened": groups_opened}

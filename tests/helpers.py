@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.analysis.stats import Series
 from repro.batch import MappingEvaluator
-from repro.core import FailureModel, Platform, ProblemInstance
+from repro.core import FailureModel, Mapping, Platform, ProblemInstance
 from repro.exact.milp import solve_specialized_milp
 from repro.exact.one_to_one import optimal_one_to_one
-from repro.exceptions import SolverError
+from repro.exceptions import ReproError, SolverError
 from repro.experiments.providers import MIP_LABEL, OTO_LABEL
 from repro.generators import (
     random_chain_application,
@@ -20,11 +21,12 @@ from repro.generators import (
 )
 from repro.generators.scenarios import ScenarioConfig, sample_instance
 from repro.heuristics import get_heuristic
-from repro.heuristics.base import AssignmentState, solve_one, supports_batch
+from repro.heuristics.base import backward_task_order, solve_one, supports_batch
 from repro.heuristics.binary_search import worst_case_period_bound
 from repro.simulation.rng import RandomStreamFactory
 
 __all__ = [
+    "AssignmentState",
     "dfs_bottleneck_assignment",
     "kernel_assignments",
     "lexsort_first_feasible",
@@ -34,6 +36,8 @@ __all__ = [
     "reference_best_move",
     "reference_bisection",
     "reference_candidate_periods",
+    "reference_greedy",
+    "reference_h1",
     "reference_try_period",
 ]
 
@@ -250,6 +254,313 @@ def reference_best_move(
         if value < threshold and (best is None or value < best[2]):
             best = (task, machine, value)
     return best
+
+
+class AssignmentState:
+    """Incremental state of a backward greedy assignment, on numpy arrays.
+
+    The oracle of every greedy walk in :mod:`repro.heuristics`: it keeps
+    the walks' bookkeeping (dedicated machines, accumulated busy time,
+    expected products, the ``nbFreeMachines / nbTypesToGo`` guard) in
+    its own form and checks every assignment it is given.
+    :func:`reference_h1`, :func:`reference_greedy` and
+    :func:`reference_try_period` drive it.
+
+    Parameters
+    ----------
+    instance:
+        The problem instance being solved.
+    order:
+        The task order used by the heuristic (defaults to the backward
+        order).  The state tracks which types still have unassigned tasks
+        to implement the free-machine feasibility guard.
+    """
+
+    __slots__ = (
+        "instance",
+        "_order",
+        "_position",
+        "assignment",
+        "machine_type",
+        "accumulated",
+        "x",
+        "_remaining_type_counts",
+        "_free_machines",
+        "_machine_type_arr",
+        "_types_with_machine",
+        "_pending_types",
+    )
+
+    def __init__(self, instance: ProblemInstance, order: Sequence[int] | None = None):
+        self.instance = instance
+        self._order = tuple(order) if order is not None else backward_task_order(instance)
+        if sorted(self._order) != list(range(instance.num_tasks)):
+            raise ReproError("order must be a permutation of all task indices")
+        self._position = 0
+        n, m = instance.num_tasks, instance.num_machines
+        self.assignment = np.full(n, -1, dtype=np.int64)
+        #: machine index -> type it is dedicated to (absent = free machine)
+        self.machine_type: dict[int, int] = {}
+        #: vectorized mirror of machine_type (-1 = free machine)
+        self._machine_type_arr = np.full(m, -1, dtype=np.int64)
+        #: types that own at least one dedicated machine
+        self._types_with_machine: set[int] = set()
+        #: accumulated expected busy time per machine (x_j * w[j, u] summed)
+        self.accumulated = np.zeros(m, dtype=np.float64)
+        #: expected products per task; -1 until the task is assigned
+        self.x = np.full(n, -1.0, dtype=np.float64)
+        types = instance.application.types
+        self._remaining_type_counts: dict[int, int] = {}
+        for task in range(n):
+            t = types[task]
+            self._remaining_type_counts[t] = self._remaining_type_counts.get(t, 0) + 1
+        self._free_machines = m
+        # Types with unassigned tasks and no dedicated machine.  No machine
+        # is dedicated yet, so initially every type present is pending; the
+        # count is maintained incrementally by :meth:`assign` (a type leaves
+        # the pending set exactly when it gains its first machine, because a
+        # type's task count only ever drops through an assignment that also
+        # guarantees it a machine).
+        self._pending_types = len(self._remaining_type_counts)
+
+    # -- traversal ------------------------------------------------------------------
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The task traversal order."""
+        return self._order
+
+    def remaining_tasks(self) -> tuple[int, ...]:
+        """Tasks not yet assigned, in traversal order."""
+        return self._order[self._position :]
+
+    def next_task(self) -> int | None:
+        """The next task to assign, or ``None`` when every task is assigned."""
+        if self._position >= len(self._order):
+            return None
+        return self._order[self._position]
+
+    def is_complete(self) -> bool:
+        """True when every task has been assigned."""
+        return self._position >= len(self._order)
+
+    # -- demand bookkeeping ------------------------------------------------------------
+    def downstream_demand(self, task: int) -> float:
+        """Products the successor of ``task`` requires (1.0 for a sink).
+
+        Because assignment proceeds sinks-first, the successor of the next
+        task to assign has always been assigned already, so its ``x`` value
+        is known exactly.
+        """
+        succ = self.instance.application.successor(task)
+        if succ is None:
+            return 1.0
+        x_succ = self.x[succ]
+        if x_succ < 0:
+            raise ReproError(
+                f"successor {succ} of task {task} has not been assigned yet; "
+                "heuristics must traverse the graph sinks-first"
+            )
+        return float(x_succ)
+
+    def candidate_products(self, task: int, machine: int) -> float:
+        """``x_i`` that task would get if assigned to ``machine``."""
+        demand = self.downstream_demand(task)
+        return demand / (1.0 - self.instance.f(task, machine))
+
+    def candidate_products_vector(self, task: int) -> np.ndarray:
+        """``x_i`` the task would get on each machine, as an ``(m,)`` vector."""
+        demand = self.downstream_demand(task)
+        return demand / (1.0 - self.instance.failure_rates[task, :])
+
+    def candidate_exec_vector(self, task: int) -> np.ndarray:
+        """Machine completion times if ``task`` went to each machine (``(m,)``).
+
+        ``accu_u + x_i(u) * w[i, u]`` with the true (failure-aware) ``x_i``:
+        the quantity the binary-search heuristics compare against the
+        period bound.
+        """
+        return self.accumulated + self.candidate_products_vector(
+            task
+        ) * self.instance.processing_times[task, :]
+
+    # -- machine eligibility --------------------------------------------------------------
+    def num_free_machines(self) -> int:
+        """Machines not yet dedicated to any type."""
+        return self._free_machines
+
+    def num_pending_types(self) -> int:
+        """Types that still have unassigned tasks and no dedicated machine.
+
+        Maintained incrementally by :meth:`assign` (O(1)) instead of
+        rescanning the per-type counts on every eligibility check.
+        """
+        return self._pending_types
+
+    def _has_machine_for(self, type_index: int) -> bool:
+        return type_index in self._types_with_machine
+
+    def machines_of_type(self, type_index: int) -> list[int]:
+        """Machines already dedicated to ``type_index``."""
+        return sorted(u for u, t in self.machine_type.items() if t == type_index)
+
+    def is_eligible(self, task: int, machine: int) -> bool:
+        """True if ``machine`` may receive ``task`` under the specialized rule.
+
+        A machine is eligible when it is already dedicated to ``t(task)``,
+        or when it is free *and* dedicating it would not starve another
+        still-pending type of its last free machine.
+        """
+        task_type = self.instance.type_of(task)
+        dedicated = self.machine_type.get(machine)
+        if dedicated is not None:
+            return dedicated == task_type
+        # Free machine: apply the nbFreeMachines / nbTypesToGo guard.
+        pending = self.num_pending_types()
+        if self._has_machine_for(task_type):
+            # The type already owns a machine; taking a new free machine is
+            # only allowed if enough free machines remain for pending types.
+            return self._free_machines - 1 >= pending
+        # The type has no machine yet: it is itself one of the pending
+        # types, so using a free machine for it always keeps the invariant.
+        return self._free_machines - 1 >= pending - 1
+
+    def eligible_mask(self, task: int) -> np.ndarray:
+        """Boolean ``(m,)`` mask of machines that may receive ``task``.
+
+        Vectorized equivalent of calling :meth:`is_eligible` for every
+        machine: a machine qualifies when it is dedicated to the task's
+        type, or free and the ``nbFreeMachines / nbTypesToGo`` guard
+        allows dedicating it.
+        """
+        task_type = self.instance.type_of(task)
+        dedicated_ok = self._machine_type_arr == task_type
+        free = self._machine_type_arr == -1
+        pending = self.num_pending_types()
+        if self._has_machine_for(task_type):
+            free_ok = self._free_machines - 1 >= pending
+        else:
+            free_ok = self._free_machines - 1 >= pending - 1
+        if not free_ok:
+            return dedicated_ok
+        return dedicated_ok | free
+
+    def eligible_machines(self, task: int) -> list[int]:
+        """All machines that may receive ``task`` (ascending index)."""
+        return [int(u) for u in np.flatnonzero(self.eligible_mask(task))]
+
+    # -- mutation ---------------------------------------------------------------------
+    def assign(self, task: int, machine: int) -> None:
+        """Assign the next task of the traversal to ``machine``.
+
+        Raises
+        ------
+        ReproError
+            If ``task`` is not the next task in the traversal order or the
+            machine is not eligible.
+        """
+        expected = self.next_task()
+        if expected is None or task != expected:
+            raise ReproError(
+                f"tasks must be assigned in traversal order; expected task {expected}, "
+                f"got {task}"
+            )
+        if not self.is_eligible(task, machine):
+            raise ReproError(
+                f"machine {machine} is not eligible for task {task} under the "
+                "specialized rule"
+            )
+        task_type = self.instance.type_of(task)
+        if machine not in self.machine_type:
+            self.machine_type[machine] = task_type
+            self._machine_type_arr[machine] = task_type
+            if task_type not in self._types_with_machine:
+                # The type gains its first machine: it stops being pending.
+                self._pending_types -= 1
+            self._types_with_machine.add(task_type)
+            self._free_machines -= 1
+        x_task = self.candidate_products(task, machine)
+        self.x[task] = x_task
+        self.accumulated[machine] += x_task * self.instance.w(task, machine)
+        self.assignment[task] = machine
+        self._remaining_type_counts[task_type] -= 1
+        self._position += 1
+
+    # -- result ---------------------------------------------------------------------
+    def to_mapping(self) -> Mapping:
+        """Freeze the assignment into a :class:`~repro.core.Mapping`.
+
+        Raises
+        ------
+        ReproError
+            If some tasks are still unassigned.
+        """
+        if not self.is_complete():
+            raise ReproError("assignment is incomplete")
+        return Mapping(self.assignment, self.instance.num_machines)
+
+
+def reference_h1(instance: ProblemInstance, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """H1 (Algorithm 1) on an :class:`AssignmentState`; ``(assignment, groups_opened)``.
+
+    The oracle of ``RandomHeuristic.solve_mapping``: the same
+    ``rng.choice`` / ``rng.random`` calls on the same ascending lists of
+    eligible machines.
+    """
+    state = AssignmentState(instance, backward_task_order(instance))
+    groups_opened = 0
+    while not state.is_complete():
+        task = state.next_task()
+        task_type = instance.type_of(task)
+        existing = [u for u in state.machines_of_type(task_type) if state.is_eligible(task, u)]
+        free = [
+            u
+            for u in range(instance.num_machines)
+            if u not in state.machine_type and state.is_eligible(task, u)
+        ]
+        if not existing:
+            machine = int(rng.choice(free))
+            groups_opened += 1
+        elif free and state.num_free_machines() > state.num_pending_types():
+            if rng.random() < 0.5:
+                machine = int(rng.choice(free))
+                groups_opened += 1
+            else:
+                machine = int(rng.choice(existing))
+        else:
+            machine = int(rng.choice(existing))
+        state.assign(task, machine)
+    return state.assignment.copy(), groups_opened
+
+
+#: The H4 family's criterion matrices ``C``, from ``w`` and ``F = 1 / (1 - f)``.
+_GREEDY_CRITERIA = {
+    "H4": lambda w, attempts: w * attempts,
+    "H4w": lambda w, attempts: w,
+    "H4f": lambda w, attempts: attempts,
+}
+
+
+def reference_greedy(name: str, instance: ProblemInstance) -> np.ndarray:
+    """An H4-family solve on an :class:`AssignmentState`; the ``(n,)`` assignment.
+
+    The oracle of ``GreedyCompletionHeuristic.solve_mapping``: sinks
+    first, each task goes to the eligible machine minimising ``accu_u +
+    demand * C[task, u]``, the lowest index on exact ties (``np.argmin``).
+    """
+    criterion = _GREEDY_CRITERIA[name](
+        instance.processing_times, instance.failures.attempts_factors
+    )
+    state = AssignmentState(instance, backward_task_order(instance))
+    while not state.is_complete():
+        task = state.next_task()
+        demand = state.downstream_demand(task)
+        scores = np.where(
+            state.eligible_mask(task),
+            state.accumulated + demand * criterion[task],
+            np.inf,
+        )
+        state.assign(task, int(np.argmin(scores)))
+    return state.assignment.copy()
 
 
 def _reference_order(name: str, instance: ProblemInstance, state, task: int) -> np.ndarray:

@@ -13,25 +13,40 @@ from repro.exact.bruteforce import bruteforce_optimal
 from repro.exact.hungarian import assignment_cost, bottleneck_assignment, min_cost_assignment
 from repro.heuristics import PAPER_HEURISTICS, get_heuristic
 from repro.heuristics.binary_search import worst_case_period_bound
+from tests.helpers import reference_greedy, reference_h1
 
 
 pytestmark = pytest.mark.slow
 
 
 @st.composite
-def feasible_instances(draw, max_tasks: int = 7, max_machines: int = 5):
-    """Chain instances guaranteed to admit a specialized mapping (m >= p)."""
+def feasible_instances(draw, max_tasks: int = 7, max_machines: int = 5, ties: bool = False):
+    """Chain instances guaranteed to admit a specialized mapping (m >= p).
+
+    ``ties`` draws ``w`` from a few integers and ``f`` from ``{0, 0.5}``,
+    so that machines often score exactly alike.
+    """
     n = draw(st.integers(min_value=1, max_value=max_tasks))
     m = draw(st.integers(min_value=1, max_value=max_machines))
     p = draw(st.integers(min_value=1, max_value=min(n, m)))
     types = [draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(n)]
     types[: min(p, n)] = list(range(min(p, n)))
     app = Application.chain(TypeAssignment(types, num_types=p))
+    w_values = (
+        st.sampled_from([10.0, 20.0, 30.0])
+        if ties
+        else st.floats(min_value=10.0, max_value=1000.0, allow_nan=False)
+    )
+    f_values = (
+        st.sampled_from([0.0, 0.5])
+        if ties
+        else st.floats(min_value=0.0, max_value=0.3, allow_nan=False)
+    )
     per_type_w = np.asarray(
         draw(
             st.lists(
                 st.lists(
-                    st.floats(min_value=10.0, max_value=1000.0, allow_nan=False),
+                    w_values,
                     min_size=m,
                     max_size=m,
                 ),
@@ -45,7 +60,7 @@ def feasible_instances(draw, max_tasks: int = 7, max_machines: int = 5):
         draw(
             st.lists(
                 st.lists(
-                    st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
+                    f_values,
                     min_size=m,
                     max_size=m,
                 ),
@@ -95,6 +110,29 @@ class TestHeuristicProperties:
         h4ls = get_heuristic("H4ls").solve(instance)
         assert h4ls.period <= h4w.period
         h4ls.mapping.validate(instance, "specialized")
+
+
+class TestWalksMatchTheirOracle:
+    """H1's and the H4 family's plain-list walks equal their
+    ``AssignmentState`` oracles bit for bit (H2/H3's ``greedy_walk`` is
+    held to its oracle in ``tests/unit/test_greedy_walk.py``)."""
+
+    @given(
+        st.one_of(feasible_instances(), feasible_instances(ties=True)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_h1_and_h4_walks_equal_their_oracles(self, instance, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        mapping, _, metadata = get_heuristic("H1").solve_mapping(instance, rng)
+        assignment, groups_opened = reference_h1(instance, oracle_rng)
+        assert mapping.as_array.tolist() == assignment.tolist()
+        assert metadata["groups_opened"] == groups_opened
+        # Same draws: both generators end in the same state.
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        for name in ("H4", "H4w", "H4f"):
+            mapping = get_heuristic(name).solve_mapping(instance)[0]
+            assert mapping.as_array.tolist() == reference_greedy(name, instance).tolist()
 
 
 @st.composite

@@ -3,8 +3,8 @@
 ``BinarySearchHeuristic.solve_mapping`` probes with :func:`greedy_walk`
 and settles midpoints covered by an earlier walk's proof interval
 without walking.  The oracle in :mod:`tests.helpers` is the plain
-bisection: an :class:`~repro.heuristics.base.AssignmentState` probe with
-a sorted machine preference at every midpoint.  Both must agree on the
+bisection: an :class:`~tests.helpers.AssignmentState` probe with a
+sorted machine preference at every midpoint.  Both must agree on the
 mapping, the iteration count and the final bracket.
 """
 
@@ -23,6 +23,7 @@ from repro.core.application import in_tree
 from repro.exceptions import ReproError
 from repro.generators import random_chain_application
 from repro.heuristics import binary_search, get_heuristic
+from repro.heuristics.base import WalkTables
 from repro.heuristics.binary_search import greedy_walk
 from tests.helpers import make_random_instance, reference_bisection
 
@@ -110,9 +111,9 @@ def test_doubled_bound_fallback_on_a_fixed_instance(name):
     low = get_heuristic(name).solve_mapping(instance)[2]["final_low"]
     heuristic = get_heuristic(name)
     heuristic.prepare(instance)
-    tables = heuristic.walk_tables(instance)
-    assert greedy_walk(tables, low)[0] is None
-    assert greedy_walk(tables, 2.0 * low)[0] is not None
+    tables, preference = WalkTables.build(instance), heuristic.machine_preference(instance)
+    assert greedy_walk(tables, preference, low)[0] is None
+    assert greedy_walk(tables, preference, 2.0 * low)[0] is not None
     with mock.patch.object(binary_search, "worst_case_period_bound", lambda _: low):
         assert_matches_reference(get_heuristic(name), name, instance, bound=low)
 
@@ -123,22 +124,22 @@ def test_walk_proofs_hold_at_their_ends(name, seed):
     instance = make_random_instance(40, 4, 12, seed=seed)
     heuristic = get_heuristic(name)
     heuristic.prepare(instance)
-    tables = heuristic.walk_tables(instance)
+    tables, preference = WalkTables.build(instance), heuristic.machine_preference(instance)
     period = get_heuristic(name).solve_mapping(instance)[2]["final_high"]
     checked = {"placed": 0, "failed": 0}
     for target in np.linspace(0.5, 1.5, 21) * period:
         target = float(target)
-        assignment, proof = greedy_walk(tables, target)
+        assignment, proof = greedy_walk(tables, preference, target)
         if assignment is not None:
             assert proof <= target
             for other in (proof, target):
-                assert greedy_walk(tables, other) == (assignment, proof)
+                assert greedy_walk(tables, preference, other) == (assignment, proof)
             checked["placed"] += 1
         else:
             assert proof > target
             below_hi = math.nextafter(proof, -math.inf) if math.isfinite(proof) else 2 * period
             for other in (target, below_hi):
-                assert greedy_walk(tables, other)[0] is None
+                assert greedy_walk(tables, preference, other)[0] is None
             checked["failed"] += 1
     assert checked["placed"] and checked["failed"]
 

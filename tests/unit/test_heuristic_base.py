@@ -1,4 +1,5 @@
-"""Unit tests for repro.heuristics.base (registry and AssignmentState)."""
+"""Unit tests for repro.heuristics.base (registry, solve route) and the
+``tests.helpers.AssignmentState`` oracle of the greedy walks."""
 
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from repro.heuristics import (
     supports_batch,
 )
 from repro.heuristics import base
-from repro.heuristics.base import BATCH_MIN_ROWS, AssignmentState, solve_stack
-from tests.helpers import make_random_instance
+from repro.heuristics.base import BATCH_MIN_ROWS, solve_stack
+from tests.helpers import AssignmentState, make_random_instance
 
 
 class TestRegistry:
@@ -97,6 +98,16 @@ class TestHeuristicSolve:
         assert result.period > 0
         assert result.heuristic == name
         assert result.throughput == pytest.approx(1.0 / result.period)
+
+    @pytest.mark.parametrize("name", PAPER_HEURISTICS + ("H4-forward",))
+    def test_solve_mapping_raises_when_more_types_than_machines(self, name):
+        # solve_mapping skips check_feasible: the walk itself must refuse
+        # an instance with no specialized mapping rather than return one.
+        app = Application.chain(TypeAssignment([0, 1, 2, 0]))
+        platform = Platform.homogeneous(4, 2, 100.0)
+        inst = ProblemInstance(app, platform, FailureModel.failure_free(4, 2))
+        with pytest.raises(ReproError):
+            get_heuristic(name).solve_mapping(inst, np.random.default_rng(0))
 
     def test_result_metadata_iterations(self, small_instance):
         result = get_heuristic("H2").solve(small_instance)

@@ -1,18 +1,20 @@
-"""H2/H3 results pinned across commits.
+"""Greedy-heuristic results pinned across commits.
 
-``tests/data/binary_search_golden.json`` records, for every case below,
-the H2 and H3 assignment, period and bisection iteration count.  Any
-change to the bisection driver or the greedy placement must reproduce it
-bit for bit: unlike the batch-vs-loop equivalence tests, which compare
-two paths of the same checkout, this fixture catches a drift that moves
-both paths at once.
+``tests/data/heuristics_golden.json`` records, for every case below,
+the assignment, period and iteration count of H2 and H3 (the
+bisections), of the H4 family and H4-forward (single greedy passes) and
+of H1.  H1 runs on ``np.random.default_rng(<case index>)`` and its pin
+also records ``groups_opened``.  Any change to a bisection driver or a
+greedy walk must reproduce the fixture bit for bit: unlike the
+batch-vs-loop equivalence tests, which compare two paths of the same
+checkout, this fixture catches a drift that moves both paths at once.
 
 The cases span the three workload shapes: service requests, live
 cold re-solves on shrinking sub-platforms (down to ``m == p``) and
 figure sweep points.  Regenerate the fixture — only on purpose, from the
 checkout whose results it should pin — with::
 
-    PYTHONPATH=src python tests/unit/test_binary_search_golden.py --write
+    PYTHONPATH=src python tests/unit/test_heuristics_golden.py --write
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from repro.live.replanner import sub_instance
 from repro.service.requests import normalize_request
 from repro.simulation.rng import RandomStreamFactory
 
-GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "binary_search_golden.json"
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "heuristics_golden.json"
 
-HEURISTICS = ("H2", "H3")
+HEURISTICS = ("H1", "H2", "H3", "H4", "H4w", "H4f", "H4-forward")
 
 #: Service request shapes: (n, p, m).
 SERVICE_SHAPES = ((30, 3, 10), (50, 5, 20), (100, 5, 50), (60, 4, 20))
@@ -86,13 +88,17 @@ def _cases():
     return cases
 
 
-def _pinned(instance, name: str) -> dict:
-    result = get_heuristic(name).solve(instance)
-    return {
+def _pinned(instance, name: str, case_index: int) -> dict:
+    rng = np.random.default_rng(case_index) if name == "H1" else None
+    result = get_heuristic(name).solve(instance, rng)
+    pinned = {
         "assignment": result.mapping.as_array.tolist(),
         "period": result.period,
         "iterations": result.iterations,
     }
+    if name == "H1":
+        pinned["groups_opened"] = result.metadata["groups_opened"]
+    return pinned
 
 
 @pytest.fixture(scope="module")
@@ -108,13 +114,14 @@ def instances() -> dict:
 def test_fixture_covers_every_case(golden):
     expected = {f"{case_id}/{name}" for case_id in _cases() for name in HEURISTICS}
     assert set(golden) == expected
-    assert len(expected) == 48
+    assert len(expected) == 24 * len(HEURISTICS)
 
 
 @pytest.mark.parametrize("name", HEURISTICS)
-@pytest.mark.parametrize("case_id", list(_cases()))
-def test_results_match_the_pinned_fixture(golden, instances, case_id, name):
-    assert _pinned(instances[case_id], name) == golden[f"{case_id}/{name}"]
+@pytest.mark.parametrize("case_index, case_id", list(enumerate(_cases())))
+def test_results_match_the_pinned_fixture(golden, instances, case_index, case_id, name):
+    pinned = _pinned(instances[case_id], name, case_index)
+    assert pinned == golden[f"{case_id}/{name}"]
 
 
 if __name__ == "__main__":
@@ -122,8 +129,8 @@ if __name__ == "__main__":
         raise SystemExit(f"usage: {sys.argv[0]} --write")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     results = {
-        f"{case_id}/{name}": _pinned(build(), name)
-        for case_id, build in _cases().items()
+        f"{case_id}/{name}": _pinned(build(), name, case_index)
+        for case_index, (case_id, build) in enumerate(_cases().items())
         for name in HEURISTICS
     }
     lines = (f"{json.dumps(key)}: {json.dumps(results[key])}" for key in sorted(results))

@@ -8,6 +8,7 @@ import pytest
 from repro.core import FailureModel, Platform, ProblemInstance, TypeAssignment, evaluate
 from repro.core.application import Application
 from repro.heuristics import get_heuristic
+from repro.heuristics.base import WalkTables
 from repro.heuristics.binary_search import (
     HeterogeneityBinarySearchHeuristic,
     RankBinarySearchHeuristic,
@@ -96,7 +97,8 @@ class TestBinarySearchHeuristics:
         assert list(h3.machine_preference(inst).orders[1]) == [0, 1]
         # The walk at a period both machines meet places the sink (task
         # 1, first in the backward order) on machine 0.
-        assignment, _ = greedy_walk(h3.walk_tables(inst), 10_000.0)
+        preference = h3.machine_preference(inst)
+        assignment, _ = greedy_walk(WalkTables.build(inst), preference, 10_000.0)
         assert assignment[1] == 0
 
     def test_integer_search_iteration_count_bounded(self):
