@@ -70,17 +70,16 @@ def test_cost_balance_and_stealing_beat_naive_round_robin():
     units = expand_units(manifest)
     scale = SIMULATED_TOTAL_SECONDS / sum(unit_cost(manifest, u) for u in units)
 
-    def sleep_queues(shards):
+    def sleep_queues(shard_units):
         return [
-            [unit_cost(manifest, unit) * scale for unit in shard.units]
-            for shard in shards
+            [unit_cost(manifest, unit) * scale for unit in queue]
+            for queue in shard_units
         ]
 
-    naive_queues = sleep_queues(
-        plan(manifest, shards=SLOTS, by="block", balance="round_robin")
-    )
+    # Round-robin over blocks: unit i goes to queue i % SLOTS.
+    naive_queues = sleep_queues(units[k::SLOTS] for k in range(SLOTS))
     balanced_queues = sleep_queues(
-        plan(manifest, shards=SLOTS, by="block", balance="cost")
+        shard.units for shard in plan(manifest, shards=SLOTS, by="block")
     )
     naive_seconds, _ = _dispatch_seconds(naive_queues, steal=False)
     balanced_seconds, stolen = _dispatch_seconds(balanced_queues, steal=True)

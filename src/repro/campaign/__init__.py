@@ -7,10 +7,11 @@ coordination:
 
 1. :func:`~repro.campaign.plan.plan` expands a
    :class:`~repro.campaign.plan.CampaignManifest` (figures x seeds x
-   curves x sweep points) into per-shard work-unit lists
-   (``microrepro shard plan``);
-2. :func:`~repro.campaign.worker.run_shard` executes exactly one
-   shard's units through the block engine into a local
+   curves x sweep points) into per-shard work-unit lists, balanced by
+   estimated cost (``microrepro shard plan``);
+2. :func:`~repro.dag.scheduler.execute_solves` — the one solve path of
+   every store-backed run, ``microrepro dag run`` included — executes
+   exactly one shard's units into a local
    :class:`~repro.experiments.store.ResultStore`
    (``microrepro shard run``);
 3. :func:`~repro.campaign.merge.merge_stores` unions the shard stores —
@@ -25,8 +26,8 @@ store independent of how the work was partitioned.
 
 from .merge import merge_stores
 from .plan import (
+    CAMPAIGN_FILE,
     PLAN_AXES,
-    PLAN_BALANCES,
     CampaignManifest,
     ShardPlan,
     WorkUnit,
@@ -44,11 +45,10 @@ from .status import (
     status_payload,
     status_rows,
 )
-from .worker import ShardReport, run_shard
 
 __all__ = [
+    "CAMPAIGN_FILE",
     "PLAN_AXES",
-    "PLAN_BALANCES",
     "CampaignManifest",
     "ShardPlan",
     "WorkUnit",
@@ -58,8 +58,6 @@ __all__ = [
     "parse_seed_spec",
     "plan",
     "write_plans",
-    "ShardReport",
-    "run_shard",
     "ShardStatus",
     "load_shard_plans",
     "shard_status",

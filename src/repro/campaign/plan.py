@@ -29,13 +29,13 @@ The ``by`` axis controls what stays together on one shard:
     Individual blocks — finest partition, best balance for small
     campaigns.
 
-Units are assigned round-robin over the grouping keys in first-
-appearance order, so shard *counts* stay within one group of each
-other.  Counts are not costs: a MIP block runs ~100x a heuristic block
-(see :mod:`repro.dag.cost`), so ``balance="cost"`` instead assigns
-groups longest-processing-time-first to the least-loaded shard, keeping
-estimated shard *durations* level.  Both policies are pure functions of
-their inputs — re-planning anywhere reproduces the same partition.
+Groups are priced with the :mod:`repro.dag.cost` model (a MIP block
+runs ~100x a heuristic block) and assigned longest-processing-time-
+first to the least-loaded shard, keeping estimated shard *durations*
+level.  Ties break on first-appearance order, then shard index, so
+re-planning anywhere reproduces the same partition.  The partition
+never changes results: merged shard stores are bit for bit a single
+host's.
 """
 
 from __future__ import annotations
@@ -61,16 +61,14 @@ __all__ = [
     "write_plans",
     "load_plan",
     "PLAN_AXES",
-    "PLAN_BALANCES",
+    "CAMPAIGN_FILE",
 ]
 
 #: Valid shard-partition axes.
 PLAN_AXES = ("seed", "curve", "block")
 
-#: Valid shard-balancing policies.
-PLAN_BALANCES = ("round_robin", "cost")
-
-#: File name of the campaign-level manifest written next to shard plans.
+#: File name of the campaign manifest: written next to shard plans by
+#: ``shard plan`` and into the store by ``dag run``.
 CAMPAIGN_FILE = "campaign.json"
 
 
@@ -181,15 +179,8 @@ class CampaignManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignManifest":
-        """Rebuild a manifest from :meth:`to_dict` output.
-
-        Accepts pre-distributed campaign manifests too: a scalar
-        ``"seed"`` field is promoted to a one-element ``seeds`` axis.
-        """
+        """Rebuild a manifest from :meth:`to_dict` output."""
         kwargs = dict(data)
-        if "seed" in kwargs and "seeds" not in kwargs:
-            kwargs["seeds"] = [kwargs.pop("seed")]
-        kwargs.pop("seed", None)
         known = {spec.name for spec in fields(cls)}
         unknown = set(kwargs) - known
         if unknown:
@@ -273,7 +264,6 @@ class ShardPlan:
     shards: int
     by: str
     units: tuple[WorkUnit, ...] = field(default_factory=tuple)
-    balance: str = "round_robin"
 
     @property
     def name(self) -> str:
@@ -286,7 +276,6 @@ class ShardPlan:
             "shard": self.index,
             "shards": self.shards,
             "by": self.by,
-            "balance": self.balance,
             "units": [unit.as_list() for unit in self.units],
         }
 
@@ -305,87 +294,46 @@ class ShardPlan:
             shards=int(data["shards"]),
             by=str(data["by"]),
             units=units,
-            balance=str(data.get("balance", "round_robin")),
         )
 
 
-def _assign_by_cost(
-    manifest: CampaignManifest, units: list[WorkUnit], by: str, shards: int
-) -> dict[tuple, int]:
-    """LPT assignment of group keys to shards by estimated cost.
-
-    Groups (in first-appearance order) are priced with the
-    :mod:`repro.dag.cost` model, sorted longest first, and each assigned
-    to the currently least-loaded shard.  Ties break on first-appearance
-    order then shard index, so the partition is deterministic.
-    """
-    from ..dag.cost import unit_cost
-
-    order: list[tuple] = []
-    group_cost: dict[tuple, float] = {}
-    for unit in units:
-        key = unit.group_key(by)
-        if key not in group_cost:
-            group_cost[key] = 0.0
-            order.append(key)
-        group_cost[key] += unit_cost(manifest, unit)
-    rank = {key: position for position, key in enumerate(order)}
-    loads = [0.0] * shards
-    assignment: dict[tuple, int] = {}
-    for key in sorted(order, key=lambda key: (-group_cost[key], rank[key])):
-        shard = min(range(shards), key=lambda index: (loads[index], index))
-        assignment[key] = shard
-        loads[shard] += group_cost[key]
-    return assignment
-
-
-def plan(
-    manifest: CampaignManifest,
-    *,
-    shards: int,
-    by: str = "seed",
-    balance: str = "round_robin",
-) -> list[ShardPlan]:
+def plan(manifest: CampaignManifest, *, shards: int, by: str = "seed") -> list[ShardPlan]:
     """Partition a campaign into ``shards`` disjoint, covering shard plans.
 
-    With ``balance="round_robin"``, group keys along the ``by`` axis are
-    assigned round-robin in first-appearance order over the canonical
-    unit expansion; with ``balance="cost"``, longest-processing-time-
-    first by the calibrated cost model (see module docstring).  Either
-    way two calls with the same arguments produce identical plans on any
-    host, every unit lands on exactly one shard, and units keep their
-    canonical order within each shard (some shards may be empty when
-    there are fewer groups than shards).
+    Group keys along the ``by`` axis are priced by the calibrated cost
+    model, sorted longest first and each assigned to the currently
+    least-loaded shard (see module docstring).  Two calls with the same
+    arguments produce identical plans on any host, every unit lands on
+    exactly one shard, and units keep their canonical order within each
+    shard (some shards may be empty when there are fewer groups than
+    shards).
     """
+    # Imported lazily: repro.dag.scheduler imports this module, so a
+    # module-level import would make `import repro.dag` circular.
+    from ..dag.cost import unit_cost
+
     if shards < 1:
         raise ExperimentError(f"shards must be >= 1, got {shards}")
     if by not in PLAN_AXES:
         raise ExperimentError(f"unknown plan axis {by!r}; use one of {PLAN_AXES}")
-    if balance not in PLAN_BALANCES:
-        raise ExperimentError(
-            f"unknown balance policy {balance!r}; use one of {PLAN_BALANCES}"
-        )
     units = expand_units(manifest)
+    group_cost: dict[tuple, float] = {}
+    for unit in units:
+        key = unit.group_key(by)
+        group_cost[key] = group_cost.get(key, 0.0) + unit_cost(manifest, unit)
+    loads = [0.0] * shards
+    assignment: dict[tuple, int] = {}
+    # Both sorted() and min() keep the first of equals: ties go to the
+    # group seen first and to the lowest shard index.
+    for key in sorted(group_cost, key=lambda key: -group_cost[key]):
+        shard = min(range(shards), key=loads.__getitem__)
+        assignment[key] = shard
+        loads[shard] += group_cost[key]
     per_shard: list[list[WorkUnit]] = [[] for _ in range(shards)]
-    if balance == "cost":
-        assignment = _assign_by_cost(manifest, units, by, shards)
-        for unit in units:
-            per_shard[assignment[unit.group_key(by)]].append(unit)
-    else:
-        rr_assignment: dict[tuple, int] = {}
-        for unit in units:
-            key = unit.group_key(by)
-            shard = rr_assignment.setdefault(key, len(rr_assignment) % shards)
-            per_shard[shard].append(unit)
+    for unit in units:
+        per_shard[assignment[unit.group_key(by)]].append(unit)
     return [
-        ShardPlan(
-            manifest=manifest,
-            index=index,
-            shards=shards,
-            by=by,
-            units=tuple(units),
-            balance=balance,
-        )
+        ShardPlan(manifest=manifest, index=index, shards=shards, by=by, units=tuple(units))
         for index, units in enumerate(per_shard)
     ]
 
@@ -396,7 +344,6 @@ def write_plans(
     *,
     shards: int,
     by: str = "seed",
-    balance: str = "round_robin",
 ) -> list[tuple[Path, ShardPlan]]:
     """Write ``campaign.json`` plus one ``shard_<k>.json`` per shard.
 
@@ -406,8 +353,8 @@ def write_plans(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    shard_plans = plan(manifest, shards=shards, by=by, balance=balance)
-    campaign_doc = dict(manifest.to_dict(), shards=shards, by=by, balance=balance)
+    shard_plans = plan(manifest, shards=shards, by=by)
+    campaign_doc = dict(manifest.to_dict(), shards=shards, by=by)
     (out / CAMPAIGN_FILE).write_text(
         json.dumps(campaign_doc, indent=2) + "\n", encoding="utf-8"
     )
@@ -424,7 +371,6 @@ def load_plan(
     *,
     shard: tuple[int, int] | None = None,
     by: str | None = None,
-    balance: str | None = None,
 ) -> ShardPlan:
     """Load a shard plan from a planner file.
 
@@ -450,15 +396,9 @@ def load_plan(
                 f"{path} was planned by {raw['by']!r}; it cannot be re-partitioned "
                 f"by {by!r} (re-run 'shard plan', or pass the campaign manifest)"
             )
-        if balance is not None and balance != raw.get("balance", "round_robin"):
-            raise ExperimentError(
-                f"{path} was balanced by {raw.get('balance', 'round_robin')!r}, not "
-                f"{balance!r}; re-run 'shard plan' to change the balancing policy"
-            )
         return ShardPlan.from_dict(raw)
     count = raw.pop("shards", None)
     recorded_by = raw.pop("by", None)
-    recorded_balance = raw.pop("balance", None)
     if by is not None and recorded_by is not None and by != recorded_by:
         # Same hazard as a mismatched shard count: two hosts partitioning
         # the one campaign along different axes don't tile its units.
@@ -466,13 +406,7 @@ def load_plan(
             f"{path} was planned by {recorded_by!r}, not {by!r}; "
             "re-run 'shard plan' to change the partition axis"
         )
-    if balance is not None and recorded_balance is not None and balance != recorded_balance:
-        raise ExperimentError(
-            f"{path} was balanced by {recorded_balance!r}, not {balance!r}; "
-            "re-run 'shard plan' to change the balancing policy"
-        )
     axis = by or recorded_by or "seed"
-    policy = balance or recorded_balance or "round_robin"
     manifest = CampaignManifest.from_dict(raw)
     if shard is None:
         if count in (None, 1):
@@ -493,4 +427,4 @@ def load_plan(
     index, total = shard
     if not 0 <= index < total:
         raise ExperimentError(f"shard index {index} outside 0..{total - 1}")
-    return plan(manifest, shards=total, by=axis, balance=policy)[index]
+    return plan(manifest, shards=total, by=axis)[index]

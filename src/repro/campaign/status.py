@@ -106,8 +106,8 @@ def load_shard_plans(path: str | os.PathLike) -> list[ShardPlan]:
     ``path`` may be a planner directory (the ``--out`` of ``shard
     plan``: its ``campaign.json`` is re-planned into all shards), a
     campaign manifest file (same — also accepts the unsharded
-    ``campaign.json`` a plain ``microrepro campaign`` writes next to its
-    store), or a single ``shard_k.json`` (that one shard only).
+    ``campaign.json`` ``microrepro dag run`` writes into its store), or a
+    single ``shard_k.json`` (that one shard only).
     """
     target = Path(path)
     if target.is_dir():
@@ -130,9 +130,8 @@ def load_shard_plans(path: str | os.PathLike) -> list[ShardPlan]:
     # load_plan calls would redo the full unit expansion per shard.
     shards = int(raw.pop("shards", None) or 1)
     by = str(raw.pop("by", None) or "seed")
-    balance = str(raw.pop("balance", None) or "round_robin")
     manifest = CampaignManifest.from_dict(raw)
-    return plan(manifest, shards=shards, by=by, balance=balance)
+    return plan(manifest, shards=shards, by=by)
 
 
 def status_payload(rows: list[ShardStatus]) -> dict:

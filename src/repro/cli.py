@@ -10,17 +10,21 @@ Reproduce Figure 10 with a reduced sweep (3 repetitions per point)::
 
     microrepro run fig10 --repetitions 3 --seed 42
 
-Run a persistent, resumable campaign over several figures and seeds::
+Run a persistent, resumable campaign over several figures and seeds.
+The store's cells are the campaign's only record: ``dag run`` solves
+what the store lacks, and re-running it (or its no-figure resume form,
+which reads the store's ``campaign.json``) solves nothing stored::
 
-    microrepro campaign fig5 fig6 --store results/ --repetitions 10
-    microrepro campaign fig5 --seeds 0..9 --store results/   # 10-seed sweep
-    microrepro resume --store results/          # picks up where it stopped
+    microrepro dag run fig5 fig6 --store results/ --repetitions 10
+    microrepro dag run fig5 --seeds 0..9 --store results/   # 10-seed sweep
+    microrepro dag run --store results/         # picks up where it stopped
     microrepro export --store results/          # list what the store holds
     microrepro export --store results/ fig5 --seed 3 --csv
 
 Distribute a campaign over several hosts (see ``repro.campaign``): plan
-disjoint shards, ship one plan per host, run each shard into a local
-store, merge the shard stores back, and export the pooled curves::
+disjoint, cost-balanced shards, ship one plan per host, run each shard
+into a local store, merge the shard stores back, and export the pooled
+curves::
 
     microrepro shard plan fig5 --seeds 0..9 --shards 4 --out plans/
     scp plans/shard_2.json host2:            # one plan file per host
@@ -60,9 +64,9 @@ Solve one random instance with every heuristic and the exact MIP::
 
     microrepro solve --tasks 10 --types 3 --machines 5 --seed 7 --milp
 
-The same entry point is available as ``python -m repro``.  When
-``--store`` is omitted the ``REPRO_STORE`` environment variable supplies
-the store directory.
+The same entry point is available as ``python -m repro``.  When a
+store command's ``--store`` is omitted the ``REPRO_STORE`` environment
+variable supplies the store directory; ``run`` never touches a store.
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ import numpy as np
 from ._version import __version__
 from .analysis.tables import catalog_table
 from .campaign import (
+    CAMPAIGN_FILE,
     PLAN_AXES,
-    PLAN_BALANCES,
     CampaignManifest,
     expand_units,
     group_by_run,
@@ -90,7 +94,6 @@ from .campaign import (
     merge_stores,
     parse_seed_spec,
     plan,
-    run_shard,
     shard_status,
     status_payload,
     status_rows,
@@ -106,9 +109,7 @@ from .experiments.reporting import (
     CI_MODES,
     aggregate_report,
     aggregate_seeds,
-    campaign_report,
     figure_report,
-    summary_line,
 )
 from .experiments.runner import run_figure
 from .experiments.store import ResultStore
@@ -117,7 +118,7 @@ from .generators.platforms import random_failure_rates, random_processing_times
 from .heuristics import PAPER_HEURISTICS, get_heuristic
 from .live import LiveConfig, compare_reports, run_timeline, run_timeline_remote
 from .obs.summary import format_table, format_tree, load_spans, summarize_spans
-from .obs.trace import TRACE_ENV_VAR
+from .obs.trace import TRACE_ENV_VAR, span
 from .obs.trace import configure as configure_tracing
 from .service.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_SECONDS
 from .service.client import ServiceClient
@@ -128,8 +129,6 @@ __all__ = ["main", "build_parser"]
 
 #: Environment variable consulted when ``--store`` is not given.
 STORE_ENV_VAR = "REPRO_STORE"
-#: Name of the campaign manifest file inside a store directory.
-CAMPAIGN_MANIFEST = "campaign.json"
 
 
 def _add_store_argument(parser: argparse.ArgumentParser, *, required_hint: bool) -> None:
@@ -142,15 +141,22 @@ def _add_store_argument(parser: argparse.ArgumentParser, *, required_hint: bool)
     )
 
 
-def _add_figure_axes(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("figures", nargs="+", choices=figure_ids(), help="figures to run")
+def _add_figure_axes(parser: argparse.ArgumentParser, *, nargs: str = "+") -> None:
+    # No argparse `choices`: before Python 3.12 they reject an empty
+    # nargs="*" list.  CampaignManifest rejects unknown figures (exit 2).
+    parser.add_argument(
+        "figures",
+        nargs=nargs,
+        metavar="FIG",
+        help=f"figures to run: {', '.join(figure_ids())}",
+    )
     parser.add_argument(
         "--seeds", default="0", metavar="SPEC", help="seed axis, e.g. '0..9' or '0,5,9'"
     )
 
 
 def _add_manifest_arguments(parser: argparse.ArgumentParser, *, run_knobs: bool) -> None:
-    """The campaign-manifest knobs of ``run``, ``campaign``, ``shard plan`` and ``dag``.
+    """The campaign-manifest knobs of ``run``, ``shard plan`` and ``dag plan/run``.
 
     ``run_knobs`` adds ``--workers`` and ``--memoize-instances``, which
     change how fast a run computes, never what it computes.
@@ -213,44 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=0, help="root random seed")
     _add_manifest_arguments(run_parser, run_knobs=True)
     run_parser.add_argument("--csv", action="store_true", help="print CSV instead of a table")
-    _add_store_argument(run_parser, required_hint=False)
-    run_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --store: skip blocks whose results are already stored",
-    )
     run_parser.set_defaults(func=_cmd_run)
-
-    campaign_parser = subparsers.add_parser(
-        "campaign",
-        help="run several figures into a persistent result store (resumable)",
-    )
-    campaign_parser.add_argument(
-        "figures", nargs="+", choices=figure_ids(), help="figures to run, in order"
-    )
-    _add_store_argument(campaign_parser, required_hint=True)
-    campaign_parser.add_argument("--seed", type=int, default=None, help="root random seed")
-    campaign_parser.add_argument(
-        "--seeds",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "run every figure once per seed: an inclusive range '0..9', a "
-            "comma list '0,5,9', or a mix; replaces --seed"
-        ),
-    )
-    _add_manifest_arguments(campaign_parser, run_knobs=True)
-    campaign_parser.set_defaults(func=_cmd_campaign)
-
-    resume_parser = subparsers.add_parser(
-        "resume",
-        help="finish an interrupted campaign without recomputing stored blocks",
-    )
-    _add_store_argument(resume_parser, required_hint=True)
-    resume_parser.add_argument(
-        "--workers", type=int, default=None, help="override the manifest's worker count"
-    )
-    resume_parser.set_defaults(func=_cmd_resume)
 
     export_parser = subparsers.add_parser(
         "export", help="list a result store or print its stored figures"
@@ -304,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     shard_sub = shard_parser.add_subparsers(dest="shard_command", required=True)
 
     plan_parser = shard_sub.add_parser(
-        "plan", help="split a campaign into disjoint per-host work-unit manifests"
+        "plan",
+        help="split a campaign into disjoint, cost-balanced per-host work-unit manifests",
     )
     _add_figure_axes(plan_parser)
     plan_parser.add_argument(
@@ -314,16 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--by",
         choices=PLAN_AXES,
         default="seed",
-        help="partition axis: whole seeds, (figure, seed, curve) groups, or blocks",
-    )
-    plan_parser.add_argument(
-        "--balance",
-        choices=PLAN_BALANCES,
-        default="round_robin",
         help=(
-            "shard balancing: 'round_robin' levels unit counts, 'cost' levels "
-            "estimated durations (MIP blocks ~100x heuristic blocks, see "
-            "repro.dag.cost)"
+            "partition axis: whole seeds, (figure, seed, curve) groups, or "
+            "blocks; groups go to shards by estimated cost, longest first "
+            "(MIP blocks ~100x heuristic blocks, see repro.dag.cost)"
         ),
     )
     plan_parser.add_argument(
@@ -351,12 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=PLAN_AXES,
         default=None,
         help="partition axis override when re-planning from a campaign manifest",
-    )
-    shard_run_parser.add_argument(
-        "--balance",
-        choices=PLAN_BALANCES,
-        default=None,
-        help="balancing override when re-planning from a campaign manifest",
     )
     _add_store_argument(shard_run_parser, required_hint=True)
     shard_run_parser.add_argument(
@@ -406,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "merge",
         help=(
             "union shard stores into one (conflict-checked, idempotent); "
-            "the destination then serves resume/export like any store"
+            "the destination then serves 'dag run'/export like any store"
         ),
     )
     merge_parser.add_argument(
@@ -418,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     dag_parser = subparsers.add_parser(
         "dag",
         help=(
-            "campaign pipeline: plan/run/status of a campaign whose stored "
-            "cells are its cache and whose exports are derived from them"
+            "run a campaign into a result store: plan/run/status of a campaign "
+            "whose stored cells are its cache and whose exports are derived "
+            "from them"
         ),
     )
     dag_sub = dag_parser.add_subparsers(dest="dag_command", required=True)
@@ -430,24 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_figure_axes(dag_plan_parser)
     _add_manifest_arguments(dag_plan_parser, run_knobs=False)
-    dag_plan_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="also show the shard partition for N worker hosts",
-    )
-    dag_plan_parser.add_argument(
-        "--by",
-        choices=PLAN_AXES,
-        default="seed",
-        help="partition axis for --shards",
-    )
-    dag_plan_parser.add_argument(
-        "--balance",
-        choices=PLAN_BALANCES,
-        default="cost",
-        help="shard balancing policy for --shards (default: cost)",
-    )
     _add_store_argument(dag_plan_parser, required_hint=False)
     dag_plan_parser.set_defaults(func=_cmd_dag_plan)
 
@@ -455,10 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help=(
             "execute the campaign against a store; stored cells are skipped, "
-            "so re-running an unchanged campaign performs zero solves"
+            "so re-running an unchanged campaign performs zero solves.  "
+            "Without figures, resume the campaign recorded in the store's "
+            "campaign.json"
         ),
     )
-    _add_figure_axes(dag_run_parser)
+    _add_figure_axes(dag_run_parser, nargs="*")
     _add_manifest_arguments(dag_run_parser, run_knobs=True)
     _add_store_argument(dag_run_parser, required_hint=True)
     dag_run_parser.add_argument(
@@ -482,7 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     dag_status_parser = dag_sub.add_parser(
         "status",
-        help="unit completeness of the store's campaign (from its campaign.json)",
+        help=(
+            "unit completeness of the store's campaign (from the campaign.json "
+            "'dag run' writes)"
+        ),
     )
     _add_store_argument(dag_status_parser, required_hint=True)
     dag_status_parser.add_argument(
@@ -718,106 +664,21 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    store_path = _store_path(args, required=args.resume)
-    if store_path is None:
-        result = run_figure(
-            args.figure,
-            seed=args.seed,
-            repetitions=args.repetitions,
-            max_points=args.max_points,
-            include_milp=False if args.no_milp else None,
-            milp_time_limit=args.milp_time_limit,
-            workers=args.workers,
-            memoize_instances=args.memoize_instances,
-            include_optional=args.optional_curves,
-        )
-    else:
-        # A one-figure, one-seed campaign without the campaign.json: the
-        # store gets what `campaign` would write, and --resume skips it.
-        manifest = _manifest(args, figures=(args.figure,), seeds=(args.seed,))
-        with ResultStore(store_path) as store:
-            (result,) = _run_campaign(manifest, store, resume=args.resume, announce=False)
+    result = run_figure(
+        args.figure,
+        seed=args.seed,
+        repetitions=args.repetitions,
+        max_points=args.max_points,
+        include_milp=False if args.no_milp else None,
+        milp_time_limit=args.milp_time_limit,
+        workers=args.workers,
+        memoize_instances=args.memoize_instances,
+        include_optional=args.optional_curves,
+    )
     if args.csv:
         print(result.to_csv(), end="")
     else:
         print(figure_report(result))
-    return 0
-
-
-def _run_campaign(
-    manifest: CampaignManifest,
-    store: ResultStore,
-    *,
-    resume: bool = True,
-    announce: bool = True,
-) -> list:
-    """Run (or finish) every (figure, seed) run of a campaign manifest.
-
-    A thin wrapper over :func:`repro.dag.scheduler.execute_solves`: each
-    run's work units execute (or, with ``resume``, are served from their
-    stored cells) in manifest order and the store receives their cells
-    and run headers.  With ``announce`` a summary line prints as each
-    run completes.
-    """
-    from .dag import execute_solves
-
-    results = []
-    for (figure_id, seed), units in group_by_run(expand_units(manifest)).items():
-        execute_solves(manifest, units, store, workers=manifest.workers, resume=resume)
-        result = store.load_result(
-            figure_id,
-            scenario_hash=manifest.scenario_for(figure_id).stable_hash(),
-            seed=seed,
-        )
-        if announce:
-            print(summary_line(result), flush=True)
-        results.append(result)
-    store.flush()
-    return results
-
-
-def _campaign_seeds(args: argparse.Namespace) -> tuple[int, ...]:
-    """The seed axis from ``--seeds SPEC`` / the legacy ``--seed N``."""
-    if args.seeds is not None and args.seed is not None:
-        raise ExperimentError("pass either --seed or --seeds, not both")
-    if args.seeds is not None:
-        return parse_seed_spec(args.seeds)
-    return (args.seed if args.seed is not None else 0,)
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    store = ResultStore(_store_path(args, required=True))
-    manifest = _manifest(args, seeds=_campaign_seeds(args))
-    manifest_path = store.path / CAMPAIGN_MANIFEST
-    manifest_path.write_text(
-        json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
-    )
-    try:
-        results = _run_campaign(manifest, store)
-    finally:
-        store.close()
-    print(campaign_report(results).splitlines()[-1])
-    return 0
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    store = ResultStore(_store_path(args, required=True))
-    manifest_path = store.path / CAMPAIGN_MANIFEST
-    if not manifest_path.exists():
-        raise ExperimentError(
-            f"no {CAMPAIGN_MANIFEST} in {store.path}; start with 'microrepro campaign'"
-        )
-    # from_dict also reads pre-multi-seed manifests (scalar "seed" field).
-    manifest = CampaignManifest.from_dict(
-        json.loads(manifest_path.read_text(encoding="utf-8"))
-    )
-    if args.workers is not None:
-        manifest = dataclasses.replace(manifest, workers=args.workers)
-    try:
-        results = _run_campaign(manifest, store)
-    finally:
-        store.close()
-    print(campaign_report(results).splitlines()[-1])
     return 0
 
 
@@ -862,13 +723,11 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
     from .dag import unit_cost
 
     manifest = _manifest(args)
-    written = write_plans(
-        manifest, args.out, shards=args.shards, by=args.by, balance=args.balance
-    )
+    written = write_plans(manifest, args.out, shards=args.shards, by=args.by)
     total = sum(len(shard.units) for _, shard in written)
     print(
         f"planned {total} work unit(s) over {len(written)} shard(s) "
-        f"by {args.by} ({args.balance}) into {args.out}"
+        f"by {args.by} into {args.out}"
     )
     for path, shard in written:
         cost = sum(unit_cost(manifest, unit) for unit in shard.units)
@@ -887,21 +746,26 @@ def _parse_shard_coords(text: str) -> tuple[int, int]:
 
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
+    from .dag import execute_solves
+
     shard = load_plan(
         args.plan,
         shard=None if args.shard is None else _parse_shard_coords(args.shard),
         by=args.by,
-        balance=args.balance,
     )
-    with ResultStore(_store_path(args, required=True)) as store:
-        report = run_shard(
-            shard,
+    with ResultStore(_store_path(args, required=True)) as store, span(
+        "campaign.shard", shard=shard.index, shards=shard.shards, units=len(shard.units)
+    ) as shard_span:
+        report = execute_solves(
+            shard.manifest,
+            shard.units,
             store,
             workers=args.workers,
             resume=not args.no_resume,
             log=lambda line: print(line, flush=True),
         )
-    print(report.summary())
+        shard_span.set(computed=report.computed, hits=report.hits, stolen=report.stolen)
+    print(f"{shard.name}: {report.summary()}")
     return 0
 
 
@@ -932,17 +796,11 @@ def _cmd_shard_status(args: argparse.Namespace) -> int:
     return _print_status(rows, as_json=args.json)
 
 
-def _manifest(
-    args: argparse.Namespace, *, figures=None, seeds=None
-) -> CampaignManifest:
-    """The campaign manifest a command's arguments describe.
-
-    ``figures``/``seeds`` default to the positional figures and the
-    ``--seeds`` spec of :func:`_add_figure_axes`.
-    """
+def _manifest(args: argparse.Namespace) -> CampaignManifest:
+    """The campaign manifest a command's arguments describe."""
     return CampaignManifest(
-        figures=tuple(args.figures if figures is None else figures),
-        seeds=parse_seed_spec(args.seeds) if seeds is None else tuple(seeds),
+        figures=tuple(args.figures),
+        seeds=parse_seed_spec(args.seeds),
         repetitions=args.repetitions,
         max_points=args.max_points,
         no_milp=bool(args.no_milp),
@@ -961,15 +819,6 @@ def _cmd_dag_plan(args: argparse.Namespace) -> int:
     runs = len(group_by_run(units))
     cost = sum(unit_cost(manifest, unit) for unit in units)
     print(f"{len(units)} unit(s) over {runs} run(s); est. solve cost {cost:.0f}")
-    if args.shards > 1:
-        shards = plan(manifest, shards=args.shards, by=args.by, balance=args.balance)
-        print(f"partition by {args.by} ({args.balance}) over {args.shards} shard(s):")
-        for shard in shards:
-            shard_cost = sum(unit_cost(manifest, unit) for unit in shard.units)
-            print(
-                f"  shard {shard.index}/{shard.shards}: "
-                f"{len(shard.units)} unit(s), est. cost {shard_cost:.0f}"
-            )
     store_path = _store_path(args, required=False)
     if store_path is not None:
         with ResultStore(store_path) as store:
@@ -978,16 +827,50 @@ def _cmd_dag_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stored_manifest(args: argparse.Namespace, store_path: Path) -> CampaignManifest:
+    """The campaign in ``store_path``'s ``campaign.json`` (``dag run`` without figures).
+
+    Every manifest field but ``figures`` and ``workers`` is a ``dag run``
+    option of the same name; set away from its default, it would describe
+    a new campaign, so the resume form rejects it.
+    """
+    defaults = vars(build_parser().parse_args(["dag", "run"]))
+    given = [
+        "--" + field.name.replace("_", "-")
+        for field in dataclasses.fields(CampaignManifest)
+        if field.name not in ("figures", "workers")
+        and getattr(args, field.name) != defaults[field.name]
+    ]
+    if given:
+        raise ExperimentError(
+            f"{', '.join(given)} describe a new campaign: name its figures "
+            "('dag run FIGS ...'), or drop them to resume the stored one"
+        )
+    manifest_path = store_path / CAMPAIGN_FILE
+    if not manifest_path.exists():
+        raise ExperimentError(
+            f"no {CAMPAIGN_FILE} in {store_path}; start a campaign with "
+            "'microrepro dag run FIGS --store DIR'"
+        )
+    manifest = CampaignManifest.from_dict(
+        json.loads(manifest_path.read_text(encoding="utf-8"))
+    )
+    if args.workers is not None:
+        manifest = dataclasses.replace(manifest, workers=args.workers)
+    return manifest
+
+
 def _cmd_dag_run(args: argparse.Namespace) -> int:
     from .dag import run_pipeline
 
-    manifest = _manifest(args)
-    store = ResultStore(_store_path(args, required=True))
-    manifest_path = store.path / CAMPAIGN_MANIFEST
-    manifest_path.write_text(
-        json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
-    )
+    store_path = Path(_store_path(args, required=True))
+    manifest = _manifest(args) if args.figures else _stored_manifest(args, store_path)
+    store = ResultStore(store_path)
     try:
+        if args.figures:
+            (store.path / CAMPAIGN_FILE).write_text(
+                json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
+            )
         run = run_pipeline(
             manifest,
             store,
@@ -1180,7 +1063,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # Tracing is process-wide: $REPRO_TRACE switches it on for any
-        # command (campaign/dag runs trace too, not just `serve`, whose
+        # command (dag/shard runs trace too, not just `serve`, whose
         # --trace flag still takes precedence over the variable).
         trace_dir = os.environ.get(TRACE_ENV_VAR)
         if trace_dir and getattr(args, "trace", None) is None:

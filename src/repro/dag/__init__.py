@@ -14,8 +14,8 @@ campaign's only record; everything else is derived from them on read:
 
 Re-running an identical campaign performs zero block solves, writes
 nothing and reproduces its exports bit-for-bit.  ``microrepro dag
-plan/run/status`` is the CLI surface; ``run --store``, ``campaign``,
-``resume`` and ``shard run`` go through the same
+plan/run/status`` is the CLI surface; ``shard run`` executes one shard
+of a distributed campaign through the same
 :func:`~repro.dag.scheduler.execute_solves`.
 """
 

@@ -2,11 +2,11 @@
 
 A campaign's solve units are wildly uneven: a MIP block at its time
 limit costs ~100x a heuristic block of the same shape, local search
-~10x, OtO somewhere between.  Round-robin sharding ignores this and
-routinely parks every MIP block on one shard; the scheduler instead
-prices each unit with calibrated per-provider estimates and balances
-shards by total estimated cost (LPT greedy), with work stealing mopping
-up whatever the estimates still get wrong.
+~10x, OtO somewhere between.  A unit count says nothing about this, so
+the shard planner prices each unit with calibrated per-provider
+estimates and balances shards by total estimated cost (LPT greedy), and
+the scheduler's work stealing mops up whatever the estimates still get
+wrong.
 
 The estimates are *relative* costs in units of one heuristic
 repetition, plain constants below (H2/H3/H4-family = 1.0; MIP reflects
@@ -24,9 +24,9 @@ from ..experiments.providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
 from ..heuristics import LocalSearchHeuristic, get_heuristic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..campaign.manifest import CampaignManifest, WorkUnit
+    from ..campaign.plan import CampaignManifest, WorkUnit
 
-__all__ = ["classify_curve", "provider_cost", "unit_cost", "plan_costs"]
+__all__ = ["classify_curve", "provider_cost", "unit_cost"]
 
 #: Relative per-repetition solve cost of each provider class.
 PROVIDER_COSTS = {
@@ -76,8 +76,3 @@ def unit_cost(manifest: "CampaignManifest", unit: "WorkUnit") -> float:
     n, _, m = scenario.dimensions_at(unit.sweep_value)
     size = max(1.0, float(n) * float(m))
     return provider_cost(unit.curve) * scenario.repetitions * size**SIZE_EXPONENT
-
-
-def plan_costs(manifest: "CampaignManifest", units) -> list[float]:
-    """Per-unit estimated costs of ``units`` under ``manifest``."""
-    return [unit_cost(manifest, unit) for unit in units]

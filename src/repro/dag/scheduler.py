@@ -12,8 +12,8 @@ is executor-agnostic (thread pools in the benchmarks, process pools
 for real solves).
 
 :func:`execute_solves` is the one place stored blocks are skipped —
-``microrepro run --store``, ``campaign``, ``resume``, ``shard run`` and
-``dag run`` all resume through it.  The
+``microrepro dag run`` (and its no-figure resume form) and ``shard run``
+both go through it.  The
 :class:`~repro.experiments.store.ResultStore` is the campaign's only
 record: a work unit whose cell the store holds with at least the run's
 repetitions is a hit and is not run.  The remaining units run through
@@ -219,8 +219,8 @@ def execute_solves(
     cost-priced per-run queues.  Each computed block is written once,
     with :meth:`~ResultStore.put_cell`, and each run gets a
     :class:`RunMeta` header unless a compatible one is already stored
-    (so an identical re-run writes nothing).  ``log`` receives the
-    per-run progress lines the shard worker has always printed.
+    (so an identical re-run writes nothing).  ``log`` receives one
+    progress line per completed run.
     """
     report = report if report is not None else PipelineReport()
     start = time.perf_counter()
@@ -274,7 +274,7 @@ def execute_solves(
             scenario=scenarios[figure_id].to_dict(),
             # The run's *full* curve order (a shard may hold only a
             # slice): the header must describe the whole run so the
-            # merged store rebuilds results (see campaign.worker).
+            # merged store rebuilds results.
             curves=list(manifest.curves_for(figure_id)),
             normalize_to=manifest.spec_for(figure_id).normalize_to,
             elapsed_seconds=elapsed,

@@ -32,9 +32,7 @@ from .reporting import (
     aggregate_report,
     aggregate_results,
     aggregate_seeds,
-    campaign_report,
     figure_report,
-    summary_line,
 )
 from .runner import ExperimentResult, execute_blocks, run_figure, run_scenario
 from .store import CellRecord, MergeReport, ResultStore, RunMeta
@@ -44,8 +42,6 @@ __all__ = [
     "FigureSpec",
     "figure_ids",
     "figure_report",
-    "summary_line",
-    "campaign_report",
     "aggregate_report",
     "aggregate_results",
     "aggregate_seeds",

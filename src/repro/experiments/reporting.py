@@ -38,31 +38,11 @@ from .store import ResultStore
 
 __all__ = [
     "figure_report",
-    "summary_line",
-    "campaign_report",
     "CI_MODES",
     "aggregate_results",
     "aggregate_seeds",
     "aggregate_report",
 ]
-
-
-def summary_line(result: ExperimentResult) -> str:
-    """One-line summary (used by the CLI and by EXPERIMENTS.md)."""
-    scenario = result.scenario
-    return (
-        f"{result.figure_id}: {scenario.description or scenario.name} "
-        f"[{scenario.repetitions} reps x {len(scenario.sweep_values)} points, "
-        f"seed={result.seed}, {result.elapsed_seconds:.1f}s]"
-    )
-
-
-def campaign_report(results: list[ExperimentResult]) -> str:
-    """One line per completed figure of a campaign run."""
-    lines = [summary_line(result) for result in results]
-    total = sum(result.elapsed_seconds for result in results)
-    lines.append(f"campaign: {len(results)} figure run(s), {total:.1f}s total")
-    return "\n".join(lines)
 
 
 def _normalization_sections(result: ExperimentResult, buffer: io.StringIO) -> None:
@@ -94,9 +74,14 @@ def figure_report(result: ExperimentResult, *, float_format: str = "{:.1f}") -> 
     """Full plain-text report of one reproduced figure."""
     buffer = io.StringIO()
     spec = FIGURES.get(result.figure_id)
+    scenario = result.scenario
 
     buffer.write(f"== {result.figure_id} ==\n")
-    buffer.write(summary_line(result) + "\n")
+    buffer.write(
+        f"{result.figure_id}: {scenario.description or scenario.name} "
+        f"[{scenario.repetitions} reps x {len(scenario.sweep_values)} points, "
+        f"seed={result.seed}, {result.elapsed_seconds:.1f}s]\n"
+    )
     if spec is not None and spec.expected_shape:
         buffer.write(f"Paper's expected shape: {spec.expected_shape}\n")
     buffer.write("\n")

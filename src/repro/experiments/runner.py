@@ -39,9 +39,10 @@ one-to-one curves are pure functions of the seed and carry the full
 guarantee.
 
 Runs are pure in-memory computations.  Persistent, resumable runs go
-through the campaign DAG (``microrepro run --store``, ``campaign``,
-``dag run``); :meth:`~repro.experiments.store.ResultStore.save_result`
-stores an in-memory result after the fact.
+through the campaign DAG (``microrepro dag run``, or ``shard run`` for
+one shard of a distributed campaign);
+:meth:`~repro.experiments.store.ResultStore.save_result` stores an
+in-memory result after the fact.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ JSON-lines file (``results.jsonl``) plus a byte-offset index
 (``index.json``).  Every completed ``(figure, scenario hash, seed,
 curve, sweep value)`` block lands as one line the moment it finishes, so
 an interrupted campaign loses at most the block in flight; resuming it
-(``microrepro resume``, ``run --store ... --resume``, ``dag run``) skips
-every stored block and only computes the remainder.
+(``microrepro dag run``, with or without its figures) skips every
+stored block and only computes the remainder.
 
 The store is a campaign's only record.  A cell holding at least a
 run's repetitions is the cache hit for its work unit

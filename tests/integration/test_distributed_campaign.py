@@ -15,7 +15,8 @@ import math
 
 import pytest
 
-from repro.campaign import CampaignManifest, merge_stores, plan, run_shard
+from repro.campaign import CampaignManifest, merge_stores, plan
+from repro.dag import execute_solves
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     ResultStore,
@@ -62,7 +63,7 @@ def merged_store(request, manifest, tmp_path_factory) -> ResultStore:
     for shard in shards:
         shard_dir = tmp_path_factory.mktemp(f"shard{shard.index}-{request.param}")
         with ResultStore(shard_dir) as store:
-            report = run_shard(shard, store)
+            report = execute_solves(shard.manifest, shard.units, store)
             assert report.computed == len(shard.units)
         shard_dirs.append(shard_dir)
     merged_dir = tmp_path_factory.mktemp(f"merged-{request.param}")

@@ -4,10 +4,10 @@ The contract under test: for the same seed, ``run_scenario`` /
 ``run_figure`` produce bit-for-bit the series of a per-instance
 ``Heuristic.solve`` loop (:func:`tests.helpers.per_instance_series`) —
 serially, on a process pool, with memoized sampling, with cross-point
-stacking and with the exact baselines.  A second battery checks that
-``microrepro run --store`` runs through the campaign DAG: it prints the
-in-memory run's bytes, resumes without recomputing stored blocks, and
-leaves a store that ``dag run`` serves entirely from cache.
+stacking and with the exact baselines.  A second battery checks that a
+``microrepro dag run`` store exports the in-memory run's bytes, and
+that re-running it — by figure or in its no-figure resume form —
+recomputes no stored block.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignManifest, expand_units
-from repro.cli import CAMPAIGN_MANIFEST, STORE_ENV_VAR, main
+from repro.cli import main
 from repro.dag import execute_solves
 from repro.experiments import ResultStore, run_figure, run_scenario
 from repro.experiments import providers as providers_module
@@ -382,6 +382,22 @@ def _cli(capsys, args: list[str]) -> str:
     return capsys.readouterr().out
 
 
+def _dag_run(
+    capsys, store, *, seed: int = 4, repetitions: int = 2, extra=()
+) -> tuple[str, str]:
+    """``dag run`` the same fig6 campaign into ``store``: (report, seed CSV)."""
+    exports = store.parent / "exports"
+    report = _cli(
+        capsys,
+        [
+            "dag", "run", "fig6", "--seeds", str(seed),
+            "--repetitions", str(repetitions), "--max-points", "2", "--no-milp",
+            "--store", str(store), "--export-dir", str(exports), *extra,
+        ],
+    )
+    return report, (exports / f"fig6_seed{seed}.csv").read_bytes().decode("utf-8")
+
+
 def _count_sampled_blocks(monkeypatch) -> list[int]:
     """Record the sweep value of every ``CellBlock.sample`` call from now on."""
     sampled: list[int] = []
@@ -396,40 +412,31 @@ def _count_sampled_blocks(monkeypatch) -> list[int]:
 
 
 class TestStoreResume:
-    """``run --store`` is a one-figure, one-seed campaign through the DAG."""
+    """``dag run`` stores exactly the in-memory run and resumes from its cells."""
 
-    @pytest.fixture(autouse=True)
-    def _no_env_store(self, monkeypatch):
-        # Without --store, `run` must stay in memory even where
-        # $REPRO_STORE is set.
-        monkeypatch.delenv(STORE_ENV_VAR, raising=False)
-
-    def test_store_run_prints_the_in_memory_csv(self, tmp_path, capsys):
-        in_memory = _cli(capsys, _fig6())
-        stored = _cli(capsys, _fig6() + ["--store", str(tmp_path / "s")])
-        assert stored == in_memory
-        # One run, not a campaign: no manifest is left behind.
-        assert not (tmp_path / "s" / CAMPAIGN_MANIFEST).exists()
+    def test_dag_run_exports_the_in_memory_csv(self, tmp_path, capsys):
+        _, stored = _dag_run(capsys, tmp_path / "s")
+        assert stored == _cli(capsys, _fig6())
 
     def test_resume_skips_stored_blocks(self, tmp_path, capsys, monkeypatch):
-        store = str(tmp_path / "s")
-        first = _cli(capsys, _fig6() + ["--store", store])
+        _, first = _dag_run(capsys, tmp_path / "s")
         sampled = _count_sampled_blocks(monkeypatch)
-        second = _cli(capsys, _fig6() + ["--store", store, "--resume"])
+        report, second = _dag_run(capsys, tmp_path / "s")
         assert sampled == []  # nothing recomputed
+        assert "; 0 block solve(s)" in report
         assert second == first
 
-    def test_dag_run_serves_a_run_store_from_cache(self, tmp_path, capsys):
-        store = str(tmp_path / "s")
-        _cli(capsys, _fig6() + ["--store", store])
+    def test_resume_form_serves_the_stored_campaign(self, tmp_path, capsys, monkeypatch):
+        _, first = _dag_run(capsys, tmp_path / "s")
+        sampled = _count_sampled_blocks(monkeypatch)
+        exports = tmp_path / "resumed"
         report = _cli(
             capsys,
-            [
-                "dag", "run", "fig6", "--seeds", "4", "--repetitions", "2",
-                "--max-points", "2", "--no-milp", "--store", store,
-            ],
+            ["dag", "run", "--store", str(tmp_path / "s"), "--export-dir", str(exports)],
         )
+        assert sampled == []
         assert "; 0 block solve(s)" in report
+        assert (exports / "fig6_seed4.csv").read_bytes().decode("utf-8") == first
 
     def test_resume_only_computes_missing_blocks(self, tmp_path):
         manifest = CampaignManifest(
@@ -446,25 +453,22 @@ class TestStoreResume:
         _assert_identical(full.series, resumed.series)
 
     def test_parallel_run_with_store_matches_serial(self, tmp_path, capsys):
-        store = str(tmp_path / "s")
-        parallel = _cli(capsys, _fig6(seed=13) + ["--store", store, "--workers", "2"])
+        _, parallel = _dag_run(capsys, tmp_path / "s", seed=13, extra=["--workers", "2"])
         assert parallel == _cli(capsys, _fig6(seed=13))
-        with ResultStore(store) as opened:
+        with ResultStore(tmp_path / "s") as opened:
             assert opened.load_result("fig6", seed=13).seed == 13
 
     def test_resume_with_different_seed_recomputes(self, tmp_path, capsys):
-        store = str(tmp_path / "s")
-        _cli(capsys, _fig6(seed=4) + ["--store", store])
-        other = _cli(capsys, _fig6(seed=5) + ["--store", store, "--resume"])
+        _dag_run(capsys, tmp_path / "s", seed=4)
+        _, other = _dag_run(capsys, tmp_path / "s", seed=5)
         assert other == _cli(capsys, _fig6(seed=5))
 
     def test_stored_blocks_serve_smaller_repetition_counts(
         self, tmp_path, capsys, monkeypatch
     ):
-        store = str(tmp_path / "s")
         expected = _cli(capsys, _fig6(repetitions=2))
-        _cli(capsys, _fig6(repetitions=4) + ["--store", store])
+        _dag_run(capsys, tmp_path / "s", repetitions=4)
         sampled = _count_sampled_blocks(monkeypatch)
-        resumed = _cli(capsys, _fig6(repetitions=2) + ["--store", store, "--resume"])
+        _, resumed = _dag_run(capsys, tmp_path / "s", repetitions=2)
         assert sampled == []
         assert resumed == expected

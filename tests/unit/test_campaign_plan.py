@@ -1,4 +1,4 @@
-"""Unit tests for the distributed campaign subsystem (plan / worker / merge)."""
+"""Unit tests for the distributed campaign subsystem (plan / shard solves / merge)."""
 
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ from repro.campaign import (
     merge_stores,
     parse_seed_spec,
     plan,
-    run_shard,
     shard_status,
     status_rows,
     write_plans,
 )
+from repro.dag import execute_solves
 from repro.exceptions import ExperimentError
 from repro.experiments import FIGURES, ResultStore
 
@@ -72,11 +72,13 @@ class TestManifest:
         manifest = _manifest(no_milp=True, workers=4)
         assert CampaignManifest.from_dict(manifest.to_dict()) == manifest
 
-    def test_from_dict_promotes_legacy_scalar_seed(self):
-        legacy = _manifest().to_dict()
-        del legacy["seeds"]
-        legacy["seed"] = 3
-        assert CampaignManifest.from_dict(legacy).seeds == (3,)
+    def test_from_dict_rejects_a_scalar_seed(self):
+        # The seed axis is `seeds`; a scalar `seed` is an unknown field.
+        scalar = _manifest().to_dict()
+        del scalar["seeds"]
+        scalar["seed"] = 3
+        with pytest.raises(ExperimentError, match="unknown campaign manifest fields"):
+            CampaignManifest.from_dict(scalar)
 
     def test_curves_follow_engine_series_order(self):
         manifest = _manifest(figures=("fig10",))
@@ -210,16 +212,17 @@ class TestPlanFiles:
         assert len(shard.units) == len(expand_units(_manifest()))
 
 
-class TestWorker:
-    def test_run_shard_is_resumable(self, tmp_path):
-        shard = plan(_manifest(seeds=(0,)), shards=1, by="seed")[0]
+class TestShardSolves:
+    def test_shard_solves_are_resumable(self, tmp_path):
+        manifest = _manifest(seeds=(0,))
+        shard = plan(manifest, shards=1, by="seed")[0]
         with ResultStore(tmp_path / "s") as store:
-            first = run_shard(shard, store)
+            first = execute_solves(manifest, shard.units, store)
             assert first.computed == len(shard.units)
-            assert first.skipped == 0
-            again = run_shard(shard, store)
+            assert first.hits == 0
+            again = execute_solves(manifest, shard.units, store)
         assert again.computed == 0
-        assert again.skipped == len(shard.units)
+        assert again.hits == len(shard.units)
 
     def test_meta_carries_the_full_curve_list(self, tmp_path):
         # A shard holding one curve still records the whole run's curve
@@ -229,7 +232,7 @@ class TestWorker:
         labels = {unit.curve for unit in shard.units}
         assert labels != set(manifest.curves_for("fig6"))  # a strict slice
         with ResultStore(tmp_path / "s") as store:
-            run_shard(shard, store)
+            execute_solves(manifest, shard.units, store)
             meta = store.runs()[0]
         assert meta.curves == list(manifest.curves_for("fig6"))
 
@@ -249,7 +252,7 @@ class TestShardStatus:
         manifest = _manifest(seeds=(0,))
         shards = plan(manifest, shards=2, by="block")
         with ResultStore(tmp_path / "s0") as store:
-            run_shard(shards[0], store)
+            execute_solves(manifest, shards[0].units, store)
             status = shard_status(shards[0], store)
             assert status.units == len(shards[0].units)
             assert status.done == status.units
@@ -269,7 +272,7 @@ class TestShardStatus:
         with ResultStore(tmp_path / "s") as store:
             # Run at R=1, then check against the R=2 plan: every unit is
             # stored but too shallow to serve the deeper campaign.
-            run_shard(plan(shallow, shards=1, by="seed")[0], store)
+            execute_solves(shallow, plan(shallow, shards=1, by="seed")[0].units, store)
             status = shard_status(shard, store)
         assert status.partial == status.units
         assert status.done == 0 and status.missing == 0
@@ -295,7 +298,7 @@ class TestShardStatus:
         write_plans(manifest, tmp_path / "plans", shards=2, by="block")
         shards = load_shard_plans(tmp_path / "plans")
         with ResultStore(tmp_path / "s0") as store:
-            run_shard(shards[0], store)
+            execute_solves(manifest, shards[0].units, store)
         rows = status_rows(shards, [tmp_path / "s0", tmp_path / "s1"])
         assert rows[0].complete and not rows[1].complete
         # A single store is checked against every shard (merged case).

@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from repro.cli import CAMPAIGN_MANIFEST, STORE_ENV_VAR, build_parser, main
+from repro.campaign import CAMPAIGN_FILE
+from repro.cli import STORE_ENV_VAR, build_parser, main
 from repro.experiments import ResultStore
 from repro.service.requests import direct_response, normalize_request
 from repro.service.server import SolveService
@@ -48,7 +49,6 @@ class TestParser:
 #: it needs besides the shared manifest flags.
 _MANIFEST_COMMANDS = {
     "run": ["run", "fig6"],
-    "campaign": ["campaign", "fig6"],
     "shard plan": ["shard", "plan", "fig6", "--shards", "2", "--out", "plans"],
     "dag plan": ["dag", "plan", "fig6"],
     "dag run": ["dag", "run", "fig6"],
@@ -57,8 +57,8 @@ _MANIFEST_FIELDS = ("repetitions", "max_points", "no_milp", "milp_time_limit", "
 
 
 class TestManifestArguments:
-    """``run``, ``campaign``, ``shard plan`` and ``dag plan/run`` share one
-    block of manifest flags: same names, defaults and dests everywhere."""
+    """``run``, ``shard plan`` and ``dag plan/run`` share one block of
+    manifest flags: same names, defaults and dests everywhere."""
 
     @pytest.mark.parametrize("command", sorted(_MANIFEST_COMMANDS))
     def test_shared_flags_parse_alike(self, command):
@@ -79,7 +79,7 @@ class TestManifestArguments:
         ]
         assert [given[field] for field in _MANIFEST_FIELDS] == [3, 2, True, 5.0, True]
         # Only the commands that compute take the speed-only run knobs.
-        if command in ("run", "campaign", "dag run"):
+        if command in ("run", "dag run"):
             knobs = vars(parser.parse_args(argv + ["--workers", "2", "--memoize-instances"]))
             assert (knobs["workers"], knobs["memoize_instances"]) == (2, True)
             assert (defaults["workers"], defaults["memoize_instances"]) == (None, False)
@@ -190,16 +190,35 @@ class TestRunCommand:
         assert code == 0
         assert "H4ls" in capsys.readouterr().out
 
-    def test_run_resume_requires_store(self, monkeypatch, capsys):
-        monkeypatch.delenv(STORE_ENV_VAR, raising=False)
-        assert main(["run", "fig6", "--repetitions", "1", "--resume"]) == 2
-        assert "needs a store" in capsys.readouterr().err
+    def test_run_has_no_store_or_resume_flag(self, capsys):
+        # `run` is the in-memory run only; campaigns go through `dag run`.
+        for flag in (["--store", "s"], ["--resume"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "fig6", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_ignores_the_store_env_var(self, tmp_path, capsys, monkeypatch):
+        store_dir = tmp_path / "env-store"
+        store_dir.mkdir()
+        monkeypatch.setenv(STORE_ENV_VAR, str(store_dir))
+        code = main(
+            ["run", "fig6", "--repetitions", "1", "--max-points", "1", "--no-milp"]
+        )
+        assert code == 0
+        assert "== fig6 ==" in capsys.readouterr().out
+        assert list(store_dir.iterdir()) == []
+
+    def test_removed_campaign_commands_are_gone(self, capsys):
+        for command in ("campaign", "resume"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "fig6"])
+        assert "invalid choice: 'resume'" in capsys.readouterr().err
 
 
 def _campaign_args(store) -> list[str]:
     return [
-        "campaign", "fig6", "fig10", "--store", str(store),
-        "--repetitions", "1", "--max-points", "2", "--no-milp", "--seed", "0",
+        "dag", "run", "fig6", "fig10", "--store", str(store),
+        "--repetitions", "1", "--max-points", "2", "--no-milp", "--seeds", "0",
     ]
 
 
@@ -208,9 +227,9 @@ class TestCampaignCommands:
         store_dir = tmp_path / "store"
         assert main(_campaign_args(store_dir)) == 0
         output = capsys.readouterr().out
-        assert "fig6" in output and "fig10" in output
-        assert "campaign: 2 figure run(s)" in output
-        assert (store_dir / CAMPAIGN_MANIFEST).exists()
+        assert "fig6 seed=0" in output and "fig10 seed=0" in output
+        assert "; 20 block solve(s)" in output
+        assert (store_dir / CAMPAIGN_FILE).exists()
         store = ResultStore(store_dir)
         assert store.load_result("fig6").figure_id == "fig6"
         assert store.load_result("fig10").figure_id == "fig10"
@@ -219,15 +238,75 @@ class TestCampaignCommands:
         store_dir = tmp_path / "store"
         main(_campaign_args(store_dir))
         capsys.readouterr()
-        assert main(["resume", "--store", str(store_dir)]) == 0
+        manifest = (store_dir / CAMPAIGN_FILE).read_bytes()
+        records = (store_dir / "results.jsonl").read_bytes()
+        assert main(["dag", "run", "--store", str(store_dir)]) == 0
         output = capsys.readouterr().out
-        assert "campaign: 2 figure run(s)" in output
+        assert "fig6 seed=0" in output and "fig10 seed=0" in output
+        assert "; 0 block solve(s)" in output
+        assert (store_dir / CAMPAIGN_FILE).read_bytes() == manifest
+        assert (store_dir / "results.jsonl").read_bytes() == records
+
+    def test_resume_finishes_an_interrupted_campaign(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        main(_campaign_args(store_dir))
+        capsys.readouterr()
+        full = ResultStore(store_dir).load_result("fig10").to_csv()
+        # Keep the manifest and the fig6 run; lose every fig10 record.
+        results = store_dir / "results.jsonl"
+        kept = [
+            line for line in results.read_text(encoding="utf-8").splitlines(True)
+            if '"fig10"' not in line
+        ]
+        results.write_text("".join(kept), encoding="utf-8")
+        (store_dir / "index.json").unlink()
+        assert main(["dag", "run", "--store", str(store_dir)]) == 0
+        output = capsys.readouterr().out
+        assert "fig6 seed=0: 0 block(s) computed, 8 stored" in output
+        assert "fig10 seed=0: 12 block(s) computed, 0 stored" in output
+        assert ResultStore(store_dir).load_result("fig10").to_csv() == full
 
     def test_resume_without_manifest_rejected(self, tmp_path, capsys):
         store_dir = tmp_path / "empty-store"
         store_dir.mkdir()
-        assert main(["resume", "--store", str(store_dir)]) == 2
-        assert "campaign" in capsys.readouterr().err
+        assert main(["dag", "run", "--store", str(store_dir)]) == 2
+        assert "dag run FIGS" in capsys.readouterr().err
+        assert not (store_dir / CAMPAIGN_FILE).exists()
+        # A mistyped store path is not created on the way to the error.
+        absent = tmp_path / "absent-store"
+        assert main(["dag", "run", "--store", str(absent)]) == 2
+        assert not absent.exists()
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--repetitions", "2"],
+            ["--seeds", "0..1"],
+            ["--max-points", "1"],
+            ["--no-milp"],
+            ["--milp-time-limit", "5"],
+            ["--optional-curves"],
+            ["--memoize-instances"],
+        ],
+    )
+    def test_resume_rejects_manifest_options(self, tmp_path, capsys, option):
+        store_dir = tmp_path / "store"
+        main(_campaign_args(store_dir))
+        capsys.readouterr()
+        manifest = (store_dir / CAMPAIGN_FILE).read_bytes()
+        assert main(["dag", "run", "--store", str(store_dir), *option]) == 2
+        assert option[0] in capsys.readouterr().err
+        assert (store_dir / CAMPAIGN_FILE).read_bytes() == manifest
+
+    def test_resume_workers_override_keeps_the_manifest(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        main(_campaign_args(store_dir))
+        capsys.readouterr()
+        manifest = (store_dir / CAMPAIGN_FILE).read_bytes()
+        code = main(["dag", "run", "--store", str(store_dir), "--workers", "2"])
+        assert code == 0
+        assert "; 0 block solve(s)" in capsys.readouterr().out
+        assert (store_dir / CAMPAIGN_FILE).read_bytes() == manifest
 
     def test_export_catalog_and_figures(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
@@ -245,18 +324,20 @@ class TestCampaignCommands:
         assert (
             main(
                 [
-                    "campaign", "fig6", "--repetitions", "1", "--max-points", "2",
-                    "--no-milp", "--seed", "0",
+                    "dag", "run", "fig6", "--repetitions", "1", "--max-points", "2",
+                    "--no-milp", "--seeds", "0",
                 ]
             )
             == 0
         )
-        assert (store_dir / CAMPAIGN_MANIFEST).exists()
+        assert (store_dir / CAMPAIGN_FILE).exists()
+        assert main(["dag", "run"]) == 0
+        assert "; 0 block solve(s)" in capsys.readouterr().out
 
     def test_campaign_manifest_records_settings(self, tmp_path):
         store_dir = tmp_path / "store"
         main(_campaign_args(store_dir))
-        manifest = json.loads((store_dir / CAMPAIGN_MANIFEST).read_text())
+        manifest = json.loads((store_dir / CAMPAIGN_FILE).read_text())
         assert manifest["figures"] == ["fig6", "fig10"]
         assert manifest["repetitions"] == 1
         assert manifest["no_milp"] is True
@@ -266,41 +347,32 @@ class TestCampaignCommands:
         store_dir = tmp_path / "store"
         code = main(
             [
-                "campaign", "fig6", "--store", str(store_dir), "--seeds", "3..4",
+                "dag", "run", "fig6", "--store", str(store_dir), "--seeds", "3..4",
                 "--repetitions", "1", "--max-points", "2", "--no-milp",
             ]
         )
         assert code == 0
-        assert "campaign: 2 figure run(s)" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "fig6 seed=3" in output and "fig6 seed=4" in output
         store = ResultStore(store_dir)
         assert store.load_result("fig6", seed=3).seed == 3
         assert store.load_result("fig6", seed=4).seed == 4
 
-    def test_seed_and_seeds_are_mutually_exclusive(self, tmp_path, capsys):
-        code = main(
-            [
-                "campaign", "fig6", "--store", str(tmp_path / "s"),
-                "--seed", "1", "--seeds", "0..2",
-            ]
-        )
-        assert code == 2
-        assert "not both" in capsys.readouterr().err
-
-    def test_resume_reads_legacy_scalar_seed_manifest(self, tmp_path, capsys):
+    def test_resume_rejects_a_scalar_seed_manifest(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         main(_campaign_args(store_dir))
         capsys.readouterr()
-        manifest = json.loads((store_dir / CAMPAIGN_MANIFEST).read_text())
-        manifest["seed"] = manifest.pop("seeds")[0]  # pre-multi-seed layout
-        (store_dir / CAMPAIGN_MANIFEST).write_text(json.dumps(manifest))
-        assert main(["resume", "--store", str(store_dir)]) == 0
-        assert "campaign: 2 figure run(s)" in capsys.readouterr().out
+        manifest = json.loads((store_dir / CAMPAIGN_FILE).read_text())
+        manifest["seed"] = manifest.pop("seeds")[0]
+        (store_dir / CAMPAIGN_FILE).write_text(json.dumps(manifest))
+        assert main(["dag", "run", "--store", str(store_dir)]) == 2
+        assert "unknown campaign manifest fields ['seed']" in capsys.readouterr().err
 
     def test_export_aggregate_seeds_csv(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         main(
             [
-                "campaign", "fig6", "--store", str(store_dir), "--seeds", "0,1",
+                "dag", "run", "fig6", "--store", str(store_dir), "--seeds", "0,1",
                 "--repetitions", "1", "--max-points", "2", "--no-milp",
             ]
         )
@@ -330,7 +402,7 @@ class TestCampaignCommands:
         store_dir = tmp_path / "store"
         main(
             [
-                "campaign", "fig6", "--store", str(store_dir), "--seeds", "0,1",
+                "dag", "run", "fig6", "--store", str(store_dir), "--seeds", "0,1",
                 "--repetitions", "1", "--max-points", "2", "--no-milp",
             ]
         )
@@ -371,7 +443,7 @@ class TestCampaignCommands:
         store_dir = tmp_path / "store"
         main(
             [
-                "campaign", "fig6", "--store", str(store_dir), "--seeds", "0,1",
+                "dag", "run", "fig6", "--store", str(store_dir), "--seeds", "0,1",
                 "--repetitions", "2", "--max-points", "2", "--no-milp",
             ]
         )
@@ -447,7 +519,7 @@ class TestShardCommands:
         single = tmp_path / "single"
         main(
             [
-                "campaign", "fig6", "--store", str(single), "--seeds", "0..1",
+                "dag", "run", "fig6", "--store", str(single), "--seeds", "0..1",
                 "--repetitions", "1", "--max-points", "2", "--no-milp",
             ]
         )

@@ -3,13 +3,14 @@ cell-store resume and exports derived on read."""
 
 from __future__ import annotations
 
+import importlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
 from repro.campaign import CampaignManifest, expand_units, plan
-from repro.cli import main
+from repro.cli import STORE_ENV_VAR, main
 from repro.dag import (
     DispatchReport,
     PipelineReport,
@@ -19,7 +20,6 @@ from repro.dag import (
     steal_dispatch,
     unit_cost,
 )
-from repro.exceptions import ExperimentError
 from repro.experiments.providers import MIP_LABEL
 from repro.experiments.store import ResultStore
 
@@ -78,39 +78,59 @@ class TestCostBalancedPlan:
         # count-based round-robin leaves one shard MIP-free while LPT
         # spreads the expensive blocks.
         manifest = _manifest(figures=("fig10",), no_milp=False, seeds=(0,))
+        units = expand_units(manifest)
 
-        def spread(shards):
+        def spread(shard_units):
             loads = [
-                sum(unit_cost(manifest, unit) for unit in shard.units)
-                for shard in shards
+                sum(unit_cost(manifest, unit) for unit in queue)
+                for queue in shard_units
             ]
             return max(loads) - min(loads)
 
-        naive = plan(manifest, shards=3, by="block", balance="round_robin")
-        balanced = plan(manifest, shards=3, by="block", balance="cost")
+        naive = [units[k::3] for k in range(3)]
+        balanced = [shard.units for shard in plan(manifest, shards=3, by="block")]
         assert spread(balanced) < spread(naive)
+
+    def test_lpt_matches_a_worked_example(self, monkeypatch):
+        # Blocks priced 3, 5, 2, 3, 1, 2 over two shards.  Longest first,
+        # each to the least-loaded shard; equal prices keep canonical
+        # order (the first 3 before the second) and equal loads go to the
+        # lower shard index (the 5 lands on shard 0).  Loads: 5|0, 5|3,
+        # 5|6, 7|6, 7|8, 8|8.
+        manifest = _manifest()
+        units = expand_units(manifest)[:6]
+        prices = dict(zip(units, (3.0, 5.0, 2.0, 3.0, 1.0, 2.0)))
+        # The package re-exports `plan`, which shadows the module name.
+        plan_module = importlib.import_module("repro.campaign.plan")
+        monkeypatch.setattr(plan_module, "expand_units", lambda _: units)
+        monkeypatch.setattr("repro.dag.cost.unit_cost", lambda _, unit: prices[unit])
+        shards = plan(manifest, shards=2, by="block")
+        assert [list(shard.units) for shard in shards] == [
+            [units[1], units[2], units[4]],
+            [units[0], units[3], units[5]],
+        ]
 
     def test_cost_balance_keeps_canonical_unit_order(self):
         manifest = _manifest(no_milp=False, seeds=(0, 1))
         rank = {unit: i for i, unit in enumerate(expand_units(manifest))}
-        for shard in plan(manifest, shards=2, by="block", balance="cost"):
+        for shard in plan(manifest, shards=2, by="block"):
             ranks = [rank[unit] for unit in shard.units]
             assert ranks == sorted(ranks)
 
     def test_partition_is_disjoint_and_complete(self):
         manifest = _manifest(no_milp=False, seeds=(0, 1, 2))
-        shards = plan(manifest, shards=3, by="seed", balance="cost")
+        shards = plan(manifest, shards=3, by="seed")
         merged = [unit for shard in shards for unit in shard.units]
         assert sorted(merged, key=lambda u: str(u)) == sorted(
             expand_units(manifest), key=lambda u: str(u)
         )
-        # by=seed keeps whole seeds together whatever the balance policy.
+        # by=seed keeps whole seeds together.
         for shard in shards:
             assert len({unit.seed for unit in shard.units}) <= 1
 
-    def test_unknown_balance_rejected(self):
-        with pytest.raises(ExperimentError):
-            plan(_manifest(), shards=2, balance="nope")
+    def test_plan_has_one_balance_policy(self):
+        with pytest.raises(TypeError):
+            plan(_manifest(), shards=2, balance="cost")
 
 
 class TestStealDispatch:
@@ -311,7 +331,10 @@ class TestDagPlanCli:
         assert main(args) == 0
         return capsys.readouterr().out.splitlines()
 
-    def test_reports_units_runs_and_store_progress(self, tmp_path, capsys):
+    def test_reports_units_runs_and_store_progress(self, tmp_path, capsys, monkeypatch):
+        # CI's tier-1 job exports REPRO_STORE; `dag plan` without --store
+        # would read it and print a store line.
+        monkeypatch.delenv(STORE_ENV_VAR, raising=False)
         manifest_args = [
             "--seeds", "0..1", "--repetitions", "2", "--max-points", "1", "--no-milp",
         ]
@@ -330,9 +353,10 @@ class TestDagPlanCli:
 
 
 def test_dag_package_imports_first():
-    # repro.dag and repro.campaign import each other (the worker wraps
-    # the DAG scheduler); `import repro.dag` in a fresh interpreter —
-    # i.e. *before* repro.campaign — must not hit a circular import.
+    # repro.dag and repro.campaign import each other (the scheduler reads
+    # campaign manifests, the planner prices units with repro.dag.cost);
+    # `import repro.dag` in a fresh interpreter — i.e. *before*
+    # repro.campaign — must not hit a circular import.
     import subprocess
     import sys
 

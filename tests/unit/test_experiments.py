@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments import FIGURES, figure_ids, figure_report, run_figure, run_scenario, summary_line
+from repro.experiments import FIGURES, figure_ids, figure_report, run_figure, run_scenario
 from repro.experiments.reporting import aggregate_results
 from repro.experiments.runner import MIP_LABEL, OTO_LABEL
 from repro.generators import ScenarioConfig
@@ -145,8 +145,8 @@ class TestReporting:
             seed=0,
             figure_id="fig5",
         )
-        line = summary_line(result)
-        assert "fig5" in line and "tiny scenario" in line
+        line = figure_report(result).splitlines()[1]
+        assert line.startswith("fig5: tiny scenario [1 reps x 1 points, seed=0, ")
 
     def test_figure_report_contains_table_and_factors(self):
         scenario = ScenarioConfig(
