@@ -2,8 +2,8 @@
 
 At 32 concurrent *compatible* requests (same heuristic, task count and
 platform size — one batching signature), both paths run through a
-:class:`~repro.service.batcher.MicroBatcher` under the same batching
-window: one 32-deep group (the lock-step ``solve_batch`` + stacked
+:class:`~repro.service.batcher.MicroBatcher`, which stacks requests
+submitted in the same event-loop tick: one 32-deep group (the lock-step ``solve_batch`` + stacked
 scoring pass) against ``max_batch=1``, where every request is its own
 group solved per instance.  On H4ls
 (``n=40, p=4, m=10``) the responses are asserted bit-for-bit equal and
@@ -68,13 +68,13 @@ def _serve_all(requests, *, max_batch: int = CONCURRENCY) -> list[dict]:
     """All requests through one service batcher.
 
     No cache — every round must actually solve (the benchmark measures
-    solving, not dict lookups).  The window is wide enough that all 32
-    requests land in one group at the default ``max_batch``;
-    ``max_batch=1`` flushes every request alone (the per-request path).
+    solving, not dict lookups).  All 32 requests are submitted in one
+    loop tick, so they land in one group at the default ``max_batch``;
+    ``max_batch=1`` solves every request alone (the per-request path).
     """
 
     async def scenario():
-        batcher = MicroBatcher(window=0.05, max_batch=max_batch, cache=None)
+        batcher = MicroBatcher(max_batch=max_batch, cache=None)
         return await asyncio.gather(
             *(batcher.submit(request) for request in requests)
         )
@@ -146,13 +146,13 @@ def _serve_mixed(requests) -> list[dict]:
 
     Production knobs: ``solve_stack`` picks batch or loop per group,
     and no cache — a sustained-load benchmark must
-    measure solving under concurrency, not lookups.  64 requests per
-    signature means each group flushes on the ``max_batch`` size
-    trigger, not the window.
+    measure solving under concurrency, not lookups.  The 64 requests
+    per signature arrive in one loop tick and fill one ``max_batch``-deep
+    group each.
     """
 
     async def scenario():
-        batcher = MicroBatcher(window=0.05, cache=None)
+        batcher = MicroBatcher(cache=None)
         return await asyncio.gather(
             *(batcher.submit(request) for request in requests)
         )

@@ -17,8 +17,8 @@ asserts:
 * ``/stats`` accounting adds up (solved == requests fired, errors == 0)
   and reports latency percentiles (p50/p95/p99 > 0).
 
-**Phase 2 — overload** (``--max-pending 2`` and a long window): fires a
-burst of distinct concurrent requests, and asserts:
+**Phase 2 — overload** (``--max-pending 2``): fires a burst of distinct
+concurrent requests, and asserts:
 
 * at least one request was load-shed with HTTP 429 carrying a
   ``Retry-After`` hint (surfaced client-side as
@@ -202,14 +202,13 @@ def report(checks: list[tuple[bool, str]]) -> bool:
 def phase_mixed_traffic() -> bool:
     """Phase 1: the request mix through a 2-process worker pool."""
     print("== phase 1: mixed traffic, --workers 2 ==")
-    # A generous batching window: the grouping assertion below must hold
-    # even when a loaded CI runner staggers the concurrent wave's
-    # arrivals by tens of milliseconds.
-    process, url = start_server("--window-ms", "100", "--workers", "2")
+    # No batching knob: the concurrent wave fills every solve slot, and
+    # the compatible requests arriving meanwhile are solved as groups.
+    process, url = start_server("--workers", "2")
     try:
         unique = request_mix()
-        # Wave 1: fire every unique request concurrently so the batching
-        # window actually has company to group.
+        # Wave 1: fire every unique request concurrently so the busy
+        # solve slots leave compatible requests to group.
         with ThreadPoolExecutor(max_workers=len(unique)) as pool:
             responses = list(
                 pool.map(lambda payload: solve_once(url, payload), unique)
@@ -266,11 +265,9 @@ def phase_mixed_traffic() -> bool:
 def phase_overload() -> bool:
     """Phase 2: shed a concurrent burst, retry it to completion."""
     print("== phase 2: overload, --max-pending 2 ==")
-    # A long window holds each admitted group open, so the burst's
-    # arrivals reliably find the queue full and get shed.
-    process, url = start_server(
-        "--window-ms", "300", "--workers", "2", "--max-pending", "2"
-    )
+    # Admitted requests count until they are answered, so the burst's
+    # arrivals find the two-request queue full and get shed.
+    process, url = start_server("--workers", "2", "--max-pending", "2")
     try:
         requests = burst_requests()
         shed_hints: list[float] = []
@@ -384,9 +381,7 @@ def phase_telemetry() -> bool:
     """Phase 3: request ids, /v1/metrics scrape, cross-process span tree."""
     print("== phase 3: telemetry, --trace ==")
     trace_dir = tempfile.mkdtemp(prefix="smoke-trace-")
-    process, url = start_server(
-        "--window-ms", "50", "--workers", "2", "--trace", trace_dir
-    )
+    process, url = start_server("--workers", "2", "--trace", trace_dir)
     try:
         client = ServiceClient(url)
         payload = {

@@ -120,7 +120,7 @@ from .live import LiveConfig, compare_reports, run_timeline, run_timeline_remote
 from .obs.summary import format_table, format_tree, load_spans, summarize_spans
 from .obs.trace import TRACE_ENV_VAR, span
 from .obs.trace import configure as configure_tracing
-from .service.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_SECONDS
+from .service.batcher import DEFAULT_MAX_BATCH
 from .service.client import ServiceClient
 from .service.server import serve as serve_service
 from .service.sessions import DEFAULT_MAX_SESSIONS, DEFAULT_SESSION_TTL
@@ -197,6 +197,30 @@ def _add_manifest_arguments(parser: argparse.ArgumentParser, *, run_knobs: bool)
                 "where curve jobs share each sweep point's instances)"
             ),
         )
+
+
+def _add_dag_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The arguments of ``dag run`` (see :func:`_named_run_options`)."""
+    _add_figure_axes(parser, nargs="*")
+    _add_manifest_arguments(parser, run_knobs=True)
+    _add_store_argument(parser, required_hint=True)
+    parser.add_argument(
+        "--no-resume",
+        action="store_true",
+        help=(
+            "recompute every solve even when its cell is stored (the new "
+            "cells replace the old ones)"
+        ),
+    )
+    parser.add_argument(
+        "--export-dir",
+        default=None,
+        metavar="DIR",
+        help=(
+            "also write each figure's per-seed CSVs and the cross-seed "
+            "aggregate CSV into DIR"
+        ),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,26 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
             "campaign.json"
         ),
     )
-    _add_figure_axes(dag_run_parser, nargs="*")
-    _add_manifest_arguments(dag_run_parser, run_knobs=True)
-    _add_store_argument(dag_run_parser, required_hint=True)
-    dag_run_parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help=(
-            "recompute every solve even when its cell is stored (the new "
-            "cells replace the old ones)"
-        ),
-    )
-    dag_run_parser.add_argument(
-        "--export-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "also write each figure's per-seed CSVs and the cross-seed "
-            "aggregate CSV into DIR"
-        ),
-    )
+    _add_dag_run_arguments(dag_run_parser)
     dag_run_parser.set_defaults(func=_cmd_dag_run)
 
     dag_status_parser = dag_sub.add_parser(
@@ -465,17 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8000, help="bind port (0 picks a free one)"
     )
     serve_parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=DEFAULT_WINDOW_SECONDS * 1000.0,
-        help="micro-batching window: how long the first request of a group "
-        "waits for compatible company (milliseconds)",
-    )
-    serve_parser.add_argument(
         "--max-batch",
         type=int,
         default=DEFAULT_MAX_BATCH,
-        help="flush a group immediately once it reaches this many requests",
+        help="most requests one micro-batched group holds (groups flush "
+        "whenever a solve slot is free)",
     )
     serve_parser.add_argument(
         "--cache-dir",
@@ -827,19 +826,51 @@ def _cmd_dag_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Manifest fields a ``dag run`` may change without describing another
+#: campaign: the figure axis (which it extends) and the worker count.
+_FREE_FIELDS = ("figures", "workers")
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _named_run_options(argv: Sequence[str]) -> set[str]:
+    """The manifest options a ``dag run ...`` command line names.
+
+    ``argv`` is the whole command line; its ``dag run`` arguments are
+    parsed again into a namespace pre-filled with a marker.  argparse
+    fills in a default only where the namespace has no value yet, so an
+    option restated at its default counts as named, and one left out
+    keeps the marker.
+    """
+    parser = argparse.ArgumentParser(prog="microrepro dag run")
+    _add_dag_run_arguments(parser)
+    unset = object()
+    names = [field.name for field in dataclasses.fields(CampaignManifest)]
+    namespace = parser.parse_args(
+        list(argv)[2:], argparse.Namespace(**dict.fromkeys(names, unset))
+    )
+    return {name for name in names if getattr(namespace, name) is not unset}
+
+
+def _load_manifest(path: Path) -> CampaignManifest:
+    return CampaignManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
 def _stored_manifest(args: argparse.Namespace, store_path: Path) -> CampaignManifest:
     """The campaign in ``store_path``'s ``campaign.json`` (``dag run`` without figures).
 
     Every manifest field but ``figures`` and ``workers`` is a ``dag run``
-    option of the same name; set away from its default, it would describe
-    a new campaign, so the resume form rejects it.
+    option of the same name; named on the command line, even at its
+    default, it would describe a new campaign, so the resume form
+    rejects it.
     """
-    defaults = vars(build_parser().parse_args(["dag", "run"]))
+    named = _named_run_options(args.argv)
     given = [
-        "--" + field.name.replace("_", "-")
+        _option(field.name)
         for field in dataclasses.fields(CampaignManifest)
-        if field.name not in ("figures", "workers")
-        and getattr(args, field.name) != defaults[field.name]
+        if field.name not in _FREE_FIELDS and field.name in named
     ]
     if given:
         raise ExperimentError(
@@ -852,24 +883,58 @@ def _stored_manifest(args: argparse.Namespace, store_path: Path) -> CampaignMani
             f"no {CAMPAIGN_FILE} in {store_path}; start a campaign with "
             "'microrepro dag run FIGS --store DIR'"
         )
-    manifest = CampaignManifest.from_dict(
-        json.loads(manifest_path.read_text(encoding="utf-8"))
-    )
+    manifest = _load_manifest(manifest_path)
     if args.workers is not None:
         manifest = dataclasses.replace(manifest, workers=args.workers)
     return manifest
+
+
+def _recorded_campaign(manifest: CampaignManifest, store_path: Path) -> CampaignManifest:
+    """The campaign ``dag run FIGS`` leaves in a store's ``campaign.json``.
+
+    A store records one campaign.  Figures named with the stored
+    campaign's options (only ``workers`` may change) extend it: the
+    stored figures come first, then the new ones.  A run with other
+    options still runs into the store, whose cells serve any campaign
+    that needs them, but the recorded campaign stays as it was, and a
+    note names the options that differ.
+    """
+    manifest_path = store_path / CAMPAIGN_FILE
+    if not manifest_path.exists():
+        return manifest
+    stored = _load_manifest(manifest_path)
+    differing = [
+        f"{_option(field.name)} (stored {getattr(stored, field.name)!r}, "
+        f"given {getattr(manifest, field.name)!r})"
+        for field in dataclasses.fields(CampaignManifest)
+        if field.name not in _FREE_FIELDS
+        and getattr(stored, field.name) != getattr(manifest, field.name)
+    ]
+    if differing:
+        print(
+            f"note: {manifest_path} keeps its campaign; this run differs in "
+            f"{'; '.join(differing)}",
+            file=sys.stderr,
+        )
+        return stored
+    added = tuple(figure for figure in manifest.figures if figure not in stored.figures)
+    return dataclasses.replace(manifest, figures=stored.figures + added)
 
 
 def _cmd_dag_run(args: argparse.Namespace) -> int:
     from .dag import run_pipeline
 
     store_path = Path(_store_path(args, required=True))
-    manifest = _manifest(args) if args.figures else _stored_manifest(args, store_path)
+    if args.figures:
+        manifest = _manifest(args)
+        campaign = _recorded_campaign(manifest, store_path)
+    else:
+        manifest = campaign = _stored_manifest(args, store_path)
     store = ResultStore(store_path)
     try:
         if args.figures:
             (store.path / CAMPAIGN_FILE).write_text(
-                json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
+                json.dumps(campaign.to_dict(), indent=2), encoding="utf-8"
             )
         run = run_pipeline(
             manifest,
@@ -918,7 +983,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve_service(
         host=args.host,
         port=args.port,
-        window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         cache_dir=args.cache_dir,
         cache_capacity=args.cache_capacity,
@@ -1059,8 +1123,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     Library errors (bad store paths, missing manifests, unknown curves,
     ...) surface as a one-line message and exit code 2, not a traceback.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    # The resume form of `dag run` re-parses it (see _named_run_options).
+    args.argv = argv
     try:
         # Tracing is process-wide: $REPRO_TRACE switches it on for any
         # command (dag/shard runs trace too, not just `serve`, whose

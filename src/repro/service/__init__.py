@@ -16,8 +16,9 @@ Layers (one module each):
 
 * :mod:`~repro.service.requests` — request schema, normalisation,
   content-address hashing, the direct reference path;
-* :mod:`~repro.service.batcher` — window-based grouping, coalescing,
-  ``solve_stack`` routing, admission control;
+* :mod:`~repro.service.batcher` — load-driven grouping (a group
+  flushes whenever a solve slot is free), coalescing, ``solve_stack``
+  routing, admission control;
 * :mod:`~repro.service.pool` — the multi-process solve-worker pool
   (the picklable group-solve function + its executor);
 * :mod:`~repro.service.cache` — the two-tier response cache

@@ -16,9 +16,19 @@ batcher recreates that shape from independent requests:
 2. an admitted request is appended to the pending group of its
    structural :attr:`~repro.service.requests.SolveRequest.signature`
    (heuristic, task count, platform size — what must match for
-   instances to stack);
-3. the group is **flushed** when its batching window (a few ms) expires
-   or it reaches ``max_batch`` requests, whichever comes first;
+   instances to stack); a group holding ``max_batch`` requests takes no
+   more, and the next request of its signature opens a new group queued
+   behind it;
+3. groups are **flushed by load, not by clock**: a new group flushes on
+   the next event-loop tick when a solve slot is free (so requests
+   submitted in the same tick still stack), and while every slot is
+   taken new arrivals collect in their signature's pending group; each
+   finished solve flushes the oldest pending group.  There are
+   ``workers + 1`` slots: the extra one keeps a group queued behind each
+   running solve, so a worker never idles on an event-loop round trip.
+   Batches therefore form exactly when the solver is the bottleneck,
+   and an idle service answers without waiting for company that never
+   comes (the adaptive batching of Clipper, Crankshaw et al., NSDI 2017);
 4. a flushed group goes through ``solve_stack``, which solves it in one
    lock-step ``solve_batch`` call when the heuristic has a batch kernel
    and the group is deep enough, and per instance otherwise (shallow
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..exceptions import ServiceOverloadedError
@@ -55,12 +66,9 @@ from .cache import SolveCache
 from .pool import SolveWorkerPool, solve_group, solve_group_traced
 from .requests import SolveRequest
 
-__all__ = ["BatcherStats", "MicroBatcher", "DEFAULT_WINDOW_SECONDS", "DEFAULT_MAX_BATCH"]
+__all__ = ["BatcherStats", "MicroBatcher", "DEFAULT_MAX_BATCH"]
 
-#: How long the first request of a group waits for company before the
-#: group is solved (the latency cost of batching).
-DEFAULT_WINDOW_SECONDS = 0.002
-#: A group reaching this depth is flushed immediately.
+#: A group reaching this depth takes no more members.
 DEFAULT_MAX_BATCH = 64
 
 
@@ -174,33 +182,29 @@ class BatcherStats:
 
 @dataclass(slots=True)
 class _Group:
-    """The pending requests of one structural signature."""
+    """The requests of one structural signature that share a solve."""
 
+    signature: tuple
     requests: list[SolveRequest] = field(default_factory=list)
     futures: dict[str, asyncio.Future] = field(default_factory=dict)
-    timer: asyncio.TimerHandle | None = None
     #: Trace context of the first submitter (tracing only): the group
     #: span — and everything under it — joins *that* request's trace,
     #: which is how coalesced/batched members are attributed to the one
     #: group solve that served them.
     context: TraceContext | None = None
-    #: ``perf_counter`` at group creation; the flushed group's window
-    #: wait (tracing only).
+    #: ``perf_counter`` at group creation; the flushed group's wait for
+    #: a solve slot (tracing only).
     created: float = 0.0
 
 
 class MicroBatcher:
-    """Window-based request coalescing in front of ``solve_stack``.
+    """Load-driven request coalescing in front of ``solve_stack``.
 
     Parameters
     ----------
-    window:
-        Seconds the first request of a group waits before its group is
-        flushed (``0`` flushes on the next loop tick — grouping then
-        only catches requests submitted in the same tick).
     max_batch:
-        Group depth that triggers an immediate flush (``1`` solves every
-        request on its own, through the per-instance loop).
+        Most requests one group holds (``1`` solves every request on its
+        own, through the per-instance loop).
     cache:
         Optional :class:`~repro.service.cache.SolveCache` consulted
         before grouping and written through after solving.
@@ -208,6 +212,8 @@ class MicroBatcher:
         Optional :class:`~repro.service.pool.SolveWorkerPool`; group
         solves then run in worker processes instead of on the asyncio
         thread executor.  Responses are identical on both executors.
+        The batcher keeps ``pool.workers + 1`` groups solving at once
+        (``2`` on the thread executor); later groups wait for a slot.
     max_pending:
         Admission-control bound: the maximum number of admitted,
         unresolved requests (queued or mid-solve, coalesced duplicates
@@ -220,7 +226,6 @@ class MicroBatcher:
     def __init__(
         self,
         *,
-        window: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
         cache: SolveCache | None = None,
         pool: SolveWorkerPool | None = None,
@@ -231,13 +236,19 @@ class MicroBatcher:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self.cache = cache
         self.pool = pool
         self.max_pending = max_pending
         self.stats = BatcherStats(registry)
-        self._groups: dict[tuple, _Group] = {}
+        #: Groups solving at once: one per worker plus one queued behind
+        #: them, as ``ProcessPoolExecutor`` pre-queues work.
+        self.slots = (pool.workers if pool is not None else 1) + 1
+        self._busy = 0
+        #: signature -> the group still taking members (not yet full).
+        self._open: dict[tuple, _Group] = {}
+        #: Groups waiting for a solve slot, oldest first.
+        self._queue: deque[_Group] = deque()
         #: request key -> unresolved future, covering both pending groups
         #: and groups whose solve is already running on the executor; an
         #: identical request joins it instead of re-solving.  Its size is
@@ -296,66 +307,69 @@ class MicroBatcher:
 
     def _enqueue(self, request: SolveRequest) -> asyncio.Future:
         loop = asyncio.get_running_loop()
-        group = self._groups.get(request.signature)
+        group = self._open.get(request.signature)
         if group is None:
-            group = _Group()
+            group = _Group(request.signature)
             if tracing_active():
                 # The group's trace is the first submitter's: later
                 # members and coalesced joiners are attributed through
                 # the group span's request_keys attribute.
                 group.context = current_context()
                 group.created = time.perf_counter()
-            self._groups[request.signature] = group
-            group.timer = loop.call_later(
-                self.window, self._flush, request.signature
-            )
+            self._open[request.signature] = group
+            self._queue.append(group)
+            if self._busy < self.slots:
+                # Next tick, not now: requests submitted in this tick
+                # still join the group.
+                loop.call_soon(self._dispatch)
         future = loop.create_future()
         group.requests.append(request)
         group.futures[request.key] = future
         self._inflight[request.key] = future
         if len(group.requests) >= self.max_batch:
-            self._flush(request.signature)
+            del self._open[request.signature]
         return future
 
-    def _flush(self, signature: tuple) -> None:
-        """Detach a group and hand it to the solver task."""
-        group = self._groups.pop(signature, None)
-        if group is None:  # already flushed by the size trigger
-            return
-        if group.timer is not None:
-            group.timer.cancel()
+    def _dispatch(self) -> None:
+        """Flush the oldest pending groups into the free solve slots."""
+        while self._queue and self._busy < self.slots:
+            self._flush(self._queue.popleft())
+
+    def _flush(self, group: _Group) -> None:
+        """Close a group and hand it to a solver task."""
+        if self._open.get(group.signature) is group:
+            del self._open[group.signature]
+        self._busy += 1
+        self.stats.note_flush(len(group.requests))
         task = asyncio.get_running_loop().create_task(self._solve_group(group))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _run_solve(
-        self, loop: asyncio.AbstractEventLoop, group: _Group
+    async def _solve(
+        self, requests: tuple[SolveRequest, ...]
     ) -> tuple[list[dict], bool]:
-        """One flushed group's solve on the right executor.
+        """One flushed group's solve, off the event loop.
 
-        With tracing active both executors run the traced twin
+        The pool-shareable :func:`~repro.service.pool.solve_group` runs
+        in a worker process when a pool is attached, else on the asyncio
+        thread executor.  With tracing active both run the traced twin
         (:func:`~repro.service.pool.solve_group_traced`) — the current
         context crosses the thread/process boundary in the payload and
-        the worker-side spans come back with the result.
+        the worker-side spans come back with the result.  Tests gate or
+        fake the solve by patching this one attribute.
         """
+        loop = asyncio.get_running_loop()
+        executor = self.pool.executor if self.pool is not None else None
         if tracing_active():
             with span("pool.roundtrip", pooled=self.pool is not None):
                 responses, batched, worker_spans = await loop.run_in_executor(
-                    self.pool.executor if self.pool is not None else None,
-                    solve_group_traced,
-                    tuple(group.requests),
-                    current_context(),
+                    executor, solve_group_traced, requests, current_context()
                 )
             emit_spans(worker_spans)
             return responses, batched
-        if self.pool is not None:
-            return await loop.run_in_executor(
-                self.pool.executor, solve_group, tuple(group.requests)
-            )
-        return await loop.run_in_executor(None, self._solve, tuple(group.requests))
+        return await loop.run_in_executor(executor, solve_group, requests)
 
     async def _solve_group(self, group: _Group) -> None:
-        self.stats.note_flush(len(group.requests))
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         with activate(group.context), span(
@@ -363,12 +377,12 @@ class MicroBatcher:
             requests=len(group.requests),
             heuristic=group.requests[0].heuristic,
             request_keys=",".join(group.futures),
-            window_wait_ms=round((start - group.created) * 1000.0, 3)
+            queue_wait_ms=round((start - group.created) * 1000.0, 3)
             if group.created
             else 0.0,
         ) as group_span:
             try:
-                responses, batched = await self._run_solve(loop, group)
+                responses, batched = await self._solve(tuple(group.requests))
             except BaseException as exc:  # noqa: BLE001 - fan the failure out
                 group_span.set(failed=type(exc).__name__)
                 for key, future in group.futures.items():
@@ -388,6 +402,9 @@ class MicroBatcher:
                 return
             finally:
                 self.stats.add_solve_seconds(time.perf_counter() - start)
+                # The slot is free: the oldest pending group takes it.
+                self._busy -= 1
+                self._dispatch()
             self.stats.note_solved(len(group.requests), batched)
             group_span.set(batched=batched)
             if self.cache is not None:
@@ -418,40 +435,33 @@ class MicroBatcher:
         for key, response in pairs:
             self.cache.put(key, response)
 
-    def _solve(
-        self, requests: tuple[SolveRequest, ...]
-    ) -> tuple[list[dict], bool]:
-        """In-process solve of one flushed group (worker thread).
-
-        Thin wrapper over the pool-shareable
-        :func:`~repro.service.pool.solve_group` so tests can gate or
-        fake the solve by patching one attribute.
-        """
-        return solve_group(requests)
+    def _flush_all(self) -> list[_Group]:
+        """Flush every pending group now, free slot or not; return them."""
+        groups = list(self._queue)
+        self._queue.clear()
+        for group in groups:
+            self._flush(group)
+        return groups
 
     async def aclose(self) -> None:
         """Flush every pending group and wait for all in-flight solves.
 
         The shutdown path (:meth:`SolveService.stop
         <repro.service.server.SolveService.stop>` calls this): groups
-        still waiting out their window are flushed immediately, and the
+        still waiting for a solve slot are flushed immediately, and the
         coroutine returns only once every solver task has finished —
         in-flight work is drained, never dropped.  Solver failures were
         already fanned out to the request futures, so they are not
         re-raised here.
         """
-        for signature in list(self._groups):
-            self._flush(signature)
+        self._flush_all()
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
     async def drain(self) -> None:
         """Flush every pending group and wait for their futures (tests)."""
-        pending = []
-        for signature in list(self._groups):
-            group = self._groups.get(signature)
-            if group is not None:
-                pending.extend(group.futures.values())
-            self._flush(signature)
+        pending = [
+            future for group in self._flush_all() for future in group.futures.values()
+        ]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)

@@ -23,8 +23,9 @@ from ..exceptions import ExperimentError, ServiceOverloadedError
 
 __all__ = ["ServiceClient", "ServiceSession"]
 
-#: Default per-call timeout (seconds); a queued solve answers within the
-#: batching window plus one solve, which is far below this.
+#: Default per-call timeout (seconds); a queued solve answers once the
+#: groups ahead of it and its own have been solved, which under any sane
+#: load is far below this.
 DEFAULT_TIMEOUT = 30.0
 #: Default number of automatic retries after a 429 before giving up.
 DEFAULT_RETRIES = 4

@@ -9,7 +9,8 @@ the 404 ``not_found`` envelope:
 ``POST /v1/solve``
     One solve request (see :mod:`repro.service.requests` for the
     schema).  The connection parks in the micro-batcher until its group
-    flushes; the response body carries the mapping, its period and the
+    is solved (at once when a solve slot is free; under load, together
+    with the compatible requests that arrived meanwhile); the response body carries the mapping, its period and the
     cache/batch markers.  Under load the service answers **429** with a
     ``Retry-After`` header instead of queueing without bound, and a
     request carrying ``options.deadline_ms`` that cannot be answered in
@@ -58,7 +59,7 @@ from ..live.replanner import Replanner
 from ..obs.metrics import LatencyReservoir, MetricsRegistry
 from ..obs.trace import configure as configure_tracing
 from ..obs.trace import request_id_or_new, span, trace_path
-from .batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_SECONDS, MicroBatcher
+from .batcher import DEFAULT_MAX_BATCH, MicroBatcher
 from .cache import SolveCache
 from .pool import SolveWorkerPool
 from .requests import (
@@ -194,14 +195,20 @@ class ServiceStats:
 class SolveService:
     """One solve-service instance: micro-batcher + cache + HTTP server.
 
+    Requests are grouped by load, not by clock: a solve request is
+    solved at once while the service has a free solve slot (``workers +
+    1`` of them, two in-process), and compatible requests arriving while
+    every slot is busy are solved together in one group.
+
     Parameters
     ----------
     host, port:
         Bind address; ``port=0`` picks a free port (``self.port`` holds
         the effective one after :meth:`start`).
-    window, max_batch:
-        Micro-batcher knobs (see
-        :class:`~repro.service.batcher.MicroBatcher`).
+    max_batch:
+        Most requests one micro-batched group holds (see
+        :class:`~repro.service.batcher.MicroBatcher`, which flushes
+        groups by load: whenever a solve slot is free).
     cache_dir:
         Directory of the persistent cache tier, or ``None`` for an
         in-memory-only cache.
@@ -235,7 +242,6 @@ class SolveService:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        window: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
         cache_dir: str | None = None,
         cache_capacity: int = 1024,
@@ -266,7 +272,6 @@ class SolveService:
             SolveWorkerPool(workers) if workers else None
         )
         self.batcher = MicroBatcher(
-            window=window,
             max_batch=max_batch,
             cache=self.cache,
             pool=self.pool,
@@ -707,7 +712,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8000,
-    window: float = DEFAULT_WINDOW_SECONDS,
     max_batch: int = DEFAULT_MAX_BATCH,
     cache_dir: str | None = None,
     cache_capacity: int = 1024,
@@ -726,7 +730,9 @@ def serve(
     and the CI smoke wait for.  ``trace`` switches span tracing on for
     this process, appending to a :class:`~repro.obs.trace.TraceStore`
     at that directory (off by default; also reachable via
-    ``REPRO_TRACE``).
+    ``REPRO_TRACE``).  The other keywords are :class:`SolveService`'s;
+    batching has no time knob, since groups flush whenever a solve slot
+    is free.
     """
     if trace is not None:
         configure_tracing(trace)
@@ -734,7 +740,6 @@ def serve(
     service = SolveService(
         host=host,
         port=port,
-        window=window,
         max_batch=max_batch,
         cache_dir=cache_dir,
         cache_capacity=cache_capacity,

@@ -298,6 +298,63 @@ class TestCampaignCommands:
         assert option[0] in capsys.readouterr().err
         assert (store_dir / CAMPAIGN_FILE).read_bytes() == manifest
 
+    def test_resume_rejects_an_option_restated_at_its_default(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        args = _campaign_args(store_dir)
+        args[args.index("--seeds") + 1] = "0..1"
+        main(args)
+        capsys.readouterr()
+        manifest = (store_dir / CAMPAIGN_FILE).read_bytes()
+        # `--seeds 0` is the parser default, but it is named: a new campaign.
+        code = main(["dag", "run", "--store", str(store_dir), "--workers", "2", "--seeds", "0"])
+        assert code == 2
+        assert "--seeds describe a new campaign" in capsys.readouterr().err
+        assert (store_dir / CAMPAIGN_FILE).read_bytes() == manifest
+
+    def test_naming_more_figures_extends_the_stored_campaign(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        options = ["--repetitions", "1", "--max-points", "2", "--no-milp", "--seeds", "0"]
+        assert main(["dag", "run", "fig6", "--store", str(store_dir), *options]) == 0
+        assert main(
+            ["dag", "run", "fig10", "--store", str(store_dir), *options, "--workers", "2"]
+        ) == 0
+        capsys.readouterr()
+        manifest = json.loads((store_dir / CAMPAIGN_FILE).read_text())
+        assert manifest["figures"] == ["fig6", "fig10"]
+        assert main(["dag", "status", "--store", str(store_dir)]) == 0
+        # Both figures' units: fig6's 8 and fig10's 12, all stored.
+        assert "20/20 unit(s) stored at full depth; campaign complete" in (
+            capsys.readouterr().out
+        )
+        assert main(["dag", "run", "--store", str(store_dir)]) == 0
+        output = capsys.readouterr().out
+        assert "fig6 seed=0" in output and "fig10 seed=0" in output
+        assert "; 0 block solve(s)" in output
+
+    def test_another_campaign_leaves_the_stored_manifest(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        main(_campaign_args(store_dir))
+        capsys.readouterr()
+        manifest = (store_dir / CAMPAIGN_FILE).read_bytes()
+        code = main(
+            [
+                "dag", "run", "fig6", "--store", str(store_dir),
+                "--repetitions", "2", "--max-points", "2", "--no-milp", "--seeds", "0..1",
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "--seeds (stored (0,), given (0, 1))" in err
+        assert "--repetitions (stored 1, given 2)" in err
+        assert "--max-points" not in err and "--no-milp" not in err
+        # The stored campaign is still the one recorded, and still complete.
+        assert (store_dir / CAMPAIGN_FILE).read_bytes() == manifest
+        assert main(["dag", "run", "--store", str(store_dir)]) == 0
+        output = capsys.readouterr().out
+        assert "fig6 seed=0" in output and "fig10 seed=0" in output
+        assert "fig6 seed=1" not in output
+        assert "; 0 block solve(s)" in output
+
     def test_resume_workers_override_keeps_the_manifest(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         main(_campaign_args(store_dir))
@@ -639,15 +696,19 @@ class TestServiceCommands:
     def test_serve_parser_accepts_service_knobs(self):
         args = build_parser().parse_args(
             [
-                "serve", "--port", "0", "--window-ms", "1.5",
+                "serve", "--port", "0",
                 "--max-batch", "16", "--cache-dir", "cache/",
                 "--cache-capacity", "64",
             ]
         )
         assert args.port == 0
-        assert args.window_ms == 1.5
         assert args.max_batch == 16
         assert args.cache_dir == "cache/"
+
+    def test_serve_has_no_batching_window(self):
+        # Groups flush by load (a free solve slot), so there is no time knob.
+        args = build_parser().parse_args(["serve"])
+        assert not any("window" in name for name in vars(args))
 
     def test_request_round_trips_against_a_live_service(self, capsys):
         with _live_service() as url:
@@ -696,7 +757,7 @@ def _live_service():
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
-    service = SolveService(port=0, window=0.001)
+    service = SolveService(port=0)
     asyncio.run_coroutine_threadsafe(service.start(), loop).result(timeout=10)
     try:
         yield service.url

@@ -336,7 +336,7 @@ class TestPropagation:
         trace.configure(tmp_path / "traces")
 
         async def scenario():
-            service = SolveService(port=0, window=0.001, cache_dir=None)
+            service = SolveService(port=0, cache_dir=None)
             await service.start()
             loop = asyncio.get_running_loop()
             client = ServiceClient(service.url)

@@ -8,7 +8,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -53,6 +52,71 @@ def remote(url: str, method: str, *args):
     """One ``ServiceClient`` call on a fresh connection; a 429 is not retried."""
     with ServiceClient(url, retries=0) as client:
         return getattr(client, method)(*args)
+
+
+class SolverGate:
+    """Holds each group solve of a batcher until the test opens it.
+
+    Replaces the batcher's one solve seam, ``MicroBatcher._solve``, with
+    a coroutine that records the group's requests (in flush order) and
+    waits on the group's own ``asyncio.Event``.  A test decides which
+    solve finishes when, on the event loop alone: no threads, no sleeps.
+    """
+
+    def __init__(self, batcher, error: BaseException | None = None):
+        self.inner = batcher._solve
+        self.error = error
+        #: Request tuples of the gated groups, in the order they flushed.
+        self.groups: list[tuple] = []
+        self.events: list[asyncio.Event] = []
+        self.all_open = False
+        batcher._solve = self._solve
+
+    async def _solve(self, requests):
+        event = asyncio.Event()
+        if self.all_open:
+            event.set()
+        self.groups.append(requests)
+        self.events.append(event)
+        await event.wait()
+        if self.error is not None:
+            raise self.error
+        return await self.inner(requests)
+
+    def open(self, index: int) -> None:
+        """Let the ``index``-th flushed group's solve run."""
+        self.events[index].set()
+
+    def open_all(self) -> None:
+        """Let every held solve, and every later one, run."""
+        self.all_open = True
+        for event in self.events:
+            event.set()
+
+
+async def spin(condition, ticks: int = 100) -> None:
+    """Yield loop ticks until ``condition()`` holds (no timers involved)."""
+    for _ in range(ticks):
+        if condition():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError(f"condition still false after {ticks} loop ticks")
+
+
+async def hold_slots(batcher, gate: SolverGate) -> list[asyncio.Task]:
+    """Take every solve slot with one gated single-request group each.
+
+    The blockers use task counts no other test request uses, so each
+    opens its own signature's group.
+    """
+    blockers = [
+        asyncio.create_task(
+            batcher.submit(normalize_request(make_payload(tasks=20 + slot)))
+        )
+        for slot in range(batcher.slots)
+    ]
+    await spin(lambda: len(gate.groups) == batcher.slots)
+    return blockers
 
 
 class TestNormalizeRequest:
@@ -188,9 +252,9 @@ class TestSolveCache:
 
 
 class TestMicroBatcher:
-    def test_window_flush_groups_concurrent_requests(self):
+    def test_same_tick_requests_stack_into_one_group(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
+            batcher = MicroBatcher()
             requests = [
                 normalize_request(make_payload(seed=seed)) for seed in range(4)
             ]
@@ -200,7 +264,7 @@ class TestMicroBatcher:
             return batcher.stats, requests, responses
 
         stats, requests, responses = run(scenario())
-        # All four arrived within the window: one flush, one group of 4.
+        # All four arrived in one loop tick: one flush, one group of 4.
         assert stats.flushes == 1
         assert stats.max_group == 4
         for request, response in zip(requests, responses):
@@ -210,24 +274,29 @@ class TestMicroBatcher:
 
     def test_max_batch_flushes_immediately(self):
         async def scenario():
-            batcher = MicroBatcher(window=60.0, max_batch=2)
+            batcher = MicroBatcher(max_batch=2)
+            gate = SolverGate(batcher)
             requests = [
                 normalize_request(make_payload(seed=seed)) for seed in range(4)
             ]
-            responses = await asyncio.gather(
-                *(batcher.submit(request) for request in requests)
-            )
-            return batcher.stats, responses
+            waiters = [
+                asyncio.create_task(batcher.submit(request)) for request in requests
+            ]
+            # Two full groups, two free slots: both flush on the next
+            # tick, while the gate still holds every solve.
+            await spin(lambda: len(gate.groups) == 2)
+            flushes, max_group = batcher.stats.flushes, batcher.stats.max_group
+            gate.open_all()
+            return flushes, max_group, await asyncio.gather(*waiters)
 
-        # A one-minute window would hang the test if the size trigger failed.
-        stats, responses = run(asyncio.wait_for(scenario(), timeout=10.0))
-        assert stats.flushes == 2
-        assert stats.max_group == 2
+        flushes, max_group, responses = run(asyncio.wait_for(scenario(), timeout=10.0))
+        assert flushes == 2
+        assert max_group == 2
         assert len(responses) == 4
 
     def test_signature_grouping_keeps_incompatible_requests_apart(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
+            batcher = MicroBatcher()
             requests = [
                 normalize_request(make_payload(seed=seed)) for seed in range(3)
             ] + [
@@ -251,7 +320,7 @@ class TestMicroBatcher:
 
     def test_sub_threshold_groups_fall_back_per_instance(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.02)
+            batcher = MicroBatcher()
             requests = [
                 normalize_request(make_payload(seed=seed))
                 for seed in range(BATCH_MIN_ROWS - 1)
@@ -267,7 +336,7 @@ class TestMicroBatcher:
 
     def test_threshold_deep_groups_take_the_batch_kernel(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
+            batcher = MicroBatcher()
             requests = [
                 normalize_request(make_payload(seed=seed))
                 for seed in range(BATCH_MIN_ROWS)
@@ -282,7 +351,7 @@ class TestMicroBatcher:
 
     def test_two_deep_local_search_groups_fall_back_per_instance(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
+            batcher = MicroBatcher()
             requests = [
                 normalize_request(make_payload(heuristic="H4ls", seed=seed))
                 for seed in range(2)
@@ -299,7 +368,7 @@ class TestMicroBatcher:
 
     def test_identical_requests_coalesce_into_one_solve(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.05)
+            batcher = MicroBatcher()
             request = normalize_request(make_payload(seed=3))
             responses = await asyncio.gather(
                 *(batcher.submit(request) for _ in range(5))
@@ -313,27 +382,17 @@ class TestMicroBatcher:
 
     def test_identical_request_joins_a_solve_already_in_flight(self):
         async def scenario():
-            # window=0: the first request's group flushes on the next
-            # loop tick, so by the time the duplicate arrives the solve
-            # is running on the executor — no pending group, no cache.
-            batcher = MicroBatcher(window=0.0, cache=None)
-            solving = threading.Event()
-            release = threading.Event()
-            inner_solve = batcher._solve
-
-            def gated_solve(requests):
-                solving.set()
-                assert release.wait(timeout=10.0)
-                return inner_solve(requests)
-
-            batcher._solve = gated_solve
+            # An idle batcher flushes the first request's group on the
+            # next loop tick, so by the time the duplicate arrives the
+            # solve is running — no pending group, no cache.
+            batcher = MicroBatcher(cache=None)
+            gate = SolverGate(batcher)
             request = normalize_request(make_payload(seed=3))
             first = asyncio.create_task(batcher.submit(request))
-            while not solving.is_set():  # the solve is now mid-executor
-                await asyncio.sleep(0.001)
+            await spin(lambda: gate.groups)  # the solve is now running
             second = asyncio.create_task(batcher.submit(request))
-            await asyncio.sleep(0.01)
-            release.set()
+            await spin(lambda: batcher.stats.coalesced)
+            gate.open_all()
             return batcher.stats, await first, await second
 
         stats, first, second = run(scenario())
@@ -343,7 +402,7 @@ class TestMicroBatcher:
 
     def test_cache_hits_skip_the_solver(self):
         async def scenario():
-            batcher = MicroBatcher(window=0.0, cache=SolveCache(capacity=16))
+            batcher = MicroBatcher(cache=SolveCache(capacity=16))
             request = normalize_request(make_payload(seed=1))
             first = await batcher.submit(request)
             second = await batcher.submit(request)
@@ -367,7 +426,7 @@ class TestMicroBatcher:
         """
 
         async def scenario():
-            batcher = MicroBatcher(window=0.05, max_batch=max_batch)
+            batcher = MicroBatcher(max_batch=max_batch)
             requests = [
                 normalize_request(
                     make_payload(heuristic=heuristic, seed=seed)
@@ -388,13 +447,162 @@ class TestMicroBatcher:
             assert response["key"] == reference["key"]
 
 
+class TestLoadDispatch:
+    """Groups flush by load: at once while a slot is free, else batched."""
+
+    def test_idle_batcher_flushes_a_lone_request_within_two_ticks(self, monkeypatch):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+
+            def no_timer(*args, **kwargs):
+                raise AssertionError("the batcher scheduled a timer")
+
+            monkeypatch.setattr(loop, "call_later", no_timer)
+            monkeypatch.setattr(loop, "call_at", no_timer)
+            batcher = MicroBatcher()
+            gate = SolverGate(batcher)
+            request = normalize_request(make_payload(seed=5))
+            waiter = asyncio.create_task(batcher.submit(request))
+            await asyncio.sleep(0)  # tick 1: the request opens its group
+            await asyncio.sleep(0)  # tick 2: the group flushes
+            flushes = batcher.stats.flushes
+            gate.open_all()
+            return request, flushes, await waiter
+
+        request, flushes, response = run(asyncio.wait_for(scenario(), timeout=10.0))
+        assert flushes == 1
+        assert strip_markers(response) == strip_markers(direct_response(request))
+
+    def test_requests_collect_while_every_slot_is_held(self):
+        async def scenario():
+            batcher = MicroBatcher()
+            gate = SolverGate(batcher)
+            blockers = await hold_slots(batcher, gate)
+            requests = [normalize_request(make_payload(seed=seed)) for seed in range(5)]
+            waiters = []
+            for request in requests:  # one arrival per loop tick
+                waiters.append(asyncio.create_task(batcher.submit(request)))
+                await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            parked_flushes = batcher.stats.flushes
+            gate.open(0)
+            await blockers[0]  # a finished solve frees its slot...
+            await spin(lambda: len(gate.groups) == batcher.slots + 1)
+            gate.open_all()
+            responses = await asyncio.gather(*waiters, *blockers)
+            return batcher, gate, requests, parked_flushes, responses
+
+        batcher, gate, requests, parked_flushes, responses = run(
+            asyncio.wait_for(scenario(), timeout=30.0)
+        )
+        # One slot for the thread executor's solve, one queued behind it.
+        assert batcher.slots == 2
+        assert parked_flushes == batcher.slots  # nothing flushed while held
+        # ...and the five arrivals flushed together, as one group of 5.
+        assert gate.groups[-1] == tuple(requests)
+        assert batcher.stats.flushes == batcher.slots + 1
+        assert batcher.stats.max_group == 5
+        assert batcher.stats.batched_requests == 5
+        for request, response in zip(requests, responses):
+            assert strip_markers(response) == strip_markers(direct_response(request))
+
+    def test_pending_groups_flush_oldest_first(self):
+        async def scenario():
+            batcher = MicroBatcher()
+            gate = SolverGate(batcher)
+            blockers = await hold_slots(batcher, gate)
+            older = [
+                normalize_request(make_payload(tasks=12, seed=seed)) for seed in (0, 1)
+            ]
+            newer = normalize_request(make_payload(heuristic="H2", seed=0))
+            waiters = [asyncio.create_task(batcher.submit(older[0]))]
+            await asyncio.sleep(0)
+            waiters.append(asyncio.create_task(batcher.submit(newer)))
+            await asyncio.sleep(0)
+            # A later member of the older signature joins its pending group.
+            waiters.append(asyncio.create_task(batcher.submit(older[1])))
+            await asyncio.sleep(0)
+            gate.open(0)
+            await blockers[0]
+            await spin(lambda: len(gate.groups) == batcher.slots + 1)
+            first_flushed = gate.groups[-1]
+            still_pending = [list(group.requests) for group in batcher._queue]
+            gate.open_all()
+            await asyncio.gather(*waiters, *blockers)
+            return older, newer, first_flushed, still_pending, gate.groups[-1]
+
+        older, newer, first_flushed, still_pending, last_flushed = run(
+            asyncio.wait_for(scenario(), timeout=30.0)
+        )
+        assert first_flushed == tuple(older)
+        assert still_pending == [[newer]]
+        assert last_flushed == (newer,)
+
+    def test_max_batch_splits_a_saturated_signature(self):
+        async def scenario():
+            batcher = MicroBatcher(max_batch=2)
+            gate = SolverGate(batcher)
+            blockers = await hold_slots(batcher, gate)
+            requests = [normalize_request(make_payload(seed=seed)) for seed in range(5)]
+            waiters = [
+                asyncio.create_task(batcher.submit(request)) for request in requests
+            ]
+            await spin(lambda: len(batcher._inflight) == batcher.slots + 5)
+            queued = [len(group.requests) for group in batcher._queue]
+            gate.open_all()
+            responses = await asyncio.gather(*waiters)
+            await asyncio.gather(*blockers)
+            return batcher, gate, requests, queued, responses
+
+        batcher, gate, requests, queued, responses = run(
+            asyncio.wait_for(scenario(), timeout=30.0)
+        )
+        assert queued == [2, 2, 1]
+        assert [len(group) for group in gate.groups[batcher.slots:]] == [2, 2, 1]
+        assert batcher.stats.max_group == 2
+        for request, response in zip(requests, responses):
+            assert strip_markers(response) == strip_markers(direct_response(request))
+
+    def test_aclose_drains_parked_groups(self):
+        async def scenario():
+            batcher = MicroBatcher()
+            gate = SolverGate(batcher)
+            blockers = await hold_slots(batcher, gate)
+            requests = [
+                normalize_request(make_payload(seed=0)),
+                normalize_request(make_payload(heuristic="H2", seed=0)),
+            ]
+            waiters = [
+                asyncio.create_task(batcher.submit(request)) for request in requests
+            ]
+            await spin(lambda: len(batcher._queue) == 2)
+            closing = asyncio.create_task(batcher.aclose())
+            # Flushed without a free slot, oldest first.
+            await spin(lambda: len(gate.groups) == batcher.slots + 2)
+            parked = gate.groups[batcher.slots:]
+            gate.open_all()
+            await closing
+            # Every admitted request was answered before aclose returned.
+            unresolved = dict(batcher._inflight)
+            await asyncio.gather(*blockers)
+            return requests, parked, unresolved, await asyncio.gather(*waiters)
+
+        requests, parked, unresolved, responses = run(
+            asyncio.wait_for(scenario(), timeout=30.0)
+        )
+        assert parked == [(requests[0],), (requests[1],)]
+        assert unresolved == {}
+        for request, response in zip(requests, responses):
+            assert strip_markers(response) == strip_markers(direct_response(request))
+
+
 class TestSolveService:
     def request_in_executor(self, call):
         return asyncio.get_running_loop().run_in_executor(None, call)
 
     def test_http_solve_stats_health_roundtrip(self):
         async def scenario():
-            service = SolveService(port=0, window=0.001)
+            service = SolveService(port=0)
             await service.start()
             url = service.url
             payload = make_payload(seed=2)
@@ -425,7 +633,7 @@ class TestSolveService:
 
     def test_http_errors_are_json_not_disconnects(self):
         async def scenario():
-            service = SolveService(port=0, window=0.001)
+            service = SolveService(port=0)
             await service.start()
             url = service.url
             try:
@@ -450,7 +658,7 @@ class TestSolveService:
 
     def test_malformed_content_length_does_not_kill_the_server(self):
         async def scenario():
-            service = SolveService(port=0, window=0.001)
+            service = SolveService(port=0)
             await service.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -472,7 +680,7 @@ class TestSolveService:
 
     def test_solver_crash_returns_500_json(self):
         async def scenario():
-            service = SolveService(port=0, window=0.001)
+            service = SolveService(port=0)
 
             async def boom(request):
                 raise RuntimeError("kernel exploded")
@@ -499,7 +707,7 @@ class TestSolveService:
         payload = make_payload(seed=11)
 
         async def round_one():
-            service = SolveService(port=0, window=0.001, cache_dir=cache_dir)
+            service = SolveService(port=0, cache_dir=cache_dir)
             await service.start()
             try:
                 return await self.request_in_executor(
@@ -509,7 +717,7 @@ class TestSolveService:
                 await service.stop()
 
         async def round_two():
-            service = SolveService(port=0, window=0.001, cache_dir=cache_dir)
+            service = SolveService(port=0, cache_dir=cache_dir)
             await service.start()
             try:
                 return await self.request_in_executor(
@@ -538,7 +746,7 @@ class TestSolveWorkerPool:
 
         async def scenario():
             with SolveWorkerPool(2) as pool:
-                batcher = MicroBatcher(window=0.05, pool=pool)
+                batcher = MicroBatcher(pool=pool)
                 requests = [
                     normalize_request(make_payload(seed=seed))
                     for seed in range(BATCH_MIN_ROWS)
@@ -552,6 +760,8 @@ class TestSolveWorkerPool:
                     *(batcher.submit(request) for request in requests)
                 )
                 await batcher.aclose()
+                # One slot per worker process, plus one group queued behind.
+                assert batcher.slots == pool.workers + 1 == 3
             return batcher.stats, requests, responses
 
         stats, requests, responses = run(scenario())
@@ -600,7 +810,7 @@ class TestSolveWorkerPool:
 
     def test_http_roundtrip_through_the_worker_pool(self):
         async def scenario():
-            service = SolveService(port=0, window=0.001, workers=2)
+            service = SolveService(port=0, workers=2)
             await service.start()
             url = service.url
             payload = make_payload(seed=5)
@@ -651,24 +861,25 @@ def _running(pid: int) -> bool:
 class TestAdmissionControl:
     def test_distinct_requests_beyond_max_pending_are_shed(self):
         async def scenario():
-            batcher = MicroBatcher(window=60.0, max_pending=2)
+            batcher = MicroBatcher(max_pending=2)
+            gate = SolverGate(batcher)
             first = asyncio.create_task(
                 batcher.submit(normalize_request(make_payload(seed=41)))
             )
             second = asyncio.create_task(
                 batcher.submit(normalize_request(make_payload(seed=42)))
             )
-            while len(batcher._inflight) < 2:
-                await asyncio.sleep(0.001)
+            await spin(lambda: len(batcher._inflight) == 2)
             with pytest.raises(ServiceOverloadedError, match="queue is full"):
                 await batcher.submit(normalize_request(make_payload(seed=43)))
             # A coalesced duplicate consumes no solve capacity: admitted.
             duplicate = asyncio.create_task(
                 batcher.submit(normalize_request(make_payload(seed=41)))
             )
-            await asyncio.sleep(0.01)
+            await spin(lambda: batcher.stats.coalesced)
             assert not duplicate.done()
-            await batcher.aclose()  # flushes the one-minute window now
+            gate.open_all()  # the gate held the one group's solve until now
+            await batcher.aclose()
             return batcher.stats, await first, await duplicate, await second
 
         stats, first, duplicate, second = run(
@@ -682,16 +893,17 @@ class TestAdmissionControl:
     def test_cache_hits_are_admitted_even_when_full(self):
         async def scenario():
             cache = SolveCache(capacity=16)
-            warmed = await MicroBatcher(window=0.0, cache=cache).submit(
+            warmed = await MicroBatcher(cache=cache).submit(
                 normalize_request(make_payload(seed=51))
             )
-            batcher = MicroBatcher(window=60.0, cache=cache, max_pending=1)
+            batcher = MicroBatcher(cache=cache, max_pending=1)
+            gate = SolverGate(batcher)
             blocker = asyncio.create_task(
                 batcher.submit(normalize_request(make_payload(seed=52)))
             )
-            while not batcher._inflight:
-                await asyncio.sleep(0.001)
+            await spin(lambda: batcher._inflight)
             hit = await batcher.submit(normalize_request(make_payload(seed=51)))
+            gate.open_all()
             await batcher.aclose()
             await blocker
             return warmed, hit, batcher.stats
@@ -716,18 +928,25 @@ class TestAdmissionControl:
                     time.sleep(0.2)
 
         async def scenario():
-            service = SolveService(port=0, window=0.3, max_pending=1)
+            service = SolveService(port=0, max_pending=1)
+            gate = SolverGate(service.batcher)
             await service.start()
             url = service.url
             payloads = [make_payload(seed=seed) for seed in range(60, 64)]
             loop = asyncio.get_running_loop()
             try:
-                responses = await asyncio.gather(
+                asking = asyncio.gather(
                     *(
                         loop.run_in_executor(None, ask, url, payload)
                         for payload in payloads
                     )
                 )
+                # The gate holds the one admitted solve until a 429 was
+                # delivered, so the other arrivals must find the queue full.
+                while not shed_hints:
+                    await asyncio.sleep(0.01)
+                gate.open_all()
+                responses = await asking
                 stats = await loop.run_in_executor(
                     None, lambda: remote(url, "stats")
                 )
@@ -738,8 +957,8 @@ class TestAdmissionControl:
         payloads, responses, stats = run(
             asyncio.wait_for(scenario(), timeout=60.0)
         )
-        # Four distinct concurrent requests against max_pending=1 with a
-        # 300 ms window: at least the simultaneous arrivals were shed.
+        # Four distinct concurrent requests against max_pending=1 with the
+        # first solve held: at least the simultaneous arrivals were shed.
         assert len(shed_hints) >= 1
         assert stats["service"]["shed"] >= 1
         assert stats["batcher"]["shed"] >= 1
@@ -753,7 +972,8 @@ class TestAdmissionControl:
 class TestDeadlines:
     def test_deadline_exceeded_answers_504_and_still_caches(self):
         async def scenario():
-            service = SolveService(port=0, window=5.0)
+            service = SolveService(port=0)
+            gate = SolverGate(service.batcher)  # the solve outlives the deadline
             await service.start()
             url = service.url
             payload = make_payload(seed=71, deadline_ms=100)
@@ -767,6 +987,7 @@ class TestDeadlines:
                     None, lambda: remote(url, "stats")
                 )
             finally:
+                gate.open_all()
                 # stop() drains the batcher: the group the 504'd request
                 # left behind still solves and lands in the cache.
                 await service.stop()
@@ -784,7 +1005,7 @@ class TestDeadlines:
 
     def test_request_within_deadline_is_served_normally(self):
         async def scenario():
-            service = SolveService(port=0, window=0.001)
+            service = SolveService(port=0)
             await service.start()
             payload = make_payload(seed=72, deadline_ms=20000)
             loop = asyncio.get_running_loop()
@@ -801,39 +1022,22 @@ class TestDeadlines:
 
 
 class TestWaiterLifecycle:
-    def gate(self, batcher, result_exception=None):
-        """Patch ``batcher._solve`` so the test controls when it runs."""
-        solving = threading.Event()
-        release = threading.Event()
-        inner = batcher._solve
-
-        def gated(requests):
-            solving.set()
-            assert release.wait(timeout=10.0)
-            if result_exception is not None:
-                raise result_exception
-            return inner(requests)
-
-        batcher._solve = gated
-        return solving, release
-
     def test_cancelled_waiter_does_not_lose_the_group(self):
         """A client disconnect mid-solve: the group completes and caches."""
 
         async def scenario():
             cache = SolveCache(capacity=16)
-            batcher = MicroBatcher(window=0.02, cache=cache)
-            solving, release = self.gate(batcher)
+            batcher = MicroBatcher(cache=cache)
+            gate = SolverGate(batcher)
             r0 = normalize_request(make_payload(seed=21))
             r1 = normalize_request(make_payload(seed=22))
             w0 = asyncio.create_task(batcher.submit(r0))
             w1 = asyncio.create_task(batcher.submit(r1))
-            while not solving.is_set():  # both grouped, solve mid-executor
-                await asyncio.sleep(0.001)
+            await spin(lambda: gate.groups)  # both grouped, solve running
             w0.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await w0
-            release.set()
+            gate.open_all()
             survivor = await w1
             await batcher.aclose()
             return cache, r0, r1, survivor
@@ -850,20 +1054,17 @@ class TestWaiterLifecycle:
         """A crash with one waiter gone still reaches the live waiters."""
 
         async def scenario():
-            batcher = MicroBatcher(window=0.02)
-            solving, release = self.gate(
-                batcher, result_exception=RuntimeError("solver exploded")
-            )
+            batcher = MicroBatcher()
+            gate = SolverGate(batcher, error=RuntimeError("solver exploded"))
             w0 = asyncio.create_task(
                 batcher.submit(normalize_request(make_payload(seed=31)))
             )
             w1 = asyncio.create_task(
                 batcher.submit(normalize_request(make_payload(seed=32)))
             )
-            while not solving.is_set():
-                await asyncio.sleep(0.001)
+            await spin(lambda: gate.groups)
             w0.cancel()
-            release.set()
+            gate.open_all()
             results = await asyncio.gather(w0, w1, return_exceptions=True)
             await batcher.aclose()
             return batcher, results
@@ -876,20 +1077,28 @@ class TestWaiterLifecycle:
         # leaks into admission control.
         assert batcher._inflight == {}
 
-    def test_stop_drains_a_request_parked_in_the_window(self):
+    def test_stop_drains_a_request_parked_for_a_slot(self):
         """stop() answers in-flight clients instead of dropping them."""
 
         async def scenario():
-            service = SolveService(port=0, window=10.0)
+            service = SolveService(port=0)
+            gate = SolverGate(service.batcher)
             await service.start()
+            blockers = await hold_slots(service.batcher, gate)
             payload = make_payload(seed=81)
             url = service.url
             pending = asyncio.get_running_loop().run_in_executor(
                 None, lambda: remote(url, "solve", payload)
             )
-            while not service.batcher._inflight:  # parked in the window
+            while not service.batcher._queue:  # parked: every slot is held
                 await asyncio.sleep(0.005)
-            await service.stop()
+            stopping = asyncio.create_task(service.stop())
+            # stop() flushes the parked group although no slot is free...
+            await spin(lambda: len(gate.groups) == len(blockers) + 1)
+            # ...and waits for it: the held solves run only now.
+            gate.open_all()
+            await stopping
+            await asyncio.gather(*blockers)
             return payload, await pending
 
         payload, response = run(asyncio.wait_for(scenario(), timeout=30.0))
@@ -999,14 +1208,14 @@ class TestLatencyReservoir:
 
 class TestServicePayloads:
     def test_stats_name_no_kernel_backend(self):
-        payload = SolveService(port=0, window=0.001).stats_payload()
+        payload = SolveService(port=0).stats_payload()
         assert set(payload) == {
             "service", "batcher", "sessions", "cache", "workers", "metrics",
         }
         assert not any("backend" in name for name in payload["metrics"])
 
     def test_metrics_export_no_backend_series(self):
-        text = SolveService(port=0, window=0.001).registry.render()
+        text = SolveService(port=0).registry.render()
         assert "repro_service_workers 0" in text
         assert "backend" not in text
 

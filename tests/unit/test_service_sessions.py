@@ -191,7 +191,7 @@ class TestSessionHTTP:
 
     def with_service(self, inner, **service_kwargs):
         async def scenario():
-            service = SolveService(port=0, window=0.001, **service_kwargs)
+            service = SolveService(port=0, **service_kwargs)
             await service.start()
             try:
                 return await inner(service)
@@ -389,7 +389,7 @@ class TestVersionedAPI:
 
     def with_service(self, inner, **service_kwargs):
         async def scenario():
-            service = SolveService(port=0, window=0.001, **service_kwargs)
+            service = SolveService(port=0, **service_kwargs)
             await service.start()
             try:
                 return await inner(service)
@@ -489,7 +489,7 @@ class TestServiceClient:
 
     def test_keep_alive_reuses_one_connection(self):
         async def scenario():
-            service = SolveService(port=0, window=0.001)
+            service = SolveService(port=0)
             await service.start()
             try:
                 def talk():
