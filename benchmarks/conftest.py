@@ -9,7 +9,7 @@ benchmark:
 * prints the regenerated series (the same rows the paper plots) so that
   ``pytest benchmarks/ --benchmark-only -s`` doubles as the figure
   generator, and
-* writes the CSV into ``benchmarks/results/`` for EXPERIMENTS.md.
+* writes the CSV and the text report into ``benchmarks/results/``.
 
 Scaling can be tuned with environment variables without editing code:
 

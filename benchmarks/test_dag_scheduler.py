@@ -23,13 +23,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.campaign import CampaignManifest, expand_units, plan
-from repro.dag import run_pipeline, steal_dispatch, unit_cost
+from repro.dag import block_cost, run_pipeline, steal_dispatch
 from repro.experiments import ResultStore
 
 #: Executor slots for the dispatch comparison (one per simulated host).
 SLOTS = 3
 #: Total simulated solve seconds across the whole plan (split over SLOTS).
 SIMULATED_TOTAL_SECONDS = 2.4
+
+
+def _unit_cost(manifest: CampaignManifest, unit) -> float:
+    """The :func:`block_cost` of one campaign work unit."""
+    return block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
 
 
 def _mixed_manifest() -> CampaignManifest:
@@ -68,11 +73,11 @@ def test_cost_balance_and_stealing_beat_naive_round_robin():
     """
     manifest = _mixed_manifest()
     units = expand_units(manifest)
-    scale = SIMULATED_TOTAL_SECONDS / sum(unit_cost(manifest, u) for u in units)
+    scale = SIMULATED_TOTAL_SECONDS / sum(_unit_cost(manifest, u) for u in units)
 
     def sleep_queues(shard_units):
         return [
-            [unit_cost(manifest, unit) * scale for unit in queue]
+            [_unit_cost(manifest, unit) * scale for unit in queue]
             for queue in shard_units
         ]
 

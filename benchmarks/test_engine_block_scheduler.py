@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.core import Mapping, evaluate
-from repro.experiments import CellBlock, HeuristicProvider
+from repro.experiments import BlockChunk, HeuristicProvider
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic
 from repro.heuristics.base import solve_one
@@ -55,8 +55,9 @@ def scenario() -> ScenarioConfig:
 
 
 @pytest.fixture(scope="module")
-def block(scenario) -> CellBlock:
-    return CellBlock.sample(scenario, 100, RandomStreamFactory(17))
+def block(scenario) -> BlockChunk:
+    """The R=50 block of the sweep point, as the one-point chunk providers score."""
+    return BlockChunk.sample(scenario, (100,), RandomStreamFactory(17))
 
 
 def _time(fn, repeats=3):
@@ -71,7 +72,7 @@ def _time(fn, repeats=3):
 def test_block_scoring_speedup_at_r50(scenario, block):
     """Acceptance: the stack scoring pass >= 3x over R scalar evaluations."""
     provider = HeuristicProvider("H4w")
-    assignments = provider.solve_block(block)
+    assignments = provider.solve(block)
 
     def scalar_scoring():
         return [
@@ -137,7 +138,7 @@ def test_batch_solve_speedup_at_r50(block):
 
 def test_bench_block_scoring(benchmark, block):
     provider = HeuristicProvider("H4w")
-    assignments = provider.solve_block(block)
+    assignments = provider.solve(block)
     periods = benchmark(block.stack.periods, assignments)
     assert periods.shape == (R,)
 
@@ -146,8 +147,9 @@ def test_bench_block_pipeline(benchmark, scenario):
     """Sampling + solving + scoring one whole block."""
 
     def pipeline():
-        fresh = CellBlock.sample(scenario, 100, RandomStreamFactory(17))
-        return HeuristicProvider("H4w").evaluate_block(fresh)
+        fresh = BlockChunk.sample(scenario, (100,), RandomStreamFactory(17))
+        (result,) = HeuristicProvider("H4w").evaluate(fresh)
+        return result
 
     result = benchmark(pipeline)
     assert result.periods.shape == (R,)
@@ -156,7 +158,7 @@ def test_bench_block_pipeline(benchmark, scenario):
 def test_bench_batch_solve_greedy(benchmark, block):
     """Lock-step H4w solve of one R=50 block (greedy family kernel)."""
     provider = HeuristicProvider("H4w")
-    assignments = benchmark(provider.solve_block, block)
+    assignments = benchmark(provider.solve, block)
     assert assignments.shape == (R, block.stack.num_tasks)
 
 
@@ -168,7 +170,7 @@ def test_bench_batch_solve_binary_search(benchmark, block):
     block cost.
     """
     provider = HeuristicProvider("H2")
-    assignments = benchmark(provider.solve_block, block)
+    assignments = benchmark(provider.solve, block)
     assert assignments.shape == (R, block.stack.num_tasks)
 
 
@@ -176,7 +178,7 @@ def test_bench_batch_refine(benchmark, block):
     """H4ls descent of one R=50 block, one row after another."""
     from repro.heuristics.local_search import refine_specialized_batch
 
-    seeds = HeuristicProvider("H4w").solve_block(block)
+    seeds = HeuristicProvider("H4w").solve(block)
     refined, moves = benchmark(refine_specialized_batch, block.instances, seeds)
     assert refined.shape == (R, block.stack.num_tasks)
     assert int(moves.sum()) > 0
@@ -199,19 +201,18 @@ CROSS_POINT_SCENARIO = ScenarioConfig(
 
 
 @pytest.fixture(scope="module")
-def cross_point_blocks() -> list[CellBlock]:
-    streams = RandomStreamFactory(17)
-    return [
-        CellBlock.sample(CROSS_POINT_SCENARIO, value, streams)
-        for value in CROSS_POINT_SCENARIO.sweep_values
-    ]
+def cross_point_chunk() -> BlockChunk:
+    """The whole sweep as one chunk."""
+    return BlockChunk.sample(
+        CROSS_POINT_SCENARIO, CROSS_POINT_SCENARIO.sweep_values, RandomStreamFactory(17)
+    )
 
 
-def test_cross_point_stacking_speedup(cross_point_blocks):
+def test_cross_point_stacking_speedup(cross_point_chunk):
     """Stacking aligned sweep points matches per-block solving bit for bit.
 
     A types sweep keeps (n, m) fixed, so every point of the figure shares
-    the block structure; ``evaluate_blocks`` solves all points x R rows in
+    the block structure; one chunk of all points solves points x R rows in
     one solve_stack entry instead of one per point.  Measured on H4ls,
     whose H4w seeds take the lock-step kernel.  Both clocks are printed,
     but no ratio is asserted: the refine is per row on both sides, and the
@@ -219,39 +220,44 @@ def test_cross_point_stacking_speedup(cross_point_blocks):
     stacked pass's wall-clock instead).
     """
     provider = HeuristicProvider("H4ls")
+    streams = RandomStreamFactory(17)
+    per_point = [
+        BlockChunk.sample(CROSS_POINT_SCENARIO, (value,), streams)
+        for value in CROSS_POINT_SCENARIO.sweep_values
+    ]
 
     def per_block():
-        return [provider.evaluate_block(block) for block in cross_point_blocks]
+        return [provider.evaluate(chunk)[0] for chunk in per_point]
 
     def stacked():
-        return provider.evaluate_blocks(cross_point_blocks)
+        return provider.evaluate(cross_point_chunk)
 
     for loop_result, stacked_result in zip(per_block(), stacked()):
         assert (loop_result.periods == stacked_result.periods).all()  # bit-for-bit
 
     loop_time = _time(per_block)
     stacked_time = _time(stacked)
-    rows = sum(block.repetitions for block in cross_point_blocks)
+    rows = len(cross_point_chunk.instances)
     print(
-        f"\ncross-point H4ls, {len(cross_point_blocks)} points x R="
+        f"\ncross-point H4ls, {len(per_point)} points x R="
         f"{CROSS_POINT_SCENARIO.repetitions} ({rows} rows): per-block "
         f"{loop_time * 1e3:.0f} ms, stacked {stacked_time * 1e3:.0f} ms, "
         f"ratio {loop_time / stacked_time:.2f}x"
     )
 
 
-def test_bench_cross_point_h4ls(benchmark, cross_point_blocks):
+def test_bench_cross_point_h4ls(benchmark, cross_point_chunk):
     """One stacked H4ls solve+refine+score pass over an aligned types sweep."""
     provider = HeuristicProvider("H4ls")
-    results = benchmark(provider.evaluate_blocks, cross_point_blocks)
-    assert len(results) == len(cross_point_blocks)
+    results = benchmark(provider.evaluate, cross_point_chunk)
+    assert len(results) == len(cross_point_chunk.blocks)
 
 
-def test_bench_block_pipeline_cross_point(benchmark, cross_point_blocks):
+def test_bench_block_pipeline_cross_point(benchmark, cross_point_chunk):
     """One stacked solve+score pass over a whole aligned types sweep."""
     provider = HeuristicProvider("H2")
-    results = benchmark(provider.evaluate_blocks, cross_point_blocks)
-    assert len(results) == len(cross_point_blocks)
+    results = benchmark(provider.evaluate, cross_point_chunk)
+    assert len(results) == len(cross_point_chunk.blocks)
     assert all(
         result.periods.shape == (CROSS_POINT_SCENARIO.repetitions,)
         for result in results

@@ -20,7 +20,7 @@ def test_fig09_one_to_one_vs_optimal(benchmark, results_dir):
     # Every heuristic sits above the optimum.  Our OtO baseline is a true
     # bottleneck-assignment optimum, which is stronger than the reference the
     # paper appears to plot, so the allowed band is wider than the paper's
-    # 1.28-1.84 aggregate factors (see EXPERIMENTS.md).
+    # 1.28-1.84 aggregate factors (fig9's ``expected_shape`` string).
     for factor in factors.values():
         assert 1.0 <= factor < 4.0
     # At the low end of the type sweep the heuristics are close to OtO (the

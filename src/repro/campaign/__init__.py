@@ -9,11 +9,13 @@ coordination:
    :class:`~repro.campaign.plan.CampaignManifest` (figures x seeds x
    curves x sweep points) into per-shard work-unit lists, balanced by
    estimated cost (``microrepro shard plan``);
-2. :func:`~repro.dag.scheduler.execute_solves` — the one solve path of
-   every store-backed run, ``microrepro dag run`` included — executes
+2. :func:`~repro.dag.scheduler.execute_solves` — the store's side of
+   every store-backed run, ``microrepro dag run`` included — brings
    exactly one shard's units into a local
    :class:`~repro.experiments.store.ResultStore`
-   (``microrepro shard run``);
+   (``microrepro shard run``), computing the missing blocks through the
+   same executor as an in-memory run
+   (:func:`~repro.experiments.runner.execute_blocks`);
 3. :func:`~repro.campaign.merge.merge_stores` unions the shard stores —
    append-only, key-addressed cell records with conflict detection —
    into the store a single host would have produced, bit for bit

@@ -310,7 +310,7 @@ def plan(manifest: CampaignManifest, *, shards: int, by: str = "seed") -> list[S
     """
     # Imported lazily: repro.dag.scheduler imports this module, so a
     # module-level import would make `import repro.dag` circular.
-    from ..dag.cost import unit_cost
+    from ..dag.cost import block_cost
 
     if shards < 1:
         raise ExperimentError(f"shards must be >= 1, got {shards}")
@@ -320,7 +320,8 @@ def plan(manifest: CampaignManifest, *, shards: int, by: str = "seed") -> list[S
     group_cost: dict[tuple, float] = {}
     for unit in units:
         key = unit.group_key(by)
-        group_cost[key] = group_cost.get(key, 0.0) + unit_cost(manifest, unit)
+        cost = block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
+        group_cost[key] = group_cost.get(key, 0.0) + cost
     loads = [0.0] * shards
     assignment: dict[tuple, int] = {}
     # Both sorted() and min() keep the first of equals: ties go to the

@@ -718,9 +718,17 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    from .dag import unit_cost
+def _estimated_cost(manifest: CampaignManifest, units) -> float:
+    """Total :func:`repro.dag.cost.block_cost` of ``units``."""
+    from .dag import block_cost
 
+    return sum(
+        block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
+        for unit in units
+    )
+
+
+def _cmd_shard_plan(args: argparse.Namespace) -> int:
     manifest = _manifest(args)
     written = write_plans(manifest, args.out, shards=args.shards, by=args.by)
     total = sum(len(shard.units) for _, shard in written)
@@ -729,7 +737,7 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
         f"by {args.by} into {args.out}"
     )
     for path, shard in written:
-        cost = sum(unit_cost(manifest, unit) for unit in shard.units)
+        cost = _estimated_cost(manifest, shard.units)
         print(f"  {path}  ({len(shard.units)} unit(s), est. cost {cost:.0f})")
     return 0
 
@@ -811,12 +819,10 @@ def _manifest(args: argparse.Namespace) -> CampaignManifest:
 
 
 def _cmd_dag_plan(args: argparse.Namespace) -> int:
-    from .dag import unit_cost
-
     manifest = _manifest(args)
     units = expand_units(manifest)
     runs = len(group_by_run(units))
-    cost = sum(unit_cost(manifest, unit) for unit in units)
+    cost = _estimated_cost(manifest, units)
     print(f"{len(units)} unit(s) over {runs} run(s); est. solve cost {cost:.0f}")
     store_path = _store_path(args, required=False)
     if store_path is not None:

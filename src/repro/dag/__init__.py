@@ -7,10 +7,14 @@ curve, sweep value)`` block, each stored as one
 campaign's only record; everything else is derived from them on read:
 
 * :mod:`repro.dag.cost` — calibrated per-provider cost estimates
-  (MIP ~100x a heuristic block) for shard balancing and stealing order;
-* :mod:`repro.dag.scheduler` — solve what the store lacks (a unit whose
-  cell holds the run's repetitions is a hit) with cost-aware work
-  stealing, then render the exports from the stored cells.
+  (MIP ~100x a heuristic block), priced per ``(scenario, curve, sweep
+  value)``, for shard balancing and stealing order;
+* :mod:`repro.dag.scheduler` — the work-stealing dispatch loop of every
+  parallel block run, and the store's side of a campaign: skip what the
+  store holds (a unit whose cell holds the run's repetitions is a hit),
+  hand the rest to the block executor
+  (:func:`repro.experiments.runner.execute_blocks`), write one cell per
+  computed block, then render the exports from the stored cells.
 
 Re-running an identical campaign performs zero block solves, writes
 nothing and reproduces its exports bit-for-bit.  ``microrepro dag
@@ -19,7 +23,7 @@ of a distributed campaign through the same
 :func:`~repro.dag.scheduler.execute_solves`.
 """
 
-from .cost import classify_curve, provider_cost, unit_cost
+from .cost import block_cost, classify_curve, provider_cost
 from .scheduler import (
     DispatchReport,
     PipelineReport,
@@ -32,7 +36,7 @@ from .scheduler import (
 __all__ = [
     "classify_curve",
     "provider_cost",
-    "unit_cost",
+    "block_cost",
     "DispatchReport",
     "PipelineReport",
     "PipelineRun",

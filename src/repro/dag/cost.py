@@ -1,32 +1,31 @@
-"""Per-unit solve-cost model driving shard balancing and stealing order.
+"""Per-block solve-cost model driving shard balancing and stealing order.
 
-A campaign's solve units are wildly uneven: a MIP block at its time
-limit costs ~100x a heuristic block of the same shape, local search
-~10x, OtO somewhere between.  A unit count says nothing about this, so
-the shard planner prices each unit with calibrated per-provider
-estimates and balances shards by total estimated cost (LPT greedy), and
-the scheduler's work stealing mops up whatever the estimates still get
-wrong.
+Blocks are wildly uneven: a MIP block at its time limit costs ~100x a
+heuristic block of the same shape, local search ~10x, OtO somewhere
+between.  A block count says nothing about this, so the shard planner
+prices each campaign work unit (one block) with calibrated
+per-provider estimates and balances shards by total estimated cost (LPT
+greedy), and the block executor's work stealing
+(:func:`repro.experiments.runner.execute_blocks`) mops up whatever the
+estimates still get wrong.  A block is priced from its ``(scenario,
+curve, sweep value)`` alone, so an in-memory run is priced the same way
+as a campaign.
 
 The estimates are *relative* costs in units of one heuristic
 repetition, plain constants below (H2/H3/H4-family = 1.0; MIP reflects
 the worst case of a block solved at its time limit).  Costs scale
 linearly with repetitions and sublinearly (calibrated exponent) with
-the instance size at the unit's sweep point.
+the instance size at the block's sweep point.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ..exceptions import ReproError
 from ..experiments.providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
+from ..generators.scenarios import ScenarioConfig
 from ..heuristics import LocalSearchHeuristic, get_heuristic
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..campaign.plan import CampaignManifest, WorkUnit
-
-__all__ = ["classify_curve", "provider_cost", "unit_cost"]
+__all__ = ["classify_curve", "provider_cost", "block_cost"]
 
 #: Relative per-repetition solve cost of each provider class.
 PROVIDER_COSTS = {
@@ -35,7 +34,7 @@ PROVIDER_COSTS = {
     "oto": 8.0,
     "mip": 100.0,
 }
-#: Exponent of the instance size ``n*m`` in :func:`unit_cost`.
+#: Exponent of the instance size ``n*m`` in :func:`block_cost`.
 SIZE_EXPONENT = 0.5
 
 
@@ -63,8 +62,8 @@ def provider_cost(curve: str) -> float:
     return PROVIDER_COSTS[classify_curve(curve)]
 
 
-def unit_cost(manifest: "CampaignManifest", unit: "WorkUnit") -> float:
-    """Estimated cost of one work unit, in heuristic-repetition units.
+def block_cost(scenario: ScenarioConfig, curve: str, sweep_value: int) -> float:
+    """Estimated cost of one block, in heuristic-repetition units.
 
     ``provider_cost x repetitions x (n*m)^size_exponent`` — repetitions
     scale linearly (each is an independent solve), instance size
@@ -72,7 +71,6 @@ def unit_cost(manifest: "CampaignManifest", unit: "WorkUnit") -> float:
     exponent captures the net effect well enough for balancing, and the
     stealing pass absorbs the residual error).
     """
-    scenario = manifest.scenario_for(unit.figure_id)
-    n, _, m = scenario.dimensions_at(unit.sweep_value)
+    n, _, m = scenario.dimensions_at(sweep_value)
     size = max(1.0, float(n) * float(m))
-    return provider_cost(unit.curve) * scenario.repetitions * size**SIZE_EXPONENT
+    return provider_cost(curve) * scenario.repetitions * size**SIZE_EXPONENT

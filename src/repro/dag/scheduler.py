@@ -1,48 +1,45 @@
 """Execute a campaign against its result store: cell hits, cost-aware stealing.
 
 Two layers live here.  :func:`steal_dispatch` is the generic
-work-stealing core and the one dispatch loop of every parallel block
-run — the campaign's solve phase and ``run_scenario(workers=N)`` alike:
-per-queue pending deques (one queue per shard-like group), a fixed
-number of executor slots, each slot draining its owned queues
-front-first in canonical order and — once they are empty — *stealing*
-from the tail of whichever queue has the most remaining estimated
-cost, so no slot idles while a straggler queue still holds work.  It
-is executor-agnostic (thread pools in the benchmarks, process pools
-for real solves).
+work-stealing core behind every parallel block run (it is called from
+the block executor, :func:`repro.experiments.runner.execute_blocks`):
+per-queue pending deques (one queue per run), a fixed number of
+executor slots, each slot draining its owned queues front-first in
+canonical order and — once they are empty — *stealing* from the tail
+of whichever queue has the most remaining estimated cost, so no slot
+idles while a straggler queue still holds work.  It is
+executor-agnostic (thread pools in the benchmarks, process pools for
+real solves).
 
-:func:`execute_solves` is the one place stored blocks are skipped —
+:func:`execute_solves` is the store's side of a campaign —
 ``microrepro dag run`` (and its no-figure resume form) and ``shard run``
 both go through it.  The
 :class:`~repro.experiments.store.ResultStore` is the campaign's only
 record: a work unit whose cell the store holds with at least the run's
-repetitions is a hit and is not run.  The remaining units run through
-the block engine — serial runs keep the cross-point stacking of
-:func:`~repro.experiments.runner.execute_blocks`, parallel runs
-dispatch picklable block jobs through :func:`steal_dispatch` with the
-:mod:`repro.dag.cost` estimates — and each computed block is written
-once, as a cell.  :func:`run_pipeline` then derives every export on
-read from the stored cells, with the same ``load_result`` and
-``aggregate_results`` calls ``microrepro export`` uses.
+repetitions is a hit and is not run.  The remaining units go to the
+block executor, which runs them serially in chunks or in parallel
+through :func:`steal_dispatch`, exactly as for an in-memory run; each
+computed block is written once, as a cell, and each run gets its
+:class:`~repro.experiments.store.RunMeta` header.  :func:`run_pipeline`
+then derives every export on read from the stored cells, with the same
+``load_result`` and ``aggregate_results`` calls ``microrepro export``
+uses.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
 from ..backend import get_backend
-from ..campaign.plan import CampaignManifest, WorkUnit, expand_units, group_by_run
-from ..experiments.providers import resolve_provider
+from ..campaign.plan import CampaignManifest, expand_units, group_by_run
 from ..experiments.reporting import aggregate_results
-from ..experiments.runner import _evaluate_block_job, execute_blocks
+from ..experiments.runner import BlockRun, execute_blocks
 from ..experiments.store import CellRecord, ResultStore, RunMeta, _metas_compatible
-from ..obs.instrument import timed_kernels
-from ..obs.trace import activate, capture, current_context, emit_spans, span, tracing_active
+from ..obs.trace import span
 from ..simulation.rng import RandomStreamFactory
-from .cost import unit_cost
 
 __all__ = [
     "DispatchReport",
@@ -180,25 +177,6 @@ class PipelineRun:
     renders: dict[str, dict] = field(default_factory=dict)
 
 
-def _evaluate_block_job_traced(payload):
-    """Picklable traced block job: same result, plus the worker's spans.
-
-    ``payload`` is ``(context, args)`` — the submitting side's
-    :class:`~repro.obs.trace.TraceContext` and the plain
-    :func:`_evaluate_block_job` argument tuple.  Spans produced in the
-    pool worker (the block solve itself plus per-kernel timings) are
-    buffered and returned for the parent process to emit, so the trace
-    tree crosses the process boundary under one trace id.
-    """
-    context, args = payload
-    with capture() as spans:
-        with activate(context):
-            with span("dag.block_job", sweep_value=args[1], curve=args[2]):
-                with timed_kernels():
-                    result = _evaluate_block_job(args)
-    return result, spans
-
-
 def execute_solves(
     manifest: CampaignManifest,
     units,
@@ -214,13 +192,13 @@ def execute_solves(
     With ``resume``, a unit is a hit when the store holds its cell with
     at least the scenario's repetitions — what
     :func:`~repro.campaign.status.shard_status` calls ``done``.  The
-    remainder runs through the block engine — serially with cross-point
-    stacking per run, or in parallel through :func:`steal_dispatch` with
-    cost-priced per-run queues.  Each computed block is written once,
-    with :meth:`~ResultStore.put_cell`, and each run gets a
-    :class:`RunMeta` header unless a compatible one is already stored
-    (so an identical re-run writes nothing).  ``log`` receives one
-    progress line per completed run.
+    remainder runs through
+    :func:`~repro.experiments.runner.execute_blocks` (serially, or over
+    ``workers`` processes).  Each computed block is written once, with
+    :meth:`~ResultStore.put_cell`, and each run gets a :class:`RunMeta`
+    header once its last block is in, unless a compatible one is
+    already stored (so an identical re-run writes nothing).  ``log``
+    receives one progress line per completed run.
     """
     report = report if report is not None else PipelineReport()
     start = time.perf_counter()
@@ -228,7 +206,7 @@ def execute_solves(
     scenarios = {figure_id: manifest.scenario_for(figure_id) for figure_id, _ in groups}
     hashes = {figure_id: scenario.stable_hash() for figure_id, scenario in scenarios.items()}
 
-    pending_by_run: dict[tuple[str, int], list[WorkUnit]] = {}
+    runs: list[BlockRun] = []
     for (figure_id, seed), run_units in groups.items():
         repetitions = scenarios[figure_id].repetitions
         pending = []
@@ -243,148 +221,71 @@ def execute_solves(
             if record is not None and record.repetitions >= repetitions:
                 report.hits += 1
             else:
-                pending.append(unit)
-        pending_by_run[(figure_id, seed)] = pending
-    entropy = {
-        run_key: int(RandomStreamFactory(run_key[1]).entropy) for run_key in groups
-    }
-
-    def record_solve(unit: WorkUnit, values, failures: int) -> None:
-        values = [float(value) for value in values]
-        store.put_cell(
-            CellRecord(
-                figure_id=unit.figure_id,
-                scenario_hash=hashes[unit.figure_id],
-                seed=unit.seed,
-                curve=unit.curve,
-                sweep_value=unit.sweep_value,
-                repetitions=len(values),
-                values=values,
-                failures=int(failures),
+                pending.append((unit.sweep_value, unit.curve))
+        runs.append(
+            BlockRun(
+                figure_id,
+                seed,
+                scenarios[figure_id],
+                int(RandomStreamFactory(seed).entropy),
+                tuple(pending),
             )
         )
-        report.computed += 1
+    outstanding = {(run.figure_id, run.seed): len(run.blocks) for run in runs}
 
-    def finish_run(run_key: tuple[str, int], elapsed: float) -> None:
-        figure_id, seed = run_key
+    def finish_run(run: BlockRun) -> None:
         meta = RunMeta(
-            figure_id=figure_id,
-            scenario_hash=hashes[figure_id],
-            seed=seed,
-            scenario=scenarios[figure_id].to_dict(),
+            figure_id=run.figure_id,
+            scenario_hash=hashes[run.figure_id],
+            seed=run.seed,
+            scenario=run.scenario.to_dict(),
             # The run's *full* curve order (a shard may hold only a
             # slice): the header must describe the whole run so the
             # merged store rebuilds results.
-            curves=list(manifest.curves_for(figure_id)),
-            normalize_to=manifest.spec_for(figure_id).normalize_to,
-            elapsed_seconds=elapsed,
+            curves=list(manifest.curves_for(run.figure_id)),
+            normalize_to=manifest.spec_for(run.figure_id).normalize_to,
+            elapsed_seconds=time.perf_counter() - start,
             backend=get_backend().name,
         )
         stored = store.get_meta(*meta.key)
         if stored is None or not _metas_compatible(stored, meta):
             store.put_meta(meta)
         if log is not None:
-            pending = pending_by_run[run_key]
+            total = len(groups[(run.figure_id, run.seed)])
             log(
-                f"{figure_id} seed={seed}: {len(pending)} block(s) computed, "
-                f"{len(groups[run_key]) - len(pending)} stored"
+                f"{run.figure_id} seed={run.seed}: {len(run.blocks)} block(s) "
+                f"computed, {total - len(run.blocks)} stored"
             )
 
-    pool_size = workers if workers is not None else manifest.workers
-    if pool_size is not None and pool_size > 1 and any(pending_by_run.values()):
-        # Parallel path: every pending unit of every run in one stealing
-        # dispatch — per-run queues priced by the cost model, so MIP-heavy
-        # runs are drained by every idle slot instead of straggling.  The
-        # dispatch span opens before the queues are built so the context
-        # the traced items carry is the dispatch itself — block-job spans
-        # coming back from the workers hang directly off it.
-        with span("dag.dispatch", slots=pool_size) as dispatch_span:
-            # Queue items are the picklable job-arg tuples (the executor
-            # pickles what it is submitted); identity maps each tuple back
-            # to its unit for recording.  Under tracing, each item also
-            # carries the dispatching context so worker spans attach to it.
-            traced = tracing_active()
-            trace_context = current_context() if traced else None
-            job_fn = _evaluate_block_job_traced if traced else _evaluate_block_job
-            unit_of: dict[int, WorkUnit] = {}
-            queues, costs = [], []
-            for run_key, pending in pending_by_run.items():
-                queue = []
-                for unit in pending:
-                    item = (
-                        scenarios[unit.figure_id],
-                        unit.sweep_value,
-                        unit.curve,
-                        entropy[run_key],
-                        manifest.milp_time_limit,
-                        manifest.memoize_instances,
-                    )
-                    if traced:
-                        item = (trace_context, item)
-                    unit_of[id(item)] = unit
-                    queue.append(item)
-                queues.append(queue)
-                costs.append([unit_cost(manifest, unit) for unit in pending])
-            outstanding = {
-                run_key: len(pending) for run_key, pending in pending_by_run.items()
-            }
-            for run_key, count in outstanding.items():
-                if count == 0:
-                    finish_run(run_key, 0.0)
-
-            def on_result(args, result) -> None:
-                unit = unit_of[id(args)]
-                if traced:
-                    result, worker_spans = result
-                    emit_spans(worker_spans)
-                values, failures = result
-                record_solve(unit, values, failures)
-                run_key = (unit.figure_id, unit.seed)
-                outstanding[run_key] -= 1
-                if outstanding[run_key] == 0:
-                    finish_run(run_key, time.perf_counter() - start)
-
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                dispatch = steal_dispatch(
-                    pool,
-                    job_fn,
-                    queues,
-                    costs,
-                    slots=pool_size,
-                    steal=True,
-                    on_result=on_result,
-                )
-            dispatch_span.set(
-                runs=len(queues), executed=dispatch.executed, stolen=dispatch.stolen
+    def record_solve(run: BlockRun, sweep_value: int, curve: str, values, failures) -> None:
+        store.put_cell(
+            CellRecord(
+                figure_id=run.figure_id,
+                scenario_hash=hashes[run.figure_id],
+                seed=run.seed,
+                curve=curve,
+                sweep_value=sweep_value,
+                repetitions=len(values),
+                values=[float(value) for value in values],
+                failures=int(failures),
             )
-        report.stolen += dispatch.stolen
-    else:
-        for run_key, pending in pending_by_run.items():
-            figure_id, seed = run_key
-            providers = {
-                unit.curve: resolve_provider(
-                    unit.curve, milp_time_limit=manifest.milp_time_limit
-                )
-                for unit in pending
-            }
-            by_block = {(unit.sweep_value, unit.curve): unit for unit in pending}
-            run_start = time.perf_counter()
-            with span(
-                "dag.run", figure=figure_id, seed=seed, blocks=len(pending)
-            ), timed_kernels():
-                execute_blocks(
-                    scenarios[figure_id],
-                    entropy[run_key],
-                    list(by_block),
-                    providers,
-                    lambda sweep_value, label, values, failures: record_solve(
-                        by_block[(int(sweep_value), label)], values, failures
-                    ),
-                    milp_time_limit=manifest.milp_time_limit,
-                    workers=None,
-                    memoize=manifest.memoize_instances,
-                )
-            finish_run(run_key, time.perf_counter() - run_start)
+        )
+        report.computed += 1
+        run_key = (run.figure_id, run.seed)
+        outstanding[run_key] -= 1
+        if outstanding[run_key] == 0:
+            finish_run(run)
+
+    for run in runs:
+        if not run.blocks:
+            finish_run(run)
+    report.stolen += execute_blocks(
+        runs,
+        record_solve,
+        milp_time_limit=manifest.milp_time_limit,
+        workers=workers if workers is not None else manifest.workers,
+        memoize=manifest.memoize_instances,
+    )
     report.elapsed_seconds += time.perf_counter() - start
     return report
 

@@ -2,12 +2,13 @@
 
 The experiment layer is built around three pieces:
 
-* :mod:`~repro.experiments.providers` — pluggable *curve providers*
+* :mod:`~repro.experiments.providers` — *curve providers*
   (heuristics, exact baselines, local-search refinements) that score
-  whole repetition blocks through the vectorized
+  whole chunks of repetition blocks through one vectorized
   :class:`~repro.batch.InstanceStack` pass;
 * :mod:`~repro.experiments.runner` — the block-scheduled engine
-  (:func:`run_figure` / :func:`run_scenario`, serial or process-parallel,
+  (:func:`run_figure` / :func:`run_scenario` over the one block
+  executor :func:`execute_blocks`, serial or process-parallel,
   bit-for-bit reproducible from the seed);
 * :mod:`~repro.experiments.store` — the append-only
   :class:`~repro.experiments.store.ResultStore` that makes long
@@ -16,6 +17,7 @@ The experiment layer is built around three pieces:
 
 from .figures import FIGURES, FigureSpec, figure_ids
 from .providers import (
+    BlockChunk,
     BlockResult,
     CellBlock,
     CurveProvider,
@@ -23,8 +25,6 @@ from .providers import (
     LocalSearchProvider,
     MilpProvider,
     OneToOneProvider,
-    available_providers,
-    register_provider,
     resolve_curves,
     resolve_provider,
 )
@@ -34,7 +34,7 @@ from .reporting import (
     aggregate_seeds,
     figure_report,
 )
-from .runner import ExperimentResult, execute_blocks, run_figure, run_scenario
+from .runner import BlockRun, ExperimentResult, execute_blocks, run_figure, run_scenario
 from .store import CellRecord, MergeReport, ResultStore, RunMeta
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
     "run_figure",
     "run_scenario",
     "execute_blocks",
+    "BlockRun",
+    "BlockChunk",
     "BlockResult",
     "CellBlock",
     "CurveProvider",
@@ -56,8 +58,6 @@ __all__ = [
     "LocalSearchProvider",
     "MilpProvider",
     "OneToOneProvider",
-    "available_providers",
-    "register_provider",
     "resolve_curves",
     "resolve_provider",
     "CellRecord",

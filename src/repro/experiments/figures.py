@@ -45,7 +45,8 @@ class FigureSpec:
         reference's per-instance value (Figure 11).
     expected_shape:
         Free-text reminder of the qualitative result the paper reports,
-        recorded in EXPERIMENTS.md and checked (loosely) by the benchmark
+        printed in the figure's report header (the ``.txt`` files of
+        ``benchmarks/results/``) and checked (loosely) by the benchmark
         assertions.
     optional_curves:
         Extra curve labels (resolved through

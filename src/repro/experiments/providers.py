@@ -1,22 +1,24 @@
-"""Pluggable curve providers for the block-scheduled experiment engine.
+"""Curve providers for the block-scheduled experiment engine.
 
 A figure's curve set — heuristics, the exact MIP, the optimal
-one-to-one mapping, refinements — is not hardcoded in the runner.  This
-module splits it into *curve providers* discovered through a registry
-mirroring :mod:`repro.heuristics.base`: a figure (or a CLI flag) names
-its curves, the engine resolves each name to a provider, and each
-provider scores one whole **block** — the ``R`` structurally identical
-repetitions of one sweep point, stacked into a
-:class:`~repro.batch.InstanceStack` — at a time.
+one-to-one mapping, refinements — is not hardcoded in the runner: a
+figure (or a CLI flag) names its curves, :func:`resolve_provider`
+turns each name into a *curve provider*, and each provider scores one
+whole :class:`BlockChunk` at a time.  A chunk holds the sampled
+:class:`CellBlock` of one or more consecutive sweep points — each the
+``R`` structurally identical repetitions of its point — stacked into
+one :class:`~repro.batch.InstanceStack` that every curve of the chunk
+shares; :func:`repro.experiments.runner.execute_blocks` decides which
+points form a chunk.
 
 Built-in providers
 ------------------
 * :class:`HeuristicProvider` — any registered heuristic; solves the
-  ``R`` mappings in one lock-step ``solve_batch`` call when the
+  chunk's rows in one lock-step ``solve_batch`` call when the
   heuristic implements :class:`~repro.heuristics.BatchHeuristic`
   (falling back to the per-instance loop otherwise) and scores them in
-  a single vectorized stack pass (bit-for-bit identical to ``R``
-  sequential solve + scalar evaluation calls);
+  a single vectorized stack pass (bit-for-bit identical to sequential
+  solve + scalar evaluation calls);
 * :class:`LocalSearchProvider` — best-single-move refinement of any base
   heuristic's mapping (curve label ``"<base>+ls"``);
 * :class:`MilpProvider` — the exact specialized MIP (label ``"MIP"``);
@@ -24,8 +26,10 @@ Built-in providers
 
 Randomness contract: every provider derives its per-repetition streams
 from the block's :class:`~repro.simulation.rng.RandomStreamFactory` with
-the same labels a per-instance solve loop uses, so the block engine
-reproduces that loop's series bit for bit and stays process-independent.
+the same labels a per-instance solve loop uses — each row keeps its own
+sweep point's label, however the points are chunked — so the block
+engine reproduces that loop's series bit for bit and stays
+process-independent.
 """
 
 from __future__ import annotations
@@ -51,17 +55,14 @@ __all__ = [
     "MIP_LABEL",
     "OTO_LABEL",
     "LOCAL_SEARCH_SUFFIX",
-    "CROSS_POINT_MAX_ROWS",
     "CellBlock",
+    "BlockChunk",
     "BlockResult",
-    "block_signature",
     "CurveProvider",
     "HeuristicProvider",
     "LocalSearchProvider",
     "MilpProvider",
     "OneToOneProvider",
-    "register_provider",
-    "available_providers",
     "resolve_provider",
     "resolve_curves",
 ]
@@ -73,65 +74,10 @@ OTO_LABEL = "OtO"
 #: Curve-label suffix resolved to a :class:`LocalSearchProvider`.
 LOCAL_SEARCH_SUFFIX = "+ls"
 
-#: Row cap for one cross-point stacked solve.  Signature-aligned blocks
-#: are concatenated up to this many repetitions per kernel pass; beyond
-#: it the intermediate (rows, n, m) probe tensors start to crowd cache
-#: for no extra amortization.
-CROSS_POINT_MAX_ROWS = 512
-
-
-def block_signature(block: "CellBlock") -> tuple:
-    """Structural identity of a block's instances.
-
-    Two blocks with equal signatures (same precedence edges, task count
-    and platform size) can be stacked into one
-    :class:`~repro.batch.InstanceStack` — the same check
-    ``InstanceStack.from_instances`` enforces, exposed here so the
-    engine can group sweep points *across* blocks before solving.  Type
-    vectors are deliberately excluded: period evaluation ignores them
-    and the batch solvers carry them per row.
-    """
-    first = block.instances[0]
-    return (first.application.successors, first.num_machines)
-
-
-def _aligned_chunks(
-    blocks: Sequence["CellBlock"], max_rows: int | None = None
-) -> list[list["CellBlock"]]:
-    """Group blocks by signature, then cap each chunk's total rows.
-
-    Order-preserving within a signature; a single block deeper than the
-    cap still forms its own (oversized) chunk.
-    """
-    cap = CROSS_POINT_MAX_ROWS if max_rows is None else max_rows
-    groups: dict[tuple, list[CellBlock]] = {}
-    for block in blocks:
-        groups.setdefault(block_signature(block), []).append(block)
-    chunks: list[list[CellBlock]] = []
-    for group in groups.values():
-        chunk: list[CellBlock] = []
-        rows = 0
-        for block in group:
-            if chunk and rows + block.repetitions > cap:
-                chunks.append(chunk)
-                chunk, rows = [], 0
-            chunk.append(block)
-            rows += block.repetitions
-        chunks.append(chunk)
-    return chunks
-
-
-def _split_periods(chunk, periods):
-    """Slice a chunk's concatenated ``(rows,)`` periods back per block."""
-    offset = 0
-    for block in chunk:
-        yield block, periods[offset : offset + block.repetitions]
-        offset += block.repetitions
-
 
 @dataclass(frozen=True, slots=True)
 class CellBlock:
-    """The ``R`` repetitions of one sweep point, sampled and stacked.
+    """The ``R`` sampled repetitions of one sweep point.
 
     Attributes
     ----------
@@ -140,12 +86,7 @@ class CellBlock:
     sweep_value:
         The sweep point (``n`` or ``p``).
     instances:
-        The ``R`` sampled instances, in repetition order.  Providers that
-        need type information (heuristics, exact solvers) work on these.
-    stack:
-        The same instances as an :class:`~repro.batch.InstanceStack`
-        (types relaxed — repetitions share the chain graph, not the type
-        vectors), used to score ``R`` mappings in one vectorized pass.
+        The ``R`` sampled instances, in repetition order.
     streams:
         The experiment's stream factory; providers derive their
         per-repetition RNGs from it.
@@ -154,7 +95,6 @@ class CellBlock:
     scenario: ScenarioConfig
     sweep_value: int
     instances: tuple[ProblemInstance, ...]
-    stack: InstanceStack
     streams: RandomStreamFactory
 
     @classmethod
@@ -171,12 +111,10 @@ class CellBlock:
             sample_instance(scenario, sweep_value, repetition, streams, memoize=memoize)
             for repetition in range(scenario.repetitions)
         )
-        stack = InstanceStack.from_instances(instances, require_uniform_types=False)
         return cls(
             scenario=scenario,
             sweep_value=sweep_value,
             instances=instances,
-            stack=stack,
             streams=streams,
         )
 
@@ -210,36 +148,97 @@ class BlockResult:
         return [float(v) for v in self.periods]
 
 
+@dataclass(frozen=True, slots=True)
+class BlockChunk:
+    """Consecutive sweep points' blocks, stacked once for every curve.
+
+    The unit a :class:`CurveProvider` scores: one solve and one scoring
+    pass per curve cover all the chunk's rows, and :meth:`results` cuts
+    the periods back per block.  The blocks must share one precedence
+    graph and platform size — ``InstanceStack.from_instances`` raises
+    otherwise; every scenario samples chains, so equal ``(n, m)`` is
+    enough.
+
+    Attributes
+    ----------
+    blocks:
+        The sampled blocks, in sweep order.
+    instances:
+        Every block's instances, block after block (the chunk's rows).
+    stack:
+        The same rows as one :class:`~repro.batch.InstanceStack` (types
+        relaxed — rows share the chain graph, not the type vectors).
+    """
+
+    blocks: tuple[CellBlock, ...]
+    instances: tuple[ProblemInstance, ...]
+    stack: InstanceStack
+
+    @classmethod
+    def sample(
+        cls,
+        scenario: ScenarioConfig,
+        sweep_values: Sequence[int],
+        streams: RandomStreamFactory,
+        *,
+        memoize: bool = False,
+    ) -> "BlockChunk":
+        """Sample each point's block and stack all their rows once."""
+        blocks = tuple(
+            CellBlock.sample(scenario, sweep_value, streams, memoize=memoize)
+            for sweep_value in sweep_values
+        )
+        instances = tuple(instance for block in blocks for instance in block.instances)
+        stack = InstanceStack.from_instances(instances, require_uniform_types=False)
+        return cls(blocks=blocks, instances=instances, stack=stack)
+
+    def rng_for(self, prefix: str) -> Callable[[int], np.random.Generator]:
+        """Row ``r``'s generator: stream ``"<prefix>/<sweep value>"`` of its block.
+
+        Each row draws from its own point's stream at its repetition
+        index, exactly as a per-point run would.
+        """
+        sources = [
+            (block, repetition)
+            for block in self.blocks
+            for repetition in range(block.repetitions)
+        ]
+
+        def rng(row: int) -> np.random.Generator:
+            block, repetition = sources[row]
+            return block.streams.stream(f"{prefix}/{block.sweep_value}", repetition)
+
+        return rng
+
+    def results(
+        self, label: str, periods: np.ndarray, failed: np.ndarray | None = None
+    ) -> list[BlockResult]:
+        """Cut ``(rows,)`` periods (and a failure mask) back into per-block results."""
+        out: list[BlockResult] = []
+        offset = 0
+        for block in self.blocks:
+            rows = slice(offset, offset + block.repetitions)
+            failures = int(failed[rows].sum()) if failed is not None else 0
+            out.append(BlockResult(label=label, periods=periods[rows], failures=failures))
+            offset += block.repetitions
+        return out
+
+
 class CurveProvider(abc.ABC):
-    """One curve of a figure: scores whole repetition blocks.
+    """One curve of a figure: scores whole block chunks.
 
     Subclasses set :attr:`label` (the series key) and implement
-    :meth:`evaluate_block`.  Providers must be resolvable by label in a
-    fresh process (see :func:`resolve_provider`) so the engine can fan
-    blocks out over a process pool.
+    :meth:`evaluate`.  Providers must be resolvable by label in a fresh
+    process (see :func:`resolve_provider`) so the engine can fan blocks
+    out over a process pool.
     """
 
     #: Curve label; unique within one experiment run.
     label: str = ""
 
     @abc.abstractmethod
-    def evaluate_block(self, block: CellBlock) -> BlockResult:
-        """Score every repetition of ``block`` for this curve."""
-
-    def evaluate_blocks(self, blocks: Sequence[CellBlock]) -> list[BlockResult]:
-        """Score several blocks; results in input order.
-
-        The default is a plain per-block loop.  Providers whose kernels
-        are row-independent (the heuristic family) override this to
-        stack signature-aligned blocks into one solve + one evaluation
-        pass — bit-for-bit identical, one kernel entry instead of one
-        per sweep point.
-        """
-        return [self.evaluate_block(block) for block in blocks]
-
-    def configure(self, *, milp_time_limit: float | None = None) -> "CurveProvider":
-        """Apply engine-level options; the default ignores them all."""
-        return self
+    def evaluate(self, chunk: BlockChunk) -> list[BlockResult]:
+        """Score every row of ``chunk``; one result per block, in chunk order."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(label={self.label!r})"
@@ -250,15 +249,15 @@ class HeuristicProvider(CurveProvider):
 
     When the heuristic implements the
     :class:`~repro.heuristics.BatchHeuristic` protocol (the greedy H4
-    family, H4ls) and the block is deep enough for
-    :func:`~repro.heuristics.base.solve_stack`, the whole block is
+    family, H4ls) and the chunk is deep enough for
+    :func:`~repro.heuristics.base.solve_stack`, all the chunk's rows are
     solved in one lock-step ``solve_batch`` call.  Otherwise (shallow
-    blocks, randomized heuristics such as H1, the binary-search H2/H3
+    chunks, randomized heuristics such as H1, the binary-search H2/H3
     whose per-instance greedy walk beats any lock-step pass, or
     third-party heuristics without a batch kernel) the mappings are
-    produced per instance.  Either way the
-    block's periods come from one vectorized stack pass, and both paths
-    are bit-for-bit identical to ``R`` sequential solve + evaluate calls.
+    produced per instance.  Either way the periods come from one
+    vectorized stack pass, and both paths are bit-for-bit identical to
+    sequential solve + evaluate calls.
 
     Parameters
     ----------
@@ -273,66 +272,21 @@ class HeuristicProvider(CurveProvider):
         # scenario's declared name.
         self.label = name
 
-    def solve_block(self, block: CellBlock) -> np.ndarray:
-        """The ``(R, n)`` assignment array of the heuristic over the block.
+    def solve(self, chunk: BlockChunk) -> np.ndarray:
+        """The ``(rows, n)`` assignment array of the heuristic over the chunk.
 
-        The batch/loop choice lives in
-        :func:`repro.heuristics.base.solve_stack`, the same entry the
-        solve service's micro-batcher uses; per-repetition RNG streams
-        keep the per-cell runner's labels.
+        One :func:`repro.heuristics.base.solve_stack` entry — the same
+        one the solve service's micro-batcher uses — makes the
+        batch/loop choice on the chunk's *total* depth, so shallow sweep
+        points that would each fall below it still ride the lock-step
+        kernels together.
         """
         return solve_stack(
-            self._heuristic,
-            block.instances,
-            lambda repetition: block.streams.stream(
-                f"heuristic/{self.label}/{block.sweep_value}", repetition
-            ),
+            self._heuristic, chunk.instances, chunk.rng_for(f"heuristic/{self.label}")
         )
 
-    def solve_blocks(self, chunk: Sequence[CellBlock]) -> np.ndarray:
-        """Concatenated assignments over signature-aligned blocks.
-
-        One ``solve_stack`` entry for ``sum(R)`` rows; the batch/loop
-        choice is made on the *total* depth, so shallow sweep points
-        that would each fall below it still ride the lock-step kernels
-        together.  Every row keeps its own block's RNG stream label, so
-        results are bit-for-bit the per-block ones.
-        """
-        instances = [inst for block in chunk for inst in block.instances]
-        sources = [
-            (block, repetition)
-            for block in chunk
-            for repetition in range(block.repetitions)
-        ]
-
-        def stream(row: int):
-            block, repetition = sources[row]
-            return block.streams.stream(
-                f"heuristic/{self.label}/{block.sweep_value}", repetition
-            )
-
-        return solve_stack(self._heuristic, instances, stream)
-
-    def evaluate_block(self, block: CellBlock) -> BlockResult:
-        periods = block.stack.periods(self.solve_block(block))
-        return BlockResult(label=self.label, periods=periods)
-
-    def evaluate_blocks(self, blocks: Sequence[CellBlock]) -> list[BlockResult]:
-        out: dict[int, BlockResult] = {}
-        for chunk in _aligned_chunks(blocks):
-            if len(chunk) == 1:
-                out[id(chunk[0])] = self.evaluate_block(chunk[0])
-                continue
-            instances = [inst for block in chunk for inst in block.instances]
-            stack = InstanceStack.from_instances(
-                instances, require_uniform_types=False
-            )
-            periods = stack.periods(self.solve_blocks(chunk))
-            for block, block_periods in _split_periods(chunk, periods):
-                out[id(block)] = BlockResult(
-                    label=self.label, periods=block_periods
-                )
-        return [out[id(block)] for block in blocks]
+    def evaluate(self, chunk: BlockChunk) -> list[BlockResult]:
+        return chunk.results(self.label, chunk.stack.periods(self.solve(chunk)))
 
 
 class LocalSearchProvider(CurveProvider):
@@ -354,32 +308,11 @@ class LocalSearchProvider(CurveProvider):
         """Label of the refined base heuristic."""
         return self._base.label
 
-    def evaluate_block(self, block: CellBlock) -> BlockResult:
-        seeds = self._base.solve_block(block)
-        refined, _ = refine_specialized_batch(block.instances, seeds)
-        periods = np.minimum(
-            block.stack.periods(refined), block.stack.periods(seeds)
-        )
-        return BlockResult(label=self.label, periods=periods)
-
-    def evaluate_blocks(self, blocks: Sequence[CellBlock]) -> list[BlockResult]:
-        out: dict[int, BlockResult] = {}
-        for chunk in _aligned_chunks(blocks):
-            if len(chunk) == 1:
-                out[id(chunk[0])] = self.evaluate_block(chunk[0])
-                continue
-            instances = [inst for block in chunk for inst in block.instances]
-            seeds = self._base.solve_blocks(chunk)
-            refined, _ = refine_specialized_batch(instances, seeds)
-            stack = InstanceStack.from_instances(
-                instances, require_uniform_types=False
-            )
-            periods = np.minimum(stack.periods(refined), stack.periods(seeds))
-            for block, block_periods in _split_periods(chunk, periods):
-                out[id(block)] = BlockResult(
-                    label=self.label, periods=block_periods
-                )
-        return [out[id(block)] for block in blocks]
+    def evaluate(self, chunk: BlockChunk) -> list[BlockResult]:
+        seeds = self._base.solve(chunk)
+        refined, _ = refine_specialized_batch(chunk.instances, seeds)
+        periods = np.minimum(chunk.stack.periods(refined), chunk.stack.periods(seeds))
+        return chunk.results(self.label, periods)
 
 
 class MilpProvider(CurveProvider):
@@ -395,21 +328,13 @@ class MilpProvider(CurveProvider):
     def __init__(self, time_limit: float = 30.0):
         self.time_limit = time_limit
 
-    def configure(self, *, milp_time_limit: float | None = None) -> "MilpProvider":
-        if milp_time_limit is not None:
-            self.time_limit = milp_time_limit
-        return self
-
-    def evaluate_block(self, block: CellBlock) -> BlockResult:
-        periods = np.full(block.repetitions, np.nan, dtype=np.float64)
-        failures = 0
-        for repetition, instance in enumerate(block.instances):
+    def evaluate(self, chunk: BlockChunk) -> list[BlockResult]:
+        periods = np.full(len(chunk.instances), np.nan, dtype=np.float64)
+        for row, instance in enumerate(chunk.instances):
             result = solve_specialized_milp(instance, time_limit=self.time_limit)
             if result.is_optimal:
-                periods[repetition] = result.period
-            else:
-                failures += 1
-        return BlockResult(label=self.label, periods=periods, failures=failures)
+                periods[row] = result.period
+        return chunk.results(self.label, periods, failed=np.isnan(periods))
 
 
 class OneToOneProvider(CurveProvider):
@@ -417,45 +342,14 @@ class OneToOneProvider(CurveProvider):
 
     label = OTO_LABEL
 
-    def evaluate_block(self, block: CellBlock) -> BlockResult:
-        periods = np.full(block.repetitions, np.nan, dtype=np.float64)
-        for repetition, instance in enumerate(block.instances):
+    def evaluate(self, chunk: BlockChunk) -> list[BlockResult]:
+        periods = np.full(len(chunk.instances), np.nan, dtype=np.float64)
+        for row, instance in enumerate(chunk.instances):
             try:
-                periods[repetition] = optimal_one_to_one(instance).period
+                periods[row] = optimal_one_to_one(instance).period
             except SolverError:
                 pass
-        return BlockResult(label=self.label, periods=periods)
-
-
-# -- registry -----------------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[[], CurveProvider]] = {}
-
-
-def register_provider(factory: Callable[[], CurveProvider]) -> Callable[[], CurveProvider]:
-    """Register a no-argument provider factory under its instance label.
-
-    Usable as a class decorator on :class:`CurveProvider` subclasses with
-    a fixed label, mirroring
-    :func:`repro.heuristics.base.register_heuristic`.
-    """
-    instance = factory()
-    key = instance.label.lower()
-    if not key:
-        raise ReproError("curve provider must define a non-empty label")
-    if key in _REGISTRY:
-        raise ReproError(f"curve provider {instance.label!r} is already registered")
-    _REGISTRY[key] = factory
-    return factory
-
-
-register_provider(MilpProvider)
-register_provider(OneToOneProvider)
-
-
-def available_providers() -> list[str]:
-    """Labels of the explicitly registered providers, in registration order."""
-    return [factory().label for factory in _REGISTRY.values()]
+        return chunk.results(self.label, periods)
 
 
 def resolve_provider(
@@ -463,13 +357,15 @@ def resolve_provider(
 ) -> CurveProvider:
     """Resolve a curve label to a configured provider.
 
-    Resolution order: explicitly registered providers (``"MIP"``,
-    ``"OtO"``, user registrations), then registered heuristics, then the
-    ``"<base>+ls"`` local-search convention.
+    Resolution order (case-insensitive): ``"MIP"``, ``"OtO"``,
+    registered heuristics, then the ``"<base>+ls"`` local-search
+    convention.
     """
     key = label.lower()
-    if key in _REGISTRY:
-        return _REGISTRY[key]().configure(milp_time_limit=milp_time_limit)
+    if key == MIP_LABEL.lower():
+        return MilpProvider() if milp_time_limit is None else MilpProvider(milp_time_limit)
+    if key == OTO_LABEL.lower():
+        return OneToOneProvider()
     try:
         get_heuristic(label)
     except ReproError:
@@ -487,7 +383,7 @@ def resolve_provider(
     from ..heuristics import available_heuristics
 
     raise ExperimentError(
-        f"unknown curve {label!r}; known providers: {available_providers()}, "
+        f"unknown curve {label!r}; known curves: {[MIP_LABEL, OTO_LABEL]}, "
         f"heuristics: {available_heuristics()}, plus '<heuristic>{LOCAL_SEARCH_SUFFIX}'"
     )
 

@@ -1,8 +1,9 @@
 """Text reports and cross-seed aggregation for experiment results.
 
 The reporting layer turns an :class:`~repro.experiments.runner.ExperimentResult`
-into the artefacts recorded in EXPERIMENTS.md: a header recalling the
-paper's setting and expected shape, the figure table, and (when an exact
+into the text report the figure benchmarks write to
+``benchmarks/results/``: a header recalling the paper's setting and the
+figure's ``expected_shape``, the figure table, and (when an exact
 baseline is present) the aggregate normalisation factors.
 
 Multi-seed campaigns store one run per ``(figure, seed)``;

@@ -10,37 +10,45 @@ CSV and computes the aggregate normalisation factors of Section 7.
 
 Block scheduling
 ----------------
-The engine groups the ``R`` structurally identical repetitions of each
-sweep point into one :class:`~repro.batch.InstanceStack` and hands
-whole blocks to the curve providers, which score each curve's ``R``
-mappings in a single vectorized pass instead of re-entering the scalar
-evaluator per cell.  Heuristics implementing the
+The engine's unit of work is a *block*: one curve over the ``R``
+structurally identical repetitions of one sweep point.
+:func:`execute_blocks` is the one executor of blocks, for in-memory
+runs and for the campaign DAG alike.  Serially it samples consecutive
+sweep points with the same ``(n, m)`` and the same pending curves — up
+to :data:`CROSS_POINT_MAX_ROWS` rows — into one
+:class:`~repro.experiments.providers.BlockChunk`, whose single
+:class:`~repro.batch.InstanceStack` every curve provider scores in one
+vectorized pass.  Heuristics implementing the
 :class:`~repro.heuristics.BatchHeuristic` protocol (the H4 family,
-H4ls) additionally *solve* the whole block in one lock-step
-``solve_batch`` call — both on the serial path and inside each pool
-worker — so neither solving nor scoring re-enters Python per
-repetition; heuristics without a batch kernel (H1, H2, H3) fall back to
-the per-instance solve loop transparently.  The equivalence tests hold
-every mode to a per-instance ``Heuristic.solve`` oracle bit for bit.
+H4ls) additionally *solve* the whole chunk in one lock-step
+``solve_batch`` call, so neither solving nor scoring re-enters Python
+per repetition; heuristics without a batch kernel (H1, H2, H3) fall
+back to the per-instance solve loop transparently.  The equivalence
+tests hold every mode to a per-instance ``Heuristic.solve`` oracle bit
+for bit.
 
-Repetition blocks are independent, so the engine can fan the (sweep
-point, curve) blocks out over a process pool (``workers=N``) through
-the campaign DAG's work-stealing dispatcher
-(:func:`repro.dag.scheduler.steal_dispatch`, imported only on that
-path).  Every block re-derives its random streams from the root seed
-through :class:`~repro.simulation.rng.RandomStreamFactory` — whose
-label hashing is process-independent — and results are folded back in
-the serial iteration order, so a parallel run is bit-for-bit identical
-to the serial one for the same seed.  The one caveat is the MIP curve:
-the backend solves under a *wall-clock* time limit, so a cell that
-proves optimality in a lightly loaded serial run may time out (and
-report NaN) when ``workers`` oversubscribes the CPU.  Heuristic and
-one-to-one curves are pure functions of the seed and carry the full
+Blocks are independent, so the executor can also fan them out over a
+process pool (``workers=N``) through the campaign DAG's work-stealing
+dispatcher (:func:`repro.dag.scheduler.steal_dispatch`, imported only
+on that path): one queue per run, each block priced by
+:func:`repro.dag.cost.block_cost`, and — when tracing is on — each job
+carrying the dispatching trace context, so the workers' spans join the
+caller's trace.  Every block re-derives its random streams from the
+root seed through :class:`~repro.simulation.rng.RandomStreamFactory` —
+whose label hashing is process-independent — and results are folded
+back in the serial iteration order, so a parallel run is bit-for-bit
+identical to the serial one for the same seed.  The one caveat is the
+MIP curve: the backend solves under a *wall-clock* time limit, so a
+cell that proves optimality in a lightly loaded serial run may time out
+(and report NaN) when ``workers`` oversubscribes the CPU.  Heuristic
+and one-to-one curves are pure functions of the seed and carry the full
 guarantee.
 
 Runs are pure in-memory computations.  Persistent, resumable runs go
 through the campaign DAG (``microrepro dag run``, or ``shard run`` for
-one shard of a distributed campaign);
+one shard of a distributed campaign), whose
+:func:`~repro.dag.scheduler.execute_solves` hands the blocks its store
+lacks to the same :func:`execute_blocks`;
 :meth:`~repro.experiments.store.ResultStore.save_result` stores an
 in-memory result after the fact.
 """
@@ -48,6 +56,7 @@ in-memory result after the fact.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -58,25 +67,41 @@ from ..analysis.stats import Series
 from ..analysis.tables import series_table, series_to_csv
 from ..exceptions import ExperimentError
 from ..generators.scenarios import ScenarioConfig
+from ..obs.instrument import timed_kernels
+from ..obs.trace import (
+    activate,
+    capture,
+    current_context,
+    emit_spans,
+    span,
+    tracing_active,
+)
 from ..simulation.rng import RandomStreamFactory
 from .figures import FIGURES, FigureSpec
 from .providers import (
-    CROSS_POINT_MAX_ROWS,
     MIP_LABEL,
     OTO_LABEL,
-    CellBlock,
+    BlockChunk,
     resolve_curves,
     resolve_provider,
 )
 
 __all__ = [
+    "CROSS_POINT_MAX_ROWS",
     "ExperimentResult",
+    "BlockRun",
     "run_figure",
     "run_scenario",
     "execute_blocks",
     "MIP_LABEL",
     "OTO_LABEL",
 ]
+
+#: Row cap of one chunk: consecutive sweep points with the same
+#: ``(n, m)`` are stacked up to this many rows per kernel pass; beyond
+#: it the intermediate ``(rows, n, m)`` probe tensors start to crowd
+#: cache for no extra amortization.
+CROSS_POINT_MAX_ROWS = 512
 
 
 @dataclass(slots=True)
@@ -141,20 +166,60 @@ class ExperimentResult:
         return NormalizationReport.from_series(self.series, reference)
 
 
-def _evaluate_block_job(args) -> tuple[list[float], int]:
-    """Worker entry point: sample one block and score one curve on it.
+@dataclass(frozen=True, slots=True)
+class BlockRun:
+    """The blocks one ``(figure, seed)`` run asks :func:`execute_blocks` for.
 
-    Providers are re-resolved by label in the worker so jobs stay
-    picklable; instance sampling honours ``memoize`` through the
-    worker-local cache, so several curve jobs at the same sweep point
-    re-draw each instance at most once per worker process.
+    Attributes
+    ----------
+    figure_id, seed:
+        The run's identity (span attributes; the seed of ``None`` draws
+        its entropy at random).
+    scenario:
+        The scenario the blocks belong to.
+    entropy:
+        The run's root entropy: every block re-derives its streams from it.
+    blocks:
+        ``(sweep value, curve label)`` pairs, in the run's canonical
+        order.
     """
-    scenario, sweep_value, label, entropy, milp_time_limit, memoize = args
+
+    figure_id: str
+    seed: int | None
+    scenario: ScenarioConfig
+    entropy: int | tuple[int, ...]
+    blocks: tuple[tuple[int, str], ...]
+
+
+def _score_block(scenario, sweep_value, label, entropy, milp_time_limit, memoize):
+    """Sample one block and score one curve on it: ``(values, failures)``."""
     streams = RandomStreamFactory(np.random.SeedSequence(entropy))
-    block = CellBlock.sample(scenario, sweep_value, streams, memoize=memoize)
+    chunk = BlockChunk.sample(scenario, (sweep_value,), streams, memoize=memoize)
     provider = resolve_provider(label, milp_time_limit=milp_time_limit)
-    result = provider.evaluate_block(block)
+    (result,) = provider.evaluate(chunk)
     return result.values(), result.failures
+
+
+def _block_job(job) -> tuple[tuple[list[float], int], list]:
+    """Worker entry point: one block's ``(values, failures)`` plus its spans.
+
+    ``job`` is ``(run index, scenario, sweep value, label, entropy,
+    milp_time_limit, memoize, context)``.  Providers are re-resolved by
+    label in the worker so jobs stay picklable; instance sampling
+    honours ``memoize`` through the worker-local cache, so several curve
+    jobs at the same sweep point re-draw each instance at most once per
+    worker process.  With a trace ``context`` (the dispatching span),
+    the worker's spans — the block solve itself plus per-kernel timings
+    — are buffered and returned for the parent process to emit, so the
+    trace tree crosses the process boundary under one trace id.
+    """
+    args, context = job[1:-1], job[-1]
+    if context is None:
+        return _score_block(*args), []
+    with capture() as spans, activate(context):
+        with span("dag.block_job", sweep_value=args[1], curve=args[2]), timed_kernels():
+            result = _score_block(*args)
+    return result, spans
 
 
 def run_scenario(
@@ -222,14 +287,14 @@ def run_scenario(
 
     outcomes: dict[tuple[int, str], tuple[list[float], int]] = {}
 
-    def record(sweep_value: int, label: str, values: list[float], failures: int) -> None:
+    def record(_run, sweep_value: int, label: str, values, failures: int) -> None:
         outcomes[(sweep_value, label)] = (values, failures)
 
+    blocks = tuple(
+        (sweep_value, label) for sweep_value in scenario.sweep_values for label in labels
+    )
     execute_blocks(
-        scenario,
-        entropy,
-        [(sweep_value, label) for sweep_value in scenario.sweep_values for label in labels],
-        dict(zip(labels, providers)),
+        [BlockRun(figure_id, seed, scenario, entropy, blocks)],
         record,
         milp_time_limit=milp_time_limit,
         workers=workers,
@@ -271,103 +336,123 @@ def run_scenario(
 
 
 def execute_blocks(
-    scenario: ScenarioConfig,
-    entropy,
-    pending: list[tuple[int, str]],
-    provider_by_label: dict[str, "object"],
-    record,
+    runs: Sequence[BlockRun],
+    record: Callable[[BlockRun, int, str, list[float], int], None],
     *,
     milp_time_limit: float = 30.0,
     workers: int | None = None,
     memoize: bool = False,
-) -> None:
-    """Compute a set of (sweep value, curve label) blocks, in any subset.
+) -> int:
+    """Compute the blocks of every run: the one block executor.
 
-    The shared execution core of the block engine: :func:`run_scenario`
-    feeds it a figure's full grid, the campaign DAG's serial solve phase
-    (:func:`repro.dag.scheduler.execute_solves`) exactly the blocks a
-    run still misses.  Each completed block is handed to
-    ``record(sweep_value, label, values, failures)`` — on the parallel
-    path in completion order, so callers that need a deterministic
-    layout must fold afterwards.
+    :func:`run_scenario` feeds it a figure's full grid, the campaign
+    DAG (:func:`repro.dag.scheduler.execute_solves`) exactly the blocks
+    its store still misses, over any number of runs.  Each completed
+    block is handed to ``record(run, sweep_value, label, values,
+    failures)`` — on the parallel path in completion order, so callers
+    that need a deterministic layout must fold afterwards.
 
-    ``provider_by_label`` supplies the resolved providers for the serial
-    path; the parallel path re-resolves providers by label in each
-    worker (jobs must stay picklable), which is why every curve label
-    must round-trip through
-    :func:`~repro.experiments.providers.resolve_provider`.
+    ``workers`` above 1 dispatches one job per block over a process
+    pool (every curve label must round-trip through
+    :func:`~repro.experiments.providers.resolve_provider`, since
+    workers re-resolve providers by label); otherwise the runs execute
+    serially in chunks.  Returns the number of blocks an idle worker
+    stole from another run's queue (0 on the serial path).
     """
-    if workers is not None and workers > 1 and pending:
-        # Imported here: the serial path (and every import of this
-        # module) stays free of the DAG and campaign packages.
-        from ..dag.scheduler import steal_dispatch
+    if workers is not None and workers > 1 and any(run.blocks for run in runs):
+        return _dispatch(runs, record, milp_time_limit, workers, memoize)
+    for run in runs:
+        with span(
+            "dag.run", figure=run.figure_id, seed=run.seed, blocks=len(run.blocks)
+        ), timed_kernels():
+            _execute_serial(run, record, milp_time_limit, memoize)
+    return 0
 
-        jobs = [
-            (scenario, sweep_value, label, entropy, milp_time_limit, memoize)
-            for sweep_value, label in pending
+
+def _chunk_points(scenario: ScenarioConfig, curves: dict[int, list[str]]) -> list[list[int]]:
+    """Group consecutive sweep points into chunks: the engine's one chunker.
+
+    Points join the current chunk while they share its ``(n, m)`` and
+    its curve list, up to :data:`CROSS_POINT_MAX_ROWS` rows (a single
+    point deeper than the cap still forms its own chunk).  Types sweeps
+    keep ``(n, m)`` fixed and stack across points; tasks sweeps chunk
+    per point.  A resumed run whose points miss different curves splits
+    where the curve list changes, so every curve covers its whole chunk.
+    """
+    chunks: list[list[int]] = []
+    chunk_key = None
+    for sweep_value, labels in curves.items():
+        n, _, m = scenario.dimensions_at(sweep_value)
+        key = (n, m, tuple(labels))
+        if (
+            chunks
+            and key == chunk_key
+            and (len(chunks[-1]) + 1) * scenario.repetitions <= CROSS_POINT_MAX_ROWS
+        ):
+            chunks[-1].append(sweep_value)
+        else:
+            chunks.append([sweep_value])
+        chunk_key = key
+    return chunks
+
+
+def _execute_serial(run: BlockRun, record, milp_time_limit: float, memoize: bool) -> None:
+    """One run's blocks, one sampled chunk and one provider pass per curve."""
+    curves: dict[int, list[str]] = {}
+    for sweep_value, label in run.blocks:
+        curves.setdefault(sweep_value, []).append(label)
+    providers = {
+        label: resolve_provider(label, milp_time_limit=milp_time_limit)
+        for _, label in run.blocks
+    }
+    # Sampling is label-keyed in the stream factory, so sampling a chunk
+    # up front draws exactly the blocks a per-point loop would.
+    streams = RandomStreamFactory(np.random.SeedSequence(run.entropy))
+    for points in _chunk_points(run.scenario, curves):
+        chunk = BlockChunk.sample(run.scenario, points, streams, memoize=memoize)
+        for label in curves[points[0]]:
+            for block, result in zip(chunk.blocks, providers[label].evaluate(chunk)):
+                record(run, block.sweep_value, label, result.values(), result.failures)
+
+
+def _dispatch(runs, record, milp_time_limit: float, workers: int, memoize: bool) -> int:
+    """Every block of every run in one stealing dispatch over a process pool."""
+    # Imported here: the serial path (and every import of this module)
+    # stays free of the DAG and campaign packages.
+    from ..dag.cost import block_cost
+    from ..dag.scheduler import steal_dispatch
+
+    # The dispatch span opens before the jobs are built, so the context
+    # traced jobs carry is the dispatch itself — block-job spans coming
+    # back from the workers hang directly off it.
+    with span("dag.dispatch", slots=workers) as dispatch_span:
+        context = current_context() if tracing_active() else None
+        queues = [
+            [
+                (index, run.scenario, sweep_value, label, run.entropy,
+                 milp_time_limit, memoize, context)
+                for sweep_value, label in run.blocks
+            ]
+            for index, run in enumerate(runs)
+        ]
+        costs = [
+            [block_cost(run.scenario, label, sweep_value) for sweep_value, label in run.blocks]
+            for run in runs
         ]
 
         def on_result(job, result) -> None:
-            values, failures = result
-            record(job[1], job[2], values, failures)
+            (values, failures), spans = result
+            emit_spans(spans)
+            record(runs[job[0]], job[2], job[3], values, failures)
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            steal_dispatch(
-                pool,
-                _evaluate_block_job,
-                [jobs[slot::workers] for slot in range(workers)],
-                slots=workers,
-                on_result=on_result,
+            dispatch = steal_dispatch(
+                pool, _block_job, queues, costs, slots=workers, on_result=on_result
             )
-        return
-
-    by_point: dict[int, list[str]] = {}
-    for sweep_value, label in pending:
-        by_point.setdefault(sweep_value, []).append(label)
-    streams = RandomStreamFactory(np.random.SeedSequence(entropy))
-    # Chunk consecutive points with the same predicted (n, m) so a
-    # provider can stack them across sweep points into one kernel pass
-    # (types sweeps share the chain across points; tasks sweeps chunk
-    # per point).  Sampling is label-keyed in the stream factory, so
-    # sampling a chunk up front draws exactly the blocks the per-point
-    # loop would.  Providers re-verify the true structural signature
-    # before stacking, so the prediction only affects grouping
-    # efficiency, never results.
-    chunks: list[list[int]] = []
-    current: list[int] = []
-    current_key: tuple[int, int] | None = None
-    rows = 0
-    for sweep_value in by_point:
-        n, _, m = scenario.dimensions_at(sweep_value)
-        key = (n, m)
-        if current and (
-            key != current_key or rows + scenario.repetitions > CROSS_POINT_MAX_ROWS
-        ):
-            chunks.append(current)
-            current, rows = [], 0
-        current_key = key
-        current.append(sweep_value)
-        rows += scenario.repetitions
-    if current:
-        chunks.append(current)
-    for chunk in chunks:
-        # One sampling pass serves every curve of every chunked point.
-        blocks = {
-            sweep_value: CellBlock.sample(scenario, sweep_value, streams, memoize=memoize)
-            for sweep_value in chunk
-        }
-        chunk_labels: list[str] = []
-        for sweep_value in chunk:
-            for label in by_point[sweep_value]:
-                if label not in chunk_labels:
-                    chunk_labels.append(label)
-        for label in chunk_labels:
-            points = [v for v in chunk if label in by_point[v]]
-            results = provider_by_label[label].evaluate_blocks(
-                [blocks[v] for v in points]
-            )
-            for sweep_value, result in zip(points, results):
-                record(sweep_value, label, result.values(), result.failures)
+        dispatch_span.set(
+            runs=len(queues), executed=dispatch.executed, stolen=dispatch.stolen
+        )
+    return dispatch.stolen
 
 
 def run_figure(

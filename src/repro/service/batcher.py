@@ -435,13 +435,12 @@ class MicroBatcher:
         for key, response in pairs:
             self.cache.put(key, response)
 
-    def _flush_all(self) -> list[_Group]:
-        """Flush every pending group now, free slot or not; return them."""
+    def _flush_all(self) -> None:
+        """Flush every pending group now, free slot or not."""
         groups = list(self._queue)
         self._queue.clear()
         for group in groups:
             self._flush(group)
-        return groups
 
     async def aclose(self) -> None:
         """Flush every pending group and wait for all in-flight solves.
@@ -457,11 +456,3 @@ class MicroBatcher:
         self._flush_all()
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
-
-    async def drain(self) -> None:
-        """Flush every pending group and wait for their futures (tests)."""
-        pending = [
-            future for group in self._flush_all() for future in group.futures.values()
-        ]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)

@@ -21,10 +21,13 @@ import pytest
 from repro.campaign import CampaignManifest, expand_units
 from repro.cli import main
 from repro.dag import execute_solves
-from repro.experiments import ResultStore, run_figure, run_scenario
+from repro.batch import InstanceStack
+from repro.exceptions import InvalidInstanceError
+from repro.experiments import BlockRun, ResultStore, execute_blocks, run_figure, run_scenario
 from repro.experiments import providers as providers_module
+from repro.experiments import runner as runner_module
 from repro.experiments.figures import FIGURES
-from repro.experiments.providers import CellBlock, HeuristicProvider
+from repro.experiments.providers import BlockChunk, HeuristicProvider
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
 from repro.heuristics.base import BATCH_MIN_ROWS
@@ -195,16 +198,16 @@ class TestBatchSolveEquivalence:
     def test_block_solve_identical_to_per_instance(self, figure_id):
         scenario = FIGURES[figure_id].scenario.scaled(repetitions=3)
         sweep_value = scenario.sweep_values[0]
-        block = CellBlock.sample(scenario, sweep_value, RandomStreamFactory(21))
+        chunk = BlockChunk.sample(scenario, (sweep_value,), RandomStreamFactory(21))
         batchable = 0
         for name in scenario.heuristics:
             if get_heuristic(name).randomized:
                 continue  # H1 draws per repetition; the oracle tests cover it
             heuristic = get_heuristic(name)
-            batched = kernel_assignments(heuristic, block.instances)
-            looped = loop_assignments(heuristic, block.instances)
+            batched = kernel_assignments(heuristic, chunk.instances)
+            looped = loop_assignments(heuristic, chunk.instances)
             assert (batched == looped).all(), (figure_id, name)
-            solved = HeuristicProvider(name).solve_block(block)
+            solved = HeuristicProvider(name).solve(chunk)
             assert (solved == looped).all(), (figure_id, name)
             batchable += supports_batch(heuristic)
         assert batchable >= 1  # at least one H4-family lock-step kernel
@@ -279,45 +282,102 @@ class TestCrossPointStacking:
     def test_provider_stacking_matches_per_block(self):
         scenario = self._types_scenario(heuristics=("H2",))
         streams = RandomStreamFactory(19)
-        blocks = [
-            CellBlock.sample(scenario, value, streams)
-            for value in scenario.sweep_values
-        ]
+        stacked_chunk = BlockChunk.sample(scenario, scenario.sweep_values, streams)
         for name in ("H2", "H4w", "H4ls"):
             provider = providers_module.resolve_provider(name)
-            stacked = provider.evaluate_blocks(blocks)
-            per_block = [provider.evaluate_block(block) for block in blocks]
+            stacked = provider.evaluate(stacked_chunk)
+            per_block = [
+                provider.evaluate(BlockChunk.sample(scenario, (value,), streams))[0]
+                for value in scenario.sweep_values
+            ]
             for one, many in zip(per_block, stacked):
                 assert (one.periods == many.periods).all(), name
 
     def test_misaligned_points_fall_back_per_block(self):
         # A tasks sweep changes n between points: nothing may stack.
         scenario = _small_scenario(heuristics=("H4w",), repetitions=6)
-        streams = RandomStreamFactory(19)
-        blocks = [
-            CellBlock.sample(scenario, value, streams)
-            for value in scenario.sweep_values
-        ]
-        chunks = providers_module._aligned_chunks(blocks)
-        assert [len(chunk) for chunk in chunks] == [1, 1]
-        provider = HeuristicProvider("H4w")
-        stacked = provider.evaluate_blocks(blocks)
-        for block, result in zip(blocks, stacked):
-            reference = provider.evaluate_block(block)
-            assert (result.periods == reference.periods).all()
+        curves = {value: ["H4w"] for value in scenario.sweep_values}
+        assert runner_module._chunk_points(scenario, curves) == [[6], [9]]
+        with pytest.raises(InvalidInstanceError):
+            BlockChunk.sample(scenario, scenario.sweep_values, RandomStreamFactory(19))
+        _assert_identical(_oracle(scenario, 19), run_scenario(scenario, seed=19).series)
 
-    def test_row_cap_splits_chunks(self):
+    def test_row_cap_splits_chunks(self, monkeypatch):
+        calls = []
         scenario = self._types_scenario(heuristics=("H4w",), repetitions=4)
-        streams = RandomStreamFactory(19)
-        blocks = [
-            CellBlock.sample(scenario, value, streams)
-            for value in scenario.sweep_values
-        ]
-        chunks = providers_module._aligned_chunks(blocks, max_rows=8)
-        assert [len(chunk) for chunk in chunks] == [2, 2]
+        cls = type(get_heuristic("H4w"))
+        original = cls.solve_batch
+
+        def counting(self, instances):
+            calls.append(len(instances))
+            return original(self, instances)
+
+        monkeypatch.setattr(cls, "solve_batch", counting)
+        curves = {value: ["H4w"] for value in scenario.sweep_values}
+        monkeypatch.setattr(runner_module, "CROSS_POINT_MAX_ROWS", 8)
+        assert runner_module._chunk_points(scenario, curves) == [[3, 4], [5, 6]]
+        stacked = run_scenario(scenario, seed=7).series
+        assert calls == [8, 8]
         # An oversized single block still forms its own chunk.
-        chunks = providers_module._aligned_chunks(blocks, max_rows=2)
-        assert [len(chunk) for chunk in chunks] == [1, 1, 1, 1]
+        monkeypatch.setattr(runner_module, "CROSS_POINT_MAX_ROWS", 2)
+        assert runner_module._chunk_points(scenario, curves) == [[3], [4], [5], [6]]
+        calls.clear()
+        per_point = run_scenario(scenario, seed=7).series
+        assert calls == [4, 4, 4, 4]
+        _assert_identical(per_point, stacked)
+
+    def test_chunks_split_where_the_pending_curves_change(self):
+        # A resumed run may miss different curves at different points;
+        # each curve must still cover its whole chunk.
+        scenario = self._types_scenario(heuristics=("H2", "H4w"))
+        curves = {3: ["H2", "H4w"], 4: ["H2", "H4w"], 5: ["H4w"], 6: ["H4w"]}
+        assert runner_module._chunk_points(scenario, curves) == [[3, 4], [5, 6]]
+        blocks = tuple(
+            (value, label) for value, labels in curves.items() for label in labels
+        )
+        entropy = RandomStreamFactory(7).entropy
+        outcomes = {}
+        execute_blocks(
+            [BlockRun("partial", 7, scenario, entropy, blocks)],
+            lambda _run, value, label, values, failures: outcomes.__setitem__(
+                (value, label), values
+            ),
+        )
+        full = run_scenario(scenario, seed=7).series
+        assert outcomes.keys() == set(blocks)
+        for (value, label), values in outcomes.items():
+            assert values == full[label].samples[value]
+
+    def test_one_stack_per_chunk_at_the_benchmark_scale(self, monkeypatch):
+        """Every curve of a chunk shares its one stack.
+
+        At the figures benchmark's pass scale (perfbench ``PASS``), fig5
+        (a tasks sweep, 3 points) builds one stack per point, fig6 one
+        per point plus one per H4ls refine, and fig9 (a types sweep)
+        one for the whole figure."""
+        builds = []
+        original = InstanceStack.__dict__["from_instances"].__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(InstanceStack, "from_instances", classmethod(counting))
+        for figure_id, repetitions, max_points, optional, expected in (
+            ("fig5", 6, 3, False, 3),
+            ("fig6", 6, 4, True, 8),
+            ("fig9", 4, 2, False, 1),
+        ):
+            builds.clear()
+            run_figure(
+                figure_id,
+                seed=0,
+                repetitions=repetitions,
+                max_points=max_points,
+                include_milp=False,
+                include_optional=optional,
+            )
+            assert len(builds) == expected, figure_id
 
 
 class TestBatchFallback:
@@ -338,10 +398,10 @@ class TestBatchFallback:
 
     def test_fallback_provider_solves_blocks_directly(self):
         scenario = _small_scenario(repetitions=4, heuristics=("H1",))
-        block = CellBlock.sample(
-            scenario, scenario.sweep_values[0], RandomStreamFactory(8)
+        chunk = BlockChunk.sample(
+            scenario, scenario.sweep_values[:1], RandomStreamFactory(8)
         )
-        result = HeuristicProvider("H1").evaluate_block(block)
+        (result,) = HeuristicProvider("H1").evaluate(chunk)
         assert result.periods.shape == (4,)
         assert np.isfinite(result.periods).all()
 

@@ -62,7 +62,7 @@ class TestFigure9Shape:
             # The heuristics sit above the optimal one-to-one mapping.  Our
             # OtO baseline (a true bottleneck-assignment optimum) is stronger
             # than what the paper appears to plot, so the band is wider than
-            # the paper's 1.28-1.84 (see EXPERIMENTS.md for the discussion).
+            # the paper's 1.28-1.84 (fig9's ``expected_shape`` string).
             assert 1.0 <= report.factor(name) < 4.0
 
     def test_heuristics_close_to_the_optimum_at_low_type_counts(self, fig9_small):

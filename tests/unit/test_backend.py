@@ -36,7 +36,7 @@ from repro.backend import (
 from repro.core import Mapping
 from repro.core.period import period
 from repro.experiments.figures import FIGURES
-from repro.experiments.providers import CellBlock
+from repro.experiments.providers import BlockChunk
 from repro.heuristics import get_heuristic
 from repro.obs import trace
 from repro.obs.instrument import KERNEL_NAMES, timed_kernels
@@ -272,16 +272,16 @@ def test_first_feasible_equals_the_lexsort_pick(inputs):
     assert np.array_equal(chosen[live], expected[live])
 
 
-def _figure_block(figure_id: str) -> CellBlock:
+def _figure_block(figure_id: str) -> BlockChunk:
     """The first sweep point of a figure, at a tier-1-friendly depth."""
     scenario = FIGURES[figure_id].scenario.scaled(repetitions=4, max_points=1)
-    return CellBlock.sample(
-        scenario, scenario.sweep_values[0], RandomStreamFactory(23)
+    return BlockChunk.sample(
+        scenario, scenario.sweep_values[:1], RandomStreamFactory(23)
     )
 
 
 @pytest.fixture(scope="module")
-def figure_blocks() -> dict[str, CellBlock]:
+def figure_blocks() -> dict[str, BlockChunk]:
     return {figure_id: _figure_block(figure_id) for figure_id in EQUIVALENCE_FIGURES}
 
 

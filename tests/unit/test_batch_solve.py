@@ -19,7 +19,7 @@ import pytest
 
 from repro.exceptions import MappingRuleViolation, ReproError
 from repro.experiments.providers import (
-    CellBlock,
+    BlockChunk,
     HeuristicProvider,
     LocalSearchProvider,
 )
@@ -44,10 +44,11 @@ BATCHABLE = ("H4", "H4w", "H4f", "H4ls")
 DETERMINISTIC = ("H2", "H3", *BATCHABLE)
 
 
-def make_block(
+def make_chunk(
     *, num_machines=8, num_types=3, num_tasks=12, repetitions=5, seed=3,
     task_dependent_failures=False,
-) -> CellBlock:
+) -> BlockChunk:
+    """One sweep point's block, as the one-point chunk providers score."""
     scenario = ScenarioConfig(
         name="batch-unit",
         num_machines=num_machines,
@@ -58,18 +59,18 @@ def make_block(
         heuristics=("H4w",),
         task_dependent_failures=task_dependent_failures,
     )
-    return CellBlock.sample(scenario, num_tasks, RandomStreamFactory(seed))
+    return BlockChunk.sample(scenario, (num_tasks,), RandomStreamFactory(seed))
 
 
-def stacked_assignments(heuristic, block: CellBlock) -> np.ndarray:
-    return kernel_assignments(heuristic, block.instances)
+def stacked_assignments(heuristic, chunk: BlockChunk) -> np.ndarray:
+    return kernel_assignments(heuristic, chunk.instances)
 
 
-def sequential_assignments(name: str, block: CellBlock) -> np.ndarray:
+def sequential_assignments(name: str, chunk: BlockChunk) -> np.ndarray:
     return np.stack(
         [
             get_heuristic(name).solve_mapping(instance)[0].as_array
-            for instance in block.instances
+            for instance in chunk.instances
         ]
     )
 
@@ -89,43 +90,43 @@ class TestProtocol:
 class TestSolveBatchEquivalence:
     @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_matches_sequential_solves(self, name):
-        block = make_block()
-        batch = stacked_assignments(get_heuristic(name), block)
-        assert batch.shape == (block.repetitions, block.stack.num_tasks)
-        assert (batch == sequential_assignments(name, block)).all()
+        chunk = make_chunk()
+        batch = stacked_assignments(get_heuristic(name), chunk)
+        assert batch.shape == (len(chunk.instances), chunk.stack.num_tasks)
+        assert (batch == sequential_assignments(name, chunk)).all()
 
     @pytest.mark.parametrize("name", ["H2", "H3", "H4", "H4ls"])
     def test_matches_sequential_when_machines_barely_suffice(self, name):
         # m close to p exercises the free-machine feasibility guard rows.
-        block = make_block(num_machines=5, num_types=4, num_tasks=10, seed=11)
-        batch = stacked_assignments(get_heuristic(name), block)
-        assert (batch == sequential_assignments(name, block)).all()
+        chunk = make_chunk(num_machines=5, num_types=4, num_tasks=10, seed=11)
+        batch = stacked_assignments(get_heuristic(name), chunk)
+        assert (batch == sequential_assignments(name, chunk)).all()
 
     @pytest.mark.parametrize("name", ["H2", "H3"])
     def test_matches_sequential_with_task_dependent_failures(self, name):
-        block = make_block(task_dependent_failures=True, seed=7)
-        batch = stacked_assignments(get_heuristic(name), block)
-        assert (batch == sequential_assignments(name, block)).all()
+        chunk = make_chunk(task_dependent_failures=True, seed=7)
+        batch = stacked_assignments(get_heuristic(name), chunk)
+        assert (batch == sequential_assignments(name, chunk)).all()
 
     def test_non_integer_bisection_matches_sequential(self):
-        block = make_block(seed=5)
+        chunk = make_chunk(seed=5)
         batch_h = RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-3)
-        batch = stacked_assignments(batch_h, block)
+        batch = stacked_assignments(batch_h, chunk)
         expected = np.stack(
             [
                 RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-3)
                 .solve_mapping(instance)[0]
                 .as_array
-                for instance in block.instances
+                for instance in chunk.instances
             ]
         )
         assert (batch == expected).all()
 
     def test_single_row_block(self):
-        block = make_block(repetitions=1)
+        chunk = make_chunk(repetitions=1)
         for name in ("H2", "H4w"):
-            batch = stacked_assignments(get_heuristic(name), block)
-            assert (batch == sequential_assignments(name, block)).all()
+            batch = stacked_assignments(get_heuristic(name), chunk)
+            assert (batch == sequential_assignments(name, chunk)).all()
 
 
 class TestBatchAssignmentState:
@@ -134,29 +135,29 @@ class TestBatchAssignmentState:
             BatchAssignmentState([])
 
     def test_rejects_mismatched_structure(self):
-        small = make_block(num_tasks=10, repetitions=2)
-        big = make_block(num_tasks=12, repetitions=2)
+        small = make_chunk(num_tasks=10, repetitions=2)
+        big = make_chunk(num_tasks=12, repetitions=2)
         with pytest.raises(ReproError):
             BatchAssignmentState([small.instances[0], big.instances[0]])
 
 
 class TestRefineBatch:
     def test_refinement_matches_scalar_descents(self):
-        block = make_block(num_machines=10, num_types=2, num_tasks=20, seed=2)
-        seeds = get_heuristic("H4w").solve_batch(block.instances)
-        refined, moves = refine_specialized_batch(block.instances, seeds)
-        for repetition, instance in enumerate(block.instances):
+        chunk = make_chunk(num_machines=10, num_types=2, num_tasks=20, seed=2)
+        seeds = get_heuristic("H4w").solve_batch(chunk.instances)
+        refined, moves = refine_specialized_batch(chunk.instances, seeds)
+        for repetition, instance in enumerate(chunk.instances):
             mapping, scalar_moves = refine_specialized(instance, seeds[repetition])
             assert moves[repetition] == scalar_moves
             assert (refined[repetition] == mapping.as_array).all()
 
     @pytest.mark.parametrize("cap", [0, 1])
     def test_move_cap_matches_scalar(self, cap):
-        block = make_block(num_machines=10, num_types=2, num_tasks=20, seed=2)
-        seeds = get_heuristic("H4w").solve_batch(block.instances)
-        refined, moves = refine_specialized_batch(block.instances, seeds, max_moves=cap)
+        chunk = make_chunk(num_machines=10, num_types=2, num_tasks=20, seed=2)
+        seeds = get_heuristic("H4w").solve_batch(chunk.instances)
+        refined, moves = refine_specialized_batch(chunk.instances, seeds, max_moves=cap)
         assert (moves <= cap).all()
-        for repetition, instance in enumerate(block.instances):
+        for repetition, instance in enumerate(chunk.instances):
             mapping, scalar_moves = refine_specialized(
                 instance, seeds[repetition], max_moves=cap
             )
@@ -166,8 +167,8 @@ class TestRefineBatch:
 
 class TestPeriodBoundHoist:
     def test_prepare_caches_the_bound(self):
-        block = make_block()
-        instance = block.instances[0]
+        chunk = make_chunk()
+        instance = chunk.instances[0]
         heuristic = RankBinarySearchHeuristic()
         assert heuristic._period_bound is None
         heuristic.prepare(instance)
@@ -184,7 +185,7 @@ class TestPeriodBoundHoist:
             return original(instance)
 
         monkeypatch.setattr(module, "worst_case_period_bound", counting)
-        instance = make_block().instances[0]
+        instance = make_chunk().instances[0]
         module.RankBinarySearchHeuristic().solve_mapping(instance)
         assert len(calls) == 1
 
@@ -201,7 +202,7 @@ class TestPeriodBoundHoist:
                     ranks[order[:, u], u] = rows
                 self._ranks = ranks
 
-        instance = make_block().instances[0]
+        instance = make_chunk().instances[0]
         legacy = LegacyH2().solve_mapping(instance)[0]
         modern = RankBinarySearchHeuristic().solve_mapping(instance)[0]
         assert (legacy.as_array == modern.as_array).all()
@@ -209,10 +210,10 @@ class TestPeriodBoundHoist:
 
 class TestProviderWiring:
     def test_provider_matches_sequential_solves(self):
-        block = make_block(repetitions=4)
+        chunk = make_chunk(repetitions=4)
         for name in ("H2", "H4w", "H4ls"):
-            solved = HeuristicProvider(name).solve_block(block)
-            assert (solved == sequential_assignments(name, block)).all(), name
+            solved = HeuristicProvider(name).solve(chunk)
+            assert (solved == sequential_assignments(name, chunk)).all(), name
 
     def test_auto_threshold_switches_on_block_depth(self, monkeypatch):
         calls = []
@@ -224,22 +225,22 @@ class TestProviderWiring:
             return original(self, instances)
 
         monkeypatch.setattr(type(heuristic), "solve_batch", counting)
-        small = make_block(repetitions=BATCH_MIN_ROWS - 1)
-        HeuristicProvider("H4w").solve_block(small)
+        small = make_chunk(repetitions=BATCH_MIN_ROWS - 1)
+        HeuristicProvider("H4w").solve(small)
         assert calls == []
-        big = make_block(repetitions=BATCH_MIN_ROWS)
-        HeuristicProvider("H4w").solve_block(big)
+        big = make_chunk(repetitions=BATCH_MIN_ROWS)
+        HeuristicProvider("H4w").solve(big)
         assert calls == [BATCH_MIN_ROWS]
 
     def test_fallback_for_heuristic_without_solve_batch(self):
-        block = make_block(repetitions=BATCH_MIN_ROWS)
+        chunk = make_chunk(repetitions=BATCH_MIN_ROWS)
         provider = HeuristicProvider("H1")
-        result = provider.evaluate_block(block)
-        assert result.periods.shape == (block.repetitions,)
+        result = provider.evaluate(chunk)[0]
+        assert result.periods.shape == (len(chunk.instances),)
         assert np.isfinite(result.periods).all()
 
     def test_batch_results_are_rule_validated(self, monkeypatch):
-        block = make_block(repetitions=4)
+        chunk = make_chunk(repetitions=4)
         heuristic = get_heuristic("H4w")
 
         def corrupted(self, instances):
@@ -249,17 +250,17 @@ class TestProviderWiring:
 
         monkeypatch.setattr(type(heuristic), "solve_batch", corrupted)
         with pytest.raises(MappingRuleViolation):
-            HeuristicProvider("H4w").solve_block(block)
+            HeuristicProvider("H4w").solve(chunk)
 
     def test_local_search_provider_matches_scalar_descents(self):
-        block = make_block(num_machines=10, num_types=2, num_tasks=15, repetitions=4)
-        result = LocalSearchProvider("H4w").evaluate_block(block)
-        seeds = sequential_assignments("H4w", block)
+        chunk = make_chunk(num_machines=10, num_types=2, num_tasks=15, repetitions=4)
+        result = LocalSearchProvider("H4w").evaluate(chunk)[0]
+        seeds = sequential_assignments("H4w", chunk)
         refined = np.stack(
             [
                 refine_specialized(instance, seed)[0].as_array
-                for instance, seed in zip(block.instances, seeds)
+                for instance, seed in zip(chunk.instances, seeds)
             ]
         )
-        expected = np.minimum(block.stack.periods(refined), block.stack.periods(seeds))
+        expected = np.minimum(chunk.stack.periods(refined), chunk.stack.periods(seeds))
         assert (result.periods == expected).all()

@@ -14,11 +14,11 @@ from repro.cli import STORE_ENV_VAR, main
 from repro.dag import (
     DispatchReport,
     PipelineReport,
+    block_cost,
     classify_curve,
     provider_cost,
     run_pipeline,
     steal_dispatch,
-    unit_cost,
 )
 from repro.experiments.providers import MIP_LABEL
 from repro.experiments.store import ResultStore
@@ -35,6 +35,11 @@ def _manifest(**overrides) -> CampaignManifest:
     )
     defaults.update(overrides)
     return CampaignManifest(**defaults)
+
+
+def _unit_cost(manifest: CampaignManifest, unit) -> float:
+    """The :func:`block_cost` of one campaign work unit."""
+    return block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
 
 
 def _run_manifest(**overrides) -> CampaignManifest:
@@ -63,13 +68,13 @@ class TestCostModel:
         units = expand_units(manifest)
         mip = [u for u in units if u.curve == MIP_LABEL]
         heur = [u for u in units if u.curve == "H4w"]
-        assert unit_cost(manifest, mip[0]) > unit_cost(manifest, heur[0])
+        assert _unit_cost(manifest, mip[0]) > _unit_cost(manifest, heur[0])
         # Larger sweep value -> larger instance -> higher estimate.
         small = min(heur, key=lambda u: u.sweep_value)
         large = max(heur, key=lambda u: u.sweep_value)
-        assert unit_cost(manifest, large) > unit_cost(manifest, small)
+        assert _unit_cost(manifest, large) > _unit_cost(manifest, small)
         doubled = _manifest(figures=("fig10",), no_milp=False, repetitions=4)
-        assert unit_cost(doubled, heur[0]) == 2 * unit_cost(manifest, heur[0])
+        assert _unit_cost(doubled, heur[0]) == 2 * _unit_cost(manifest, heur[0])
 
 
 class TestCostBalancedPlan:
@@ -82,7 +87,7 @@ class TestCostBalancedPlan:
 
         def spread(shard_units):
             loads = [
-                sum(unit_cost(manifest, unit) for unit in queue)
+                sum(_unit_cost(manifest, unit) for unit in queue)
                 for queue in shard_units
             ]
             return max(loads) - min(loads)
@@ -103,7 +108,11 @@ class TestCostBalancedPlan:
         # The package re-exports `plan`, which shadows the module name.
         plan_module = importlib.import_module("repro.campaign.plan")
         monkeypatch.setattr(plan_module, "expand_units", lambda _: units)
-        monkeypatch.setattr("repro.dag.cost.unit_cost", lambda _, unit: prices[unit])
+        by_block = {(unit.curve, unit.sweep_value): price for unit, price in prices.items()}
+        monkeypatch.setattr(
+            "repro.dag.cost.block_cost",
+            lambda _, curve, sweep_value: by_block[(curve, sweep_value)],
+        )
         shards = plan(manifest, shards=2, by="block")
         assert [list(shard.units) for shard in shards] == [
             [units[1], units[2], units[4]],

@@ -332,6 +332,35 @@ class TestPropagation:
             assert block["trace_id"] == pipeline_span["trace_id"]
             assert block["parent_id"] == dispatch_span["span_id"]
 
+    def test_parallel_in_memory_run_traces_its_block_jobs(self, tmp_path):
+        # run_scenario(workers=N) dispatches through the same executor as
+        # a campaign, so its workers' spans join the caller's trace too.
+        from repro.experiments import run_scenario
+        from repro.generators import ScenarioConfig
+
+        scenario = ScenarioConfig(
+            name="traced-run",
+            num_machines=5,
+            num_types=2,
+            sweep="tasks",
+            sweep_values=(6, 9),
+            repetitions=2,
+            heuristics=("H2", "H4w"),
+        )
+        trace.configure(tmp_path / "traces")
+        traced = run_scenario(scenario, seed=3, workers=2)
+        trace.disable()
+        assert traced.series == run_scenario(scenario, seed=3).series
+        by_name: dict[str, list[dict]] = {}
+        for record in load_spans(tmp_path / "traces"):
+            by_name.setdefault(record["name"], []).append(record)
+        (dispatch_span,) = by_name["dag.dispatch"]
+        blocks = by_name["dag.block_job"]
+        assert len(blocks) == dispatch_span["executed"] == 4
+        for block in blocks:
+            assert block["trace_id"] == dispatch_span["trace_id"]
+            assert block["parent_id"] == dispatch_span["span_id"]
+
     def test_http_request_trace_links_batcher_pool_and_cache(self, tmp_path):
         trace.configure(tmp_path / "traces")
 
