@@ -59,6 +59,8 @@ KEY_BENCHMARKS = (
     "benchmarks/test_solver_microbench.py::test_bench_bottleneck_assignment_100x100",
     "benchmarks/test_solver_microbench.py::test_bench_heuristic_h2_binary_search",
     "benchmarks/test_solver_microbench.py::test_bench_heuristic_h3_binary_search",
+    "benchmarks/test_solver_microbench.py::test_bench_sample_instance",
+    "benchmarks/test_live_replan.py::test_bench_live_cold_replan",
 )
 
 #: Default failure threshold: a key benchmark may be at most this much

@@ -19,7 +19,10 @@ the full platform, so the cycle is a steady state: every replan returns
 the initial mapping and the spare machine never gets a task.
 
 ``test_bench_live_replan`` pins the warm replan's wall-clock in the CI
-regression gate (``benchmarks/baseline.json``).
+regression gate (``benchmarks/baseline.json``), and
+``test_bench_live_cold_replan`` pins one cold tier at the live
+workload's scale (n = 50, m = 25, H2): the sub-platform's construction,
+its type-consistency check and the H2 re-solve.
 """
 
 from __future__ import annotations
@@ -114,6 +117,32 @@ def test_bench_live_replan(benchmark):
     spare = _spare_machine(replanner)
     _warm_round(replanner, spare)  # warm up the persistent evaluator
     benchmark(lambda: _warm_round(replanner, spare))
+
+
+#: The live workload's scale, where every cold tier is an R=1 H2 solve.
+COLD_CONFIG = LiveConfig(tasks=50, types=5, machines=25, heuristic="H2", seed=0)
+
+
+def test_bench_live_cold_replan(benchmark):
+    """Key benchmark: one cold-tier replan (an assigned machine fails).
+
+    Between timed rounds the failed machine recovers and the plan cache
+    is cleared, so every timed failure of an assigned machine re-solves
+    the surviving sub-platform from scratch.
+    """
+    replanner = build_replanner(COLD_CONFIG)
+    failed: list[int] = []
+
+    def next_failure():
+        if failed:
+            replanner.apply(replanner.clock, "recover", failed[-1])
+        replanner._plans.clear()
+        failed.append(int(replanner.mapping[0]))
+        return (replanner.clock, "fail", failed[-1]), {}
+
+    record = benchmark.pedantic(replanner.apply, setup=next_failure, rounds=200)
+    assert record.via == "cold"
+    assert replanner.counters.cold == 1 + len(failed)  # the initial solve + every round
 
 
 def test_bench_live_cold_solve(benchmark):

@@ -14,7 +14,9 @@ import pytest
 from repro.core import evaluate
 from repro.exact.hungarian import bottleneck_assignment, min_cost_assignment
 from repro.exact.milp import solve_specialized_milp
+from repro.generators.scenarios import ScenarioConfig, sample_instance
 from repro.heuristics import get_heuristic
+from repro.simulation.rng import RandomStreamFactory
 from tests.helpers import make_random_instance
 
 
@@ -22,6 +24,20 @@ from tests.helpers import make_random_instance
 def medium_instance():
     """Paper-scale instance for heuristic timing: n=100, p=5, m=50."""
     return make_random_instance(100, 5, 50, seed=7)
+
+
+def test_bench_sample_instance(benchmark):
+    """Key benchmark: draw and validate one n=100, p=5, m=50 instance.
+
+    Most of it is setting the instance up: the application, the platform
+    with its type-consistency check, and the failure model.
+    """
+    config = ScenarioConfig(
+        name="bench-sample", num_machines=50, num_types=5, sweep="tasks", sweep_values=(100,)
+    )
+    streams = RandomStreamFactory(7)
+    instance = benchmark(sample_instance, config, 100, 0, streams)
+    assert (instance.num_tasks, instance.num_types, instance.num_machines) == (100, 5, 50)
 
 
 def test_bench_evaluate_mapping(benchmark, medium_instance):

@@ -45,15 +45,24 @@ def propagate_x(order: np.ndarray, succ: np.ndarray, f_used: np.ndarray) -> np.n
     assignment; ``order`` is the reverse topological task order and
     ``succ[t]`` the successor of ``t`` (-1 at a sink).  Returns ``x`` of
     the same shape as ``f_used``.
+
+    The walk runs on a row-major ``(n, R)`` copy of the success rates
+    ``keep = 1 - f_used``, so each step divides two contiguous task rows
+    (``x[t] = x[succ[t]] / keep[t]``, ``1.0 / keep[t]`` at a sink), and
+    the result is its transpose.  Layout changes only which memory a
+    division reads: every element goes through the same IEEE operations
+    in the same order as a column-wise walk over ``(R, n)``, so ``x`` is
+    bit-for-bit the same at any ``R``.  (A plain-list walk is faster
+    only at ``R <= 2`` and ~5x slower at ``R = 50``, so one kernel serves
+    every ``R``.)
     """
-    x = np.ones_like(f_used)
-    for task in order:
+    keep = np.subtract(1.0, f_used.T, order="C")
+    x = np.empty_like(keep)
+    succ = succ.tolist()
+    for task in order.tolist():
         s = succ[task]
-        if s < 0:
-            x[:, task] = 1.0 / (1.0 - f_used[:, task])
-        else:
-            x[:, task] = x[:, s] / (1.0 - f_used[:, task])
-    return x
+        x[task] = (1.0 if s < 0 else x[s]) / keep[task]
+    return x.T
 
 
 def scatter_periods(

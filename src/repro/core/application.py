@@ -87,7 +87,7 @@ class Application:
         A repeated edge counts once.
     """
 
-    __slots__ = ("_types", "_tasks", "_successors", "_predecessors", "_topo")
+    __slots__ = ("_types", "_names", "_successors", "_predecessors", "_topo")
 
     def __init__(
         self,
@@ -146,10 +146,7 @@ class Application:
         if len(topo) < n:
             raise InvalidApplicationError("the application graph contains a cycle")
 
-        self._tasks = tuple(
-            Task(index=i, type_index=types[i], name=names[i] if names else "")
-            for i in range(n)
-        )
+        self._names = tuple(names) if names else ("",) * n
         self._successors = tuple(successors)
         self._predecessors = tuple(tuple(preds) for preds in predecessors)
         self._topo = tuple(topo)
@@ -168,13 +165,13 @@ class Application:
 
     # -- container protocol --------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self._successors)
 
     def __iter__(self):
-        return iter(self._tasks)
+        return iter(self.tasks)
 
     def __getitem__(self, index: int) -> Task:
-        return self._tasks[index]
+        return self.tasks[index]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -186,7 +183,7 @@ class Application:
     @property
     def num_tasks(self) -> int:
         """Number of tasks ``n``."""
-        return len(self._tasks)
+        return len(self._successors)
 
     @property
     def num_types(self) -> int:
@@ -205,8 +202,15 @@ class Application:
 
     @property
     def tasks(self) -> tuple[Task, ...]:
-        """All tasks, indexed by task index."""
-        return self._tasks
+        """All tasks, indexed by task index.
+
+        Built on each call: no solver reads them, so construction skips
+        them and keeps only the types and names they are made of.
+        """
+        return tuple(
+            Task(index=i, type_index=t, name=name)
+            for i, (t, name) in enumerate(zip(self._types, self._names))
+        )
 
     @property
     def successors(self) -> tuple[int | None, ...]:
@@ -229,7 +233,7 @@ class Application:
 
     def _checked(self, task_index: int) -> int:
         # Tuple indexing would wrap a negative index onto a real task.
-        if not 0 <= task_index < len(self._tasks):
+        if not 0 <= task_index < len(self._successors):
             raise InvalidApplicationError(f"unknown task index {task_index}")
         return task_index
 
@@ -289,7 +293,7 @@ class Application:
             "types": list(self._types),
             "num_types": self.num_types,
             "edges": [(i, j) for i, j in enumerate(self._successors) if j is not None],
-            "names": [t.name for t in self._tasks],
+            "names": list(self._names),
         }
 
     @classmethod

@@ -67,20 +67,13 @@ class FailureModel:
         if types is not None:
             types.validate_against(f.shape[0])
             if enforce_type_consistency:
-                self._check_type_consistency(types)
+                type_index = types.first_inconsistent_type(self._f)
+                if type_index is not None:
+                    raise InvalidFailureModelError(
+                        f"tasks of type {type_index} have differing failure rates while "
+                        "type consistency was requested"
+                    )
         self._types = types
-
-    def _check_type_consistency(self, types: TypeAssignment) -> None:
-        for type_index in types.used_types():
-            rows = types.tasks_of_type(type_index)
-            if rows.size <= 1:
-                continue
-            block = self._f[rows]
-            if not np.allclose(block, block[0][None, :]):
-                raise InvalidFailureModelError(
-                    f"tasks of type {type_index} have differing failure rates while "
-                    "type consistency was requested"
-                )
 
     # -- constructors -------------------------------------------------------------
     @classmethod

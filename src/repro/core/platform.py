@@ -98,21 +98,13 @@ class Platform:
         if types is not None:
             types.validate_against(n)
             if enforce_type_consistency:
-                self._check_type_consistency(types)
+                type_index = types.first_inconsistent_type(self._w)
+                if type_index is not None:
+                    raise InvalidPlatformError(
+                        f"tasks of type {type_index} have differing processing times; "
+                        "the paper requires w[i,u] to depend only on the type of Ti"
+                    )
         self._types = types
-
-    def _check_type_consistency(self, types: TypeAssignment) -> None:
-        """Verify ``t(i) = t(i') => w[i, :] == w[i', :]``."""
-        for type_index in types.used_types():
-            rows = types.tasks_of_type(type_index)
-            if rows.size <= 1:
-                continue
-            block = self._w[rows]
-            if not np.allclose(block, block[0][None, :]):
-                raise InvalidPlatformError(
-                    f"tasks of type {type_index} have differing processing times; "
-                    "the paper requires w[i,u] to depend only on the type of Ti"
-                )
 
     # -- constructors -------------------------------------------------------------
     @classmethod

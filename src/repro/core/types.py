@@ -158,6 +158,22 @@ class TypeAssignment:
         """Sorted list of the type indices that appear at least once."""
         return sorted(set(int(v) for v in self._types))
 
+    def first_inconsistent_type(self, matrix: np.ndarray) -> int | None:
+        """Lowest type whose tasks' rows of ``matrix`` differ, or ``None``.
+
+        Every row is compared with the first row of its type under
+        ``np.allclose``'s default predicate, ``|a - ref| <= 1e-08 + 1e-05 *
+        |ref|``, in one vectorized pass; ``matrix`` (one row per task) must
+        be finite.
+        """
+        first: dict[int, int] = {}
+        ref_rows = [first.setdefault(t, i) for i, t in enumerate(self._types.tolist())]
+        ref = matrix[ref_rows]
+        consistent = np.abs(matrix - ref) <= 1e-08 + 1e-05 * np.abs(ref)
+        if consistent.all():
+            return None
+        return int(self._types[~consistent.all(axis=1)].min())
+
     def validate_against(self, num_tasks: int) -> None:
         """Check that the assignment covers exactly ``num_tasks`` tasks."""
         if len(self) != num_tasks:

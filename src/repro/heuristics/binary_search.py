@@ -69,9 +69,10 @@ def worst_case_period_bound(instance: ProblemInstance) -> float:
     worst_attempts = instance.failures.worst_case_attempts().tolist()
     app = instance.application
     # Worst-case x_i: product of worst attempt factors along the path to the sink.
+    successors = app.successors
     x_max = [1.0] * instance.num_tasks
     for task in app.reverse_topological_order():
-        succ = app.successor(task)
+        succ = successors[task]
         downstream = 1.0 if succ is None else x_max[succ]
         x_max[task] = downstream * worst_attempts[task]
     slowest_w = instance.processing_times.max(axis=1)

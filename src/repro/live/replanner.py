@@ -47,7 +47,7 @@ the event timestamps (never the wall clock, so it is deterministic).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -399,7 +399,7 @@ class Replanner:
             machine=machine,
             via=via,
             feasible=self.feasible,
-            mapping=None if self._mapping is None else tuple(int(u) for u in self._mapping),
+            mapping=None if self._mapping is None else tuple(self._mapping.tolist()),
             period=None if period is None else float(period),
             up_count=self.up_count,
             latency_seconds=latency,

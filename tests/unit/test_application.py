@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.application import Application, in_tree, linear_chain
+from repro.core.application import Application, Task, in_tree, linear_chain
 from repro.core.types import TypeAssignment
 from repro.exceptions import InvalidApplicationError
 
@@ -65,6 +67,30 @@ class TestConstruction:
         assert app[0].name == "grip"
         assert app[1].type_index == 1
         assert str(app[0]) == "grip"
+
+    def test_tasks_are_built_from_types_and_names(self):
+        app = Application(TypeAssignment([2, 0, 1]), [(0, 1)], names=["a", "b", "c"])
+        expected = (Task(0, 2, "a"), Task(1, 0, "b"), Task(2, 1, "c"))
+        assert app.tasks == expected
+        assert tuple(app) == expected
+        assert [app[i] for i in range(3)] == list(expected)
+        assert app[-1] == expected[-1]
+        assert app[1:] == expected[1:]
+        with pytest.raises(IndexError):
+            app[3]
+        assert len(app) == app.num_tasks == 3
+
+    def test_unnamed_tasks_have_empty_names(self):
+        app = linear_chain(4, num_types=2)
+        assert [task.name for task in app] == [""] * 4
+        assert app.to_dict()["names"] == [""] * 4
+
+    def test_pickle_round_trip(self):
+        app = Application(TypeAssignment([0, 1, 0]), [(0, 2), (1, 2)], names=["x", "y", "z"])
+        clone = pickle.loads(pickle.dumps(app))
+        assert clone.to_dict() == app.to_dict()
+        assert clone.tasks == app.tasks
+        assert clone.topological_order() == app.topological_order()
 
 
 class TestStructureQueries:

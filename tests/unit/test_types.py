@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.failure import FailureModel
+from repro.core.platform import Platform
 from repro.core.types import (
     TaskType,
     TypeAssignment,
@@ -12,7 +14,11 @@ from repro.core.types import (
     cyclic_type_assignment,
     random_type_assignment,
 )
-from repro.exceptions import InvalidApplicationError
+from repro.exceptions import (
+    InvalidApplicationError,
+    InvalidFailureModelError,
+    InvalidPlatformError,
+)
 
 
 class TestTaskType:
@@ -135,3 +141,103 @@ class TestGenerativeAssignments:
             random_type_assignment(0, 1, rng)
         with pytest.raises(InvalidApplicationError):
             random_type_assignment(3, 4, rng)
+
+
+def _allclose_tolerance(ref: float) -> float:
+    """``np.allclose``'s default tolerance around a reference value."""
+    return 1e-08 + 1e-05 * abs(ref)
+
+
+def _platform(rows, types):
+    return Platform(rows, types=types)
+
+
+def _failures(rows, types):
+    return FailureModel(rows, types=types, enforce_type_consistency=True)
+
+
+#: (builder, its error, a base value inside the matrix's valid range).
+CONSISTENCY_CHECKS = [
+    pytest.param(_platform, InvalidPlatformError, 100.0, id="platform"),
+    pytest.param(_failures, InvalidFailureModelError, 0.1, id="failure-model"),
+]
+
+
+@pytest.mark.parametrize("build, error, base", CONSISTENCY_CHECKS)
+class TestTypeConsistencyBoundary:
+    """Same-type rows are compared with their type's *first* row under
+    ``np.allclose``'s predicate ``|a - ref| <= 1e-08 + 1e-05 * |ref|``.
+
+    Offsets of ``(1 ± 1e-6)`` tolerances sit inside the gap between that
+    predicate and its variants: measuring from the other row, from the
+    previous same-type row, or with ``rtol`` and ``atol`` swapped.
+    """
+
+    @staticmethod
+    def _rows(*firsts: float) -> list[list[float]]:
+        return [[value, value * 0.5] for value in firsts]
+
+    def test_just_inside_above_passes(self, build, error, base):
+        near = base + _allclose_tolerance(base) * (1 - 1e-6)
+        build(self._rows(base, near), TypeAssignment([0, 0]))
+
+    def test_just_inside_below_passes(self, build, error, base):
+        near = base - _allclose_tolerance(base) * (1 - 1e-6)
+        build(self._rows(base, near), TypeAssignment([0, 0]))
+
+    def test_just_outside_above_raises(self, build, error, base):
+        far = base + _allclose_tolerance(base) * (1 + 1e-6)
+        with pytest.raises(error, match="tasks of type 0 "):
+            build(self._rows(base, far), TypeAssignment([0, 0]))
+
+    def test_just_outside_below_raises(self, build, error, base):
+        far = base - _allclose_tolerance(base) * (1 + 1e-6)
+        with pytest.raises(error, match="tasks of type 0 "):
+            build(self._rows(base, far), TypeAssignment([0, 0]))
+
+    def test_second_column_is_checked(self, build, error, base):
+        far = base * 0.5 + _allclose_tolerance(base * 0.5) * (1 + 1e-6)
+        with pytest.raises(error, match="tasks of type 0 "):
+            build([[base, base * 0.5], [base, far]], TypeAssignment([0, 0]))
+
+    def test_drift_is_measured_from_the_first_row(self, build, error, base):
+        # Each row is within tolerance of the previous one, the last is not
+        # within tolerance of the first.
+        step = _allclose_tolerance(base) * 0.6
+        rows = self._rows(base, base + step, base + 2 * step)
+        with pytest.raises(error, match="tasks of type 0 "):
+            build(rows, TypeAssignment([0, 0, 0]))
+
+    def test_types_are_checked_separately(self, build, error, base):
+        far = base + _allclose_tolerance(base) * 10
+        build(self._rows(base, far, base, far), TypeAssignment([0, 1, 0, 1]))
+
+    def test_error_names_the_lowest_violating_type(self, build, error, base):
+        # Type 3 violates at an earlier task than type 2; type 0 and 1 hold.
+        far = base + _allclose_tolerance(base) * 10
+        types = TypeAssignment([3, 2, 3, 2, 0, 1, 0, 1])
+        rows = self._rows(base, base, far, far, base, base, base, base)
+        with pytest.raises(error, match="tasks of type 2 "):
+            build(rows, types)
+
+    def test_matches_allclose_per_type(self, build, error, base):
+        rng = np.random.default_rng(3)
+        types = TypeAssignment([0, 1, 2, 0, 1, 2, 0, 1, 2])
+        for _ in range(200):
+            offsets = rng.uniform(-1.2, 1.2, size=(9, 3)) * _allclose_tolerance(base)
+            offsets[:3] = 0.0
+            rows = np.full((9, 3), base) + offsets
+            expected = next(
+                (
+                    t
+                    for t in range(3)
+                    if not np.allclose(rows[t::3], rows[t::3][0][None, :])
+                ),
+                None,
+            )
+            assert types.first_inconsistent_type(rows) == expected
+            if expected is None:
+                build(rows, types)
+            else:
+                with pytest.raises(error, match=f"tasks of type {expected} "):
+                    build(rows, types)
