@@ -22,9 +22,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.campaign import CampaignManifest, expand_units, plan
-from repro.dag import block_cost, run_pipeline, steal_dispatch
+from repro.campaign import CampaignManifest, expand_units, plan, run_pipeline
 from repro.experiments import ResultStore
+from repro.experiments.cost import block_cost
+from repro.experiments.runner import steal_dispatch
 
 #: Executor slots for the dispatch comparison (one per simulated host).
 SLOTS = 3

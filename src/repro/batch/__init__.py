@@ -21,11 +21,8 @@ This subsystem provides the NumPy-vectorized counterparts:
 from .evaluation import (
     BatchEvaluation,
     InstanceStack,
-    batch_critical_machines,
-    batch_expected_products,
     batch_machine_periods,
     batch_periods,
-    batch_throughputs,
     evaluate_batch,
 )
 from .incremental import MappingEvaluator
@@ -33,11 +30,8 @@ from .incremental import MappingEvaluator
 __all__ = [
     "BatchEvaluation",
     "InstanceStack",
-    "batch_critical_machines",
-    "batch_expected_products",
     "batch_machine_periods",
     "batch_periods",
-    "batch_throughputs",
     "evaluate_batch",
     "MappingEvaluator",
 ]

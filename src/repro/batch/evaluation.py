@@ -38,11 +38,8 @@ __all__ = [
     "BatchEvaluation",
     "InstanceStack",
     "as_assignment_array",
-    "batch_expected_products",
     "batch_machine_periods",
     "batch_periods",
-    "batch_throughputs",
-    "batch_critical_machines",
     "evaluate_batch",
 ]
 
@@ -120,20 +117,6 @@ def _expected_products_core(instance: ProblemInstance, assignments: np.ndarray) 
     return _propagate_expected_products(instance.application, f_used)
 
 
-def batch_expected_products(
-    instance: ProblemInstance, assignments: np.ndarray
-) -> np.ndarray:
-    """The ``(R, n)`` matrix of expected products per task and mapping.
-
-    Row ``r`` equals :func:`repro.core.period.expected_products` for the
-    ``r``-th assignment.
-    """
-    assignments = as_assignment_array(
-        assignments, num_tasks=instance.num_tasks, num_machines=instance.num_machines
-    )
-    return _expected_products_core(instance, assignments)
-
-
 def _scatter_periods(
     assignments: np.ndarray, contributions: np.ndarray, num_machines: int
 ) -> np.ndarray:
@@ -176,22 +159,9 @@ def _throughputs_from(periods: np.ndarray) -> np.ndarray:
         return np.where(periods == 0.0, np.inf, np.divide(1.0, periods))
 
 
-def batch_throughputs(instance: ProblemInstance, assignments: np.ndarray) -> np.ndarray:
-    """The ``(R,)`` vector of throughputs ``1 / period`` (inf for period 0)."""
-    return _throughputs_from(batch_periods(instance, assignments))
-
-
 def _critical_mask(machine_periods: np.ndarray) -> np.ndarray:
     """Boolean ``(R, m)`` mask of machines attaining each row's maximum."""
     return get_backend().critical_mask(machine_periods, CRITICAL_REL_TOL)
-
-
-def batch_critical_machines(
-    instance: ProblemInstance, assignments: np.ndarray
-) -> np.ndarray:
-    """Boolean ``(R, m)`` mask: entry ``[r, u]`` is true when machine ``u``
-    attains the period of mapping ``r`` (all-false rows have period 0)."""
-    return _critical_mask(batch_machine_periods(instance, assignments))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,25 +1,16 @@
-"""Execute a campaign against its result store: cell hits, cost-aware stealing.
-
-Two layers live here.  :func:`steal_dispatch` is the generic
-work-stealing core behind every parallel block run (it is called from
-the block executor, :func:`repro.experiments.runner.execute_blocks`):
-per-queue pending deques (one queue per run), a fixed number of
-executor slots, each slot draining its owned queues front-first in
-canonical order and — once they are empty — *stealing* from the tail
-of whichever queue has the most remaining estimated cost, so no slot
-idles while a straggler queue still holds work.  It is
-executor-agnostic (thread pools in the benchmarks, process pools for
-real solves).
+"""Execute a campaign against its result store.
 
 :func:`execute_solves` is the store's side of a campaign —
 ``microrepro dag run`` (and its no-figure resume form) and ``shard run``
 both go through it.  The
 :class:`~repro.experiments.store.ResultStore` is the campaign's only
 record: a work unit whose cell the store holds with at least the run's
-repetitions is a hit and is not run.  The remaining units go to the
-block executor, which runs them serially in chunks or in parallel
-through :func:`steal_dispatch`, exactly as for an in-memory run; each
-computed block is written once, as a cell, and each run gets its
+repetitions is a hit (:func:`~repro.campaign.status.cell_done`) and is
+not run.  The remaining units go to the block executor
+(:func:`repro.experiments.runner.execute_blocks`), which runs them
+serially in chunks or in parallel through its work-stealing dispatch,
+exactly as for an in-memory run; each computed block is written once,
+as a cell, and each run gets its
 :class:`~repro.experiments.store.RunMeta` header.  :func:`run_pipeline`
 then derives every export on read from the stored cells, with the same
 ``load_result`` and ``aggregate_results`` calls ``microrepro export``
@@ -29,116 +20,23 @@ uses.
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
 from ..backend import get_backend
-from ..campaign.plan import CampaignManifest, expand_units, group_by_run
 from ..experiments.reporting import aggregate_results
 from ..experiments.runner import BlockRun, execute_blocks
 from ..experiments.store import CellRecord, ResultStore, RunMeta, _metas_compatible
 from ..obs.trace import span
 from ..simulation.rng import RandomStreamFactory
+from .plan import CampaignManifest, expand_units, group_by_run
+from .status import cell_done
 
 __all__ = [
-    "DispatchReport",
-    "steal_dispatch",
     "PipelineReport",
     "PipelineRun",
     "run_pipeline",
     "execute_solves",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Generic work-stealing dispatch
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class DispatchReport:
-    """What one :func:`steal_dispatch` call did."""
-
-    queues: int = 0
-    slots: int = 0
-    executed: int = 0
-    #: Items a slot took from a queue it does not own.
-    stolen: int = 0
-
-
-def steal_dispatch(
-    pool,
-    fn,
-    queues: list[list],
-    costs: list[list[float]] | None = None,
-    *,
-    slots: int,
-    steal: bool = True,
-    on_result=None,
-) -> DispatchReport:
-    """Drain ``queues`` through ``slots`` concurrent ``fn`` calls.
-
-    Queue ``q`` is *owned* by slot ``q % slots``; a slot serves its
-    owned queues front-first (preserving each queue's canonical order),
-    and with ``steal=True`` an idle slot then takes from the **tail** of
-    the non-empty queue with the largest remaining estimated cost — the
-    straggler — instead of retiring.  ``costs`` supplies per-item
-    estimates (uniform when omitted); ``on_result(item, result)`` fires
-    in completion order.  ``pool`` is any ``concurrent.futures``
-    executor whose workers can run ``fn``.
-    """
-    pending = [deque(queue) for queue in queues]
-    if costs is None:
-        costs = [[1.0] * len(queue) for queue in queues]
-    item_costs = [deque(cost_list) for cost_list in costs]
-    remaining = [sum(cost_list) for cost_list in item_costs]
-    report = DispatchReport(queues=len(pending), slots=slots)
-    if not any(pending):
-        return report
-
-    def take(slot: int):
-        """``(queue, item)`` for a free slot, or ``None`` to retire it."""
-        for queue in range(slot, len(pending), slots):
-            if pending[queue]:
-                item = pending[queue].popleft()
-                remaining[queue] -= item_costs[queue].popleft()
-                return queue, item
-        if steal:
-            candidates = [queue for queue in range(len(pending)) if pending[queue]]
-            if candidates:
-                queue = max(candidates, key=lambda q: (remaining[q], -q))
-                item = pending[queue].pop()
-                remaining[queue] -= item_costs[queue].pop()
-                report.stolen += 1
-                return queue, item
-        return None
-
-    futures: dict = {}
-    for slot in range(slots):
-        taken = take(slot)
-        if taken is None:
-            continue
-        queue, item = taken
-        futures[pool.submit(fn, item)] = (slot, item)
-    while futures:
-        done, _ = wait(futures, return_when=FIRST_COMPLETED)
-        for future in done:
-            slot, item = futures.pop(future)
-            result = future.result()
-            report.executed += 1
-            if on_result is not None:
-                on_result(item, result)
-            taken = take(slot)
-            if taken is not None:
-                queue, next_item = taken
-                futures[pool.submit(fn, next_item)] = (slot, next_item)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Campaign execution
-# ---------------------------------------------------------------------------
 
 
 @dataclass(slots=True)
@@ -189,9 +87,9 @@ def execute_solves(
 ) -> PipelineReport:
     """Bring every work unit of ``units`` into ``store``, computing what's missing.
 
-    With ``resume``, a unit is a hit when the store holds its cell with
-    at least the scenario's repetitions — what
-    :func:`~repro.campaign.status.shard_status` calls ``done``.  The
+    With ``resume``, a unit is a hit when its stored cell is
+    :func:`~repro.campaign.status.cell_done` — the rule
+    :func:`~repro.campaign.status.shard_status` counts as ``done``.  The
     remainder runs through
     :func:`~repro.experiments.runner.execute_blocks` (serially, or over
     ``workers`` processes).  Each computed block is written once, with
@@ -211,14 +109,12 @@ def execute_solves(
         repetitions = scenarios[figure_id].repetitions
         pending = []
         for unit in run_units:
-            record = (
+            if resume and cell_done(
                 store.get_cell(
                     figure_id, hashes[figure_id], seed, unit.curve, unit.sweep_value
-                )
-                if resume
-                else None
-            )
-            if record is not None and record.repetitions >= repetitions:
+                ),
+                repetitions,
+            ):
                 report.hits += 1
             else:
                 pending.append((unit.sweep_value, unit.curve))

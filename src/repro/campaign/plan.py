@@ -13,9 +13,11 @@ disjoint :class:`ShardPlan` s:
 True
 
 Planning is a pure function of ``(manifest, shards, by)``: re-planning
-on any host reproduces the same partition, so a worker given only the
-campaign manifest and its ``k/N`` coordinates computes exactly the same
-units as one given a serialized per-shard manifest.
+on any host reproduces the same partition.  Workers never re-plan,
+though: :func:`write_plans` writes one self-contained ``shard_<k>.json``
+per shard (manifest plus explicit unit list), and that file is all a
+worker runs from (:func:`load_plan`), so a later change to the cost
+model cannot re-tile a campaign already handed out.
 
 The ``by`` axis controls what stays together on one shard:
 
@@ -29,8 +31,8 @@ The ``by`` axis controls what stays together on one shard:
     Individual blocks — finest partition, best balance for small
     campaigns.
 
-Groups are priced with the :mod:`repro.dag.cost` model (a MIP block
-runs ~100x a heuristic block) and assigned longest-processing-time-
+Groups are priced with the :mod:`repro.experiments.cost` model (a MIP
+block runs ~100x a heuristic block) and assigned longest-processing-time-
 first to the least-loaded shard, keeping estimated shard *durations*
 level.  Ties break on first-appearance order, then shard index, so
 re-planning anywhere reproduces the same partition.  The partition
@@ -46,6 +48,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..exceptions import ExperimentError
+from ..experiments.cost import block_cost
 from ..experiments.figures import FIGURES, FigureSpec
 from ..experiments.providers import resolve_curves
 from ..generators.scenarios import ScenarioConfig
@@ -67,8 +70,7 @@ __all__ = [
 #: Valid shard-partition axes.
 PLAN_AXES = ("seed", "curve", "block")
 
-#: File name of the campaign manifest: written next to shard plans by
-#: ``shard plan`` and into the store by ``dag run``.
+#: File name of the campaign manifest ``dag run`` records in its store.
 CAMPAIGN_FILE = "campaign.json"
 
 
@@ -233,7 +235,7 @@ def expand_units(manifest: CampaignManifest) -> list[WorkUnit]:
 
     Canonical order — figures (manifest order), then seeds, then curves
     (series order), then sweep values — is what makes planning
-    deterministic and shard manifests reproducible from ``(manifest, N,
+    deterministic and shard plans reproducible from ``(manifest, N,
     by)`` alone.
     """
     units: list[WorkUnit] = []
@@ -308,10 +310,6 @@ def plan(manifest: CampaignManifest, *, shards: int, by: str = "seed") -> list[S
     shard (some shards may be empty when there are fewer groups than
     shards).
     """
-    # Imported lazily: repro.dag.scheduler imports this module, so a
-    # module-level import would make `import repro.dag` circular.
-    from ..dag.cost import block_cost
-
     if shards < 1:
         raise ExperimentError(f"shards must be >= 1, got {shards}")
     if by not in PLAN_AXES:
@@ -346,86 +344,30 @@ def write_plans(
     shards: int,
     by: str = "seed",
 ) -> list[tuple[Path, ShardPlan]]:
-    """Write ``campaign.json`` plus one ``shard_<k>.json`` per shard.
+    """Write one ``shard_<k>.json`` per shard into ``out_dir``.
 
-    Returns ``(path, plan)`` pairs (ship each path to its worker host;
-    the campaign manifest alone also suffices together with ``--shard
-    k/N``).
+    Returns ``(path, plan)`` pairs; ship each path to its worker host.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    shard_plans = plan(manifest, shards=shards, by=by)
-    campaign_doc = dict(manifest.to_dict(), shards=shards, by=by)
-    (out / CAMPAIGN_FILE).write_text(
-        json.dumps(campaign_doc, indent=2) + "\n", encoding="utf-8"
-    )
     written = []
-    for shard_plan in shard_plans:
+    for shard_plan in plan(manifest, shards=shards, by=by):
         path = out / f"shard_{shard_plan.index}.json"
         path.write_text(json.dumps(shard_plan.to_dict(), indent=2) + "\n", encoding="utf-8")
         written.append((path, shard_plan))
     return written
 
 
-def load_plan(
-    path: str | os.PathLike,
-    *,
-    shard: tuple[int, int] | None = None,
-    by: str | None = None,
-) -> ShardPlan:
-    """Load a shard plan from a planner file.
-
-    ``path`` may be a per-shard manifest (``shard_k.json``, self-
-    contained) or a campaign manifest — the latter needs ``shard=(k,
-    N)`` and re-plans deterministically, which is how a worker can run
-    from nothing but the campaign file and its coordinates.
-    """
+def load_plan(path: str | os.PathLike) -> ShardPlan:
+    """Load the shard plan of one ``shard_<k>.json`` written by :func:`write_plans`."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ExperimentError(f"cannot read plan file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ExperimentError(f"{path} is not a valid plan file: {exc}") from exc
-    if "units" in raw:
-        if shard is not None and shard != (int(raw["shard"]), int(raw["shards"])):
-            raise ExperimentError(
-                f"{path} is shard {raw['shard']}/{raw['shards']}, not "
-                f"{shard[0]}/{shard[1]}"
-            )
-        if by is not None and by != raw["by"]:
-            raise ExperimentError(
-                f"{path} was planned by {raw['by']!r}; it cannot be re-partitioned "
-                f"by {by!r} (re-run 'shard plan', or pass the campaign manifest)"
-            )
-        return ShardPlan.from_dict(raw)
-    count = raw.pop("shards", None)
-    recorded_by = raw.pop("by", None)
-    if by is not None and recorded_by is not None and by != recorded_by:
-        # Same hazard as a mismatched shard count: two hosts partitioning
-        # the one campaign along different axes don't tile its units.
+    if not isinstance(raw, dict) or "units" not in raw:
         raise ExperimentError(
-            f"{path} was planned by {recorded_by!r}, not {by!r}; "
-            "re-run 'shard plan' to change the partition axis"
+            f"{path} is not a shard plan; pass a shard_<k>.json written by 'shard plan'"
         )
-    axis = by or recorded_by or "seed"
-    manifest = CampaignManifest.from_dict(raw)
-    if shard is None:
-        if count in (None, 1):
-            shard = (0, 1)
-        else:
-            raise ExperimentError(
-                f"{path} is a campaign manifest planned for {count} shards; "
-                "pass --shard k/N to pick one"
-            )
-    elif count is not None and shard[1] != count:
-        # A planner-written campaign file pins the shard count: accepting a
-        # different N would silently re-partition the campaign and leave
-        # group keys uncovered across the fleet.
-        raise ExperimentError(
-            f"{path} was planned for {count} shard(s), not {shard[1]}; "
-            "re-run 'shard plan' to change the partition"
-        )
-    index, total = shard
-    if not 0 <= index < total:
-        raise ExperimentError(f"shard index {index} outside 0..{total - 1}")
-    return plan(manifest, shards=total, by=axis)[index]
+    return ShardPlan.from_dict(raw)

@@ -1,13 +1,15 @@
 """Shard-completeness reporting: which units of a plan are stored.
 
-``microrepro shard status`` answers the fleet-operations question PR 4
-left open: *how far along is every shard of a distributed campaign?*
-Each shard's plan is checked unit by unit against a store — either the
-shard's own store directory (one store per shard) or one merged store
-covering the whole fleet — and classified:
+``microrepro shard status`` answers the fleet-operations question *how
+far along is every shard of a distributed campaign?*  Each shard's plan
+is checked unit by unit against a store — either the shard's own store
+directory (one store per shard) or one merged store covering the whole
+fleet — and classified:
 
 ``done``
-    The cell is stored with at least the plan's repetition count.
+    The cell is stored with at least the plan's repetition count
+    (:func:`cell_done`, the same rule that makes a unit a hit for
+    :func:`~repro.campaign.execute.execute_solves`).
 ``partial``
     A cell exists but with fewer repetitions than the plan requires
     (e.g. a store carried over from a smaller trial run); the worker
@@ -19,22 +21,27 @@ covering the whole fleet — and classified:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..exceptions import ExperimentError
-from ..experiments.store import ResultStore
-from .plan import CAMPAIGN_FILE, CampaignManifest, ShardPlan, load_plan, plan
+from ..experiments.store import CellRecord, ResultStore
+from .plan import ShardPlan, load_plan
 
 __all__ = [
+    "cell_done",
     "ShardStatus",
     "shard_status",
     "load_shard_plans",
     "status_rows",
     "status_payload",
 ]
+
+
+def cell_done(record: CellRecord | None, repetitions: int) -> bool:
+    """Whether a stored cell holds a unit at ``repetitions`` depth or more."""
+    return record is not None and record.repetitions >= repetitions
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +90,10 @@ def shard_status(shard: ShardPlan, store: ResultStore) -> ShardStatus:
         record = store.get_cell(
             unit.figure_id, scenario_hash, unit.seed, unit.curve, unit.sweep_value
         )
-        if record is None:
-            missing += 1
-        elif record.repetitions >= repetitions:
+        if cell_done(record, repetitions):
             done += 1
+        elif record is None:
+            missing += 1
         else:
             partial += 1
     return ShardStatus(
@@ -101,37 +108,37 @@ def shard_status(shard: ShardPlan, store: ResultStore) -> ShardStatus:
 
 
 def load_shard_plans(path: str | os.PathLike) -> list[ShardPlan]:
-    """Every shard plan of a planner output.
+    """Every shard plan of a planner output, in shard order.
 
-    ``path`` may be a planner directory (the ``--out`` of ``shard
-    plan``: its ``campaign.json`` is re-planned into all shards), a
-    campaign manifest file (same — also accepts the unsharded
-    ``campaign.json`` ``microrepro dag run`` writes into its store), or a
-    single ``shard_k.json`` (that one shard only).
+    ``path`` is either a planner directory (the ``--out`` of ``shard
+    plan``), whose ``shard_*.json`` files must be shards ``0..N-1`` of
+    one plan, or a single ``shard_k.json`` (that one shard only).
     """
     target = Path(path)
-    if target.is_dir():
-        campaign = target / CAMPAIGN_FILE
-        if not campaign.exists():
-            raise ExperimentError(
-                f"{target} holds no {CAMPAIGN_FILE}; pass a planner directory, "
-                "the campaign manifest, or one shard_k.json"
-            )
-        target = campaign
-    try:
-        raw = json.loads(target.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ExperimentError(f"cannot read plan file {target}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"{target} is not a valid plan file: {exc}") from exc
-    if "units" in raw:
+    if not target.is_dir():
         return [load_plan(target)]
-    # A campaign manifest: expand and partition once — per-shard
-    # load_plan calls would redo the full unit expansion per shard.
-    shards = int(raw.pop("shards", None) or 1)
-    by = str(raw.pop("by", None) or "seed")
-    manifest = CampaignManifest.from_dict(raw)
-    return plan(manifest, shards=shards, by=by)
+    plans = sorted(
+        (load_plan(file) for file in target.glob("shard_*.json")),
+        key=lambda shard: shard.index,
+    )
+    if not plans:
+        raise ExperimentError(
+            f"{target} holds no shard_*.json; pass a planner directory or one shard file"
+        )
+    first = plans[0]
+    for shard in plans:
+        if (shard.manifest, shard.shards, shard.by) != (first.manifest, first.shards, first.by):
+            raise ExperimentError(
+                f"{target}: {shard.name} and {first.name} come from different plans; "
+                "re-run 'shard plan' into an empty directory"
+            )
+    indices = [shard.index for shard in plans]
+    if indices != list(range(first.shards)):
+        raise ExperimentError(
+            f"{target} holds shard(s) {indices} of a {first.shards}-shard plan; "
+            f"expected each of 0..{first.shards - 1} once"
+        )
+    return plans
 
 
 def status_payload(rows: list[ShardStatus]) -> dict:

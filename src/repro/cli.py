@@ -29,7 +29,6 @@ curves::
     microrepro shard plan fig5 --seeds 0..9 --shards 4 --out plans/
     scp plans/shard_2.json host2:            # one plan file per host
     microrepro shard run plans/shard_2.json --store shard_2/   # on host2
-    microrepro shard run plans/campaign.json --shard 3/4 --store shard_3/
     microrepro store merge --store merged/ shard_0/ shard_1/ shard_2/ shard_3/
     microrepro export --store merged/ fig5 --aggregate seeds --csv
 
@@ -87,6 +86,7 @@ from .campaign import (
     CAMPAIGN_FILE,
     PLAN_AXES,
     CampaignManifest,
+    execute_solves,
     expand_units,
     group_by_run,
     load_plan,
@@ -94,6 +94,7 @@ from .campaign import (
     merge_stores,
     parse_seed_spec,
     plan,
+    run_pipeline,
     shard_status,
     status_payload,
     status_rows,
@@ -104,6 +105,7 @@ from .core.instance import ProblemInstance
 from .core.platform import Platform
 from .exact.milp import solve_specialized_milp
 from .exceptions import ExperimentError, ReproError
+from .experiments.cost import block_cost
 from .experiments.figures import FIGURES, figure_ids
 from .experiments.reporting import (
     CI_MODES,
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "partition axis: whole seeds, (figure, seed, curve) groups, or "
             "blocks; groups go to shards by estimated cost, longest first "
-            "(MIP blocks ~100x heuristic blocks, see repro.dag.cost)"
+            "(MIP blocks ~100x heuristic blocks, see repro.experiments.cost)"
         ),
     )
     plan_parser.add_argument(
@@ -324,21 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute one shard's units into a local result store"
     )
     shard_run_parser.add_argument(
-        "plan",
-        metavar="PLAN",
-        help="a shard_k.json from 'shard plan', or the campaign.json with --shard",
-    )
-    shard_run_parser.add_argument(
-        "--shard",
-        default=None,
-        metavar="K/N",
-        help="which shard to run when PLAN is a campaign manifest (e.g. 2/4)",
-    )
-    shard_run_parser.add_argument(
-        "--by",
-        choices=PLAN_AXES,
-        default=None,
-        help="partition axis override when re-planning from a campaign manifest",
+        "plan", metavar="PLAN", help="a shard_k.json written by 'shard plan'"
     )
     _add_store_argument(shard_run_parser, required_hint=True)
     shard_run_parser.add_argument(
@@ -358,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     status_parser.add_argument(
         "plan",
         metavar="PLAN",
-        help="planner output: the plans/ directory, campaign.json, or one shard_k.json",
+        help="planner output: the plans/ directory, or one shard_k.json",
     )
     status_parser.add_argument(
         "stores",
@@ -719,9 +707,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _estimated_cost(manifest: CampaignManifest, units) -> float:
-    """Total :func:`repro.dag.cost.block_cost` of ``units``."""
-    from .dag import block_cost
-
+    """Total :func:`repro.experiments.cost.block_cost` of ``units``."""
     return sum(
         block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
         for unit in units
@@ -742,24 +728,8 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shard_coords(text: str) -> tuple[int, int]:
-    index_text, sep, total_text = text.partition("/")
-    try:
-        if not sep:
-            raise ValueError(text)
-        return int(index_text), int(total_text)
-    except ValueError as exc:
-        raise ExperimentError(f"bad --shard {text!r}; expected K/N (e.g. 2/4)") from exc
-
-
 def _cmd_shard_run(args: argparse.Namespace) -> int:
-    from .dag import execute_solves
-
-    shard = load_plan(
-        args.plan,
-        shard=None if args.shard is None else _parse_shard_coords(args.shard),
-        by=args.by,
-    )
+    shard = load_plan(args.plan)
     with ResultStore(_store_path(args, required=True)) as store, span(
         "campaign.shard", shard=shard.index, shards=shard.shards, units=len(shard.units)
     ) as shard_span:
@@ -864,6 +834,17 @@ def _load_manifest(path: Path) -> CampaignManifest:
     return CampaignManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
+def _store_campaign(store_path: Path) -> CampaignManifest:
+    """The campaign ``dag run`` recorded in ``store_path``'s ``campaign.json``."""
+    manifest_path = store_path / CAMPAIGN_FILE
+    if not manifest_path.exists():
+        raise ExperimentError(
+            f"no {CAMPAIGN_FILE} in {store_path}; start a campaign with "
+            "'microrepro dag run FIGS --store DIR'"
+        )
+    return _load_manifest(manifest_path)
+
+
 def _stored_manifest(args: argparse.Namespace, store_path: Path) -> CampaignManifest:
     """The campaign in ``store_path``'s ``campaign.json`` (``dag run`` without figures).
 
@@ -883,13 +864,7 @@ def _stored_manifest(args: argparse.Namespace, store_path: Path) -> CampaignMani
             f"{', '.join(given)} describe a new campaign: name its figures "
             "('dag run FIGS ...'), or drop them to resume the stored one"
         )
-    manifest_path = store_path / CAMPAIGN_FILE
-    if not manifest_path.exists():
-        raise ExperimentError(
-            f"no {CAMPAIGN_FILE} in {store_path}; start a campaign with "
-            "'microrepro dag run FIGS --store DIR'"
-        )
-    manifest = _load_manifest(manifest_path)
+    manifest = _store_campaign(store_path)
     if args.workers is not None:
         manifest = dataclasses.replace(manifest, workers=args.workers)
     return manifest
@@ -928,8 +903,6 @@ def _recorded_campaign(manifest: CampaignManifest, store_path: Path) -> Campaign
 
 
 def _cmd_dag_run(args: argparse.Namespace) -> int:
-    from .dag import run_pipeline
-
     store_path = Path(_store_path(args, required=True))
     if args.figures:
         manifest = _manifest(args)
@@ -979,10 +952,9 @@ def _write_dag_exports(renders: dict, export_dir: str) -> None:
 
 
 def _cmd_dag_status(args: argparse.Namespace) -> int:
-    store_path = _store_path(args, required=True)
-    plans = load_shard_plans(store_path)
-    rows = status_rows(plans, [store_path])
-    return _print_status(rows, as_json=args.json)
+    store_path = Path(_store_path(args, required=True))
+    whole = plan(_store_campaign(store_path), shards=1)[0]
+    return _print_status(status_rows([whole], [store_path]), as_json=args.json)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -24,7 +24,6 @@ from .platform import Machine, Platform
 from .types import (
     TaskType,
     TypeAssignment,
-    blocked_type_assignment,
     cyclic_type_assignment,
     random_type_assignment,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "Platform",
     "TaskType",
     "TypeAssignment",
-    "blocked_type_assignment",
     "cyclic_type_assignment",
     "random_type_assignment",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "TaskType",
     "TypeAssignment",
     "cyclic_type_assignment",
-    "blocked_type_assignment",
     "random_type_assignment",
 ]
 
@@ -197,25 +196,6 @@ def cyclic_type_assignment(num_tasks: int, num_types: int) -> TypeAssignment:
             f"num_types must be in [1, num_tasks]; got p={num_types}, n={num_tasks}"
         )
     types = [i % num_types for i in range(num_tasks)]
-    return TypeAssignment(types, num_types=num_types)
-
-
-def blocked_type_assignment(num_tasks: int, num_types: int) -> TypeAssignment:
-    """Assign types in contiguous blocks of near-equal size.
-
-    Tasks ``0..k-1`` get type 0, the next block type 1, and so on.  Models a
-    process plan whose operations are grouped by phase.
-    """
-    if num_tasks <= 0:
-        raise InvalidApplicationError("num_tasks must be positive")
-    if num_types <= 0 or num_types > num_tasks:
-        raise InvalidApplicationError(
-            f"num_types must be in [1, num_tasks]; got p={num_types}, n={num_tasks}"
-        )
-    bounds = np.linspace(0, num_tasks, num_types + 1).astype(int)
-    types = np.empty(num_tasks, dtype=np.int64)
-    for j in range(num_types):
-        types[bounds[j] : bounds[j + 1]] = j
     return TypeAssignment(types, num_types=num_types)
 
 

@@ -30,7 +30,10 @@ cross-check optima.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,6 +336,27 @@ def build_milp_model(instance: ProblemInstance) -> MilpModel:
     )
 
 
+@contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at descriptor 2 for the duration of the block.
+
+    HiGHS's C++ core prints some diagnostics (e.g.
+    ``HighsMipSolverData::transformNewIntegerFeasibleSolution
+    tmpSolver.run();``) straight to the process's stdout whatever the
+    ``disp`` option says, which would corrupt ``microrepro run --csv``.
+    The redirect is process-wide: no caller of the MIP writes stdout
+    from another thread while a solve runs.
+    """
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        os.dup2(2, 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def solve_specialized_milp(
     instance: ProblemInstance,
     *,
@@ -366,13 +390,14 @@ def solve_specialized_milp(
         options["time_limit"] = float(time_limit)
 
     start = time.perf_counter()
-    result = milp(
-        c=model.c,
-        constraints=model.constraints,
-        integrality=model.integrality,
-        bounds=Bounds(model.lower, model.upper),
-        options=options,
-    )
+    with _stdout_to_stderr():
+        result = milp(
+            c=model.c,
+            constraints=model.constraints,
+            integrality=model.integrality,
+            bounds=Bounds(model.lower, model.upper),
+            options=options,
+        )
     elapsed = time.perf_counter() - start
 
     if not result.success or result.x is None:

@@ -17,7 +17,6 @@ __all__ = [
     "MappingRuleViolation",
     "InfeasibleProblemError",
     "SolverError",
-    "SolverUnavailableError",
     "SimulationError",
     "ExperimentError",
     "ServiceOverloadedError",
@@ -85,10 +84,6 @@ class InfeasibleProblemError(ReproError):
 
 class SolverError(ReproError):
     """An exact solver failed to produce a solution."""
-
-
-class SolverUnavailableError(SolverError):
-    """The requested solver backend is not available in this environment."""
 
 
 class SimulationError(ReproError):

@@ -3,11 +3,11 @@
 Blocks are wildly uneven: a MIP block at its time limit costs ~100x a
 heuristic block of the same shape, local search ~10x, OtO somewhere
 between.  A block count says nothing about this, so the shard planner
-prices each campaign work unit (one block) with calibrated
-per-provider estimates and balances shards by total estimated cost (LPT
-greedy), and the block executor's work stealing
-(:func:`repro.experiments.runner.execute_blocks`) mops up whatever the
-estimates still get wrong.  A block is priced from its ``(scenario,
+(:func:`repro.campaign.plan.plan`) prices each campaign work unit (one
+block) by its provider label with calibrated estimates and balances
+shards by total estimated cost (LPT greedy), and the block executor's
+work stealing (:func:`repro.experiments.runner.execute_blocks`) mops up
+whatever the estimates still get wrong.  A block is priced from its ``(scenario,
 curve, sweep value)`` alone, so an in-memory run is priced the same way
 as a campaign.
 
@@ -21,9 +21,9 @@ the instance size at the block's sweep point.
 from __future__ import annotations
 
 from ..exceptions import ReproError
-from ..experiments.providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
 from ..generators.scenarios import ScenarioConfig
 from ..heuristics import LocalSearchHeuristic, get_heuristic
+from .providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
 
 __all__ = ["classify_curve", "provider_cost", "block_cost"]
 

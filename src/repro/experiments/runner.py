@@ -13,7 +13,7 @@ Block scheduling
 The engine's unit of work is a *block*: one curve over the ``R``
 structurally identical repetitions of one sweep point.
 :func:`execute_blocks` is the one executor of blocks, for in-memory
-runs and for the campaign DAG alike.  Serially it samples consecutive
+runs and for store-backed campaigns alike.  Serially it samples consecutive
 sweep points with the same ``(n, m)`` and the same pending curves — up
 to :data:`CROSS_POINT_MAX_ROWS` rows — into one
 :class:`~repro.experiments.providers.BlockChunk`, whose single
@@ -28,12 +28,11 @@ tests hold every mode to a per-instance ``Heuristic.solve`` oracle bit
 for bit.
 
 Blocks are independent, so the executor can also fan them out over a
-process pool (``workers=N``) through the campaign DAG's work-stealing
-dispatcher (:func:`repro.dag.scheduler.steal_dispatch`, imported only
-on that path): one queue per run, each block priced by
-:func:`repro.dag.cost.block_cost`, and — when tracing is on — each job
-carrying the dispatching trace context, so the workers' spans join the
-caller's trace.  Every block re-derives its random streams from the
+process pool (``workers=N``) through the work-stealing dispatcher
+:func:`steal_dispatch`: one queue per run, each block priced by
+:func:`repro.experiments.cost.block_cost`, and — when tracing is on —
+each job carrying the dispatching trace context, so the workers' spans
+join the caller's trace.  Every block re-derives its random streams from the
 root seed through :class:`~repro.simulation.rng.RandomStreamFactory` —
 whose label hashing is process-independent — and results are folded
 back in the serial iteration order, so a parallel run is bit-for-bit
@@ -45,10 +44,10 @@ and one-to-one curves are pure functions of the seed and carry the full
 guarantee.
 
 Runs are pure in-memory computations.  Persistent, resumable runs go
-through the campaign DAG (``microrepro dag run``, or ``shard run`` for
-one shard of a distributed campaign), whose
-:func:`~repro.dag.scheduler.execute_solves` hands the blocks its store
-lacks to the same :func:`execute_blocks`;
+through :mod:`repro.campaign` (``microrepro dag run``, or ``shard run``
+for one shard of a distributed campaign), whose
+:func:`~repro.campaign.execute.execute_solves` hands the blocks its
+store lacks to the same :func:`execute_blocks`;
 :meth:`~repro.experiments.store.ResultStore.save_result` stores an
 in-memory result after the fact.
 """
@@ -56,8 +55,9 @@ in-memory result after the fact.
 from __future__ import annotations
 
 import time
+from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +77,7 @@ from ..obs.trace import (
     tracing_active,
 )
 from ..simulation.rng import RandomStreamFactory
+from .cost import block_cost
 from .figures import FIGURES, FigureSpec
 from .providers import (
     MIP_LABEL,
@@ -93,6 +94,8 @@ __all__ = [
     "run_figure",
     "run_scenario",
     "execute_blocks",
+    "DispatchReport",
+    "steal_dispatch",
     "MIP_LABEL",
     "OTO_LABEL",
 ]
@@ -345,8 +348,8 @@ def execute_blocks(
 ) -> int:
     """Compute the blocks of every run: the one block executor.
 
-    :func:`run_scenario` feeds it a figure's full grid, the campaign
-    DAG (:func:`repro.dag.scheduler.execute_solves`) exactly the blocks
+    :func:`run_scenario` feeds it a figure's full grid, a campaign
+    (:func:`repro.campaign.execute.execute_solves`) exactly the blocks
     its store still misses, over any number of runs.  Each completed
     block is handed to ``record(run, sweep_value, label, values,
     failures)`` — on the parallel path in completion order, so callers
@@ -415,13 +418,90 @@ def _execute_serial(run: BlockRun, record, milp_time_limit: float, memoize: bool
                 record(run, block.sweep_value, label, result.values(), result.failures)
 
 
+@dataclass(slots=True)
+class DispatchReport:
+    """What one :func:`steal_dispatch` call did."""
+
+    queues: int = 0
+    slots: int = 0
+    executed: int = 0
+    #: Items a slot took from a queue it does not own.
+    stolen: int = 0
+
+
+def steal_dispatch(
+    pool,
+    fn,
+    queues: list[list],
+    costs: list[list[float]] | None = None,
+    *,
+    slots: int,
+    steal: bool = True,
+    on_result=None,
+) -> DispatchReport:
+    """Drain ``queues`` through ``slots`` concurrent ``fn`` calls.
+
+    Queue ``q`` is *owned* by slot ``q % slots``; a slot serves its
+    owned queues front-first (preserving each queue's canonical order),
+    and with ``steal=True`` an idle slot then takes from the **tail** of
+    the non-empty queue with the largest remaining estimated cost — the
+    straggler — instead of retiring, so no slot idles while a straggler
+    queue still holds work.  ``costs`` supplies per-item estimates
+    (uniform when omitted); ``on_result(item, result)`` fires in
+    completion order.  ``pool`` is any ``concurrent.futures`` executor
+    whose workers can run ``fn`` (thread pools in the tests, process
+    pools for real solves).
+    """
+    pending = [deque(queue) for queue in queues]
+    if costs is None:
+        costs = [[1.0] * len(queue) for queue in queues]
+    item_costs = [deque(cost_list) for cost_list in costs]
+    remaining = [sum(cost_list) for cost_list in item_costs]
+    report = DispatchReport(queues=len(pending), slots=slots)
+    if not any(pending):
+        return report
+
+    def take(slot: int):
+        """``(queue, item)`` for a free slot, or ``None`` to retire it."""
+        for queue in range(slot, len(pending), slots):
+            if pending[queue]:
+                item = pending[queue].popleft()
+                remaining[queue] -= item_costs[queue].popleft()
+                return queue, item
+        if steal:
+            candidates = [queue for queue in range(len(pending)) if pending[queue]]
+            if candidates:
+                queue = max(candidates, key=lambda q: (remaining[q], -q))
+                item = pending[queue].pop()
+                remaining[queue] -= item_costs[queue].pop()
+                report.stolen += 1
+                return queue, item
+        return None
+
+    futures: dict = {}
+    for slot in range(slots):
+        taken = take(slot)
+        if taken is None:
+            continue
+        queue, item = taken
+        futures[pool.submit(fn, item)] = (slot, item)
+    while futures:
+        done, _ = wait(futures, return_when=FIRST_COMPLETED)
+        for future in done:
+            slot, item = futures.pop(future)
+            result = future.result()
+            report.executed += 1
+            if on_result is not None:
+                on_result(item, result)
+            taken = take(slot)
+            if taken is not None:
+                queue, next_item = taken
+                futures[pool.submit(fn, next_item)] = (slot, next_item)
+    return report
+
+
 def _dispatch(runs, record, milp_time_limit: float, workers: int, memoize: bool) -> int:
     """Every block of every run in one stealing dispatch over a process pool."""
-    # Imported here: the serial path (and every import of this module)
-    # stays free of the DAG and campaign packages.
-    from ..dag.cost import block_cost
-    from ..dag.scheduler import steal_dispatch
-
     # The dispatch span opens before the jobs are built, so the context
     # traced jobs carry is the dispatch itself — block-job spans coming
     # back from the workers hang directly off it.

@@ -10,7 +10,7 @@ stored block and only computes the remainder.
 
 The store is a campaign's only record.  A cell holding at least a
 run's repetitions is the cache hit for its work unit
-(:func:`repro.dag.scheduler.execute_solves`), and every export — the
+(:func:`repro.campaign.execute.execute_solves`), and every export — the
 per-seed CSVs and the cross-seed aggregate of ``dag run
 --export-dir`` and ``export`` — is derived on read from the cells
 (:meth:`ResultStore.load_result`).

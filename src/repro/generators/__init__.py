@@ -5,9 +5,7 @@ from .platforms import (
     HIGH_FAILURE_F_RANGE,
     PAPER_F_RANGE,
     PAPER_W_RANGE,
-    random_failure_model,
     random_failure_rates,
-    random_platform,
     random_processing_times,
 )
 from .scenarios import ScenarioConfig, sample_instance
@@ -18,9 +16,7 @@ __all__ = [
     "HIGH_FAILURE_F_RANGE",
     "PAPER_F_RANGE",
     "PAPER_W_RANGE",
-    "random_failure_model",
     "random_failure_rates",
-    "random_platform",
     "random_processing_times",
     "ScenarioConfig",
     "sample_instance",

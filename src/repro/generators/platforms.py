@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.failure import FailureModel
-from ..core.platform import Platform
 from ..core.types import TypeAssignment
 from ..exceptions import InvalidPlatformError
 
@@ -27,9 +25,7 @@ __all__ = [
     "PAPER_F_RANGE",
     "HIGH_FAILURE_F_RANGE",
     "random_processing_times",
-    "random_platform",
     "random_failure_rates",
-    "random_failure_model",
 ]
 
 #: Processing-time range (ms) used throughout the paper's experiments.
@@ -61,19 +57,6 @@ def random_processing_times(
     return per_type[types.as_array, :]
 
 
-def random_platform(
-    types: TypeAssignment,
-    num_machines: int,
-    rng: np.random.Generator,
-    *,
-    low: float = PAPER_W_RANGE[0],
-    high: float = PAPER_W_RANGE[1],
-) -> Platform:
-    """Random type-consistent platform with ``num_machines`` machines."""
-    w = random_processing_times(types, num_machines, rng, low=low, high=high)
-    return Platform(w, types=types)
-
-
 def random_failure_rates(
     num_tasks: int,
     num_machines: int,
@@ -100,23 +83,3 @@ def random_failure_rates(
         return np.repeat(per_task[:, None], num_machines, axis=1)
     return rng.uniform(low, high, size=(num_tasks, num_machines))
 
-
-def random_failure_model(
-    num_tasks: int,
-    num_machines: int,
-    rng: np.random.Generator,
-    *,
-    low: float = PAPER_F_RANGE[0],
-    high: float = PAPER_F_RANGE[1],
-    task_dependent: bool = False,
-) -> FailureModel:
-    """Random failure model with uniform rates in ``[low, high]``."""
-    rates = random_failure_rates(
-        num_tasks,
-        num_machines,
-        rng,
-        low=low,
-        high=high,
-        task_dependent=task_dependent,
-    )
-    return FailureModel(rates)

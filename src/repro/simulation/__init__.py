@@ -11,7 +11,7 @@ a production-line model with transient per-(task, machine) failures
 from .events import Event, EventKind, EventQueue
 from .factory import MicroFactorySimulation, simulate_mapping
 from .metrics import SimulationMetrics
-from .rng import RandomStreamFactory, generator_from, spawn_generators
+from .rng import RandomStreamFactory
 from .trace import SimulationTrace, TraceEventType, TraceRecord
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "simulate_mapping",
     "SimulationMetrics",
     "RandomStreamFactory",
-    "generator_from",
-    "spawn_generators",
     "SimulationTrace",
     "TraceEventType",
     "TraceRecord",

@@ -18,7 +18,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["RandomStreamFactory", "spawn_generators", "generator_from"]
+__all__ = ["RandomStreamFactory"]
 
 
 def _label_key(label: str) -> int:
@@ -30,23 +30,6 @@ def _label_key(label: str) -> int:
     processes of the parallel experiment runner.
     """
     return zlib.crc32(label.encode("utf-8")) & 0xFFFFFFFF
-
-
-def generator_from(seed: int | np.random.SeedSequence | np.random.Generator | None) -> np.random.Generator:
-    """Coerce a seed / seed sequence / generator / ``None`` into a generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def spawn_generators(
-    seed: int | np.random.SeedSequence | None, count: int
-) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent generators from one seed."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in base.spawn(count)]
 
 
 class RandomStreamFactory:

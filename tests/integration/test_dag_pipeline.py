@@ -1,6 +1,6 @@
-"""Integration: a `repro.dag` campaign reproduces `run_figure` bit-for-bit.
+"""Integration: a stored campaign reproduces `run_figure` bit-for-bit.
 
-The acceptance test of the `repro.dag` subsystem: running a campaign
+The acceptance test of `repro.campaign.execute`: running a campaign
 through `run_pipeline` must produce (1) the same cell records and
 exports as the pre-DAG `run_figure` path, byte for byte; (2) a second
 identical run that performs **zero** solves, serves every unit from its
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignManifest
-from repro.dag import run_pipeline
+from repro.campaign import CampaignManifest, run_pipeline
 from repro.experiments import ResultStore, aggregate_seeds, run_figure
 
 SEEDS = (0, 1)

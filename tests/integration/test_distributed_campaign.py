@@ -15,8 +15,7 @@ import math
 
 import pytest
 
-from repro.campaign import CampaignManifest, merge_stores, plan
-from repro.dag import execute_solves
+from repro.campaign import CampaignManifest, execute_solves, merge_stores, plan
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     ResultStore,

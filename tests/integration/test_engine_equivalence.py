@@ -18,9 +18,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignManifest, expand_units
+from repro.campaign import CampaignManifest, execute_solves, expand_units
 from repro.cli import main
-from repro.dag import execute_solves
 from repro.batch import InstanceStack
 from repro.exceptions import InvalidInstanceError
 from repro.experiments import BlockRun, ResultStore, execute_blocks, run_figure, run_scenario
@@ -153,17 +152,15 @@ class TestBlockVsOracle:
         )
 
     def test_parallel_blocks_go_through_steal_dispatch(self, monkeypatch):
-        from repro.dag import scheduler
-
         executed = []
-        original = scheduler.steal_dispatch
+        original = runner_module.steal_dispatch
 
         def counting(*args, **kwargs):
             report = original(*args, **kwargs)
             executed.append(report.executed)
             return report
 
-        monkeypatch.setattr(scheduler, "steal_dispatch", counting)
+        monkeypatch.setattr(runner_module, "steal_dispatch", counting)
         scenario = _small_scenario(repetitions=2)
         result = run_scenario(scenario, seed=11, workers=2)
         # One dispatch loop ran every (sweep point, curve) block.

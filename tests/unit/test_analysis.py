@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import repro
 from repro.analysis import (
     NormalizationReport,
     Series,
@@ -19,6 +23,7 @@ from repro.analysis import (
     series_to_csv,
     summarize,
 )
+from repro.analysis.stats import _t_critical
 
 
 class TestSummarize:
@@ -37,6 +42,42 @@ class TestSummarize:
         assert narrow.ci_high == narrow.mean + scipy_stats.t.ppf(0.95, 3) * sem
         assert narrow.ci_low == narrow.mean - scipy_stats.t.ppf(0.95, 3) * sem
         assert narrow.ci_high < s.ci_high
+
+    @pytest.mark.parametrize(
+        ("confidence", "df", "expected"),
+        [
+            (0.9, 1, 6.313751514675037),
+            (0.9, 29, 1.6991270265334972),
+            (0.95, 3, 3.1824463052837078),
+            (0.95, 9, 2.262157162798205),
+            (0.95, 99, 1.9842169515864174),
+            (0.99, 2, 9.924843200918287),
+        ],
+    )
+    def test_t_critical_values(self, confidence, df, expected):
+        # Two-sided Student t quantiles, as scipy.stats.t.ppf gives them.
+        assert _t_critical(confidence, df) == expected
+
+    def test_ci_needs_no_scipy_stats(self):
+        # A figure report with confidence intervals loads scipy.special's
+        # inverse t CDF only; scipy.stats takes about a second to import.
+        code = (
+            "import sys\n"
+            "from repro.experiments import figure_report, run_figure\n"
+            "result = run_figure('fig6', seed=0, repetitions=2, max_points=1,\n"
+            "                    include_milp=False)\n"
+            "assert figure_report(result)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_single_sample(self):
         s = summarize([5.0])

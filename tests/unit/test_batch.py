@@ -18,11 +18,8 @@ from hypothesis import strategies as st
 from repro.batch import (
     InstanceStack,
     MappingEvaluator,
-    batch_critical_machines,
-    batch_expected_products,
     batch_machine_periods,
     batch_periods,
-    batch_throughputs,
     evaluate_batch,
 )
 from repro.batch.evaluation import as_assignment_array
@@ -95,7 +92,7 @@ class TestBatchEquivalence:
         assignments = rng.integers(0, instance.num_machines, size=(8, instance.num_tasks))
         _assert_batch_matches_scalar(instance, assignments)
         # With no failures every x is exactly 1.
-        assert np.all(batch_expected_products(instance, assignments) == 1.0)
+        assert np.all(evaluate_batch(instance, assignments).expected_products == 1.0)
 
     def test_near_one_failure_probability_edge_case(self):
         rng = np.random.default_rng(6)
@@ -123,10 +120,6 @@ class TestBatchEquivalence:
             batch_machine_periods(instance, assignments), batch.machine_periods
         )
         assert np.array_equal(batch_periods(instance, assignments), batch.periods)
-        assert np.array_equal(batch_throughputs(instance, assignments), batch.throughputs)
-        assert np.array_equal(
-            batch_critical_machines(instance, assignments), batch.critical_mask
-        )
 
     def test_best_index_and_evaluation_view(self):
         rng = np.random.default_rng(9)

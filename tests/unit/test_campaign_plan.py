@@ -11,6 +11,7 @@ from repro.campaign import (
     CampaignManifest,
     ShardPlan,
     WorkUnit,
+    execute_solves,
     expand_units,
     load_plan,
     load_shard_plans,
@@ -21,7 +22,6 @@ from repro.campaign import (
     status_rows,
     write_plans,
 )
-from repro.dag import execute_solves
 from repro.exceptions import ExperimentError
 from repro.experiments import FIGURES, ResultStore
 
@@ -141,7 +141,11 @@ class TestPlanFiles:
         manifest = _manifest()
         written = write_plans(manifest, tmp_path / "plans", shards=2, by="block")
         assert len(written) == 2
-        assert (tmp_path / "plans" / "campaign.json").exists()
+        # The shard files are the whole planner output.
+        assert sorted(path.name for path in (tmp_path / "plans").iterdir()) == [
+            "shard_0.json",
+            "shard_1.json",
+        ]
         path, written_plan = written[1]
         assert written_plan == plan(manifest, shards=2, by="block")[1]
         shard = load_plan(path)
@@ -150,17 +154,12 @@ class TestPlanFiles:
         assert shard.manifest == manifest
         assert shard.units == plan(manifest, shards=2, by="block")[1].units
 
-    def test_load_campaign_manifest_with_coordinates(self, tmp_path):
-        manifest = _manifest()
-        write_plans(manifest, tmp_path / "plans", shards=2, by="block")
-        campaign = tmp_path / "plans" / "campaign.json"
-        shard = load_plan(campaign, shard=(0, 2))
-        assert shard.units == plan(manifest, shards=2, by="block")[0].units
-        # Planned-for-N campaign files refuse to run without coordinates.
-        with pytest.raises(ExperimentError):
-            load_plan(campaign)
-        with pytest.raises(ExperimentError):
-            load_plan(campaign, shard=(5, 2))
+    def test_load_plan_rejects_a_campaign_manifest(self, tmp_path):
+        # A worker runs only an explicit unit list; it never re-plans.
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(_manifest().to_dict()), encoding="utf-8")
+        with pytest.raises(ExperimentError, match="not a shard plan"):
+            load_plan(path)
 
     def test_shard_file_rejects_units_outside_the_campaign(self, tmp_path):
         (path, _), _ = write_plans(_manifest(), tmp_path / "plans", shards=2, by="seed")
@@ -170,46 +169,6 @@ class TestPlanFiles:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ExperimentError, match="not part of this campaign"):
             load_plan(path)
-
-    def test_shard_file_rejects_wrong_coordinates(self, tmp_path):
-        (path, _), _ = write_plans(_manifest(), tmp_path / "plans", shards=2, by="seed")
-        with pytest.raises(ExperimentError):
-            load_plan(path, shard=(1, 2))
-
-    def test_shard_file_rejects_conflicting_axis(self, tmp_path):
-        (path, _), _ = write_plans(_manifest(), tmp_path / "plans", shards=2, by="block")
-        assert load_plan(path, by="block").by == "block"
-        with pytest.raises(ExperimentError):
-            load_plan(path, by="seed")
-
-    def test_campaign_file_rejects_conflicting_axis(self, tmp_path):
-        # Two hosts partitioning one campaign along different axes would
-        # not tile its units; the recorded axis is pinned like the count.
-        write_plans(_manifest(), tmp_path / "plans", shards=2, by="block")
-        campaign = tmp_path / "plans" / "campaign.json"
-        with pytest.raises(ExperimentError):
-            load_plan(campaign, shard=(0, 2), by="seed")
-        assert load_plan(campaign, shard=(0, 2), by="block").by == "block"
-        # A hand-written manifest records no axis: --by is then free.
-        plain = tmp_path / "plain.json"
-        plain.write_text(json.dumps(_manifest().to_dict()), encoding="utf-8")
-        assert load_plan(plain, shard=(1, 2), by="curve").by == "curve"
-
-    def test_campaign_file_rejects_different_shard_count(self, tmp_path):
-        # Accepting 0/8 against a 4-shard plan would silently re-partition
-        # the campaign and leave units uncovered across the fleet.
-        write_plans(_manifest(), tmp_path / "plans", shards=4, by="block")
-        campaign = tmp_path / "plans" / "campaign.json"
-        with pytest.raises(ExperimentError):
-            load_plan(campaign, shard=(0, 8))
-        assert load_plan(campaign, shard=(0, 4)).shards == 4
-
-    def test_plain_campaign_manifest_defaults_to_single_shard(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        path.write_text(json.dumps(_manifest().to_dict()), encoding="utf-8")
-        shard = load_plan(path)
-        assert shard.shards == 1
-        assert len(shard.units) == len(expand_units(_manifest()))
 
 
 class TestShardSolves:
@@ -281,17 +240,31 @@ class TestShardStatus:
         manifest = _manifest()
         written = write_plans(manifest, tmp_path / "plans", shards=2, by="block")
         by_dir = load_shard_plans(tmp_path / "plans")
-        by_campaign = load_shard_plans(tmp_path / "plans" / "campaign.json")
         assert [s.units for s in by_dir] == [shard.units for _, shard in written]
-        assert [s.units for s in by_campaign] == [s.units for s in by_dir]
         single = load_shard_plans(written[1][0])
         assert len(single) == 1
         assert single[0].units == written[1][1].units
 
     def test_load_shard_plans_rejects_a_planless_directory(self, tmp_path):
         (tmp_path / "empty").mkdir()
-        with pytest.raises(ExperimentError, match="campaign.json"):
+        with pytest.raises(ExperimentError, match="no shard_"):
             load_shard_plans(tmp_path / "empty")
+
+    def test_load_shard_plans_rejects_a_missing_shard(self, tmp_path):
+        written = write_plans(_manifest(), tmp_path / "plans", shards=3, by="block")
+        written[1][0].unlink()
+        with pytest.raises(ExperimentError, match=r"shard\(s\) \[0, 2\] of a 3-shard plan"):
+            load_shard_plans(tmp_path / "plans")
+
+    def test_load_shard_plans_rejects_shards_of_two_plans(self, tmp_path):
+        # shard_1.json of another campaign, dropped into the directory
+        # of a 2-shard plan: indices 0..1 are present but do not tile
+        # one campaign.
+        write_plans(_manifest(), tmp_path / "plans", shards=2, by="block")
+        write_plans(_manifest(repetitions=3), tmp_path / "other", shards=2, by="block")
+        (tmp_path / "other" / "shard_1.json").replace(tmp_path / "plans" / "shard_1.json")
+        with pytest.raises(ExperimentError, match="different plans"):
+            load_shard_plans(tmp_path / "plans")
 
     def test_status_rows_pairs_stores_with_shards(self, tmp_path):
         manifest = _manifest(seeds=(0,))

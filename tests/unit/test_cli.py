@@ -544,13 +544,15 @@ def _plan_args(out_dir, extra=()) -> list[str]:
 
 
 class TestShardCommands:
-    def test_plan_writes_campaign_and_shard_files(self, tmp_path, capsys):
+    def test_plan_writes_only_shard_files(self, tmp_path, capsys):
         out = tmp_path / "plans"
         assert main(_plan_args(out)) == 0
         output = capsys.readouterr().out
         assert "2 shard(s)" in output
-        assert (out / "campaign.json").exists()
-        assert (out / "shard_0.json").exists() and (out / "shard_1.json").exists()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "shard_0.json",
+            "shard_1.json",
+        ]
 
     def test_shard_run_and_merge_match_single_host(self, tmp_path, capsys):
         out = tmp_path / "plans"
@@ -586,31 +588,35 @@ class TestShardCommands:
         main(["export", "--store", str(single), "fig6", "--seed", "0", "--csv"])
         assert merged_csv == capsys.readouterr().out
 
-    def test_shard_run_from_campaign_manifest_coordinates(self, tmp_path, capsys):
-        out = tmp_path / "plans"
-        main(_plan_args(out))
-        capsys.readouterr()
-        code = main(
+    def test_shard_run_takes_only_a_shard_file(self, tmp_path, capsys):
+        # A campaign manifest (here the one `dag run` records in its
+        # store) is no shard: `shard run` never re-plans.
+        store_dir = tmp_path / "store"
+        main(
             [
-                "shard", "run", str(out / "campaign.json"), "--shard", "1/2",
-                "--store", str(tmp_path / "s1"),
+                "dag", "run", "fig6", "--store", str(store_dir),
+                "--repetitions", "1", "--max-points", "1", "--no-milp",
             ]
         )
-        assert code == 0
-        assert "shard 1/2" in capsys.readouterr().out
-
-    def test_shard_run_rejects_bad_coordinates(self, tmp_path, capsys):
-        out = tmp_path / "plans"
-        main(_plan_args(out))
         capsys.readouterr()
         code = main(
             [
-                "shard", "run", str(out / "campaign.json"), "--shard", "two/4",
+                "shard", "run", str(store_dir / CAMPAIGN_FILE),
                 "--store", str(tmp_path / "s"),
             ]
         )
         assert code == 2
-        assert "K/N" in capsys.readouterr().err
+        assert "not a shard plan" in capsys.readouterr().err
+        out = tmp_path / "plans"
+        main(_plan_args(out))
+        for option in (["--shard", "1/2"], ["--by", "block"]):
+            with pytest.raises(SystemExit):
+                main(
+                    [
+                        "shard", "run", str(out / "shard_1.json"), *option,
+                        "--store", str(tmp_path / "s"),
+                    ]
+                )
 
     def test_store_merge_missing_source_fails(self, tmp_path, capsys):
         code = main(

@@ -1,5 +1,6 @@
-"""Unit tests for campaign execution (`repro.dag`): cost model, stealing,
-cell-store resume and exports derived on read."""
+"""Unit tests for campaign execution (`repro.campaign.execute`) and the
+block executor's cost model and stealing: cell-store resume and exports
+derived on read."""
 
 from __future__ import annotations
 
@@ -9,18 +10,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.campaign import CampaignManifest, expand_units, plan
+from repro.campaign import CampaignManifest, PipelineReport, expand_units, plan, run_pipeline
 from repro.cli import STORE_ENV_VAR, main
-from repro.dag import (
-    DispatchReport,
-    PipelineReport,
-    block_cost,
-    classify_curve,
-    provider_cost,
-    run_pipeline,
-    steal_dispatch,
-)
+from repro.experiments.cost import block_cost, classify_curve, provider_cost
 from repro.experiments.providers import MIP_LABEL
+from repro.experiments.runner import DispatchReport, steal_dispatch
 from repro.experiments.store import ResultStore
 
 
@@ -110,7 +104,8 @@ class TestCostBalancedPlan:
         monkeypatch.setattr(plan_module, "expand_units", lambda _: units)
         by_block = {(unit.curve, unit.sweep_value): price for unit, price in prices.items()}
         monkeypatch.setattr(
-            "repro.dag.cost.block_cost",
+            plan_module,
+            "block_cost",
             lambda _, curve, sweep_value: by_block[(curve, sweep_value)],
         )
         shards = plan(manifest, shards=2, by="block")
@@ -361,28 +356,12 @@ class TestDagPlanCli:
         assert self._plan(capsys, manifest_args) == [totals]
 
 
-def test_dag_package_imports_first():
-    # repro.dag and repro.campaign import each other (the scheduler reads
-    # campaign manifests, the planner prices units with repro.dag.cost);
-    # `import repro.dag` in a fresh interpreter — i.e. *before*
-    # repro.campaign — must not hit a circular import.
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-c", "import repro.dag; print(repro.dag.run_pipeline.__name__)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "run_pipeline"
-
-
 def test_serial_figure_run_loads_no_dag_or_campaign_module():
-    # The runner imports the DAG scheduler only for workers > 1: neither
-    # importing it nor a serial run_figure pulls in repro.dag/repro.campaign.
-    # The graph library is no dependency at all, and scipy.stats (the CI
-    # critical value) and scipy.optimize (the MIP) load only when first used.
+    # Imports flow from repro.campaign to repro.experiments, never back:
+    # neither importing the runner nor a serial run_figure pulls in
+    # repro.campaign.  The graph library is no dependency at all,
+    # scipy.stats is never needed (the CI critical value comes from
+    # scipy.special), and scipy.optimize (the MIP) loads only when first used.
     import os
     import subprocess
     import sys
@@ -397,7 +376,7 @@ def test_serial_figure_run_loads_no_dag_or_campaign_module():
         "from repro.experiments.runner import run_figure\n"
         "run_figure('fig6', seed=0, repetitions=1, max_points=1, include_milp=False)\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('repro.dag', 'repro.campaign', 'networkx',\n"
+        "             if m.startswith(('repro.campaign', 'networkx',\n"
         "                              'scipy.stats', 'scipy.optimize'))))\n"
     )
     proc = subprocess.run(

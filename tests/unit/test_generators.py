@@ -13,10 +13,8 @@ from repro.generators import (
     PAPER_W_RANGE,
     ScenarioConfig,
     random_chain_application,
-    random_failure_model,
     random_failure_rates,
     random_in_tree_application,
-    random_platform,
     random_processing_times,
     sample_instance,
 )
@@ -44,12 +42,6 @@ class TestPlatformGenerators:
         with pytest.raises(InvalidPlatformError):
             random_processing_times(types, 2, rng, low=-1.0, high=10.0)
 
-    def test_random_platform_is_valid(self, rng):
-        types = TypeAssignment([0, 1, 1])
-        platform = random_platform(types, 3, rng)
-        assert platform.num_tasks == 3
-        assert platform.num_machines == 3
-
     def test_failure_rates_within_range(self, rng):
         f = random_failure_rates(6, 4, rng)
         assert f.shape == (6, 4)
@@ -64,11 +56,6 @@ class TestPlatformGenerators:
             random_failure_rates(0, 2, rng)
         with pytest.raises(InvalidPlatformError):
             random_failure_rates(2, 2, rng, low=0.5, high=1.5)
-
-    def test_random_failure_model(self, rng):
-        model = random_failure_model(4, 3, rng, low=0.0, high=0.1)
-        assert model.num_tasks == 4
-        assert model.rates.max() <= 0.1
 
     def test_reproducibility(self):
         types = TypeAssignment([0, 1, 0])

@@ -11,6 +11,9 @@ from repro.core.types import TypeAssignment
 from repro.exact.bruteforce import bruteforce_optimal
 from repro.exact.milp import build_milp_model, solve_specialized_milp
 from repro.exceptions import InfeasibleProblemError
+from repro.experiments.figures import FIGURES
+from repro.experiments.providers import BlockChunk
+from repro.simulation.rng import RandomStreamFactory
 from tests.helpers import make_random_instance
 
 
@@ -116,3 +119,14 @@ class TestSolve:
     def test_solve_time_recorded(self, small_instance):
         result = solve_specialized_milp(small_instance)
         assert result.solve_time >= 0.0
+
+    def test_highs_diagnostics_stay_off_stdout(self, capfd):
+        # HiGHS prints "HighsMipSolverData::transformNewIntegerFeasibleSolution
+        # tmpSolver.run();" from C++ straight to file descriptor 1 on this
+        # fig10 instance (n=6, repetition 3 of `run fig10 --repetitions 4
+        # --max-points 4`); `run --csv` output must stay clean.
+        scenario = FIGURES["fig10"].scenario.scaled(repetitions=4, max_points=4)
+        chunk = BlockChunk.sample(scenario, (6,), RandomStreamFactory(0))
+        result = solve_specialized_milp(chunk.instances[3], time_limit=2)
+        assert result.is_optimal
+        assert capfd.readouterr().out == ""

@@ -300,8 +300,7 @@ class TestPropagation:
                 assert record["parent_id"] == solve_span["span_id"]
 
     def test_dag_parallel_block_jobs_join_the_pipeline_trace(self, tmp_path):
-        from repro.campaign import CampaignManifest
-        from repro.dag import run_pipeline
+        from repro.campaign import CampaignManifest, run_pipeline
         from repro.experiments.store import ResultStore
 
         manifest = CampaignManifest(

@@ -51,7 +51,6 @@ class TestExceptionHierarchy:
 
     def test_specific_parents(self):
         assert issubclass(exceptions.MappingRuleViolation, exceptions.InvalidMappingError)
-        assert issubclass(exceptions.SolverUnavailableError, exceptions.SolverError)
 
     def test_catching_base_class(self):
         with pytest.raises(exceptions.ReproError):

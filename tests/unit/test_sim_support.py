@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.simulation.metrics import SimulationMetrics
-from repro.simulation.rng import RandomStreamFactory, generator_from, spawn_generators
+from repro.simulation.rng import RandomStreamFactory
 from repro.simulation.trace import SimulationTrace, TraceEventType
 
 
@@ -94,26 +94,6 @@ class TestTrace:
 
 
 class TestRandomStreams:
-    def test_generator_from_accepts_everything(self):
-        assert isinstance(generator_from(None), np.random.Generator)
-        assert isinstance(generator_from(3), np.random.Generator)
-        gen = np.random.default_rng(0)
-        assert generator_from(gen) is gen
-
-    def test_spawn_generators_independent_and_reproducible(self):
-        a = spawn_generators(42, 3)
-        b = spawn_generators(42, 3)
-        assert len(a) == 3
-        for ga, gb in zip(a, b):
-            assert ga.random() == gb.random()
-        # Different children produce different draws.
-        fresh = spawn_generators(42, 2)
-        assert fresh[0].random() != fresh[1].random()
-
-    def test_spawn_generators_validation(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-
     def test_stream_factory_deterministic_per_label(self):
         f1 = RandomStreamFactory(7)
         f2 = RandomStreamFactory(7)

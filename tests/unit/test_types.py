@@ -10,7 +10,6 @@ from repro.core.platform import Platform
 from repro.core.types import (
     TaskType,
     TypeAssignment,
-    blocked_type_assignment,
     cyclic_type_assignment,
     random_type_assignment,
 )
@@ -111,18 +110,6 @@ class TestGenerativeAssignments:
     def test_cyclic_rejects_more_types_than_tasks(self):
         with pytest.raises(InvalidApplicationError):
             cyclic_type_assignment(2, 3)
-
-    def test_blocked_assignment_is_monotone(self):
-        ta = blocked_type_assignment(10, 3)
-        values = list(ta)
-        assert values == sorted(values)
-        assert ta.used_types() == [0, 1, 2]
-
-    def test_blocked_rejects_bad_dimensions(self):
-        with pytest.raises(InvalidApplicationError):
-            blocked_type_assignment(0, 1)
-        with pytest.raises(InvalidApplicationError):
-            blocked_type_assignment(3, 5)
 
     def test_random_assignment_covers_all_types(self):
         rng = np.random.default_rng(0)
