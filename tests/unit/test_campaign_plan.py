@@ -22,8 +22,10 @@ from repro.campaign import (
     status_rows,
     write_plans,
 )
+from repro.campaign.status import cell_done
 from repro.exceptions import ExperimentError
 from repro.experiments import FIGURES, ResultStore
+from repro.experiments.store import CellRecord
 
 
 def _manifest(**overrides) -> CampaignManifest:
@@ -236,6 +238,29 @@ class TestShardStatus:
         assert status.partial == status.units
         assert status.done == 0 and status.missing == 0
 
+    def test_cell_done_needs_the_full_depth(self):
+        record = CellRecord("fig6", "hash", 0, "H1", 5, repetitions=2, values=[1.0, 2.0])
+        assert not cell_done(None, 1)
+        assert not cell_done(record, 3)
+        assert cell_done(record, 2)
+        assert cell_done(record, 1)
+
+    def test_solves_recompute_what_status_counts_as_partial(self, tmp_path):
+        # execute_solves and shard_status share one hit rule: a shallow
+        # cell is partial to the status and a miss to the solver, and
+        # once re-solved at full depth it is done to both.
+        manifest = _manifest(seeds=(0,))
+        shard = plan(manifest, shards=1, by="seed")[0]
+        shallow = dataclasses.replace(manifest, repetitions=1)
+        with ResultStore(tmp_path / "s") as store:
+            execute_solves(shallow, plan(shallow, shards=1, by="seed")[0].units, store)
+            assert shard_status(shard, store).partial == len(shard.units)
+            deeper = execute_solves(manifest, shard.units, store)
+            assert deeper.hits == 0 and deeper.computed == len(shard.units)
+            assert shard_status(shard, store).complete
+            again = execute_solves(manifest, shard.units, store)
+        assert again.hits == len(shard.units) and again.computed == 0
+
     def test_load_shard_plans_from_planner_outputs(self, tmp_path):
         manifest = _manifest()
         written = write_plans(manifest, tmp_path / "plans", shards=2, by="block")
@@ -254,6 +279,15 @@ class TestShardStatus:
         written = write_plans(_manifest(), tmp_path / "plans", shards=3, by="block")
         written[1][0].unlink()
         with pytest.raises(ExperimentError, match=r"shard\(s\) \[0, 2\] of a 3-shard plan"):
+            load_shard_plans(tmp_path / "plans")
+
+    def test_load_shard_plans_rejects_a_duplicated_shard(self, tmp_path):
+        # A shard file copied under another name: the directory holds
+        # shards 0, 0 and 1, and shard 0 would run twice.
+        write_plans(_manifest(), tmp_path / "plans", shards=2, by="block")
+        copy = tmp_path / "plans" / "shard_9.json"
+        copy.write_bytes((tmp_path / "plans" / "shard_0.json").read_bytes())
+        with pytest.raises(ExperimentError, match=r"shard\(s\) \[0, 0, 1\] of a 2-shard plan"):
             load_shard_plans(tmp_path / "plans")
 
     def test_load_shard_plans_rejects_shards_of_two_plans(self, tmp_path):

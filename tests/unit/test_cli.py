@@ -277,6 +277,16 @@ class TestCampaignCommands:
         assert main(["dag", "run", "--store", str(absent)]) == 2
         assert not absent.exists()
 
+    def test_status_without_manifest_rejected(self, tmp_path, capsys):
+        # `dag status` plans from the campaign `dag run` recorded; a store
+        # holding cells but no campaign.json has nothing to check against.
+        store_dir = tmp_path / "store"
+        main(_campaign_args(store_dir))
+        (store_dir / CAMPAIGN_FILE).unlink()
+        capsys.readouterr()
+        assert main(["dag", "status", "--store", str(store_dir)]) == 2
+        assert f"no {CAMPAIGN_FILE} in {store_dir}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "option",
         [

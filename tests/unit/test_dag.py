@@ -356,6 +356,29 @@ class TestDagPlanCli:
         assert self._plan(capsys, manifest_args) == [totals]
 
 
+def test_campaign_package_imports_first():
+    # repro.campaign imports repro.experiments and never the reverse, so
+    # importing it first in a fresh interpreter needs no import order.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import repro.campaign; print(repro.campaign.run_pipeline.__name__)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "run_pipeline"
+
+
 def test_serial_figure_run_loads_no_dag_or_campaign_module():
     # Imports flow from repro.campaign to repro.experiments, never back:
     # neither importing the runner nor a serial run_figure pulls in

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.core import FailureModel, Platform, ProblemInstance
 from repro.core.application import Application
 from repro.core.types import TypeAssignment
 from repro.exact.bruteforce import bruteforce_optimal
-from repro.exact.milp import build_milp_model, solve_specialized_milp
+from repro.exact.milp import _stdout_to_stderr, build_milp_model, solve_specialized_milp
 from repro.exceptions import InfeasibleProblemError
 from repro.experiments.figures import FIGURES
 from repro.experiments.providers import BlockChunk
@@ -130,3 +132,15 @@ class TestSolve:
         result = solve_specialized_milp(chunk.instances[3], time_limit=2)
         assert result.is_optimal
         assert capfd.readouterr().out == ""
+
+    def test_stdout_redirect_is_undone_when_the_solve_raises(self, capfd):
+        # Inside the block fd 1 writes land on fd 2; an exception out of
+        # the solve must still give the process its stdout back.
+        with pytest.raises(RuntimeError):
+            with _stdout_to_stderr():
+                os.write(1, b"inside\n")
+                raise RuntimeError("solver blew up")
+        os.write(1, b"after\n")
+        captured = capfd.readouterr()
+        assert captured.out == "after\n"
+        assert captured.err == "inside\n"
