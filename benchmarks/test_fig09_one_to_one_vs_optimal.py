@@ -7,6 +7,10 @@ and all heuristics converge towards the optimum as p approaches m.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 from repro.experiments.runner import OTO_LABEL
 
 from .conftest import run_figure_benchmark
@@ -29,3 +33,29 @@ def test_fig09_one_to_one_vs_optimal(benchmark, results_dir):
     oto_mean = result.series[OTO_LABEL].point(low_p).mean
     best = min(result.series[name].point(low_p).mean for name in ("H2", "H3", "H4w"))
     assert best <= 2.0 * oto_mean
+
+
+def test_bench_fig9_cold_process(benchmark, tmp_path):
+    """Key benchmark: a fresh ``python -m repro run fig9`` at one point.
+
+    Mostly imports and the first OtO solve, so a module that a figure
+    run pulls in again (``scipy.sparse`` for the bottleneck assignment,
+    ``scipy.stats`` for a report) shows up here.
+    """
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [
+        sys.executable, "-m", "repro", "run", "fig9",
+        "--repetitions", "1", "--max-points", "1", "--no-milp",
+    ]
+
+    def run():
+        return subprocess.run(
+            command, env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+        )
+
+    proc = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    assert OTO_LABEL in proc.stdout

@@ -66,7 +66,7 @@ class Platform:
         :class:`~repro.exceptions.InvalidPlatformError`.
     """
 
-    __slots__ = ("_w", "_machines", "_types")
+    __slots__ = ("_w", "_names", "_types")
 
     def __init__(
         self,
@@ -91,9 +91,7 @@ class Platform:
         n, m = w.shape
         if names is not None and len(names) != m:
             raise InvalidPlatformError(f"names has {len(names)} entries for {m} machines")
-        self._machines = tuple(
-            Machine(index=u, name=names[u] if names else "") for u in range(m)
-        )
+        self._names = tuple(names) if names else None
 
         if types is not None:
             types.validate_against(n)
@@ -144,10 +142,10 @@ class Platform:
         return self.num_machines
 
     def __iter__(self):
-        return iter(self._machines)
+        return iter(self.machines)
 
     def __getitem__(self, index: int) -> Machine:
-        return self._machines[index]
+        return self.machines[index]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Platform(n={self.num_tasks}, m={self.num_machines})"
@@ -165,8 +163,13 @@ class Platform:
 
     @property
     def machines(self) -> tuple[Machine, ...]:
-        """All machines, indexed by machine index."""
-        return self._machines
+        """All machines, indexed by machine index.
+
+        Built on each call: no solver reads them, so construction skips
+        them and keeps only the names they are made of.
+        """
+        names = self._names or ("",) * self.num_machines
+        return tuple(Machine(index=u, name=name) for u, name in enumerate(names))
 
     @property
     def processing_times(self) -> np.ndarray:
@@ -225,7 +228,7 @@ class Platform:
         """Plain-dict representation (JSON friendly)."""
         return {
             "processing_times": self._w.tolist(),
-            "names": [mach.name for mach in self._machines],
+            "names": [mach.name for mach in self.machines],
         }
 
     @classmethod

@@ -8,11 +8,12 @@ This module provides a from-scratch O(n^2·m) implementation of the
 Hungarian algorithm (Jonker–Volgenant style shortest augmenting paths) for
 rectangular cost matrices with ``n <= m``, plus a *bottleneck* assignment
 solver (minimise the maximum selected cost) used for the task-dependent
-failure case of Figure 9.  The bottleneck solver bisects the distinct
-cost values and decides each threshold with scipy's compiled
-Hopcroft–Karp matching (``scipy.sparse.csgraph.maximum_bipartite_matching``).
-Both are cross-checked against ``scipy.optimize.linear_sum_assignment``
-in the test suite.
+failure case of Figure 9.  The bottleneck solver is the classic
+threshold algorithm: it raises one cost threshold while it grows
+alternating trees, in plain numpy.  The min-sum solver is cross-checked
+against ``scipy.optimize.linear_sum_assignment`` in the test suite, the
+bottleneck solver against a DFS-matching oracle
+(``tests.helpers.dfs_bottleneck_assignment``).
 """
 
 from __future__ import annotations
@@ -127,16 +128,21 @@ def bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
     attached to tasks only), where the period is the max of the per-task
     ``x_i * w[i, a(i)]`` terms.
 
+    Threshold algorithm (Garfinkel 1971): start ``t`` at a lower bound on
+    the optimum, match greedily over the edges ``cost <= t``, then grow an
+    alternating tree from each unmatched row in breadth-first layers.  A
+    tree that reaches a free column augments the matching.  A tree that
+    closes has ``k`` rows whose ``k - 1`` reachable columns are all
+    matched, so by Hall's condition no perfect matching exists at ``t``:
+    ``t`` rises to the cheapest edge leaving the tree and the tree keeps
+    growing.  ``t`` never passes the optimum, and every matched edge costs
+    at most ``t``, so the final ``t`` is the optimal bottleneck value.
+
     Returns
     -------
     numpy.ndarray
         Integer vector ``col`` of length ``n``.
     """
-    # scipy.sparse loads on first use: importing it costs ~30 MB of RSS
-    # in every process that imports repro.exact but never matches.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.size == 0:
         raise SolverError("cost must be a non-empty 2-D matrix")
@@ -148,21 +154,69 @@ def bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise SolverError("cost entries must all be finite")
 
-    thresholds = np.unique(c)
-    lo, hi = 0, thresholds.size - 1
-    best: np.ndarray | None = None
-    # The largest threshold always admits a perfect matching (complete graph).
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        # Column matched to each row, -1 where the row stays unmatched.
-        matching = maximum_bipartite_matching(
-            csr_matrix(c <= thresholds[mid]), perm_type="column"
-        )
-        if (matching >= 0).all():
-            best = matching.astype(np.int64)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise SolverError("no perfect matching found (internal error)")
-    return best
+    # Every row needs some column; with n == m every column also needs a
+    # row.  With n < m some columns stay free, so their minima bound nothing.
+    threshold = c.min(axis=1).max()
+    if n == m:
+        threshold = max(threshold, c.min(axis=0).max())
+    # Greedy start in plain Python: one pass over each row's admissible
+    # columns beats a numpy call per row.
+    rows, cols = np.nonzero(c <= threshold)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    greedy = [-1] * n
+    owner = [-1] * m
+    for row in range(n):
+        for col in cols[starts[row] : starts[row + 1]]:
+            if owner[col] < 0:
+                owner[col] = row
+                greedy[row] = col
+                break
+    col_of_row = np.array(greedy, dtype=np.int64)
+    row_of_col = np.array(owner, dtype=np.int64)
+    for root in np.flatnonzero(col_of_row < 0):
+        threshold = _augment_from(c, threshold, int(root), col_of_row, row_of_col)
+    return col_of_row
+
+
+def _augment_from(
+    c: np.ndarray,
+    threshold: float,
+    root: int,
+    col_of_row: np.ndarray,
+    row_of_col: np.ndarray,
+) -> float:
+    """Match the free row ``root``, raising ``threshold`` as needed.
+
+    Updates the matching in place and returns the (possibly raised)
+    threshold.
+    """
+    m = c.shape[1]
+    # Tree row each tree column was reached from; -1 outside the tree.
+    parent = np.full(m, -1, dtype=np.int64)
+    tree_rows = [root]
+    frontier = np.array(tree_rows, dtype=np.int64)
+    while True:
+        outside = (parent < 0).nonzero()[0]
+        reach = c[frontier[:, None], outside] <= threshold
+        reached = reach.any(axis=0)
+        if not reached.any():
+            # The tree is closed: raise the threshold to its cheapest
+            # outgoing edge and rescan from every tree row.
+            frontier = np.array(tree_rows, dtype=np.int64)
+            threshold = c[frontier[:, None], outside].min()
+            continue
+        cols = outside[reached]
+        parent[cols] = frontier[reach[:, reached].argmax(axis=0)]
+        free = cols[row_of_col[cols] < 0]
+        if free.size:
+            col = int(free[0])
+            while col >= 0:
+                row = parent[col]
+                previous = col_of_row[row]
+                col_of_row[row] = col
+                row_of_col[col] = row
+                col = previous
+            return threshold
+        frontier = row_of_col[cols]
+        tree_rows.extend(frontier.tolist())

@@ -146,9 +146,11 @@ def lexsort_first_feasible(
 def dfs_bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
     """Bottleneck assignment by threshold bisection and DFS augmenting paths.
 
-    A pure-Python oracle for :func:`repro.exact.hungarian.bottleneck_assignment`:
-    the same ``np.unique`` threshold bisection, each threshold decided by
-    Kuhn's recursive augmenting-path matching.
+    A pure-Python oracle for :func:`repro.exact.hungarian.bottleneck_assignment`,
+    built independently of it: bisect the distinct cost values
+    (``np.unique``) and decide each threshold with Kuhn's recursive
+    augmenting-path matching.  The two may return different matchings,
+    but always the same bottleneck value.
     """
     c = np.asarray(cost, dtype=np.float64)
     n, m = c.shape

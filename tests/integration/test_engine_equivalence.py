@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.experiments import BlockRun, ResultStore, execute_blocks, run_figure,
 from repro.experiments import providers as providers_module
 from repro.experiments import runner as runner_module
 from repro.experiments.figures import FIGURES
-from repro.experiments.providers import BlockChunk, HeuristicProvider
+from repro.experiments.providers import MIP_LABEL, BlockChunk, HeuristicProvider
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
 from repro.heuristics.base import BATCH_MIN_ROWS
@@ -126,10 +127,16 @@ class TestBlockVsOracle:
 
     @pytest.mark.slow
     def test_fig10_reduced_identical_including_milp(self):
-        _assert_identical(
-            _oracle(_figure_scenario("fig10", repetitions=2, max_points=2), 1),
-            run_figure("fig10", seed=1, repetitions=2, max_points=2).series,
-        )
+        # n=2 and n=8: every MIP proves optimality in under 0.5 s, far
+        # inside the 30 s wall-clock limit, so neither side can time out
+        # where the other proves.  (At n=16 one run could get a NaN cell.)
+        scenario = replace(_figure_scenario("fig10", repetitions=2), sweep_values=(2, 8))
+        expected = _oracle(scenario, 1)
+        actual = run_scenario(scenario, seed=1).series
+        for series in (expected, actual):
+            cells = [v for x in scenario.sweep_values for v in series[MIP_LABEL].samples[x]]
+            assert len(cells) == 4 and all(math.isfinite(v) for v in cells)
+        _assert_identical(expected, actual)
 
     @pytest.mark.slow
     def test_fig5_reduced_identical(self):

@@ -14,12 +14,16 @@ from repro.core import (
 )
 from repro.exact import one_to_one
 from repro.exact.bruteforce import bruteforce_optimal
+from repro.exact.hungarian import bottleneck_assignment
 from repro.exact.one_to_one import (
     optimal_one_to_one,
     optimal_one_to_one_homogeneous,
     optimal_one_to_one_task_dependent,
 )
 from repro.exceptions import InfeasibleProblemError, SolverError
+from repro.experiments.figures import FIGURES
+from repro.generators.scenarios import sample_instance
+from repro.simulation.rng import RandomStreamFactory
 from tests.helpers import dfs_bottleneck_assignment, make_random_instance
 
 
@@ -102,8 +106,69 @@ def _tied_task_dependent_instance(n: int, m: int, seed: int) -> ProblemInstance:
     return ProblemInstance(app, Platform(w, types=app.types), FailureModel(np.zeros((n, m))))
 
 
-class TestCompiledBottleneckMatching:
-    """The scipy-matched bottleneck optimum equals the DFS matching's."""
+def _assert_same_bottleneck_as_dfs(cost: np.ndarray) -> None:
+    n, m = cost.shape
+    columns = bottleneck_assignment(cost)
+    assert columns.shape == (n,)
+    assert columns.min() >= 0 and columns.max() < m
+    assert len(set(columns.tolist())) == n  # an injection
+    oracle = dfs_bottleneck_assignment(cost)
+    rows = np.arange(n)
+    assert cost[rows, columns].max() == cost[rows, oracle].max()
+
+
+class TestThresholdBottleneckMatching:
+    """The threshold algorithm's bottleneck value equals the DFS oracle's."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_floats(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        m = n + int(rng.integers(0, 4))
+        _assert_same_bottleneck_as_dfs(rng.uniform(0.0, 10.0, size=(n, m)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_integer_costs_with_ties(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(1, 9))
+        m = n + int(rng.integers(0, 4))
+        _assert_same_bottleneck_as_dfs(rng.integers(0, 4, size=(n, m)).astype(np.float64))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fewer_rows_than_columns(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(1, 6))
+        _assert_same_bottleneck_as_dfs(rng.uniform(0.0, 1.0, size=(n, 2 * n + 1)))
+
+    def test_column_minima_do_not_bound_a_rectangular_optimum(self):
+        # Column 2 is never needed: its minimum (9) is no lower bound.
+        cost = np.array([[1.0, 2.0, 9.0], [2.0, 1.0, 9.0]])
+        columns = bottleneck_assignment(cost)
+        assert columns.tolist() == [0, 1]
+        _assert_same_bottleneck_as_dfs(cost)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_row(self, seed):
+        cost = np.random.default_rng(300 + seed).uniform(0.0, 1.0, size=(1, 7))
+        assert bottleneck_assignment(cost).tolist() == [int(cost.argmin())]
+        _assert_same_bottleneck_as_dfs(cost)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 6)])
+    def test_all_equal(self, shape):
+        _assert_same_bottleneck_as_dfs(np.full(shape, 2.5))
+
+    def test_fig9_period_equals_the_dfs_oracle_at_every_sweep_point(self, monkeypatch):
+        scenario = FIGURES["fig9"].scenario
+        streams = RandomStreamFactory(11)
+        for types in scenario.sweep_values:
+            for repetition in range(2):
+                inst = sample_instance(scenario, types, repetition, streams)
+                period = optimal_one_to_one(inst).period
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        one_to_one, "bottleneck_assignment", dfs_bottleneck_assignment
+                    )
+                    assert optimal_one_to_one(inst).period == period, (types, repetition)
 
     @staticmethod
     def instances():
@@ -123,6 +188,32 @@ class TestCompiledBottleneckMatching:
             with monkeypatch.context() as patch:
                 patch.setattr(one_to_one, "bottleneck_assignment", dfs_bottleneck_assignment)
                 assert optimal_one_to_one(inst).period == result.period
+
+
+def test_fig9_run_loads_no_sparse_module():
+    # The bottleneck assignment is numpy-only: a fig9 run with the OtO
+    # baseline leaves scipy.sparse (~0.25 s and ~25 MB to import) unloaded.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from repro.experiments.runner import run_figure\n"
+        "result = run_figure('fig9', seed=0, repetitions=1, max_points=1, include_milp=False)\n"
+        "assert 'OtO' in result.series\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDispatcher:

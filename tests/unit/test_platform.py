@@ -54,6 +54,23 @@ class TestPlatformConstruction:
         with pytest.raises(InvalidPlatformError):
             Platform([[1.0, 2.0]], names=["only-one"])
 
+    def test_machines_are_built_from_the_names(self):
+        named = Platform([[1.0, 2.0]], names=["a", "b"])
+        assert named.machines == (Machine(0, "a"), Machine(1, "b"))
+        assert list(named) == list(named.machines)
+        unnamed = Platform([[1.0, 2.0, 3.0]])
+        assert unnamed.machines == (Machine(0), Machine(1), Machine(2))
+        assert unnamed[2] == Machine(2)
+        assert unnamed.to_dict()["names"] == ["", "", ""]
+
+    def test_pickle_keeps_the_names(self):
+        import pickle
+
+        p = Platform([[1.0, 2.0]], names=["a", "b"])
+        clone = pickle.loads(pickle.dumps(p))
+        assert clone.machines == p.machines
+        assert np.array_equal(clone.processing_times, p.processing_times)
+
     def test_matrix_is_read_only_copy(self):
         raw = np.array([[1.0, 2.0]])
         p = Platform(raw)
