@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from repro.campaign import CampaignManifest, expand_units, plan, run_pipeline
 from repro.experiments import ResultStore
@@ -50,8 +51,7 @@ def _dispatch_seconds(queues: list[list[float]], *, steal: bool) -> tuple[float,
     with ThreadPoolExecutor(max_workers=SLOTS) as pool:
         start = time.perf_counter()
         report = steal_dispatch(
-            pool,
-            time.sleep,
+            partial(pool.submit, time.sleep),
             queues,
             [list(queue) for queue in queues],
             slots=SLOTS,

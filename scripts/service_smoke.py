@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke check of the solve service, end to end over real HTTP.
 
-Two phases, each against a fresh ``microrepro serve`` subprocess on a
+Four phases, each against a fresh ``microrepro serve`` subprocess on a
 free port:
 
 **Phase 1 — mixed traffic through the worker pool** (``--workers 2``):
@@ -39,6 +39,15 @@ through a 2-process worker pool, and asserts:
   group and to the pool worker's solve under one trace id — across the
   process boundary.
 
+**Phase 4 — a killed worker** (``--workers 1``): SIGKILLs the served
+process's one pool worker, and asserts:
+
+* the next solve fails with HTTP 500 (no wrong answer);
+* ``/v1/healthz`` answers 503 ``degraded`` while ``/v1/stats`` still
+  answers;
+* SIGTERM still stops the server with exit code 0 and no worker
+  process left behind.
+
 Exit code 0 on success; any assertion or timeout kills the server and
 exits non-zero.  Runs from a source checkout::
 
@@ -47,6 +56,7 @@ exits non-zero.  Runs from a source checkout::
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import queue
@@ -54,8 +64,10 @@ import re
 import subprocess
 import sys
 import tempfile
+import signal
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -440,10 +452,82 @@ def phase_telemetry() -> bool:
     return report(checks)
 
 
+def child_pids(parent: int) -> list[int]:
+    """PIDs whose parent is ``parent``, read from ``/proc``."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:
+            continue
+        fields = stat[stat.rfind(")") + 2 :].split()
+        if fields and int(fields[1]) == parent:
+            children.append(int(entry.name))
+    return children
+
+
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rfind(")") + 2 :].split()[0] != "Z"
+
+
+def http_status(url: str, method: str, path: str, payload=None) -> tuple[int, dict]:
+    """One raw exchange: ``(status, JSON body)``, whatever the status."""
+    connection = http.client.HTTPConnection(urllib.parse.urlsplit(url).netloc, timeout=30)
+    try:
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def phase_killed_worker() -> bool:
+    """Phase 4: SIGKILL the pool's worker; solves fail, health degrades."""
+    print("== phase 4: a killed pool worker, --workers 1 ==")
+    process, url = start_server("--workers", "1")
+    try:
+        # The pool is warmed before the announcement: its one worker is
+        # the server's only child.
+        workers = child_pids(process.pid)
+        if len(workers) != 1:
+            print(f"FAIL: expected one pool worker, found {workers}")
+            return False
+        os.kill(workers[0], signal.SIGKILL)
+        solve_status, solve = http_status(url, "POST", "/v1/solve", burst_requests()[0])
+        print("solve after the kill:", solve_status, solve)
+        health_status, health = http_status(url, "GET", "/v1/healthz")
+        stats = stats_of(url)
+        print("healthz:", health_status, health)
+        process.send_signal(signal.SIGTERM)
+        exit_code = process.wait(timeout=30)
+        deadline = time.time() + 30.0
+        while any(running(pid) for pid in workers) and time.time() < deadline:
+            time.sleep(0.05)
+        return report(
+            [
+                (solve_status == 500, "a solve on the broken pool fails with 500"),
+                (health_status == 503, "healthz answers 503"),
+                (health.get("status") == "degraded", "healthz reports degraded"),
+                (stats["service"]["errors"] == 1, "/v1/stats still answers"),
+                (exit_code == 0, "SIGTERM still exits 0"),
+                (not any(running(pid) for pid in workers), "no worker left behind"),
+            ]
+        )
+    finally:
+        stop_server(process)
+
+
 def main() -> int:
     ok = phase_mixed_traffic()
     ok = phase_overload() and ok
     ok = phase_telemetry() and ok
+    ok = phase_killed_worker() and ok
     return 0 if ok else 1
 
 

@@ -179,8 +179,7 @@ def execute_solves(
         runs,
         record_solve,
         milp_time_limit=manifest.milp_time_limit,
-        workers=workers if workers is not None else manifest.workers,
-        memoize=manifest.memoize_instances,
+        workers=workers,
     )
     report.elapsed_seconds += time.perf_counter() - start
     return report

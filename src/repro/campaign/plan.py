@@ -112,12 +112,12 @@ def parse_seed_spec(spec: str | int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class CampaignManifest:
-    """Everything that defines a campaign's results (plus worker knobs).
+    """Everything that defines a campaign's results, and nothing else.
 
-    The first block of fields determines *what* is computed — they are
-    part of the plan's identity and must match between planner and
-    workers.  ``workers`` and ``memoize_instances`` only affect how fast
-    a host computes its shard and may differ per host.
+    Every field determines *what* is computed: the manifest is the
+    plan's identity and must match between planner and workers.  How
+    fast a host computes (its ``workers``) is an argument of each
+    execution, never recorded here.
     """
 
     figures: tuple[str, ...]
@@ -127,8 +127,6 @@ class CampaignManifest:
     no_milp: bool = False
     milp_time_limit: float = 30.0
     optional_curves: bool = False
-    workers: int | None = None
-    memoize_instances: bool = False
 
     def __post_init__(self) -> None:
         if not self.figures:

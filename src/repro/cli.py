@@ -160,8 +160,8 @@ def _add_figure_axes(parser: argparse.ArgumentParser, *, nargs: str = "+") -> No
 def _add_manifest_arguments(parser: argparse.ArgumentParser, *, run_knobs: bool) -> None:
     """The campaign-manifest knobs of ``run``, ``shard plan`` and ``dag plan/run``.
 
-    ``run_knobs`` adds ``--workers`` and ``--memoize-instances``, which
-    change how fast a run computes, never what it computes.
+    ``run_knobs`` adds ``--workers``, which changes how fast a run
+    computes, never what it computes.
     """
     parser.add_argument(
         "--repetitions", type=int, default=None, help="repetitions per sweep point"
@@ -189,14 +189,6 @@ def _add_manifest_arguments(parser: argparse.ArgumentParser, *, run_knobs: bool)
                 "run repetition blocks on a process pool of this size (heuristic/OtO "
                 "curves match the serial run exactly; MIP cells may time out "
                 "under CPU oversubscription)"
-            ),
-        )
-        parser.add_argument(
-            "--memoize-instances",
-            action="store_true",
-            help=(
-                "cache sampled instances per process (pays off with --workers, "
-                "where curve jobs share each sweep point's instances)"
             ),
         )
 
@@ -659,7 +651,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         include_milp=False if args.no_milp else None,
         milp_time_limit=args.milp_time_limit,
         workers=args.workers,
-        memoize_instances=args.memoize_instances,
         include_optional=args.optional_curves,
     )
     if args.csv:
@@ -782,9 +773,7 @@ def _manifest(args: argparse.Namespace) -> CampaignManifest:
         max_points=args.max_points,
         no_milp=bool(args.no_milp),
         milp_time_limit=args.milp_time_limit,
-        workers=getattr(args, "workers", None),
         optional_curves=bool(args.optional_curves),
-        memoize_instances=bool(getattr(args, "memoize_instances", False)),
     )
 
 
@@ -800,11 +789,6 @@ def _cmd_dag_plan(args: argparse.Namespace) -> int:
             status = shard_status(plan(manifest, shards=1)[0], store)
         print(f"store at {store_path}: {status.done}/{status.units} unit(s) stored")
     return 0
-
-
-#: Manifest fields a ``dag run`` may change without describing another
-#: campaign: the figure axis (which it extends) and the worker count.
-_FREE_FIELDS = ("figures", "workers")
 
 
 def _option(name: str) -> str:
@@ -848,37 +832,32 @@ def _store_campaign(store_path: Path) -> CampaignManifest:
 def _stored_manifest(args: argparse.Namespace, store_path: Path) -> CampaignManifest:
     """The campaign in ``store_path``'s ``campaign.json`` (``dag run`` without figures).
 
-    Every manifest field but ``figures`` and ``workers`` is a ``dag run``
-    option of the same name; named on the command line, even at its
-    default, it would describe a new campaign, so the resume form
-    rejects it.
+    Every manifest field but ``figures`` is a ``dag run`` option of the
+    same name; named on the command line, even at its default, it would
+    describe a new campaign, so the resume form rejects it.
     """
     named = _named_run_options(args.argv)
     given = [
         _option(field.name)
         for field in dataclasses.fields(CampaignManifest)
-        if field.name not in _FREE_FIELDS and field.name in named
+        if field.name != "figures" and field.name in named
     ]
     if given:
         raise ExperimentError(
             f"{', '.join(given)} describe a new campaign: name its figures "
             "('dag run FIGS ...'), or drop them to resume the stored one"
         )
-    manifest = _store_campaign(store_path)
-    if args.workers is not None:
-        manifest = dataclasses.replace(manifest, workers=args.workers)
-    return manifest
+    return _store_campaign(store_path)
 
 
 def _recorded_campaign(manifest: CampaignManifest, store_path: Path) -> CampaignManifest:
     """The campaign ``dag run FIGS`` leaves in a store's ``campaign.json``.
 
     A store records one campaign.  Figures named with the stored
-    campaign's options (only ``workers`` may change) extend it: the
-    stored figures come first, then the new ones.  A run with other
-    options still runs into the store, whose cells serve any campaign
-    that needs them, but the recorded campaign stays as it was, and a
-    note names the options that differ.
+    campaign's options extend it: the stored figures come first, then
+    the new ones.  A run with other options still runs into the store,
+    whose cells serve any campaign that needs them, but the recorded
+    campaign stays as it was, and a note names the options that differ.
     """
     manifest_path = store_path / CAMPAIGN_FILE
     if not manifest_path.exists():
@@ -888,7 +867,7 @@ def _recorded_campaign(manifest: CampaignManifest, store_path: Path) -> Campaign
         f"{_option(field.name)} (stored {getattr(stored, field.name)!r}, "
         f"given {getattr(manifest, field.name)!r})"
         for field in dataclasses.fields(CampaignManifest)
-        if field.name not in _FREE_FIELDS
+        if field.name != "figures"
         and getattr(stored, field.name) != getattr(manifest, field.name)
     ]
     if differing:
@@ -918,7 +897,7 @@ def _cmd_dag_run(args: argparse.Namespace) -> int:
         run = run_pipeline(
             manifest,
             store,
-            workers=manifest.workers,
+            workers=args.workers,
             resume=not args.no_resume,
             log=lambda line: print(line, flush=True),
         )

@@ -28,13 +28,18 @@ tests hold every mode to a per-instance ``Heuristic.solve`` oracle bit
 for bit.
 
 Blocks are independent, so the executor can also fan them out over a
-process pool (``workers=N``) through the work-stealing dispatcher
-:func:`steal_dispatch`: one queue per run, each block priced by
-:func:`repro.experiments.cost.block_cost`, and — when tracing is on —
-each job carrying the dispatching trace context, so the workers' spans
-join the caller's trace.  Every block re-derives its random streams from the
-root seed through :class:`~repro.simulation.rng.RandomStreamFactory` —
-whose label hashing is process-independent — and results are folded
+:class:`~repro.workers.WorkerPool` (``workers=N``) through the
+work-stealing dispatcher :func:`steal_dispatch`: one queue per run, each
+block priced by :func:`repro.experiments.cost.block_cost`, each job one
+:func:`~repro.workers.run_traced` call of :func:`_score_block` — which
+carries the dispatching trace context when tracing is on, so the
+workers' spans join the caller's trace.  A worker samples through its
+process's instance cache, so the curve jobs of one sweep point that
+land on one worker draw each instance once; the serial path samples
+each chunk once for every curve and never memoizes.  Every block
+re-derives its random streams from the root seed through
+:class:`~repro.simulation.rng.RandomStreamFactory` — whose label
+hashing is process-independent — and results are folded
 back in the serial iteration order, so a parallel run is bit-for-bit
 identical to the serial one for the same seed.  The one caveat is the
 MIP curve: the backend solves under a *wall-clock* time limit, so a
@@ -57,7 +62,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +73,9 @@ from ..analysis.tables import series_table, series_to_csv
 from ..exceptions import ExperimentError
 from ..generators.scenarios import ScenarioConfig
 from ..obs.instrument import timed_kernels
-from ..obs.trace import (
-    activate,
-    capture,
-    current_context,
-    emit_spans,
-    span,
-    tracing_active,
-)
+from ..obs.trace import current_context, emit_spans, span
 from ..simulation.rng import RandomStreamFactory
+from ..workers import WorkerPool, run_traced
 from .cost import block_cost
 from .figures import FIGURES, FigureSpec
 from .providers import (
@@ -194,35 +193,20 @@ class BlockRun:
     blocks: tuple[tuple[int, str], ...]
 
 
-def _score_block(scenario, sweep_value, label, entropy, milp_time_limit, memoize):
-    """Sample one block and score one curve on it: ``(values, failures)``."""
+def _score_block(scenario, sweep_value, label, entropy, milp_time_limit):
+    """A worker's block job: sample one block, score one curve on it.
+
+    Returns ``(values, failures)``.  Providers are re-resolved by label
+    in the worker, so jobs stay picklable.  Sampling always goes through
+    the worker process's instance cache: the curve jobs of one sweep
+    point that land on one worker draw each instance once (memoized
+    instances are bit-identical, so results never depend on it).
+    """
     streams = RandomStreamFactory(np.random.SeedSequence(entropy))
-    chunk = BlockChunk.sample(scenario, (sweep_value,), streams, memoize=memoize)
+    chunk = BlockChunk.sample(scenario, (sweep_value,), streams, memoize=True)
     provider = resolve_provider(label, milp_time_limit=milp_time_limit)
     (result,) = provider.evaluate(chunk)
     return result.values(), result.failures
-
-
-def _block_job(job) -> tuple[tuple[list[float], int], list]:
-    """Worker entry point: one block's ``(values, failures)`` plus its spans.
-
-    ``job`` is ``(run index, scenario, sweep value, label, entropy,
-    milp_time_limit, memoize, context)``.  Providers are re-resolved by
-    label in the worker so jobs stay picklable; instance sampling
-    honours ``memoize`` through the worker-local cache, so several curve
-    jobs at the same sweep point re-draw each instance at most once per
-    worker process.  With a trace ``context`` (the dispatching span),
-    the worker's spans — the block solve itself plus per-kernel timings
-    — are buffered and returned for the parent process to emit, so the
-    trace tree crosses the process boundary under one trace id.
-    """
-    args, context = job[1:-1], job[-1]
-    if context is None:
-        return _score_block(*args), []
-    with capture() as spans, activate(context):
-        with span("dag.block_job", sweep_value=args[1], curve=args[2]), timed_kernels():
-            result = _score_block(*args)
-    return result, spans
 
 
 def run_scenario(
@@ -235,7 +219,6 @@ def run_scenario(
     figure_id: str = "custom",
     normalize_to: str | None = None,
     workers: int | None = None,
-    memoize_instances: bool = False,
     extra_curves: tuple[str, ...] = (),
 ) -> ExperimentResult:
     """Run one scenario and collect the per-curve period series.
@@ -259,13 +242,6 @@ def run_scenario(
         produces bit-for-bit the same heuristic/one-to-one series as the
         serial run for the same seed (MIP cells can additionally time out
         under CPU oversubscription — see the module docstring).
-    memoize_instances:
-        Cache sampled instances under their (scenario, cell, seed) key.
-        Honoured on the serial path *and*, per worker process, on the
-        parallel path — each worker keeps its own cache, so curve jobs
-        that share a sweep point re-draw each instance at most once per
-        worker.  Memoized instances are bit-identical, so results never
-        depend on the flag.
     extra_curves:
         Additional curve labels resolved through
         :func:`~repro.experiments.providers.resolve_provider` (e.g.
@@ -301,7 +277,6 @@ def run_scenario(
         record,
         milp_time_limit=milp_time_limit,
         workers=workers,
-        memoize=memoize_instances,
     )
 
     # Fold in the fixed (sweep value, curve) order so series contents do
@@ -344,7 +319,6 @@ def execute_blocks(
     *,
     milp_time_limit: float = 30.0,
     workers: int | None = None,
-    memoize: bool = False,
 ) -> int:
     """Compute the blocks of every run: the one block executor.
 
@@ -363,12 +337,12 @@ def execute_blocks(
     stole from another run's queue (0 on the serial path).
     """
     if workers is not None and workers > 1 and any(run.blocks for run in runs):
-        return _dispatch(runs, record, milp_time_limit, workers, memoize)
+        return _dispatch(runs, record, milp_time_limit, workers)
     for run in runs:
         with span(
             "dag.run", figure=run.figure_id, seed=run.seed, blocks=len(run.blocks)
         ), timed_kernels():
-            _execute_serial(run, record, milp_time_limit, memoize)
+            _execute_serial(run, record, milp_time_limit)
     return 0
 
 
@@ -399,7 +373,7 @@ def _chunk_points(scenario: ScenarioConfig, curves: dict[int, list[str]]) -> lis
     return chunks
 
 
-def _execute_serial(run: BlockRun, record, milp_time_limit: float, memoize: bool) -> None:
+def _execute_serial(run: BlockRun, record, milp_time_limit: float) -> None:
     """One run's blocks, one sampled chunk and one provider pass per curve."""
     curves: dict[int, list[str]] = {}
     for sweep_value, label in run.blocks:
@@ -412,7 +386,7 @@ def _execute_serial(run: BlockRun, record, milp_time_limit: float, memoize: bool
     # up front draws exactly the blocks a per-point loop would.
     streams = RandomStreamFactory(np.random.SeedSequence(run.entropy))
     for points in _chunk_points(run.scenario, curves):
-        chunk = BlockChunk.sample(run.scenario, points, streams, memoize=memoize)
+        chunk = BlockChunk.sample(run.scenario, points, streams)
         for label in curves[points[0]]:
             for block, result in zip(chunk.blocks, providers[label].evaluate(chunk)):
                 record(run, block.sweep_value, label, result.values(), result.failures)
@@ -430,8 +404,7 @@ class DispatchReport:
 
 
 def steal_dispatch(
-    pool,
-    fn,
+    submit: Callable[[object], Future],
     queues: list[list],
     costs: list[list[float]] | None = None,
     *,
@@ -439,7 +412,7 @@ def steal_dispatch(
     steal: bool = True,
     on_result=None,
 ) -> DispatchReport:
-    """Drain ``queues`` through ``slots`` concurrent ``fn`` calls.
+    """Drain ``queues`` through ``slots`` concurrent ``submit`` calls.
 
     Queue ``q`` is *owned* by slot ``q % slots``; a slot serves its
     owned queues front-first (preserving each queue's canonical order),
@@ -448,9 +421,9 @@ def steal_dispatch(
     straggler — instead of retiring, so no slot idles while a straggler
     queue still holds work.  ``costs`` supplies per-item estimates
     (uniform when omitted); ``on_result(item, result)`` fires in
-    completion order.  ``pool`` is any ``concurrent.futures`` executor
-    whose workers can run ``fn`` (thread pools in the tests, process
-    pools for real solves).
+    completion order.  ``submit(item)`` starts one item and returns its
+    ``concurrent.futures`` future (``partial(pool.submit, fn)`` on a
+    thread pool in the tests; a worker-pool job for real solves).
     """
     pending = [deque(queue) for queue in queues]
     if costs is None:
@@ -484,7 +457,7 @@ def steal_dispatch(
         if taken is None:
             continue
         queue, item = taken
-        futures[pool.submit(fn, item)] = (slot, item)
+        futures[submit(item)] = (slot, item)
     while futures:
         done, _ = wait(futures, return_when=FIRST_COMPLETED)
         for future in done:
@@ -496,39 +469,43 @@ def steal_dispatch(
             taken = take(slot)
             if taken is not None:
                 queue, next_item = taken
-                futures[pool.submit(fn, next_item)] = (slot, next_item)
+                futures[submit(next_item)] = (slot, next_item)
     return report
 
 
-def _dispatch(runs, record, milp_time_limit: float, workers: int, memoize: bool) -> int:
-    """Every block of every run in one stealing dispatch over a process pool."""
-    # The dispatch span opens before the jobs are built, so the context
-    # traced jobs carry is the dispatch itself — block-job spans coming
-    # back from the workers hang directly off it.
-    with span("dag.dispatch", slots=workers) as dispatch_span:
-        context = current_context() if tracing_active() else None
+def _dispatch(runs, record, milp_time_limit: float, workers: int) -> int:
+    """Every block of every run in one stealing dispatch over a worker pool."""
+    # The dispatch span opens before the jobs are submitted, so the
+    # context traced jobs carry is the dispatch itself — block-job spans
+    # coming back from the workers hang directly off it.
+    with span("dag.dispatch", slots=workers) as dispatch_span, WorkerPool(workers) as pool:
+        context = current_context()
         queues = [
-            [
-                (index, run.scenario, sweep_value, label, run.entropy,
-                 milp_time_limit, memoize, context)
-                for sweep_value, label in run.blocks
-            ]
-            for index, run in enumerate(runs)
+            [(run, sweep_value, label) for sweep_value, label in run.blocks] for run in runs
         ]
         costs = [
             [block_cost(run.scenario, label, sweep_value) for sweep_value, label in run.blocks]
             for run in runs
         ]
 
+        def submit(job) -> Future:
+            run, sweep_value, label = job
+            return pool.executor.submit(
+                run_traced,
+                _score_block,
+                (run.scenario, sweep_value, label, run.entropy, milp_time_limit),
+                context,
+                "dag.block_job",
+                sweep_value=sweep_value,
+                curve=label,
+            )
+
         def on_result(job, result) -> None:
             (values, failures), spans = result
             emit_spans(spans)
-            record(runs[job[0]], job[2], job[3], values, failures)
+            record(*job, values, failures)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dispatch = steal_dispatch(
-                pool, _block_job, queues, costs, slots=workers, on_result=on_result
-            )
+        dispatch = steal_dispatch(submit, queues, costs, slots=workers, on_result=on_result)
         dispatch_span.set(
             runs=len(queues), executed=dispatch.executed, stolen=dispatch.stolen
         )
@@ -544,7 +521,6 @@ def run_figure(
     include_milp: bool | None = None,
     milp_time_limit: float = 30.0,
     workers: int | None = None,
-    memoize_instances: bool = False,
     include_optional: bool = False,
 ) -> ExperimentResult:
     """Reproduce one figure of the paper.
@@ -561,10 +537,6 @@ def run_figure(
         Size of the block process pool; ``None``/``1`` runs serially
         with identical results for the heuristic and one-to-one curves
         (see :func:`run_scenario` for the MIP time-limit caveat).
-    memoize_instances:
-        Cache sampled instances per process (worth enabling on parallel
-        block runs, where several curve jobs share each sweep point's
-        instances — see :func:`run_scenario`).
     include_optional:
         Also run the figure's optional curves (e.g. the H4ls refinement
         on Figure 6).
@@ -584,6 +556,5 @@ def run_figure(
         figure_id=figure_id,
         normalize_to=spec.normalize_to,
         workers=workers,
-        memoize_instances=memoize_instances,
         extra_curves=spec.optional_curves if include_optional else (),
     )

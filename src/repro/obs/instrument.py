@@ -7,9 +7,9 @@ emits **one** synthetic span per kernel on exit
 (``kernel.propagate_x`` etc., with ``calls`` and ``backend`` attrs, via
 :func:`repro.obs.trace.emit_timing`).  The wrappers call the wrapped
 kernels unchanged, so the bit-for-bit contract is untouched;
-they are only installed inside already-traced solves
-(:func:`repro.service.pool.solve_group_traced`, the traced DAG block
-job), never on the default path.
+they are only installed inside already-traced worker calls
+(:func:`repro.workers.run_traced`, and the serial block executor's
+``dag.run`` span), never on the default path.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ Propagation model
 * **Across executor threads** (``run_in_executor`` does *not* copy
   context) and **across the process boundary**, the caller passes the
   picklable :class:`TraceContext` explicitly and the callee re-enters
-  it with :func:`activate` — see
-  :func:`repro.service.pool.solve_group_traced`.
+  it with :func:`activate` — :func:`repro.workers.run_traced` is the
+  one place that does, for the service's group solves and the block
+  executor's jobs alike.
 * **Out of worker processes**: a worker cannot append to the parent's
   trace file, so it records spans into an in-memory buffer
   (:func:`capture`) and returns them with its result; the parent

@@ -15,12 +15,13 @@ requests O(lookup).
 Layers (one module each):
 
 * :mod:`~repro.service.requests` — request schema, normalisation,
-  content-address hashing, the direct reference path;
+  content-address hashing, the direct reference path and the
+  picklable group solve (``solve_group``) it is held to;
 * :mod:`~repro.service.batcher` — load-driven grouping (a group
   flushes whenever a solve slot is free), coalescing, ``solve_stack``
-  routing, admission control;
-* :mod:`~repro.service.pool` — the multi-process solve-worker pool
-  (the picklable group-solve function + its executor);
+  routing, admission control; group solves run on the asyncio thread
+  executor or on a :class:`~repro.workers.WorkerPool` (the worker seam
+  the block executor shares);
 * :mod:`~repro.service.cache` — the two-tier response cache
   (size-bounded persistent tier with compaction + eviction);
 * :mod:`~repro.service.sessions` — live replanning sessions
@@ -38,5 +39,5 @@ caching are scheduling choices, never semantic ones.
 The package re-exports nothing: import from the submodules, so a caller
 that needs one layer (the live runner needs only
 :mod:`~repro.service.requests`) does not load the server, client and
-pool.
+worker pool.
 """

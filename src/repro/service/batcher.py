@@ -38,11 +38,12 @@ batcher recreates that shape from independent requests:
    scheduling choice, never a semantic one.
 
 Solves run off the event loop: on the asyncio thread executor by
-default, or — when a :class:`~repro.service.pool.SolveWorkerPool` is
-attached — in worker *processes*, so batch solves escape the GIL and
-one pathological request cannot stall the loop or other groups.  The
-solve itself is the pool-shareable :func:`~repro.service.pool.solve_group`
-on both paths, which is what keeps the responses identical.
+default, or — when a :class:`~repro.workers.WorkerPool` is attached —
+in worker *processes*, so batch solves escape the GIL and one
+pathological request cannot stall the loop or other groups.  The solve
+itself is :func:`~repro.service.requests.solve_group` through
+:func:`~repro.workers.run_traced` on both paths, which is what keeps the
+responses identical.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..exceptions import ServiceOverloadedError
 from ..obs.metrics import MetricsRegistry
@@ -62,9 +64,9 @@ from ..obs.trace import (
     span,
     tracing_active,
 )
+from ..workers import WorkerPool, run_traced
 from .cache import SolveCache
-from .pool import SolveWorkerPool, solve_group, solve_group_traced
-from .requests import SolveRequest
+from .requests import SolveRequest, solve_group
 
 __all__ = ["BatcherStats", "MicroBatcher", "DEFAULT_MAX_BATCH"]
 
@@ -209,7 +211,7 @@ class MicroBatcher:
         Optional :class:`~repro.service.cache.SolveCache` consulted
         before grouping and written through after solving.
     pool:
-        Optional :class:`~repro.service.pool.SolveWorkerPool`; group
+        Optional :class:`~repro.workers.WorkerPool`; group
         solves then run in worker processes instead of on the asyncio
         thread executor.  Responses are identical on both executors.
         The batcher keeps ``pool.workers + 1`` groups solving at once
@@ -228,7 +230,7 @@ class MicroBatcher:
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
         cache: SolveCache | None = None,
-        pool: SolveWorkerPool | None = None,
+        pool: WorkerPool | None = None,
         max_pending: int | None = None,
         registry: MetricsRegistry | None = None,
     ):
@@ -350,24 +352,29 @@ class MicroBatcher:
     ) -> tuple[list[dict], bool]:
         """One flushed group's solve, off the event loop.
 
-        The pool-shareable :func:`~repro.service.pool.solve_group` runs
-        in a worker process when a pool is attached, else on the asyncio
-        thread executor.  With tracing active both run the traced twin
-        (:func:`~repro.service.pool.solve_group_traced`) — the current
-        context crosses the thread/process boundary in the payload and
-        the worker-side spans come back with the result.  Tests gate or
-        fake the solve by patching this one attribute.
+        :func:`~repro.service.requests.solve_group` runs in a worker
+        process when a pool is attached, else on the asyncio thread
+        executor, through :func:`~repro.workers.run_traced` either way:
+        with tracing active the current context crosses the
+        thread/process boundary in the payload and the worker-side spans
+        come back with the result.  Tests gate or fake the solve by
+        patching this one attribute.
         """
         loop = asyncio.get_running_loop()
         executor = self.pool.executor if self.pool is not None else None
-        if tracing_active():
-            with span("pool.roundtrip", pooled=self.pool is not None):
-                responses, batched, worker_spans = await loop.run_in_executor(
-                    executor, solve_group_traced, requests, current_context()
-                )
-            emit_spans(worker_spans)
-            return responses, batched
-        return await loop.run_in_executor(executor, solve_group, requests)
+        with span("pool.roundtrip", pooled=self.pool is not None):
+            call = partial(
+                run_traced,
+                solve_group,
+                (requests,),
+                current_context(),
+                "pool.worker_solve",
+                requests=len(requests),
+                heuristic=requests[0].heuristic,
+            )
+            result, worker_spans = await loop.run_in_executor(executor, call)
+        emit_spans(worker_spans)
+        return result
 
     async def _solve_group(self, group: _Group) -> None:
         loop = asyncio.get_running_loop()

@@ -27,7 +27,8 @@ and the micro-batcher's coalescing both key on it.
 
 :func:`direct_response` is the reference path: one request, solved and
 scored per instance with no batching and no cache.  The micro-batched
-service is required (and tested) to be bit-for-bit identical to it.
+service solves each flushed group with :func:`solve_group`, and is
+required (and tested) to be bit-for-bit identical to the reference.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..batch import InstanceStack
 from ..core.instance import ProblemInstance
 from ..core.period import evaluate
 from ..core.mapping import Mapping
@@ -45,7 +47,7 @@ from ..exceptions import ExperimentError, ReproError
 from ..generators.platforms import PAPER_F_RANGE, PAPER_W_RANGE
 from ..generators.scenarios import ScenarioConfig, sample_instance
 from ..heuristics import get_heuristic
-from ..heuristics.base import Heuristic, solve_one
+from ..heuristics.base import Heuristic, solve_one, solve_stack, solves_in_batch
 from ..obs.trace import span
 from ..simulation.rng import RandomStreamFactory
 
@@ -58,6 +60,7 @@ __all__ = [
     "normalize_session_request",
     "build_response",
     "direct_response",
+    "solve_group",
 ]
 
 #: ``ScenarioConfig.name`` under which service instances are drawn; part
@@ -415,3 +418,31 @@ def direct_response(request: SolveRequest) -> dict:
         return build_response(
             request, assignment, evaluation.period, batched=False
         )
+
+
+def solve_group(requests: tuple[SolveRequest, ...]) -> tuple[list[dict], bool]:
+    """Solve one flushed group of the micro-batcher; ``(responses, batched)``.
+
+    Pure — touches no batcher or service state — so it runs alike on the
+    in-process thread executor and inside worker processes.  Group
+    members share a batching signature, so their instances stack;
+    :func:`~repro.heuristics.base.solve_stack` picks the lock-step
+    kernel or the per-instance loop, and ``batched`` reports its choice.
+    Each response equals :func:`direct_response` of its request, bit for
+    bit, but for the ``batched`` marker.
+    """
+    heuristic = requests[0].resolve_heuristic()
+    instances = [request.sample() for request in requests]
+    batched = solves_in_batch(heuristic, len(instances))
+    assignments = solve_stack(
+        heuristic,
+        instances,
+        lambda row: requests[row].rng() if heuristic.randomized else None,
+    )
+    stack = InstanceStack.from_instances(instances, require_uniform_types=False)
+    periods = stack.periods(assignments)
+    responses = [
+        build_response(request, assignments[row], periods[row], batched=batched)
+        for row, request in enumerate(requests)
+    ]
+    return responses, batched

@@ -30,7 +30,9 @@ the 404 ``not_found`` envelope:
     The same registry in Prometheus text exposition format
     (:meth:`repro.obs.metrics.MetricsRegistry.render`), for scraping.
 ``GET /v1/healthz``
-    Liveness probe (also used by the CLI/smoke to await readiness).
+    Liveness probe (also used by the CLI/smoke to await readiness):
+    200 ``{"status": "ok", ...}``, or 503 ``{"status": "degraded", ...}``
+    once a worker process died and the pool can solve no more.
 
 Keep-alive is supported, so a client can stream many requests over one
 connection.  Every response carries an ``X-Request-Id`` header — the
@@ -59,9 +61,9 @@ from ..live.replanner import Replanner
 from ..obs.metrics import LatencyReservoir, MetricsRegistry
 from ..obs.trace import configure as configure_tracing
 from ..obs.trace import request_id_or_new, span, trace_path
+from ..workers import WorkerPool
 from .batcher import DEFAULT_MAX_BATCH, MicroBatcher
 from .cache import SolveCache
-from .pool import SolveWorkerPool
 from .requests import (
     SessionRequest,
     normalize_event,
@@ -221,7 +223,7 @@ class SolveService:
         (see :class:`~repro.service.cache.SolveCacheStore`).
     workers:
         ``> 0`` solves groups in that many worker *processes*
-        (:class:`~repro.service.pool.SolveWorkerPool`), escaping the
+        (:class:`~repro.workers.WorkerPool`), escaping the
         GIL; ``0`` (default) keeps solves on the in-process thread
         executor.
     max_pending:
@@ -268,9 +270,7 @@ class SolveService:
             if cache_dir is not None or cache_capacity > 0
             else None
         )
-        self.pool: SolveWorkerPool | None = (
-            SolveWorkerPool(workers) if workers else None
-        )
+        self.pool: WorkerPool | None = WorkerPool(workers) if workers else None
         self.batcher = MicroBatcher(
             max_batch=max_batch,
             cache=self.cache,
@@ -405,7 +405,7 @@ class SolveService:
             # payloads as text/plain instead of JSON.
             return 200, self.metrics_text(), None
         if route == "/healthz" and method == "GET":
-            return 200, {"status": "ok", "version": __version__, "api": "v1"}, None
+            return self._health()
         if route == "/session" and method == "POST":
             return await self._session_create(body)
         match = _SESSION_ROUTE.fullmatch(route)
@@ -419,6 +419,18 @@ class SolveService:
                 return self._session_close(session_id)
         self.stats.note_error()
         return _error(404, "not_found", f"no such endpoint: {method} {path}")
+
+    def _health(self) -> tuple[int, dict, dict | None]:
+        """``/v1/healthz``: 200 ``ok``, or 503 ``degraded`` once the pool broke.
+
+        A broken worker pool fails every later solve, so the service no
+        longer has the capacity it was started with.
+        """
+        payload = {"status": "ok", "version": __version__, "api": "v1"}
+        if self.pool is not None and self.pool.broken:
+            payload.update(status="degraded", reason="the solve worker pool is broken")
+            return 503, payload, None
+        return 200, payload, None
 
     def _shed(self, exc: ServiceOverloadedError) -> tuple[int, dict, dict | None]:
         # Load shedding, not an error: the request was never admitted.
@@ -661,6 +673,7 @@ async def _write_response(
         404: "Not Found",
         429: "Too Many Requests",
         500: "Internal Server Error",
+        503: "Service Unavailable",
         504: "Gateway Timeout",
     }
     if isinstance(payload, str):

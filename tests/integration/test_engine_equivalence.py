@@ -3,9 +3,10 @@
 The contract under test: for the same seed, ``run_scenario`` /
 ``run_figure`` produce bit-for-bit the series of a per-instance
 ``Heuristic.solve`` loop (:func:`tests.helpers.per_instance_series`) —
-serially, on a process pool, with memoized sampling, with cross-point
-stacking and with the exact baselines.  A second battery checks that a
-``microrepro dag run`` store exports the in-memory run's bytes, and
+serially, on a process pool (whose workers sample through their
+instance cache), with cross-point stacking and with the exact
+baselines.  A second battery checks that a ``microrepro dag run`` store
+exports the in-memory run's bytes, and
 that re-running it — by figure or in its no-figure resume form —
 recomputes no stored block.
 """
@@ -174,10 +175,11 @@ class TestBlockVsOracle:
         assert executed == [len(scenario.sweep_values) * len(result.series)]
 
     def test_memoized_block_run_is_identical(self):
+        # Worker block jobs sample through their process's instance cache.
         scenario = _small_scenario(repetitions=2)
         _assert_identical(
             _oracle(scenario, 9),
-            run_scenario(scenario, seed=9, memoize_instances=True).series,
+            run_scenario(scenario, seed=9, workers=2).series,
         )
 
     def test_run_functions_take_no_engine_store_or_resume(self):

@@ -14,9 +14,11 @@ import sys
 
 
 from repro.experiments import run_figure, run_scenario
-from repro.generators import ScenarioConfig
+from repro.experiments.runner import _score_block
+from repro.generators import ScenarioConfig, scenarios
 from repro.generators.scenarios import clear_instance_cache, sample_instance
 from repro.simulation.rng import RandomStreamFactory
+from repro.workers import run_traced
 
 
 def _small_scenario(**overrides) -> ScenarioConfig:
@@ -124,3 +126,35 @@ class TestMemoizedSampling:
         assert a is not b
         assert a is not c
         assert not (a.failure_rates == b.failure_rates).all()
+
+    def test_worker_jobs_of_one_point_draw_each_instance_once(self, monkeypatch):
+        # Two curves' block jobs at one sweep point, run in-process
+        # through the worker entry point: the second job is served from
+        # the process's instance cache.
+        clear_instance_cache()
+        draws = []
+        original = scenarios.random_chain_application
+
+        def counting(*args, **kwargs):
+            draws.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "random_chain_application", counting)
+        scenario = _small_scenario()
+        entropy = RandomStreamFactory(4).entropy
+        results = [
+            run_traced(_score_block, (scenario, 6, label, entropy, 30.0), None, "dag.block_job")
+            for label in ("H2", "H4w")
+        ]
+        assert len(draws) == scenario.repetitions
+        serial = run_scenario(scenario, seed=4)
+        for label, ((values, failures), spans) in zip(("H2", "H4w"), results):
+            assert values == serial.series[label].samples[6]
+            assert (failures, spans) == (0, [])
+
+    def test_serial_run_does_not_memoize(self):
+        # The serial path samples each chunk once for every curve; it
+        # must not fill the cache (the figures' peak RSS rides on it).
+        clear_instance_cache()
+        run_scenario(_small_scenario(), seed=4)
+        assert scenarios._INSTANCE_CACHE == {}

@@ -71,8 +71,15 @@ class TestManifest:
             CampaignManifest(figures=("fig6",), seeds=(1, 1))
 
     def test_round_trip(self):
-        manifest = _manifest(no_milp=True, workers=4)
+        manifest = _manifest(no_milp=True)
         assert CampaignManifest.from_dict(manifest.to_dict()) == manifest
+
+    def test_from_dict_rejects_a_workers_key(self):
+        # A manifest records what is computed; the pool size is an
+        # argument of each execution, not a field.
+        data = dict(_manifest().to_dict(), workers=2)
+        with pytest.raises(ExperimentError, match="'workers'"):
+            CampaignManifest.from_dict(data)
 
     def test_from_dict_rejects_a_scalar_seed(self):
         # The seed axis is `seeds`; a scalar `seed` is an unknown field.

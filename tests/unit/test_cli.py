@@ -78,13 +78,16 @@ class TestManifestArguments:
             None, None, False, 30.0, False,
         ]
         assert [given[field] for field in _MANIFEST_FIELDS] == [3, 2, True, 5.0, True]
-        # Only the commands that compute take the speed-only run knobs.
+        # Only the commands that compute take the speed-only run knob.
         if command in ("run", "dag run"):
-            knobs = vars(parser.parse_args(argv + ["--workers", "2", "--memoize-instances"]))
-            assert (knobs["workers"], knobs["memoize_instances"]) == (2, True)
-            assert (defaults["workers"], defaults["memoize_instances"]) == (None, False)
+            assert vars(parser.parse_args(argv + ["--workers", "2"]))["workers"] == 2
+            assert defaults["workers"] is None
         else:
-            assert "workers" not in defaults and "memoize_instances" not in defaults
+            assert "workers" not in defaults
+        # Memoization is derived (worker block jobs always memoize), not set.
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv + ["--memoize-instances"])
+        assert exit_info.value.code == 2
 
 
 class TestListCommand:
@@ -296,7 +299,6 @@ class TestCampaignCommands:
             ["--no-milp"],
             ["--milp-time-limit", "5"],
             ["--optional-curves"],
-            ["--memoize-instances"],
         ],
     )
     def test_resume_rejects_manifest_options(self, tmp_path, capsys, option):
@@ -363,6 +365,27 @@ class TestCampaignCommands:
         output = capsys.readouterr().out
         assert "fig6 seed=0" in output and "fig10 seed=0" in output
         assert "fig6 seed=1" not in output
+        assert "; 0 block solve(s)" in output
+
+    def test_a_parallel_run_extends_the_campaign_without_recording_workers(
+        self, tmp_path, capsys
+    ):
+        # The pool size is an argument of each run, not a manifest field:
+        # a `--workers 2` run of another figure with the same options
+        # extends the stored campaign, and campaign.json never names it.
+        store_dir = tmp_path / "store"
+        options = ["--repetitions", "1", "--max-points", "2", "--no-milp", "--seeds", "0"]
+        assert main(["dag", "run", "fig6", "--store", str(store_dir), *options]) == 0
+        assert main(
+            ["dag", "run", "fig8", "--store", str(store_dir), *options, "--workers", "2"]
+        ) == 0
+        assert "keeps its campaign" not in capsys.readouterr().err
+        manifest = json.loads((store_dir / CAMPAIGN_FILE).read_text())
+        assert manifest["figures"] == ["fig6", "fig8"]
+        assert "workers" not in manifest and "memoize_instances" not in manifest
+        assert main(["dag", "run", "--store", str(store_dir), "--workers", "2"]) == 0
+        output = capsys.readouterr().out
+        assert "fig6 seed=0" in output and "fig8 seed=0" in output
         assert "; 0 block solve(s)" in output
 
     def test_resume_workers_override_keeps_the_manifest(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -142,8 +143,7 @@ class TestStealDispatch:
         executed = []
         with ThreadPoolExecutor(max_workers=slots) as pool:
             report = steal_dispatch(
-                pool,
-                lambda item: item,
+                partial(pool.submit, lambda item: item),
                 queues,
                 costs,
                 slots=slots,

@@ -309,7 +309,7 @@ def test_live_runner_loads_no_service_or_experiment_engine():
     heavy = (
         "repro.service.server",
         "repro.service.client",
-        "repro.service.pool",
+        "repro.workers",
         "repro.experiments.runner",
         "repro.exact.milp",
         "http.client",

@@ -24,9 +24,9 @@ from repro.obs.trace import (
     span,
 )
 from repro.service.client import ServiceClient
-from repro.service.pool import SolveWorkerPool, solve_group, solve_group_traced
-from repro.service.requests import normalize_request
+from repro.service.requests import normalize_request, solve_group
 from repro.service.server import SolveService
+from repro.workers import WorkerPool, run_traced
 
 
 @pytest.fixture(autouse=True)
@@ -281,9 +281,14 @@ class TestPropagation:
         requests = tuple(
             normalize_request(make_payload(seed=seed)) for seed in range(2)
         )
-        with SolveWorkerPool(1) as pool:
-            responses, batched, spans = pool.executor.submit(
-                solve_group_traced, requests, context
+        with WorkerPool(1) as pool:
+            (responses, batched), spans = pool.executor.submit(
+                run_traced,
+                solve_group,
+                (requests,),
+                context,
+                "pool.worker_solve",
+                requests=len(requests),
             ).result()
         reference, reference_batched = solve_group(requests)
         assert responses == reference  # tracing never changes results

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import urllib.parse
 from pathlib import Path
 
 import pytest
@@ -20,9 +22,9 @@ from repro.obs.metrics import LatencyReservoir, nearest_rank
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import SolveCache, SolveCacheStore
 from repro.service.client import ServiceClient
-from repro.service.pool import SolveWorkerPool
 from repro.service.requests import direct_response, normalize_request
 from repro.service.server import ServiceStats, SolveService
+from repro.workers import WorkerPool
 
 
 def make_payload(**overrides) -> dict:
@@ -740,12 +742,12 @@ def strip_markers(response: dict) -> dict:
     return {k: v for k, v in response.items() if k not in ("cached", "batched")}
 
 
-class TestSolveWorkerPool:
+class TestWorkerPool:
     def test_pool_solves_match_direct_solves(self):
         """Bit-for-bit equivalence through worker processes, both paths."""
 
         async def scenario():
-            with SolveWorkerPool(2) as pool:
+            with WorkerPool(2) as pool:
                 batcher = MicroBatcher(pool=pool)
                 requests = [
                     normalize_request(make_payload(seed=seed))
@@ -774,8 +776,9 @@ class TestSolveWorkerPool:
             assert strip_markers(response) == strip_markers(reference)
 
     def test_pool_is_warmed_at_construction(self):
-        with SolveWorkerPool(2) as pool:
+        with WorkerPool(2) as pool:
             assert len(pool.worker_pids()) == 2
+            assert not pool.broken
 
     def test_sigterm_shuts_down_the_worker_pool(self):
         """``serve`` handles SIGTERM like SIGINT: no orphaned workers."""
@@ -806,7 +809,7 @@ class TestSolveWorkerPool:
 
     def test_pool_requires_at_least_one_worker(self):
         with pytest.raises(ValueError, match=">= 1 workers"):
-            SolveWorkerPool(0)
+            WorkerPool(0)
 
     def test_http_roundtrip_through_the_worker_pool(self):
         async def scenario():
@@ -832,6 +835,40 @@ class TestSolveWorkerPool:
         assert stats["workers"] == 2
         assert stats["service"]["solved"] == 1
 
+    def test_a_killed_worker_fails_solves_and_degrades_health(self):
+        """A SIGKILLed worker breaks the pool: solves 500, healthz 503."""
+
+        async def scenario():
+            service = SolveService(port=0, workers=1)
+            await service.start()
+            loop = asyncio.get_running_loop()
+
+            def ask(method, path, payload=None):
+                return loop.run_in_executor(
+                    None, _http_status, service.url, method, path, payload
+                )
+
+            try:
+                before = await ask("GET", "/v1/healthz")
+                (worker,) = service.pool.worker_pids()
+                assert worker in _child_pids(os.getpid())
+                os.kill(worker, signal.SIGKILL)
+                solve = await ask("POST", "/v1/solve", make_payload(seed=7))
+                after = await ask("GET", "/v1/healthz")
+                stats = await ask("GET", "/v1/stats")
+            finally:
+                await service.stop()
+            return before, solve, after, stats
+
+        before, solve, after, stats = run(scenario())
+        assert before == (200, {"status": "ok", "version": before[1]["version"], "api": "v1"})
+        assert solve[0] == 500
+        assert solve[1]["error"]["code"] == "internal"
+        assert "BrokenProcessPool" in solve[1]["error"]["message"]
+        assert after[0] == 503
+        assert after[1]["status"] == "degraded"
+        assert stats[0] == 200 and stats[1]["service"]["errors"] == 1
+
 
 def _proc_stat(pid: int) -> list[str] | None:
     """``/proc/<pid>/stat`` fields after the command name, or ``None``."""
@@ -850,6 +887,18 @@ def _child_pids(parent: int) -> list[int]:
         and (fields := _proc_stat(int(entry.name))) is not None
         and int(fields[1]) == parent
     ]
+
+
+def _http_status(url: str, method: str, path: str, payload=None) -> tuple[int, dict]:
+    """One raw HTTP exchange: ``(status, JSON body)``, whatever the status."""
+    connection = http.client.HTTPConnection(urllib.parse.urlsplit(url).netloc, timeout=30)
+    try:
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 def _running(pid: int) -> bool:
