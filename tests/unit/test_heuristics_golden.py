@@ -2,10 +2,11 @@
 
 ``tests/data/heuristics_golden.json`` records, for every case below,
 the assignment, period and iteration count of H2 and H3 (the
-bisections), of the H4 family and H4-forward (single greedy passes) and
-of H1.  H1 runs on ``np.random.default_rng(<case index>)`` and its pin
-also records ``groups_opened``.  Any change to a bisection driver or a
-greedy walk must reproduce the fixture bit for bit: unlike the
+bisections), of the H4 family and H4-forward (single greedy passes), of
+H4ls (H4w plus its best-single-move descent) and of H1.  H1 runs on
+``np.random.default_rng(<case index>)`` and its pin also records
+``groups_opened``.  Any change to a bisection driver, a greedy walk or
+the descent must reproduce the fixture bit for bit: unlike the
 batch-vs-loop equivalence tests, which compare two paths of the same
 checkout, this fixture catches a drift that moves both paths at once.
 
@@ -36,7 +37,7 @@ from repro.simulation.rng import RandomStreamFactory
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "heuristics_golden.json"
 
-HEURISTICS = ("H1", "H2", "H3", "H4", "H4w", "H4f", "H4-forward")
+HEURISTICS = ("H1", "H2", "H3", "H4", "H4w", "H4f", "H4-forward", "H4ls")
 
 #: Service request shapes: (n, p, m).
 SERVICE_SHAPES = ((30, 3, 10), (50, 5, 20), (100, 5, 50), (60, 4, 20))
