@@ -61,6 +61,7 @@ KEY_BENCHMARKS = (
     "benchmarks/test_solver_microbench.py::test_bench_heuristic_h3_binary_search",
     "benchmarks/test_solver_microbench.py::test_bench_sample_instance",
     "benchmarks/test_live_replan.py::test_bench_live_cold_replan",
+    "benchmarks/test_live_replan.py::test_bench_live_warm_replan",
     "benchmarks/test_fig09_one_to_one_vs_optimal.py::test_bench_fig9_cold_process",
 )
 

@@ -19,10 +19,12 @@ the full platform, so the cycle is a steady state: every replan returns
 the initial mapping and the spare machine never gets a task.
 
 ``test_bench_live_replan`` pins the warm replan's wall-clock in the CI
-regression gate (``benchmarks/baseline.json``), and
-``test_bench_live_cold_replan`` pins one cold tier at the live
-workload's scale (n = 50, m = 25, H2): the sub-platform's construction,
-its type-consistency check and the H2 re-solve.
+regression gate (``benchmarks/baseline.json``).  Two more key benches
+pin one replan of each tier at the live workload's scale (n = 50,
+m = 25, H2): ``test_bench_live_cold_replan`` the cold tier (the
+sub-platform's construction, its type-consistency check and the H2
+re-solve) and ``test_bench_live_warm_replan`` the warm tier (one full
+best-single-move descent from the H2 mapping).
 """
 
 from __future__ import annotations
@@ -143,6 +145,30 @@ def test_bench_live_cold_replan(benchmark):
     record = benchmark.pedantic(replanner.apply, setup=next_failure, rounds=200)
     assert record.via == "cold"
     assert replanner.counters.cold == 1 + len(failed)  # the initial solve + every round
+
+
+def test_bench_live_warm_replan(benchmark):
+    """Key benchmark: one warm-tier replan (an unassigned machine fails).
+
+    Each round's setup runs the cold H2 solve of a fresh replanner (so
+    its plan cache holds only the full platform), and the timed failure
+    of a machine that mapping leaves unassigned is one full descent from
+    the H2 mapping on the surviving machines.
+    """
+    instance = build_replanner(COLD_CONFIG).instance
+    spare = _spare_machine(Replanner(instance, COLD_CONFIG.heuristic))
+    current: list[Replanner] = []
+
+    def fresh_replanner():
+        current[:] = [Replanner(instance, COLD_CONFIG.heuristic)]
+        return (current[0].clock, "fail", spare), {}
+
+    def fail(*args):
+        return current[0].apply(*args)
+
+    record = benchmark.pedantic(fail, setup=fresh_replanner, rounds=200)
+    assert record.via == "warm"
+    assert record.mapping != current[0].initial.mapping  # the descent moved
 
 
 def test_bench_live_cold_solve(benchmark):

@@ -38,30 +38,37 @@ __all__ = [
 ]
 
 
-def propagate_x(order: np.ndarray, succ: np.ndarray, f_used: np.ndarray) -> np.ndarray:
-    """Backward ``x`` recursion vectorized over rows.
+def propagate_x(
+    paths: tuple[tuple[np.ndarray, int], ...], f_used: np.ndarray
+) -> np.ndarray:
+    """Backward ``x`` recursion vectorized over rows, one accumulate per path.
 
     ``f_used[r, i]`` is the failure rate of task ``i`` under row ``r``'s
-    assignment; ``order`` is the reverse topological task order and
-    ``succ[t]`` the successor of ``t`` (-1 at a sink).  Returns ``x`` of
-    the same shape as ``f_used``.
+    assignment.  ``paths`` is the in-tree's path split
+    (:func:`repro.batch.graph.split_paths`): each ``(tasks, seed)`` runs
+    from the task nearest the sink up to a source, ``seed`` is the
+    successor of ``tasks[0]`` (-1 at a sink), and every seed lies on an
+    earlier path.  Returns ``x`` of the same shape as ``f_used``.
 
-    The walk runs on a row-major ``(n, R)`` copy of the success rates
-    ``keep = 1 - f_used``, so each step divides two contiguous task rows
-    (``x[t] = x[succ[t]] / keep[t]``, ``1.0 / keep[t]`` at a sink), and
-    the result is its transpose.  Layout changes only which memory a
-    division reads: every element goes through the same IEEE operations
-    in the same order as a column-wise walk over ``(R, n)``, so ``x`` is
-    bit-for-bit the same at any ``R``.  (A plain-list walk is faster
-    only at ``R <= 2`` and ~5x slower at ``R = 50``, so one kernel serves
-    every ``R``.)
+    A path's rows stack below its seed row (``x[seed]``, or ``1.0`` at a
+    sink) in a ``(len(tasks) + 1, R)`` buffer of success rates
+    ``1 - f_used``, and one ``np.divide.accumulate`` down the rows turns
+    row ``k`` into ``row[k - 1] / keep[tasks[k - 1]]``.  That is the
+    recursion's one division per task, ``x[t] = x[succ[t]] / keep[t]``,
+    on the same operands as a task-by-task walk: each ``x[t]`` is a
+    single IEEE division of its successor's ``x`` (already final when
+    ``t``'s path runs), so ``x`` is bit-for-bit the same at any ``R``,
+    for any path split and any order that reaches a successor before its
+    predecessors.  A chain is one path, so one accumulate.
     """
     keep = np.subtract(1.0, f_used.T, order="C")
     x = np.empty_like(keep)
-    succ = succ.tolist()
-    for task in order.tolist():
-        s = succ[task]
-        x[task] = (1.0 if s < 0 else x[s]) / keep[task]
+    for tasks, seed in paths:
+        walk = np.empty((tasks.size + 1, keep.shape[1]))
+        walk[0] = 1.0 if seed < 0 else x[seed]
+        keep.take(tasks, axis=0, out=walk[1:])
+        np.divide.accumulate(walk, axis=0, out=walk)
+        x[tasks] = walk[1:]
     return x.T
 
 
@@ -103,8 +110,7 @@ def critical_mask(machine_periods: np.ndarray, rel_tol: float) -> np.ndarray:
 
 
 def probe_candidates(
-    base: np.ndarray,
-    rest: np.ndarray,
+    sums: np.ndarray,
     ratios: np.ndarray,
     x: np.ndarray,
     w: np.ndarray,
@@ -114,20 +120,26 @@ def probe_candidates(
     """Fused single-move probe of a list of cells; ``(K,)`` periods.
 
     Cell ``k`` moves task ``t = tasks[k]`` to machine ``v = dests[k]``
-    with attempt-factor ratio ``ratios[k]``.  ``base`` and ``rest`` are
-    machine-major ``(m, n)``: column ``t`` holds task ``t``'s machine
-    periods.  The cell's entry is ``max_u(rest[u, t] * ratios[k] +
-    base[u, t])`` with ``(x[t] * ratios[k]) * w[t, v]`` added at the
-    destination ``u == v``; ``x`` and ``w`` are the evaluator's ``(n,)``
-    and ``(n, m)`` arrays.  Only the listed cells are built, as the
-    columns of one ``(m, K)`` array, so the max runs down contiguous rows.
+    with attempt-factor ratio ``ratios[k]``.  ``sums`` is machine-major
+    ``(2m, n)``: rows ``[0, m)`` are ``base`` and rows ``[m, 2m)`` are
+    ``rest``, column ``t`` holding task ``t``'s machine periods.  The
+    cell's entry is ``max_u(rest[u, t] * ratios[k] + base[u, t])`` with
+    ``(x[t] * ratios[k]) * w[t, v]`` added at the destination ``u == v``;
+    ``x`` and ``w`` are the evaluator's ``(n,)`` and ``(n, m)`` arrays.
+    Only the listed cells are built, as the columns of one ``(2m, K)``
+    gather, so the max runs down contiguous rows; the destination terms
+    are added through flat indices.
     """
+    m = sums.shape[0] // 2
+    gathered = sums.take(tasks, axis=1)
     # Built in place: IEEE addition commutes, so ``rest * ratio + base``
     # equals ``base + rest * ratio`` bit for bit, without a second array.
-    candidates = rest.take(tasks, axis=1)
+    candidates = gathered[m:]
     candidates *= ratios
-    candidates += base.take(tasks, axis=1)
-    candidates[dests, np.arange(tasks.size)] += x[tasks] * ratios * w[tasks, dests]
+    candidates += gathered[:m]
+    count = tasks.size
+    gains = x[tasks] * ratios * w.ravel()[tasks * w.shape[1] + dests]
+    candidates.ravel()[dests * count + np.arange(count)] += gains
     return candidates.max(axis=0)
 
 

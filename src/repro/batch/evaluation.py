@@ -5,8 +5,8 @@ mapping)`` pair per call; this module scores an ``(R, n)`` array of ``R``
 mappings against one instance (or against a stack of ``R`` structurally
 identical instances) in a handful of NumPy operations:
 
-* ``x`` propagation walks the in-tree once (``n`` steps), each step
-  updating all ``R`` rows at once;
+* ``x`` propagation is one ``np.divide.accumulate`` per path of the
+  in-tree (one for a chain), each updating all ``R`` rows at once;
 * per-machine period accumulation is a single ``np.add.at`` scatter that
   visits tasks in ascending order per row — the exact accumulation order
   of the scalar kernel, so batch results are bit-for-bit identical to
@@ -33,6 +33,7 @@ from ..core.mapping import Mapping
 from ..core.period import MappingEvaluation
 from ..core.platform import Platform
 from ..exceptions import InvalidInstanceError, InvalidMappingError
+from .graph import graph_tables
 
 __all__ = [
     "BatchEvaluation",
@@ -83,20 +84,6 @@ def as_assignment_array(
     return arr
 
 
-def _graph_arrays(application: Application) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, succ)`` arrays driving the kernels' ``x`` propagation.
-
-    ``order`` is the reverse topological task order; ``succ[t]`` is the
-    successor of task ``t`` or -1 at a sink — the array form of the
-    graph walk the ``propagate_x`` kernel consumes.
-    """
-    order = np.asarray(application.reverse_topological_order(), dtype=np.int64)
-    succ = np.asarray(
-        [-1 if s is None else s for s in application.successors], dtype=np.int64
-    )
-    return order, succ
-
-
 def _propagate_expected_products(
     application: Application, f_used: np.ndarray
 ) -> np.ndarray:
@@ -104,10 +91,10 @@ def _propagate_expected_products(
 
     ``f_used[r, i]`` is the failure rate of task ``i`` under row ``r``'s
     assignment; returns ``x`` of the same shape.  The walk itself runs in
-    the ``propagate_x`` kernel (see :mod:`repro.backend`).
+    the ``propagate_x`` kernel (see :mod:`repro.backend`), along the
+    graph's shared path split.
     """
-    order, succ = _graph_arrays(application)
-    return get_backend().propagate_x(order, succ, f_used)
+    return get_backend().propagate_x(graph_tables(application).paths, f_used)
 
 
 def _expected_products_core(instance: ProblemInstance, assignments: np.ndarray) -> np.ndarray:

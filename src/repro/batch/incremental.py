@@ -10,7 +10,9 @@ A single-task move therefore only touches ``|upstream(i)|`` task
 contributions and the machines hosting them, which
 :class:`MappingEvaluator` exploits to keep the full evaluation (period,
 machine periods, ``x``, critical machines) up to date in vectorized
-O(upstream) work instead of re-evaluating from scratch.
+O(upstream) work instead of re-evaluating from scratch.  The upstream
+sets and their flat pairs depend on the precedence graph alone; they
+live in the graph's shared :class:`~repro.batch.graph.GraphTables`.
 
 This is the building block for local-search procedures and for any loop
 that probes many single-task reassignments: "what is the period with
@@ -32,7 +34,7 @@ from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
 from ..core.period import MappingEvaluation
 from ..exceptions import InvalidMappingError
-from .evaluation import _graph_arrays
+from .graph import graph_tables
 
 __all__ = ["MappingEvaluator"]
 
@@ -52,41 +54,6 @@ def _coerce_assignment(
             f"assignment uses machine indices outside 0..{instance.num_machines - 1}"
         )
     return arr
-
-
-def _upstream_sets(instance: ProblemInstance) -> list[np.ndarray]:
-    """For each task, the array of tasks whose sink path passes through it.
-
-    Entry ``i`` lists ``i`` first, then every transitive predecessor of
-    ``i``, in ascending index order after the leading ``i``.
-    """
-    app = instance.application
-    collected: dict[int, list[int]] = {}
-    for task in app.topological_order():
-        members: list[int] = []
-        for pred in app.predecessors(task):
-            members.extend(collected[pred])
-        members.sort()
-        collected[task] = [task] + members
-    return [np.asarray(collected[i], dtype=np.int64) for i in range(instance.num_tasks)]
-
-
-def _upstream_pairs(
-    upstream: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``(task, upstream task)`` pairs of every upstream set, in order.
-
-    Returns ``(tasks, ups, rest_tasks, rest_ups)``: pair ``k`` is
-    ``ups[k]`` in the upstream set of ``tasks[k]``, task-major and in each
-    set's own order; ``rest_tasks``/``rest_ups`` are the same pairs
-    without each set's leading task (the ``ups[1:]`` slices).
-    """
-    lengths = np.asarray([ups.size for ups in upstream], dtype=np.int64)
-    tasks = np.repeat(np.arange(lengths.size), lengths)
-    ups = np.concatenate(upstream)
-    rest = np.ones(tasks.size, dtype=bool)
-    rest[np.cumsum(lengths) - lengths] = False
-    return tasks, ups, tasks[rest], ups[rest]
 
 
 class MappingEvaluator:
@@ -114,10 +81,10 @@ class MappingEvaluator:
         "_x",
         "_contrib",
         "_periods",
-        "_upstream",
-        "_pairs",
+        "_graph",
         "_f",
         "_keep",
+        "_ratios",
         "_w",
     )
 
@@ -128,26 +95,28 @@ class MappingEvaluator:
         # Per-attempt success rates; a move's ratio is keep[t, a(t)] / keep[t, u].
         self._keep = 1.0 - self._f
         self._w = instance.processing_times
-        self._upstream = _upstream_sets(instance)
-        self._pairs = _upstream_pairs(self._upstream)
+        self._graph = graph_tables(instance.application)
         self.refresh()
 
     # -- state ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Recompute ``x``, contributions and periods from scratch.
+        """Recompute ``x``, contributions and periods from the assignment alone.
 
-        Runs as a depth-1 stack through the batch kernels — the
-        same kernels the batched evaluators use, so the scalar and
-        stacked states stay bit-for-bit interchangeable.
+        ``x`` comes from the ``propagate_x`` kernel (one accumulate per
+        path of the graph's shared split) and the periods from the
+        ``scatter_periods`` kernel, each as a depth-1 stack: the kernels
+        the batched evaluators use, so the scalar and stacked states stay
+        bit-for-bit interchangeable, and both equal the scalar
+        :func:`repro.core.period.evaluate`.
         """
         backend = get_backend()
-        order, succ = _graph_arrays(self.instance.application)
-        n = self.instance.num_tasks
-        tasks = np.arange(n)
+        tasks = np.arange(self.instance.num_tasks)
         f_used = self._f[tasks, self._assignment]
-        x = backend.propagate_x(order, succ, f_used[np.newaxis, :])[0]
+        x = backend.propagate_x(self._graph.paths, f_used[np.newaxis, :])[0]
         self._x = x
         self._contrib = x * self._w[tasks, self._assignment]
+        # Every move's ratio keep[t, a(t)] / keep[t, u], row t rewritten when t moves.
+        self._ratios = self._keep[tasks, self._assignment][:, np.newaxis] / self._keep
         self._periods = backend.scatter_periods(
             self._assignment[np.newaxis, :],
             self._contrib[np.newaxis, :],
@@ -163,9 +132,7 @@ class MappingEvaluator:
         assignment swap plus one :meth:`refresh` is cheaper and — unlike
         a chain of moves — lands in exactly the numeric state a freshly
         constructed evaluator would hold, because :meth:`refresh`
-        recomputes everything from the assignment alone.  Only the
-        upstream sets and their flat pairs (fixed by the precedence graph,
-        O(n²) to rebuild) are carried over.
+        recomputes everything from the assignment alone.
         """
         self._assignment = _coerce_assignment(self.instance, mapping)
         self.refresh()
@@ -237,8 +204,8 @@ class MappingEvaluator:
         old_machine = int(self._assignment[task])
         if machine == old_machine:
             return self.period
-        ups = self._upstream[task]
-        ratio = self._keep[task, old_machine] / self._keep[task, machine]
+        ups = self._graph.upstream[task]
+        ratio = self._ratios[task, machine]
         delta = np.zeros(self.instance.num_machines, dtype=np.float64)
         old_c = self._contrib[ups]
         np.add.at(delta, self._assignment[ups], -old_c)
@@ -265,12 +232,17 @@ class MappingEvaluator:
         Each cell is the per-task probe bit for bit (take task ``i``'s
         upstream contributions off their machines, re-add the unmoved ones
         scaled by the move's ratio, add task ``i`` at its destination, take
-        the max), but the whole step is one probe.  ``removed`` and
-        ``rest`` for all tasks come from one zero-start scatter each over
-        the flat ``(task, upstream)`` pairs, so every ``(task, machine)``
-        slot sums the same terms in the same order as a per-task scatter.
-        Then one ``probe_candidates`` call scores the cells of ``allowed``
-        in row-major order, and the first cell holding the minimum is the
+        the max), but the whole step is one scatter and one probe.  The
+        scatter fills a machine-major ``(2m, n)`` array from the graph's
+        flat ``(task, upstream)`` pairs: column ``t`` of rows ``[0, m)``
+        is what moving task ``t`` takes off each machine (``removed``,
+        its whole upstream set), of rows ``[m, 2m)`` the unscaled re-add
+        of its unmoved upstream tasks (``rest``).  Each cell sums the same
+        terms in the same order as a per-task scatter.  The allowed cells
+        are gathered by their flat index ``t * m + u`` (row-major), with
+        their ratios from the evaluator's ``(n, m)`` ratio table (row
+        ``t`` rewritten when task ``t`` moves), one ``probe_candidates``
+        call scores them, and the first cell holding the minimum is the
         lowest task's lowest machine.
 
         Parameters
@@ -293,30 +265,21 @@ class MappingEvaluator:
                 raise InvalidMappingError(
                     f"allowed mask must have shape ({n}, {m}), got {allowed.shape}"
                 )
-        tasks, dests = np.nonzero(allowed)
-        if not tasks.size:
+        cells = np.flatnonzero(allowed)
+        if not cells.size:
             return None
+        tasks, dests = np.divmod(cells, m)
         backend = get_backend()
-        pair_task, pair_up, rest_task, rest_up = self._pairs
-        assignment, contrib = self._assignment, self._contrib
-        # Machine-major (m, n) sums: column t is task t's machine periods.
-        removed = backend.scatter_add_rows(
-            assignment[pair_up], pair_task, contrib[pair_up], (m, n)
+        pair_task, pair_up, count = self._graph.pairs
+        rows = self._assignment[pair_up]
+        rows[count:] += m
+        sums = backend.scatter_add_rows(
+            rows, pair_task, self._contrib[pair_up], (2 * m, n)
         )
-        # Unscaled re-add pattern for each task's unmoved upstream tasks.
-        rest = backend.scatter_add_rows(
-            assignment[rest_up], rest_task, contrib[rest_up], (m, n)
-        )
-        ratios = self._keep[tasks, assignment[tasks]] / self._keep[tasks, dests]
-        values = backend.probe_candidates(
-            self._periods[:, np.newaxis] - removed,
-            rest,
-            ratios,
-            self._x,
-            self._w,
-            tasks,
-            dests,
-        )
+        # Rows [0, m) become ``base``: the periods with task t's upstream set removed.
+        np.subtract(self._periods[:, np.newaxis], sums[:m], out=sums[:m])
+        ratios = self._ratios.ravel()[cells]
+        values = backend.probe_candidates(sums, ratios, self._x, self._w, tasks, dests)
         best = int(np.argmin(values))
         value = float(values[best])
         if not value < self.period * (1.0 - rel_tol):
@@ -334,12 +297,13 @@ class MappingEvaluator:
         old_machine = int(self._assignment[task])
         if machine == old_machine:
             return self.period
-        ups = self._upstream[task]
-        ratio = self._keep[task, old_machine] / self._keep[task, machine]
+        ups = self._graph.upstream[task]
+        ratio = self._ratios[task, machine]
         old_c = self._contrib[ups]
         np.add.at(self._periods, self._assignment[ups], -old_c)
         self._x[ups] *= ratio
         self._assignment[task] = machine
+        self._ratios[task] = self._keep[task, machine] / self._keep[task]
         self._contrib[ups] = self._x[ups] * self._w[ups, self._assignment[ups]]
         np.add.at(self._periods, self._assignment[ups], self._contrib[ups])
         return self.period

@@ -1,8 +1,8 @@
 """Per-block solve-cost model driving shard balancing and stealing order.
 
 Blocks are wildly uneven: a MIP block at its time limit costs ~100x a
-heuristic block of the same shape, local search ~10x, OtO somewhere
-between.  A block count says nothing about this, so the shard planner
+heuristic block of the same shape, local search ~7.5x, OtO ~2x.  A
+block count says nothing about this, so the shard planner
 (:func:`repro.campaign.plan.plan`) prices each campaign work unit (one
 block) by its provider label with calibrated estimates and balances
 shards by total estimated cost (LPT greedy), and the block executor's
@@ -27,11 +27,16 @@ from .providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
 
 __all__ = ["classify_curve", "provider_cost", "block_cost"]
 
-#: Relative per-repetition solve cost of each provider class.
+#: Relative per-repetition solve cost of each provider class.  Measured
+#: as provider time over the plain heuristics' mean time, at R=30:
+#: ``local_search`` on fig6 n=10/40/70/100 (7.0-7.9).  OtO reads 0.5 of
+#: that mean on fig9, where the H2/H3 bisections dominate it, so it is
+#: priced against the H4 family instead (1.7-1.9), keeping it above a
+#: heuristic block.
 PROVIDER_COSTS = {
     "heuristic": 1.0,
-    "local_search": 10.0,
-    "oto": 8.0,
+    "local_search": 7.5,
+    "oto": 1.8,
     "mip": 100.0,
 }
 #: Exponent of the instance size ``n*m`` in :func:`block_cost`.

@@ -69,11 +69,21 @@ def descend(
 ) -> int:
     """Best-single-move descent of ``evaluator``, in place, within the specialized rule.
 
-    Repeatedly applies the globally best improving single-task move (via
-    :meth:`~repro.batch.MappingEvaluator.best_move`) until the mapping is
-    a local optimum, and returns the number of moves.  ``up`` is an
+    Repeatedly applies the globally best improving single-task move (one
+    :meth:`~repro.batch.MappingEvaluator.best_move` call, then
+    :meth:`~repro.batch.MappingEvaluator.move`) until the mapping is a
+    local optimum, and returns the number of moves.  ``up`` is an
     optional boolean ``(m,)`` mask of the machines a move may target (the
     live replanner's surviving machines).
+
+    The allowed cells are :func:`specialized_move_mask` of the current
+    assignment, restricted to ``up``.  The mask is built once: a move of
+    task ``i`` from machine ``a`` to ``v`` changes which types only
+    ``a`` and ``v`` host, so after each move only those two columns are
+    rewritten, from per-machine counts of hosted types.  A column is
+    all-true (an empty up machine), the tasks of its one hosted type, or
+    all-false (a down machine, or one hosting several types), so every
+    step sees exactly the mask a rebuild would give.
 
     ``max_moves`` is a hard cap on the number of moves (defaults to
     ``100 * n``, a safety net far above what the descent ever uses in
@@ -82,17 +92,42 @@ def descend(
     """
     instance = evaluator.instance
     cap = max_moves if max_moves is not None else 100 * instance.num_tasks
+    types = instance.application.types.as_array
+    assignment = evaluator.assignment
+    allowed = specialized_move_mask(instance, assignment)
+    if up is not None:
+        up = np.asarray(up, dtype=bool)
+        allowed &= up
+    assignment = assignment.tolist()
+    type_of = types.tolist()
+    down = [False] * instance.num_machines if up is None else (~up).tolist()
+    counts = [[0] * instance.num_types for _ in range(instance.num_machines)]
+    for task, machine in enumerate(assignment):
+        counts[machine][type_of[task]] += 1
+    every = np.ones(instance.num_tasks, dtype=bool)
+    of_type = [types == t for t in range(instance.num_types)]
+    none = ~every
+
+    def column(machine: int) -> np.ndarray:
+        hosted = [t for t, count in enumerate(counts[machine]) if count]
+        if down[machine] or len(hosted) > 1:
+            return none
+        return of_type[hosted[0]] if hosted else every
+
     moves = 0
     while moves < cap:
-        allowed = specialized_move_mask(instance, evaluator.assignment)
-        if up is not None:
-            allowed &= up
         best = evaluator.best_move(allowed=allowed, rel_tol=rel_tol)
         if best is None:
             break
         task, machine, _ = best
         evaluator.move(task, machine)
         moves += 1
+        source = assignment[task]
+        assignment[task] = machine
+        counts[source][type_of[task]] -= 1
+        counts[machine][type_of[task]] += 1
+        allowed[:, source] = column(source)
+        allowed[:, machine] = column(machine)
     return moves
 
 

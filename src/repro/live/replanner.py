@@ -29,9 +29,10 @@ Every tier is a pure function of ``(instance, heuristic, up-set,
 previous mapping, plan cache)``, so a whole timeline's mappings are a
 deterministic function of the timeline alone.  ``warm=True`` (the
 default) only changes *how fast* the warm tier runs — a persistent
-evaluator is kept across events, skipping the O(n²) upstream-set rebuild
-— never *what* it returns: the warm tier resyncs the evaluator's numeric
-state from the bare assignment before probing
+evaluator is kept across events instead of one built per event (its
+graph tables are shared either way) — never *what* it returns: the
+warm tier resyncs the evaluator's numeric state from the bare
+assignment before probing
 (:meth:`~repro.batch.MappingEvaluator.reassign`), which is exactly the
 state a freshly constructed evaluator would hold.  ``Replanner(...,
 warm=False)`` is therefore the *cold re-solve* reference: same tiers,
@@ -356,7 +357,7 @@ class Replanner:
         :meth:`~repro.batch.MappingEvaluator.reassign` (assignment swap +
         full refresh), so its ``x`` / contributions / periods are bit for
         bit what ``MappingEvaluator(instance, mapping)`` would compute —
-        the warm path only skips the upstream-set rebuild, never drifts.
+        the warm path only skips building an evaluator, never drifts.
         """
         if not self.warm:
             return MappingEvaluator(self.instance, mapping)

@@ -23,6 +23,7 @@ from repro.generators.scenarios import ScenarioConfig, sample_instance
 from repro.heuristics import get_heuristic
 from repro.heuristics.base import backward_task_order, solve_one, supports_batch
 from repro.heuristics.binary_search import worst_case_period_bound
+from repro.heuristics.local_search import specialized_move_mask
 from repro.simulation.rng import RandomStreamFactory
 
 __all__ = [
@@ -256,6 +257,35 @@ def reference_best_move(
         if value < threshold and (best is None or value < best[2]):
             best = (task, machine, value)
     return best
+
+
+def reference_descend(
+    evaluator: MappingEvaluator,
+    *,
+    up: np.ndarray | None = None,
+    max_moves: int | None = None,
+    rel_tol: float = 1e-12,
+) -> list[tuple[int, int]]:
+    """The descent ``local_search.descend`` must reproduce, move for move.
+
+    Rebuilds :func:`~repro.heuristics.local_search.specialized_move_mask`
+    from the evaluator's assignment before every step (restricted to
+    ``up``) and applies each ``best_move`` in place; returns the
+    ``(task, machine)`` moves.
+    """
+    instance = evaluator.instance
+    cap = max_moves if max_moves is not None else 100 * instance.num_tasks
+    moves: list[tuple[int, int]] = []
+    while len(moves) < cap:
+        allowed = specialized_move_mask(instance, evaluator.assignment)
+        if up is not None:
+            allowed &= up
+        best = evaluator.best_move(allowed=allowed, rel_tol=rel_tol)
+        if best is None:
+            break
+        evaluator.move(best[0], best[1])
+        moves.append((best[0], best[1]))
+    return moves
 
 
 class AssignmentState:

@@ -1,7 +1,8 @@
 """The numpy kernel set, its activation seam and its bit-for-bit contract.
 
 * every kernel against a plain-Python loop that states its definition,
-  exact equality on randomized inputs;
+  exact equality on randomized inputs; ``propagate_x`` also on chains
+  and in-trees (shared tails, nested joins, forests) at several depths;
 * the lexicographic first-feasible pick against a stable-sort oracle;
 * every batch-capable heuristic on scaled fig5/fig9/fig10 sweep points,
   bit-for-bit against the per-instance scalar path (assignments and
@@ -33,8 +34,11 @@ from repro.backend import (
     scatter_add_rows,
     scatter_periods,
 )
+from repro.batch.graph import graph_tables, split_paths
 from repro.core import Mapping
+from repro.core.application import Application, in_tree, linear_chain
 from repro.core.period import period
+from repro.core.types import TypeAssignment
 from repro.experiments.figures import FIGURES
 from repro.experiments.providers import BlockChunk
 from repro.heuristics import get_heuristic
@@ -75,12 +79,14 @@ def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
     return {
         "order": order,
         "succ": succ,
+        "paths": split_paths(order, succ),
         "f_used": f_used,
         "assignments": assignments,
         "contributions": contributions,
         "m": m,
         "base": base,
         "rest": rest,
+        "sums": np.concatenate([base, rest]),
         "ratios": ratios,
         "x": x,
         "w": w,
@@ -101,7 +107,7 @@ def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
 def _kernel_args(name: str, inputs: dict) -> tuple:
     """Positional arguments of kernel ``name`` drawn from ``inputs``."""
     return {
-        "propagate_x": lambda: (inputs["order"], inputs["succ"], inputs["f_used"]),
+        "propagate_x": lambda: (inputs["paths"], inputs["f_used"]),
         "scatter_periods": lambda: (
             inputs["assignments"],
             inputs["contributions"],
@@ -118,8 +124,7 @@ def _kernel_args(name: str, inputs: dict) -> tuple:
             1e-9,
         ),
         "probe_candidates": lambda: (
-            inputs["base"],
-            inputs["rest"],
+            inputs["sums"],
             inputs["ratios"],
             inputs["x"],
             inputs["w"],
@@ -145,13 +150,9 @@ class TestKernelOracles:
 
     def test_propagate_x(self, seed):
         inputs = _random_kernel_inputs(seed)
-        order, succ, f_used = _kernel_args("propagate_x", inputs)
-        expected = np.ones_like(f_used)
-        for r in range(f_used.shape[0]):
-            for task in order:
-                down = 1.0 if succ[task] < 0 else expected[r, succ[task]]
-                expected[r, task] = down / (1.0 - f_used[r, task])
-        assert np.array_equal(propagate_x(order, succ, f_used), expected)
+        paths, f_used = _kernel_args("propagate_x", inputs)
+        expected = _loop_propagate_x(inputs["order"], inputs["succ"], f_used)
+        assert np.array_equal(propagate_x(paths, f_used), expected)
 
     def test_scatter_periods(self, seed):
         inputs = _random_kernel_inputs(seed)
@@ -212,14 +213,93 @@ def _loop_scatter_add_rows(rows, cols, vals, shape) -> np.ndarray:
     return expected
 
 
-def _loop_probe_candidates(base, rest, ratios, x, w, tasks, dests) -> np.ndarray:
+def _loop_probe_candidates(sums, ratios, x, w, tasks, dests) -> np.ndarray:
     """``probe_candidates`` one cell and one machine at a time."""
+    m = sums.shape[0] // 2
+    base, rest = sums[:m], sums[m:]
     expected = np.empty(len(tasks))
     for k, (t, v) in enumerate(zip(tasks, dests)):
-        moved = [rest[u, t] * ratios[k] + base[u, t] for u in range(base.shape[0])]
+        moved = [rest[u, t] * ratios[k] + base[u, t] for u in range(m)]
         moved[v] += x[t] * ratios[k] * w[t, v]
         expected[k] = max(moved)
     return expected
+
+
+def _loop_propagate_x(order, succ, f_used) -> np.ndarray:
+    """The ``x`` recursion one row and one task at a time, in ``order``."""
+    expected = np.ones_like(f_used)
+    for r in range(f_used.shape[0]):
+        for task in order:
+            down = 1.0 if succ[task] < 0 else expected[r, succ[task]]
+            expected[r, task] = down / (1.0 - f_used[r, task])
+    return expected
+
+
+def _random_in_tree(num_tasks: int, rng: np.random.Generator, *, sink_share: float):
+    """An in-forest on shuffled labels: joins at any depth, some extra sinks."""
+    labels = rng.permutation(num_tasks)
+    edges = []
+    for k in range(num_tasks - 1):
+        if rng.random() >= sink_share:
+            edges.append((int(labels[k]), int(labels[rng.integers(k + 1, num_tasks)])))
+    return Application(TypeAssignment([0] * num_tasks), edges)
+
+
+#: Precedence graphs of the ``propagate_x`` battery.
+_GRAPHS = {
+    "chain-1": lambda rng: linear_chain(1, 1),
+    "chain-50": lambda rng: linear_chain(50, 5),
+    "in-tree-shared-tail": lambda rng: in_tree([6, 3, 8, 1], 3, shared_tail_length=4),
+    "in-tree-nested": lambda rng: _random_in_tree(40, rng, sink_share=0.0),
+    "in-forest": lambda rng: _random_in_tree(40, rng, sink_share=0.15),
+}
+
+
+class TestPropagateXPaths:
+    """One accumulate per path is the per-task division, bit for bit."""
+
+    @pytest.mark.parametrize("rows", (1, 2, 6, 50))
+    @pytest.mark.parametrize("graph", list(_GRAPHS))
+    def test_matches_the_per_task_division(self, graph, rows):
+        rng = np.random.default_rng(rows)
+        tables = graph_tables(_GRAPHS[graph](rng))
+        f_used = rng.uniform(0.0, 0.6, size=(rows, tables.succ.size))
+        expected = _loop_propagate_x(tables.order, tables.succ, f_used)
+        assert np.array_equal(propagate_x(tables.paths, f_used), expected)
+
+    @pytest.mark.parametrize("graph", list(_GRAPHS))
+    def test_any_successor_first_order_gives_the_same_bits(self, graph):
+        rng = np.random.default_rng(7)
+        tables = graph_tables(_GRAPHS[graph](rng))
+        f_used = rng.uniform(0.0, 0.6, size=(3, tables.succ.size))
+        # Another reverse topological order: sinks first, then a random
+        # pick among the tasks whose successor is done.
+        succ = tables.succ.tolist()
+        done, order = set(), []
+        while len(order) < len(succ):
+            ready = [
+                t for t in range(len(succ))
+                if t not in done and (succ[t] < 0 or succ[t] in done)
+            ]
+            task = ready[rng.integers(len(ready))]
+            done.add(task)
+            order.append(task)
+        paths = split_paths(np.asarray(order), tables.succ)
+        assert np.array_equal(propagate_x(paths, f_used), propagate_x(tables.paths, f_used))
+
+    def test_paths_cover_every_task_once_and_seed_from_earlier_paths(self):
+        tables = graph_tables(_random_in_tree(60, np.random.default_rng(3), sink_share=0.1))
+        seen: set[int] = set()
+        for tasks, seed in tables.paths:
+            assert seed < 0 or seed in seen
+            assert tables.succ[tasks[0]] == seed
+            assert all(tables.succ[b] == a for a, b in zip(tasks, tasks[1:]))
+            seen.update(tasks.tolist())
+        assert sorted(seen) == list(range(60))
+
+    def test_a_chain_is_one_path(self):
+        ((tasks, seed),) = graph_tables(linear_chain(30, 3)).paths
+        assert seed == -1 and tasks.tolist() == list(range(29, -1, -1))
 
 
 class TestEmptyKernelInputs:
@@ -237,7 +317,7 @@ class TestEmptyKernelInputs:
     def test_probe_candidates_without_cells(self):
         inputs = _random_kernel_inputs(0)
         none = np.zeros(0, dtype=np.int64)
-        args = (inputs["base"], inputs["rest"], np.zeros(0), inputs["x"], inputs["w"], none, none)
+        args = (inputs["sums"], np.zeros(0), inputs["x"], inputs["w"], none, none)
         out = probe_candidates(*args)
         assert out.shape == (0,) and out.dtype == np.float64
         assert np.array_equal(out, _loop_probe_candidates(*args))

@@ -22,7 +22,9 @@ from repro.batch import (
     batch_periods,
     evaluate_batch,
 )
+from repro.batch import graph as graph_mod
 from repro.batch.evaluation import as_assignment_array
+from repro.batch.graph import graph_tables
 from repro.core import (
     Application,
     FailureModel,
@@ -32,6 +34,7 @@ from repro.core import (
     TypeAssignment,
     evaluate,
     in_tree,
+    linear_chain,
 )
 from repro.exceptions import InvalidInstanceError, InvalidMappingError
 from tests.helpers import reference_candidate_periods
@@ -216,6 +219,82 @@ class TestInstanceStack:
             InstanceStack.from_instances([a, b])
         with pytest.raises(InvalidInstanceError):
             InstanceStack.from_instances([])
+
+
+def _table_arrays(tables) -> list[np.ndarray]:
+    pair_tasks, pair_ups, _ = tables.pairs
+    return [
+        tables.order,
+        tables.succ,
+        *(tasks for tasks, _ in tables.paths),
+        *tables.upstream,
+        pair_tasks,
+        pair_ups,
+    ]
+
+
+class TestGraphTables:
+    """The per-graph index tables are shared by equal graphs and read-only."""
+
+    def test_equal_chains_share_one_table_set(self):
+        first, second = linear_chain(30, 3), linear_chain(30, 5)
+        assert first is not second and first.successors == second.successors
+        assert graph_tables(first) is graph_tables(second)
+        assert graph_tables(linear_chain(31, 3)) is not graph_tables(first)
+        rng = np.random.default_rng(4)
+        instances = [
+            ProblemInstance(app, Platform(rng.uniform(1.0, 5.0, (30, 4))),
+                            FailureModel(rng.uniform(0.0, 0.2, (30, 4))))
+            for app in (first, second)
+        ]
+        evaluators = [MappingEvaluator(inst, np.zeros(30, dtype=np.int64)) for inst in instances]
+        assert evaluators[0]._graph is evaluators[1]._graph
+
+    @pytest.mark.parametrize(
+        "app", [linear_chain(12, 3), in_tree([3, 1, 4], 2, shared_tail_length=2)]
+    )
+    def test_every_table_is_read_only(self, app):
+        arrays = _table_arrays(graph_tables(app))
+        assert all(not arr.flags.writeable for arr in arrays)
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_upstream_sets_are_the_transitive_predecessors(self):
+        app = in_tree([3, 1, 4], 2, shared_tail_length=2)
+        tables = graph_tables(app)
+        for task in range(app.num_tasks):
+            members, frontier = set(), [task]
+            while frontier:
+                node = frontier.pop()
+                members.add(node)
+                frontier.extend(app.predecessors(node))
+            expected = [task] + sorted(members - {task})
+            assert tables.upstream[task].tolist() == expected
+        pair_tasks, pair_ups, count = tables.pairs
+        heads = [int(ups[0]) for ups in tables.upstream]
+        assert count == sum(ups.size for ups in tables.upstream)
+        assert pair_ups[:count].tolist() == [int(u) for ups in tables.upstream for u in ups]
+        assert pair_ups[count:].tolist() == [int(u) for ups in tables.upstream for u in ups[1:]]
+        assert pair_tasks[:count].tolist() == [
+            t for t, ups in enumerate(tables.upstream) for _ in ups
+        ]
+        assert heads == list(range(app.num_tasks))
+
+    def test_the_cache_is_bounded_and_rebuilds_equal_tables(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "_CACHE", {})
+        monkeypatch.setattr(graph_mod, "GRAPH_CACHE_BUDGET", 6**2 + 7**2 + 8**2)
+        first = graph_tables(linear_chain(5, 1))
+        for n in (6, 7, 8):
+            graph_tables(linear_chain(n, 1))
+        assert [len(key) for key in graph_mod._CACHE] == [6, 7, 8]
+        graph_tables(linear_chain(20, 1))  # over budget alone: kept by itself
+        assert [len(key) for key in graph_mod._CACHE] == [20]
+        again = graph_tables(linear_chain(5, 1))
+        assert again is not first
+        assert [a.tolist() for a in _table_arrays(again)] == [
+            a.tolist() for a in _table_arrays(first)
+        ]
 
 
 class TestMappingEvaluator:

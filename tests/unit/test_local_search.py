@@ -19,8 +19,8 @@ from repro.core import (
     evaluate,
 )
 from repro.heuristics import available_heuristics, get_heuristic
-from repro.heuristics.local_search import refine_specialized, specialized_move_mask
-from tests.helpers import make_random_instance, reference_best_move
+from repro.heuristics.local_search import descend, refine_specialized, specialized_move_mask
+from tests.helpers import make_random_instance, reference_best_move, reference_descend
 
 
 class TestSpecializedMoveMask:
@@ -89,19 +89,15 @@ class TestRefineSpecialized:
         assert capped == 1
 
 
-@st.composite
-def _probe_states(draw):
-    """An evaluator mid-descent, plus an ``allowed`` mask and ``rel_tol``.
+def _tie_heavy_instance(draw, *, max_tasks: int, max_machines: int) -> ProblemInstance:
+    """A chain or random in-forest with many equal candidate periods.
 
-    Tie-heavy on purpose: ``w`` is drawn from a few integers per type and
-    some machine columns (``w`` and ``f`` alike) are copies of others, so
-    equal candidate periods across tasks and machines are common.  The
-    graph is a chain or a random in-forest, the mapping is arbitrary
-    (not necessarily specialized) and a few moves are applied before the
-    probe, so the incremental state is exercised too.
+    ``w`` is drawn from a few integers per type and some machine columns
+    (``w`` and ``f`` alike) are copies of others, so equal candidate
+    periods across tasks and machines are common.
     """
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_tasks))
+    m = draw(st.integers(1, max_machines))
     p = draw(st.integers(1, min(n, 3)))
     types = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     types[:p] = range(p)
@@ -119,7 +115,19 @@ def _probe_states(draw):
     for target in range(m):
         source = draw(st.integers(0, target))
         w[:, target], f[:, target] = w[:, source], f[:, source]
-    instance = ProblemInstance(app, Platform(w), FailureModel(f))
+    return ProblemInstance(app, Platform(w), FailureModel(f))
+
+
+@st.composite
+def _probe_states(draw):
+    """An evaluator mid-descent, plus an ``allowed`` mask and ``rel_tol``.
+
+    Tie-heavy on purpose (:func:`_tie_heavy_instance`).  The mapping is
+    arbitrary (not necessarily specialized) and a few moves are applied
+    before the probe, so the incremental state is exercised too.
+    """
+    instance = _tie_heavy_instance(draw, max_tasks=12, max_machines=6)
+    n, m = instance.num_tasks, instance.num_machines
     assignment = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
     evaluator = MappingEvaluator(instance, np.asarray(assignment))
     for _ in range(draw(st.integers(0, 3))):
@@ -140,6 +148,75 @@ def test_best_move_equals_the_per_task_scan(state):
     evaluator, allowed, rel_tol = state
     expected = reference_best_move(evaluator, allowed=allowed, rel_tol=rel_tol)
     assert evaluator.best_move(allowed=allowed, rel_tol=rel_tol) == expected
+
+
+@st.composite
+def _descent_states(draw):
+    """A start mapping for :func:`descend`, with ``up``, ``max_moves`` and ``rel_tol``.
+
+    The start is specialized (a greedy seed) or arbitrary; ``up`` is
+    ``None`` or a random machine mask (machines the mapping uses may be
+    down: their tasks can still move off); the cap is ``None`` or small
+    enough to stop descents early.
+    """
+    instance = _tie_heavy_instance(draw, max_tasks=14, max_machines=7)
+    n, m = instance.num_tasks, instance.num_machines
+    if draw(st.booleans()) and m >= instance.num_types:
+        start = get_heuristic(draw(st.sampled_from(["H4w", "H4f", "H2"]))).solve(instance)
+        assignment = start.mapping.as_array.copy()
+    else:
+        assignment = np.asarray(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    up = None
+    if draw(st.booleans()):
+        up = np.asarray(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    max_moves = draw(st.none() | st.integers(0, 4))
+    rel_tol = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    return instance, assignment, up, max_moves, rel_tol
+
+
+@settings(max_examples=300)
+@given(state=_descent_states())
+def test_descend_equals_the_rebuilt_mask_descent(state):
+    """Keeping the move mask gives every move and every bit of a rebuild per step."""
+    instance, assignment, up, max_moves, rel_tol = state
+    kept = MappingEvaluator(instance, assignment)
+    rebuilt = MappingEvaluator(instance, assignment)
+    moves = descend(kept, up=up, max_moves=max_moves, rel_tol=rel_tol)
+    expected = reference_descend(rebuilt, up=up, max_moves=max_moves, rel_tol=rel_tol)
+    assert moves == len(expected)
+    assert kept.assignment.tolist() == rebuilt.assignment.tolist()
+    assert kept.expected_products.tobytes() == rebuilt.expected_products.tobytes()
+    assert kept.machine_periods.tobytes() == rebuilt.machine_periods.tobytes()
+
+
+def test_descend_recomputes_both_touched_columns():
+    """A move that empties its source machine opens it to every type."""
+    # Chain of types [0, 1, 1] on [M2, M0, M0].  The first move takes
+    # task 0 from M2 to M1 and leaves M2 empty; the second then moves
+    # task 1 (type 1) to M2, which a stale source column would refuse.
+    app = Application.chain(TypeAssignment([0, 1, 1], num_types=2))
+    w = np.array([[6.0, 2.0, 9.0], [4.0, 2.0, 1.0], [4.0, 7.0, 3.0]])
+    instance = ProblemInstance(app, Platform(w), FailureModel(np.zeros((3, 3))))
+    kept = MappingEvaluator(instance, np.array([2, 0, 0]))
+    rebuilt = MappingEvaluator(instance, np.array([2, 0, 0]))
+    assert reference_descend(rebuilt) == [(0, 1), (1, 2)]
+    assert descend(kept) == 2
+    assert kept.assignment.tolist() == rebuilt.assignment.tolist() == [1, 2, 0]
+
+
+def test_descend_keeps_an_emptied_down_machine_closed():
+    """A task may leave a down machine, but nothing may move onto it."""
+    # Types [0, 1, 1] on [M1, M0, M2] with M0 down: task 1 leaves M0 for
+    # M2, and the emptied M0 must stay closed to task 0.
+    app = Application.chain(TypeAssignment([0, 1, 1], num_types=2))
+    w = np.array([[2.0, 7.0, 7.0], [9.0, 3.0, 4.0], [2.0, 1.0, 1.0]])
+    instance = ProblemInstance(app, Platform(w), FailureModel(np.zeros((3, 3))))
+    up = np.array([False, True, True])
+    kept = MappingEvaluator(instance, np.array([1, 0, 2]))
+    rebuilt = MappingEvaluator(instance, np.array([1, 0, 2]))
+    assert reference_descend(rebuilt, up=up) == [(1, 2)]
+    assert descend(kept, up=up) == 1
+    assert kept.assignment.tolist() == rebuilt.assignment.tolist() == [1, 2, 2]
 
 
 class TestBestMove:
