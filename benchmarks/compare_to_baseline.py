@@ -7,7 +7,10 @@ in the same run.  Raw medians are useless across machines (a laptop and
 a CI runner differ by integer factors), but the ratio of two benchmarks
 of the same run cancels machine speed — so the gate compares normalized
 medians and fails when any key benchmark regresses by more than the
-baseline's tolerance (30%).
+baseline's tolerance (30%).  The calibration times a fixed pure-Python
+kernel that calls nothing of the program
+(``benchmarks/test_calibration.py``), so a faster program never reads
+as a regression of every key benchmark.
 
 Usage
 -----
@@ -35,10 +38,9 @@ import json
 import sys
 from pathlib import Path
 
-#: Benchmark whose median defines "how fast is this machine" for a run.
-#: A scalar Python-loop benchmark tracks interpreter + numpy dispatch
-#: speed, the resource every key benchmark below also spends.
-CALIBRATION = "benchmarks/test_batch_evaluation.py::test_bench_scalar_evaluation_loop"
+#: Benchmark whose median defines "how fast is this machine" for a run:
+#: a fixed interpreter kernel that imports nothing from the program.
+CALIBRATION = "benchmarks/test_calibration.py::test_bench_calibration_kernel"
 
 #: The benchmarks the gate protects (the PR 1-5 speedup claims).
 KEY_BENCHMARKS = (

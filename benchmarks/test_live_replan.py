@@ -21,10 +21,10 @@ the initial mapping and the spare machine never gets a task.
 ``test_bench_live_replan`` pins the warm replan's wall-clock in the CI
 regression gate (``benchmarks/baseline.json``).  Two more key benches
 pin one replan of each tier at the live workload's scale (n = 50,
-m = 25, H2): ``test_bench_live_cold_replan`` the cold tier (the
-sub-platform's construction, its type-consistency check and the H2
-re-solve) and ``test_bench_live_warm_replan`` the warm tier (one full
-best-single-move descent from the H2 mapping).
+m = 25, H2): ``test_bench_live_cold_replan`` the cold tier (the H2
+re-solve of the full platform under the up-mask, on walk inputs the
+replanner built once) and ``test_bench_live_warm_replan`` the warm tier
+(one full best-single-move descent from the H2 mapping).
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def test_bench_live_cold_replan(benchmark):
 
     Between timed rounds the failed machine recovers and the plan cache
     is cleared, so every timed failure of an assigned machine re-solves
-    the surviving sub-platform from scratch.
+    the surviving machines from scratch.
     """
     replanner = build_replanner(COLD_CONFIG)
     failed: list[int] = []

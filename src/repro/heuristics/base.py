@@ -19,7 +19,22 @@ and counters:
   instance's types own none yet.
 
 The heuristics only differ in *how* they rank the eligible machines.
-:class:`WalkTables` holds the per-solve inputs of the walks.
+:class:`WalkTables` holds a walk's per-instance inputs; a heuristic
+object keeps those of the last instance it solved (matched by
+identity, :meth:`Heuristic.walk_inputs`), so repeated solves of one
+instance build them once.
+
+Down machines
+-------------
+Every solve can take an *up-mask* (``up``, boolean ``(m,)``): the
+machines marked down must receive no task.  A walk then starts with each
+down machine already owned by a *phantom* type, ``max(types) + 1``,
+that no task has (:func:`start_owners`), so the eligibility test rejects
+it everywhere, and with ``free`` at the up count.  Every ranking the
+heuristics use is computed one machine column at a time and breaks ties
+by the lower index, so the walk picks what it would pick on the platform
+renumbered down to its up machines, mapped back to full indices.  The
+live replanner's cold tier solves this way (see :func:`solve_one`).
 
 Feasibility guard
 -----------------
@@ -67,6 +82,8 @@ __all__ = [
     "get_heuristic",
     "available_heuristics",
     "backward_task_order",
+    "start_owners",
+    "worst_case_products",
     "WalkTables",
 ]
 
@@ -115,11 +132,39 @@ def backward_task_order(instance: ProblemInstance) -> tuple[int, ...]:
     return instance.application.reverse_topological_order()
 
 
+def worst_case_products(
+    instance: ProblemInstance, up: np.ndarray | None = None
+) -> list[float]:
+    """Per-task worst-case expected products: the product of the worst
+    attempts factors ``1 / (1 - max_u f[j, u])`` along the path from the
+    task to its sink, the maxima over the machines ``up`` marks (every
+    machine when ``None``)."""
+    f = instance.failure_rates if up is None else instance.failure_rates[:, up]
+    worst_attempts = (1.0 / (1.0 - f.max(axis=1))).tolist()
+    successors = instance.application.successors
+    x_max = [1.0] * instance.num_tasks
+    for task in backward_task_order(instance):
+        succ = successors[task]
+        x_max[task] = (1.0 if succ is None else x_max[succ]) * worst_attempts[task]
+    return x_max
+
+
+def start_owners(up: np.ndarray | None, num_machines: int, phantom: int) -> list[int]:
+    """A walk's start ``machine_type`` row under the up-mask ``up``.
+
+    ``-1`` (free) on every up machine and ``phantom``, a type no task
+    has, on every down one; all ``-1`` when ``up`` is ``None``.
+    """
+    if up is None:
+        return [-1] * num_machines
+    return np.where(up, -1, phantom).tolist()
+
+
 @dataclass(frozen=True, slots=True)
 class WalkTables:
-    """The per-solve inputs of a greedy walk, as plain Python lists.
+    """The per-instance inputs of a greedy walk, as plain Python lists.
 
-    Built once per solve with ``.tolist()``, so a walk's inner loop
+    Built once per instance with ``.tolist()``, so a walk's inner loop
     touches only Python floats and ints.  ``keep[i][u]`` is
     ``1.0 - f[i, u]``; ``num_types`` counts the types the tasks use.
     """
@@ -145,6 +190,10 @@ class WalkTables:
             num_machines=instance.num_machines,
             num_types=len(set(types)),
         )
+
+    def owners(self, up: np.ndarray | None = None) -> list[int]:
+        """:func:`start_owners` of this instance (a fresh list)."""
+        return start_owners(up, self.num_machines, max(self.types) + 1)
 
 
 class BatchAssignmentState:
@@ -342,18 +391,44 @@ def solve_one(
     heuristic: Heuristic,
     instance: ProblemInstance,
     rng: np.random.Generator | None = None,
+    *,
+    up: np.ndarray | None = None,
 ) -> np.ndarray:
     """Feasibility-checked, validated single solve; the ``(n,)`` assignment.
 
-    The scalar counterpart of :func:`solve_stack`: both the block engine's
-    per-instance fallback and the solve service's unbatched path go
-    through this entry, so every consumer applies the same feasibility
-    check and mapping-rule validation.
+    The scalar counterpart of :func:`solve_stack`: the block engine's
+    per-instance fallback, the solve service's unbatched path and the
+    live replanner's cold tier all go through this entry, so every
+    consumer applies the same feasibility check and mapping-rule
+    validation.
+
+    ``up`` is an optional boolean ``(m,)`` mask of the machines that may
+    receive tasks (see the module docstring): fewer than ``p`` up
+    machines raise :class:`~repro.exceptions.InfeasibleProblemError`,
+    and a task placed on a down machine raises
+    :class:`~repro.exceptions.MappingRuleViolation`.
     """
     heuristic.check_feasible(instance)
-    mapping, _, _ = heuristic.solve_mapping(instance, rng)
+    if up is not None:
+        up = np.asarray(up, dtype=bool)
+        if up.shape != (instance.num_machines,):
+            raise ReproError(
+                f"up-mask must have shape ({instance.num_machines},), got {up.shape}"
+            )
+        up_count = int(np.count_nonzero(up))
+        if up_count < instance.num_types:
+            raise InfeasibleProblemError(
+                f"specialized mappings need m >= p; got {up_count} up machine(s), "
+                f"p={instance.num_types}"
+            )
+    mapping, _, _ = heuristic.solve_mapping(instance, rng, up=up)
     mapping.validate(instance, MappingRule.SPECIALIZED)
-    return mapping.as_array
+    assignment = mapping.as_array
+    if up is not None and not up[assignment].all():
+        raise MappingRuleViolation(
+            f"{heuristic.name} placed a task on a down machine"
+        )
+    return assignment
 
 
 def solve_stack(
@@ -396,6 +471,9 @@ def solve_stack(
     for row, instance in enumerate(instances):
         rng = rng_for(row) if rng_for is not None else None
         assignments[row] = solve_one(heuristic, instance, rng)
+    # Each row is solved once: keep no walk inputs past the stack, so a
+    # long-lived provider holds no instance's tables between blocks.
+    heuristic.release_walk_inputs()
     return assignments
 
 
@@ -403,14 +481,40 @@ class Heuristic(abc.ABC):
     """Base class for mapping heuristics.
 
     Subclasses implement :meth:`solve_mapping`, which must return a
-    specialized mapping, and set the class attribute ``name`` (paper
-    identifier).
+    specialized mapping that leaves the machines ``up`` marks down
+    empty, and set the class attribute ``name`` (paper identifier).
+    Walk heuristics also implement :meth:`build_walk_inputs`.
     """
 
     #: Paper identifier (e.g. ``"H4w"``); must be unique across the registry.
     name: str = ""
     #: Whether the heuristic uses randomness (and therefore an RNG argument).
     randomized: bool = False
+    #: ``(instance, walk inputs)`` of the last instance prepared.
+    _walk_memo: tuple[ProblemInstance, object] | None = None
+
+    def build_walk_inputs(self, instance: ProblemInstance) -> object:
+        """The per-instance inputs of this heuristic's walks."""
+        raise NotImplementedError(f"{self.name} has no walk inputs")
+
+    def walk_inputs(self, instance: ProblemInstance) -> object:
+        """:meth:`build_walk_inputs` of ``instance``, kept for the next call.
+
+        The inputs of the last instance are kept, matched by identity
+        (instances are immutable), so a caller that solves one instance
+        many times, such as the live replanner under changing up-masks,
+        builds them once.  The memo is one attribute, swapped whole.
+        """
+        memo = self._walk_memo
+        if memo is None or memo[0] is not instance:
+            self._walk_memo = None  # never hold two instances' inputs at once
+            memo = (instance, self.build_walk_inputs(instance))
+            self._walk_memo = memo
+        return memo[1]
+
+    def release_walk_inputs(self) -> None:
+        """Drop the kept walk inputs, for a caller done with the instance."""
+        self._walk_memo = None
 
     def check_feasible(self, instance: ProblemInstance) -> None:
         """Raise if no specialized mapping can exist for the instance."""
@@ -422,9 +526,15 @@ class Heuristic(abc.ABC):
 
     @abc.abstractmethod
     def solve_mapping(
-        self, instance: ProblemInstance, rng: np.random.Generator | None = None
+        self,
+        instance: ProblemInstance,
+        rng: np.random.Generator | None = None,
+        *,
+        up: np.ndarray | None = None,
     ) -> tuple[Mapping, int, dict]:
-        """Produce ``(mapping, iterations, metadata)`` for the instance."""
+        """Produce ``(mapping, iterations, metadata)`` for the instance,
+        using only the machines the boolean ``(m,)`` mask ``up`` marks
+        (every machine when ``None``)."""
 
     def solve(
         self, instance: ProblemInstance, rng: np.random.Generator | None = None

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
 from ..exceptions import ReproError
-from .base import Heuristic, register_heuristic
+from .base import Heuristic, register_heuristic, start_owners, worst_case_products
 
 __all__ = [
     "UniformRandomSpecialized",
@@ -34,18 +34,20 @@ __all__ = [
 
 
 def _partition_machines_among_types(
-    instance: ProblemInstance, rng: np.random.Generator | None
+    instance: ProblemInstance, rng: np.random.Generator | None, up: np.ndarray | None
 ) -> dict[int, list[int]]:
-    """Split the machines into non-empty groups, one per used task type.
+    """Split the up machines into non-empty groups, one per used task type.
 
     Every used type receives at least one machine; remaining machines are
     spread (randomly when an RNG is given, round-robin otherwise).
     """
     used_types = instance.application.types.used_types()
-    m = instance.num_machines
-    if len(used_types) > m:
+    if up is None:
+        machine_indices = list(range(instance.num_machines))
+    else:
+        machine_indices = np.flatnonzero(up).tolist()
+    if len(used_types) > len(machine_indices):
         raise ReproError("more task types than machines; no specialized mapping exists")
-    machine_indices = list(range(m))
     if rng is not None:
         rng.shuffle(machine_indices)
     groups: dict[int, list[int]] = {t: [] for t in used_types}
@@ -70,11 +72,15 @@ class UniformRandomSpecialized(Heuristic):
     randomized = True
 
     def solve_mapping(
-        self, instance: ProblemInstance, rng: np.random.Generator | None = None
+        self,
+        instance: ProblemInstance,
+        rng: np.random.Generator | None = None,
+        *,
+        up: np.ndarray | None = None,
     ) -> tuple[Mapping, int, dict]:
         if rng is None:  # pragma: no cover - Heuristic.solve always passes one
             rng = np.random.default_rng()
-        groups = _partition_machines_among_types(instance, rng)
+        groups = _partition_machines_among_types(instance, rng, up)
         assignment = np.empty(instance.num_tasks, dtype=np.int64)
         for task in range(instance.num_tasks):
             machines = groups[instance.type_of(task)]
@@ -89,9 +95,13 @@ class RoundRobinHeuristic(Heuristic):
     name = "RoundRobin"
 
     def solve_mapping(
-        self, instance: ProblemInstance, rng: np.random.Generator | None = None
+        self,
+        instance: ProblemInstance,
+        rng: np.random.Generator | None = None,
+        *,
+        up: np.ndarray | None = None,
     ) -> tuple[Mapping, int, dict]:
-        groups = _partition_machines_among_types(instance, None)
+        groups = _partition_machines_among_types(instance, None, up)
         cursor: dict[int, int] = defaultdict(int)
         assignment = np.empty(instance.num_tasks, dtype=np.int64)
         for task in range(instance.num_tasks):
@@ -116,26 +126,25 @@ class GreedyLoadBalanceHeuristic(Heuristic):
     name = "H4-forward"
 
     def solve_mapping(
-        self, instance: ProblemInstance, rng: np.random.Generator | None = None
+        self,
+        instance: ProblemInstance,
+        rng: np.random.Generator | None = None,
+        *,
+        up: np.ndarray | None = None,
     ) -> tuple[Mapping, int, dict]:
         app = instance.application
-        worst_attempts = instance.failures.worst_case_attempts().tolist()
         # Estimate of x_i assuming worst-case failures downstream.
-        x_estimate = [1.0] * instance.num_tasks
-        for task in app.reverse_topological_order():
-            succ = app.successor(task)
-            downstream = 1.0 if succ is None else x_estimate[succ]
-            x_estimate[task] = downstream * worst_attempts[task]
-
+        x_estimate = worst_case_products(instance, up)
         types = app.types.as_array.tolist()
         w = instance.processing_times.tolist()
         attempts = instance.failures.attempts_factors.tolist()
-        machine_type = [-1] * instance.num_machines
+        # The backward walks' start state and free-machine guard (see
+        # repro.heuristics.base).
+        machine_type = start_owners(up, instance.num_machines, max(types) + 1)
         accumulated = [0.0] * instance.num_machines
         assignment = [-1] * instance.num_tasks
-        # The backward walks' free-machine guard (see repro.heuristics.base).
         has_machine = [False] * (max(types) + 1)
-        free, pending = instance.num_machines, len(set(types))
+        free, pending = machine_type.count(-1), len(set(types))
         for task in app.topological_order():
             task_type = types[task]
             free_ok = free > (pending if has_machine[task_type] else pending - 1)

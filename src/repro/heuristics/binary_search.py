@@ -23,13 +23,16 @@ They differ only in how candidate machines are *ranked* for a task:
   homogeneous machines in reserve for later (earlier) tasks; among equally
   heterogeneous machines it takes the smallest completion time.
 
-Both rankings are static, so each heuristic states its preference once
-per solve as ordered *tie groups* of machines (a
-:class:`MachinePreference`), and every probe is one plain-Python
-:func:`greedy_walk` over per-solve tables.  A walk also returns a proof
-interval of target periods on which its outcome cannot change, which
-lets :meth:`BinarySearchHeuristic.solve_mapping` settle many bisection
-steps without walking.
+Both rankings are static and computed one machine column at a time, so
+each heuristic states its preference once per instance as ordered *tie
+groups* of machines (a :class:`MachinePreference`, kept with the walk
+tables by :meth:`~repro.heuristics.base.Heuristic.walk_inputs`), and
+every probe is one plain-Python :func:`greedy_walk` over those tables.
+Only the bisection's upper bound depends on which machines are up.  A
+walk also returns a proof interval of target periods on which its
+outcome cannot change, which lets
+:meth:`BinarySearchHeuristic.solve_mapping` settle many bisection steps
+without walking.
 
 The paper bisects integer millisecond values (``while max - min > 1``);
 :class:`BinarySearchHeuristic` reproduces that behaviour but also accepts a
@@ -48,7 +51,7 @@ import numpy as np
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
 from ..exceptions import ReproError
-from .base import Heuristic, WalkTables, register_heuristic
+from .base import Heuristic, WalkTables, register_heuristic, worst_case_products
 
 __all__ = [
     "BinarySearchHeuristic",
@@ -59,24 +62,19 @@ __all__ = [
 ]
 
 
-def worst_case_period_bound(instance: ProblemInstance) -> float:
+def worst_case_period_bound(
+    instance: ProblemInstance, up: np.ndarray | None = None
+) -> float:
     """Upper bound used to initialise the bisection.
 
-    Every task is charged its worst-case expected product count (computed
-    with the *largest* failure rate over machines, cf. the ``MAXx_i`` bound
-    of the MIP) and its slowest processing time, all on one machine.
+    Every task is charged its worst-case expected product count
+    (:func:`~repro.heuristics.base.worst_case_products`, cf. the
+    ``MAXx_i`` bound of the MIP) and its slowest processing time, all on
+    one machine.  With an up-mask ``up``, both maxima run over the up
+    machines only.
     """
-    worst_attempts = instance.failures.worst_case_attempts().tolist()
-    app = instance.application
-    # Worst-case x_i: product of worst attempt factors along the path to the sink.
-    successors = app.successors
-    x_max = [1.0] * instance.num_tasks
-    for task in app.reverse_topological_order():
-        succ = successors[task]
-        downstream = 1.0 if succ is None else x_max[succ]
-        x_max[task] = downstream * worst_attempts[task]
-    slowest_w = instance.processing_times.max(axis=1)
-    return float(np.sum(np.asarray(x_max) * slowest_w))
+    w = instance.processing_times if up is None else instance.processing_times[:, up]
+    return float(np.sum(np.asarray(worst_case_products(instance, up)) * w.max(axis=1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,17 +102,22 @@ class MachinePreference:
 
 
 def greedy_walk(
-    tables: WalkTables, preference: MachinePreference, target: float
+    tables: WalkTables,
+    preference: MachinePreference,
+    target: float,
+    owners: Sequence[int] | None = None,
 ) -> tuple[list[int] | None, float]:
     """One greedy placement under period ``target``, with its proof.
 
-    Tasks go sinks first.  Each task takes the first tie group of its
-    ``preference`` holding an eligible machine whose completion time is
-    ``<= target``, and in it the smallest completion time (lowest index
-    on ties).  Eligibility is the walks' ``nbFreeMachines /
-    nbTypesToGo`` guard (see :mod:`repro.heuristics.base`), so the
-    result is that of a probe that sorts every machine by the
-    preference and takes the first eligible one meeting ``target``.
+    The walk starts from ``owners``, a :meth:`WalkTables.owners` row
+    (every machine free when ``None``).  Tasks go sinks first.  Each
+    task takes the first tie group of its ``preference`` holding an
+    eligible machine whose completion time is ``<= target``, and in it
+    the smallest completion time (lowest index on ties).  Eligibility is
+    the walks' ``nbFreeMachines / nbTypesToGo`` guard (see
+    :mod:`repro.heuristics.base`), so the result is that of a probe that
+    sorts every machine by the preference and takes the first eligible
+    one meeting ``target``.
 
     Returns ``(assignment, lo)`` when every task is placed: ``lo`` is the
     largest completion time accepted, and every target in ``[lo,
@@ -126,12 +129,12 @@ def greedy_walk(
     """
     successors, types, keep, w = tables.successors, tables.types, tables.keep, tables.w
     orders, mates = preference.orders, preference.mates
-    machine_type = [-1] * tables.num_machines
+    machine_type = [-1] * tables.num_machines if owners is None else list(owners)
     accumulated = [0.0] * tables.num_machines
     x = [0.0] * len(types)
     assignment = [-1] * len(types)
     has_machine = [False] * (max(types) + 1)
-    free, pending = tables.num_machines, tables.num_types
+    free, pending = machine_type.count(-1), tables.num_types
     lo, hi = -math.inf, math.inf
     for task in tables.order:
         succ = successors[task]
@@ -199,7 +202,6 @@ class BinarySearchHeuristic(Heuristic):
         self.integer_search = bool(integer_search)
         self.rel_tol = float(rel_tol)
         self.max_iterations = int(max_iterations)
-        self._period_bound: float | None = None
 
     # -- machine ranking (heuristic-specific) -----------------------------------------
     @abc.abstractmethod
@@ -212,18 +214,22 @@ class BinarySearchHeuristic(Heuristic):
         """
 
     def prepare(self, instance: ProblemInstance) -> None:
-        """Per-instance precomputation run once per solve.
+        """Per-instance ranking data (ranks, heterogeneity) for
+        :meth:`machine_preference`; a hook for subclasses."""
 
-        Caches the bisection's worst-case upper bound so the driver and
-        any introspection share one value; subclasses extend it with
-        their ranking data (ranks, heterogeneity) and must call
-        ``super()``.
-        """
-        self._period_bound = worst_case_period_bound(instance)
+    def build_walk_inputs(
+        self, instance: ProblemInstance
+    ) -> tuple[WalkTables, MachinePreference]:
+        self.prepare(instance)
+        return WalkTables.build(instance), self.machine_preference(instance)
 
     # -- Heuristic API ------------------------------------------------------------------
     def solve_mapping(
-        self, instance: ProblemInstance, rng: np.random.Generator | None = None
+        self,
+        instance: ProblemInstance,
+        rng: np.random.Generator | None = None,
+        *,
+        up: np.ndarray | None = None,
     ) -> tuple[Mapping, int, dict]:
         """Bisect the target period, walking only where no proof decides.
 
@@ -234,16 +240,11 @@ class BinarySearchHeuristic(Heuristic):
         inside the last failed walk's ``[T, hi)`` fails, so it sets
         ``low``.  ``metadata["walks"]`` counts the walks that ran.
         """
-        self.prepare(instance)
+        tables, preference = self.walk_inputs(instance)
+        owners = tables.owners(up)
         low = 0.0
-        # The base prepare() caches the bound; recompute lazily if a
-        # subclass overrode prepare() without extending it.
-        if self._period_bound is None:
-            self._period_bound = worst_case_period_bound(instance)
-        high = self._period_bound
-        tables = WalkTables.build(instance)
-        preference = self.machine_preference(instance)
-        best, best_lo = greedy_walk(tables, preference, high)
+        high = worst_case_period_bound(instance, up)
+        best, best_lo = greedy_walk(tables, preference, high, owners)
         walks = 1
         failed_at, failed_below = math.inf, -math.inf
         if best is None:
@@ -252,7 +253,7 @@ class BinarySearchHeuristic(Heuristic):
             # feasible; keep a defensive fallback nonetheless.
             failed_at, failed_below = high, best_lo
             high *= 2.0
-            best, best_lo = greedy_walk(tables, preference, high)
+            best, best_lo = greedy_walk(tables, preference, high, owners)
             walks += 1
             if best is None:
                 raise ReproError(
@@ -277,7 +278,7 @@ class BinarySearchHeuristic(Heuristic):
             if failed_at <= mid < failed_below:
                 low = mid
                 continue
-            candidate, proof = greedy_walk(tables, preference, mid)
+            candidate, proof = greedy_walk(tables, preference, mid, owners)
             walks += 1
             if candidate is not None:
                 best, best_lo, best_at = candidate, proof, mid
@@ -300,7 +301,6 @@ class RankBinarySearchHeuristic(BinarySearchHeuristic):
         self._ranks: np.ndarray | None = None
 
     def prepare(self, instance: ProblemInstance) -> None:
-        super().prepare(instance)
         w = instance.processing_times
         # rank[i, u] = position of task i when the column w[:, u] is sorted
         # ascending (0 = the task this machine performs fastest).
@@ -331,7 +331,6 @@ class HeterogeneityBinarySearchHeuristic(BinarySearchHeuristic):
         self._heterogeneity: np.ndarray | None = None
 
     def prepare(self, instance: ProblemInstance) -> None:
-        super().prepare(instance)
         self._heterogeneity = instance.platform.machine_heterogeneity()
 
     def machine_preference(self, instance: ProblemInstance) -> MachinePreference:

@@ -43,11 +43,16 @@ __all__ = [
 class GreedyCompletionHeuristic(Heuristic):
     """Shared single-pass greedy driver for the H4 family.
 
-    A solve is one plain-Python walk over per-solve lists (the
+    A solve is one plain-Python walk over per-instance lists (the
     :class:`~repro.heuristics.base.WalkTables` and the criterion rows):
     each task scans the machines in index order and keeps the eligible
     one of smallest score, the lowest index on exact ties.
     """
+
+    def build_walk_inputs(
+        self, instance: ProblemInstance
+    ) -> tuple[WalkTables, list[list[float]]]:
+        return WalkTables.build(instance), self.criterion_matrix(instance).tolist()
 
     @abc.abstractmethod
     def criterion_matrix(self, instance: ProblemInstance) -> np.ndarray:
@@ -55,17 +60,20 @@ class GreedyCompletionHeuristic(Heuristic):
         adds ``downstream_demand * C[task, machine]`` to ``accu_u``."""
 
     def solve_mapping(
-        self, instance: ProblemInstance, rng: np.random.Generator | None = None
+        self,
+        instance: ProblemInstance,
+        rng: np.random.Generator | None = None,
+        *,
+        up: np.ndarray | None = None,
     ) -> tuple[Mapping, int, dict]:
-        tables = WalkTables.build(instance)
+        tables, criterion = self.walk_inputs(instance)
         successors, types, keep, w = tables.successors, tables.types, tables.keep, tables.w
-        criterion = self.criterion_matrix(instance).tolist()
-        machine_type = [-1] * tables.num_machines
+        machine_type = tables.owners(up)
         accumulated = [0.0] * tables.num_machines
         x = [0.0] * len(types)
         assignment = [-1] * len(types)
         has_machine = [False] * (max(types) + 1)
-        free, pending = tables.num_machines, tables.num_types
+        free, pending = machine_type.count(-1), tables.num_types
         for task in tables.order:
             succ = successors[task]
             demand = 1.0 if succ < 0 else x[succ]

@@ -36,12 +36,19 @@ class RandomHeuristic(Heuristic):
     randomized = True
 
     def solve_mapping(
-        self, instance: ProblemInstance, rng: np.random.Generator | None = None
+        self,
+        instance: ProblemInstance,
+        rng: np.random.Generator | None = None,
+        *,
+        up: np.ndarray | None = None,
     ) -> tuple[Mapping, int, dict]:
         if rng is None:  # pragma: no cover - Heuristic.solve always passes one
             rng = np.random.default_rng()
         types = instance.application.types.as_array.tolist()
-        free = list(range(instance.num_machines))
+        # The free machines, ascending: down machines never enter it.
+        free = (
+            list(range(instance.num_machines)) if up is None else np.flatnonzero(up).tolist()
+        )
         # groups[t]: the machines dedicated to type t, ascending.
         groups: list[list[int]] = [[] for _ in range(max(types) + 1)]
         pending = len(set(types))

@@ -161,15 +161,17 @@ def refine_specialized(
     instance: ProblemInstance,
     mapping: Mapping | np.ndarray,
     *,
+    up: np.ndarray | None = None,
     max_moves: int | None = None,
     rel_tol: float = 1e-12,
 ) -> tuple[Mapping, int]:
-    """:func:`descend` from ``mapping`` on a fresh evaluator.
+    """:func:`descend` from ``mapping`` on a fresh evaluator, moving
+    tasks only to the machines ``up`` marks (every machine when ``None``).
 
     Returns ``(refined mapping, number of moves)``.
     """
     evaluator = MappingEvaluator(instance, mapping)
-    moves = descend(evaluator, max_moves=max_moves, rel_tol=rel_tol)
+    moves = descend(evaluator, up=up, max_moves=max_moves, rel_tol=rel_tol)
     return evaluator.mapping, moves
 
 
@@ -188,11 +190,22 @@ class LocalSearchHeuristic(Heuristic):
     #: The heuristic whose mapping is refined.
     base = "H4w"
 
+    def __init__(self) -> None:
+        # One seed solver, so its walk inputs are kept across solves.
+        self._seeder = FastestMachineHeuristic()
+
+    def release_walk_inputs(self) -> None:
+        self._seeder.release_walk_inputs()
+
     def solve_mapping(
-        self, instance: ProblemInstance, rng: np.random.Generator | None = None
+        self,
+        instance: ProblemInstance,
+        rng: np.random.Generator | None = None,
+        *,
+        up: np.ndarray | None = None,
     ) -> tuple[Mapping, int, dict]:
-        seed_mapping, _, _ = FastestMachineHeuristic().solve_mapping(instance, rng)
-        refined, moves = refine_specialized(instance, seed_mapping)
+        seed_mapping, _, _ = self._seeder.solve_mapping(instance, rng, up=up)
+        refined, moves = refine_specialized(instance, seed_mapping, up=up)
         seed_period = evaluate(instance, seed_mapping).period
         refined_period = evaluate(instance, refined).period
         if refined_period < seed_period:
@@ -210,7 +223,7 @@ class LocalSearchHeuristic(Heuristic):
         evaluation, which is bit-for-bit the scalar evaluation — so each
         row returns exactly what :meth:`solve_mapping` would.
         """
-        seeds = FastestMachineHeuristic().solve_batch(instances)
+        seeds = self._seeder.solve_batch(instances)
         refined, _ = refine_specialized_batch(instances, seeds)
         stack = InstanceStack.from_instances(instances, require_uniform_types=False)
         improved = stack.periods(refined) < stack.periods(seeds)

@@ -10,8 +10,8 @@ deterministic discrete-event workload:
 * :mod:`~repro.live.replanner` — the incremental replanner: plan cache →
   warm-start descent from the previous mapping (via
   :class:`~repro.batch.MappingEvaluator` and the local-search move
-  kernels) → cold sub-platform solve → infeasible, with availability and
-  per-event latency accounting;
+  kernels) → cold solve of the full platform under the up-mask →
+  infeasible, with availability and per-event latency accounting;
 * :mod:`~repro.live.runner` — end-to-end timeline execution, in process
   or through the service's ``/v1/session`` API, plus the bit-for-bit
   run comparison used by tests and the CI live smoke.
@@ -22,7 +22,7 @@ run, a ``warm=False`` cold re-solve run and a remote session replay of
 the same timeline are required to agree bit for bit on every event.
 """
 
-from .replanner import ReplanRecord, Replanner, sub_instance
+from .replanner import ReplanRecord, Replanner
 from .runner import (
     LiveReport,
     build_replanner,
@@ -44,5 +44,4 @@ __all__ = [
     "generate_timeline",
     "run_timeline",
     "run_timeline_remote",
-    "sub_instance",
 ]

@@ -22,22 +22,29 @@ deterministic tier cascade:
     move kernels, not a from-scratch solve.
 ``cold``
     The previous mapping is gone (an *assigned* machine died) or there
-    is none: solve the surviving sub-platform from scratch with the
-    session's heuristic and map the result back to full machine indices.
+    is none: solve the full platform from scratch with the session's
+    heuristic under the up-mask (:func:`~repro.heuristics.base.solve_one`
+    with ``up``): every walk starts with the down machines owned by a
+    phantom type, so they receive no task, and the result equals a
+    solve of the platform renumbered down to its up machines.
 
 Every tier is a pure function of ``(instance, heuristic, up-set,
 previous mapping, plan cache)``, so a whole timeline's mappings are a
 deterministic function of the timeline alone.  ``warm=True`` (the
-default) only changes *how fast* the warm tier runs — a persistent
-evaluator is kept across events instead of one built per event (its
-graph tables are shared either way) — never *what* it returns: the
-warm tier resyncs the evaluator's numeric state from the bare
-assignment before probing
-(:meth:`~repro.batch.MappingEvaluator.reassign`), which is exactly the
-state a freshly constructed evaluator would hold.  ``Replanner(...,
-warm=False)`` is therefore the *cold re-solve* reference: same tiers,
-every event recomputed from scratch, and the two are required (and
-tested) to agree bit for bit on every event.
+default) only changes *how fast* the tiers run, never *what* they
+return.  The warm tier keeps a persistent evaluator across events
+instead of one built per event (its graph tables are shared either
+way) and resyncs its numeric state from the bare assignment before
+probing (:meth:`~repro.batch.MappingEvaluator.reassign`), which is
+exactly the state a freshly constructed evaluator would hold.  The cold
+tier keeps one heuristic object for the replanner's lifetime, so the
+per-instance walk inputs (walk tables, H2's ranks and preference
+orders, H3's tie groups) are built once per timeline and each cold
+solve computes only its start row and bisection bound.
+``Replanner(..., warm=False)`` is therefore the *cold re-solve*
+reference: same tiers, every event recomputed from scratch (a fresh
+heuristic object per cold solve), and the two are required (and tested)
+to agree bit for bit on every event.
 
 The replanner also keeps the two SLA measurements of the live subsystem:
 per-event replan latency, and **availability** — the fraction of the
@@ -53,41 +60,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..batch.incremental import MappingEvaluator
-from ..core.failure import FailureModel
 from ..core.instance import ProblemInstance
-from ..core.platform import Platform
 from ..exceptions import ExperimentError
 from ..heuristics import get_heuristic
 from ..obs.trace import span
 from ..heuristics.base import solve_one
 from ..heuristics.local_search import descend
 
-__all__ = ["ReplanRecord", "Replanner", "sub_instance"]
+__all__ = ["ReplanRecord", "Replanner"]
 
 #: Bound on the up-set plan cache.  Eviction is insertion-ordered (FIFO),
 #: i.e. a deterministic function of the event sequence — warm and cold
 #: runs evict identically, preserving the bit-for-bit contract.
 PLAN_CACHE_LIMIT = 1024
-
-
-def sub_instance(
-    instance: ProblemInstance, up: np.ndarray
-) -> tuple[ProblemInstance, np.ndarray]:
-    """The instance restricted to the up machines, plus the column map.
-
-    Returns ``(sub, cols)`` where ``sub`` keeps the full application but
-    only the up machines' ``w`` / ``f`` columns, and ``cols[j]`` is the
-    full-platform index of sub-machine ``j`` (so a sub-assignment ``a``
-    maps back as ``cols[a]``).
-    """
-    cols = np.flatnonzero(np.asarray(up, dtype=bool))
-    if cols.size == 0:
-        raise ExperimentError("cannot build a sub-instance with no up machines")
-    platform = Platform(
-        instance.processing_times[:, cols], types=instance.application.types
-    )
-    failures = FailureModel(instance.failure_rates[:, cols])
-    return ProblemInstance(instance.application, platform, failures), cols
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,13 +176,15 @@ class Replanner:
         session must be replayable, and the cold tier must be a pure
         function of the up-set.
     warm:
-        Keep a persistent :class:`~repro.batch.MappingEvaluator` across
+        Keep a persistent :class:`~repro.batch.MappingEvaluator` and one
+        heuristic object (with its per-instance walk inputs) across
         events (the fast path).  ``False`` rebuilds all evaluator state
-        from scratch on every event — the *cold re-solve* reference the
-        warm path must match bit for bit.
+        and a fresh heuristic on every event — the *cold re-solve*
+        reference the warm path must match bit for bit.
 
-    Construction performs the initial full-platform solve (``seq`` 0,
-    ``via="cold"``, time 0).
+    Construction performs the initial solve (``seq`` 0, ``via="cold"``,
+    time 0) through the cold tier, with every machine up.  A cold tier
+    solves the full platform under the current up-mask.
     """
 
     def __init__(
@@ -216,6 +203,7 @@ class Replanner:
         self.instance = instance
         self.heuristic = resolved.name
         self.warm = bool(warm)
+        self._solver = resolved
         self.counters = ReplanCounters()
         self._clock = _Clock()
         self._up = np.ones(instance.num_machines, dtype=bool)
@@ -368,9 +356,9 @@ class Replanner:
         return self._evaluator
 
     def _cold_solve(self) -> tuple[np.ndarray, float]:
-        """From-scratch heuristic solve of the surviving sub-platform."""
-        sub, cols = sub_instance(self.instance, self._up)
-        assignment = cols[solve_one(get_heuristic(self.heuristic), sub)]
+        """From-scratch heuristic solve of the full platform under the up-mask."""
+        solver = self._solver if self.warm else get_heuristic(self.heuristic)
+        assignment = solve_one(solver, self.instance, up=self._up)
         evaluator = self._evaluator_for(assignment)
         return assignment, evaluator.period
 

@@ -40,6 +40,7 @@ __all__ = [
     "reference_greedy",
     "reference_h1",
     "reference_try_period",
+    "sub_instance",
 ]
 
 
@@ -66,6 +67,27 @@ def make_random_instance(
         task_dependent=task_dependent,
     )
     return ProblemInstance(app, Platform(w, types=app.types), FailureModel(f))
+
+
+def sub_instance(
+    instance: ProblemInstance, up: np.ndarray
+) -> tuple[ProblemInstance, np.ndarray]:
+    """The instance restricted to the up machines, plus the column map.
+
+    The oracle of every solve under an up-mask: returns ``(sub, cols)``
+    where ``sub`` keeps the full application but only the up machines'
+    ``w`` / ``f`` columns, and ``cols[j]`` is the full-platform index of
+    sub-machine ``j`` (so a sub-assignment ``a`` maps back as
+    ``cols[a]``).
+    """
+    cols = np.flatnonzero(np.asarray(up, dtype=bool))
+    if cols.size == 0:
+        raise ReproError("cannot build a sub-instance with no up machines")
+    platform = Platform(
+        instance.processing_times[:, cols], types=instance.application.types
+    )
+    failures = FailureModel(instance.failure_rates[:, cols])
+    return ProblemInstance(instance.application, platform, failures), cols
 
 
 def loop_assignments(heuristic, instances) -> np.ndarray:

@@ -26,10 +26,7 @@ from repro.experiments.providers import (
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
 from repro.heuristics.base import BATCH_MIN_ROWS, BatchAssignmentState
-from repro.heuristics.binary_search import (
-    RankBinarySearchHeuristic,
-    worst_case_period_bound,
-)
+from repro.heuristics.binary_search import RankBinarySearchHeuristic
 from repro.heuristics.local_search import (
     refine_specialized,
     refine_specialized_batch,
@@ -165,14 +162,26 @@ class TestRefineBatch:
             assert (refined[repetition] == mapping.as_array).all()
 
 
-class TestPeriodBoundHoist:
-    def test_prepare_caches_the_bound(self):
-        chunk = make_chunk()
-        instance = chunk.instances[0]
+class TestPerInstanceInputs:
+    def test_walk_inputs_are_built_once_per_instance(self, monkeypatch):
+        first, second = make_chunk().instances[:2]
         heuristic = RankBinarySearchHeuristic()
-        assert heuristic._period_bound is None
-        heuristic.prepare(instance)
-        assert heuristic._period_bound == worst_case_period_bound(instance)
+        built = []
+        original = heuristic.build_walk_inputs
+
+        def counting(instance):
+            built.append(instance)
+            return original(instance)
+
+        monkeypatch.setattr(heuristic, "build_walk_inputs", counting)
+        up = np.ones(first.num_machines, dtype=bool)
+        up[0] = False
+        heuristic.solve_mapping(first)
+        heuristic.solve_mapping(first, up=up)
+        assert built == [first]
+        heuristic.solve_mapping(second)
+        heuristic.solve_mapping(first)
+        assert built == [first, second, first]
 
     def test_solve_computes_the_bound_exactly_once(self, monkeypatch):
         import repro.heuristics.binary_search as module
@@ -180,9 +189,9 @@ class TestPeriodBoundHoist:
         calls = []
         original = module.worst_case_period_bound
 
-        def counting(instance):
+        def counting(instance, up=None):
             calls.append(instance)
-            return original(instance)
+            return original(instance, up)
 
         monkeypatch.setattr(module, "worst_case_period_bound", counting)
         instance = make_chunk().instances[0]
@@ -190,8 +199,8 @@ class TestPeriodBoundHoist:
         assert len(calls) == 1
 
     def test_subclass_overriding_prepare_without_super_still_solves(self):
-        # Pre-hoist subclasses treated prepare() as a plain hook; the
-        # driver recomputes the bound lazily so they keep working.
+        # prepare() is a plain hook for the ranking data: the bound is
+        # the driver's, so a subclass need not call super().
         class LegacyH2(RankBinarySearchHeuristic):
             def prepare(self, instance):  # no super().prepare()
                 w = instance.processing_times

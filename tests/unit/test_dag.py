@@ -49,6 +49,8 @@ class TestCostModel:
         assert classify_curve("H4+ls") == "local_search"
         assert classify_curve("H4ls") == "local_search"
         assert classify_curve("H4w") == "heuristic"
+        assert classify_curve("H2") == "bisection"
+        assert classify_curve("H3") == "bisection"
 
     def test_provider_cost_ordering(self):
         # Local search is dearer than OtO at the m=10 shapes it runs on
@@ -57,6 +59,18 @@ class TestCostModel:
         assert provider_cost(MIP_LABEL) > provider_cost("H4+ls") > provider_cost("H4w")
         assert provider_cost(MIP_LABEL) > provider_cost("H4ls") > provider_cost("H4w")
         assert provider_cost(MIP_LABEL) > provider_cost("OtO") > provider_cost("H4w")
+
+    def test_a_bisection_block_costs_more_than_an_h4w_block(self):
+        # fig9 at R=30: an H2 or H3 block takes 8-12x an H4w block.
+        manifest = _manifest(figures=("fig9",))
+        units = expand_units(manifest)
+        bisections = [u for u in units if u.curve in ("H2", "H3")]
+        assert bisections
+        for unit in bisections:
+            twin = next(
+                u for u in units if u.curve == "H4w" and u.sweep_value == unit.sweep_value
+            )
+            assert _unit_cost(manifest, unit) > _unit_cost(manifest, twin)
 
     def test_unit_cost_scales_with_size_and_repetitions(self):
         manifest = _manifest(figures=("fig10",), no_milp=False)

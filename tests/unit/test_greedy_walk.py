@@ -95,7 +95,7 @@ def test_doubled_bound_fallback_equals_the_plain_bisection(instance, name, scale
     # agree on the bisection or both give up.
     bound = scale * binary_search.worst_case_period_bound(instance)
     reference = reference_bisection(name, instance, bound=bound)
-    with mock.patch.object(binary_search, "worst_case_period_bound", lambda _: bound):
+    with mock.patch.object(binary_search, "worst_case_period_bound", lambda *_: bound):
         if reference[0] is None:
             with pytest.raises(ReproError):
                 get_heuristic(name).solve_mapping(instance)
@@ -114,7 +114,7 @@ def test_doubled_bound_fallback_on_a_fixed_instance(name):
     tables, preference = WalkTables.build(instance), heuristic.machine_preference(instance)
     assert greedy_walk(tables, preference, low)[0] is None
     assert greedy_walk(tables, preference, 2.0 * low)[0] is not None
-    with mock.patch.object(binary_search, "worst_case_period_bound", lambda _: low):
+    with mock.patch.object(binary_search, "worst_case_period_bound", lambda *_: low):
         assert_matches_reference(get_heuristic(name), name, instance, bound=low)
 
 

@@ -15,7 +15,7 @@ cold re-solves on shrinking sub-platforms (down to ``m == p``) and
 figure sweep points.  Regenerate the fixture — only on purpose, from the
 checkout whose results it should pin — with::
 
-    PYTHONPATH=src python tests/unit/test_heuristics_golden.py --write
+    PYTHONPATH=src:. python tests/unit/test_heuristics_golden.py --write
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ import pytest
 from repro.experiments.figures import FIGURES
 from repro.generators.scenarios import sample_instance
 from repro.heuristics import get_heuristic
-from repro.live.replanner import sub_instance
 from repro.service.requests import normalize_request
 from repro.simulation.rng import RandomStreamFactory
+
+from tests.helpers import sub_instance
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "heuristics_golden.json"
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ReproError
 from repro.heuristics import get_heuristic
 from repro.heuristics.base import solve_one
 from repro.live import (
@@ -17,8 +17,9 @@ from repro.live import (
     compare_reports,
     generate_timeline,
     run_timeline,
-    sub_instance,
 )
+
+from tests.helpers import sub_instance
 
 #: Deterministic heuristics the bit-for-bit contract is checked over.
 DETERMINISTIC_HEURISTICS = ("H2", "H3", "H4", "H4w", "H4f", "H4ls")
@@ -286,7 +287,7 @@ class TestSubInstance:
 
     def test_no_up_machines_is_an_error(self):
         replanner = build_replanner(make_config())
-        with pytest.raises(ExperimentError, match="no up machines"):
+        with pytest.raises(ReproError, match="no up machines"):
             sub_instance(
                 replanner.instance,
                 np.zeros(replanner.instance.num_machines, dtype=bool),

@@ -15,7 +15,7 @@ The cases span the shapes the descent runs on: service H4ls requests
 in-trees.  Regenerate the fixture — only on purpose, from the checkout
 whose results it should pin — with::
 
-    PYTHONPATH=src python tests/unit/test_local_search_golden.py --write
+    PYTHONPATH=src:. python tests/unit/test_local_search_golden.py --write
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from repro.generators import (
 from repro.generators.scenarios import sample_instance
 from repro.heuristics import get_heuristic
 from repro.heuristics.local_search import refine_specialized
-from repro.live.replanner import sub_instance
 from repro.service.requests import normalize_request
 from repro.simulation.rng import RandomStreamFactory
+
+from tests.helpers import sub_instance
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "local_search_golden.json"
 

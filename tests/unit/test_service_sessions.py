@@ -12,11 +12,13 @@ import pytest
 from repro.exceptions import ExperimentError, ServiceOverloadedError
 from repro.heuristics import get_heuristic
 from repro.heuristics.base import solve_one
-from repro.live import LiveConfig, build_replanner, generate_timeline, sub_instance
+from repro.live import LiveConfig, build_replanner, generate_timeline
 from repro.service.client import ServiceClient
 from repro.service.requests import normalize_event, normalize_session_request
 from repro.service.server import SolveService
 from repro.service.sessions import SessionManager
+
+from tests.helpers import sub_instance
 
 
 def run(coro):
