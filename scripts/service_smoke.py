@@ -15,7 +15,10 @@ asserts:
 * the service actually grouped compatible requests (at least one
   multi-request flush);
 * ``/stats`` accounting adds up (solved == requests fired, errors == 0)
-  and reports latency percentiles (p50/p95/p99 > 0).
+  and reports latency percentiles (p50/p95/p99 > 0);
+* after a replanning session as well, each ``/v1/stats`` counter
+  equals its ``/v1/metrics`` sample (requests solved, cache hits over
+  both tiers, batcher flushes, replans per tier).
 
 **Phase 2 — overload** (``--max-pending 2``): fires a burst of distinct
 concurrent requests, and asserts:
@@ -188,6 +191,54 @@ def stop_server(process: subprocess.Popen) -> None:
         process.kill()
 
 
+#: A short session for phase 1: the initial solve, then replans.
+SESSION_PAYLOAD = {
+    "heuristic": "H4ls",
+    "application": {"tasks": 10, "types": 3},
+    "platform": {"machines": 6},
+    "options": {"seed": 0},
+}
+SESSION_EVENTS = (
+    {"kind": "fail", "machine": 0, "time": 1.0},
+    {"kind": "fail", "machine": 1, "time": 2.0},
+    {"kind": "recover", "machine": 0, "time": 3.0},
+)
+
+
+def metric_samples(text: str) -> dict[str, float]:
+    """``series -> value`` for every sample line of a ``/v1/metrics`` scrape."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = float(value)
+    return samples
+
+
+def check_surfaces_agree(stats: dict, metrics_text: str) -> list[tuple[bool, str]]:
+    """Each ``/v1/stats`` counter against its ``/v1/metrics`` sample."""
+    samples = metric_samples(metrics_text)
+    cache_hits = sum(
+        value
+        for series, value in samples.items()
+        if series.startswith("repro_cache_hits_total{")
+    )
+    pairs = [
+        ("service.solved", stats["service"]["solved"], samples["repro_service_requests_total"]),
+        ("cache.hits", stats["cache"]["hits"], cache_hits),
+        ("batcher.flushes", stats["batcher"]["flushes"], samples["repro_batcher_flushes_total"]),
+    ]
+    for tier, count in stats["sessions"]["replans"].items():
+        sample = samples[f'repro_replans_total{{tier="{tier}"}}']
+        pairs.append((f"sessions.replans.{tier}", count, sample))
+    checks = []
+    for label, stat, sample in pairs:
+        if stat != sample:
+            print(f"MISMATCH {label}: /v1/stats {stat!r} vs /v1/metrics {sample!r}")
+        checks.append((stat == sample, f"/v1/stats {label} equals /v1/metrics"))
+    return checks
+
+
 def check_equivalence(requests: list[dict], responses: list[dict]) -> int:
     """Count response fields diverging from the direct reference solves."""
     failures = 0
@@ -247,11 +298,19 @@ def phase_mixed_traffic() -> bool:
             return False
         print(f"{len(responses)} service responses bit-for-bit match direct solves")
 
-        stats = stats_of(url)
+        with ServiceClient(url) as client:
+            with client.session(SESSION_PAYLOAD) as session:
+                for event in SESSION_EVENTS:
+                    session.event(**event)
+            stats = client.stats()
+            metrics_text = client.metrics()
         print("stats:", stats)
         service, batcher, cache = stats["service"], stats["batcher"], stats["cache"]
+        replans = sum(stats["sessions"]["replans"].values())
         return report(
             [
+                *check_surfaces_agree(stats, metrics_text),
+                (replans == 1 + len(SESSION_EVENTS), "the session replanned every event"),
                 (service["errors"] == 0, "no request errors"),
                 (service["solved"] == len(requests), "every request accounted for"),
                 (cache["hits"] >= len(duplicates), "duplicates hit the cache"),

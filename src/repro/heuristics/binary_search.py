@@ -234,7 +234,8 @@ class BinarySearchHeuristic(Heuristic):
         """Bisect the target period, walking only where no proof decides.
 
         The midpoints, iteration count, ``max_iterations`` cap and final
-        bracket are those of a bisection that walks at every midpoint.
+        bracket are those of a bisection that walks at every midpoint and
+        stops after a step that leaves the bracket unchanged.
         A midpoint inside the current best walk's proof interval ``[lo,
         T]`` has the best's mapping, so it sets ``high`` unwalked; one
         inside the last failed walk's ``[T, hi)`` fails, so it sets
@@ -272,20 +273,24 @@ class BinarySearchHeuristic(Heuristic):
                     break
                 mid = (low + high) / 2.0
             iterations += 1
+            bracket = (low, high)
             if best_lo <= mid <= best_at:
                 high = mid
-                continue
-            if failed_at <= mid < failed_below:
+            elif failed_at <= mid < failed_below:
                 low = mid
-                continue
-            candidate, proof = greedy_walk(tables, preference, mid, owners)
-            walks += 1
-            if candidate is not None:
-                best, best_lo, best_at = candidate, proof, mid
-                high = mid
             else:
-                failed_at, failed_below = mid, proof
-                low = mid
+                candidate, proof = greedy_walk(tables, preference, mid, owners)
+                walks += 1
+                if candidate is not None:
+                    best, best_lo, best_at = candidate, proof, mid
+                    high = mid
+                else:
+                    failed_at, failed_below = mid, proof
+                    low = mid
+            if (low, high) == bracket:
+                # The same midpoint again (an integer ``low`` with ``1 <
+                # high - low < 2``): every later step would repeat this one.
+                break
         mapping = Mapping(np.asarray(best, dtype=np.int64), instance.num_machines)
         return mapping, iterations, {"final_low": low, "final_high": high, "walks": walks}
 

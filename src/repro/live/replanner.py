@@ -212,10 +212,14 @@ class Replanner:
         self._plans: dict[bytes, np.ndarray] = {}
         self._evaluator: MappingEvaluator | None = None
         self._seq = 0
-        self.records: list[ReplanRecord] = []
         self.initial = self._apply_platform_change(0.0, "initial", None)
 
     # -- state -------------------------------------------------------------------
+    @property
+    def events(self) -> int:
+        """Events applied so far, the initial solve included."""
+        return self._seq
+
     @property
     def up(self) -> np.ndarray:
         """Copy of the up-machine mask."""
@@ -395,5 +399,4 @@ class Replanner:
             availability=self.availability,
         )
         self._seq += 1
-        self.records.append(record)
         return record

@@ -103,21 +103,6 @@ def _latency_summary(records: list[dict]) -> dict:
     return summary
 
 
-def _counters(records: list[dict]) -> dict:
-    counts = {k: 0 for k in ("cache", "warm", "cold", "infeasible", "served", "missed")}
-    via_to_key = {
-        "cache": "cache",
-        "warm": "warm",
-        "cold": "cold",
-        "infeasible": "infeasible",
-        "serve": "served",
-        "miss": "missed",
-    }
-    for rec in records:
-        counts[via_to_key[rec["via"]]] += 1
-    return counts
-
-
 def build_replanner(config: LiveConfig, *, warm: bool = True) -> Replanner:
     """The scenario's replanner over its content-addressed instance.
 
@@ -153,7 +138,8 @@ def run_timeline_remote(config: LiveConfig, client) -> LiveReport:
     anything with a compatible ``session`` method).  The per-event
     records come back from the server, so comparing this report against
     a local one checks the whole session path — normalisation, executor
-    hand-off, serialization — not just the replanner.
+    hand-off, serialization — not just the replanner.  The tier counts
+    are the server-side replanner's own, from the close response.
     """
     records: list[dict] = []
     with client.session(config.session_payload()) as session:
@@ -162,13 +148,12 @@ def run_timeline_remote(config: LiveConfig, client) -> LiveReport:
             response = session.event(**event.to_payload())
             records.append({k: response[k] for k in response if k != "session"})
         closed = session.close()
-    availability = closed["availability"]
     return LiveReport(
         config=config,
         mode="remote",
         records=records,
-        availability=availability,
-        counters=_counters(records),
+        availability=closed["availability"],
+        counters=closed["replans"],
         latency_ms=_latency_summary(records),
     )
 

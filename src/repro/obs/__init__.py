@@ -10,8 +10,8 @@ The telemetry layer every other subsystem reports into:
   enabled via ``--trace PATH`` / ``REPRO_TRACE``.
 * :mod:`~repro.obs.metrics` — :class:`~repro.obs.metrics.MetricsRegistry`
   of counters/gauges/histograms with Prometheus text exposition (the
-  ``GET /v1/metrics`` body) plus the relocated
-  :class:`~repro.obs.metrics.LatencyReservoir`.
+  ``GET /v1/metrics`` body); a histogram also keeps its recent samples
+  and max, so one ``observe`` feeds the ``/v1/stats`` percentiles too.
 * :mod:`~repro.obs.summary` — span-tree aggregation behind
   ``microrepro trace summarize`` (self/total-time hot-path table).
 * :mod:`~repro.obs.instrument` — aggregated per-kernel timings
@@ -29,7 +29,6 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    LatencyReservoir,
     MetricsRegistry,
 )
 from .summary import format_table, format_tree, load_spans, summarize_spans
@@ -54,7 +53,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LatencyReservoir",
     "MetricsRegistry",
     "RESERVOIR_SIZE",
     "DEFAULT_BUCKETS",

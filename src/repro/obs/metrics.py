@@ -1,22 +1,20 @@
 """Unified metrics: counters, gauges, histograms and Prometheus text.
 
-One process-wide :class:`MetricsRegistry` is the single source of truth
-for every counter the service layers used to track by hand
-(:class:`~repro.service.server.ServiceStats`,
-:class:`~repro.service.batcher.BatcherStats`,
-:class:`~repro.service.cache.CacheStats`, the session manager's replan
-tiers).  The stat classes keep their attribute/`as_dict` surfaces, but
-each attribute now *reads* a registry metric instead of owning a field,
-so ``/v1/stats`` and ``GET /v1/metrics`` can never disagree.
+One :class:`MetricsRegistry` per service process is the only store of
+its counters and latencies.  Each layer (the server, the batcher, the
+cache, the session manager) binds its families once at construction and
+builds its ``/v1/stats`` section from them, so ``/v1/stats`` and
+``GET /v1/metrics`` read the same samples and can never disagree.
 
 The exposition format is the Prometheus text format (``# HELP`` /
 ``# TYPE`` headers, ``name{label="value"} sample`` lines, cumulative
 histogram buckets) — scrapable by any Prometheus-compatible collector
 without a client-library dependency.
 
-:class:`LatencyReservoir` and :func:`nearest_rank` live here too:
-nearest-rank percentiles over a ring buffer are a metric primitive, not
-a service detail.
+A :class:`Histogram` child also keeps its running max and a ring of the
+last :data:`RESERVOIR_SIZE` samples, from which :func:`nearest_rank`
+takes the ``/v1/stats`` percentiles: one ``observe`` records a latency
+for every surface.
 """
 
 from __future__ import annotations
@@ -24,20 +22,19 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import deque
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LatencyReservoir",
     "MetricsRegistry",
     "RESERVOIR_SIZE",
     "DEFAULT_BUCKETS",
     "nearest_rank",
 ]
 
-#: Latency samples kept for the ``/v1/stats`` percentiles.
+#: Most recent samples a histogram child keeps for its percentiles.
 RESERVOIR_SIZE = 512
 
 #: Histogram buckets tuned for solve/replan latencies (seconds).
@@ -66,32 +63,6 @@ def nearest_rank(ordered, q: float) -> float:
     if not ordered:
         return 0.0
     return ordered[max(1, math.ceil(q * len(ordered))) - 1]
-
-
-@dataclass(slots=True)
-class LatencyReservoir:
-    """Fixed-size reservoir of the most recent request latencies.
-
-    A ring buffer over the last ``size`` samples: O(1) per record, fixed
-    memory forever, and the percentiles track *current* behaviour
-    instead of averaging this minute's overload away against last
-    hour's idle.
-    """
-
-    size: int = RESERVOIR_SIZE
-    _samples: list[float] = field(default_factory=list)
-    _next: int = 0
-
-    def add(self, value: float) -> None:
-        if len(self._samples) < self.size:
-            self._samples.append(value)
-        else:
-            self._samples[self._next] = value
-        self._next = (self._next + 1) % self.size
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (``0 < q <= 1``); ``0.0`` when empty."""
-        return nearest_rank(sorted(self._samples), q)
 
 
 class Counter:
@@ -143,15 +114,24 @@ class Gauge:
 
 
 class Histogram:
-    """Cumulative-bucket distribution (Prometheus ``histogram`` type)."""
+    """Cumulative-bucket distribution (Prometheus ``histogram`` type).
 
-    __slots__ = ("buckets", "_counts", "_sum", "_count", "_lock")
+    Besides the buckets it keeps the running max and the most recent
+    :data:`RESERVOIR_SIZE` samples in a ring: O(1) per observation,
+    fixed memory forever, and percentiles that track *current*
+    behaviour instead of averaging this minute's overload away against
+    last hour's idle.
+    """
+
+    __slots__ = ("buckets", "_counts", "_sum", "_count", "_max", "_recent", "_lock")
 
     def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS):
         self.buckets = tuple(sorted(buckets))
         self._counts = [0] * (len(self.buckets) + 1)  # last = +Inf
         self._sum = 0.0
         self._count = 0
+        self._max = 0
+        self._recent: deque[float] = deque(maxlen=RESERVOIR_SIZE)
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -160,6 +140,9 @@ class Histogram:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+            if value > self._max:
+                self._max = value
+            self._recent.append(value)
 
     @property
     def sum(self) -> float:
@@ -168,6 +151,17 @@ class Histogram:
     @property
     def count(self) -> int:
         return self._count
+
+    @property
+    def max(self) -> int | float:
+        """Largest sample observed (``0`` before the first)."""
+        return self._max
+
+    def percentile(self, q: float) -> float:
+        """Nearest-rank percentile of the recent samples; ``0.0`` when empty."""
+        with self._lock:
+            recent = sorted(self._recent)
+        return nearest_rank(recent, q)
 
     def bucket_counts(self) -> list[int]:
         """Cumulative counts per bucket boundary (ending with ``+Inf``)."""

@@ -68,118 +68,10 @@ from ..workers import WorkerPool, run_traced
 from .cache import SolveCache
 from .requests import SolveRequest, solve_group
 
-__all__ = ["BatcherStats", "MicroBatcher", "DEFAULT_MAX_BATCH"]
+__all__ = ["MicroBatcher", "DEFAULT_MAX_BATCH"]
 
 #: A group reaching this depth takes no more members.
 DEFAULT_MAX_BATCH = 64
-
-
-class BatcherStats:
-    """Counters of one :class:`MicroBatcher` (reset with the process).
-
-    Registry-backed (see :class:`~repro.obs.metrics.MetricsRegistry`):
-    the historical attributes read the shared series that
-    ``GET /v1/metrics`` exposes, so the two surfaces cannot drift.
-    """
-
-    __slots__ = ("_requests", "_flushes", "_solved", "_coalesced", "_shed",
-                 "_max_group", "_solve_seconds")
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        registry = registry if registry is not None else MetricsRegistry()
-        self._requests = registry.counter(
-            "repro_batcher_requests_total", "Requests submitted to the micro-batcher."
-        )
-        self._flushes = registry.counter(
-            "repro_batcher_flushes_total", "Groups flushed to a solve."
-        )
-        self._solved = registry.counter(
-            "repro_batcher_solved_requests_total",
-            "Requests solved per execution path.",
-            labels=("path",),
-        )
-        # Pre-register both paths so an idle scrape shows them at 0.
-        for path in ("batched", "fallback"):
-            self._solved.labels(path=path)
-        self._coalesced = registry.counter(
-            "repro_batcher_coalesced_total",
-            "Requests that joined an identical in-flight solve.",
-        )
-        self._shed = registry.counter(
-            "repro_batcher_shed_total",
-            "Requests shed by admission control (solve queue full).",
-        )
-        self._max_group = registry.gauge(
-            "repro_batcher_max_group", "Largest group flushed so far."
-        )
-        self._solve_seconds = registry.counter(
-            "repro_batcher_solve_seconds_total",
-            "Wall-clock seconds spent in group solves.",
-        )
-
-    def note_request(self) -> None:
-        self._requests.inc()
-
-    def note_coalesced(self) -> None:
-        self._coalesced.inc()
-
-    def note_shed(self) -> None:
-        self._shed.inc()
-
-    def note_flush(self, group_size: int) -> None:
-        self._flushes.inc()
-        self._max_group.max(group_size)
-
-    def note_solved(self, count: int, batched: bool) -> None:
-        self._solved.labels(path="batched" if batched else "fallback").inc(count)
-
-    def add_solve_seconds(self, elapsed: float) -> None:
-        self._solve_seconds.inc(elapsed)
-
-    @property
-    def requests(self) -> int:
-        return self._requests.value
-
-    @property
-    def flushes(self) -> int:
-        return self._flushes.value
-
-    @property
-    def batched_requests(self) -> int:
-        return self._solved.labels(path="batched").value
-
-    @property
-    def fallback_requests(self) -> int:
-        return self._solved.labels(path="fallback").value
-
-    @property
-    def coalesced(self) -> int:
-        return self._coalesced.value
-
-    @property
-    def shed(self) -> int:
-        return self._shed.value
-
-    @property
-    def max_group(self) -> int:
-        return self._max_group.value
-
-    @property
-    def solve_seconds(self) -> float:
-        return self._solve_seconds.value
-
-    def as_dict(self) -> dict:
-        """JSON-ready counters for ``/stats``."""
-        return {
-            "requests": self.requests,
-            "flushes": self.flushes,
-            "batched_requests": self.batched_requests,
-            "fallback_requests": self.fallback_requests,
-            "coalesced": self.coalesced,
-            "shed": self.shed,
-            "max_group": self.max_group,
-            "solve_seconds": round(self.solve_seconds, 6),
-        }
 
 
 @dataclass(slots=True)
@@ -223,6 +115,9 @@ class MicroBatcher:
         :class:`~repro.exceptions.ServiceOverloadedError`; cache hits
         and coalesced joins are always admitted (they consume no solve
         capacity).  ``None`` disables shedding.
+    registry:
+        The :class:`~repro.obs.metrics.MetricsRegistry` holding the
+        batcher's counters (a private one when ``None``).
     """
 
     def __init__(
@@ -242,7 +137,36 @@ class MicroBatcher:
         self.cache = cache
         self.pool = pool
         self.max_pending = max_pending
-        self.stats = BatcherStats(registry)
+        registry = registry if registry is not None else MetricsRegistry()
+        self._requests = registry.counter(
+            "repro_batcher_requests_total", "Requests submitted to the micro-batcher."
+        )
+        self._flushes = registry.counter(
+            "repro_batcher_flushes_total", "Groups flushed to a solve."
+        )
+        solved = registry.counter(
+            "repro_batcher_solved_requests_total",
+            "Requests solved per execution path.",
+            labels=("path",),
+        )
+        # Both paths are bound up front, so an idle scrape shows them at 0.
+        self._batched = solved.labels(path="batched")
+        self._fallback = solved.labels(path="fallback")
+        self._coalesced = registry.counter(
+            "repro_batcher_coalesced_total",
+            "Requests that joined an identical in-flight solve.",
+        )
+        self._shed = registry.counter(
+            "repro_batcher_shed_total",
+            "Requests shed by admission control (solve queue full).",
+        )
+        self._max_group = registry.gauge(
+            "repro_batcher_max_group", "Largest group flushed so far."
+        )
+        self._solve_seconds = registry.counter(
+            "repro_batcher_solve_seconds_total",
+            "Wall-clock seconds spent in group solves.",
+        )
         #: Groups solving at once: one per worker plus one queued behind
         #: them, as ``ProcessPoolExecutor`` pre-queues work.
         self.slots = (pool.workers if pool is not None else 1) + 1
@@ -270,7 +194,7 @@ class MicroBatcher:
         :class:`~repro.exceptions.ServiceOverloadedError` when the
         request would exceed ``max_pending`` (nothing was enqueued).
         """
-        self.stats.note_request()
+        self._requests.inc()
         if self.cache is not None:
             with span("cache.lookup", key=request.key) as lookup_span:
                 response, tier = await self._cache_get(request.key)
@@ -281,11 +205,11 @@ class MicroBatcher:
         if inflight is not None:
             # Identical request already pending or mid-solve: one solve
             # serves both.
-            self.stats.note_coalesced()
+            self._coalesced.inc()
             with span("batcher.wait", key=request.key, coalesced=True):
                 return dict(await asyncio.shield(inflight), cached=False)
         if self.max_pending is not None and len(self._inflight) >= self.max_pending:
-            self.stats.note_shed()
+            self._shed.inc()
             raise ServiceOverloadedError(
                 f"solve queue is full ({self.max_pending} pending request(s)); "
                 "retry later"
@@ -342,7 +266,8 @@ class MicroBatcher:
         if self._open.get(group.signature) is group:
             del self._open[group.signature]
         self._busy += 1
-        self.stats.note_flush(len(group.requests))
+        self._flushes.inc()
+        self._max_group.max(len(group.requests))
         task = asyncio.get_running_loop().create_task(self._solve_group(group))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -408,11 +333,11 @@ class MicroBatcher:
                     future.exception()
                 return
             finally:
-                self.stats.add_solve_seconds(time.perf_counter() - start)
+                self._solve_seconds.inc(time.perf_counter() - start)
                 # The slot is free: the oldest pending group takes it.
                 self._busy -= 1
                 self._dispatch()
-            self.stats.note_solved(len(group.requests), batched)
+            (self._batched if batched else self._fallback).inc(len(group.requests))
             group_span.set(batched=batched)
             if self.cache is not None:
                 # Before resolving the futures, so a submitter that saw its
@@ -432,6 +357,19 @@ class MicroBatcher:
                 self._release(request.key, future)
                 if not future.done():
                     future.set_result(response)
+
+    def stats_payload(self) -> dict:
+        """The ``batcher`` section of ``/v1/stats``."""
+        return {
+            "requests": self._requests.value,
+            "flushes": self._flushes.value,
+            "batched_requests": self._batched.value,
+            "fallback_requests": self._fallback.value,
+            "coalesced": self._coalesced.value,
+            "shed": self._shed.value,
+            "max_group": self._max_group.value,
+            "solve_seconds": round(self._solve_seconds.value, 6),
+        }
 
     def _release(self, key: str, future: asyncio.Future) -> None:
         """Drop an in-flight entry (only if it is still *this* future)."""

@@ -15,7 +15,7 @@ caching is a pure space/time trade.  The cache therefore has two tiers:
 
 A persistent-tier hit is promoted into the LRU; every miss that gets
 solved is written through to both tiers.  Hit/miss counters per tier
-feed the service's ``/stats`` endpoint.
+live in the service's metrics registry and feed ``/v1/stats``.
 """
 
 from __future__ import annotations
@@ -23,97 +23,11 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 from ..jsonl_store import JsonlStore
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["CacheStats", "SolveCacheStore", "SolveCache"]
-
-
-class CacheStats:
-    """Counters of one :class:`SolveCache` (reset with the process).
-
-    Registry-backed: each counter is a
-    :class:`~repro.obs.metrics.MetricsRegistry` series (shared with
-    ``GET /v1/metrics`` when the service passes its registry in), and
-    the historical int attributes read straight from it — one source of
-    truth for ``/v1/stats`` and the exposition endpoint.
-    """
-
-    __slots__ = ("_hits", "_misses", "_puts", "_evictions")
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        registry = registry if registry is not None else MetricsRegistry()
-        self._hits = registry.counter(
-            "repro_cache_hits_total", "Solve-cache hits per tier.", labels=("tier",)
-        )
-        # Pre-register both tiers so an idle scrape shows them at 0.
-        for tier in ("memory", "store"):
-            self._hits.labels(tier=tier)
-        self._misses = registry.counter(
-            "repro_cache_misses_total", "Solve-cache lookups that missed both tiers."
-        )
-        self._puts = registry.counter(
-            "repro_cache_puts_total", "Responses written through the solve cache."
-        )
-        self._evictions = registry.counter(
-            "repro_cache_memory_evictions_total",
-            "LRU evictions from the in-memory cache tier.",
-        )
-
-    def note_hit(self, tier: str) -> None:
-        self._hits.labels(tier=tier).inc()
-
-    def note_miss(self) -> None:
-        self._misses.inc()
-
-    def note_put(self) -> None:
-        self._puts.inc()
-
-    def note_eviction(self) -> None:
-        self._evictions.inc()
-
-    @property
-    def memory_hits(self) -> int:
-        return self._hits.labels(tier="memory").value
-
-    @property
-    def store_hits(self) -> int:
-        return self._hits.labels(tier="store").value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def puts(self) -> int:
-        return self._puts.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @property
-    def hits(self) -> int:
-        """Hits across both tiers."""
-        return self.memory_hits + self.store_hits
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups (hits + misses)."""
-        return self.hits + self.misses
-
-    def as_dict(self) -> dict:
-        """JSON-ready counters for ``/stats``."""
-        return {
-            "hits": self.hits,
-            "memory_hits": self.memory_hits,
-            "store_hits": self.store_hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-        }
+__all__ = ["SolveCacheStore", "SolveCache"]
 
 
 class SolveCacheStore(JsonlStore):
@@ -206,7 +120,6 @@ class SolveCacheStore(JsonlStore):
         return len(self._index["solve"])
 
 
-@dataclass(slots=True)
 class SolveCache:
     """Bounded LRU in front of an optional :class:`SolveCacheStore`.
 
@@ -218,16 +131,40 @@ class SolveCache:
         persistent tier in tests).
     store:
         Persistent tier, or ``None`` for a memory-only cache.
+    registry:
+        The :class:`~repro.obs.metrics.MetricsRegistry` holding the
+        hit/miss/put/eviction counters (a private one when ``None``).
     """
 
-    capacity: int = 1024
-    store: SolveCacheStore | None = None
-    stats: CacheStats = field(default_factory=CacheStats)
-    _memory: OrderedDict = field(default_factory=OrderedDict)
-    # The batcher calls get/put from executor threads (the persistent
-    # tier does file I/O that must stay off the event loop), so every
-    # tier access is serialized here.
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    def __init__(
+        self,
+        capacity: int = 1024,
+        store: SolveCacheStore | None = None,
+        registry: MetricsRegistry | None = None,
+    ):
+        self.capacity = capacity
+        self.store = store
+        self._memory: OrderedDict = OrderedDict()
+        # The batcher calls get/put from executor threads (the persistent
+        # tier does file I/O that must stay off the event loop), so every
+        # tier access is serialized here.
+        self._lock = threading.Lock()
+        registry = registry if registry is not None else MetricsRegistry()
+        hits = registry.counter(
+            "repro_cache_hits_total", "Solve-cache hits per tier.", labels=("tier",)
+        )
+        # Both tiers are bound up front, so an idle scrape shows them at 0.
+        self._hits = {tier: hits.labels(tier=tier) for tier in ("memory", "store")}
+        self._misses = registry.counter(
+            "repro_cache_misses_total", "Solve-cache lookups that missed both tiers."
+        )
+        self._puts = registry.counter(
+            "repro_cache_puts_total", "Responses written through the solve cache."
+        )
+        self._evictions = registry.counter(
+            "repro_cache_memory_evictions_total",
+            "LRU evictions from the in-memory cache tier.",
+        )
 
     @classmethod
     def open(
@@ -250,7 +187,7 @@ class SolveCache:
             if cache_dir is not None
             else None
         )
-        return cls(capacity=capacity, store=store, stats=CacheStats(registry))
+        return cls(capacity=capacity, store=store, registry=registry)
 
     def get(self, key: str) -> tuple[dict | None, str | None]:
         """``(response, tier)`` for a key; ``(None, None)`` on a miss.
@@ -262,21 +199,21 @@ class SolveCache:
             cached = self._memory.get(key)
             if cached is not None:
                 self._memory.move_to_end(key)
-                self.stats.note_hit("memory")
+                self._hits["memory"].inc()
                 return cached, "memory"
             if self.store is not None:
                 response = self.store.get(key)
                 if response is not None:
-                    self.stats.note_hit("store")
+                    self._hits["store"].inc()
                     self._remember(key, response)
                     return response, "store"
-            self.stats.note_miss()
+            self._misses.inc()
             return None, None
 
     def put(self, key: str, response: dict) -> None:
         """Write a freshly solved response through both tiers."""
         with self._lock:
-            self.stats.note_put()
+            self._puts.inc()
             self._remember(key, response)
             if self.store is not None:
                 self.store.put(key, response)
@@ -288,19 +225,28 @@ class SolveCache:
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
-            self.stats.note_eviction()
+            self._evictions.inc()
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def stats_payload(self) -> dict:
-        """JSON-ready counters for ``/stats``, both tiers.
+        """The ``cache`` section of ``/v1/stats``, both tiers.
 
-        Extends :meth:`CacheStats.as_dict` with the persistent tier's
-        footprint and maintenance counters when one is attached.
+        The persistent tier's footprint and maintenance counters are
+        added when one is attached.
         """
         with self._lock:
-            payload = self.stats.as_dict()
+            memory_hits = self._hits["memory"].value
+            store_hits = self._hits["store"].value
+            payload = {
+                "hits": memory_hits + store_hits,
+                "memory_hits": memory_hits,
+                "store_hits": store_hits,
+                "misses": self._misses.value,
+                "puts": self._puts.value,
+                "evictions": self._evictions.value,
+            }
             if self.store is not None:
                 payload.update(
                     store_entries=len(self.store),

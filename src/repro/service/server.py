@@ -24,8 +24,9 @@ the 404 ``not_found`` envelope:
     mapping back, read state, close.  Idle sessions expire.
 ``GET /v1/stats``
     Live counters: request/cache/batcher/session stats plus latency
-    aggregates and p50/p95/p99 percentiles over fixed-size reservoirs,
-    and a ``metrics`` snapshot of the unified registry.
+    aggregates and p50/p95/p99 percentiles over the latency histograms'
+    most recent samples, and a ``metrics`` snapshot of the unified
+    registry.  Every figure is read from that registry.
 ``GET /v1/metrics``
     The same registry in Prometheus text exposition format
     (:meth:`repro.obs.metrics.MetricsRegistry.render`), for scraping.
@@ -58,7 +59,7 @@ import time
 from .._version import __version__
 from ..exceptions import ReproError, ServiceOverloadedError
 from ..live.replanner import Replanner
-from ..obs.metrics import LatencyReservoir, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import configure as configure_tracing
 from ..obs.trace import request_id_or_new, span, trace_path
 from ..workers import WorkerPool
@@ -72,7 +73,7 @@ from .requests import (
 )
 from .sessions import DEFAULT_MAX_SESSIONS, DEFAULT_SESSION_TTL, SessionManager
 
-__all__ = ["LatencyReservoir", "ServiceStats", "SolveService", "serve"]
+__all__ = ["SolveService", "serve"]
 
 #: Largest accepted request body (a solve request is a few hundred bytes;
 #: anything bigger is garbage or abuse).
@@ -83,115 +84,6 @@ MAX_HEADER_BYTES = 1 << 14
 #: ``/v1/session/{id}`` and ``/v1/session/{id}/event`` (already stripped
 #: of the version prefix when matched).
 _SESSION_ROUTE = re.compile(r"/session/([A-Za-z0-9_-]+)(/event)?")
-
-
-class ServiceStats:
-    """Request-level counters of one service process.
-
-    Uptime is measured on the monotonic clock — ``time.time()`` would
-    make ``uptime_seconds`` jump (or go negative) across an NTP step —
-    while ``started_at_unix`` keeps the human-readable wall-clock start.
-
-    Registry-backed since the unified telemetry layer landed: every
-    counter is a :class:`~repro.obs.metrics.MetricsRegistry` series
-    (shared with ``GET /v1/metrics``), and the historical attributes
-    read from it — ``/v1/stats`` and the exposition endpoint can never
-    disagree.
-    """
-
-    __slots__ = (
-        "started_monotonic",
-        "started_at_unix",
-        "reservoir",
-        "_solved",
-        "_errors",
-        "_shed",
-        "_deadline",
-        "_latency",
-        "_latency_max",
-    )
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        registry = registry if registry is not None else MetricsRegistry()
-        self.started_monotonic = time.monotonic()
-        self.started_at_unix = time.time()
-        self.reservoir = LatencyReservoir()
-        self._solved = registry.counter(
-            "repro_service_requests_total", "Solve requests answered 200."
-        )
-        self._errors = registry.counter(
-            "repro_service_errors_total",
-            "Requests answered with an error envelope (4xx/5xx, 429/504 aside).",
-        )
-        self._shed = registry.counter(
-            "repro_service_shed_total",
-            "Requests shed by admission control (HTTP 429).",
-        )
-        self._deadline = registry.counter(
-            "repro_service_deadline_exceeded_total",
-            "Requests whose deadline expired before the solve (HTTP 504).",
-        )
-        self._latency = registry.histogram(
-            "repro_service_latency_seconds", "End-to-end solve latency."
-        )
-        self._latency_max = registry.gauge(
-            "repro_service_latency_max_seconds", "Largest solve latency seen."
-        )
-
-    @property
-    def solved(self) -> int:
-        return self._solved.value
-
-    @property
-    def errors(self) -> int:
-        return self._errors.value
-
-    @property
-    def shed(self) -> int:
-        return self._shed.value
-
-    @property
-    def deadline_exceeded(self) -> int:
-        return self._deadline.value
-
-    @property
-    def latency_seconds(self) -> float:
-        return self._latency.sum
-
-    @property
-    def latency_max_seconds(self) -> float:
-        return self._latency_max.value
-
-    def note_error(self) -> None:
-        self._errors.inc()
-
-    def note_shed(self) -> None:
-        self._shed.inc()
-
-    def note_deadline(self) -> None:
-        self._deadline.inc()
-
-    def record(self, elapsed: float) -> None:
-        self._solved.inc()
-        self._latency.observe(elapsed)
-        self._latency_max.max(elapsed)
-        self.reservoir.add(elapsed)
-
-    def as_dict(self) -> dict:
-        mean = self.latency_seconds / self.solved if self.solved else 0.0
-        return {
-            "uptime_seconds": round(time.monotonic() - self.started_monotonic, 3),
-            "started_at_unix": round(self.started_at_unix, 3),
-            "solved": self.solved,
-            "errors": self.errors,
-            "shed": self.shed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "latency_mean_ms": round(mean * 1000.0, 3),
-            "latency_max_ms": round(self.latency_max_seconds * 1000.0, 3),
-            "latency_p50_ms": round(self.reservoir.percentile(0.50) * 1000.0, 3),
-            "latency_p95_ms": round(self.reservoir.percentile(0.95) * 1000.0, 3),
-            "latency_p99_ms": round(self.reservoir.percentile(0.99) * 1000.0, 3),
-        }
 
 
 class SolveService:
@@ -257,9 +149,34 @@ class SolveService:
         self.host = host
         self.port = port
         self.retry_after = float(retry_after)
+        # Uptime runs on the monotonic clock (an NTP step must not make
+        # it jump or go negative); the wall-clock start is for humans.
+        self.started_monotonic = time.monotonic()
+        self.started_at_unix = time.time()
         #: One registry for every layer of this process — the single
         #: source of truth behind ``/v1/stats`` and ``GET /v1/metrics``.
-        self.registry = MetricsRegistry()
+        self.registry = registry = MetricsRegistry()
+        self._solved = registry.counter(
+            "repro_service_requests_total", "Solve requests answered 200."
+        )
+        self._errors = registry.counter(
+            "repro_service_errors_total",
+            "Requests answered with an error envelope (4xx/5xx, 429/504 aside).",
+        )
+        self._shed_total = registry.counter(
+            "repro_service_shed_total",
+            "Requests shed by admission control (HTTP 429).",
+        )
+        self._deadline = registry.counter(
+            "repro_service_deadline_exceeded_total",
+            "Requests whose deadline expired before the solve (HTTP 504).",
+        )
+        self._latency = registry.histogram(
+            "repro_service_latency_seconds", "End-to-end solve latency."
+        ).labels()
+        self._latency_max = registry.gauge(
+            "repro_service_latency_max_seconds", "Largest solve latency seen."
+        )
         self.cache: SolveCache | None = (
             SolveCache.open(
                 cache_dir,
@@ -278,7 +195,6 @@ class SolveService:
             max_pending=max_pending,
             registry=self.registry,
         )
-        self.stats = ServiceStats(self.registry)
         self.sessions = SessionManager(
             ttl=session_ttl, max_sessions=max_sessions, registry=self.registry
         )
@@ -389,7 +305,7 @@ class SolveService:
         path = target.split("?", 1)[0]
         if path == "/v1" or path.startswith("/v1/"):
             return await self._route(method, path[3:] or "/", path, body)
-        self.stats.note_error()
+        self._errors.inc()
         return _error(404, "not_found", f"no such endpoint: {method} {path}")
 
     async def _route(
@@ -417,7 +333,7 @@ class SolveService:
                 return self._session_state(session_id)
             if not is_event and method == "DELETE":
                 return self._session_close(session_id)
-        self.stats.note_error()
+        self._errors.inc()
         return _error(404, "not_found", f"no such endpoint: {method} {path}")
 
     def _health(self) -> tuple[int, dict, dict | None]:
@@ -434,7 +350,7 @@ class SolveService:
 
     def _shed(self, exc: ServiceOverloadedError) -> tuple[int, dict, dict | None]:
         # Load shedding, not an error: the request was never admitted.
-        self.stats.note_shed()
+        self._shed_total.inc()
         seconds = getattr(exc, "retry_after_seconds", None)
         retry_after = max(0, math.ceil(self.retry_after if seconds is None else seconds))
         return _error(
@@ -462,7 +378,7 @@ class SolveService:
         except (asyncio.TimeoutError, TimeoutError):
             # The solve itself keeps running (shielded) and lands in the
             # cache, so the client's retry after the deadline is cheap.
-            self.stats.note_deadline()
+            self._deadline.inc()
             return _error(
                 504,
                 "deadline_exceeded",
@@ -470,12 +386,13 @@ class SolveService:
                 "before the solve completed",
             )
         except ReproError as exc:
-            self.stats.note_error()
+            self._errors.inc()
             return _error(400, "bad_request", str(exc))
         except Exception as exc:  # noqa: BLE001 - a solver bug must not kill the connection
-            self.stats.note_error()
+            self._errors.inc()
             return _error(500, "internal", f"{type(exc).__name__}: {exc}")
-        self.stats.record(time.perf_counter() - start)
+        self._solved.inc()
+        self._latency.observe(time.perf_counter() - start)
         return 200, response, None
 
     # -- sessions ------------------------------------------------------------------
@@ -494,10 +411,10 @@ class SolveService:
         except ServiceOverloadedError as exc:
             return self._shed(exc)
         except ReproError as exc:
-            self.stats.note_error()
+            self._errors.inc()
             return _error(400, "bad_request", str(exc))
         except Exception as exc:  # noqa: BLE001 - keep the connection alive
-            self.stats.note_error()
+            self._errors.inc()
             return _error(500, "internal", f"{type(exc).__name__}: {exc}")
         return 200, session.created_payload(), None
 
@@ -526,10 +443,10 @@ class SolveService:
                     event_span.set(via=record.via)
                 session.touch()
         except ReproError as exc:
-            self.stats.note_error()
+            self._errors.inc()
             return _error(400, "bad_request", str(exc))
         except Exception as exc:  # noqa: BLE001 - keep the connection alive
-            self.stats.note_error()
+            self._errors.inc()
             return _error(500, "internal", f"{type(exc).__name__}: {exc}")
         self.sessions.note_record(record)
         return 200, {"session": session.id, **record.to_dict()}, None
@@ -551,32 +468,46 @@ class SolveService:
 
     def _session_error(self, exc: ReproError) -> tuple[int, dict, dict | None]:
         """400 for malformed payloads, 404 for unknown/expired sessions."""
-        self.stats.note_error()
+        self._errors.inc()
         if str(exc).startswith("no such session"):
             return _error(404, "session_not_found", str(exc))
         return _error(400, "bad_request", str(exc))
 
     def stats_payload(self) -> dict:
         """The ``/v1/stats`` body (also used by tests and the smoke check)."""
+        solved = self._solved.value
+        latency = self._latency
+        mean = latency.sum / solved if solved else 0.0
         payload = {
-            "service": self.stats.as_dict(),
-            "batcher": self.batcher.stats.as_dict(),
+            "service": {
+                "uptime_seconds": round(time.monotonic() - self.started_monotonic, 3),
+                "started_at_unix": round(self.started_at_unix, 3),
+                "solved": solved,
+                "errors": self._errors.value,
+                "shed": self._shed_total.value,
+                "deadline_exceeded": self._deadline.value,
+                "latency_mean_ms": round(mean * 1000.0, 3),
+                "latency_max_ms": round(latency.max * 1000.0, 3),
+                "latency_p50_ms": round(latency.percentile(0.50) * 1000.0, 3),
+                "latency_p95_ms": round(latency.percentile(0.95) * 1000.0, 3),
+                "latency_p99_ms": round(latency.percentile(0.99) * 1000.0, 3),
+            },
+            "batcher": self.batcher.stats_payload(),
             "sessions": self.sessions.stats_payload(),
+            "cache": self.cache.stats_payload() if self.cache is not None else None,
+            "workers": self.pool.workers if self.pool is not None else 0,
         }
-        payload["cache"] = (
-            self.cache.stats_payload() if self.cache is not None else None
-        )
-        payload["workers"] = self.pool.workers if self.pool is not None else 0
         self._refresh_gauges()
         payload["metrics"] = self.registry.snapshot()
         return payload
 
     def _refresh_gauges(self) -> None:
-        """Update scrape-time gauges (uptime, table/store footprints)."""
+        """Update scrape-time gauges (uptime, latency max, table/store footprints)."""
         registry = self.registry
         registry.gauge(
             "repro_service_uptime_seconds", "Seconds since the service started."
-        ).set(round(time.monotonic() - self.stats.started_monotonic, 3))
+        ).set(round(time.monotonic() - self.started_monotonic, 3))
+        self._latency_max.set(self._latency.max)
         registry.gauge(
             "repro_sessions_active", "Currently open replanning sessions."
         ).set(len(self.sessions))

@@ -27,7 +27,7 @@ import uuid
 
 from ..exceptions import ExperimentError, ServiceOverloadedError
 from ..live.replanner import Replanner
-from ..obs.metrics import LatencyReservoir, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from .requests import SessionRequest
 
 __all__ = ["LiveSession", "SessionManager"]
@@ -79,7 +79,7 @@ class LiveSession:
             "repetition": request.repetition,
             "ttl_seconds": self.ttl,
             "idle_seconds": round(time.monotonic() - self.last_used, 3),
-            "events": len(replanner.records),
+            "events": replanner.events,
             "clock": replanner.clock,
             "up": [int(u) for u in replanner.up.nonzero()[0]],
             "up_count": replanner.up_count,
@@ -96,7 +96,7 @@ class LiveSession:
         return {
             "session": self.id,
             "closed": True,
-            "events": len(replanner.records),
+            "events": replanner.events,
             "availability": replanner.availability,
             "replans": replanner.counters.as_dict(),
         }
@@ -124,11 +124,8 @@ class SessionManager:
         self.ttl = float(ttl)
         self.max_sessions = int(max_sessions)
         self._sessions: dict[str, LiveSession] = {}
-        # Registry-backed counters (shared with GET /v1/metrics when the
-        # service passes its registry in); the historical int attributes
-        # below read from these series.
         registry = registry if registry is not None else MetricsRegistry()
-        self._lifecycle = registry.counter(
+        lifecycle = registry.counter(
             "repro_sessions_lifecycle_total",
             "Session lifecycle transitions.",
             labels=("event",),
@@ -136,17 +133,18 @@ class SessionManager:
         self._events = registry.counter(
             "repro_session_events_total", "Platform events applied to sessions."
         )
-        self._replans = registry.counter(
+        replans = registry.counter(
             "repro_replans_total",
             "Replans per tier of the live replanner cascade.",
             labels=("tier",),
         )
-        # Pre-register every label child so the first /v1/metrics scrape
-        # exposes the full series at 0 instead of omitting idle ones.
-        for event in ("created", "closed", "expired"):
-            self._lifecycle.labels(event=event)
-        for tier in self.REPLAN_TIERS:
-            self._replans.labels(tier=tier)
+        # Every label child is bound up front, so the first /v1/metrics
+        # scrape exposes the full series at 0 instead of omitting idle ones.
+        self._lifecycle = {
+            event: lifecycle.labels(event=event)
+            for event in ("created", "closed", "expired")
+        }
+        self._replans = {tier: replans.labels(tier=tier) for tier in self.REPLAN_TIERS}
         self._served = registry.counter(
             "repro_session_events_served_total",
             "Events served by the current plan (no replan needed).",
@@ -157,43 +155,11 @@ class SessionManager:
         )
         self._replan_latency = registry.histogram(
             "repro_replan_seconds", "Latency of one replan (any tier)."
-        )
-        self.reservoir = LatencyReservoir()
+        ).labels()
         # Availability mass of departed sessions, so the aggregate in
         # /v1/stats keeps accounting for closed/expired timelines.
         self._gone_available = 0.0
         self._gone_unavailable = 0.0
-
-    @property
-    def created(self) -> int:
-        return self._lifecycle.labels(event="created").value
-
-    @property
-    def closed(self) -> int:
-        return self._lifecycle.labels(event="closed").value
-
-    @property
-    def expired(self) -> int:
-        return self._lifecycle.labels(event="expired").value
-
-    @property
-    def events(self) -> int:
-        return self._events.value
-
-    @property
-    def replans(self) -> dict:
-        """Replan counts per tier (a fresh dict; mutate via the registry)."""
-        return {
-            tier: self._replans.labels(tier=tier).value for tier in self.REPLAN_TIERS
-        }
-
-    @property
-    def served(self) -> int:
-        return self._served.value
-
-    @property
-    def missed(self) -> int:
-        return self._missed.value
 
     # -- table -------------------------------------------------------------------
     def __len__(self) -> int:
@@ -214,7 +180,7 @@ class SessionManager:
             spec, replanner, self.ttl if spec.ttl_seconds is None else spec.ttl_seconds
         )
         self._sessions[session.id] = session
-        self._lifecycle.labels(event="created").inc()
+        self._lifecycle["created"].inc()
         self.note_record(replanner.initial)
         return session
 
@@ -231,7 +197,7 @@ class SessionManager:
         """Remove and return a session (``DELETE`` handler)."""
         session = self.get(session_id)
         self._drop(session)
-        self._lifecycle.labels(event="closed").inc()
+        self._lifecycle["closed"].inc()
         return session
 
     def _drop(self, session: LiveSession) -> None:
@@ -244,9 +210,8 @@ class SessionManager:
         """Fold one applied event into the aggregate counters."""
         self._events.inc()
         if record.via in self.REPLAN_TIERS:
-            self._replans.labels(tier=record.via).inc()
+            self._replans[record.via].inc()
             self._replan_latency.observe(record.latency_seconds)
-            self.reservoir.add(record.latency_seconds)
         elif record.via == "serve":
             self._served.inc()
         elif record.via == "miss":
@@ -267,7 +232,7 @@ class SessionManager:
         ]
         for session in expired:
             self._drop(session)
-            self._lifecycle.labels(event="expired").inc()
+            self._lifecycle["expired"].inc()
         return len(expired)
 
     async def run_sweeper(self, interval: float | None = None) -> None:
@@ -288,17 +253,18 @@ class SessionManager:
             available += session.replanner.available_seconds
             unavailable += session.replanner.unavailable_seconds
         total = available + unavailable
+        latency = self._replan_latency
         return {
             "active": len(self._sessions),
-            "created": self.created,
-            "closed": self.closed,
-            "expired": self.expired,
-            "events": self.events,
-            "replans": dict(self.replans),
-            "served": self.served,
-            "missed": self.missed,
+            "created": self._lifecycle["created"].value,
+            "closed": self._lifecycle["closed"].value,
+            "expired": self._lifecycle["expired"].value,
+            "events": self._events.value,
+            "replans": {tier: child.value for tier, child in self._replans.items()},
+            "served": self._served.value,
+            "missed": self._missed.value,
             "availability": 1.0 if total == 0.0 else available / total,
-            "replan_p50_ms": round(self.reservoir.percentile(0.50) * 1000.0, 3),
-            "replan_p95_ms": round(self.reservoir.percentile(0.95) * 1000.0, 3),
-            "replan_p99_ms": round(self.reservoir.percentile(0.99) * 1000.0, 3),
+            "replan_p50_ms": round(latency.percentile(0.50) * 1000.0, 3),
+            "replan_p95_ms": round(latency.percentile(0.95) * 1000.0, 3),
+            "replan_p99_ms": round(latency.percentile(0.99) * 1000.0, 3),
         }

@@ -682,7 +682,9 @@ def reference_bisection(
     ``(assignment, iterations, final_low, final_high, probes)``, with a
     ``None`` assignment when even the doubled upper bound fails.
     ``probes`` counts the greedy placements run; ``bound`` replaces the
-    worst-case upper bound the bisection starts from.
+    worst-case upper bound the bisection starts from.  The loop stops
+    after a step that leaves ``(low, high)`` unchanged, since every
+    later step would repeat it.
     """
     low = 0.0
     high = worst_case_period_bound(instance) if bound is None else bound
@@ -705,10 +707,13 @@ def reference_bisection(
                 break
             mid = (low + high) / 2.0
         iterations += 1
+        bracket = (low, high)
         candidate = reference_try_period(name, instance, mid)
         probes += 1
         if candidate is not None:
             best, high = candidate, mid
         else:
             low = mid
+        if (low, high) == bracket:
+            break  # every later step would probe this midpoint again
     return best, iterations, low, high, probes

@@ -104,6 +104,25 @@ def test_doubled_bound_fallback_equals_the_plain_bisection(instance, name, scale
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_integer_bisection_stops_when_a_step_repeats(name):
+    # One machine: every target below the worst-case bound fails, so
+    # ``low`` climbs through integers to 1420 under a bound of 1421.46.
+    # There ``mid == low``, the step changes nothing, and the loop ends
+    # instead of repeating it up to ``max_iterations``.
+    instance = make_random_instance(4, 1, 1, seed=0)
+    mapping, iterations, metadata = get_heuristic(name).solve_mapping(instance)
+    high = binary_search.worst_case_period_bound(instance)
+    assert (metadata["final_low"], metadata["final_high"]) == (1420.0, high)
+    assert high == pytest.approx(1421.4588)
+    # Eleven steps raise ``low`` (710, 1065, ..., 1419, 1420); the
+    # twelfth repeats 1420.
+    assert iterations == 12
+    assert metadata["walks"] == 3
+    assert mapping.as_array.tolist() == [0, 0, 0, 0]
+    assert_matches_reference(get_heuristic(name), name, instance)
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_doubled_bound_fallback_on_a_fixed_instance(name):
     # The sequential solve's final lower bound is a period the greedy
     # placement cannot meet, and twice it can be met.

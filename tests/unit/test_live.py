@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,21 @@ class TestReplannerTiers:
         assert missed.period is None
         assert replanner.counters.served == 1
         assert replanner.counters.missed == 1
+
+    def test_events_are_counted_without_keeping_records(self):
+        replanner = self.make()
+        replanner.apply(0.5, "request")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for step in range(3000):
+                replanner.apply(1.0 + step, "request")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert replanner.events == 3002  # the initial solve is event 0
+        # Keeping each ReplanRecord would retain ~300 bytes per event.
+        assert retained < 64 * 1024
 
     def test_redundant_transitions_are_rejected(self):
         replanner = self.make()

@@ -15,7 +15,13 @@ import pytest
 
 from repro.cli import main
 from repro.obs import trace
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    RESERVOIR_SIZE,
+    Histogram,
+    MetricsRegistry,
+    nearest_rank,
+)
 from repro.obs.summary import format_table, format_tree, load_spans, summarize_spans
 from repro.obs.trace import (
     TraceContext,
@@ -84,6 +90,38 @@ class TestMetricsPrimitives:
         assert child.bucket_counts() == [2, 2, 3, 4]
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(5.515)
+
+
+class TestHistogramRecentSamples:
+    """The ``/v1/stats`` percentiles come from a histogram's recent samples."""
+
+    def test_nearest_rank_percentiles_are_exact(self):
+        histogram = Histogram()
+        for ms in range(1, 101):
+            histogram.observe(ms / 1000.0)
+        assert histogram.percentile(0.50) == pytest.approx(0.050)
+        assert histogram.percentile(0.95) == pytest.approx(0.095)
+        assert histogram.percentile(0.99) == pytest.approx(0.099)
+        assert histogram.percentile(1.0) == pytest.approx(0.100)
+        assert histogram.max == pytest.approx(0.100)
+        assert nearest_rank([], 0.5) == 0.0
+
+    def test_ring_keeps_only_the_most_recent_samples(self):
+        histogram = Histogram()
+        for value in range(1, RESERVOIR_SIZE + 3):
+            histogram.observe(float(value))
+        # 1.0 and 2.0 were overwritten: the window is {3, ..., size + 2}.
+        assert histogram.percentile(1.0 / RESERVOIR_SIZE) == 3.0
+        assert histogram.percentile(1.0) == float(RESERVOIR_SIZE + 2)
+        # The buckets, sum, count and max still cover every sample.
+        assert histogram.count == RESERVOIR_SIZE + 2
+        assert histogram.bucket_counts()[-1] == RESERVOIR_SIZE + 2
+        assert histogram.max == float(RESERVOIR_SIZE + 2)
+
+    def test_empty_histogram_reports_zero(self):
+        histogram = Histogram()
+        assert histogram.percentile(0.5) == 0.0
+        assert histogram.max == 0
 
 
 class TestMetricsRegistry:

@@ -18,12 +18,11 @@ import pytest
 from repro.exceptions import ExperimentError, ServiceOverloadedError
 from repro.heuristics import available_heuristics
 from repro.heuristics.base import BATCH_MIN_ROWS
-from repro.obs.metrics import LatencyReservoir, nearest_rank
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import SolveCache, SolveCacheStore
 from repro.service.client import ServiceClient
 from repro.service.requests import direct_response, normalize_request
-from repro.service.server import ServiceStats, SolveService
+from repro.service.server import SolveService
 from repro.workers import WorkerPool
 
 
@@ -221,9 +220,10 @@ class TestSolveCache:
         cache.put("c", {"v": 3})  # evicts "b" (least recently used)
         assert cache.get("b") == (None, None)
         assert cache.get("a")[1] == "memory"
-        assert cache.stats.evictions == 1
-        assert cache.stats.memory_hits == 2
-        assert cache.stats.misses == 1
+        stats = cache.stats_payload()
+        assert stats["evictions"] == 1
+        assert stats["memory_hits"] == 2
+        assert stats["misses"] == 1
 
     def test_persistent_tier_survives_reopen_and_promotes(self, tmp_path):
         cache = SolveCache.open(tmp_path / "cache")
@@ -263,12 +263,12 @@ class TestMicroBatcher:
             responses = await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
             )
-            return batcher.stats, requests, responses
+            return batcher.stats_payload(), requests, responses
 
         stats, requests, responses = run(scenario())
         # All four arrived in one loop tick: one flush, one group of 4.
-        assert stats.flushes == 1
-        assert stats.max_group == 4
+        assert stats["flushes"] == 1
+        assert stats["max_group"] == 4
         for request, response in zip(requests, responses):
             reference = direct_response(request)
             assert response["assignment"] == reference["assignment"]
@@ -287,9 +287,9 @@ class TestMicroBatcher:
             # Two full groups, two free slots: both flush on the next
             # tick, while the gate still holds every solve.
             await spin(lambda: len(gate.groups) == 2)
-            flushes, max_group = batcher.stats.flushes, batcher.stats.max_group
+            stats = batcher.stats_payload()
             gate.open_all()
-            return flushes, max_group, await asyncio.gather(*waiters)
+            return stats["flushes"], stats["max_group"], await asyncio.gather(*waiters)
 
         flushes, max_group, responses = run(asyncio.wait_for(scenario(), timeout=10.0))
         assert flushes == 2
@@ -311,10 +311,10 @@ class TestMicroBatcher:
             responses = await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
             )
-            return batcher.stats, requests, responses
+            return batcher.stats_payload(), requests, responses
 
         stats, requests, responses = run(scenario())
-        assert stats.flushes == 3  # one per distinct signature
+        assert stats["flushes"] == 3  # one per distinct signature
         for request, response in zip(requests, responses):
             reference = direct_response(request)
             assert response["assignment"] == reference["assignment"]
@@ -329,11 +329,11 @@ class TestMicroBatcher:
             ]
             return await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
-            ), batcher.stats
+            ), batcher.stats_payload()
 
         responses, stats = run(scenario())
-        assert stats.batched_requests == 0
-        assert stats.fallback_requests == len(responses)
+        assert stats["batched_requests"] == 0
+        assert stats["fallback_requests"] == len(responses)
         assert all(response["batched"] is False for response in responses)
 
     def test_threshold_deep_groups_take_the_batch_kernel(self):
@@ -345,10 +345,10 @@ class TestMicroBatcher:
             ]
             return await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
-            ), batcher.stats
+            ), batcher.stats_payload()
 
         responses, stats = run(scenario())
-        assert stats.batched_requests == len(responses)
+        assert stats["batched_requests"] == len(responses)
         assert all(response["batched"] is True for response in responses)
 
     def test_two_deep_local_search_groups_fall_back_per_instance(self):
@@ -360,12 +360,12 @@ class TestMicroBatcher:
             ]
             return await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
-            ), batcher.stats
+            ), batcher.stats_payload()
 
         responses, stats = run(scenario())
-        assert stats.max_group == 2
-        assert stats.batched_requests == 0
-        assert stats.fallback_requests == 2
+        assert stats["max_group"] == 2
+        assert stats["batched_requests"] == 0
+        assert stats["fallback_requests"] == 2
         assert all(response["batched"] is False for response in responses)
 
     def test_identical_requests_coalesce_into_one_solve(self):
@@ -375,11 +375,11 @@ class TestMicroBatcher:
             responses = await asyncio.gather(
                 *(batcher.submit(request) for _ in range(5))
             )
-            return batcher.stats, responses
+            return batcher.stats_payload(), responses
 
         stats, responses = run(scenario())
-        assert stats.coalesced == 4
-        assert stats.max_group == 1  # one unique request actually solved
+        assert stats["coalesced"] == 4
+        assert stats["max_group"] == 1  # one unique request actually solved
         assert all(response == responses[0] for response in responses)
 
     def test_identical_request_joins_a_solve_already_in_flight(self):
@@ -393,13 +393,13 @@ class TestMicroBatcher:
             first = asyncio.create_task(batcher.submit(request))
             await spin(lambda: gate.groups)  # the solve is now running
             second = asyncio.create_task(batcher.submit(request))
-            await spin(lambda: batcher.stats.coalesced)
+            await spin(lambda: batcher.stats_payload()["coalesced"])
             gate.open_all()
-            return batcher.stats, await first, await second
+            return batcher.stats_payload(), await first, await second
 
         stats, first, second = run(scenario())
-        assert stats.coalesced == 1
-        assert stats.flushes == 1  # the duplicate never formed a group
+        assert stats["coalesced"] == 1
+        assert stats["flushes"] == 1  # the duplicate never formed a group
         assert first == second
 
     def test_cache_hits_skip_the_solver(self):
@@ -408,12 +408,12 @@ class TestMicroBatcher:
             request = normalize_request(make_payload(seed=1))
             first = await batcher.submit(request)
             second = await batcher.submit(request)
-            return batcher.stats, first, second
+            return batcher.stats_payload(), first, second
 
         stats, first, second = run(scenario())
         assert first["cached"] is False
         assert second["cached"] == "memory"
-        assert stats.flushes == 1  # the second submit never reached a group
+        assert stats["flushes"] == 1  # the second submit never reached a group
         assert {k: v for k, v in second.items() if k != "cached"} == {
             k: v for k, v in first.items() if k != "cached"
         }
@@ -467,7 +467,7 @@ class TestLoadDispatch:
             waiter = asyncio.create_task(batcher.submit(request))
             await asyncio.sleep(0)  # tick 1: the request opens its group
             await asyncio.sleep(0)  # tick 2: the group flushes
-            flushes = batcher.stats.flushes
+            flushes = batcher.stats_payload()["flushes"]
             gate.open_all()
             return request, flushes, await waiter
 
@@ -486,7 +486,7 @@ class TestLoadDispatch:
                 waiters.append(asyncio.create_task(batcher.submit(request)))
                 await asyncio.sleep(0)
             await asyncio.sleep(0)
-            parked_flushes = batcher.stats.flushes
+            parked_flushes = batcher.stats_payload()["flushes"]
             gate.open(0)
             await blockers[0]  # a finished solve frees its slot...
             await spin(lambda: len(gate.groups) == batcher.slots + 1)
@@ -502,9 +502,10 @@ class TestLoadDispatch:
         assert parked_flushes == batcher.slots  # nothing flushed while held
         # ...and the five arrivals flushed together, as one group of 5.
         assert gate.groups[-1] == tuple(requests)
-        assert batcher.stats.flushes == batcher.slots + 1
-        assert batcher.stats.max_group == 5
-        assert batcher.stats.batched_requests == 5
+        stats = batcher.stats_payload()
+        assert stats["flushes"] == batcher.slots + 1
+        assert stats["max_group"] == 5
+        assert stats["batched_requests"] == 5
         for request, response in zip(requests, responses):
             assert strip_markers(response) == strip_markers(direct_response(request))
 
@@ -561,7 +562,7 @@ class TestLoadDispatch:
         )
         assert queued == [2, 2, 1]
         assert [len(group) for group in gate.groups[batcher.slots:]] == [2, 2, 1]
-        assert batcher.stats.max_group == 2
+        assert batcher.stats_payload()["max_group"] == 2
         for request, response in zip(requests, responses):
             assert strip_markers(response) == strip_markers(direct_response(request))
 
@@ -764,13 +765,13 @@ class TestWorkerPool:
                 await batcher.aclose()
                 # One slot per worker process, plus one group queued behind.
                 assert batcher.slots == pool.workers + 1 == 3
-            return batcher.stats, requests, responses
+            return batcher.stats_payload(), requests, responses
 
         stats, requests, responses = run(scenario())
         # The deep H4w group took the batch kernel inside a worker, the
         # H1 group fell back per instance — both inside workers.
-        assert stats.batched_requests == BATCH_MIN_ROWS
-        assert stats.fallback_requests == 3
+        assert stats["batched_requests"] == BATCH_MIN_ROWS
+        assert stats["fallback_requests"] == 3
         for request, response in zip(requests, responses):
             reference = direct_response(request)
             assert strip_markers(response) == strip_markers(reference)
@@ -925,17 +926,18 @@ class TestAdmissionControl:
             duplicate = asyncio.create_task(
                 batcher.submit(normalize_request(make_payload(seed=41)))
             )
-            await spin(lambda: batcher.stats.coalesced)
+            await spin(lambda: batcher.stats_payload()["coalesced"])
             assert not duplicate.done()
             gate.open_all()  # the gate held the one group's solve until now
             await batcher.aclose()
-            return batcher.stats, await first, await duplicate, await second
+            stats = batcher.stats_payload()
+            return stats, await first, await duplicate, await second
 
         stats, first, duplicate, second = run(
             asyncio.wait_for(scenario(), timeout=30.0)
         )
-        assert stats.shed == 1
-        assert stats.coalesced == 1
+        assert stats["shed"] == 1
+        assert stats["coalesced"] == 1
         assert first == duplicate
         assert second["key"] != first["key"]
 
@@ -955,11 +957,11 @@ class TestAdmissionControl:
             gate.open_all()
             await batcher.aclose()
             await blocker
-            return warmed, hit, batcher.stats
+            return warmed, hit, batcher.stats_payload()
 
         warmed, hit, stats = run(asyncio.wait_for(scenario(), timeout=30.0))
         assert hit["cached"] == "memory"
-        assert stats.shed == 0
+        assert stats["shed"] == 0
         assert strip_markers(hit) == strip_markers(warmed)
 
     def test_http_load_shedding_answers_429_then_retries_succeed(self):
@@ -1232,29 +1234,6 @@ class TestCacheCompaction:
         cache.close()
 
 
-class TestLatencyReservoir:
-    def test_nearest_rank_percentiles_are_exact(self):
-        reservoir = LatencyReservoir()
-        for ms in range(1, 101):
-            reservoir.add(ms / 1000.0)
-        assert reservoir.percentile(0.50) == pytest.approx(0.050)
-        assert reservoir.percentile(0.95) == pytest.approx(0.095)
-        assert reservoir.percentile(0.99) == pytest.approx(0.099)
-        assert reservoir.percentile(1.0) == pytest.approx(0.100)
-        assert nearest_rank([], 0.5) == 0.0
-
-    def test_ring_buffer_keeps_only_the_most_recent_samples(self):
-        reservoir = LatencyReservoir(size=4)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-            reservoir.add(value)
-        # 1.0 and 2.0 were overwritten: the window is {3, 4, 5, 6}.
-        assert reservoir.percentile(0.25) == 3.0
-        assert reservoir.percentile(1.0) == 6.0
-
-    def test_empty_reservoir_reports_zero(self):
-        assert LatencyReservoir().percentile(0.5) == 0.0
-
-
 class TestServicePayloads:
     def test_stats_name_no_kernel_backend(self):
         payload = SolveService(port=0).stats_payload()
@@ -1271,15 +1250,20 @@ class TestServicePayloads:
 
 class TestServiceStatsClock:
     def test_uptime_is_monotonic_and_start_is_wall_clock(self):
-        stats = ServiceStats()
-        stats.record(0.010)
-        payload = stats.as_dict()
+        service = SolveService(port=0)
+        # One answered solve, recorded where the handler records it.
+        service.registry.counter("repro_service_requests_total").inc()
+        service.registry.histogram("repro_service_latency_seconds").observe(0.010)
+        payload = service.stats_payload()["service"]
         assert payload["uptime_seconds"] >= 0
         assert abs(payload["started_at_unix"] - time.time()) < 60.0
         assert payload["solved"] == 1
         assert payload["latency_mean_ms"] == 10.0
+        assert payload["latency_max_ms"] == 10.0
         assert payload["latency_p50_ms"] == 10.0
         assert payload["latency_p95_ms"] == 10.0
         assert payload["latency_p99_ms"] == 10.0
         assert payload["shed"] == 0
         assert payload["deadline_exceeded"] == 0
+        # The max gauge is set from the histogram at scrape time.
+        assert "repro_service_latency_max_seconds 0.01\n" in service.metrics_text()

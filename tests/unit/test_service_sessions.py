@@ -135,7 +135,7 @@ class TestSessionManager:
 
         manager, session = run(scenario())
         assert session.id not in manager
-        assert manager.expired == 1
+        assert manager.stats_payload()["expired"] == 1
         with pytest.raises(ExperimentError, match="no such session"):
             manager.get(session.id)
 
