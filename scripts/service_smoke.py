@@ -64,6 +64,7 @@ import json
 import os
 import queue
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -78,6 +79,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.exceptions import ServiceOverloadedError  # noqa: E402 - path bootstrap
+from repro.obs.summary import load_spans  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.requests import direct_response, normalize_request  # noqa: E402
 
@@ -433,25 +435,18 @@ def check_prometheus_text(text: str) -> list[tuple[bool, str]]:
     ]
 
 
-def load_spans(trace_dir: str) -> list[dict]:
-    """Every span record in the trace log, in append order."""
-    trace_file = Path(trace_dir) / "trace.jsonl"
-    if not trace_file.exists():
-        return []
-    spans = []
-    for line in trace_file.read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        record = json.loads(line)
-        if record.get("kind") == "span":
-            spans.append(record["data"])
-    return spans
-
-
 def phase_telemetry() -> bool:
     """Phase 3: request ids, /v1/metrics scrape, cross-process span tree."""
     print("== phase 3: telemetry, --trace ==")
     trace_dir = tempfile.mkdtemp(prefix="smoke-trace-")
+    try:
+        return check_telemetry(trace_dir)
+    finally:
+        shutil.rmtree(trace_dir, ignore_errors=True)
+
+
+def check_telemetry(trace_dir: str) -> bool:
+    """Phase 3's server run and checks, tracing into ``trace_dir``."""
     process, url = start_server("--workers", "2", "--trace", trace_dir)
     try:
         client = ServiceClient(url)

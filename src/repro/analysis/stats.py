@@ -56,7 +56,7 @@ class PointSummary:
 
 @lru_cache(maxsize=1024)
 def _t_critical(confidence: float, df: int) -> float:
-    """Two-sided Student t critical value, memoized per ``(confidence, df)``.
+    """Two-sided Student t critical value, cached per ``(confidence, df)``.
 
     ``stdtrit`` is the inverse Student t CDF behind ``scipy.stats.t.ppf``
     (equal to it bit for bit) without importing ``scipy.stats``, which

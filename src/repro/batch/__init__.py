@@ -21,8 +21,6 @@ This subsystem provides the NumPy-vectorized counterparts:
 from .evaluation import (
     BatchEvaluation,
     InstanceStack,
-    batch_machine_periods,
-    batch_periods,
     evaluate_batch,
 )
 from .incremental import MappingEvaluator
@@ -30,8 +28,6 @@ from .incremental import MappingEvaluator
 __all__ = [
     "BatchEvaluation",
     "InstanceStack",
-    "batch_machine_periods",
-    "batch_periods",
     "evaluate_batch",
     "MappingEvaluator",
 ]

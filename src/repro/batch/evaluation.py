@@ -39,8 +39,6 @@ __all__ = [
     "BatchEvaluation",
     "InstanceStack",
     "as_assignment_array",
-    "batch_machine_periods",
-    "batch_periods",
     "evaluate_batch",
 ]
 
@@ -123,22 +121,6 @@ def _machine_periods_core(
     tasks = np.arange(instance.num_tasks)
     w_used = instance.processing_times[tasks[np.newaxis, :], assignments]
     return _scatter_periods(assignments, x * w_used, instance.num_machines)
-
-
-def batch_machine_periods(
-    instance: ProblemInstance, assignments: np.ndarray
-) -> np.ndarray:
-    """The ``(R, m)`` matrix of per-machine periods, one row per mapping."""
-    assignments = as_assignment_array(
-        assignments, num_tasks=instance.num_tasks, num_machines=instance.num_machines
-    )
-    x = _expected_products_core(instance, assignments)
-    return _machine_periods_core(instance, assignments, x)
-
-
-def batch_periods(instance: ProblemInstance, assignments: np.ndarray) -> np.ndarray:
-    """The ``(R,)`` vector of application periods (max machine period)."""
-    return batch_machine_periods(instance, assignments).max(axis=1)
 
 
 def _throughputs_from(periods: np.ndarray) -> np.ndarray:

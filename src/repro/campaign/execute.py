@@ -47,6 +47,7 @@ class PipelineReport:
     hits: int = 0
     #: Units solved (one block solve each) and written as cells.
     computed: int = 0
+    #: Point jobs an idle worker took from another run's queue.
     stolen: int = 0
     elapsed_seconds: float = 0.0
 
@@ -62,7 +63,7 @@ class PipelineReport:
             f"{self.computed} block solve(s) ({self.hit_rate():.0%} from the store)"
         )
         if self.stolen:
-            line += f", {self.stolen} unit(s) stolen"
+            line += f", {self.stolen} job(s) stolen"
         return line + f", {self.elapsed_seconds:.1f}s"
 
 

@@ -2,13 +2,14 @@
 
 Blocks are wildly uneven: a MIP block at its time limit costs ~300x an
 H4-family block of the same shape, local search ~15x, an H2/H3
-bisection ~5.5x, OtO ~3x.  A block count says nothing about this, so
-the shard planner (:func:`repro.campaign.plan.plan`) prices each
+bisection ~5.5x, H1 ~5x, OtO ~3x.  A block count says nothing about
+this, so the shard planner (:func:`repro.campaign.plan.plan`) prices each
 campaign work unit (one block) by its provider label with calibrated
 estimates and balances shards by total estimated cost (LPT greedy),
 and the block executor's work stealing
-(:func:`repro.experiments.runner.execute_blocks`) mops up whatever the
-estimates still get wrong.  A block is priced from its ``(scenario,
+(:func:`repro.experiments.runner.execute_blocks`, whose parallel jobs
+are one sweep point each, priced as the sum of their blocks) mops up
+whatever the estimates still get wrong.  A block is priced from its ``(scenario,
 curve, sweep value)`` alone, so an in-memory run is priced the same way
 as a campaign.
 
@@ -23,7 +24,12 @@ from __future__ import annotations
 
 from ..exceptions import ReproError
 from ..generators.scenarios import ScenarioConfig
-from ..heuristics import BinarySearchHeuristic, LocalSearchHeuristic, get_heuristic
+from ..heuristics import (
+    BinarySearchHeuristic,
+    LocalSearchHeuristic,
+    RandomHeuristic,
+    get_heuristic,
+)
 from .providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
 
 __all__ = ["classify_curve", "provider_cost", "block_cost"]
@@ -32,12 +38,16 @@ __all__ = ["classify_curve", "provider_cost", "block_cost"]
 #: as provider time over the mean time of H4 and H4w at R=30, the median
 #: of 3 alternated runs per point, on fig6 n=10/40/70/100 and three fig9
 #: points: ``bisection`` (H2, H3) 3.2-5.7 on fig6 and 7.8-11.8 on fig9;
-#: ``local_search`` on fig6 9.3-28.1; ``oto`` on fig9 1.8-3.2.  The
+#: ``local_search`` on fig6 9.3-28.1; ``oto`` on fig9 1.8-3.2;
+#: ``random`` (H1, a per-instance walk drawing from a generator) 3.6-4.2
+#: on fig5 n=50/100/150, 4.8-5.8 on fig8 n=10/50/100 and 4.4-5.0 on
+#: fig10 n=2/10/16, priced at the median of those nine points.  The
 #: other plain heuristics are the unit (H4f 0.8-1.0).  ``mip`` is the
 #: earlier worst-case estimate of 100 plain-heuristic means, rebased by
 #: that mean's 2.1-6.4 H4 units.
 PROVIDER_COSTS = {
     "heuristic": 1.0,
+    "random": 4.8,
     "bisection": 5.5,
     "local_search": 15.0,
     "oto": 2.8,
@@ -49,7 +59,7 @@ SIZE_EXPONENT = 0.5
 
 def classify_curve(curve: str) -> str:
     """The cost class of a curve label
-    (mip/oto/local_search/bisection/heuristic)."""
+    (mip/oto/local_search/bisection/random/heuristic)."""
     if curve == MIP_LABEL:
         return "mip"
     if curve == OTO_LABEL:
@@ -64,6 +74,8 @@ def classify_curve(curve: str) -> str:
         return "local_search"
     if isinstance(heuristic, BinarySearchHeuristic):
         return "bisection"
+    if isinstance(heuristic, RandomHeuristic):
+        return "random"
     return "heuristic"
 
 

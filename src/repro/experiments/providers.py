@@ -9,7 +9,8 @@ whole :class:`BlockChunk` at a time.  A chunk holds the sampled
 ``R`` structurally identical repetitions of its point — stacked into
 one :class:`~repro.batch.InstanceStack` that every curve of the chunk
 shares; :func:`repro.experiments.runner.execute_blocks` decides which
-points form a chunk.
+points form a chunk (one point per chunk in a parallel run's worker
+job).  Each chunk is sampled once, for all its curves.
 
 Built-in providers
 ------------------
@@ -103,12 +104,10 @@ class CellBlock:
         scenario: ScenarioConfig,
         sweep_value: int,
         streams: RandomStreamFactory,
-        *,
-        memoize: bool = False,
     ) -> "CellBlock":
         """Draw the block's instances (identical to the per-cell runner's)."""
         instances = tuple(
-            sample_instance(scenario, sweep_value, repetition, streams, memoize=memoize)
+            sample_instance(scenario, sweep_value, repetition, streams)
             for repetition in range(scenario.repetitions)
         )
         return cls(
@@ -180,13 +179,10 @@ class BlockChunk:
         scenario: ScenarioConfig,
         sweep_values: Sequence[int],
         streams: RandomStreamFactory,
-        *,
-        memoize: bool = False,
     ) -> "BlockChunk":
         """Sample each point's block and stack all their rows once."""
         blocks = tuple(
-            CellBlock.sample(scenario, sweep_value, streams, memoize=memoize)
-            for sweep_value in sweep_values
+            CellBlock.sample(scenario, sweep_value, streams) for sweep_value in sweep_values
         )
         instances = tuple(instance for block in blocks for instance in block.instances)
         stack = InstanceStack.from_instances(instances, require_uniform_types=False)

@@ -27,16 +27,15 @@ back to the per-instance solve loop transparently.  The equivalence
 tests hold every mode to a per-instance ``Heuristic.solve`` oracle bit
 for bit.
 
-Blocks are independent, so the executor can also fan them out over a
-:class:`~repro.workers.WorkerPool` (``workers=N``) through the
+Sweep points are independent, so the executor can also fan them out
+over a :class:`~repro.workers.WorkerPool` (``workers=N``) through the
 work-stealing dispatcher :func:`steal_dispatch`: one queue per run, each
-block priced by :func:`repro.experiments.cost.block_cost`, each job one
-:func:`~repro.workers.run_traced` call of :func:`_score_block` — which
-carries the dispatching trace context when tracing is on, so the
-workers' spans join the caller's trace.  A worker samples through its
-process's instance cache, so the curve jobs of one sweep point that
-land on one worker draw each instance once; the serial path samples
-each chunk once for every curve and never memoizes.  Every block
+job one sweep point's pending curves, priced as the sum of its blocks'
+:func:`repro.experiments.cost.block_cost`.  Each job is one
+:func:`~repro.workers.run_traced` call of the serial executor on that
+point alone, so a parallel run samples each point once, as a serial run
+does.  When tracing is on, the call carries the dispatching trace
+context, so the workers' spans join the caller's trace.  Every point
 re-derives its random streams from the root seed through
 :class:`~repro.simulation.rng.RandomStreamFactory` — whose label
 hashing is process-independent — and results are folded
@@ -63,7 +62,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,22 +192,6 @@ class BlockRun:
     blocks: tuple[tuple[int, str], ...]
 
 
-def _score_block(scenario, sweep_value, label, entropy, milp_time_limit):
-    """A worker's block job: sample one block, score one curve on it.
-
-    Returns ``(values, failures)``.  Providers are re-resolved by label
-    in the worker, so jobs stay picklable.  Sampling always goes through
-    the worker process's instance cache: the curve jobs of one sweep
-    point that land on one worker draw each instance once (memoized
-    instances are bit-identical, so results never depend on it).
-    """
-    streams = RandomStreamFactory(np.random.SeedSequence(entropy))
-    chunk = BlockChunk.sample(scenario, (sweep_value,), streams, memoize=True)
-    provider = resolve_provider(label, milp_time_limit=milp_time_limit)
-    (result,) = provider.evaluate(chunk)
-    return result.values(), result.failures
-
-
 def run_scenario(
     scenario: ScenarioConfig,
     *,
@@ -237,11 +220,11 @@ def run_scenario(
     figure_id, normalize_to:
         Reporting metadata (filled automatically by :func:`run_figure`).
     workers:
-        Fan the (sweep point, curve) blocks out over a process pool of
-        this size.  ``None`` or ``1`` runs serially in-process; any value
-        produces bit-for-bit the same heuristic/one-to-one series as the
-        serial run for the same seed (MIP cells can additionally time out
-        under CPU oversubscription — see the module docstring).
+        Fan the sweep points out over a process pool of this size.
+        ``None`` or ``1`` runs serially in-process; any value produces
+        bit-for-bit the same heuristic/one-to-one series as the serial
+        run for the same seed (MIP cells can additionally time out under
+        CPU oversubscription — see the module docstring).
     extra_curves:
         Additional curve labels resolved through
         :func:`~repro.experiments.providers.resolve_provider` (e.g.
@@ -329,12 +312,12 @@ def execute_blocks(
     failures)`` — on the parallel path in completion order, so callers
     that need a deterministic layout must fold afterwards.
 
-    ``workers`` above 1 dispatches one job per block over a process
-    pool (every curve label must round-trip through
+    ``workers`` above 1 dispatches one job per sweep point over a
+    process pool (every curve label must round-trip through
     :func:`~repro.experiments.providers.resolve_provider`, since
     workers re-resolve providers by label); otherwise the runs execute
-    serially in chunks.  Returns the number of blocks an idle worker
-    stole from another run's queue (0 on the serial path).
+    serially in chunks.  Returns the number of point jobs an idle
+    worker stole from another run's queue (0 on the serial path).
     """
     if workers is not None and workers > 1 and any(run.blocks for run in runs):
         return _dispatch(runs, record, milp_time_limit, workers)
@@ -473,37 +456,61 @@ def steal_dispatch(
     return report
 
 
+def _point_runs(run: BlockRun) -> list[BlockRun]:
+    """``run`` split into one run per sweep point, in the run's block order."""
+    points: dict[int, list[tuple[int, str]]] = {}
+    for block in run.blocks:
+        points.setdefault(block[0], []).append(block)
+    return [replace(run, blocks=tuple(blocks)) for blocks in points.values()]
+
+
+def _point_job(run: BlockRun, milp_time_limit: float) -> list[tuple]:
+    """A worker's job: one sweep point's pending curves, run serially.
+
+    Returns the ``(sweep_value, label, values, failures)`` of each
+    block.  The point is sampled once and every curve scores that
+    sample, exactly as :func:`_execute_serial` does for a serial run;
+    providers are re-resolved by label in the worker, so jobs stay
+    picklable.
+    """
+    blocks: list[tuple] = []
+    _execute_serial(run, lambda _run, *block: blocks.append(block), milp_time_limit)
+    return blocks
+
+
 def _dispatch(runs, record, milp_time_limit: float, workers: int) -> int:
-    """Every block of every run in one stealing dispatch over a worker pool."""
+    """Every sweep point of every run in one stealing dispatch over a worker pool."""
     # The dispatch span opens before the jobs are submitted, so the
     # context traced jobs carry is the dispatch itself — block-job spans
     # coming back from the workers hang directly off it.
     with span("dag.dispatch", slots=workers) as dispatch_span, WorkerPool(workers) as pool:
         context = current_context()
-        queues = [
-            [(run, sweep_value, label) for sweep_value, label in run.blocks] for run in runs
-        ]
+        queues = [[(run, point) for point in _point_runs(run)] for run in runs]
         costs = [
-            [block_cost(run.scenario, label, sweep_value) for sweep_value, label in run.blocks]
-            for run in runs
+            [
+                sum(block_cost(point.scenario, label, value) for value, label in point.blocks)
+                for _, point in queue
+            ]
+            for queue in queues
         ]
 
         def submit(job) -> Future:
-            run, sweep_value, label = job
+            _, point = job
             return pool.executor.submit(
                 run_traced,
-                _score_block,
-                (run.scenario, sweep_value, label, run.entropy, milp_time_limit),
+                _point_job,
+                (point, milp_time_limit),
                 context,
                 "dag.block_job",
-                sweep_value=sweep_value,
-                curve=label,
+                sweep_value=point.blocks[0][0],
+                curves=len(point.blocks),
             )
 
         def on_result(job, result) -> None:
-            (values, failures), spans = result
+            blocks, spans = result
             emit_spans(spans)
-            record(*job, values, failures)
+            for block in blocks:
+                record(job[0], *block)
 
         dispatch = steal_dispatch(submit, queues, costs, slots=workers, on_result=on_result)
         dispatch_span.set(

@@ -5,7 +5,8 @@ the platform size ``m``, the number of types ``p``, the sweep variable
 (number of tasks ``n`` or number of types ``p``), the failure-rate range,
 whether failures are attached to tasks only, and how many repetitions are
 averaged per point.  :func:`sample_instance` draws one random instance of
-a scenario point, reproducibly.
+a scenario point, reproducibly; it keeps nothing, so each call draws
+afresh.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .platforms import (
     random_processing_times,
 )
 
-__all__ = ["ScenarioConfig", "sample_instance", "clear_instance_cache"]
+__all__ = ["ScenarioConfig", "sample_instance"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,53 +171,18 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-#: Memoization of sampled instances, keyed by (config, sweep point,
-#: repetition, root entropy).  Instances are deterministic functions of
-#: that key, so caching is transparent; it saves regenerating identical
-#: instances when several experiment runs share a scenario (e.g. the
-#: serial and parallel paths of a determinism check, or figures 10/11).
-_INSTANCE_CACHE: dict[tuple, ProblemInstance] = {}
-_INSTANCE_CACHE_MAX = 2048
-
-
-def clear_instance_cache() -> None:
-    """Drop every memoized instance (mainly for tests and benchmarks)."""
-    _INSTANCE_CACHE.clear()
-
-
 def sample_instance(
     config: ScenarioConfig,
     sweep_value: int,
     repetition: int,
     streams: RandomStreamFactory,
-    *,
-    memoize: bool = False,
 ) -> ProblemInstance:
     """Draw the random instance of one (sweep point, repetition) pair.
 
     The random stream only depends on ``(config.name, sweep_value,
     repetition)`` through the stream factory, so re-running an experiment
-    with the same seed regenerates identical instances.  With
-    ``memoize=True`` the drawn instance is cached under that key and
-    returned directly on the next identical request; callers must treat
-    memoized instances as immutable.
+    with the same seed regenerates identical instances.
     """
-    if memoize:
-        entropy = streams.entropy
-        key = (
-            config,
-            int(sweep_value),
-            int(repetition),
-            tuple(entropy) if isinstance(entropy, (list, tuple)) else entropy,
-        )
-        cached = _INSTANCE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        instance = sample_instance(config, sweep_value, repetition, streams)
-        if len(_INSTANCE_CACHE) >= _INSTANCE_CACHE_MAX:
-            _INSTANCE_CACHE.pop(next(iter(_INSTANCE_CACHE)))
-        _INSTANCE_CACHE[key] = instance
-        return instance
     n, p, m = config.dimensions_at(sweep_value)
     if p > n:
         raise ExperimentError(

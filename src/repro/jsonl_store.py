@@ -1,11 +1,10 @@
 """Append-only JSONL records plus a byte-offset index: :class:`JsonlStore`.
 
-The persistence core of every on-disk log of the package — the
-experiment :class:`~repro.experiments.store.ResultStore`, the solve
-service's cache tier (:class:`repro.service.cache.SolveCacheStore`) and
-the trace log (:class:`repro.obs.trace.TraceStore`).  A leaf module: it
-imports no other ``repro`` package, so loading a trace or cache store
-does not load the experiment engine.
+The persistence core of the package's keyed on-disk logs — the
+experiment :class:`~repro.experiments.store.ResultStore` and the solve
+service's cache tier (:class:`repro.service.cache.SolveCacheStore`).  A
+leaf module: it imports no other ``repro`` package, so loading a cache
+store does not load the experiment engine.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ class JsonlStore:
     """Append-only JSONL records plus a byte-offset index, in a directory.
 
     The reusable persistence core shared by
-    :class:`~repro.experiments.store.ResultStore`, the solve service's
-    cache tier and the trace log.  A store directory holds one append-only
+    :class:`~repro.experiments.store.ResultStore` and the solve service's
+    cache tier.  A store directory holds one append-only
     JSON-lines file of ``{"kind": ..., "data": {...}}`` records and an
     ``index.json`` mapping record keys to byte offsets per kind.
     Subclasses declare the record kinds they index (:attr:`KINDS`) and

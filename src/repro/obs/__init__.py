@@ -4,10 +4,9 @@ The telemetry layer every other subsystem reports into:
 
 * :mod:`~repro.obs.trace` — lightweight span tracer
   (``contextvars``-propagated trace/span ids, explicit hand-off across
-  executor threads and pool worker processes, spans appended to a
-  :class:`~repro.obs.trace.TraceStore` on the shared
-  :class:`~repro.jsonl_store.JsonlStore` base).  Off by default;
-  enabled via ``--trace PATH`` / ``REPRO_TRACE``.
+  executor threads and pool worker processes, spans appended to the
+  plain ``trace.jsonl`` log of a :class:`~repro.obs.trace.TraceStore`).
+  Off by default; enabled via ``--trace PATH`` / ``REPRO_TRACE``.
 * :mod:`~repro.obs.metrics` — :class:`~repro.obs.metrics.MetricsRegistry`
   of counters/gauges/histograms with Prometheus text exposition (the
   ``GET /v1/metrics`` body); a histogram also keeps its recent samples
@@ -17,8 +16,8 @@ The telemetry layer every other subsystem reports into:
 * :mod:`~repro.obs.instrument` — aggregated per-kernel timings
   for traced solves.
 
-Deliberately a leaf package (it imports only ``repro.jsonl_store``
-and, from :mod:`~repro.obs.instrument`, ``repro.backend``), so the
+Deliberately a leaf package (it imports only ``repro.backend``, from
+:mod:`~repro.obs.instrument`), so the
 service, DAG, campaign and live layers can all instrument through it
 without import cycles.
 """

@@ -1,8 +1,7 @@
 """Aggregate a trace file into a hot-path table (``trace summarize``).
 
-Reads the spans of a :class:`~repro.obs.trace.TraceStore` directory (or
-a bare ``trace.jsonl`` file), rebuilds the parent/child tree per trace,
-and reports per span *name*:
+Reads the spans of a trace directory (or a bare ``trace.jsonl`` file),
+rebuilds the parent/child tree per trace, and reports per span *name*:
 
 ``count``
     How many spans carried the name.
@@ -44,16 +43,16 @@ class SpanAggregate:
 def load_spans(path: str | Path) -> list[dict]:
     """Every span record under ``path`` (a trace directory or JSONL file).
 
-    Accepts the store directory ``--trace`` was pointed at, the
+    Accepts the directory ``--trace`` was pointed at, the
     ``trace.jsonl`` inside it, or any bare JSONL file of span records;
-    non-span lines are skipped.
+    spans come back in append order, non-span lines and a torn line are
+    skipped.  A directory without a trace log holds no spans.
     """
     path = Path(path)
     if path.is_dir():
-        # Import here keeps this module importable for file-only use.
-        from .trace import TraceStore
-
-        return TraceStore(path).spans()
+        path = path / "trace.jsonl"
+        if not path.exists():
+            return []
     spans = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:

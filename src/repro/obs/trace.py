@@ -29,22 +29,22 @@ no-op context manager whose cost is one function call, benchmarked to
 stay within noise on the sustained-mixed service benchmark.  It is
 switched on per process with :func:`configure` (the ``--trace PATH``
 CLI flag / ``REPRO_TRACE`` environment variable), which appends
-finished spans to a :class:`TraceStore` — a JSONL+index store on the
-same :class:`~repro.jsonl_store.JsonlStore` base as the result
-store and the solve cache.
+finished spans to a :class:`TraceStore` — a plain append-only
+``trace.jsonl`` in the given directory.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import json
 import os
 import re
+import threading
 import time
 import uuid
 from dataclasses import dataclass
-
-from ..jsonl_store import JsonlStore
+from pathlib import Path
 
 __all__ = [
     "TraceContext",
@@ -109,55 +109,53 @@ def trace_path() -> str | None:
     return None if _store is None else str(_store.path)
 
 
-class TraceStore(JsonlStore):
-    """Append-only span log: ``trace.jsonl`` + ``index.json`` in a directory.
+class TraceStore:
+    """Append-only span log: one JSON span per line of ``trace.jsonl``.
 
-    Rides the :class:`~repro.jsonl_store.JsonlStore` base, so a
-    trace directory has the same durability story as the result store —
-    append-only records, tail recovery after a kill, an index that
-    rebuilds itself from the log when stale.  Spans are keyed by
-    ``span_id`` (unique per span, so the log is effectively pure
-    append; the index buys ``spans()`` and dedup on re-emit).
+    Each span is appended in one write and nothing else is kept, so the
+    cost of a span does not grow with the trace.  A final line torn by
+    an interrupted writer gets its newline before the next append, so
+    the two records never merge; :func:`repro.obs.summary.load_spans`
+    skips the torn line.
     """
 
-    KINDS = ("span",)
-    RECORDS_FILE = "trace.jsonl"
-
-    def _key_of(self, kind: str, data: dict) -> str:
-        span_id = data["span_id"]
-        if not isinstance(span_id, str) or not span_id:
-            raise ValueError(f"span record carries a bad span_id: {span_id!r}")
-        return span_id
+    def __init__(self, path: str | os.PathLike):
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self._records_path = self.path / "trace.jsonl"
+        self._lock = threading.Lock()
+        self._tail_torn = False
+        if self._records_path.exists() and self._records_path.stat().st_size:
+            with open(self._records_path, "rb") as handle:
+                handle.seek(-1, os.SEEK_END)
+                self._tail_torn = handle.read(1) != b"\n"
 
     def put_span(self, record: dict) -> None:
-        self._put("span", record["span_id"], record)
-
-    def spans(self) -> list[dict]:
-        """Every stored span, in append order."""
-        return [payload for _, payload in self._payloads("span")]
+        line = (json.dumps(record, allow_nan=True) + "\n").encode("utf-8")
+        with self._lock:
+            if self._tail_torn:
+                line = b"\n" + line
+                self._tail_torn = False
+            with open(self._records_path, "ab") as handle:
+                handle.write(line)
 
 
 def configure(path: str | os.PathLike) -> TraceStore:
     """Switch tracing on: append finished spans under ``path``.
 
-    Idempotent for the same path; a different path closes the previous
-    store first.  Returns the active store.
+    Idempotent for the same path; a different path replaces the
+    previous store.  Returns the active store.
     """
     global _store
-    if _store is not None:
-        if str(_store.path) == str(path):
-            return _store
-        _store.close()
-    _store = TraceStore(path)
+    if _store is None or str(_store.path) != str(path):
+        _store = TraceStore(path)
     return _store
 
 
 def disable() -> None:
-    """Switch tracing off and flush/close the trace store."""
+    """Switch tracing off (every span is already on disk)."""
     global _store
-    if _store is not None:
-        _store.close()
-        _store = None
+    _store = None
 
 
 def _emit(record: dict) -> None:

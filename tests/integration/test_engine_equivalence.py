@@ -171,16 +171,9 @@ class TestBlockVsOracle:
         monkeypatch.setattr(runner_module, "steal_dispatch", counting)
         scenario = _small_scenario(repetitions=2)
         result = run_scenario(scenario, seed=11, workers=2)
-        # One dispatch loop ran every (sweep point, curve) block.
-        assert executed == [len(scenario.sweep_values) * len(result.series)]
-
-    def test_memoized_block_run_is_identical(self):
-        # Worker block jobs sample through their process's instance cache.
-        scenario = _small_scenario(repetitions=2)
-        _assert_identical(
-            _oracle(scenario, 9),
-            run_scenario(scenario, seed=9, workers=2).series,
-        )
+        # One dispatch loop ran one job per sweep point, each job every curve.
+        assert len(result.series) > 1
+        assert executed == [len(scenario.sweep_values)]
 
     def test_run_functions_take_no_engine_store_or_resume(self):
         removed = {"engine", "store", "resume"}

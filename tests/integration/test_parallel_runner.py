@@ -14,9 +14,8 @@ import sys
 
 
 from repro.experiments import run_figure, run_scenario
-from repro.experiments.runner import _score_block
+from repro.experiments.runner import BlockRun, _point_job, _point_runs
 from repro.generators import ScenarioConfig, scenarios
-from repro.generators.scenarios import clear_instance_cache, sample_instance
 from repro.simulation.rng import RandomStreamFactory
 from repro.workers import run_traced
 
@@ -105,56 +104,70 @@ class TestStableStreams:
         assert factory.stream("x", 5).random() == clone.stream("x", 5).random()
 
 
-class TestMemoizedSampling:
-    def test_memoized_instance_is_cached_and_identical(self):
-        clear_instance_cache()
-        scenario = _small_scenario()
-        streams = RandomStreamFactory(4)
-        first = sample_instance(scenario, 6, 0, streams, memoize=True)
-        second = sample_instance(scenario, 6, 0, streams, memoize=True)
-        assert first is second
-        fresh = sample_instance(scenario, 6, 0, RandomStreamFactory(4))
-        assert (fresh.processing_times == first.processing_times).all()
-        assert (fresh.failure_rates == first.failure_rates).all()
+def _count_draws(monkeypatch, log) -> None:
+    """Append the ``n`` of every chain ``sample_instance`` draws to ``log``.
 
-    def test_memoization_distinguishes_seeds_and_cells(self):
-        clear_instance_cache()
-        scenario = _small_scenario()
-        a = sample_instance(scenario, 6, 0, RandomStreamFactory(4), memoize=True)
-        b = sample_instance(scenario, 6, 1, RandomStreamFactory(4), memoize=True)
-        c = sample_instance(scenario, 6, 0, RandomStreamFactory(5), memoize=True)
-        assert a is not b
-        assert a is not c
-        assert not (a.failure_rates == b.failure_rates).all()
+    A file rather than a list, so the draws of forked pool workers
+    (which inherit the patch) count too.
+    """
+    original = scenarios.random_chain_application
 
-    def test_worker_jobs_of_one_point_draw_each_instance_once(self, monkeypatch):
-        # Two curves' block jobs at one sweep point, run in-process
-        # through the worker entry point: the second job is served from
-        # the process's instance cache.
-        clear_instance_cache()
-        draws = []
-        original = scenarios.random_chain_application
+    def counting(n, p, rng):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{n}\n")
+        return original(n, p, rng)
 
-        def counting(*args, **kwargs):
-            draws.append(args[:2])
-            return original(*args, **kwargs)
+    monkeypatch.setattr(scenarios, "random_chain_application", counting)
 
-        monkeypatch.setattr(scenarios, "random_chain_application", counting)
+
+def _draws(log) -> list[int]:
+    return sorted(int(n) for n in log.read_text(encoding="utf-8").split())
+
+
+def _each_point_once(scenario) -> list[int]:
+    return sorted(n for n in scenario.sweep_values for _ in range(scenario.repetitions))
+
+
+class TestPointJobs:
+    def test_point_job_draws_each_instance_once(self, monkeypatch, tmp_path):
+        # One sweep point's curves in one worker job, run in-process
+        # through the worker entry point: every curve scores one sample.
+        _count_draws(monkeypatch, tmp_path / "draws")
         scenario = _small_scenario()
         entropy = RandomStreamFactory(4).entropy
-        results = [
-            run_traced(_score_block, (scenario, 6, label, entropy, 30.0), None, "dag.block_job")
-            for label in ("H2", "H4w")
-        ]
-        assert len(draws) == scenario.repetitions
+        labels = ("H1", "H2", "H4w")
+        run = BlockRun("custom", 4, scenario, entropy, tuple((6, label) for label in labels))
+        blocks, spans = run_traced(_point_job, (run, 30.0), None, "dag.block_job")
+        assert _draws(tmp_path / "draws") == [6] * scenario.repetitions
+        assert spans == []
         serial = run_scenario(scenario, seed=4)
-        for label, ((values, failures), spans) in zip(("H2", "H4w"), results):
+        assert [(value, label) for value, label, _, _ in blocks] == list(run.blocks)
+        for _, label, values, failures in blocks:
             assert values == serial.series[label].samples[6]
-            assert (failures, spans) == (0, [])
+            assert failures == 0
 
-    def test_serial_run_does_not_memoize(self):
-        # The serial path samples each chunk once for every curve; it
-        # must not fill the cache (the figures' peak RSS rides on it).
-        clear_instance_cache()
-        run_scenario(_small_scenario(), seed=4)
-        assert scenarios._INSTANCE_CACHE == {}
+    def test_point_runs_split_a_run_per_sweep_point(self):
+        scenario = _small_scenario()
+        blocks = ((6, "H1"), (9, "H1"), (6, "H4w"), (9, "H2"))
+        run = BlockRun("custom", 4, scenario, 1, blocks)
+        points = _point_runs(run)
+        assert [point.blocks for point in points] == [
+            ((6, "H1"), (6, "H4w")),
+            ((9, "H1"), (9, "H2")),
+        ]
+        assert all(point.scenario is scenario and point.entropy == 1 for point in points)
+
+    def test_parallel_run_samples_each_point_once(self, monkeypatch, tmp_path):
+        _count_draws(monkeypatch, tmp_path / "draws")
+        scenario = _small_scenario()
+        run_scenario(scenario, seed=4, workers=2)
+        assert _draws(tmp_path / "draws") == _each_point_once(scenario)
+
+    def test_serial_run_keeps_no_instances(self, monkeypatch, tmp_path):
+        # Nothing caches instances: a second identical run draws them all again.
+        _count_draws(monkeypatch, tmp_path / "draws")
+        scenario = _small_scenario()
+        first = run_scenario(scenario, seed=4)
+        assert _draws(tmp_path / "draws") == _each_point_once(scenario)
+        assert run_scenario(scenario, seed=4).series == first.series
+        assert _draws(tmp_path / "draws") == sorted(_each_point_once(scenario) * 2)

@@ -15,13 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.batch import (
-    InstanceStack,
-    MappingEvaluator,
-    batch_machine_periods,
-    batch_periods,
-    evaluate_batch,
-)
+from repro.batch import InstanceStack, MappingEvaluator, evaluate_batch
 from repro.batch import graph as graph_mod
 from repro.batch.evaluation import as_assignment_array
 from repro.batch.graph import graph_tables
@@ -102,7 +96,7 @@ class TestBatchEquivalence:
         instance = _random_instance(rng, f_low=0.999, f_high=0.999999)
         assignments = rng.integers(0, instance.num_machines, size=(8, instance.num_tasks))
         _assert_batch_matches_scalar(instance, assignments)
-        assert np.all(np.isfinite(batch_periods(instance, assignments)))
+        assert np.all(np.isfinite(evaluate_batch(instance, assignments).periods))
 
     def test_accepts_mapping_objects_and_single_vector(self):
         rng = np.random.default_rng(7)
@@ -114,15 +108,13 @@ class TestBatchEquivalence:
         assert from_objects.periods[0] == from_vector.periods[0]
         assert len(from_vector) == 1
 
-    def test_individual_kernels_consistent_with_evaluate_batch(self):
+    def test_periods_are_the_machine_period_maxima(self):
         rng = np.random.default_rng(8)
         instance = _random_instance(rng)
         assignments = rng.integers(0, instance.num_machines, size=(5, instance.num_tasks))
         batch = evaluate_batch(instance, assignments)
-        assert np.array_equal(
-            batch_machine_periods(instance, assignments), batch.machine_periods
-        )
-        assert np.array_equal(batch_periods(instance, assignments), batch.periods)
+        assert batch.machine_periods.shape == (5, instance.num_machines)
+        assert np.array_equal(batch.machine_periods.max(axis=1), batch.periods)
 
     def test_best_index_and_evaluation_view(self):
         rng = np.random.default_rng(9)

@@ -84,7 +84,7 @@ class TestManifestArguments:
             assert defaults["workers"] is None
         else:
             assert "workers" not in defaults
-        # Memoization is derived (worker block jobs always memoize), not set.
+        # Nothing caches sampled instances, so there is no flag for it.
         with pytest.raises(SystemExit) as exit_info:
             parser.parse_args(argv + ["--memoize-instances"])
         assert exit_info.value.code == 2

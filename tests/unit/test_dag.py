@@ -51,6 +51,7 @@ class TestCostModel:
         assert classify_curve("H4w") == "heuristic"
         assert classify_curve("H2") == "bisection"
         assert classify_curve("H3") == "bisection"
+        assert classify_curve("H1") == "random"
 
     def test_provider_cost_ordering(self):
         # Local search is dearer than OtO at the m=10 shapes it runs on
@@ -59,6 +60,9 @@ class TestCostModel:
         assert provider_cost(MIP_LABEL) > provider_cost("H4+ls") > provider_cost("H4w")
         assert provider_cost(MIP_LABEL) > provider_cost("H4ls") > provider_cost("H4w")
         assert provider_cost(MIP_LABEL) > provider_cost("OtO") > provider_cost("H4w")
+        # H1 blocks took 3.6-5.8 H4/H4w units on fig5, fig8 and fig10 points.
+        assert 3.5 <= provider_cost("H1") <= 6.0
+        assert provider_cost("H1") > provider_cost("OtO")
 
     def test_a_bisection_block_costs_more_than_an_h4w_block(self):
         # fig9 at R=30: an H2 or H3 block takes 8-12x an H4w block.
@@ -200,7 +204,7 @@ class TestPipelineReport:
         report = PipelineReport(hits=30, computed=10, stolen=2, elapsed_seconds=1.26)
         assert report.summary() == (
             "solve: 30 stored / 10 computed; 10 block solve(s) (75% from the store), "
-            "2 unit(s) stolen, 1.3s"
+            "2 job(s) stolen, 1.3s"
         )
 
     def test_nothing_to_do_counts_as_all_stored(self):

@@ -197,12 +197,27 @@ class TestTracer:
                 assert inner.trace_id == outer.trace_id
                 assert inner.parent_id == outer.span_id
         trace.disable()
-        records = {r["name"]: r for r in TraceStore(tmp_path / "traces").spans()}
+        records = {r["name"]: r for r in load_spans(tmp_path / "traces")}
         assert records["inner"]["parent_id"] == records["outer"]["span_id"]
         assert records["outer"]["parent_id"] is None
         assert records["outer"]["site"] == "test"
         assert records["inner"]["duration"] <= records["outer"]["duration"]
         assert str(store.path) == str(tmp_path / "traces")
+
+    def test_span_log_keeps_append_order_and_skips_a_torn_line(self, tmp_path):
+        # Span ids sort against append order here, so a keyed read would
+        # reorder them.
+        store = TraceStore(tmp_path / "traces")
+        for span_id in ("c", "b"):
+            store.put_span({"span_id": span_id, "name": "appended"})
+        log = tmp_path / "traces" / "trace.jsonl"
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write('{"span_id": "torn", "na')  # an interrupted writer
+        TraceStore(tmp_path / "traces").put_span({"span_id": "a", "name": "appended"})
+        assert [r["span_id"] for r in load_spans(tmp_path / "traces")] == ["c", "b", "a"]
+        assert load_spans(log) == load_spans(tmp_path / "traces")
+        assert log.read_text(encoding="utf-8").count("\n") == 4
+        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == ["trace.jsonl"]
 
     def test_exceptions_are_recorded_and_propagate(self, tmp_path):
         trace.configure(tmp_path / "traces")
@@ -398,7 +413,10 @@ class TestPropagation:
             by_name.setdefault(record["name"], []).append(record)
         (dispatch_span,) = by_name["dag.dispatch"]
         blocks = by_name["dag.block_job"]
-        assert len(blocks) == dispatch_span["executed"] == 4
+        # One job per sweep point, each scoring both curves.
+        assert len(blocks) == dispatch_span["executed"] == 2
+        assert [block["curves"] for block in blocks] == [2, 2]
+        assert sorted(block["sweep_value"] for block in blocks) == [6, 9]
         for block in blocks:
             assert block["trace_id"] == dispatch_span["trace_id"]
             assert block["parent_id"] == dispatch_span["span_id"]
