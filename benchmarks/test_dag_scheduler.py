@@ -139,4 +139,3 @@ def test_bench_dag_pipeline(benchmark, tmp_path):
 
     run = benchmark(cached_rerun)
     assert run.renders == first.renders
-    store.close()

@@ -237,6 +237,5 @@ def run_pipeline(
             figure_id: _render(manifest, store, figure_id)
             for figure_id in manifest.figures
         }
-    store.flush()
     report.elapsed_seconds = time.perf_counter() - start
     return PipelineRun(report=report, renders=renders)

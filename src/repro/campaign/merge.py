@@ -3,7 +3,7 @@
 Thin path-level convenience over
 :meth:`repro.experiments.store.ResultStore.merge` (where the union /
 conflict-detection semantics live): open the destination, open every
-source read-only, merge, close.  Sources must exist — a typo'd path
+source read-only, merge.  Sources must exist — a typo'd path
 must fail loudly, not union an implicitly created empty store.
 """
 
@@ -33,5 +33,4 @@ def merge_stores(
     if missing:
         raise ExperimentError(f"source store(s) not found: {', '.join(missing)}")
     opened = [ResultStore(path) for path in sources]
-    with ResultStore(destination) as dest:
-        return dest.merge(*opened)
+    return ResultStore(destination).merge(*opened)

@@ -177,13 +177,9 @@ def status_rows(
         )
     rows = []
     stores: dict[str, ResultStore] = {}
-    try:
-        for shard, path in zip(plans, store_paths):
-            key = str(path)
-            if key not in stores:
-                stores[key] = ResultStore(path)
-            rows.append(shard_status(shard, stores[key]))
-    finally:
-        for store in stores.values():
-            store.close()
+    for shard, path in zip(plans, store_paths):
+        key = str(path)
+        if key not in stores:
+            stores[key] = ResultStore(path)
+        rows.append(shard_status(shard, stores[key]))
     return rows

@@ -662,38 +662,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     store = ResultStore(_store_path(args, required=True))
-    try:
-        if args.aggregate and not args.figures:
-            raise ExperimentError("--aggregate needs explicit figure names to pool")
-        if args.aggregate and args.seed is not None:
-            raise ExperimentError(
-                "--aggregate pools every stored seed; it cannot be combined "
-                "with --seed"
-            )
-        if args.ci != "pooled" and not args.aggregate:
-            raise ExperimentError("--ci only applies together with --aggregate seeds")
-        if not args.figures:
-            print(catalog_table(store.catalog()))
-            return 0
-        for figure_id in args.figures:
-            if args.aggregate == "seeds":
-                result, seeds = aggregate_seeds(
-                    store, figure_id, scenario_hash=args.scenario_hash, ci=args.ci
-                )
-                if args.csv:
-                    print(result.to_csv(), end="")
-                else:
-                    print(aggregate_report(result, seeds, ci=args.ci))
-                continue
-            result = store.load_result(
-                figure_id, scenario_hash=args.scenario_hash, seed=args.seed
+    if args.aggregate and not args.figures:
+        raise ExperimentError("--aggregate needs explicit figure names to pool")
+    if args.aggregate and args.seed is not None:
+        raise ExperimentError(
+            "--aggregate pools every stored seed; it cannot be combined "
+            "with --seed"
+        )
+    if args.ci != "pooled" and not args.aggregate:
+        raise ExperimentError("--ci only applies together with --aggregate seeds")
+    if not args.figures:
+        print(catalog_table(store.catalog()))
+        return 0
+    for figure_id in args.figures:
+        if args.aggregate == "seeds":
+            result, seeds = aggregate_seeds(
+                store, figure_id, scenario_hash=args.scenario_hash, ci=args.ci
             )
             if args.csv:
                 print(result.to_csv(), end="")
             else:
-                print(figure_report(result))
-    finally:
-        store.close()
+                print(aggregate_report(result, seeds, ci=args.ci))
+            continue
+        result = store.load_result(
+            figure_id, scenario_hash=args.scenario_hash, seed=args.seed
+        )
+        if args.csv:
+            print(result.to_csv(), end="")
+        else:
+            print(figure_report(result))
     return 0
 
 
@@ -721,7 +718,8 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
     shard = load_plan(args.plan)
-    with ResultStore(_store_path(args, required=True)) as store, span(
+    store = ResultStore(_store_path(args, required=True))
+    with span(
         "campaign.shard", shard=shard.index, shards=shard.shards, units=len(shard.units)
     ) as shard_span:
         report = execute_solves(
@@ -785,8 +783,7 @@ def _cmd_dag_plan(args: argparse.Namespace) -> int:
     print(f"{len(units)} unit(s) over {runs} run(s); est. solve cost {cost:.0f}")
     store_path = _store_path(args, required=False)
     if store_path is not None:
-        with ResultStore(store_path) as store:
-            status = shard_status(plan(manifest, shards=1)[0], store)
+        status = shard_status(plan(manifest, shards=1)[0], ResultStore(store_path))
         print(f"store at {store_path}: {status.done}/{status.units} unit(s) stored")
     return 0
 
@@ -889,20 +886,17 @@ def _cmd_dag_run(args: argparse.Namespace) -> int:
     else:
         manifest = campaign = _stored_manifest(args, store_path)
     store = ResultStore(store_path)
-    try:
-        if args.figures:
-            (store.path / CAMPAIGN_FILE).write_text(
-                json.dumps(campaign.to_dict(), indent=2), encoding="utf-8"
-            )
-        run = run_pipeline(
-            manifest,
-            store,
-            workers=args.workers,
-            resume=not args.no_resume,
-            log=lambda line: print(line, flush=True),
+    if args.figures:
+        (store.path / CAMPAIGN_FILE).write_text(
+            json.dumps(campaign.to_dict(), indent=2), encoding="utf-8"
         )
-    finally:
-        store.close()
+    run = run_pipeline(
+        manifest,
+        store,
+        workers=args.workers,
+        resume=not args.no_resume,
+        log=lambda line: print(line, flush=True),
+    )
     if args.export_dir is not None:
         _write_dag_exports(run.renders, args.export_dir)
     print(run.report.summary())

@@ -1,9 +1,9 @@
 """Persistent, resumable store for experiment results.
 
-A :class:`ResultStore` is a directory holding an **append-only**
-JSON-lines file (``results.jsonl``) plus a byte-offset index
-(``index.json``).  Every completed ``(figure, scenario hash, seed,
-curve, sweep value)`` block lands as one line the moment it finishes, so
+A :class:`ResultStore` is a directory holding one **append-only**
+JSON-lines file (``results.jsonl``), its only on-disk record.  Every
+completed ``(figure, scenario hash, seed, curve, sweep value)`` block
+lands as one line the moment it finishes, so
 an interrupted campaign loses at most the block in flight; resuming it
 (``microrepro dag run``, with or without its figures) skips every
 stored block and only computes the remainder.
@@ -15,10 +15,11 @@ per-seed CSVs and the cross-seed aggregate of ``dag run
 --export-dir`` and ``export`` — is derived on read from the cells
 (:meth:`ResultStore.load_result`).
 
-The append/scan/index machinery itself is format-agnostic and lives in
+The append/scan machinery itself is format-agnostic and lives in
 :class:`repro.jsonl_store.JsonlStore`: a directory with one append-only
-JSONL file of ``{"kind": ..., "data": {...}}`` records plus a
-byte-offset index over the kinds a subclass declares.  :class:`ResultStore` builds the
+JSONL file of ``{"kind": ..., "data": {...}}`` records, scanned on open
+into an in-memory byte-offset index over the kinds a subclass declares.
+:class:`ResultStore` builds the
 experiment store on it (kinds ``cell`` and ``meta``); the solve
 service's persistent cache tier
 (:class:`repro.service.cache.SolveCacheStore`) reuses the same base for
@@ -35,13 +36,12 @@ Record kinds
     to rebuild an :class:`~repro.experiments.runner.ExperimentResult`
     from its cells (:meth:`ResultStore.load_result`).
 
-The index maps record keys to byte offsets and remembers the prefix
-length it covers; on open, any lines appended after the last index write
-(e.g. by a run that was killed) are recovered by scanning the tail; a
-crash-truncated final line is recovered when its JSON is complete (only
-the newline was lost) and ignored otherwise.  Records are append-only:
-re-putting a key appends a new line and the index points at the newest
-one.
+Opening a store scans the records file once, mapping record keys to
+byte offsets; nothing else is written, so there is nothing to flush or
+close.  A crash-truncated final line is recovered when its JSON is
+complete (only the newline was lost) and ignored otherwise.  Records are
+append-only: re-putting a key appends a new line and the index points at
+the newest one.
 
 Append-only cell records are also what makes stores *mergeable*:
 :meth:`ResultStore.merge` unions the shard stores of a distributed
@@ -240,18 +240,16 @@ class ResultStore(JsonlStore):
 
     Notes
     -----
-    The store keeps only byte offsets in memory; record payloads are read
-    back on demand.  Durability, tail recovery and stale-index rebuild
-    come from :class:`JsonlStore`; this class contributes the record
+    The store keeps only byte offsets in memory, scanned from
+    ``results.jsonl`` on open; record payloads are read back on demand.
+    Durability, torn-tail recovery and the read-back key check come from
+    :class:`JsonlStore`; this class contributes the record
     schema (:class:`CellRecord` / :class:`RunMeta`), the
     :class:`~repro.experiments.runner.ExperimentResult` round-trip and
     shard-store merging.
     """
 
     KINDS = ("cell", "meta")
-    #: Index field names predate the generic base; keeping them means a
-    #: PR 2-era store opens without a rescan.
-    INDEX_NAMES = {"cell": "cells", "meta": "meta"}
 
     def __init__(self, path: str | os.PathLike):
         super().__init__(path)
@@ -377,7 +375,6 @@ class ResultStore(JsonlStore):
                 elapsed_seconds=result.elapsed_seconds,
             )
         )
-        self.flush()
 
     def load_result(
         self,
@@ -501,7 +498,6 @@ class ResultStore(JsonlStore):
             self.put_cell(record)
         for _, meta in sorted(plan.metas.items()):
             self.put_meta(meta)
-        self.flush()
         return plan.report
 
     def _stage_cell(

@@ -46,6 +46,8 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..jsonl_store import LineLog
+
 __all__ = [
     "TraceContext",
     "TraceStore",
@@ -114,30 +116,22 @@ class TraceStore:
 
     Each span is appended in one write and nothing else is kept, so the
     cost of a span does not grow with the trace.  A final line torn by
-    an interrupted writer gets its newline before the next append, so
-    the two records never merge; :func:`repro.obs.summary.load_spans`
-    skips the torn line.
+    an interrupted or failed write gets its newline before the next
+    append (:class:`~repro.jsonl_store.LineLog`), so the two records
+    never merge; :func:`repro.obs.summary.load_spans` skips the torn
+    line.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self._records_path = self.path / "trace.jsonl"
+        self._log = LineLog(self.path / "trace.jsonl")
         self._lock = threading.Lock()
-        self._tail_torn = False
-        if self._records_path.exists() and self._records_path.stat().st_size:
-            with open(self._records_path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                self._tail_torn = handle.read(1) != b"\n"
 
     def put_span(self, record: dict) -> None:
         line = (json.dumps(record, allow_nan=True) + "\n").encode("utf-8")
         with self._lock:
-            if self._tail_torn:
-                line = b"\n" + line
-                self._tail_torn = False
-            with open(self._records_path, "ab") as handle:
-                handle.write(line)
+            self._log.append(line)
 
 
 def configure(path: str | os.PathLike) -> TraceStore:

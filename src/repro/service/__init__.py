@@ -8,9 +8,9 @@ experiment engine already has — concurrent compatible requests are
 coalesced by a **micro-batcher** into one
 :class:`~repro.batch.InstanceStack` solved through the same lock-step
 ``solve_batch`` kernels that amortize a block's repetitions, and a
-two-tier **solve cache** (LRU over a persistent
-:class:`~repro.jsonl_store.JsonlStore` log) makes repeated
-requests O(lookup).
+two-tier **solve cache** (LRU over an optional persistent
+:class:`~repro.jsonl_store.JsonlStore` log, one ``solves.jsonl`` that
+is its only file) makes repeated requests O(lookup).
 
 Layers (one module each):
 
@@ -23,7 +23,8 @@ Layers (one module each):
   executor or on a :class:`~repro.workers.WorkerPool` (the worker seam
   the block executor shares);
 * :mod:`~repro.service.cache` — the two-tier response cache
-  (size-bounded persistent tier with compaction + eviction);
+  (size-bounded persistent tier with compaction + eviction; a failed
+  write to it costs the cache entry, never the response);
 * :mod:`~repro.service.sessions` — live replanning sessions
   (:class:`SessionManager`: table, counters, idle expiry);
 * :mod:`~repro.service.server` — the asyncio HTTP front end

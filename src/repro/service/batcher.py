@@ -347,11 +347,16 @@ class MicroBatcher:
                     (request.key, response)
                     for request, response in zip(group.requests, responses)
                 ]
-                with span("cache.write", responses=len(pairs)):
-                    if self.cache.store is None:
-                        self._persist(pairs)
-                    else:
-                        await loop.run_in_executor(None, self._persist, pairs)
+                with span("cache.write", responses=len(pairs)) as write_span:
+                    try:
+                        if self.cache.store is None:
+                            self._persist(pairs)
+                        else:
+                            await loop.run_in_executor(None, self._persist, pairs)
+                    except Exception as exc:  # noqa: BLE001 - answer regardless
+                        # A failed write (a full disk under --cache-dir)
+                        # costs the cache entry, never the answer.
+                        write_span.set(failed=type(exc).__name__)
             for request, response in zip(group.requests, responses):
                 future = group.futures[request.key]
                 self._release(request.key, future)

@@ -10,8 +10,8 @@ caching is a pure space/time trade.  The cache therefore has two tiers:
   the :class:`~repro.jsonl_store.JsonlStore` append/scan
   machinery, so a restarted service warms up from disk instead of
   recomputing, with the same durability story as the result store
-  (append-only records, byte-offset index, tail recovery, stale-index
-  rebuild).
+  (append-only records scanned on open, torn-tail recovery, the
+  read-back key check).
 
 A persistent-tier hit is promoted into the LRU; every miss that gets
 solved is written through to both tiers.  Hit/miss counters per tier
@@ -33,11 +33,10 @@ __all__ = ["SolveCacheStore", "SolveCache"]
 class SolveCacheStore(JsonlStore):
     """Persistent cache tier: one ``solve`` record per request key.
 
-    A directory holding ``solves.jsonl`` + ``index.json`` with exactly
-    the result store's durability semantics (the base class is shared).
-    Records are ``{"kind": "solve", "data": {"key": ..., "response":
-    {...}}}``; last write per key wins, and a stale or corrupt index is
-    rebuilt from the log on first use.
+    A directory holding only ``solves.jsonl``, with exactly the result
+    store's durability semantics (the base class is shared).  Records
+    are ``{"kind": "solve", "data": {"key": ..., "response": {...}}}``;
+    last write per key wins.
 
     Parameters
     ----------
@@ -256,8 +255,3 @@ class SolveCache:
                     compactions=self.store.compactions,
                 )
             return payload
-
-    def close(self) -> None:
-        """Flush the persistent tier's index."""
-        if self.store is not None:
-            self.store.close()

@@ -251,8 +251,6 @@ class SolveService:
             self._server = None
         if self.pool is not None:
             self.pool.shutdown()
-        if self.cache is not None:
-            self.cache.close()
 
     # -- request handling --------------------------------------------------------
     async def _handle_connection(
@@ -637,15 +635,17 @@ def _announce(line: str) -> None:
 
 async def _serve_async(service: SolveService, *, announce=_announce) -> None:
     await service.start()
-    announce(
-        f"solve service listening on {service.url} "
-        "(POST /v1/solve, POST /v1/session, GET /v1/stats)"
-    )
     # SIGTERM stops the service like Ctrl-C does: cancel this task, so
     # stop() below shuts the worker pool down instead of orphaning it.
+    # Installed before the announcement: a caller may signal as soon as
+    # it reads the URL.
     loop = asyncio.get_running_loop()
     loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
     try:
+        announce(
+            f"solve service listening on {service.url} "
+            "(POST /v1/solve, POST /v1/session, GET /v1/stats)"
+        )
         await service.serve_forever()
     finally:
         loop.remove_signal_handler(signal.SIGTERM)

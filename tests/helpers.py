@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -42,6 +44,48 @@ __all__ = [
     "reference_try_period",
     "sub_instance",
 ]
+
+
+class _HalfWrite:
+    """A file handle whose ``write`` puts half its bytes, then fails with ENOSPC."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self) -> "_HalfWrite":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._handle.close()
+
+    def tell(self) -> int:
+        return self._handle.tell()
+
+    def write(self, data: bytes) -> int:
+        self._handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def fail_next_append(monkeypatch) -> None:
+    """Make the next log append write half its line, then raise ``ENOSPC``.
+
+    Every append-only log (``JsonlStore``, ``TraceStore``) appends
+    through :class:`repro.jsonl_store.LineLog`, so this patches ``open``
+    in that module: the first ``"ab"`` open returns a failing handle,
+    and every later open (reads, further appends) is the real one.
+    """
+    import repro.jsonl_store
+
+    pending = [True]
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        if mode == "ab" and pending:
+            pending.clear()
+            return _HalfWrite(handle)
+        return handle
+
+    monkeypatch.setattr(repro.jsonl_store, "open", failing_open, raising=False)
 
 
 def make_random_instance(

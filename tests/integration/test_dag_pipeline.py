@@ -41,7 +41,6 @@ def legacy_store(manifest, tmp_path_factory) -> ResultStore:
                     max_points=manifest.max_points,
                 )
             )
-    store.close()
     return store
 
 
@@ -96,8 +95,8 @@ class TestZeroSolveRerun:
     def test_legacy_store_adopts_without_solving(self, legacy_store, manifest):
         # A store written entirely by the pre-DAG path: its cells are
         # solve hits and the derived exports are the same bytes.
-        with ResultStore(legacy_store.path) as store:
-            run = run_pipeline(manifest, store)
+        store = ResultStore(legacy_store.path)
+        run = run_pipeline(manifest, store)
         assert run.report.computed == 0
         for seed in manifest.seeds:
             legacy_csv = legacy_store.load_result("fig5", seed=seed).to_csv()
@@ -114,4 +113,3 @@ class TestParallelDispatch:
         assert run.report.computed == serial_run.report.computed
         assert run.renders == serial_run.renders
         assert _cell_map(store) == _cell_map(serial_store)
-        store.close()

@@ -49,7 +49,6 @@ def single_store(manifest, tmp_path_factory) -> ResultStore:
                     max_points=manifest.max_points,
                 )
             )
-    store.close()
     return store
 
 
@@ -61,9 +60,9 @@ def merged_store(request, manifest, tmp_path_factory) -> ResultStore:
     shard_dirs = []
     for shard in shards:
         shard_dir = tmp_path_factory.mktemp(f"shard{shard.index}-{request.param}")
-        with ResultStore(shard_dir) as store:
-            report = execute_solves(shard.manifest, shard.units, store)
-            assert report.computed == len(shard.units)
+        store = ResultStore(shard_dir)
+        report = execute_solves(shard.manifest, shard.units, store)
+        assert report.computed == len(shard.units)
         shard_dirs.append(shard_dir)
     merged_dir = tmp_path_factory.mktemp(f"merged-{request.param}")
     merge_stores(merged_dir, shard_dirs)

@@ -502,10 +502,10 @@ class TestStoreResume:
             figures=("fig6",), seeds=(4,), repetitions=2, max_points=2, no_milp=True
         )
         units = expand_units(manifest)
-        with ResultStore(tmp_path / "s") as store:
-            execute_solves(manifest, units[:-1], store)
-            report = execute_solves(manifest, units, store)
-            resumed = store.load_result("fig6", seed=4)
+        store = ResultStore(tmp_path / "s")
+        execute_solves(manifest, units[:-1], store)
+        report = execute_solves(manifest, units, store)
+        resumed = store.load_result("fig6", seed=4)
         assert report.computed == 1
         assert report.hits == len(units) - 1
         full = run_figure("fig6", seed=4, repetitions=2, max_points=2, include_milp=False)
@@ -514,8 +514,8 @@ class TestStoreResume:
     def test_parallel_run_with_store_matches_serial(self, tmp_path, capsys):
         _, parallel = _dag_run(capsys, tmp_path / "s", seed=13, extra=["--workers", "2"])
         assert parallel == _cli(capsys, _fig6(seed=13))
-        with ResultStore(tmp_path / "s") as opened:
-            assert opened.load_result("fig6", seed=13).seed == 13
+        opened = ResultStore(tmp_path / "s")
+        assert opened.load_result("fig6", seed=13).seed == 13
 
     def test_resume_with_different_seed_recomputes(self, tmp_path, capsys):
         _dag_run(capsys, tmp_path / "s", seed=4)

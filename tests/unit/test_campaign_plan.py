@@ -184,11 +184,11 @@ class TestShardSolves:
     def test_shard_solves_are_resumable(self, tmp_path):
         manifest = _manifest(seeds=(0,))
         shard = plan(manifest, shards=1, by="seed")[0]
-        with ResultStore(tmp_path / "s") as store:
-            first = execute_solves(manifest, shard.units, store)
-            assert first.computed == len(shard.units)
-            assert first.hits == 0
-            again = execute_solves(manifest, shard.units, store)
+        store = ResultStore(tmp_path / "s")
+        first = execute_solves(manifest, shard.units, store)
+        assert first.computed == len(shard.units)
+        assert first.hits == 0
+        again = execute_solves(manifest, shard.units, store)
         assert again.computed == 0
         assert again.hits == len(shard.units)
 
@@ -199,9 +199,9 @@ class TestShardSolves:
         shard = plan(manifest, shards=2, by="curve")[0]
         labels = {unit.curve for unit in shard.units}
         assert labels != set(manifest.curves_for("fig6"))  # a strict slice
-        with ResultStore(tmp_path / "s") as store:
-            execute_solves(manifest, shard.units, store)
-            meta = store.runs()[0]
+        store = ResultStore(tmp_path / "s")
+        execute_solves(manifest, shard.units, store)
+        meta = store.runs()[0]
         assert meta.curves == list(manifest.curves_for("fig6"))
 
 
@@ -219,29 +219,29 @@ class TestShardStatus:
     def test_status_classifies_done_partial_missing(self, tmp_path):
         manifest = _manifest(seeds=(0,))
         shards = plan(manifest, shards=2, by="block")
-        with ResultStore(tmp_path / "s0") as store:
-            execute_solves(manifest, shards[0].units, store)
-            status = shard_status(shards[0], store)
-            assert status.units == len(shards[0].units)
-            assert status.done == status.units
-            assert status.partial == status.missing == 0
-            assert status.complete
+        store = ResultStore(tmp_path / "s0")
+        execute_solves(manifest, shards[0].units, store)
+        status = shard_status(shards[0], store)
+        assert status.units == len(shards[0].units)
+        assert status.done == status.units
+        assert status.partial == status.missing == 0
+        assert status.complete
 
-            # The other shard's units are absent from this store.
-            other = shard_status(shards[1], store)
-            assert other.done == 0
-            assert other.missing == other.units
-            assert not other.complete
+        # The other shard's units are absent from this store.
+        other = shard_status(shards[1], store)
+        assert other.done == 0
+        assert other.missing == other.units
+        assert not other.complete
 
     def test_status_counts_shallow_records_as_partial(self, tmp_path):
         manifest = _manifest(seeds=(0,))
         shard = plan(manifest, shards=1, by="seed")[0]
         shallow = dataclasses.replace(manifest, repetitions=1)
-        with ResultStore(tmp_path / "s") as store:
-            # Run at R=1, then check against the R=2 plan: every unit is
-            # stored but too shallow to serve the deeper campaign.
-            execute_solves(shallow, plan(shallow, shards=1, by="seed")[0].units, store)
-            status = shard_status(shard, store)
+        store = ResultStore(tmp_path / "s")
+        # Run at R=1, then check against the R=2 plan: every unit is
+        # stored but too shallow to serve the deeper campaign.
+        execute_solves(shallow, plan(shallow, shards=1, by="seed")[0].units, store)
+        status = shard_status(shard, store)
         assert status.partial == status.units
         assert status.done == 0 and status.missing == 0
 
@@ -259,13 +259,13 @@ class TestShardStatus:
         manifest = _manifest(seeds=(0,))
         shard = plan(manifest, shards=1, by="seed")[0]
         shallow = dataclasses.replace(manifest, repetitions=1)
-        with ResultStore(tmp_path / "s") as store:
-            execute_solves(shallow, plan(shallow, shards=1, by="seed")[0].units, store)
-            assert shard_status(shard, store).partial == len(shard.units)
-            deeper = execute_solves(manifest, shard.units, store)
-            assert deeper.hits == 0 and deeper.computed == len(shard.units)
-            assert shard_status(shard, store).complete
-            again = execute_solves(manifest, shard.units, store)
+        store = ResultStore(tmp_path / "s")
+        execute_solves(shallow, plan(shallow, shards=1, by="seed")[0].units, store)
+        assert shard_status(shard, store).partial == len(shard.units)
+        deeper = execute_solves(manifest, shard.units, store)
+        assert deeper.hits == 0 and deeper.computed == len(shard.units)
+        assert shard_status(shard, store).complete
+        again = execute_solves(manifest, shard.units, store)
         assert again.hits == len(shard.units) and again.computed == 0
 
     def test_load_shard_plans_from_planner_outputs(self, tmp_path):
@@ -311,8 +311,8 @@ class TestShardStatus:
         manifest = _manifest(seeds=(0,))
         write_plans(manifest, tmp_path / "plans", shards=2, by="block")
         shards = load_shard_plans(tmp_path / "plans")
-        with ResultStore(tmp_path / "s0") as store:
-            execute_solves(manifest, shards[0].units, store)
+        store = ResultStore(tmp_path / "s0")
+        execute_solves(manifest, shards[0].units, store)
         rows = status_rows(shards, [tmp_path / "s0", tmp_path / "s1"])
         assert rows[0].complete and not rows[1].complete
         # A single store is checked against every shard (merged case).

@@ -262,7 +262,6 @@ class TestCampaignCommands:
             if '"fig10"' not in line
         ]
         results.write_text("".join(kept), encoding="utf-8")
-        (store_dir / "index.json").unlink()
         assert main(["dag", "run", "--store", str(store_dir)]) == 0
         output = capsys.readouterr().out
         assert "fig6 seed=0: 0 block(s) computed, 8 stored" in output

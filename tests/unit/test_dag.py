@@ -226,61 +226,59 @@ class TestRunPipeline:
         assert second.report.computed == 0
         assert second.report.hit_rate() == 1.0
         assert second.renders == first.renders
-        store.close()
 
     def test_identical_rerun_writes_nothing(self, tmp_path):
         manifest = _run_manifest()
-        with ResultStore(tmp_path / "s") as store:
-            run_pipeline(manifest, store)
-            records = (store.path / "results.jsonl").read_bytes()
-            (meta,) = store.runs()
-            run_pipeline(manifest, store)
-            assert (store.path / "results.jsonl").read_bytes() == records
-            # The first run's wall-clock survives the no-op re-run.
-            assert store.runs() == [meta]
-            assert meta.elapsed_seconds > 0.0
+        store = ResultStore(tmp_path / "s")
+        run_pipeline(manifest, store)
+        records = (store.path / "results.jsonl").read_bytes()
+        (meta,) = store.runs()
+        run_pipeline(manifest, store)
+        assert (store.path / "results.jsonl").read_bytes() == records
+        # The first run's wall-clock survives the no-op re-run.
+        assert store.runs() == [meta]
+        assert meta.elapsed_seconds > 0.0
 
     def test_run_header_names_the_numpy_kernels(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            run_pipeline(_run_manifest(), store)
-            (meta,) = store.runs()
+        store = ResultStore(tmp_path / "s")
+        run_pipeline(_run_manifest(), store)
+        (meta,) = store.runs()
         assert meta.backend == "numpy"
 
     def test_header_naming_another_kernel_set_still_resumes(self, tmp_path):
         manifest = _run_manifest()
-        with ResultStore(tmp_path / "fresh") as fresh:
-            first = run_pipeline(manifest, fresh)
-            (meta,) = fresh.runs()
+        fresh = ResultStore(tmp_path / "fresh")
+        first = run_pipeline(manifest, fresh)
+        (meta,) = fresh.runs()
         # A store written when other kernel implementations existed.
-        with ResultStore(tmp_path / "old") as old:
-            old.put_meta(replace(meta, backend="jit"))
-            old.merge(ResultStore(tmp_path / "fresh"))
-            records = (old.path / "results.jsonl").read_bytes()
-            again = run_pipeline(manifest, old)
-            assert again.report.computed == 0
-            assert again.renders == first.renders
-            assert (old.path / "results.jsonl").read_bytes() == records
-            assert [m.backend for m in old.runs()] == ["jit"]
+        old = ResultStore(tmp_path / "old")
+        old.put_meta(replace(meta, backend="jit"))
+        old.merge(ResultStore(tmp_path / "fresh"))
+        records = (old.path / "results.jsonl").read_bytes()
+        again = run_pipeline(manifest, old)
+        assert again.report.computed == 0
+        assert again.renders == first.renders
+        assert (old.path / "results.jsonl").read_bytes() == records
+        assert [m.backend for m in old.runs()] == ["jit"]
 
     def test_store_holds_only_cells_and_run_headers(self, tmp_path):
         manifest = _run_manifest(seeds=(0, 1))
-        with ResultStore(tmp_path / "s") as store:
-            run = run_pipeline(manifest, store)
-            assert len(store.cells()) == len(expand_units(manifest))
-            assert [meta.seed for meta in store.runs()] == [0, 1]
-            # Exports are derived from the cells, exactly as `export` reads them.
-            for seed in manifest.seeds:
-                assert run.renders["fig6"]["per_seed"][str(seed)] == (
-                    store.load_result("fig6", seed=seed).to_csv()
-                )
+        store = ResultStore(tmp_path / "s")
+        run = run_pipeline(manifest, store)
+        assert len(store.cells()) == len(expand_units(manifest))
+        assert [meta.seed for meta in store.runs()] == [0, 1]
+        # Exports are derived from the cells, exactly as `export` reads them.
+        for seed in manifest.seeds:
+            assert run.renders["fig6"]["per_seed"][str(seed)] == (
+                store.load_result("fig6", seed=seed).to_csv()
+            )
         assert sorted(path.name for path in (tmp_path / "s").iterdir()) == [
-            "index.json",
             "results.jsonl",
         ]
 
     def test_single_seed_has_no_aggregate(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            run = run_pipeline(_run_manifest(), store)
+        store = ResultStore(tmp_path / "s")
+        run = run_pipeline(_run_manifest(), store)
         assert set(run.renders["fig6"]["per_seed"]) == {"0"}
         assert run.renders["fig6"]["aggregate"] is None
 
@@ -302,17 +300,16 @@ class TestRunPipeline:
         assert run.report.hits == len(expand_units(manifest))
         # The per-seed export is byte-identical to the stored result's.
         assert run.renders["fig6"]["per_seed"]["0"] == legacy.to_csv()
-        store.close()
 
     def test_old_artifact_log_is_neither_read_nor_deleted(self, tmp_path):
         manifest = _run_manifest()
-        with ResultStore(tmp_path / "s") as store:
-            first = run_pipeline(manifest, store)
+        store = ResultStore(tmp_path / "s")
+        first = run_pipeline(manifest, store)
         artifacts = tmp_path / "s" / "artifacts"
         artifacts.mkdir()
         (artifacts / "artifacts.jsonl").write_text("not json\n", encoding="utf-8")
-        with ResultStore(tmp_path / "s") as store:
-            second = run_pipeline(manifest, store)
+        store = ResultStore(tmp_path / "s")
+        second = run_pipeline(manifest, store)
         assert second.report.computed == 0
         assert second.renders == first.renders
         assert (artifacts / "artifacts.jsonl").read_text(encoding="utf-8") == "not json\n"
@@ -324,7 +321,6 @@ class TestRunPipeline:
         forced = run_pipeline(manifest, store, resume=False)
         assert forced.report.hits == 0
         assert forced.report.computed == len(expand_units(manifest))
-        store.close()
 
     def test_more_repetitions_recompute_every_unit(self, tmp_path):
         store = ResultStore(tmp_path / "s")
@@ -333,16 +329,15 @@ class TestRunPipeline:
         deeper = run_pipeline(_run_manifest(repetitions=3), store)
         assert deeper.report.computed == len(expand_units(_run_manifest()))
         assert deeper.report.hits == 0
-        store.close()
 
     def test_fewer_repetitions_rewrite_the_run_header(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            run_pipeline(_run_manifest(repetitions=3), store)
-            shallow = run_pipeline(_run_manifest(repetitions=2), store)
-            assert shallow.report.computed == 0
-            (meta,) = store.runs()
-            assert meta.scenario["repetitions"] == 2
-            assert store.load_result("fig6", seed=0).scenario.repetitions == 2
+        store = ResultStore(tmp_path / "s")
+        run_pipeline(_run_manifest(repetitions=3), store)
+        shallow = run_pipeline(_run_manifest(repetitions=2), store)
+        assert shallow.report.computed == 0
+        (meta,) = store.runs()
+        assert meta.scenario["repetitions"] == 2
+        assert store.load_result("fig6", seed=0).scenario.repetitions == 2
 
 
 class TestDagPlanCli:
@@ -366,8 +361,8 @@ class TestDagPlanCli:
         totals, before = self._plan(capsys, manifest_args, store)
         assert totals.startswith(f"{units} unit(s) over 2 run(s); est. solve cost ")
         assert before == f"store at {store}: 0/{units} unit(s) stored"
-        with ResultStore(store) as opened:
-            run_pipeline(manifest, opened)
+        opened = ResultStore(store)
+        run_pipeline(manifest, opened)
         _, after = self._plan(capsys, manifest_args, store)
         assert after == f"store at {store}: {units}/{units} unit(s) stored"
         # Without --store only the totals print.

@@ -33,6 +33,7 @@ from repro.service.client import ServiceClient
 from repro.service.requests import normalize_request, solve_group
 from repro.service.server import SolveService
 from repro.workers import WorkerPool, run_traced
+from tests.helpers import fail_next_append
 
 
 @pytest.fixture(autouse=True)
@@ -219,6 +220,17 @@ class TestTracer:
         assert log.read_text(encoding="utf-8").count("\n") == 4
         assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == ["trace.jsonl"]
 
+    def test_failed_append_does_not_swallow_the_next_span(self, tmp_path, monkeypatch):
+        # A write that fails part-way (a full disk) leaves a torn line;
+        # the next span must start on a fresh line or it is lost with it.
+        store = TraceStore(tmp_path / "traces")
+        store.put_span({"span_id": "a", "name": "first"})
+        fail_next_append(monkeypatch)
+        with pytest.raises(OSError):
+            store.put_span({"span_id": "b", "name": "failed"})
+        store.put_span({"span_id": "c", "name": "last"})
+        assert [r["span_id"] for r in load_spans(tmp_path / "traces")] == ["a", "c"]
+
     def test_exceptions_are_recorded_and_propagate(self, tmp_path):
         trace.configure(tmp_path / "traces")
         with pytest.raises(ValueError, match="boom"):
@@ -372,7 +384,6 @@ class TestPropagation:
         trace.configure(tmp_path / "traces")
         store = ResultStore(tmp_path / "s")
         run_pipeline(manifest, store, workers=2)
-        store.close()
         trace.disable()
         spans = load_spans(tmp_path / "traces")
         by_name: dict[str, list[dict]] = {}

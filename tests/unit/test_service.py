@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import errno
 import http.client
 import json
 import os
@@ -18,12 +19,14 @@ import pytest
 from repro.exceptions import ExperimentError, ServiceOverloadedError
 from repro.heuristics import available_heuristics
 from repro.heuristics.base import BATCH_MIN_ROWS
+from repro.obs import trace
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import SolveCache, SolveCacheStore
 from repro.service.client import ServiceClient
 from repro.service.requests import direct_response, normalize_request
 from repro.service.server import SolveService
 from repro.workers import WorkerPool
+from tests.helpers import fail_next_append
 
 
 def make_payload(**overrides) -> dict:
@@ -228,7 +231,6 @@ class TestSolveCache:
     def test_persistent_tier_survives_reopen_and_promotes(self, tmp_path):
         cache = SolveCache.open(tmp_path / "cache")
         cache.put("k", {"v": 42})
-        cache.close()
 
         reopened = SolveCache.open(tmp_path / "cache")
         response, tier = reopened.get("k")
@@ -236,21 +238,33 @@ class TestSolveCache:
         assert tier == "store"
         # Promoted into memory: the second lookup is a memory hit.
         assert reopened.get("k") == ({"v": 42}, "memory")
-        reopened.close()
 
-    def test_store_tier_rebuilds_a_stale_index(self, tmp_path):
+    def test_store_tier_writes_only_its_log(self, tmp_path):
+        store = SolveCacheStore(tmp_path / "cache")
+        for i in range(65):
+            store.put(f"k{i}", {"v": i})
+        assert [path.name for path in (tmp_path / "cache").iterdir()] == ["solves.jsonl"]
+        reopened = SolveCacheStore(tmp_path / "cache")
+        assert len(reopened) == 65
+        assert all(reopened.get(f"k{i}") == {"v": i} for i in range(65))
+
+    def test_store_tier_keeps_every_record_after_a_failed_append(
+        self, tmp_path, monkeypatch
+    ):
+        # ENOSPC part-way through a response line: the next put starts
+        # on a fresh line, so a restarted service still finds it.
         store = SolveCacheStore(tmp_path / "cache")
         store.put("k1", {"v": 1})
-        store.put("k2", {"v": 2})
-        store.close()
-        index_path = tmp_path / "cache" / "index.json"
-        raw = json.loads(index_path.read_text())
-        raw["solve"] = {key: offset + 7 for key, offset in raw["solve"].items()}
-        index_path.write_text(json.dumps(raw))
-
+        fail_next_append(monkeypatch)
+        with pytest.raises(OSError):
+            store.put("k2", {"v": 2})
+        store.put("k3", {"v": 3})
         reopened = SolveCacheStore(tmp_path / "cache")
-        assert reopened.get("k2") == {"v": 2}
-        assert reopened.get("k1") == {"v": 1}
+        assert [reopened.get(key) for key in ("k1", "k2", "k3")] == [
+            {"v": 1},
+            None,
+            {"v": 3},
+        ]
 
 
 class TestMicroBatcher:
@@ -417,6 +431,25 @@ class TestMicroBatcher:
         assert {k: v for k, v in second.items() if k != "cached"} == {
             k: v for k, v in first.items() if k != "cached"
         }
+
+    def test_a_failing_cache_write_still_answers(self, tmp_path):
+        class FullDisk(SolveCacheStore):
+            def put(self, key, response):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        async def scenario():
+            cache = SolveCache(capacity=16, store=FullDisk(tmp_path / "cache"))
+            batcher = MicroBatcher(cache=cache)
+            request = normalize_request(make_payload(seed=3))
+            response = await asyncio.wait_for(batcher.submit(request), timeout=30.0)
+            return batcher, request, response
+
+        with trace.capture() as spans:
+            batcher, request, response = run(scenario())
+        assert strip_markers(response) == strip_markers(direct_response(request))
+        assert batcher._inflight == {}
+        (write,) = [record for record in spans if record["name"] == "cache.write"]
+        assert write["failed"] == "OSError"
 
     @pytest.mark.parametrize("max_batch", [1, BATCH_MIN_ROWS])
     @pytest.mark.parametrize("heuristic", available_heuristics())
@@ -1171,13 +1204,11 @@ class TestCacheCompaction:
         assert store.get("key-000") is None
         survivors = len(store)
         assert 0 < survivors < 200
-        store.close()
 
-        # The compacted log + index round-trip a reopen.
+        # The compacted log round-trips a reopen.
         reopened = SolveCacheStore(tmp_path / "cache", max_bytes=4096)
         assert len(reopened) == survivors
         assert reopened.get("key-199") == {"v": 199, "blob": blob}
-        reopened.close()
 
     def test_compaction_reclaims_superseded_records(self, tmp_path):
         store = SolveCacheStore(tmp_path / "cache")
@@ -1197,30 +1228,12 @@ class TestCacheCompaction:
         cache.put(request.key, response)
         cache.put(request.key, response)  # superseded duplicate record
         assert cache.store.compact() > 0
-        cache.close()
 
         reopened = SolveCache.open(tmp_path / "cache")
         assert reopened.get(request.key) == (response, "store")
         payload = reopened.stats_payload()
         assert payload["store_entries"] == 1
         assert payload["hits"] == 1
-        reopened.close()
-
-    def test_stale_index_after_compaction_is_rebuilt(self, tmp_path):
-        store = SolveCacheStore(tmp_path / "cache")
-        store.put("k1", {"v": 1})
-        store.put("k1", {"v": 11})
-        store.put("k2", {"v": 2})
-        store.compact()
-        store.close()
-        index_path = tmp_path / "cache" / "index.json"
-        raw = json.loads(index_path.read_text())
-        raw["solve"] = {key: offset + 3 for key, offset in raw["solve"].items()}
-        index_path.write_text(json.dumps(raw))
-
-        reopened = SolveCacheStore(tmp_path / "cache")
-        assert reopened.get("k1") == {"v": 11}
-        assert reopened.get("k2") == {"v": 2}
 
     def test_stats_payload_reports_store_footprint(self, tmp_path):
         cache = SolveCache.open(tmp_path / "cache", max_bytes=1 << 20)
@@ -1231,7 +1244,6 @@ class TestCacheCompaction:
         assert payload["store_max_bytes"] == 1 << 20
         assert payload["store_evictions"] == 0
         assert payload["compactions"] == 0
-        cache.close()
 
 
 class TestServicePayloads:

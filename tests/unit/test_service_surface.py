@@ -90,7 +90,6 @@ async def drive(cache_dir) -> tuple[dict, str]:
     seeded = normalize_request(solve_payload(1))
     store = SolveCache.open(cache_dir, capacity=0)
     store.put(seeded.key, direct_response(seeded))
-    store.close()
 
     service = SolveService(port=0, cache_dir=str(cache_dir), max_pending=6)
     dispatch = service._dispatch

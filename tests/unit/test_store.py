@@ -1,4 +1,4 @@
-"""Unit tests for the persistent result store (JSON-lines + index)."""
+"""Unit tests for the persistent result store (one JSON-lines file)."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.exceptions import ExperimentError
 from repro.experiments import run_scenario
 from repro.experiments.store import CellRecord, ResultStore, RunMeta
 from repro.generators import ScenarioConfig
+from tests.helpers import fail_next_append
 
 
 def _record(**overrides) -> CellRecord:
@@ -91,8 +92,8 @@ class TestStoreBasics:
         assert len(store) == 1
 
     def test_persists_across_reopen(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
+        store = ResultStore(tmp_path / "s")
+        store.put_cell(_record())
         reopened = ResultStore(tmp_path / "s")
         assert reopened.get_cell("figX", "abc123", 0, "H4w", 10) == _record()
 
@@ -120,78 +121,41 @@ class TestStoreBasics:
 
 
 class TestStoreRecovery:
-    def test_index_rebuilt_from_scan_when_missing(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
-            store.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
-        (tmp_path / "s" / "index.json").unlink()
+    def test_puts_write_only_the_records_file(self, tmp_path):
+        # No close and no flush: the records file is already the whole store.
+        store = ResultStore(tmp_path / "s")
+        for sweep_value in range(65):
+            store.put_cell(_record(sweep_value=sweep_value))
+        assert [path.name for path in (tmp_path / "s").iterdir()] == ["results.jsonl"]
         reopened = ResultStore(tmp_path / "s")
-        assert len(reopened) == 2
-        assert reopened.get_cell("figX", "abc123", 0, "H4w", 20).values == [4.0, 5.0, 6.0]
-
-    def test_corrupt_index_falls_back_to_scan(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
-        (tmp_path / "s" / "index.json").write_text("{not json", encoding="utf-8")
-        reopened = ResultStore(tmp_path / "s")
-        assert len(reopened) == 1
-
-    def test_stale_index_offsets_trigger_a_rebuild(self, tmp_path):
-        # index.json parses fine but its offsets are wrong (e.g. copied
-        # from another store, or the records file was rewritten under
-        # it).  Lookups must rebuild from the JSONL instead of raising a
-        # parse error or returning garbage.
-        with ResultStore(tmp_path / "s") as store:
-            for sweep_value in (10, 20, 30):
-                store.put_cell(_record(sweep_value=sweep_value))
-        index_path = tmp_path / "s" / "index.json"
-        raw = json.loads(index_path.read_text(encoding="utf-8"))
-        raw["cells"] = {key: offset + 5 for key, offset in raw["cells"].items()}
-        index_path.write_text(json.dumps(raw), encoding="utf-8")
-
-        reopened = ResultStore(tmp_path / "s")
-        assert reopened.get_cell("figX", "abc123", 0, "H4w", 20) == _record(
-            sweep_value=20
-        )
-        assert sorted(cell.sweep_value for cell in reopened.cells()) == [10, 20, 30]
-        reopened.close()
-        # The rebuild is persisted: a fresh open needs no further repair.
-        repaired = json.loads(index_path.read_text(encoding="utf-8"))
-        assert repaired["cells"] != raw["cells"]
-        assert ResultStore(tmp_path / "s").get_cell(
-            "figX", "abc123", 0, "H4w", 30
-        ) == _record(sweep_value=30)
-
-    def test_foreign_index_is_rebuilt_not_trusted(self, tmp_path):
-        # An index whose offsets point at *valid but different* records
-        # (two stores' files mixed up) must also be detected: the key
-        # read back at the offset does not match the key looked up.
-        with ResultStore(tmp_path / "a") as store:
-            store.put_cell(_record(sweep_value=10))
-            store.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
-        index_path = tmp_path / "a" / "index.json"
-        raw = json.loads(index_path.read_text(encoding="utf-8"))
-        # Swap the two cells' offsets: every entry points at a real,
-        # parseable record — just the wrong one.
-        (key_a, off_a), (key_b, off_b) = sorted(raw["cells"].items())
-        raw["cells"] = {key_a: off_b, key_b: off_a}
-        index_path.write_text(json.dumps(raw), encoding="utf-8")
-
-        reopened = ResultStore(tmp_path / "a")
-        assert reopened.get_cell("figX", "abc123", 0, "H4w", 20).values == [
-            4.0,
-            5.0,
-            6.0,
+        assert len(reopened) == 65
+        assert sorted(reopened.cells(), key=lambda cell: cell.sweep_value) == [
+            _record(sweep_value=sweep_value) for sweep_value in range(65)
         ]
-        assert reopened.get_cell("figX", "abc123", 0, "H4w", 10) == _record(
-            sweep_value=10
-        )
+
+    def test_leftover_index_file_changes_nothing(self, tmp_path):
+        # Older stores carry an index.json of byte offsets; it is never
+        # read, so garbage offsets in it cannot mislead a lookup.
+        store = ResultStore(tmp_path / "s")
+        for sweep_value in (10, 20, 30):
+            store.put_cell(_record(sweep_value=sweep_value))
+        index = tmp_path / "s" / "index.json"
+        garbage = {"end": 7, "cells": {key: 5 for key in store._cells}, "meta": {}}
+        index.write_text(json.dumps(garbage), encoding="utf-8")
+        reopened = ResultStore(tmp_path / "s")
+        for sweep_value in (10, 20, 30):
+            assert reopened.get_cell("figX", "abc123", 0, "H4w", sweep_value) == (
+                _record(sweep_value=sweep_value)
+            )
+        reopened.put_cell(_record(sweep_value=40))
+        assert len(ResultStore(tmp_path / "s")) == 4
+        assert json.loads(index.read_text(encoding="utf-8")) == garbage
 
     def test_unindexed_tail_is_recovered(self, tmp_path):
-        # Simulate a run killed after appending but before reindexing: the
-        # index covers a prefix, extra lines follow.
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
+        # A line appended after this store's last write (another writer,
+        # or a run killed right after its append) is found on reopen.
+        store = ResultStore(tmp_path / "s")
+        store.put_cell(_record())
         extra = _record(sweep_value=20, values=[7.0, 8.0, 9.0])
         line = json.dumps(
             {
@@ -213,27 +177,9 @@ class TestStoreRecovery:
         reopened = ResultStore(tmp_path / "s")
         assert reopened.get_cell("figX", "abc123", 0, "H4w", 20) == extra
 
-    def test_auto_flush_boundary_record_survives_a_crash(self, tmp_path):
-        # The periodic index rewrite fires while putting the N-th record;
-        # the index it persists must already know that record's key, or a
-        # crash right after the rewrite makes the record invisible (the
-        # reopen scan starts past it).  Simulate the crash by never
-        # calling flush()/close() after the puts.
-        from repro.jsonl_store import _INDEX_EVERY
-
-        store = ResultStore(tmp_path / "s")
-        for sweep_value in range(_INDEX_EVERY):
-            store.put_cell(_record(sweep_value=sweep_value))
-        reopened = ResultStore(tmp_path / "s")
-        assert len(reopened) == _INDEX_EVERY
-        assert reopened.get_cell(
-            "figX", "abc123", 0, "H4w", _INDEX_EVERY - 1
-        ) == _record(sweep_value=_INDEX_EVERY - 1)
-
     def test_torn_final_line_is_ignored(self, tmp_path):
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
-        (tmp_path / "s" / "index.json").unlink()
+        store = ResultStore(tmp_path / "s")
+        store.put_cell(_record())
         with open(tmp_path / "s" / "results.jsonl", "a", encoding="utf-8") as handle:
             handle.write('{"kind": "cell", "data": {"figure_id": "figX"')  # no newline
         reopened = ResultStore(tmp_path / "s")
@@ -241,28 +187,38 @@ class TestStoreRecovery:
 
     def test_append_after_torn_line_does_not_merge(self, tmp_path):
         # A record appended after a torn line must start on a fresh line,
-        # or a later full scan would drop both as one corrupt line.
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
+        # or the next scan would drop both as one corrupt line.
+        store = ResultStore(tmp_path / "s")
+        store.put_cell(_record())
         with open(tmp_path / "s" / "results.jsonl", "a", encoding="utf-8") as handle:
             handle.write('{"torn": ')  # interrupted writer, no newline
         store = ResultStore(tmp_path / "s")
         store.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
         assert store.get_cell("figX", "abc123", 0, "H4w", 20).values == [4.0, 5.0, 6.0]
-        # The appended record survives a from-scratch scan too.
-        store.close()
-        (tmp_path / "s" / "index.json").unlink()
         rescanned = ResultStore(tmp_path / "s")
         assert len(rescanned) == 2
         assert rescanned.get_cell("figX", "abc123", 0, "H4w", 20) is not None
 
+    def test_failed_append_does_not_swallow_the_next_record(self, tmp_path, monkeypatch):
+        # A write that fails part-way (a full disk) leaves a torn line;
+        # the next record must start on a fresh line or a reopen loses it.
+        store = ResultStore(tmp_path / "s")
+        store.put_cell(_record(sweep_value=10))
+        fail_next_append(monkeypatch)
+        with pytest.raises(OSError):
+            store.put_cell(_record(sweep_value=20))
+        store.put_cell(_record(sweep_value=30))
+        assert not store.has_cell("figX", "abc123", 0, "H4w", 20)
+        reopened = ResultStore(tmp_path / "s")
+        assert sorted(cell.sweep_value for cell in reopened.cells()) == [10, 30]
+
     def test_truncated_mid_record_reopens_and_keeps_prefix(self, tmp_path):
         # Regression: a kill that truncates the final JSONL line mid-record
-        # (index already flushed past it) must reopen cleanly, keep every
-        # complete record, and stay appendable.
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
-            store.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
+        # must reopen cleanly, keep every complete record, and stay
+        # appendable.
+        store = ResultStore(tmp_path / "s")
+        store.put_cell(_record())
+        store.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
         path = tmp_path / "s" / "results.jsonl"
         size = path.stat().st_size
         with open(path, "r+b") as handle:
@@ -272,8 +228,6 @@ class TestStoreRecovery:
         assert reopened.get_cell("figX", "abc123", 0, "H4w", 10) == _record()
         assert reopened.get_cell("figX", "abc123", 0, "H4w", 20) is None
         reopened.put_cell(_record(sweep_value=30, values=[7.0, 8.0, 9.0]))
-        reopened.close()
-        (tmp_path / "s" / "index.json").unlink()
         rescanned = ResultStore(tmp_path / "s")
         assert len(rescanned) == 2
         assert rescanned.get_cell("figX", "abc123", 0, "H4w", 30).values == [7.0, 8.0, 9.0]
@@ -281,9 +235,9 @@ class TestStoreRecovery:
     def test_truncated_newline_recovers_complete_record(self, tmp_path):
         # A partial write can lose *only* the trailing newline: the final
         # line is complete JSON and must be recovered, not dropped.
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
-            store.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
+        store = ResultStore(tmp_path / "s")
+        store.put_cell(_record())
+        store.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
         path = tmp_path / "s" / "results.jsonl"
         with open(path, "r+b") as handle:
             handle.truncate(path.stat().st_size - 1)
@@ -291,22 +245,21 @@ class TestStoreRecovery:
         assert len(reopened) == 2
         assert reopened.get_cell("figX", "abc123", 0, "H4w", 20).values == [4.0, 5.0, 6.0]
         # The recovered line is still open: the next append must not merge
-        # into it, and a from-scratch rescan must see every record.
+        # into it, and a rescan must see every record.
         reopened.put_cell(_record(sweep_value=30, values=[7.0, 8.0, 9.0]))
-        reopened.close()
-        (tmp_path / "s" / "index.json").unlink()
         rescanned = ResultStore(tmp_path / "s")
         assert len(rescanned) == 3
 
-    def test_read_only_store_can_be_opened_and_closed(self, tmp_path):
+    def test_read_only_store_can_be_opened_and_read(self, tmp_path):
         import os
 
-        with ResultStore(tmp_path / "s") as store:
-            store.put_cell(_record())
+        store = ResultStore(tmp_path / "s")
+        store.put_cell(_record())
         os.chmod(tmp_path / "s", 0o555)
         try:
-            with ResultStore(tmp_path / "s") as readonly:  # close() must not write
-                assert readonly.get_cell("figX", "abc123", 0, "H4w", 10) == _record()
+            readonly = ResultStore(tmp_path / "s")
+            assert readonly.get_cell("figX", "abc123", 0, "H4w", 10) == _record()
+            assert len(readonly.cells()) == 1
         finally:
             os.chmod(tmp_path / "s", 0o755)
 
@@ -326,10 +279,10 @@ class TestStoreMerge:
         return RunMeta(**defaults)
 
     def test_disjoint_union(self, tmp_path):
-        with ResultStore(tmp_path / "a") as a:
-            a.put_cell(_record(sweep_value=10))
-        with ResultStore(tmp_path / "b") as b:
-            b.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
+        a = ResultStore(tmp_path / "a")
+        a.put_cell(_record(sweep_value=10))
+        b = ResultStore(tmp_path / "b")
+        b.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
         dest = ResultStore(tmp_path / "m")
         report = dest.merge(ResultStore(tmp_path / "a"), ResultStore(tmp_path / "b"))
         assert report.cells_added == 2
@@ -340,9 +293,9 @@ class TestStoreMerge:
         ).values == [4.0, 5.0, 6.0]
 
     def test_overlapping_identical_cells_are_idempotent(self, tmp_path):
-        with ResultStore(tmp_path / "a") as a:
-            a.put_cell(_record(sweep_value=10))
-            a.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
+        a = ResultStore(tmp_path / "a")
+        a.put_cell(_record(sweep_value=10))
+        a.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
         dest = ResultStore(tmp_path / "m")
         first = dest.merge(ResultStore(tmp_path / "a"))
         again = dest.merge(ResultStore(tmp_path / "a"))
@@ -353,20 +306,20 @@ class TestStoreMerge:
 
     def test_identical_nan_cells_do_not_conflict(self, tmp_path):
         nan_record = _record(curve="MIP", values=[1.0, float("nan"), 3.0], failures=1)
-        with ResultStore(tmp_path / "a") as a:
-            a.put_cell(nan_record)
+        a = ResultStore(tmp_path / "a")
+        a.put_cell(nan_record)
         dest = ResultStore(tmp_path / "m")
         dest.put_cell(nan_record)
         report = dest.merge(ResultStore(tmp_path / "a"))
         assert report.cells_skipped == 1
 
     def test_conflicting_cells_raise_and_write_nothing(self, tmp_path):
-        with ResultStore(tmp_path / "a") as a:
-            a.put_cell(_record(sweep_value=10))
-            a.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
-        with ResultStore(tmp_path / "b") as b:
-            b.put_cell(_record(sweep_value=20, values=[9.0, 9.0, 9.0]))
-            b.put_cell(_record(sweep_value=30))
+        a = ResultStore(tmp_path / "a")
+        a.put_cell(_record(sweep_value=10))
+        a.put_cell(_record(sweep_value=20, values=[4.0, 5.0, 6.0]))
+        b = ResultStore(tmp_path / "b")
+        b.put_cell(_record(sweep_value=20, values=[9.0, 9.0, 9.0]))
+        b.put_cell(_record(sweep_value=30))
         dest = ResultStore(tmp_path / "m")
         with pytest.raises(ExperimentError) as excinfo:
             dest.merge(ResultStore(tmp_path / "a"), ResultStore(tmp_path / "b"))
@@ -389,10 +342,10 @@ class TestStoreMerge:
         assert len(dest) == 1
 
     def test_meta_union_and_elapsed_max(self, tmp_path):
-        with ResultStore(tmp_path / "a") as a:
-            a.put_meta(self._meta(elapsed_seconds=1.0))
-        with ResultStore(tmp_path / "b") as b:
-            b.put_meta(self._meta(elapsed_seconds=5.0))
+        a = ResultStore(tmp_path / "a")
+        a.put_meta(self._meta(elapsed_seconds=1.0))
+        b = ResultStore(tmp_path / "b")
+        b.put_meta(self._meta(elapsed_seconds=5.0))
         dest = ResultStore(tmp_path / "m")
         report = dest.merge(ResultStore(tmp_path / "a"), ResultStore(tmp_path / "b"))
         assert report.metas_added == 1
@@ -405,8 +358,8 @@ class TestStoreMerge:
     def test_headers_naming_other_kernel_sets_merge(self, tmp_path):
         # ``backend`` is informational: shards written while other kernel
         # implementations existed merge with today's ``"numpy"`` headers.
-        with ResultStore(tmp_path / "a") as a:
-            a.put_meta(self._meta(backend="jit"))
+        a = ResultStore(tmp_path / "a")
+        a.put_meta(self._meta(backend="jit"))
         dest = ResultStore(tmp_path / "m")
         dest.put_meta(self._meta(backend="numpy"))
         report = dest.merge(ResultStore(tmp_path / "a"))
@@ -416,8 +369,8 @@ class TestStoreMerge:
         assert reopened == self._meta(backend="jit")
 
     def test_differing_meta_conflicts(self, tmp_path):
-        with ResultStore(tmp_path / "a") as a:
-            a.put_meta(self._meta())
+        a = ResultStore(tmp_path / "a")
+        a.put_meta(self._meta())
         dest = ResultStore(tmp_path / "m")
         dest.put_meta(self._meta(curves=["H2", "H4w", "MIP"]))
         with pytest.raises(ExperimentError) as excinfo:
@@ -516,7 +469,6 @@ class TestCompactConcurrency:
         writer = ResultStore(tmp_path / "s")
         for i in range(10):
             writer.put_cell(self._cell(i, generation=0))
-        writer.flush()
         reader = ResultStore(tmp_path / "s")
         assert reader.get_cell("figX", "abc123", 0, "H4w", 3).values[0] == 0.0
         # Re-put every key and compact: the records file is rewritten and
@@ -530,29 +482,28 @@ class TestCompactConcurrency:
         assert sorted(cell.sweep_value for cell in reader.cells()) == list(range(10))
         assert all(cell.values == [1.0, 1.0, 1.0] for cell in reader.cells())
 
-    def test_reader_survives_a_compact_between_rebuild_and_read(self, tmp_path):
+    def test_reader_survives_a_compact_between_rescan_and_read(self, tmp_path):
         writer = ResultStore(tmp_path / "s")
         for i in range(8):
             writer.put_cell(self._cell(i, generation=0))
-        writer.flush()
         reader = ResultStore(tmp_path / "s")
         # Compaction keeps append order: re-putting keys 0-4 moves key 5
         # to the front, so the reader's offsets are stale.
         for i in range(5):
             writer.put_cell(self._cell(i, generation=1))
         writer.compact()
-        rebuild = reader._rebuild
+        scan = reader._scan
 
-        def rebuild_then_compact() -> None:
+        def scan_then_compact() -> None:
             # Another instance compacts right after the reader's rescan and
             # moves key 5 back behind keys 0-4.
-            rebuild()
-            reader._rebuild = rebuild
+            scan()
+            reader._scan = scan
             for i in range(5, 8):
                 writer.put_cell(self._cell(i, generation=2))
             writer.compact()
 
-        reader._rebuild = rebuild_then_compact
+        reader._scan = scan_then_compact
         cell = reader.get_cell("figX", "abc123", 0, "H4w", 5)
         assert cell.sweep_value == 5 and cell.values == [2.0, 2.0, 2.0]
 
@@ -562,7 +513,6 @@ class TestCompactConcurrency:
         writer = ResultStore(tmp_path / "s")
         for i in range(8):
             writer.put_cell(self._cell(i, generation=0))
-        writer.flush()
         reader = ResultStore(tmp_path / "s")
         errors: list[BaseException] = []
         observed: set[float] = set()
@@ -619,7 +569,6 @@ class TestCompactConcurrency:
         # Every completed put survived every interleaved compaction: the
         # instance lock keeps an append out of the compactor's file swap.
         assert {cell.sweep_value for cell in store.cells()} == set(range(total))
-        store.flush()
         reopened = ResultStore(tmp_path / "s")
         assert {cell.sweep_value for cell in reopened.cells()} == set(range(total))
         for cell in reopened.cells():
