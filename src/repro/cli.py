@@ -77,29 +77,12 @@ import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._version import __version__
 from .analysis.tables import catalog_table
-from .campaign import (
-    CAMPAIGN_FILE,
-    PLAN_AXES,
-    CampaignManifest,
-    execute_solves,
-    expand_units,
-    group_by_run,
-    load_plan,
-    load_shard_plans,
-    merge_stores,
-    parse_seed_spec,
-    plan,
-    run_pipeline,
-    shard_status,
-    status_payload,
-    status_rows,
-    write_plans,
-)
 from .core.failure import FailureModel
 from .core.instance import ProblemInstance
 from .core.platform import Platform
@@ -126,6 +109,9 @@ from .service.batcher import DEFAULT_MAX_BATCH
 from .service.client import ServiceClient
 from .service.server import serve as serve_service
 from .service.sessions import DEFAULT_MAX_SESSIONS, DEFAULT_SESSION_TTL
+
+if TYPE_CHECKING:
+    from .campaign import CampaignManifest
 
 __all__ = ["main", "build_parser"]
 
@@ -300,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan_parser.add_argument(
         "--by",
-        choices=PLAN_AXES,
+        # repro.campaign.PLAN_AXES, spelled out so that building the
+        # parser does not import the campaign package.
+        choices=("seed", "curve", "block"),
         default="seed",
         help=(
             "partition axis: whole seeds, (figure, seed, curve) groups, or "
@@ -661,7 +649,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    store = ResultStore(_store_path(args, required=True))
+    store_path = _store_path(args, required=True)
+    # Reading must not create the store: a mistyped path is an error,
+    # not an empty catalogue.
+    if not Path(store_path).is_dir():
+        raise ExperimentError(f"store not found: {store_path}")
+    store = ResultStore(store_path)
     if args.aggregate and not args.figures:
         raise ExperimentError("--aggregate needs explicit figure names to pool")
     if args.aggregate and args.seed is not None:
@@ -703,6 +696,8 @@ def _estimated_cost(manifest: CampaignManifest, units) -> float:
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
+    from .campaign import write_plans
+
     manifest = _manifest(args)
     written = write_plans(manifest, args.out, shards=args.shards, by=args.by)
     total = sum(len(shard.units) for _, shard in written)
@@ -717,6 +712,8 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
+    from .campaign import execute_solves, load_plan
+
     shard = load_plan(args.plan)
     store = ResultStore(_store_path(args, required=True))
     with span(
@@ -736,6 +733,8 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_merge(args: argparse.Namespace) -> int:
+    from .campaign import merge_stores
+
     report = merge_stores(_store_path(args, required=True), args.sources)
     print(report.summary())
     return 0
@@ -743,6 +742,8 @@ def _cmd_store_merge(args: argparse.Namespace) -> int:
 
 def _print_status(rows, *, as_json: bool) -> int:
     """Render shard-status rows (table or the shared JSON document)."""
+    from .campaign import status_payload
+
     payload = status_payload(rows)
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -757,6 +758,8 @@ def _print_status(rows, *, as_json: bool) -> int:
 
 
 def _cmd_shard_status(args: argparse.Namespace) -> int:
+    from .campaign import load_shard_plans, status_rows
+
     plans = load_shard_plans(args.plan)
     rows = status_rows(plans, args.stores)
     return _print_status(rows, as_json=args.json)
@@ -764,6 +767,8 @@ def _cmd_shard_status(args: argparse.Namespace) -> int:
 
 def _manifest(args: argparse.Namespace) -> CampaignManifest:
     """The campaign manifest a command's arguments describe."""
+    from .campaign import CampaignManifest, parse_seed_spec
+
     return CampaignManifest(
         figures=tuple(args.figures),
         seeds=parse_seed_spec(args.seeds),
@@ -776,6 +781,8 @@ def _manifest(args: argparse.Namespace) -> CampaignManifest:
 
 
 def _cmd_dag_plan(args: argparse.Namespace) -> int:
+    from .campaign import expand_units, group_by_run, plan, shard_status
+
     manifest = _manifest(args)
     units = expand_units(manifest)
     runs = len(group_by_run(units))
@@ -801,6 +808,8 @@ def _named_run_options(argv: Sequence[str]) -> set[str]:
     option restated at its default counts as named, and one left out
     keeps the marker.
     """
+    from .campaign import CampaignManifest
+
     parser = argparse.ArgumentParser(prog="microrepro dag run")
     _add_dag_run_arguments(parser)
     unset = object()
@@ -812,11 +821,15 @@ def _named_run_options(argv: Sequence[str]) -> set[str]:
 
 
 def _load_manifest(path: Path) -> CampaignManifest:
+    from .campaign import CampaignManifest
+
     return CampaignManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def _store_campaign(store_path: Path) -> CampaignManifest:
     """The campaign ``dag run`` recorded in ``store_path``'s ``campaign.json``."""
+    from .campaign import CAMPAIGN_FILE
+
     manifest_path = store_path / CAMPAIGN_FILE
     if not manifest_path.exists():
         raise ExperimentError(
@@ -833,6 +846,8 @@ def _stored_manifest(args: argparse.Namespace, store_path: Path) -> CampaignMani
     same name; named on the command line, even at its default, it would
     describe a new campaign, so the resume form rejects it.
     """
+    from .campaign import CampaignManifest
+
     named = _named_run_options(args.argv)
     given = [
         _option(field.name)
@@ -856,6 +871,8 @@ def _recorded_campaign(manifest: CampaignManifest, store_path: Path) -> Campaign
     whose cells serve any campaign that needs them, but the recorded
     campaign stays as it was, and a note names the options that differ.
     """
+    from .campaign import CAMPAIGN_FILE
+
     manifest_path = store_path / CAMPAIGN_FILE
     if not manifest_path.exists():
         return manifest
@@ -863,7 +880,7 @@ def _recorded_campaign(manifest: CampaignManifest, store_path: Path) -> Campaign
     differing = [
         f"{_option(field.name)} (stored {getattr(stored, field.name)!r}, "
         f"given {getattr(manifest, field.name)!r})"
-        for field in dataclasses.fields(CampaignManifest)
+        for field in dataclasses.fields(manifest)
         if field.name != "figures"
         and getattr(stored, field.name) != getattr(manifest, field.name)
     ]
@@ -879,6 +896,8 @@ def _recorded_campaign(manifest: CampaignManifest, store_path: Path) -> Campaign
 
 
 def _cmd_dag_run(args: argparse.Namespace) -> int:
+    from .campaign import CAMPAIGN_FILE, run_pipeline
+
     store_path = Path(_store_path(args, required=True))
     if args.figures:
         manifest = _manifest(args)
@@ -925,6 +944,8 @@ def _write_dag_exports(renders: dict, export_dir: str) -> None:
 
 
 def _cmd_dag_status(args: argparse.Namespace) -> int:
+    from .campaign import plan, status_rows
+
     store_path = Path(_store_path(args, required=True))
     whole = plan(_store_campaign(store_path), shards=1)[0]
     return _print_status(status_rows([whole], [store_path]), as_json=args.json)

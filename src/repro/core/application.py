@@ -65,6 +65,12 @@ class Task:
         return self.name or f"T{self.index + 1}"
 
 
+def _task_names(names: Sequence[str] | None, n: int) -> tuple[str, ...]:
+    if names is not None and len(names) != n:
+        raise InvalidApplicationError(f"names has {len(names)} entries for {n} tasks")
+    return tuple(names) if names else ("",) * n
+
+
 class Application:
     """A typed in-tree application graph.
 
@@ -99,10 +105,7 @@ class Application:
             types = TypeAssignment(types)
         self._types = types
         n = types.num_tasks
-        if names is not None and len(names) != n:
-            raise InvalidApplicationError(
-                f"names has {len(names)} entries for {n} tasks"
-            )
+        self._names = _task_names(names, n)
 
         successors: list[int | None] = [None] * n
         for i, j in edges:
@@ -146,7 +149,6 @@ class Application:
         if len(topo) < n:
             raise InvalidApplicationError("the application graph contains a cycle")
 
-        self._names = tuple(names) if names else ("",) * n
         self._successors = tuple(successors)
         self._predecessors = tuple(tuple(preds) for preds in predecessors)
         self._topo = tuple(topo)
@@ -156,12 +158,23 @@ class Application:
     def chain(
         cls, types: TypeAssignment | Sequence[int], names: Sequence[str] | None = None
     ) -> "Application":
-        """Build a linear chain ``T1 -> T2 -> ... -> Tn`` (paper's main case)."""
+        """Build a linear chain ``T1 -> T2 -> ... -> Tn`` (paper's main case).
+
+        Every service request samples one, so the tables are written
+        out directly instead of validating ``n - 1`` edges: the FIFO
+        Kahn order of a chain is ``0 .. n-1``, and the result equals the
+        generic constructor's table for table.
+        """
         if not isinstance(types, TypeAssignment):
             types = TypeAssignment(types)
         n = types.num_tasks
-        edges = [(i, i + 1) for i in range(n - 1)]
-        return cls(types, edges, names)
+        chain = cls.__new__(cls)
+        chain._types = types
+        chain._names = _task_names(names, n)
+        chain._successors = (*range(1, n), None)
+        chain._predecessors = ((), *((i,) for i in range(n - 1)))
+        chain._topo = tuple(range(n))
+        return chain
 
     # -- container protocol --------------------------------------------------------
     def __len__(self) -> int:

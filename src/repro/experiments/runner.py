@@ -386,6 +386,10 @@ class DispatchReport:
     stolen: int = 0
 
 
+def _first_completed(futures: list[Future]) -> set[Future]:
+    return wait(futures, return_when=FIRST_COMPLETED).done
+
+
 def steal_dispatch(
     submit: Callable[[object], Future],
     queues: list[list],
@@ -394,6 +398,7 @@ def steal_dispatch(
     slots: int,
     steal: bool = True,
     on_result=None,
+    wait_any: Callable[[list[Future]], set[Future]] = _first_completed,
 ) -> DispatchReport:
     """Drain ``queues`` through ``slots`` concurrent ``submit`` calls.
 
@@ -406,7 +411,11 @@ def steal_dispatch(
     (uniform when omitted); ``on_result(item, result)`` fires in
     completion order.  ``submit(item)`` starts one item and returns its
     ``concurrent.futures`` future (``partial(pool.submit, fn)`` on a
-    thread pool in the tests; a worker-pool job for real solves).
+    thread pool in the tests; a worker-pool job for real solves), and
+    ``wait_any(futures)`` blocks until one of them is done and returns
+    the done ones (:meth:`WorkerPool.wait_any
+    <repro.workers.WorkerPool.wait_any>` for a worker pool, whose
+    futures only resolve while it reads their pipes).
     """
     pending = [deque(queue) for queue in queues]
     if costs is None:
@@ -442,8 +451,7 @@ def steal_dispatch(
         queue, item = taken
         futures[submit(item)] = (slot, item)
     while futures:
-        done, _ = wait(futures, return_when=FIRST_COMPLETED)
-        for future in done:
+        for future in wait_any(list(futures)):
             slot, item = futures.pop(future)
             result = future.result()
             report.executed += 1
@@ -496,7 +504,7 @@ def _dispatch(runs, record, milp_time_limit: float, workers: int) -> int:
 
         def submit(job) -> Future:
             _, point = job
-            return pool.executor.submit(
+            return pool.submit(
                 run_traced,
                 _point_job,
                 (point, milp_time_limit),
@@ -512,7 +520,9 @@ def _dispatch(runs, record, milp_time_limit: float, workers: int) -> int:
             for block in blocks:
                 record(job[0], *block)
 
-        dispatch = steal_dispatch(submit, queues, costs, slots=workers, on_result=on_result)
+        dispatch = steal_dispatch(
+            submit, queues, costs, slots=workers, on_result=on_result, wait_any=pool.wait_any
+        )
         dispatch_span.set(
             runs=len(queues), executed=dispatch.executed, stolen=dispatch.stolen
         )

@@ -40,7 +40,12 @@ batcher recreates that shape from independent requests:
 Solves run off the event loop: on the asyncio thread executor by
 default, or — when a :class:`~repro.workers.WorkerPool` is attached —
 in worker *processes*, so batch solves escape the GIL and one
-pathological request cannot stall the loop or other groups.  The solve
+pathological request cannot stall the loop or other groups.  A pooled
+solve is one frame written to the least-loaded worker's pipe and one
+reply read back by an ``add_reader`` callback on the loop itself: a
+cache miss crosses no executor, feeder or reader thread.  A worker that
+dies shows up as EOF on its pipe and fails its groups with
+:class:`~concurrent.futures.process.BrokenProcessPool`.  The solve
 itself is :func:`~repro.service.requests.solve_group` through
 :func:`~repro.workers.run_traced` on both paths, which is what keeps the
 responses identical.
@@ -168,7 +173,7 @@ class MicroBatcher:
             "Wall-clock seconds spent in group solves.",
         )
         #: Groups solving at once: one per worker plus one queued behind
-        #: them, as ``ProcessPoolExecutor`` pre-queues work.
+        #: them, whose frame already waits in a worker's pipe.
         self.slots = (pool.workers if pool is not None else 1) + 1
         self._busy = 0
         #: signature -> the group still taking members (not yet full).
@@ -277,16 +282,17 @@ class MicroBatcher:
     ) -> tuple[list[dict], bool]:
         """One flushed group's solve, off the event loop.
 
-        :func:`~repro.service.requests.solve_group` runs in a worker
-        process when a pool is attached, else on the asyncio thread
-        executor, through :func:`~repro.workers.run_traced` either way:
-        with tracing active the current context crosses the
-        thread/process boundary in the payload and the worker-side spans
-        come back with the result.  Tests gate or fake the solve by
-        patching this one attribute.
+        :func:`~repro.service.requests.solve_group` runs through
+        :func:`~repro.workers.run_traced` either way.  With a pool it is
+        one frame on a worker's pipe (:meth:`WorkerPool.run
+        <repro.workers.WorkerPool.run>`), awaited on a loop future that
+        the pipe's ``add_reader`` callback resolves, so no thread sits
+        between the loop and the worker; without one it runs on the
+        asyncio thread executor.  With tracing active the current
+        context crosses the boundary in the payload and the worker-side
+        spans come back with the result.  Tests gate or fake the solve
+        by patching this one attribute.
         """
-        loop = asyncio.get_running_loop()
-        executor = self.pool.executor if self.pool is not None else None
         with span("pool.roundtrip", pooled=self.pool is not None):
             call = partial(
                 run_traced,
@@ -297,7 +303,11 @@ class MicroBatcher:
                 requests=len(requests),
                 heuristic=requests[0].heuristic,
             )
-            result, worker_spans = await loop.run_in_executor(executor, call)
+            if self.pool is not None:
+                result, worker_spans = await self.pool.run(call)
+            else:
+                loop = asyncio.get_running_loop()
+                result, worker_spans = await loop.run_in_executor(None, call)
         emit_spans(worker_spans)
         return result
 

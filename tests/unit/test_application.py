@@ -61,6 +61,23 @@ class TestConstruction:
     def test_names_length_checked(self):
         with pytest.raises(InvalidApplicationError):
             Application(TypeAssignment([0, 0]), [(0, 1)], names=["only-one"])
+        with pytest.raises(InvalidApplicationError):
+            Application.chain(TypeAssignment([0, 0]), names=["only-one"])
+
+    def test_chain_tables_equal_the_generic_constructor(self):
+        """``chain`` writes its tables directly; the edge walk must agree."""
+        for n in range(1, 201):
+            types = TypeAssignment([i % 3 for i in range(n)])
+            names = [f"t{i}" for i in range(n)] if n % 2 else None
+            fast = Application.chain(types, names)
+            generic = Application(types, [(i, i + 1) for i in range(n - 1)], names)
+            assert fast.successors == generic.successors
+            assert fast.topological_order() == generic.topological_order()
+            assert [fast.predecessors(i) for i in range(n)] == [
+                generic.predecessors(i) for i in range(n)
+            ]
+            assert fast.to_dict() == generic.to_dict()
+            assert fast.tasks == generic.tasks
 
     def test_task_objects(self):
         app = Application(TypeAssignment([0, 1]), [(0, 1)], names=["grip", "glue"])

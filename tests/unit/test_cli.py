@@ -567,6 +567,49 @@ class TestCampaignCommands:
         assert "--aggregate" in capsys.readouterr().err
 
 
+    def test_export_of_a_missing_store_fails_and_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "typo"
+        assert main(["export", "--store", str(missing)]) == 2
+        assert "store not found" in capsys.readouterr().err
+        assert not missing.exists()
+
+
+class TestStartup:
+    def test_importing_the_cli_loads_no_campaign_module(self):
+        """Only the campaign commands import ``repro.campaign``."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "repro.cli.build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.campaign')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_plan_axis_choices_are_the_campaign_axes(self, capsys):
+        from repro.campaign import PLAN_AXES
+
+        parser = build_parser()
+        plan = ["shard", "plan", "fig6", "--shards", "1", "--out", "plans", "--by"]
+        for axis in PLAN_AXES:
+            assert parser.parse_args([*plan, axis]).by == axis
+        with pytest.raises(SystemExit):
+            parser.parse_args([*plan, "machine"])
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def _plan_args(out_dir, extra=()) -> list[str]:
     return [
         "shard", "plan", "fig6", "--seeds", "0..1", "--shards", "2", "--by", "block",

@@ -347,14 +347,14 @@ class TestPropagation:
             normalize_request(make_payload(seed=seed)) for seed in range(2)
         )
         with WorkerPool(1) as pool:
-            (responses, batched), spans = pool.executor.submit(
+            (responses, batched), spans = pool.call(
                 run_traced,
                 solve_group,
                 (requests,),
                 context,
                 "pool.worker_solve",
                 requests=len(requests),
-            ).result()
+            )
         reference, reference_batched = solve_group(requests)
         assert responses == reference  # tracing never changes results
         assert batched is reference_batched

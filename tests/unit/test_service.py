@@ -10,20 +10,26 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.parse
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import ExperimentError, ServiceOverloadedError
+from repro.experiments import run_scenario, runner
+from repro.generators import ScenarioConfig
 from repro.heuristics import available_heuristics
 from repro.heuristics.base import BATCH_MIN_ROWS
 from repro.obs import trace
+from repro.service import batcher as batcher_module
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import SolveCache, SolveCacheStore
 from repro.service.client import ServiceClient
-from repro.service.requests import direct_response, normalize_request
+from repro.service.requests import direct_response, normalize_request, solve_group
 from repro.service.server import SolveService
 from repro.workers import WorkerPool
 from tests.helpers import fail_next_append
@@ -776,6 +782,41 @@ def strip_markers(response: dict) -> dict:
     return {k: v for k, v in response.items() if k not in ("cached", "batched")}
 
 
+#: Pipe ends of a worker-side gate, set before the pool forks.
+_WORKER_GATE: dict[str, int] = {}
+_real_point_job = runner._point_job
+
+
+def _gated_solve_group(requests):
+    """``solve_group`` that reports it started, then waits for the test's byte."""
+    os.write(_WORKER_GATE["started"], b".")
+    os.read(_WORKER_GATE["release"], 1)
+    return solve_group(requests)
+
+
+def _point_job_dying_on_the_first_point(point, milp_time_limit):
+    """A block job whose worker is SIGKILLed on the first sweep point."""
+    if point.blocks[0][0] == point.scenario.sweep_values[0]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_point_job(point, milp_time_limit)
+
+
+def _in_thread(fn, timeout: float = 120.0):
+    """``fn()`` on a daemon thread: ``(finished, result, error)`` after ``timeout``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive(), outcome.get("result"), outcome.get("error")
+
+
 class TestWorkerPool:
     def test_pool_solves_match_direct_solves(self):
         """Bit-for-bit equivalence through worker processes, both paths."""
@@ -902,6 +943,114 @@ class TestWorkerPool:
         assert after[0] == 503
         assert after[1]["status"] == "degraded"
         assert stats[0] == 200 and stats[1]["service"]["errors"] == 1
+
+
+    def test_a_worker_killed_mid_solve_fails_its_group_and_later_solves(
+        self, monkeypatch
+    ):
+        """The in-flight group answers 500, the server lives, later solves fail fast."""
+        started_r, started_w = os.pipe()
+        release_r, release_w = os.pipe()
+        monkeypatch.setitem(_WORKER_GATE, "started", started_w)
+        monkeypatch.setitem(_WORKER_GATE, "release", release_r)
+        # Patched before the service forks its worker, which inherits it.
+        monkeypatch.setattr(batcher_module, "solve_group", _gated_solve_group)
+
+        async def scenario():
+            service = SolveService(port=0, workers=1)
+            await service.start()
+            loop = asyncio.get_running_loop()
+
+            def ask(method, path, payload=None):
+                return loop.run_in_executor(
+                    None, _http_status, service.url, method, path, payload
+                )
+
+            try:
+                in_flight = ask("POST", "/v1/solve", make_payload(seed=8))
+                # The worker holds the group until the gate opens.
+                await asyncio.wait_for(
+                    loop.run_in_executor(None, os.read, started_r, 1), 60
+                )
+                (worker,) = service.pool.worker_pids()
+                os.kill(worker, signal.SIGKILL)
+                killed = await in_flight
+                health = await ask("GET", "/v1/healthz")
+                later = await ask("POST", "/v1/solve", make_payload(seed=9))
+                stats = await ask("GET", "/v1/stats")
+            finally:
+                os.write(release_w, b".")
+                await service.stop()
+            return killed, health, later, stats
+
+        try:
+            killed, health, later, stats = run(scenario())
+        finally:
+            for fd in (started_r, started_w, release_r, release_w):
+                os.close(fd)
+        for status, body in (killed, later):
+            assert status == 500
+            assert "BrokenProcessPool" in body["error"]["message"]
+        assert health[0] == 503 and health[1]["status"] == "degraded"
+        assert stats[0] == 200 and stats[1]["service"]["errors"] == 2
+
+    def test_a_worker_dying_mid_dispatch_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(runner, "_point_job", _point_job_dying_on_the_first_point)
+        scenario = ScenarioConfig(
+            name="dying-worker",
+            num_machines=5,
+            num_types=2,
+            sweep="tasks",
+            sweep_values=(6, 9),
+            repetitions=2,
+            heuristics=("H2",),
+        )
+        finished, _, error = _in_thread(
+            lambda: run_scenario(scenario, seed=1, workers=2)
+        )
+        assert finished, "the dispatch hung on a dead worker"
+        assert isinstance(error, BrokenProcessPool)
+
+    def test_shutdown_of_two_workers_returns_and_leaves_no_child(self):
+        # The second worker inherits the first one's parent-side pipe end
+        # at fork; unless it closes it, the first never reads EOF.
+        pool = WorkerPool(2)
+        workers = pool.worker_pids()
+        assert workers <= set(_child_pids(os.getpid()))
+        finished, _, error = _in_thread(pool.shutdown)
+        assert finished, "shutdown hung: a worker never saw EOF"
+        assert error is None
+        assert not any(_running(pid) for pid in workers)
+
+    def test_frames_larger_than_the_pipe_buffer_go_through_add_writer(self):
+        """The loop writes what the pipe takes and queues the rest."""
+
+        async def scenario():
+            with WorkerPool(1) as pool:
+                frames = [bytes([tag]) * (4 << 20) for tag in (1, 2)]
+                first = asyncio.ensure_future(pool.run(bytes.count, frames[0], b"\x01"))
+                second = asyncio.ensure_future(pool.run(bytes.count, frames[1], b"\x02"))
+                await asyncio.sleep(0)  # one loop turn: both tasks send
+                # Both sends returned without blocking, most bytes still queued.
+                (worker,) = pool._workers
+                queued = len(worker.outbox)
+                return queued, await first, await second
+
+        queued, first, second = run(scenario())
+        assert queued > 4 << 20
+        assert first == second == 4 << 20
+
+    def test_the_pool_is_the_only_worker_seam(self):
+        """No module drives an executor or reads its private state."""
+        root = Path(repro.__file__).parent
+        banned = ("ProcessPoolExecutor", "executor._broken", "_processes")
+        offenders = [
+            f"{path.relative_to(root)}: {word}"
+            for path in sorted(root.rglob("*.py"))
+            for word in banned
+            if word in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []
 
 
 def _proc_stat(pid: int) -> list[str] | None:
