@@ -7,7 +7,8 @@ decisions:
   expected product counts are exact during assignment; the ablation
   compares H4 against its forward-traversal variant.
 * **Bisection granularity** — H2 bisects integer millisecond values (as in
-  the paper); the ablation compares against a relative-tolerance bisection.
+  the paper); the ablation compares against a relative-tolerance bisection
+  of the same greedy walk, written out here (the library has one mode).
 * **Analytic vs simulated period** — the stochastic simulator must agree
   with expression (1); the ablation measures the deviation across mappings.
 """
@@ -17,9 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import evaluate
+from repro.core import Mapping, evaluate
 from repro.heuristics import get_heuristic
-from repro.heuristics.binary_search import RankBinarySearchHeuristic
+from repro.heuristics.binary_search import (
+    MAX_BISECTION_STEPS,
+    greedy_walk,
+    worst_case_period_bound,
+)
 from repro.simulation import simulate_mapping
 from tests.helpers import make_random_instance
 
@@ -43,21 +48,37 @@ def test_ablation_traversal_direction(benchmark):
     assert backward_mean <= forward_mean * 1.05
 
 
+def _relative_bisection(instance, rel_tol: float = 1e-4) -> tuple[float, int]:
+    """``(period, iterations)`` of H2's walk bisected to a relative tolerance."""
+    tables, preference = get_heuristic("H2").walk_inputs(instance)
+    low, high = 0.0, worst_case_period_bound(instance)
+    best, _ = greedy_walk(tables, preference, high)
+    assert best is not None  # the worst-case bound is always feasible
+    iterations = 0
+    while iterations < MAX_BISECTION_STEPS and high - low > rel_tol * max(high, 1.0):
+        mid = (low + high) / 2.0
+        iterations += 1
+        candidate, _ = greedy_walk(tables, preference, mid)
+        if candidate is not None:
+            best, high = candidate, mid
+        else:
+            low = mid
+    mapping = Mapping(np.asarray(best, dtype=np.int64), instance.num_machines)
+    return evaluate(instance, mapping).period, iterations
+
+
 def test_ablation_bisection_granularity(benchmark):
     """Integer-millisecond bisection (paper) vs relative-tolerance bisection."""
     instances = _instances(8, num_tasks=30)
 
     def run() -> dict:
-        integer = [RankBinarySearchHeuristic(integer_search=True).solve(inst) for inst in instances]
-        relative = [
-            RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-4).solve(inst)
-            for inst in instances
-        ]
+        integer = [get_heuristic("H2").solve(inst) for inst in instances]
+        relative = [_relative_bisection(inst) for inst in instances]
         return {
             "integer_period": float(np.mean([r.period for r in integer])),
-            "relative_period": float(np.mean([r.period for r in relative])),
+            "relative_period": float(np.mean([period for period, _ in relative])),
             "integer_iterations": float(np.mean([r.iterations for r in integer])),
-            "relative_iterations": float(np.mean([r.iterations for r in relative])),
+            "relative_iterations": float(np.mean([steps for _, steps in relative])),
         }
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)

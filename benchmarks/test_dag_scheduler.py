@@ -36,7 +36,7 @@ SIMULATED_TOTAL_SECONDS = 2.4
 
 def _unit_cost(manifest: CampaignManifest, unit) -> float:
     """The :func:`block_cost` of one campaign work unit."""
-    return block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
+    return block_cost(manifest.resolve(unit.figure_id).scenario, unit.curve, unit.sweep_value)
 
 
 def _mixed_manifest() -> CampaignManifest:

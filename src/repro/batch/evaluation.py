@@ -27,11 +27,9 @@ import numpy as np
 
 from ..backend import get_backend
 from ..core.application import Application
-from ..core.failure import FailureModel
 from ..core.instance import ProblemInstance, shared_successor_table
 from ..core.mapping import Mapping
 from ..core.period import MappingEvaluation
-from ..core.platform import Platform
 from ..exceptions import InvalidInstanceError, InvalidMappingError
 from .graph import graph_tables
 
@@ -261,36 +259,22 @@ class InstanceStack:
         self._f = f
 
     @classmethod
-    def from_instances(
-        cls,
-        instances: Sequence[ProblemInstance],
-        *,
-        require_uniform_types: bool = True,
-    ) -> "InstanceStack":
-        """Stack existing instances, validating shared structure.
+    def from_instances(cls, instances: Sequence[ProblemInstance]) -> "InstanceStack":
+        """Stack existing instances that share the precedence graph and platform size.
 
-        Parameters
-        ----------
-        require_uniform_types:
-            By default every instance must share the full application
-            (types *and* edges).  Period evaluation only depends on the
-            precedence graph and the per-instance ``w``/``f`` matrices —
-            not on task types — so passing ``False`` relaxes the check to
-            edges and platform size only.  This is what lets the
-            experiment engine stack the repetitions of a sweep point,
-            whose random chains share the graph but draw fresh type
-            vectors.  In that mode :meth:`instance` reports the *first*
-            instance's types and must not be relied on for type-aware
-            work (mapping-rule validation, heuristics).
+        Period evaluation only depends on the precedence graph and the
+        per-instance ``w``/``f`` matrices — not on task types — so the
+        instances may carry different type vectors.  This is what lets
+        the experiment engine stack the repetitions of a sweep point,
+        whose random chains share the graph but draw fresh type vectors.
+        :attr:`application` is the *first* instance's and must not be
+        relied on for type-aware work (mapping-rule validation,
+        heuristics).
         """
         if not instances:
             raise InvalidInstanceError("cannot stack zero instances")
         shared_successor_table(instances)
         first = instances[0]
-        if require_uniform_types:
-            types = tuple(first.application.types)
-            if any(tuple(inst.application.types) != types for inst in instances[1:]):
-                raise InvalidInstanceError("instances in a stack must share task types")
         return cls(
             first.application,
             np.stack([inst.processing_times for inst in instances]),
@@ -330,14 +314,6 @@ class InstanceStack:
 
     def __len__(self) -> int:
         return self.num_instances
-
-    def instance(self, index: int) -> ProblemInstance:
-        """Materialise the ``index``-th instance of the stack."""
-        return ProblemInstance(
-            self._app,
-            Platform(self._w[index], types=self._app.types),
-            FailureModel(self._f[index]),
-        )
 
     # -- vectorized evaluation ---------------------------------------------------
     def _used(self, assignments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

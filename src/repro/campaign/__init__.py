@@ -9,7 +9,8 @@ the campaign's only record:
 
 1. :func:`~repro.campaign.plan.plan` expands a
    :class:`~repro.campaign.plan.CampaignManifest` (figures x seeds x
-   curves x sweep points) into per-shard work-unit lists, balanced by
+   curves x sweep points, each figure resolved as ``run_figure`` does)
+   into per-shard work-unit lists, balanced by
    estimated cost (:mod:`repro.experiments.cost`), and
    :func:`~repro.campaign.plan.write_plans` writes one
    ``shard_<k>.json`` per shard (``microrepro shard plan``);

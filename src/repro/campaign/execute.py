@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..backend import get_backend
 from ..experiments.reporting import aggregate_results
 from ..experiments.runner import BlockRun, execute_blocks
 from ..experiments.store import CellRecord, ResultStore, RunMeta, _metas_compatible
@@ -102,12 +101,15 @@ def execute_solves(
     report = report if report is not None else PipelineReport()
     start = time.perf_counter()
     groups = group_by_run(units)
-    scenarios = {figure_id: manifest.scenario_for(figure_id) for figure_id, _ in groups}
-    hashes = {figure_id: scenario.stable_hash() for figure_id, scenario in scenarios.items()}
+    figures = {figure_id: manifest.resolve(figure_id) for figure_id, _ in groups}
+    hashes = {
+        figure_id: figure.scenario.stable_hash() for figure_id, figure in figures.items()
+    }
 
     runs: list[BlockRun] = []
     for (figure_id, seed), run_units in groups.items():
-        repetitions = scenarios[figure_id].repetitions
+        scenario = figures[figure_id].scenario
+        repetitions = scenario.repetitions
         pending = []
         for unit in run_units:
             if resume and cell_done(
@@ -123,7 +125,7 @@ def execute_solves(
             BlockRun(
                 figure_id,
                 seed,
-                scenarios[figure_id],
+                scenario,
                 int(RandomStreamFactory(seed).entropy),
                 tuple(pending),
             )
@@ -131,18 +133,11 @@ def execute_solves(
     outstanding = {(run.figure_id, run.seed): len(run.blocks) for run in runs}
 
     def finish_run(run: BlockRun) -> None:
-        meta = RunMeta(
-            figure_id=run.figure_id,
-            scenario_hash=hashes[run.figure_id],
-            seed=run.seed,
-            scenario=run.scenario.to_dict(),
-            # The run's *full* curve order (a shard may hold only a
-            # slice): the header must describe the whole run so the
-            # merged store rebuilds results.
-            curves=list(manifest.curves_for(run.figure_id)),
-            normalize_to=manifest.spec_for(run.figure_id).normalize_to,
-            elapsed_seconds=time.perf_counter() - start,
-            backend=get_backend().name,
+        # The run's *full* curve order (a shard may hold only a slice):
+        # the header must describe the whole run so the merged store
+        # rebuilds results.
+        meta = RunMeta.for_run(
+            figures[run.figure_id], run.seed, time.perf_counter() - start
         )
         stored = store.get_meta(*meta.key)
         if stored is None or not _metas_compatible(stored, meta):
@@ -188,7 +183,7 @@ def execute_solves(
 
 def _render(manifest: CampaignManifest, store: ResultStore, figure_id: str) -> dict:
     """One figure's exports, derived from the stored cells of every seed."""
-    scenario_hash = manifest.scenario_for(figure_id).stable_hash()
+    scenario_hash = manifest.resolve(figure_id).scenario.stable_hash()
     results = [
         store.load_result(figure_id, scenario_hash=scenario_hash, seed=seed)
         for seed in manifest.seeds

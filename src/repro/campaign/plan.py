@@ -49,9 +49,7 @@ from pathlib import Path
 
 from ..exceptions import ExperimentError
 from ..experiments.cost import block_cost
-from ..experiments.figures import FIGURES, FigureSpec
-from ..experiments.providers import resolve_curves
-from ..generators.scenarios import ScenarioConfig
+from ..experiments.figures import FIGURES, ResolvedFigure, resolve_figure
 
 __all__ = [
     "CampaignManifest",
@@ -141,32 +139,17 @@ class CampaignManifest:
         if len(set(self.seeds)) != len(self.seeds):
             raise ExperimentError("campaign seeds must be distinct")
 
-    def spec_for(self, figure_id: str) -> FigureSpec:
-        """The figure's spec (validated at construction)."""
-        return FIGURES[figure_id]
-
-    def scenario_for(self, figure_id: str) -> ScenarioConfig:
-        """The (possibly scaled-down) scenario a figure actually runs."""
-        return self.spec_for(figure_id).scenario.scaled(
-            repetitions=self.repetitions, max_points=self.max_points
+    def resolve(self, figure_id: str) -> ResolvedFigure:
+        """What the campaign computes for one figure: scaled scenario,
+        curve labels in series order and reference curve
+        (:func:`~repro.experiments.figures.resolve_figure`)."""
+        return resolve_figure(
+            figure_id,
+            repetitions=self.repetitions,
+            max_points=self.max_points,
+            include_milp=False if self.no_milp else None,
+            include_optional=self.optional_curves,
         )
-
-    def use_milp_for(self, figure_id: str) -> bool:
-        """Whether the MIP curve runs for a figure under this manifest."""
-        return False if self.no_milp else self.scenario_for(figure_id).include_milp
-
-    def curves_for(self, figure_id: str) -> tuple[str, ...]:
-        """The figure's curve labels, in the engine's series order."""
-        spec = self.spec_for(figure_id)
-        scenario = self.scenario_for(figure_id)
-        providers = resolve_curves(
-            scenario,
-            use_milp=self.use_milp_for(figure_id),
-            use_oto=scenario.include_one_to_one,
-            milp_time_limit=self.milp_time_limit,
-            extra_curves=spec.optional_curves if self.optional_curves else (),
-        )
-        return tuple(provider.label for provider in providers)
 
     # -- serialisation ----------------------------------------------------------
     def to_dict(self) -> dict:
@@ -238,11 +221,10 @@ def expand_units(manifest: CampaignManifest) -> list[WorkUnit]:
     """
     units: list[WorkUnit] = []
     for figure_id in manifest.figures:
-        scenario = manifest.scenario_for(figure_id)
-        curves = manifest.curves_for(figure_id)
+        figure = manifest.resolve(figure_id)
         for seed in manifest.seeds:
-            for curve in curves:
-                for sweep_value in scenario.sweep_values:
+            for curve in figure.curves:
+                for sweep_value in figure.scenario.sweep_values:
                     units.append(WorkUnit(figure_id, seed, curve, int(sweep_value)))
     return units
 
@@ -313,10 +295,11 @@ def plan(manifest: CampaignManifest, *, shards: int, by: str = "seed") -> list[S
     if by not in PLAN_AXES:
         raise ExperimentError(f"unknown plan axis {by!r}; use one of {PLAN_AXES}")
     units = expand_units(manifest)
+    scenarios = {figure_id: manifest.resolve(figure_id).scenario for figure_id in manifest.figures}
     group_cost: dict[tuple, float] = {}
     for unit in units:
         key = unit.group_key(by)
-        cost = block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
+        cost = block_cost(scenarios[unit.figure_id], unit.curve, unit.sweep_value)
         group_cost[key] = group_cost.get(key, 0.0) + cost
     loads = [0.0] * shards
     assignment: dict[tuple, int] = {}

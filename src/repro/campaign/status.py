@@ -81,7 +81,7 @@ def shard_status(shard: ShardPlan, store: ResultStore) -> ShardStatus:
     scenario_info: dict[str, tuple[str, int]] = {}
     for unit in shard.units:
         if unit.figure_id not in scenario_info:
-            scenario = manifest.scenario_for(unit.figure_id)
+            scenario = manifest.resolve(unit.figure_id).scenario
             scenario_info[unit.figure_id] = (
                 scenario.stable_hash(),
                 scenario.repetitions,

@@ -59,7 +59,8 @@ verify warm-started replans against the cold re-solve reference::
     microrepro live --machines 8 --duration 200 --verify
     microrepro live --url http://127.0.0.1:8000 --verify --json
 
-Solve one random instance with every heuristic and the exact MIP::
+Solve one random instance with every heuristic and the exact MIP (the
+instance ``microrepro request`` names with the same flags)::
 
     microrepro solve --tasks 10 --types 3 --machines 5 --seed 7 --milp
 
@@ -79,13 +80,8 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ._version import __version__
 from .analysis.tables import catalog_table
-from .core.failure import FailureModel
-from .core.instance import ProblemInstance
-from .core.platform import Platform
 from .exact.milp import solve_specialized_milp
 from .exceptions import ExperimentError, ReproError
 from .experiments.cost import block_cost
@@ -98,15 +94,15 @@ from .experiments.reporting import (
 )
 from .experiments.runner import run_figure
 from .experiments.store import ResultStore
-from .generators.applications import random_chain_application
-from .generators.platforms import random_failure_rates, random_processing_times
-from .heuristics import PAPER_HEURISTICS, get_heuristic
+from .generators.platforms import HIGH_FAILURE_F_RANGE
+from .heuristics import PAPER_HEURISTICS
 from .live import LiveConfig, compare_reports, run_timeline, run_timeline_remote
 from .obs.summary import format_table, format_tree, load_spans, summarize_spans
 from .obs.trace import TRACE_ENV_VAR, span
 from .obs.trace import configure as configure_tracing
 from .service.batcher import DEFAULT_MAX_BATCH
 from .service.client import ServiceClient
+from .service.requests import normalize_request
 from .service.server import serve as serve_service
 from .service.sessions import DEFAULT_MAX_SESSIONS, DEFAULT_SESSION_TTL
 
@@ -415,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     dag_status_parser.set_defaults(func=_cmd_dag_status)
 
     solve_parser = subparsers.add_parser(
-        "solve", help="solve one random instance with every heuristic"
+        "solve", help="solve the instance 'request' names with every heuristic"
     )
     solve_parser.add_argument("--tasks", type=int, default=10, help="number of tasks n")
     solve_parser.add_argument("--types", type=int, default=3, help="number of task types p")
@@ -689,9 +685,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _estimated_cost(manifest: CampaignManifest, units) -> float:
     """Total :func:`repro.experiments.cost.block_cost` of ``units``."""
+    scenarios = {figure_id: manifest.resolve(figure_id).scenario for figure_id in manifest.figures}
     return sum(
-        block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
-        for unit in units
+        block_cost(scenarios[unit.figure_id], unit.curve, unit.sweep_value) for unit in units
     )
 
 
@@ -1053,28 +1049,33 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    application = random_chain_application(args.tasks, args.types, rng)
-    w = random_processing_times(application.types, args.machines, rng)
-    f_high = 0.10 if args.high_failures else 0.02
-    f_low = 0.0 if args.high_failures else 0.005
-    f = random_failure_rates(args.tasks, args.machines, rng, low=f_low, high=f_high)
-    instance = ProblemInstance(
-        application,
-        Platform(w, types=application.types),
-        FailureModel(f),
-        name="cli-instance",
-    )
+    # The instance (and H1's stream) of `microrepro request` with the
+    # same flags: one normalized request per heuristic.
+    platform: dict = {"machines": args.machines}
+    if args.high_failures:
+        platform["f_range"] = list(HIGH_FAILURE_F_RANGE)
+    requests = [
+        normalize_request(
+            {
+                "heuristic": name,
+                "application": {"tasks": args.tasks, "types": args.types},
+                "platform": platform,
+                "options": {"seed": args.seed},
+            }
+        )
+        for name in PAPER_HEURISTICS
+    ]
+    instance = requests[0].sample()
 
     print(
         f"Random linear chain: n={args.tasks} tasks, p={args.types} types, "
         f"m={args.machines} machines (seed={args.seed})"
     )
     rows = []
-    for name in PAPER_HEURISTICS:
-        heuristic = get_heuristic(name)
-        result = heuristic.solve(instance, np.random.default_rng(args.seed))
-        rows.append((name, result.period, result.throughput * 1000.0))
+    for request in requests:
+        heuristic = request.resolve_heuristic()
+        result = heuristic.solve(instance, request.rng() if heuristic.randomized else None)
+        rows.append((heuristic.name, result.period, result.throughput * 1000.0))
     if args.milp:
         milp = solve_specialized_milp(instance)
         if milp.is_optimal:

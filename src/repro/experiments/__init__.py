@@ -1,7 +1,10 @@
 """Reproduction of the paper's evaluation section (Figures 5-12).
 
-The experiment layer is built around three pieces:
+The experiment layer is built around four pieces:
 
+* :mod:`~repro.experiments.figures` — the paper's figures;
+  :func:`resolve_figure` defines a figure's run for ``run_figure`` and
+  campaigns alike;
 * :mod:`~repro.experiments.providers` — *curve providers*
   (heuristics, exact baselines, local-search refinements) that score
   whole chunks of repetition blocks through one vectorized
@@ -13,9 +16,13 @@ The experiment layer is built around three pieces:
 * :mod:`~repro.experiments.store` — the append-only
   :class:`~repro.experiments.store.ResultStore` that makes long
   campaigns persistent, interruptible and resumable.
+
+Stored and in-memory runs share one result fold
+(:meth:`ExperimentResult.from_cells`) and one run header
+(:meth:`RunMeta.for_run`).
 """
 
-from .figures import FIGURES, FigureSpec, figure_ids
+from .figures import FIGURES, FigureSpec, ResolvedFigure, figure_ids, resolve_figure
 from .providers import (
     BlockChunk,
     BlockResult,
@@ -41,6 +48,8 @@ __all__ = [
     "FIGURES",
     "FigureSpec",
     "figure_ids",
+    "ResolvedFigure",
+    "resolve_figure",
     "figure_report",
     "aggregate_report",
     "aggregate_results",

@@ -18,16 +18,21 @@ Figure 12  specialized, m=9,   p=4, n = 5..20, H2/H3/H4/H4w + MIP
 
 Figure 11 shares Figure 10's scenario; the normalisation is performed by
 the experiment runner (``normalize_to="MIP"``).
+
+:func:`resolve_figure` is the one place a figure becomes what a run
+computes, for ``run_figure`` and campaigns alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..exceptions import ExperimentError
 from ..generators.platforms import HIGH_FAILURE_F_RANGE
 from ..generators.scenarios import ScenarioConfig
+from .providers import resolve_curves
 
-__all__ = ["FigureSpec", "FIGURES", "figure_ids"]
+__all__ = ["FigureSpec", "FIGURES", "figure_ids", "ResolvedFigure", "resolve_figure"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,3 +232,39 @@ FIGURES: dict[str, FigureSpec] = {
 def figure_ids() -> list[str]:
     """Identifiers of every reproduced figure, in paper order."""
     return list(FIGURES)
+
+
+@dataclass(frozen=True, slots=True)
+class ResolvedFigure:
+    """What one run computes, but for its seed: the (scaled) scenario,
+    the curve labels in series order and the reference curve, if any."""
+
+    figure_id: str
+    scenario: ScenarioConfig
+    curves: tuple[str, ...]
+    normalize_to: str | None = None
+
+
+def resolve_figure(
+    figure_id: str,
+    *,
+    repetitions: int | None = None,
+    max_points: int | None = None,
+    include_milp: bool | None = None,
+    include_optional: bool = False,
+) -> ResolvedFigure:
+    """A figure scaled down (:meth:`ScenarioConfig.scaled`), with the MIP
+    flag overridden and the optional curves added on request."""
+    try:
+        spec = FIGURES[figure_id]
+    except KeyError as exc:
+        raise ExperimentError(
+            f"unknown figure {figure_id!r}; known figures: {sorted(FIGURES)}"
+        ) from exc
+    scenario = spec.scenario.scaled(repetitions=repetitions, max_points=max_points)
+    curves = resolve_curves(
+        scenario,
+        include_milp=include_milp,
+        extra_curves=spec.optional_curves if include_optional else (),
+    )
+    return ResolvedFigure(figure_id, scenario, tuple(curves), spec.normalize_to)

@@ -165,8 +165,8 @@ class BlockChunk:
     instances:
         Every block's instances, block after block (the chunk's rows).
     stack:
-        The same rows as one :class:`~repro.batch.InstanceStack` (types
-        relaxed — rows share the chain graph, not the type vectors).
+        The same rows as one :class:`~repro.batch.InstanceStack` (rows
+        share the chain graph, not the type vectors).
     """
 
     blocks: tuple[CellBlock, ...]
@@ -185,7 +185,7 @@ class BlockChunk:
             CellBlock.sample(scenario, sweep_value, streams) for sweep_value in sweep_values
         )
         instances = tuple(instance for block in blocks for instance in block.instances)
-        stack = InstanceStack.from_instances(instances, require_uniform_types=False)
+        stack = InstanceStack.from_instances(instances)
         return cls(blocks=blocks, instances=instances, stack=stack)
 
     def rng_for(self, prefix: str) -> Callable[[int], np.random.Generator]:
@@ -299,11 +299,6 @@ class LocalSearchProvider(CurveProvider):
         self._base = HeuristicProvider(base)
         self.label = label if label is not None else f"{base}{LOCAL_SEARCH_SUFFIX}"
 
-    @property
-    def base_label(self) -> str:
-        """Label of the refined base heuristic."""
-        return self._base.label
-
     def evaluate(self, chunk: BlockChunk) -> list[BlockResult]:
         seeds = self._base.solve(chunk)
         refined, _ = refine_specialized_batch(chunk.instances, seeds)
@@ -348,34 +343,31 @@ class OneToOneProvider(CurveProvider):
         return chunk.results(self.label, periods)
 
 
-def resolve_provider(
-    label: str, *, milp_time_limit: float | None = None
-) -> CurveProvider:
-    """Resolve a curve label to a configured provider.
-
-    Resolution order (case-insensitive): ``"MIP"``, ``"OtO"``,
-    registered heuristics, then the ``"<base>+ls"`` local-search
-    convention.
-    """
-    key = label.lower()
-    if key == MIP_LABEL.lower():
-        return MilpProvider() if milp_time_limit is None else MilpProvider(milp_time_limit)
-    if key == OTO_LABEL.lower():
-        return OneToOneProvider()
+def _is_heuristic(name: str) -> bool:
     try:
-        get_heuristic(label)
+        get_heuristic(name)
     except ReproError:
-        pass
-    else:
-        return HeuristicProvider(label)
-    if key.endswith(LOCAL_SEARCH_SUFFIX):
-        base = label[: -len(LOCAL_SEARCH_SUFFIX)]
-        try:
-            return LocalSearchProvider(base, label=label)
-        except ReproError as exc:
-            raise ExperimentError(
-                f"cannot resolve curve {label!r}: unknown base heuristic {base!r}"
-            ) from exc
+        return False
+    return True
+
+
+def _parse_curve(label: str) -> tuple[str, str | None]:
+    """``(series key, base heuristic of a "<base>+ls" curve or None)``.
+
+    Resolution order (case-insensitive): ``"MIP"``, ``"OtO"`` (keyed by
+    their canonical spelling), registered heuristics, then the
+    ``"<base>+ls"`` local-search convention.
+    """
+    for canonical in (MIP_LABEL, OTO_LABEL):
+        if label.lower() == canonical.lower():
+            return canonical, None
+    if _is_heuristic(label):
+        return label, None
+    base = label[: -len(LOCAL_SEARCH_SUFFIX)]
+    if label.lower().endswith(LOCAL_SEARCH_SUFFIX):
+        if _is_heuristic(base):
+            return label, base
+        raise ExperimentError(f"cannot resolve curve {label!r}: unknown base heuristic {base!r}")
     from ..heuristics import available_heuristics
 
     raise ExperimentError(
@@ -384,40 +376,48 @@ def resolve_provider(
     )
 
 
+def resolve_provider(label: str, *, milp_time_limit: float | None = None) -> CurveProvider:
+    """Resolve a curve label to a configured provider."""
+    label, base = _parse_curve(label)
+    if base is not None:
+        return LocalSearchProvider(base, label=label)
+    if label == MIP_LABEL:
+        return MilpProvider() if milp_time_limit is None else MilpProvider(milp_time_limit)
+    if label == OTO_LABEL:
+        return OneToOneProvider()
+    return HeuristicProvider(label)
+
+
 def resolve_curves(
     scenario: ScenarioConfig,
     *,
-    use_milp: bool,
-    use_oto: bool,
-    milp_time_limit: float = 30.0,
+    include_milp: bool | None = None,
     extra_curves: Sequence[str] = (),
-) -> list[CurveProvider]:
-    """The ordered provider list of one experiment run.
+) -> list[str]:
+    """The validated curve labels of one experiment run, in series order.
 
-    Order matches the per-cell runner's series layout: the scenario's
-    heuristics, any extra curves, then MIP and OtO when enabled.
-    Duplicate labels are an error — every series key must be unique, and
-    labels are compared case-insensitively because provider resolution
-    is (``"h4w"`` and ``"H4w"`` would be the same curve under different
-    RNG stream labels).
+    The scenario's heuristics, any extra curves, then MIP
+    (``include_milp`` overrides the scenario's flag) and OtO when
+    enabled.  Duplicate labels are an error — every series key must be
+    unique, and labels are compared case-insensitively because provider
+    resolution is (``"h4w"`` and ``"H4w"`` would be the same curve under
+    different RNG stream labels).
     """
     declared = {name.lower() for name in scenario.heuristics}
-    labels = list(scenario.heuristics) + [
-        label for label in extra_curves if label.lower() not in declared
+    labels = [
+        _parse_curve(label)[0]
+        for label in (
+            *scenario.heuristics,
+            *(label for label in extra_curves if label.lower() not in declared),
+        )
     ]
-    providers = [
-        resolve_provider(label, milp_time_limit=milp_time_limit) for label in labels
-    ]
-    if use_milp:
-        providers.append(MilpProvider(time_limit=milp_time_limit))
-    if use_oto:
-        providers.append(OneToOneProvider())
+    if scenario.include_milp if include_milp is None else include_milp:
+        labels.append(MIP_LABEL)
+    if scenario.include_one_to_one:
+        labels.append(OTO_LABEL)
     seen: set[str] = set()
-    for provider in providers:
-        key = provider.label.lower()
-        if key in seen:
-            raise ExperimentError(
-                f"duplicate curve label {provider.label!r} in this experiment"
-            )
-        seen.add(key)
-    return providers
+    for label in labels:
+        if label.lower() in seen:
+            raise ExperimentError(f"duplicate curve label {label!r} in this experiment")
+        seen.add(label.lower())
+    return labels

@@ -196,6 +196,7 @@ def aggregate_results(
         seed=None,
         elapsed_seconds=sum(result.elapsed_seconds for result in ordered),
         milp_failures=sum(result.milp_failures for result in ordered),
+        normalize_to=first.normalize_to,
     )
 
 

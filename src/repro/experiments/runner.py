@@ -1,12 +1,13 @@
 """Experiment engine: regenerate any figure of the paper's evaluation.
 
-The engine draws the random instances of a scenario, resolves the
-figure's curves to :mod:`~repro.experiments.providers` (heuristics, the
-exact MIP, the optimal one-to-one mapping, local-search refinements),
-and collects the resulting periods into one
-:class:`~repro.analysis.Series` per curve.  The output
-:class:`ExperimentResult` renders the figure as a plain-text table or
-CSV and computes the aggregate normalisation factors of Section 7.
+The engine draws the random instances of a scenario, scores each curve
+of the run (:func:`~repro.experiments.figures.resolve_figure`) with a
+:mod:`~repro.experiments.providers` provider (heuristics, the exact
+MIP, the optimal one-to-one mapping, local-search refinements), and
+folds the periods into one :class:`~repro.analysis.Series` per curve,
+as stored runs are folded (:meth:`ExperimentResult.from_cells`).  The
+output renders the figure as a plain-text table or CSV and computes the
+aggregate normalisation factors of Section 7.
 
 Block scheduling
 ----------------
@@ -76,7 +77,7 @@ from ..obs.trace import current_context, emit_spans, span
 from ..simulation.rng import RandomStreamFactory
 from ..workers import WorkerPool, run_traced
 from .cost import block_cost
-from .figures import FIGURES, FigureSpec
+from .figures import ResolvedFigure, resolve_figure
 from .providers import (
     MIP_LABEL,
     OTO_LABEL,
@@ -128,6 +129,8 @@ class ExperimentResult:
         Number of (point, repetition) pairs where the MIP backend did not
         return a proven optimum (mirrors the paper's observation that the
         exact solver stops scaling around 15 tasks).
+    normalize_to:
+        The reference curve of ``normalized``, if any.
     """
 
     figure_id: str
@@ -137,6 +140,49 @@ class ExperimentResult:
     seed: int | None
     elapsed_seconds: float
     milp_failures: int = 0
+    normalize_to: str | None = None
+
+    @classmethod
+    def from_cells(
+        cls,
+        figure: ResolvedFigure,
+        seed: int | None,
+        cell: Callable[[str, int], tuple[list[float], int]],
+        elapsed_seconds: float,
+    ) -> "ExperimentResult":
+        """Fold a run's blocks, ``cell(curve, sweep_value) -> (values,
+        failures)``, in series order, whatever order they were computed in;
+        then divide every curve by ``figure.normalize_to``, if set.  The one
+        result builder of in-memory and stored runs."""
+        series = {label: Series(label=label) for label in figure.curves}
+        milp_failures = 0
+        for sweep_value in figure.scenario.sweep_values:
+            for label in figure.curves:
+                values, failures = cell(label, sweep_value)
+                series[label].extend(sweep_value, values)
+                milp_failures += failures
+        normalized = None
+        if figure.normalize_to is not None:
+            if figure.normalize_to not in series:
+                raise ExperimentError(
+                    f"cannot normalise to {figure.normalize_to!r}: that curve was not produced"
+                )
+            reference = series[figure.normalize_to]
+            normalized = {
+                label: normalize_series(curve, reference)
+                for label, curve in series.items()
+                if label != figure.normalize_to
+            }
+        return cls(
+            figure_id=figure.figure_id,
+            scenario=figure.scenario,
+            series=series,
+            normalized=normalized,
+            seed=seed,
+            elapsed_seconds=elapsed_seconds,
+            milp_failures=milp_failures,
+            normalize_to=figure.normalize_to,
+        )
 
     @property
     def x_name(self) -> str:
@@ -197,7 +243,6 @@ def run_scenario(
     *,
     seed: int | None = 0,
     include_milp: bool | None = None,
-    include_one_to_one: bool | None = None,
     milp_time_limit: float = 30.0,
     figure_id: str = "custom",
     normalize_to: str | None = None,
@@ -213,8 +258,9 @@ def run_scenario(
         the paper's full sweep for quick runs).
     seed:
         Root seed for reproducible instance generation.
-    include_milp, include_one_to_one:
-        Override the scenario's flags (useful to skip the expensive MIP).
+    include_milp:
+        Override the scenario's MIP flag (useful to skip the expensive
+        MIP); the OtO curve follows ``scenario.include_one_to_one``.
     milp_time_limit:
         Per-instance time limit handed to the MIP backend.
     figure_id, normalize_to:
@@ -230,69 +276,40 @@ def run_scenario(
         :func:`~repro.experiments.providers.resolve_provider` (e.g.
         ``"H4ls"`` or ``"H2+ls"``).
     """
+    curves = resolve_curves(scenario, include_milp=include_milp, extra_curves=extra_curves)
+    figure = ResolvedFigure(figure_id, scenario, tuple(curves), normalize_to)
+    return _run(figure, seed, milp_time_limit, workers)
+
+
+def _run(
+    figure: ResolvedFigure, seed: int | None, milp_time_limit: float, workers: int | None
+) -> ExperimentResult:
+    """Every block of one resolved run, through :func:`execute_blocks`."""
     start = time.perf_counter()
     # Resolve the effective entropy up front: with seed=None a random one
     # is drawn here once, so serial and parallel blocks share it.
     entropy = RandomStreamFactory(seed).entropy
-    use_milp = scenario.include_milp if include_milp is None else include_milp
-    use_oto = (
-        scenario.include_one_to_one if include_one_to_one is None else include_one_to_one
-    )
-    providers = resolve_curves(
-        scenario,
-        use_milp=use_milp,
-        use_oto=use_oto,
-        milp_time_limit=milp_time_limit,
-        extra_curves=extra_curves,
-    )
-    labels = [provider.label for provider in providers]
-
-    outcomes: dict[tuple[int, str], tuple[list[float], int]] = {}
+    outcomes: dict[tuple[str, int], tuple[list[float], int]] = {}
 
     def record(_run, sweep_value: int, label: str, values, failures: int) -> None:
-        outcomes[(sweep_value, label)] = (values, failures)
+        outcomes[(label, sweep_value)] = (values, failures)
 
     blocks = tuple(
-        (sweep_value, label) for sweep_value in scenario.sweep_values for label in labels
+        (sweep_value, label)
+        for sweep_value in figure.scenario.sweep_values
+        for label in figure.curves
     )
     execute_blocks(
-        [BlockRun(figure_id, seed, scenario, entropy, blocks)],
+        [BlockRun(figure.figure_id, seed, figure.scenario, entropy, blocks)],
         record,
         milp_time_limit=milp_time_limit,
         workers=workers,
     )
-
-    # Fold in the fixed (sweep value, curve) order so series contents do
-    # not depend on worker scheduling.
-    series: dict[str, Series] = {label: Series(label=label) for label in labels}
-    milp_failures = 0
-    for sweep_value in scenario.sweep_values:
-        for label in labels:
-            values, failures = outcomes[(sweep_value, label)]
-            series[label].extend(sweep_value, values)
-            milp_failures += failures
-
-    normalized: dict[str, Series] | None = None
-    if normalize_to is not None:
-        if normalize_to not in series:
-            raise ExperimentError(
-                f"cannot normalise to {normalize_to!r}: that curve was not produced"
-            )
-        reference = series[normalize_to]
-        normalized = {
-            label: normalize_series(curve, reference)
-            for label, curve in series.items()
-            if label != normalize_to
-        }
-
-    return ExperimentResult(
-        figure_id=figure_id,
-        scenario=scenario,
-        series=series,
-        normalized=normalized,
-        seed=seed,
-        elapsed_seconds=time.perf_counter() - start,
-        milp_failures=milp_failures,
+    return ExperimentResult.from_cells(
+        figure,
+        seed,
+        lambda label, sweep_value: outcomes[(label, sweep_value)],
+        time.perf_counter() - start,
     )
 
 
@@ -558,20 +575,11 @@ def run_figure(
         Also run the figure's optional curves (e.g. the H4ls refinement
         on Figure 6).
     """
-    try:
-        spec: FigureSpec = FIGURES[figure_id]
-    except KeyError as exc:
-        raise ExperimentError(
-            f"unknown figure {figure_id!r}; known figures: {sorted(FIGURES)}"
-        ) from exc
-    scenario = spec.scenario.scaled(repetitions=repetitions, max_points=max_points)
-    return run_scenario(
-        scenario,
-        seed=seed,
+    figure = resolve_figure(
+        figure_id,
+        repetitions=repetitions,
+        max_points=max_points,
         include_milp=include_milp,
-        milp_time_limit=milp_time_limit,
-        figure_id=figure_id,
-        normalize_to=spec.normalize_to,
-        workers=workers,
-        extra_curves=spec.optional_curves if include_optional else (),
+        include_optional=include_optional,
     )
+    return _run(figure, seed, milp_time_limit, workers)

@@ -54,15 +54,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING
 
-from ..analysis.stats import Series
+from ..backend import get_backend
 from ..exceptions import ExperimentError
 from ..generators.scenarios import ScenarioConfig
 from ..jsonl_store import JsonlStore
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .runner import ExperimentResult
+from .figures import ResolvedFigure
+from .providers import MIP_LABEL
+from .runner import ExperimentResult
 
 __all__ = ["CellRecord", "RunMeta", "ResultStore", "MergeReport"]
 
@@ -141,6 +140,21 @@ class RunMeta:
     #: Stored run headers carry it and load through ``RunMeta(**data)``,
     #: so it stays a field.
     backend: str | None = None
+
+    @classmethod
+    def for_run(cls, figure: ResolvedFigure, seed: int, elapsed_seconds: float) -> "RunMeta":
+        """The header of one run of ``figure``: the one header builder, for
+        campaigns and :meth:`ResultStore.save_result` alike."""
+        return cls(
+            figure_id=figure.figure_id,
+            scenario_hash=figure.scenario.stable_hash(),
+            seed=seed,
+            scenario=figure.scenario.to_dict(),
+            curves=list(figure.curves),
+            normalize_to=figure.normalize_to,
+            elapsed_seconds=elapsed_seconds,
+            backend=get_backend().name,
+        )
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -319,7 +333,7 @@ class ResultStore(JsonlStore):
         return [RunMeta(**data) for _, data in self._payloads("meta")]
 
     # -- ExperimentResult round-trip ----------------------------------------------
-    def save_result(self, result: "ExperimentResult") -> None:
+    def save_result(self, result: ExperimentResult) -> None:
         """Store a completed run: its header plus one cell per curve/point.
 
         Per-cell MIP failures are recovered from the NaN count of the MIP
@@ -329,10 +343,10 @@ class ResultStore(JsonlStore):
             raise ExperimentError(
                 "storing an experiment requires an explicit seed (got None)"
             )
-        scenario = result.scenario
-        scenario_hash = scenario.stable_hash()
-        from .providers import MIP_LABEL
-
+        figure = ResolvedFigure(
+            result.figure_id, result.scenario, tuple(result.series), result.normalize_to
+        )
+        meta = RunMeta.for_run(figure, result.seed, result.elapsed_seconds)
         for curve, series in result.series.items():
             for sweep_value in series.x_values:
                 values = [float(v) for v in series.samples[sweep_value]]
@@ -343,9 +357,9 @@ class ResultStore(JsonlStore):
                 )
                 self.put_cell(
                     CellRecord(
-                        figure_id=result.figure_id,
-                        scenario_hash=scenario_hash,
-                        seed=result.seed,
+                        figure_id=meta.figure_id,
+                        scenario_hash=meta.scenario_hash,
+                        seed=meta.seed,
                         curve=curve,
                         sweep_value=int(sweep_value),
                         repetitions=len(values),
@@ -353,28 +367,7 @@ class ResultStore(JsonlStore):
                         failures=failures,
                     )
                 )
-        self.put_meta(
-            RunMeta(
-                figure_id=result.figure_id,
-                scenario_hash=scenario_hash,
-                seed=result.seed,
-                scenario=scenario.to_dict(),
-                curves=list(result.series),
-                normalize_to=(
-                    None
-                    if result.normalized is None
-                    else next(
-                        (
-                            label
-                            for label in result.series
-                            if label not in result.normalized
-                        ),
-                        None,
-                    )
-                ),
-                elapsed_seconds=result.elapsed_seconds,
-            )
-        )
+        self.put_meta(meta)
 
     def load_result(
         self,
@@ -382,16 +375,16 @@ class ResultStore(JsonlStore):
         *,
         scenario_hash: str | None = None,
         seed: int | None = None,
-    ) -> "ExperimentResult":
+    ) -> ExperimentResult:
         """Rebuild an :class:`ExperimentResult` from stored records.
 
         ``scenario_hash`` / ``seed`` narrow the lookup when several runs
         of the same figure share the store; with one match they can be
-        omitted.
+        omitted.  Each cell is sliced to the run's repetitions and the
+        result is folded by
+        :meth:`~repro.experiments.runner.ExperimentResult.from_cells`,
+        exactly as an in-memory run's.
         """
-        from ..analysis.normalize import normalize_series
-        from .runner import ExperimentResult
-
         matches = [
             meta
             for meta in self.runs()
@@ -412,40 +405,22 @@ class ResultStore(JsonlStore):
             )
         meta = matches[0]
         scenario = ScenarioConfig.from_dict(meta.scenario)
-        series: dict[str, Series] = {}
-        milp_failures = 0
-        for curve in meta.curves:
-            curve_series = Series(label=curve)
-            for sweep_value in scenario.sweep_values:
-                record = self.get_cell(
-                    meta.figure_id, meta.scenario_hash, meta.seed, curve, sweep_value
+
+        def cell(curve: str, sweep_value: int) -> tuple[list[float], int]:
+            record = self.get_cell(
+                meta.figure_id, meta.scenario_hash, meta.seed, curve, sweep_value
+            )
+            if record is None:
+                raise ExperimentError(
+                    f"store is missing cell ({curve!r}, {sweep_value}) of "
+                    f"{figure_id!r}; was the run interrupted? resume it first"
                 )
-                if record is None:
-                    raise ExperimentError(
-                        f"store is missing cell ({curve!r}, {sweep_value}) of "
-                        f"{figure_id!r}; was the run interrupted? resume it first"
-                    )
-                values, failures = record.sliced(scenario.repetitions)
-                curve_series.extend(sweep_value, values)
-                milp_failures += failures
-            series[curve] = curve_series
-        normalized = None
-        if meta.normalize_to is not None:
-            reference = series[meta.normalize_to]
-            normalized = {
-                label: normalize_series(curve_series, reference)
-                for label, curve_series in series.items()
-                if label != meta.normalize_to
-            }
-        return ExperimentResult(
-            figure_id=meta.figure_id,
-            scenario=scenario,
-            series=series,
-            normalized=normalized,
-            seed=meta.seed,
-            elapsed_seconds=meta.elapsed_seconds,
-            milp_failures=milp_failures,
+            return record.sliced(scenario.repetitions)
+
+        figure = ResolvedFigure(
+            meta.figure_id, scenario, tuple(meta.curves), meta.normalize_to
         )
+        return ExperimentResult.from_cells(figure, meta.seed, cell, meta.elapsed_seconds)
 
     def cells(self) -> list[CellRecord]:
         """Every stored cell (newest record per key), in key order."""

@@ -34,9 +34,9 @@ outcome cannot change, which lets
 :meth:`BinarySearchHeuristic.solve_mapping` settle many bisection steps
 without walking.
 
-The paper bisects integer millisecond values (``while max - min > 1``);
-:class:`BinarySearchHeuristic` reproduces that behaviour but also accepts a
-relative tolerance for ablation studies.
+The paper bisects integer millisecond values (``while max - min > 1``),
+and so does :class:`BinarySearchHeuristic`, for at most
+:data:`MAX_BISECTION_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -59,7 +59,12 @@ __all__ = [
     "HeterogeneityBinarySearchHeuristic",
     "MachinePreference",
     "greedy_walk",
+    "MAX_BISECTION_STEPS",
 ]
+
+#: Hard cap on bisection steps, a safety net: the integer bracket
+#: closes in about ``log2`` of the worst-case bound steps.
+MAX_BISECTION_STEPS = 128
 
 
 def worst_case_period_bound(
@@ -180,28 +185,10 @@ def greedy_walk(
 class BinarySearchHeuristic(Heuristic):
     """Common bisection driver for H2 and H3.
 
-    Parameters
-    ----------
-    integer_search:
-        When true (paper behaviour) the bisection operates on integer
-        period values and stops when ``max - min <= 1``; otherwise it stops
-        when the relative gap drops below ``rel_tol``.
-    rel_tol:
-        Relative tolerance of the non-integer bisection.
-    max_iterations:
-        Hard cap on bisection steps (safety net).
+    The bisection operates on integer period values and stops when
+    ``max - min <= 1`` (the paper's behaviour), or after
+    :data:`MAX_BISECTION_STEPS` steps.
     """
-
-    def __init__(
-        self,
-        *,
-        integer_search: bool = True,
-        rel_tol: float = 1e-4,
-        max_iterations: int = 128,
-    ) -> None:
-        self.integer_search = bool(integer_search)
-        self.rel_tol = float(rel_tol)
-        self.max_iterations = int(max_iterations)
 
     # -- machine ranking (heuristic-specific) -----------------------------------------
     @abc.abstractmethod
@@ -233,7 +220,7 @@ class BinarySearchHeuristic(Heuristic):
     ) -> tuple[Mapping, int, dict]:
         """Bisect the target period, walking only where no proof decides.
 
-        The midpoints, iteration count, ``max_iterations`` cap and final
+        The midpoints, iteration count, step cap and final
         bracket are those of a bisection that walks at every midpoint and
         stops after a step that leaves the bracket unchanged.
         A midpoint inside the current best walk's proof interval ``[lo,
@@ -263,15 +250,8 @@ class BinarySearchHeuristic(Heuristic):
                 )
         best_at = high
         iterations = 0
-        while iterations < self.max_iterations:
-            if self.integer_search:
-                if high - low <= 1.0:
-                    break
-                mid = low + math.floor((high - low) / 2.0)
-            else:
-                if high - low <= self.rel_tol * max(high, 1.0):
-                    break
-                mid = (low + high) / 2.0
+        while iterations < MAX_BISECTION_STEPS and high - low > 1.0:
+            mid = low + math.floor((high - low) / 2.0)
             iterations += 1
             bracket = (low, high)
             if best_lo <= mid <= best_at:
@@ -301,8 +281,7 @@ class RankBinarySearchHeuristic(BinarySearchHeuristic):
 
     name = "H2"
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
+    def __init__(self) -> None:
         self._ranks: np.ndarray | None = None
 
     def prepare(self, instance: ProblemInstance) -> None:
@@ -331,8 +310,7 @@ class HeterogeneityBinarySearchHeuristic(BinarySearchHeuristic):
 
     name = "H3"
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
+    def __init__(self) -> None:
         self._heterogeneity: np.ndarray | None = None
 
     def prepare(self, instance: ProblemInstance) -> None:

@@ -225,6 +225,6 @@ class LocalSearchHeuristic(Heuristic):
         """
         seeds = self._seeder.solve_batch(instances)
         refined, _ = refine_specialized_batch(instances, seeds)
-        stack = InstanceStack.from_instances(instances, require_uniform_types=False)
+        stack = InstanceStack.from_instances(instances)
         improved = stack.periods(refined) < stack.periods(seeds)
         return np.where(improved[:, np.newaxis], refined, seeds)

@@ -439,7 +439,7 @@ def solve_group(requests: tuple[SolveRequest, ...]) -> tuple[list[dict], bool]:
         instances,
         lambda row: requests[row].rng() if heuristic.randomized else None,
     )
-    stack = InstanceStack.from_instances(instances, require_uniform_types=False)
+    stack = InstanceStack.from_instances(instances)
     periods = stack.periods(assignments)
     responses = [
         build_response(request, assignments[row], periods[row], batched=batched)

@@ -715,8 +715,6 @@ def reference_bisection(
     name: str,
     instance: ProblemInstance,
     *,
-    integer_search: bool = True,
-    rel_tol: float = 1e-4,
     max_iterations: int = 128,
     bound: float | None = None,
 ) -> tuple[np.ndarray | None, int, float, float, int]:
@@ -725,10 +723,11 @@ def reference_bisection(
     The oracle of ``BinarySearchHeuristic.solve_mapping``: returns
     ``(assignment, iterations, final_low, final_high, probes)``, with a
     ``None`` assignment when even the doubled upper bound fails.
-    ``probes`` counts the greedy placements run; ``bound`` replaces the
-    worst-case upper bound the bisection starts from.  The loop stops
-    after a step that leaves ``(low, high)`` unchanged, since every
-    later step would repeat it.
+    ``probes`` counts the greedy placements run; ``max_iterations`` is
+    the step cap (``binary_search.MAX_BISECTION_STEPS``) and ``bound``
+    replaces the worst-case upper bound the bisection starts from.  The
+    loop stops after a step that leaves ``(low, high)`` unchanged, since
+    every later step would repeat it.
     """
     low = 0.0
     high = worst_case_period_bound(instance) if bound is None else bound
@@ -741,15 +740,8 @@ def reference_bisection(
         if best is None:
             return None, 0, low, high, probes
     iterations = 0
-    while iterations < max_iterations:
-        if integer_search:
-            if high - low <= 1.0:
-                break
-            mid = low + math.floor((high - low) / 2.0)
-        else:
-            if high - low <= rel_tol * max(high, 1.0):
-                break
-            mid = (low + high) / 2.0
+    while iterations < max_iterations and high - low > 1.0:
+        mid = low + math.floor((high - low) / 2.0)
         iterations += 1
         bracket = (low, high)
         candidate = reference_try_period(name, instance, mid)

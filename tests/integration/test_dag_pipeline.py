@@ -11,10 +11,12 @@ instead of the serial engine.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign import CampaignManifest, run_pipeline
-from repro.experiments import ResultStore, aggregate_seeds, run_figure
+from repro.experiments import ResultStore, aggregate_seeds, figure_ids, run_figure
 
 SEEDS = (0, 1)
 
@@ -113,3 +115,44 @@ class TestParallelDispatch:
         assert run.report.computed == serial_run.report.computed
         assert run.renders == serial_run.renders
         assert _cell_map(store) == _cell_map(serial_store)
+
+
+@pytest.mark.parametrize("figure_id", figure_ids())
+def test_figure_run_equals_its_stored_run(figure_id, tmp_path):
+    """``run FIG --csv`` prints what ``export FIG --csv`` does after ``dag run``.
+
+    Both resolve the figure and fold its blocks through one definition,
+    so every figure agrees byte for byte, optional curves included.  The
+    MIP stays off (its wall-clock limit can leave a cell unproven on one
+    side only), except on fig11, which normalises by it: at its first
+    point alone (n=2) the MIP proves at once.
+    """
+    milp = figure_id == "fig11"
+    max_points = 1 if milp else 2
+    result = run_figure(
+        figure_id,
+        seed=0,
+        repetitions=2,
+        max_points=max_points,
+        include_milp=milp,
+        include_optional=True,
+    )
+    manifest = CampaignManifest(
+        figures=(figure_id,),
+        seeds=(0,),
+        repetitions=2,
+        max_points=max_points,
+        no_milp=not milp,
+        optional_curves=True,
+    )
+    store = ResultStore(tmp_path / "dag")
+    run = run_pipeline(manifest, store)
+    assert run.renders[figure_id]["per_seed"]["0"] == result.to_csv()
+    # Saving the in-memory result writes the campaign's cells and, but
+    # for the wall-clock, its run header.
+    saved = ResultStore(tmp_path / "saved")
+    saved.save_result(result)
+    assert _cell_map(saved) == _cell_map(store)
+    assert [replace(meta, elapsed_seconds=0.0) for meta in saved.runs()] == [
+        replace(meta, elapsed_seconds=0.0) for meta in store.runs()
+    ]

@@ -99,7 +99,7 @@ class TestBlockVsOracle:
             scenario, 3, include_milp=True, include_one_to_one=True
         )
         block = run_scenario(
-            scenario, seed=3, include_milp=True, include_one_to_one=True
+            replace(scenario, include_one_to_one=True), seed=3, include_milp=True
         )
         _assert_identical(expected, block.series)
         assert failures == block.milp_failures
@@ -176,11 +176,9 @@ class TestBlockVsOracle:
         assert executed == [len(scenario.sweep_values)]
 
     def test_run_functions_take_no_engine_store_or_resume(self):
-        removed = {"engine", "store", "resume"}
+        removed = {"engine", "store", "resume", "include_one_to_one"}
         assert not removed & set(inspect.signature(run_scenario).parameters)
-        assert not (removed | {"include_one_to_one"}) & set(
-            inspect.signature(run_figure).parameters
-        )
+        assert not removed & set(inspect.signature(run_figure).parameters)
 
 
 class TestBatchSolveEquivalence:

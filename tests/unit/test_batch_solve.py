@@ -105,20 +105,6 @@ class TestSolveBatchEquivalence:
         batch = stacked_assignments(get_heuristic(name), chunk)
         assert (batch == sequential_assignments(name, chunk)).all()
 
-    def test_non_integer_bisection_matches_sequential(self):
-        chunk = make_chunk(seed=5)
-        batch_h = RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-3)
-        batch = stacked_assignments(batch_h, chunk)
-        expected = np.stack(
-            [
-                RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-3)
-                .solve_mapping(instance)[0]
-                .as_array
-                for instance in chunk.instances
-            ]
-        )
-        assert (batch == expected).all()
-
     def test_single_row_block(self):
         chunk = make_chunk(repetitions=1)
         for name in ("H2", "H4w"):

@@ -91,28 +91,26 @@ class TestManifest:
 
     def test_curves_follow_engine_series_order(self):
         manifest = _manifest(figures=("fig10",))
-        curves = manifest.curves_for("fig10")
+        curves = manifest.resolve("fig10").curves
         assert curves[-1] == "MIP"  # fig10 runs the exact MIP last
-        assert manifest.curves_for("fig6") == FIGURES["fig6"].scenario.heuristics
+        assert manifest.resolve("fig6").curves == FIGURES["fig6"].scenario.heuristics
 
     def test_no_milp_drops_the_mip_curve(self):
         manifest = _manifest(figures=("fig10",), no_milp=True)
-        assert "MIP" not in manifest.curves_for("fig10")
+        assert "MIP" not in manifest.resolve("fig10").curves
 
     def test_optional_curves_are_planned_when_asked(self):
-        assert "H4ls" not in _manifest().curves_for("fig6")
-        assert "H4ls" in _manifest(optional_curves=True).curves_for("fig6")
+        assert "H4ls" not in _manifest().resolve("fig6").curves
+        assert "H4ls" in _manifest(optional_curves=True).resolve("fig6").curves
 
 
 class TestPlanner:
     def test_units_cover_the_full_grid(self):
         manifest = _manifest()
         units = expand_units(manifest)
-        scenario = manifest.scenario_for("fig6")
+        figure = manifest.resolve("fig6")
         expected = (
-            len(manifest.seeds)
-            * len(manifest.curves_for("fig6"))
-            * len(scenario.sweep_values)
+            len(manifest.seeds) * len(figure.curves) * len(figure.scenario.sweep_values)
         )
         assert len(units) == expected
         assert len(set(units)) == len(units)
@@ -198,11 +196,11 @@ class TestShardSolves:
         manifest = _manifest(seeds=(0,))
         shard = plan(manifest, shards=2, by="curve")[0]
         labels = {unit.curve for unit in shard.units}
-        assert labels != set(manifest.curves_for("fig6"))  # a strict slice
+        assert labels != set(manifest.resolve("fig6").curves)  # a strict slice
         store = ResultStore(tmp_path / "s")
         execute_solves(manifest, shard.units, store)
         meta = store.runs()[0]
-        assert meta.curves == list(manifest.curves_for("fig6"))
+        assert meta.curves == list(manifest.resolve("fig6").curves)
 
 
 class TestMergeStores:

@@ -12,6 +12,8 @@ import pytest
 from repro.campaign import CAMPAIGN_FILE
 from repro.cli import STORE_ENV_VAR, build_parser, main
 from repro.experiments import ResultStore
+from repro.generators.platforms import HIGH_FAILURE_F_RANGE
+from repro.heuristics import PAPER_HEURISTICS
 from repro.service.requests import direct_response, normalize_request
 from repro.service.server import SolveService
 
@@ -141,6 +143,34 @@ class TestSolveCommand:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("high_failures", [False, True])
+    def test_solve_periods_equal_the_request_reference(self, capsys, high_failures):
+        # `solve` draws the instance (and H1's stream) of `request` with
+        # the same flags: each printed period is direct_response's.
+        flags = ["--tasks", "9", "--types", "3", "--machines", "5", "--seed", "4"]
+        flags += ["--high-failures"] if high_failures else []
+        assert main(["solve", *flags]) == 0
+        table = capsys.readouterr().out.splitlines()[2:]
+        printed = {line.split()[0]: line.split()[1] for line in table}
+        platform = {"machines": 5}
+        if high_failures:
+            platform["f_range"] = list(HIGH_FAILURE_F_RANGE)
+        assert sorted(printed) == sorted(PAPER_HEURISTICS)
+        for name in PAPER_HEURISTICS:
+            request = normalize_request(
+                {
+                    "heuristic": name,
+                    "application": {"tasks": 9, "types": 3},
+                    "platform": platform,
+                    "options": {"seed": 4},
+                }
+            )
+            assert printed[name] == f"{direct_response(request)['period']:.1f}"
+
+    def test_solve_rejects_bad_dimensions_with_a_message(self, capsys):
+        assert main(["solve", "--tasks", "2", "--types", "3"]) == 2
+        assert "more types (3) than tasks (2)" in capsys.readouterr().err
 
 
 class TestRunCommand:

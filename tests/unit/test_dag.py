@@ -34,7 +34,7 @@ def _manifest(**overrides) -> CampaignManifest:
 
 def _unit_cost(manifest: CampaignManifest, unit) -> float:
     """The :func:`block_cost` of one campaign work unit."""
-    return block_cost(manifest.scenario_for(unit.figure_id), unit.curve, unit.sweep_value)
+    return block_cost(manifest.resolve(unit.figure_id).scenario, unit.curve, unit.sweep_value)
 
 
 def _run_manifest(**overrides) -> CampaignManifest:

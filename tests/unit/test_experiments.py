@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exceptions import ExperimentError
@@ -84,7 +86,7 @@ class TestRunner:
             sweep_values=(4,),
             task_dependent_failures=True,
         )
-        result = run_scenario(scenario, seed=3, include_one_to_one=True)
+        result = run_scenario(replace(scenario, include_one_to_one=True), seed=3)
         assert OTO_LABEL in result.series
         assert result.series[OTO_LABEL].point(4).count == 2
 

@@ -74,13 +74,13 @@ def assert_matches_reference(heuristic, name, instance, **options):
 @given(
     instance=tie_heavy_instances(),
     name=st.sampled_from(NAMES),
-    integer_search=st.booleans(),
     max_iterations=st.sampled_from([1, 2, 3, 5, 128]),
 )
-def test_solve_mapping_equals_the_plain_bisection(instance, name, integer_search, max_iterations):
-    options = dict(integer_search=integer_search, rel_tol=1e-3, max_iterations=max_iterations)
-    heuristic = type(get_heuristic(name))(**options)
-    assert_matches_reference(heuristic, name, instance, **options)
+def test_solve_mapping_equals_the_plain_bisection(instance, name, max_iterations):
+    with mock.patch.object(binary_search, "MAX_BISECTION_STEPS", max_iterations):
+        assert_matches_reference(
+            get_heuristic(name), name, instance, max_iterations=max_iterations
+        )
 
 
 @settings(max_examples=20, deadline=None)

@@ -107,12 +107,6 @@ class TestBinarySearchHeuristics:
         # log2(worst-case bound) iterations at most, bound is < 2^40.
         assert result.iterations <= 64
 
-    def test_relative_tolerance_mode(self):
-        inst = make_random_instance(12, 2, 5, seed=8)
-        strict = RankBinarySearchHeuristic(integer_search=False, rel_tol=1e-6).solve(inst)
-        loose = RankBinarySearchHeuristic(integer_search=False, rel_tol=0.2).solve(inst)
-        assert strict.period <= loose.period + 1e-9
-
 
 class TestGreedyFamily:
     def test_h4_uses_failure_and_speed(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -191,17 +193,22 @@ class TestRegistryAndResolution:
 
     def test_resolve_curves_order_and_duplicates(self):
         scenario = _scenario()
-        providers = resolve_curves(
-            scenario, use_milp=True, use_oto=True, extra_curves=("H4ls",)
+        labels = resolve_curves(
+            replace(scenario, include_one_to_one=True),
+            include_milp=True,
+            extra_curves=("H4ls",),
         )
-        assert [p.label for p in providers] == ["H2", "H4w", "H4ls", MIP_LABEL, OTO_LABEL]
+        assert labels == ["H2", "H4w", "H4ls", MIP_LABEL, OTO_LABEL]
         # A curve listed both in the scenario and as an extra is
         # deduplicated — case-insensitively, like provider resolution.
-        providers = resolve_curves(
-            scenario, use_milp=False, use_oto=False, extra_curves=("H4w",)
-        )
-        assert [p.label for p in providers] == ["H2", "H4w"]
-        providers = resolve_curves(
-            scenario, use_milp=False, use_oto=False, extra_curves=("h4w",)
-        )
-        assert [p.label for p in providers] == ["H2", "H4w"]
+        assert resolve_curves(scenario, include_milp=False, extra_curves=("H4w",)) == [
+            "H2",
+            "H4w",
+        ]
+        assert resolve_curves(scenario, include_milp=False, extra_curves=("h4w",)) == [
+            "H2",
+            "H4w",
+        ]
+        # Labels are validated without building providers.
+        with pytest.raises(ExperimentError, match="unknown curve 'nope'"):
+            resolve_curves(scenario, extra_curves=("nope",))
