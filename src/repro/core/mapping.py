@@ -25,7 +25,23 @@ import numpy as np
 from ..exceptions import InvalidMappingError, MappingRuleViolation
 from .instance import ProblemInstance
 
-__all__ = ["MappingRule", "Mapping"]
+__all__ = ["MappingRule", "Mapping", "hosts_one_type"]
+
+
+def hosts_one_type(
+    assignments: np.ndarray, types: np.ndarray, num_machines: int
+) -> np.ndarray:
+    """Whether each row puts tasks of one type only on every machine.
+
+    ``assignments`` and ``types`` are ``(n,)`` or stacked ``(R, n)``; the
+    result is a bool of shape ``()`` or ``(R,)``.  Each row writes its
+    types into its machines, ``hosted[assignment] = types``; a machine
+    given two types keeps only one of them, so some task on it then reads
+    back a type other than its own.
+    """
+    hosted = np.zeros(np.shape(assignments)[:-1] + (num_machines,), dtype=np.int64)
+    np.put_along_axis(hosted, assignments, types, axis=-1)
+    return (np.take_along_axis(hosted, assignments, axis=-1) == types).all(axis=-1)
 
 
 class MappingRule(enum.Enum):
@@ -72,7 +88,10 @@ class Mapping:
     __slots__ = ("_assignment", "_num_machines")
 
     def __init__(self, assignment: Sequence[int] | np.ndarray, num_machines: int):
-        arr = np.asarray(list(assignment), dtype=np.int64)
+        if isinstance(assignment, np.ndarray):
+            arr = np.array(assignment, dtype=np.int64)
+        else:
+            arr = np.asarray(list(assignment), dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidMappingError("assignment must be a non-empty 1-D sequence")
         if num_machines <= 0:
@@ -158,19 +177,14 @@ class Mapping:
 
     def satisfies_specialized(self, types: Sequence[int] | np.ndarray) -> bool:
         """True if no machine runs tasks of two different types."""
-        types_arr = np.asarray(list(types), dtype=np.int64)
-        if types_arr.size != self.num_tasks:
+        types_arr = np.asarray(
+            types if isinstance(types, np.ndarray) else list(types), dtype=np.int64
+        )
+        if types_arr.shape != self._assignment.shape:
             raise InvalidMappingError(
                 f"types covers {types_arr.size} tasks, expected {self.num_tasks}"
             )
-        machine_type: dict[int, int] = {}
-        for task, machine in enumerate(self._assignment):
-            machine = int(machine)
-            task_type = int(types_arr[task])
-            seen = machine_type.setdefault(machine, task_type)
-            if seen != task_type:
-                return False
-        return True
+        return bool(hosts_one_type(self._assignment, types_arr, self._num_machines))
 
     def machine_specializations(
         self, types: Sequence[int] | np.ndarray
@@ -219,7 +233,7 @@ class Mapping:
         if rule is MappingRule.ONE_TO_ONE and not self.satisfies_one_to_one():
             raise MappingRuleViolation("mapping assigns two tasks to the same machine")
         if rule is MappingRule.SPECIALIZED and not self.satisfies_specialized(
-            list(instance.application.types)
+            instance.application.types.as_array
         ):
             raise MappingRuleViolation(
                 "mapping assigns tasks of two different types to the same machine"

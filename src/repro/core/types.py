@@ -157,17 +157,23 @@ class TypeAssignment:
         """Sorted list of the type indices that appear at least once."""
         return sorted(set(int(v) for v in self._types))
 
+    def leaders(self) -> np.ndarray:
+        """``(n,)`` int: the index of the first task of each task's type."""
+        _, first, inverse = np.unique(self._types, return_index=True, return_inverse=True)
+        return first[inverse]
+
     def first_inconsistent_type(self, matrix: np.ndarray) -> int | None:
         """Lowest type whose tasks' rows of ``matrix`` differ, or ``None``.
 
         Every row is compared with the first row of its type under
         ``np.allclose``'s default predicate, ``|a - ref| <= 1e-08 + 1e-05 *
         |ref|``, in one vectorized pass; ``matrix`` (one row per task) must
-        be finite.
+        be finite.  Rows exactly equal to their type's first row (every
+        generated platform) pass without the tolerance arithmetic.
         """
-        first: dict[int, int] = {}
-        ref_rows = [first.setdefault(t, i) for i, t in enumerate(self._types.tolist())]
-        ref = matrix[ref_rows]
+        ref = matrix[self.leaders()]
+        if np.array_equal(matrix, ref):
+            return None
         consistent = np.abs(matrix - ref) <= 1e-08 + 1e-05 * np.abs(ref)
         if consistent.all():
             return None

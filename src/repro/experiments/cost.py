@@ -22,7 +22,6 @@ size at the block's sweep point.
 
 from __future__ import annotations
 
-from ..exceptions import ReproError
 from ..generators.scenarios import ScenarioConfig
 from ..heuristics import (
     BinarySearchHeuristic,
@@ -30,7 +29,7 @@ from ..heuristics import (
     RandomHeuristic,
     get_heuristic,
 )
-from .providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
+from .providers import MIP_LABEL, OTO_LABEL, _parse_curve
 
 __all__ = ["classify_curve", "provider_cost", "block_cost"]
 
@@ -59,17 +58,16 @@ SIZE_EXPONENT = 0.5
 
 def classify_curve(curve: str) -> str:
     """The cost class of a curve label
-    (mip/oto/local_search/bisection/random/heuristic)."""
-    if curve == MIP_LABEL:
-        return "mip"
-    if curve == OTO_LABEL:
-        return "oto"
-    if curve.endswith(LOCAL_SEARCH_SUFFIX):
+    (mip/oto/local_search/bisection/random/heuristic), parsed by the
+    providers' own label grammar (case-insensitive)."""
+    label, base = _parse_curve(curve)
+    if base is not None:
         return "local_search"
-    try:
-        heuristic = get_heuristic(curve)
-    except ReproError:
-        return "heuristic"
+    if label == MIP_LABEL:
+        return "mip"
+    if label == OTO_LABEL:
+        return "oto"
+    heuristic = get_heuristic(label)
     if isinstance(heuristic, LocalSearchHeuristic):
         return "local_search"
     if isinstance(heuristic, BinarySearchHeuristic):

@@ -19,10 +19,14 @@ and counters:
   instance's types own none yet.
 
 The heuristics only differ in *how* they rank the eligible machines.
-:class:`WalkTables` holds a walk's per-instance inputs; a heuristic
-object keeps those of the last instance it solved (matched by
+:class:`WalkTables` holds a walk's per-instance inputs.  A heuristic
+object keeps them, with its own inputs (H2/H3's machine preference, the
+H4 criterion rows), for the last instance it solved (matched by
 identity, :meth:`Heuristic.walk_inputs`), so repeated solves of one
-instance build them once.
+instance build them once; one solve builds them once and hands them to
+every step that needs them (H2's per-row orders, H4w's criterion rows).
+Tasks whose ``w`` rows are exactly equal share one row list, so a
+generated (type-consistent) instance converts ``p`` rows, not ``n``.
 
 Down machines
 -------------
@@ -63,7 +67,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..core.instance import ProblemInstance, shared_successor_table
-from ..core.mapping import Mapping, MappingRule
+from ..core.mapping import Mapping, MappingRule, hosts_one_type
 from ..core.period import MappingEvaluation, evaluate
 from ..exceptions import InfeasibleProblemError, MappingRuleViolation, ReproError
 
@@ -167,6 +171,13 @@ class WalkTables:
     Built once per instance with ``.tolist()``, so a walk's inner loop
     touches only Python floats and ints.  ``keep[i][u]`` is
     ``1.0 - f[i, u]``; ``num_types`` counts the types the tasks use.
+
+    Tasks whose ``w`` rows are *exactly* equal share one ``w[i]`` list:
+    each task's row is compared with its type's first task's row, so a
+    type-consistent platform (every generated one: ``w`` is drawn per
+    type and machine) converts ``p`` rows instead of ``n``.  ``rows``
+    holds the task whose row each distinct list is, ascending, and
+    ``row_of[i]`` the index of task ``i``'s list in it.
     """
 
     order: tuple[int, ...]
@@ -176,19 +187,31 @@ class WalkTables:
     w: list[list[float]]
     num_machines: int
     num_types: int
+    rows: np.ndarray
+    row_of: np.ndarray
 
     @classmethod
     def build(cls, instance: ProblemInstance) -> "WalkTables":
         successors = instance.application.successors
-        types = instance.application.types.as_array.tolist()
+        type_assignment = instance.application.types
+        types = type_assignment.as_array.tolist()
+        w = instance.processing_times
+        leaders = type_assignment.leaders()
+        exact = (w == w[leaders]).all(axis=1)
+        rows, row_of = np.unique(
+            np.where(exact, leaders, np.arange(len(types))), return_inverse=True
+        )
+        distinct = w[rows].tolist()
         return cls(
             order=backward_task_order(instance),
             successors=[-1 if succ is None else succ for succ in successors],
             types=types,
             keep=(1.0 - instance.failure_rates).tolist(),
-            w=instance.processing_times.tolist(),
+            w=[distinct[k] for k in row_of.tolist()],
             num_machines=instance.num_machines,
             num_types=len(set(types)),
+            rows=rows,
+            row_of=row_of,
         )
 
     def owners(self, up: np.ndarray | None = None) -> list[int]:
@@ -369,18 +392,12 @@ def solves_in_batch(heuristic: object, rows: int) -> bool:
 def validate_assignments(
     instances: Sequence[ProblemInstance], assignments: np.ndarray
 ) -> None:
-    """Batched ``Mapping.validate`` of the specialized rule over a stack.
-
-    One vectorized counts pass: no machine may run tasks of two types.
-    """
-    R = len(instances)
-    m = instances[0].num_machines
+    """Batched ``Mapping.validate`` of the specialized rule over a stack:
+    :func:`~repro.core.mapping.hosts_one_type` row by row."""
     types = np.stack([inst.application.types.as_array for inst in instances])
-    counts = np.zeros((R, m, int(types.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (np.arange(R)[:, np.newaxis], assignments, types), 1)
-    distinct = (counts > 0).sum(axis=2)
-    if (distinct > 1).any():
-        row = int(np.argmax((distinct > 1).any(axis=1)))
+    valid = hosts_one_type(assignments, types, instances[0].num_machines)
+    if not valid.all():
+        row = int(np.argmin(valid))
         raise MappingRuleViolation(
             f"batch solve of row {row} assigns tasks of two different "
             "types to the same machine"

@@ -28,6 +28,11 @@ each heuristic states its preference once per instance as ordered *tie
 groups* of machines (a :class:`MachinePreference`, kept with the walk
 tables by :meth:`~repro.heuristics.base.Heuristic.walk_inputs`), and
 every probe is one plain-Python :func:`greedy_walk` over those tables.
+H2's order is computed per distinct ``w`` row, not per task
+(:func:`rank_orders`): a task's rank adds, in every column, the same
+count of earlier tasks sharing its row, which cannot reorder the
+machines, so the tasks of one type share one order unless their row
+ties another row in some column.
 Only the bisection's upper bound depends on which machines are up.  A
 walk also returns a proof interval of target periods on which its
 outcome cannot change, which lets
@@ -192,12 +197,14 @@ class BinarySearchHeuristic(Heuristic):
 
     # -- machine ranking (heuristic-specific) -----------------------------------------
     @abc.abstractmethod
-    def machine_preference(self, instance: ProblemInstance) -> MachinePreference:
+    def machine_preference(
+        self, instance: ProblemInstance, tables: WalkTables
+    ) -> MachinePreference:
         """The static machine preference of every task, as tie groups.
 
-        Called after :meth:`prepare`.  A walk places a task in the first
-        group holding a feasible machine, on that group's smallest
-        completion time.
+        Called after :meth:`prepare`, with the solve's walk tables.  A
+        walk places a task in the first group holding a feasible machine,
+        on that group's smallest completion time.
         """
 
     def prepare(self, instance: ProblemInstance) -> None:
@@ -208,7 +215,8 @@ class BinarySearchHeuristic(Heuristic):
         self, instance: ProblemInstance
     ) -> tuple[WalkTables, MachinePreference]:
         self.prepare(instance)
-        return WalkTables.build(instance), self.machine_preference(instance)
+        tables = WalkTables.build(instance)
+        return tables, self.machine_preference(instance, tables)
 
     # -- Heuristic API ------------------------------------------------------------------
     def solve_mapping(
@@ -275,32 +283,59 @@ class BinarySearchHeuristic(Heuristic):
         return mapping, iterations, {"final_low": low, "final_high": high, "walks": walks}
 
 
+def rank_orders(w: np.ndarray, tables: WalkTables) -> list[list[int]]:
+    """H2's machine order of every task: ascending ``(rank[i, u], w[i, u], u)``.
+
+    ``rank[i, u]`` is task ``i``'s position in the stable ascending sort
+    of column ``w[:, u]``: the count of tasks ``j`` with ``w[j, u] < w[i,
+    u]``, plus those with ``j < i`` and ``w[j, u] == w[i, u]``.  When no
+    other distinct row of ``tables`` ties task ``i``'s row in any column,
+    the second term counts only tasks sharing ``i``'s row, the same in
+    every column, so it cannot change the order: all tasks of one row
+    (a type, on a type-consistent platform) share one order, sorted by
+    the first term alone.  Only tasks whose row ties another in some
+    column need their own ranks.
+    """
+    distinct = w[tables.rows]
+    counts = np.bincount(tables.row_of, minlength=len(tables.rows))
+    by_value = np.argsort(distinct, axis=0, kind="stable")
+    weights = counts[by_value]
+    # below[k, u]: the tasks whose rows sort before row k in column u.
+    below = np.empty_like(weights)
+    np.put_along_axis(below, by_value, np.cumsum(weights, axis=0) - weights, axis=0)
+    values = np.take_along_axis(distinct, by_value, axis=0)
+    tie = values[1:] == values[:-1]
+    tied = np.zeros(len(tables.rows), dtype=bool)
+    tied[by_value[1:][tie]] = True
+    tied[by_value[:-1][tie]] = True
+    # Singleton groups in (rank, w[task, u], u) order: lexsort's last
+    # key is primary, and the sort is stable.
+    shared = np.lexsort((distinct, below), axis=1).tolist()
+    orders = [shared[k] for k in tables.row_of.tolist()]
+    if tied.any():
+        order = np.argsort(w, axis=0, kind="stable")
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(w.shape[0])[:, np.newaxis], axis=0)
+        tasks = np.flatnonzero(tied[tables.row_of])
+        own = np.lexsort((w[tasks], ranks[tasks]), axis=1).tolist()
+        for task, task_order in zip(tasks.tolist(), own):
+            orders[task] = task_order
+    return orders
+
+
 @register_heuristic
 class RankBinarySearchHeuristic(BinarySearchHeuristic):
     """Paper heuristic H2: binary search with per-machine rank priority."""
 
     name = "H2"
 
-    def __init__(self) -> None:
-        self._ranks: np.ndarray | None = None
-
-    def prepare(self, instance: ProblemInstance) -> None:
-        w = instance.processing_times
-        # rank[i, u] = position of task i when the column w[:, u] is sorted
-        # ascending (0 = the task this machine performs fastest).
-        order = np.argsort(w, axis=0, kind="stable")
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(w.shape[0])[:, np.newaxis], axis=0)
-        self._ranks = ranks
-
-    def machine_preference(self, instance: ProblemInstance) -> MachinePreference:
-        assert self._ranks is not None
-        # Singleton groups in (rank, w[task, u], u) order: lexsort's last
-        # key is primary, and the sort is stable.
-        order = np.lexsort((instance.processing_times, self._ranks), axis=1)
+    def machine_preference(
+        self, instance: ProblemInstance, tables: WalkTables
+    ) -> MachinePreference:
         singletons = [()] * instance.num_machines
         return MachinePreference(
-            orders=order.tolist(), mates=[singletons] * instance.num_tasks
+            orders=rank_orders(instance.processing_times, tables),
+            mates=[singletons] * instance.num_tasks,
         )
 
 
@@ -316,7 +351,9 @@ class HeterogeneityBinarySearchHeuristic(BinarySearchHeuristic):
     def prepare(self, instance: ProblemInstance) -> None:
         self._heterogeneity = instance.platform.machine_heterogeneity()
 
-    def machine_preference(self, instance: ProblemInstance) -> MachinePreference:
+    def machine_preference(
+        self, instance: ProblemInstance, tables: WalkTables
+    ) -> MachinePreference:
         assert self._heterogeneity is not None
         # Most heterogeneous first, in groups of exactly equal
         # heterogeneity (float ==, so -0.0 ties 0.0 as in a sort); the

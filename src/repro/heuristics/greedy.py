@@ -52,12 +52,19 @@ class GreedyCompletionHeuristic(Heuristic):
     def build_walk_inputs(
         self, instance: ProblemInstance
     ) -> tuple[WalkTables, list[list[float]]]:
-        return WalkTables.build(instance), self.criterion_matrix(instance).tolist()
+        tables = WalkTables.build(instance)
+        return tables, self.criterion_rows(instance, tables)
 
     @abc.abstractmethod
     def criterion_matrix(self, instance: ProblemInstance) -> np.ndarray:
         """The ``(n, m)`` matrix ``C``: scoring ``task`` on ``machine``
         adds ``downstream_demand * C[task, machine]`` to ``accu_u``."""
+
+    def criterion_rows(
+        self, instance: ProblemInstance, tables: WalkTables
+    ) -> list[list[float]]:
+        """:meth:`criterion_matrix` as the walk's row lists."""
+        return self.criterion_matrix(instance).tolist()
 
     def solve_mapping(
         self,
@@ -143,6 +150,11 @@ class FastestMachineHeuristic(GreedyCompletionHeuristic):
 
     def criterion_matrix(self, instance: ProblemInstance) -> np.ndarray:
         return instance.processing_times
+
+    def criterion_rows(
+        self, instance: ProblemInstance, tables: WalkTables
+    ) -> list[list[float]]:
+        return tables.w
 
 
 @register_heuristic

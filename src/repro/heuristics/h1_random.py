@@ -7,8 +7,12 @@ flips a fair coin when the free-machine guard (``nbFreeMachines >
 nbTypesToGo``) allows a new group: heads opens one on a uniformly drawn
 free machine, tails joins one of the type's existing groups, drawn
 uniformly.  Without a spare free machine it always joins an existing
-group.  The draws are ``rng.choice`` over the ascending lists of
-candidate machines and ``rng.random()`` for the coin.
+group.  A machine is drawn from an ascending list of candidates as
+``candidates[rng.integers(len(candidates))]``, the coin is
+``rng.random() < 0.5``.  ``rng.choice(candidates)`` draws the same
+index from the same stream (``tests.helpers.reference_h1`` uses it), but
+converts the list to an array on every draw, which cost H1 most of its
+time.
 
 H1 is the *baseline* of the experimental section — it produces valid
 specialized mappings but ignores both processing times and failure rates.
@@ -65,14 +69,13 @@ class RandomHeuristic(Heuristic):
             # "choose a new group" and "choose an existing group" are the
             # two branches of Algorithm 1's coin.
             if not existing or (free_ok and rng.random() < 0.5):
-                machine = int(rng.choice(free))
-                free.remove(machine)
+                machine = free.pop(rng.integers(len(free)))
                 if not existing:
                     pending -= 1
                 insort(existing, machine)
                 groups_opened += 1
             else:
-                machine = int(rng.choice(existing))
+                machine = existing[rng.integers(len(existing))]
             assignment[task] = machine
         mapping = Mapping(np.asarray(assignment, dtype=np.int64), instance.num_machines)
         return mapping, 1, {"groups_opened": groups_opened}

@@ -26,7 +26,10 @@ from repro.experiments.providers import (
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
 from repro.heuristics.base import BATCH_MIN_ROWS, BatchAssignmentState
-from repro.heuristics.binary_search import RankBinarySearchHeuristic
+from repro.heuristics.binary_search import (
+    HeterogeneityBinarySearchHeuristic,
+    RankBinarySearchHeuristic,
+)
 from repro.heuristics.local_search import (
     refine_specialized,
     refine_specialized_batch,
@@ -185,21 +188,18 @@ class TestPerInstanceInputs:
         assert len(calls) == 1
 
     def test_subclass_overriding_prepare_without_super_still_solves(self):
-        # prepare() is a plain hook for the ranking data: the bound is
-        # the driver's, so a subclass need not call super().
-        class LegacyH2(RankBinarySearchHeuristic):
+        # prepare() is a plain hook for the ranking data (H3's
+        # heterogeneity): the bound is the driver's, so a subclass need
+        # not call super().
+        class LegacyH3(HeterogeneityBinarySearchHeuristic):
             def prepare(self, instance):  # no super().prepare()
                 w = instance.processing_times
-                order = np.argsort(w, axis=0, kind="stable")
-                ranks = np.empty_like(order)
-                rows = np.arange(w.shape[0])
-                for u in range(w.shape[1]):
-                    ranks[order[:, u], u] = rows
-                self._ranks = ranks
+                centred = w - w.mean(axis=0)
+                self._heterogeneity = np.sqrt((centred * centred).mean(axis=0))
 
         instance = make_chunk().instances[0]
-        legacy = LegacyH2().solve_mapping(instance)[0]
-        modern = RankBinarySearchHeuristic().solve_mapping(instance)[0]
+        legacy = LegacyH3().solve_mapping(instance)[0]
+        modern = HeterogeneityBinarySearchHeuristic().solve_mapping(instance)[0]
         assert (legacy.as_array == modern.as_array).all()
 
 

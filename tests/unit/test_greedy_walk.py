@@ -23,7 +23,6 @@ from repro.core.application import in_tree
 from repro.exceptions import ReproError
 from repro.generators import random_chain_application
 from repro.heuristics import binary_search, get_heuristic
-from repro.heuristics.base import WalkTables
 from repro.heuristics.binary_search import greedy_walk
 from tests.helpers import make_random_instance, reference_bisection
 
@@ -129,8 +128,7 @@ def test_doubled_bound_fallback_on_a_fixed_instance(name):
     instance = make_random_instance(30, 3, 8, seed=23)
     low = get_heuristic(name).solve_mapping(instance)[2]["final_low"]
     heuristic = get_heuristic(name)
-    heuristic.prepare(instance)
-    tables, preference = WalkTables.build(instance), heuristic.machine_preference(instance)
+    tables, preference = heuristic.build_walk_inputs(instance)
     assert greedy_walk(tables, preference, low)[0] is None
     assert greedy_walk(tables, preference, 2.0 * low)[0] is not None
     with mock.patch.object(binary_search, "worst_case_period_bound", lambda *_: low):
@@ -142,8 +140,7 @@ def test_doubled_bound_fallback_on_a_fixed_instance(name):
 def test_walk_proofs_hold_at_their_ends(name, seed):
     instance = make_random_instance(40, 4, 12, seed=seed)
     heuristic = get_heuristic(name)
-    heuristic.prepare(instance)
-    tables, preference = WalkTables.build(instance), heuristic.machine_preference(instance)
+    tables, preference = heuristic.build_walk_inputs(instance)
     period = get_heuristic(name).solve_mapping(instance)[2]["final_high"]
     checked = {"placed": 0, "failed": 0}
     for target in np.linspace(0.5, 1.5, 21) * period:

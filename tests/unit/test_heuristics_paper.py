@@ -8,7 +8,6 @@ import pytest
 from repro.core import FailureModel, Platform, ProblemInstance, TypeAssignment, evaluate
 from repro.core.application import Application
 from repro.heuristics import get_heuristic
-from repro.heuristics.base import WalkTables
 from repro.heuristics.binary_search import (
     HeterogeneityBinarySearchHeuristic,
     RankBinarySearchHeuristic,
@@ -69,11 +68,11 @@ class TestBinarySearchHeuristics:
         app = Application.chain(TypeAssignment([0, 1]))
         w = np.array([[300.0, 100.0], [100.0, 300.0]])
         inst = ProblemInstance(app, Platform(w), FailureModel.failure_free(2, 2))
-        h2 = RankBinarySearchHeuristic()
-        h2.prepare(inst)
-        assert h2._ranks[1, 0] == 0  # task 1 is machine 0's fastest task
-        assert h2._ranks[0, 0] == 1
-        assert h2._ranks[0, 1] == 0
+        orders = RankBinarySearchHeuristic().build_walk_inputs(inst)[1].orders
+        # Task 1 has rank 0 on machine 0 (its fastest task there) and rank
+        # 1 on machine 1; task 0 has rank 0 on machine 1, rank 1 on machine 0.
+        assert list(orders[1]) == [0, 1]
+        assert list(orders[0]) == [1, 0]
 
     def test_h2_converges_close_to_best_greedy(self):
         inst = make_random_instance(20, 3, 10, seed=6)
@@ -92,13 +91,11 @@ class TestBinarySearchHeuristics:
             Platform(w, enforce_type_consistency=False),
             FailureModel.failure_free(2, 2),
         )
-        h3 = HeterogeneityBinarySearchHeuristic()
-        h3.prepare(inst)
-        assert list(h3.machine_preference(inst).orders[1]) == [0, 1]
+        tables, preference = HeterogeneityBinarySearchHeuristic().build_walk_inputs(inst)
+        assert list(preference.orders[1]) == [0, 1]
         # The walk at a period both machines meet places the sink (task
         # 1, first in the backward order) on machine 0.
-        preference = h3.machine_preference(inst)
-        assignment, _ = greedy_walk(WalkTables.build(inst), preference, 10_000.0)
+        assignment, _ = greedy_walk(tables, preference, 10_000.0)
         assert assignment[1] == 0
 
     def test_integer_search_iteration_count_bounded(self):
