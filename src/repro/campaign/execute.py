@@ -1,8 +1,8 @@
 """Execute a campaign against its result store.
 
 :func:`execute_solves` is the store's side of a campaign —
-``microrepro dag run`` (and its no-figure resume form) and ``shard run``
-both go through it.  The
+``microrepro dag run`` (whole, ``--shard k/K``, or its no-figure resume
+form) goes through it.  The
 :class:`~repro.experiments.store.ResultStore` is the campaign's only
 record: a work unit whose cell the store holds with at least the run's
 repetitions is a hit (:func:`~repro.campaign.status.cell_done`) and is
@@ -27,7 +27,7 @@ from ..experiments.runner import BlockRun, execute_blocks
 from ..experiments.store import CellRecord, ResultStore, RunMeta, _metas_compatible
 from ..obs.trace import span
 from ..simulation.rng import RandomStreamFactory
-from .plan import CampaignManifest, expand_units, group_by_run
+from .plan import CampaignManifest, ShardPlan, expand_units, group_by_run
 from .status import cell_done
 
 __all__ = [
@@ -202,23 +202,29 @@ def run_pipeline(
     manifest: CampaignManifest,
     store: ResultStore,
     *,
+    shard: ShardPlan | None = None,
     workers: int | None = None,
     resume: bool = True,
     log=None,
 ) -> PipelineRun:
-    """Execute a whole campaign against ``store`` and derive its exports.
+    """Execute a whole campaign, or one shard of it, against ``store``.
 
     Every work unit is solved (or served from its stored cell) through
     :func:`execute_solves`; each figure's exports are then read back
     from the store — one ``load_result(...).to_csv()`` per seed plus,
     for more than one seed, the pooled ``aggregate_results`` CSV —
     exactly what ``microrepro export`` prints and ``dag run
-    --export-dir`` writes.
+    --export-dir`` writes.  With ``shard`` (one of ``plan(manifest,
+    ...)``) only its units run and nothing is exported: a shard's store
+    holds part of the campaign until ``store merge``.
     """
     report = PipelineReport()
     start = time.perf_counter()
-    units = expand_units(manifest)
-    with span("dag.pipeline", solves=len(units), figures=len(manifest.figures)):
+    units = expand_units(manifest) if shard is None else shard.units
+    where = {} if shard is None else {"shard": shard.index, "shards": shard.shards}
+    with span(
+        "dag.pipeline", solves=len(units), figures=len(manifest.figures), **where
+    ) as pipeline_span:
         execute_solves(
             manifest,
             units,
@@ -228,7 +234,8 @@ def run_pipeline(
             report=report,
             log=log,
         )
-        renders = {
+        pipeline_span.set(computed=report.computed, hits=report.hits, stolen=report.stolen)
+        renders = {} if shard is not None else {
             figure_id: _render(manifest, store, figure_id)
             for figure_id in manifest.figures
         }

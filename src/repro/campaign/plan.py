@@ -12,12 +12,14 @@ disjoint :class:`ShardPlan` s:
 >>> sum(len(s.units) for s in shards) == len(expand_units(manifest))
 True
 
-Planning is a pure function of ``(manifest, shards, by)``: re-planning
-on any host reproduces the same partition.  Workers never re-plan,
-though: :func:`write_plans` writes one self-contained ``shard_<k>.json``
-per shard (manifest plus explicit unit list), and that file is all a
-worker runs from (:func:`load_plan`), so a later change to the cost
-model cannot re-tile a campaign already handed out.
+Planning is a pure function of ``(manifest, shards, by)`` and of the
+cost model (:mod:`repro.experiments.cost`): any host re-plans the same
+partition, so a shard travels as its parameters, never as a file.
+``microrepro dag run FIGS --shard k/K --by AXIS`` computes shard ``k``
+on the spot, and the store's ``campaign.json`` records the shard with
+the cost model it was planned under
+(:class:`~repro.campaign.record.CampaignRecord`), so a later change to
+that model is caught instead of re-tiling a campaign already under way.
 
 The ``by`` axis controls what stays together on one shard:
 
@@ -42,10 +44,7 @@ host's.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from ..exceptions import ExperimentError
 from ..experiments.cost import block_cost
@@ -59,17 +58,11 @@ __all__ = [
     "expand_units",
     "group_by_run",
     "plan",
-    "write_plans",
-    "load_plan",
     "PLAN_AXES",
-    "CAMPAIGN_FILE",
 ]
 
 #: Valid shard-partition axes.
 PLAN_AXES = ("seed", "curve", "block")
-
-#: File name of the campaign manifest ``dag run`` records in its store.
-CAMPAIGN_FILE = "campaign.json"
 
 
 def parse_seed_spec(spec: str | int) -> tuple[int, ...]:
@@ -191,15 +184,6 @@ class WorkUnit:
     curve: str
     sweep_value: int
 
-    def as_list(self) -> list:
-        """JSON-ready ``[figure, seed, curve, sweep value]`` quadruple."""
-        return [self.figure_id, self.seed, self.curve, self.sweep_value]
-
-    @classmethod
-    def from_list(cls, data: list) -> "WorkUnit":
-        figure_id, seed, curve, sweep_value = data
-        return cls(str(figure_id), int(seed), str(curve), int(sweep_value))
-
     def group_key(self, by: str) -> tuple:
         """The shard-assignment key of this unit along one plan axis."""
         if by == "seed":
@@ -239,44 +223,20 @@ def group_by_run(units) -> dict[tuple[str, int], list[WorkUnit]]:
 
 @dataclass(frozen=True, slots=True)
 class ShardPlan:
-    """One worker's slice of a campaign: the manifest plus its units."""
+    """One worker's slice of a campaign: the manifest, its units and
+    their estimated cost (:func:`~repro.experiments.cost.block_cost`)."""
 
     manifest: CampaignManifest
     index: int
     shards: int
     by: str
     units: tuple[WorkUnit, ...] = field(default_factory=tuple)
+    cost: float = 0.0
 
     @property
     def name(self) -> str:
         """Display name (``shard 2/4``)."""
         return f"shard {self.index}/{self.shards}"
-
-    def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest.to_dict(),
-            "shard": self.index,
-            "shards": self.shards,
-            "by": self.by,
-            "units": [unit.as_list() for unit in self.units],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardPlan":
-        """Parse a ``shard_k.json`` payload; every unit must be the campaign's."""
-        manifest = CampaignManifest.from_dict(data["manifest"])
-        units = tuple(WorkUnit.from_list(unit) for unit in data["units"])
-        known = set(expand_units(manifest))
-        for unit in units:
-            if unit not in known:
-                raise ExperimentError(f"unit {unit} is not part of this campaign")
-        return cls(
-            manifest=manifest,
-            index=int(data["shard"]),
-            shards=int(data["shards"]),
-            by=str(data["by"]),
-            units=units,
-        )
 
 
 def plan(manifest: CampaignManifest, *, shards: int, by: str = "seed") -> list[ShardPlan]:
@@ -313,42 +273,6 @@ def plan(manifest: CampaignManifest, *, shards: int, by: str = "seed") -> list[S
     for unit in units:
         per_shard[assignment[unit.group_key(by)]].append(unit)
     return [
-        ShardPlan(manifest=manifest, index=index, shards=shards, by=by, units=tuple(units))
+        ShardPlan(manifest, index, shards, by, tuple(units), loads[index])
         for index, units in enumerate(per_shard)
     ]
-
-
-def write_plans(
-    manifest: CampaignManifest,
-    out_dir: str | os.PathLike,
-    *,
-    shards: int,
-    by: str = "seed",
-) -> list[tuple[Path, ShardPlan]]:
-    """Write one ``shard_<k>.json`` per shard into ``out_dir``.
-
-    Returns ``(path, plan)`` pairs; ship each path to its worker host.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for shard_plan in plan(manifest, shards=shards, by=by):
-        path = out / f"shard_{shard_plan.index}.json"
-        path.write_text(json.dumps(shard_plan.to_dict(), indent=2) + "\n", encoding="utf-8")
-        written.append((path, shard_plan))
-    return written
-
-
-def load_plan(path: str | os.PathLike) -> ShardPlan:
-    """Load the shard plan of one ``shard_<k>.json`` written by :func:`write_plans`."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ExperimentError(f"cannot read plan file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"{path} is not a valid plan file: {exc}") from exc
-    if not isinstance(raw, dict) or "units" not in raw:
-        raise ExperimentError(
-            f"{path} is not a shard plan; pass a shard_<k>.json written by 'shard plan'"
-        )
-    return ShardPlan.from_dict(raw)

@@ -1,22 +1,21 @@
-"""Shard-completeness reporting: which units of a plan are stored.
+"""Campaign completeness: which units of each shard are stored.
 
-``microrepro shard status`` answers the fleet-operations question *how
-far along is every shard of a distributed campaign?*  Each shard's plan
-is checked unit by unit against a store — either the shard's own store
-directory (one store per shard) or one merged store covering the whole
-fleet — and classified:
+``microrepro dag status --store D1 [D2 ...]`` answers *how far along is
+every shard of a campaign?*  Each store names its campaign, and its
+shard, in its ``campaign.json``; every unit of each shard is checked
+against that shard's store and classified:
 
 ``done``
-    The cell is stored with at least the plan's repetition count
+    The cell is stored with at least the campaign's repetition count
     (:func:`cell_done`, the same rule that makes a unit a hit for
     :func:`~repro.campaign.execute.execute_solves`).
 ``partial``
-    A cell exists but with fewer repetitions than the plan requires
-    (e.g. a store carried over from a smaller trial run); the worker
+    A cell exists but with fewer repetitions than the campaign requires
+    (e.g. a store carried over from a smaller trial run); the run
     will recompute it.
 ``missing``
-    No cell under the unit's key: the work has not run (or its store
-    was lost).
+    No cell under the unit's key: the work has not run, or its store
+    was lost or not listed.
 """
 
 from __future__ import annotations
@@ -27,14 +26,14 @@ from pathlib import Path
 
 from ..exceptions import ExperimentError
 from ..experiments.store import CellRecord, ResultStore
-from .plan import ShardPlan, load_plan
+from .plan import ShardPlan
+from .record import read_record
 
 __all__ = [
     "cell_done",
     "ShardStatus",
     "shard_status",
-    "load_shard_plans",
-    "status_rows",
+    "campaign_status",
     "status_payload",
 ]
 
@@ -107,47 +106,9 @@ def shard_status(shard: ShardPlan, store: ResultStore) -> ShardStatus:
     )
 
 
-def load_shard_plans(path: str | os.PathLike) -> list[ShardPlan]:
-    """Every shard plan of a planner output, in shard order.
-
-    ``path`` is either a planner directory (the ``--out`` of ``shard
-    plan``), whose ``shard_*.json`` files must be shards ``0..N-1`` of
-    one plan, or a single ``shard_k.json`` (that one shard only).
-    """
-    target = Path(path)
-    if not target.is_dir():
-        return [load_plan(target)]
-    plans = sorted(
-        (load_plan(file) for file in target.glob("shard_*.json")),
-        key=lambda shard: shard.index,
-    )
-    if not plans:
-        raise ExperimentError(
-            f"{target} holds no shard_*.json; pass a planner directory or one shard file"
-        )
-    first = plans[0]
-    for shard in plans:
-        if (shard.manifest, shard.shards, shard.by) != (first.manifest, first.shards, first.by):
-            raise ExperimentError(
-                f"{target}: {shard.name} and {first.name} come from different plans; "
-                "re-run 'shard plan' into an empty directory"
-            )
-    indices = [shard.index for shard in plans]
-    if indices != list(range(first.shards)):
-        raise ExperimentError(
-            f"{target} holds shard(s) {indices} of a {first.shards}-shard plan; "
-            f"expected each of 0..{first.shards - 1} once"
-        )
-    return plans
-
-
 def status_payload(rows: list[ShardStatus]) -> dict:
-    """Machine-readable status document (``shard status --json``).
-
-    One format shared by ``shard status --json`` and ``dag status
-    --json`` so CI tooling parses both: per-shard rows plus campaign-
-    level totals and a single ``complete`` verdict.
-    """
+    """Machine-readable status document (``dag status --json``): per-shard
+    rows plus campaign-level totals and a single ``complete`` verdict."""
     return {
         "shards": [row.as_row() for row in rows],
         "units": sum(row.units for row in rows),
@@ -158,28 +119,35 @@ def status_payload(rows: list[ShardStatus]) -> dict:
     }
 
 
-def status_rows(
-    plans: list[ShardPlan], store_paths: list[str | os.PathLike]
-) -> list[ShardStatus]:
-    """Status of every shard against its store.
+def campaign_status(store_paths: list[str | os.PathLike]) -> list[ShardStatus]:
+    """One row per shard of the campaign the stores record, in shard order.
 
-    One store path per shard pairs them in index order; a single store
-    path checks every shard against it (the merged-store case).
+    Every store must record the same campaign, sharded the same way,
+    and no two stores may hold one shard.  A shard whose store is not
+    listed counts every unit as missing.
     """
-    if not plans:
-        raise ExperimentError("no shard plans to check")
-    if len(store_paths) == 1:
-        store_paths = list(store_paths) * len(plans)
-    if len(store_paths) != len(plans):
-        raise ExperimentError(
-            f"{len(plans)} shard plan(s) but {len(store_paths)} store(s); pass one "
-            "store per shard (in shard order) or a single merged store"
+    paths = [Path(path) for path in store_paths]
+    records = [read_record(path) for path in paths]
+    plans = records[0].plans()
+    held: dict[int, Path] = {}
+    for path, record in zip(paths, records):
+        if not record.same_tiling(records[0]):
+            raise ExperimentError(
+                f"{path} and {paths[0]} record different campaigns; list the "
+                "stores of one campaign's shards"
+            )
+        shard = plans[0 if record.shard is None else record.shard.index]
+        if shard.index in held:
+            raise ExperimentError(
+                f"{held[shard.index]} and {path} both hold {shard.name}; list each "
+                "shard's store once"
+            )
+        held[shard.index] = path
+    return [
+        shard_status(shard, ResultStore(held[shard.index]))
+        if shard.index in held
+        else ShardStatus(
+            shard.index, shard.shards, "-", len(shard.units), 0, 0, len(shard.units)
         )
-    rows = []
-    stores: dict[str, ResultStore] = {}
-    for shard, path in zip(plans, store_paths):
-        key = str(path)
-        if key not in stores:
-            stores[key] = ResultStore(path)
-        rows.append(shard_status(shard, stores[key]))
-    return rows
+        for shard in plans
+    ]

@@ -21,23 +21,22 @@ which reads the store's ``campaign.json``) solves nothing stored::
     microrepro export --store results/          # list what the store holds
     microrepro export --store results/ fig5 --seed 3 --csv
 
-Distribute a campaign over several hosts (see ``repro.campaign``): plan
-disjoint, cost-balanced shards, ship one plan per host, run each shard
-into a local store, merge the shard stores back, and export the pooled
-curves::
+Distribute a campaign over several hosts (see ``repro.campaign``): each
+host computes one of K disjoint, cost-balanced shards of the same
+campaign into a local store (the shard is a function of the command
+line, so nothing is shipped but the stores), then merge the shard
+stores back, check them and export the pooled curves::
 
-    microrepro shard plan fig5 --seeds 0..9 --shards 4 --out plans/
-    scp plans/shard_2.json host2:            # one plan file per host
-    microrepro shard run plans/shard_2.json --store shard_2/   # on host2
+    microrepro dag run fig5 --seeds 0..9 --shard 2/4 --store shard_2/   # on host2
+    microrepro dag status --store shard_0/ shard_1/ shard_2/ shard_3/
     microrepro store merge --store merged/ shard_0/ shard_1/ shard_2/ shard_3/
     microrepro export --store merged/ fig5 --aggregate seeds --csv
 
-The merged store's cells and exports are bit-for-bit a single host's;
-``export --aggregate seeds`` pools every seed's repetitions into one
-mean/CI per sweep point (``--ci between`` reports between-seed CIs over
-seed-level means instead), and ``microrepro shard status plans/ shard_0/
-shard_1/`` summarises how complete each shard's store is against its
-plan.
+The merged store's cells and exports are bit-for-bit a single host's,
+and it records the whole campaign, so ``dag status``, ``dag run`` and
+``export`` treat it like one; ``export --aggregate seeds`` pools every
+seed's repetitions into one mean/CI per sweep point (``--ci between``
+reports between-seed CIs over seed-level means instead).
 
 Serve solves over HTTP (micro-batched + cached, see ``repro.service``)
 and fire one request at a running service::
@@ -84,7 +83,6 @@ from ._version import __version__
 from .analysis.tables import catalog_table
 from .exact.milp import solve_specialized_milp
 from .exceptions import ExperimentError, ReproError
-from .experiments.cost import block_cost
 from .experiments.figures import FIGURES, figure_ids
 from .experiments.reporting import (
     CI_MODES,
@@ -107,7 +105,7 @@ from .service.server import serve as serve_service
 from .service.sessions import DEFAULT_MAX_SESSIONS, DEFAULT_SESSION_TTL
 
 if TYPE_CHECKING:
-    from .campaign import CampaignManifest
+    from .campaign import CampaignRecord
 
 __all__ = ["main", "build_parser"]
 
@@ -140,7 +138,7 @@ def _add_figure_axes(parser: argparse.ArgumentParser, *, nargs: str = "+") -> No
 
 
 def _add_manifest_arguments(parser: argparse.ArgumentParser, *, run_knobs: bool) -> None:
-    """The campaign-manifest knobs of ``run``, ``shard plan`` and ``dag plan/run``.
+    """The campaign-manifest knobs of ``run`` and ``dag plan/run``.
 
     ``run_knobs`` adds ``--workers``, which changes how fast a run
     computes, never what it computes.
@@ -175,10 +173,38 @@ def _add_manifest_arguments(parser: argparse.ArgumentParser, *, run_knobs: bool)
         )
 
 
+def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--shard k/K`` and ``--by`` of ``dag plan`` and ``dag run``."""
+    parser.add_argument(
+        "--shard",
+        default=None,
+        metavar="k/K",
+        help=(
+            "only shard k of K: the campaign's units split into K disjoint "
+            "shards, balanced by estimated cost (merge the shard stores with "
+            "'store merge')"
+        ),
+    )
+    parser.add_argument(
+        "--by",
+        # repro.campaign.PLAN_AXES, spelled out so that building the
+        # parser does not import the campaign package.
+        choices=("seed", "curve", "block"),
+        default=None,
+        help=(
+            "with --shard, what one shard keeps together: whole seeds (the "
+            "default), (figure, seed, curve) groups, or single blocks; groups "
+            "go to shards by estimated cost, longest first (MIP blocks ~100x "
+            "heuristic blocks, see repro.experiments.cost)"
+        ),
+    )
+
+
 def _add_dag_run_arguments(parser: argparse.ArgumentParser) -> None:
     """The arguments of ``dag run`` (see :func:`_named_run_options`)."""
     _add_figure_axes(parser, nargs="*")
     _add_manifest_arguments(parser, run_knobs=True)
+    _add_shard_arguments(parser)
     _add_store_argument(parser, required_hint=True)
     parser.add_argument(
         "--no-resume",
@@ -266,83 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export_parser.set_defaults(func=_cmd_export)
 
-    shard_parser = subparsers.add_parser(
-        "shard",
-        help="plan and execute distributed campaign shards (see 'store merge')",
-    )
-    shard_sub = shard_parser.add_subparsers(dest="shard_command", required=True)
-
-    plan_parser = shard_sub.add_parser(
-        "plan",
-        help="split a campaign into disjoint, cost-balanced per-host work-unit manifests",
-    )
-    _add_figure_axes(plan_parser)
-    plan_parser.add_argument(
-        "--shards", type=int, required=True, help="number of worker shards"
-    )
-    plan_parser.add_argument(
-        "--by",
-        # repro.campaign.PLAN_AXES, spelled out so that building the
-        # parser does not import the campaign package.
-        choices=("seed", "curve", "block"),
-        default="seed",
-        help=(
-            "partition axis: whole seeds, (figure, seed, curve) groups, or "
-            "blocks; groups go to shards by estimated cost, longest first "
-            "(MIP blocks ~100x heuristic blocks, see repro.experiments.cost)"
-        ),
-    )
-    plan_parser.add_argument(
-        "--out", required=True, metavar="DIR", help="directory for the plan files"
-    )
-    _add_manifest_arguments(plan_parser, run_knobs=False)
-    plan_parser.set_defaults(func=_cmd_shard_plan)
-
-    shard_run_parser = shard_sub.add_parser(
-        "run", help="execute one shard's units into a local result store"
-    )
-    shard_run_parser.add_argument(
-        "plan", metavar="PLAN", help="a shard_k.json written by 'shard plan'"
-    )
-    _add_store_argument(shard_run_parser, required_hint=True)
-    shard_run_parser.add_argument(
-        "--workers", type=int, default=None, help="block process-pool size on this host"
-    )
-    shard_run_parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="recompute blocks even when the shard store already holds them",
-    )
-    shard_run_parser.set_defaults(func=_cmd_shard_run)
-
-    status_parser = shard_sub.add_parser(
-        "status",
-        help="summarise per-shard store completeness against the plan",
-    )
-    status_parser.add_argument(
-        "plan",
-        metavar="PLAN",
-        help="planner output: the plans/ directory, or one shard_k.json",
-    )
-    status_parser.add_argument(
-        "stores",
-        nargs="+",
-        metavar="STORE_DIR",
-        help=(
-            "one store per shard (in shard order), or a single merged store "
-            "checked against every shard"
-        ),
-    )
-    status_parser.add_argument(
-        "--json",
-        action="store_true",
-        help=(
-            "machine-readable output: per-shard done/partial/missing rows plus "
-            "campaign totals (same document 'dag status --json' prints)"
-        ),
-    )
-    status_parser.set_defaults(func=_cmd_shard_status)
-
     store_parser = subparsers.add_parser(
         "store", help="result-store utilities (merge shard stores)"
     )
@@ -352,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         "merge",
         help=(
             "union shard stores into one (conflict-checked, idempotent); "
-            "the destination then serves 'dag run'/export like any store"
+            "the destination records the whole campaign and serves 'dag "
+            "status', 'dag run' and export like any store"
         ),
     )
     merge_parser.add_argument(
@@ -377,16 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_figure_axes(dag_plan_parser)
     _add_manifest_arguments(dag_plan_parser, run_knobs=False)
+    _add_shard_arguments(dag_plan_parser)
     _add_store_argument(dag_plan_parser, required_hint=False)
     dag_plan_parser.set_defaults(func=_cmd_dag_plan)
 
     dag_run_parser = dag_sub.add_parser(
         "run",
         help=(
-            "execute the campaign against a store; stored cells are skipped, "
-            "so re-running an unchanged campaign performs zero solves.  "
-            "Without figures, resume the campaign recorded in the store's "
-            "campaign.json"
+            "execute the campaign, or one shard of it, against a store; stored "
+            "cells are skipped, so re-running an unchanged campaign performs "
+            "zero solves.  Without figures, resume the campaign (or shard) "
+            "recorded in the store's campaign.json"
         ),
     )
     _add_dag_run_arguments(dag_run_parser)
@@ -395,18 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
     dag_status_parser = dag_sub.add_parser(
         "status",
         help=(
-            "unit completeness of the store's campaign (from the campaign.json "
-            "'dag run' writes)"
+            "unit completeness of the campaign the stores record (the "
+            "campaign.json 'dag run' writes), one row per shard; exits 0 only "
+            "when every unit is stored"
         ),
     )
-    _add_store_argument(dag_status_parser, required_hint=True)
+    dag_status_parser.add_argument(
+        "--store",
+        nargs="+",
+        default=None,
+        metavar="DIR",
+        help=(
+            "the campaign's store, or the stores of its shards (a shard whose "
+            f"store is not listed counts as missing); defaults to ${STORE_ENV_VAR}"
+        ),
+    )
     dag_status_parser.add_argument(
         "--json",
         action="store_true",
-        help=(
-            "machine-readable output: the same per-shard/totals document "
-            "'shard status --json' prints"
-        ),
+        help="machine-readable output: per-shard done/partial/missing rows plus totals",
     )
     dag_status_parser.set_defaults(func=_cmd_dag_status)
 
@@ -683,55 +641,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _estimated_cost(manifest: CampaignManifest, units) -> float:
-    """Total :func:`repro.experiments.cost.block_cost` of ``units``."""
-    scenarios = {figure_id: manifest.resolve(figure_id).scenario for figure_id in manifest.figures}
-    return sum(
-        block_cost(scenarios[unit.figure_id], unit.curve, unit.sweep_value) for unit in units
-    )
-
-
-def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    from .campaign import write_plans
-
-    manifest = _manifest(args)
-    written = write_plans(manifest, args.out, shards=args.shards, by=args.by)
-    total = sum(len(shard.units) for _, shard in written)
-    print(
-        f"planned {total} work unit(s) over {len(written)} shard(s) "
-        f"by {args.by} into {args.out}"
-    )
-    for path, shard in written:
-        cost = _estimated_cost(manifest, shard.units)
-        print(f"  {path}  ({len(shard.units)} unit(s), est. cost {cost:.0f})")
-    return 0
-
-
-def _cmd_shard_run(args: argparse.Namespace) -> int:
-    from .campaign import execute_solves, load_plan
-
-    shard = load_plan(args.plan)
-    store = ResultStore(_store_path(args, required=True))
-    with span(
-        "campaign.shard", shard=shard.index, shards=shard.shards, units=len(shard.units)
-    ) as shard_span:
-        report = execute_solves(
-            shard.manifest,
-            shard.units,
-            store,
-            workers=args.workers,
-            resume=not args.no_resume,
-            log=lambda line: print(line, flush=True),
-        )
-        shard_span.set(computed=report.computed, hits=report.hits, stolen=report.stolen)
-    print(f"{shard.name}: {report.summary()}")
-    return 0
-
-
 def _cmd_store_merge(args: argparse.Namespace) -> int:
     from .campaign import merge_stores
 
-    report = merge_stores(_store_path(args, required=True), args.sources)
+    report = merge_stores(
+        _store_path(args, required=True),
+        args.sources,
+        log=lambda line: print(line, file=sys.stderr),
+    )
     print(report.summary())
     return 0
 
@@ -753,19 +670,17 @@ def _print_status(rows, *, as_json: bool) -> int:
     return 0 if payload["complete"] else 1
 
 
-def _cmd_shard_status(args: argparse.Namespace) -> int:
-    from .campaign import load_shard_plans, status_rows
+def _campaign_record(args: argparse.Namespace) -> CampaignRecord:
+    """The campaign, or the shard of it, a command's arguments describe."""
+    from .campaign import CampaignManifest, CampaignRecord, ShardSpec, parse_seed_spec
 
-    plans = load_shard_plans(args.plan)
-    rows = status_rows(plans, args.stores)
-    return _print_status(rows, as_json=args.json)
-
-
-def _manifest(args: argparse.Namespace) -> CampaignManifest:
-    """The campaign manifest a command's arguments describe."""
-    from .campaign import CampaignManifest, parse_seed_spec
-
-    return CampaignManifest(
+    if args.shard is None:
+        if args.by is not None:
+            raise ExperimentError("--by only applies together with --shard k/K")
+        shard = None
+    else:
+        shard = ShardSpec.parse(args.shard, args.by or "seed")
+    manifest = CampaignManifest(
         figures=tuple(args.figures),
         seeds=parse_seed_spec(args.seeds),
         repetitions=args.repetitions,
@@ -774,25 +689,28 @@ def _manifest(args: argparse.Namespace) -> CampaignManifest:
         milp_time_limit=args.milp_time_limit,
         optional_curves=bool(args.optional_curves),
     )
+    return CampaignRecord(manifest, shard)
 
 
 def _cmd_dag_plan(args: argparse.Namespace) -> int:
-    from .campaign import expand_units, group_by_run, plan, shard_status
+    from .campaign import group_by_run, shard_status
 
-    manifest = _manifest(args)
-    units = expand_units(manifest)
-    runs = len(group_by_run(units))
-    cost = _estimated_cost(manifest, units)
-    print(f"{len(units)} unit(s) over {runs} run(s); est. solve cost {cost:.0f}")
+    record = _campaign_record(args)
     store_path = _store_path(args, required=False)
+    # Planning must not create the store: a mistyped path is an error.
+    if store_path is not None and not Path(store_path).is_dir():
+        raise ExperimentError(f"store not found: {store_path}")
+    shard = record.plan()
+    runs = len(group_by_run(shard.units))
+    where = "" if record.shard is None else f"{shard.name} by {shard.by}: "
+    print(
+        f"{where}{len(shard.units)} unit(s) over {runs} run(s); "
+        f"est. solve cost {shard.cost:.0f}"
+    )
     if store_path is not None:
-        status = shard_status(plan(manifest, shards=1)[0], ResultStore(store_path))
+        status = shard_status(shard, ResultStore(store_path))
         print(f"store at {store_path}: {status.done}/{status.units} unit(s) stored")
     return 0
-
-
-def _option(name: str) -> str:
-    return "--" + name.replace("_", "-")
 
 
 def _named_run_options(argv: Sequence[str]) -> set[str]:
@@ -816,105 +734,61 @@ def _named_run_options(argv: Sequence[str]) -> set[str]:
     return {name for name in names if getattr(namespace, name) is not unset}
 
 
-def _load_manifest(path: Path) -> CampaignManifest:
-    from .campaign import CampaignManifest
-
-    return CampaignManifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
-
-
-def _store_campaign(store_path: Path) -> CampaignManifest:
-    """The campaign ``dag run`` recorded in ``store_path``'s ``campaign.json``."""
-    from .campaign import CAMPAIGN_FILE
-
-    manifest_path = store_path / CAMPAIGN_FILE
-    if not manifest_path.exists():
-        raise ExperimentError(
-            f"no {CAMPAIGN_FILE} in {store_path}; start a campaign with "
-            "'microrepro dag run FIGS --store DIR'"
-        )
-    return _load_manifest(manifest_path)
-
-
-def _stored_manifest(args: argparse.Namespace, store_path: Path) -> CampaignManifest:
+def _stored_record(args: argparse.Namespace, store_path: Path) -> CampaignRecord:
     """The campaign in ``store_path``'s ``campaign.json`` (``dag run`` without figures).
 
     Every manifest field but ``figures`` is a ``dag run`` option of the
     same name; named on the command line, even at its default, it would
-    describe a new campaign, so the resume form rejects it.
+    describe a new campaign, so the resume form rejects it, and
+    ``--shard`` and ``--by`` too.
     """
     from .campaign import CampaignManifest
+    from .campaign.record import option_name, read_record
 
     named = _named_run_options(args.argv)
     given = [
-        _option(field.name)
+        option_name(field.name)
         for field in dataclasses.fields(CampaignManifest)
         if field.name != "figures" and field.name in named
     ]
+    given += [option_name(name) for name in ("shard", "by") if getattr(args, name) is not None]
     if given:
         raise ExperimentError(
             f"{', '.join(given)} describe a new campaign: name its figures "
             "('dag run FIGS ...'), or drop them to resume the stored one"
         )
-    return _store_campaign(store_path)
-
-
-def _recorded_campaign(manifest: CampaignManifest, store_path: Path) -> CampaignManifest:
-    """The campaign ``dag run FIGS`` leaves in a store's ``campaign.json``.
-
-    A store records one campaign.  Figures named with the stored
-    campaign's options extend it: the stored figures come first, then
-    the new ones.  A run with other options still runs into the store,
-    whose cells serve any campaign that needs them, but the recorded
-    campaign stays as it was, and a note names the options that differ.
-    """
-    from .campaign import CAMPAIGN_FILE
-
-    manifest_path = store_path / CAMPAIGN_FILE
-    if not manifest_path.exists():
-        return manifest
-    stored = _load_manifest(manifest_path)
-    differing = [
-        f"{_option(field.name)} (stored {getattr(stored, field.name)!r}, "
-        f"given {getattr(manifest, field.name)!r})"
-        for field in dataclasses.fields(manifest)
-        if field.name != "figures"
-        and getattr(stored, field.name) != getattr(manifest, field.name)
-    ]
-    if differing:
-        print(
-            f"note: {manifest_path} keeps its campaign; this run differs in "
-            f"{'; '.join(differing)}",
-            file=sys.stderr,
-        )
-        return stored
-    added = tuple(figure for figure in manifest.figures if figure not in stored.figures)
-    return dataclasses.replace(manifest, figures=stored.figures + added)
+    return read_record(store_path)
 
 
 def _cmd_dag_run(args: argparse.Namespace) -> int:
-    from .campaign import CAMPAIGN_FILE, run_pipeline
+    from .campaign import kept_record, run_pipeline, write_record
 
     store_path = Path(_store_path(args, required=True))
-    if args.figures:
-        manifest = _manifest(args)
-        campaign = _recorded_campaign(manifest, store_path)
-    else:
-        manifest = campaign = _stored_manifest(args, store_path)
+    record = _campaign_record(args) if args.figures else _stored_record(args, store_path)
+    shard = None if record.shard is None else record.plan()
+    if shard is not None and args.export_dir is not None:
+        raise ExperimentError(
+            "--export-dir needs the whole campaign, and a shard's store holds "
+            "part of it: export from the merged store ('store merge')"
+        )
     store = ResultStore(store_path)
     if args.figures:
-        (store.path / CAMPAIGN_FILE).write_text(
-            json.dumps(campaign.to_dict(), indent=2), encoding="utf-8"
-        )
+        kept, note = kept_record(record, store.path)
+        if note is not None:
+            print(note, file=sys.stderr)
+        write_record(store.path, kept)
     run = run_pipeline(
-        manifest,
+        record.manifest,
         store,
+        shard=shard,
         workers=args.workers,
         resume=not args.no_resume,
         log=lambda line: print(line, flush=True),
     )
     if args.export_dir is not None:
         _write_dag_exports(run.renders, args.export_dir)
-    print(run.report.summary())
+    summary = run.report.summary()
+    print(summary if shard is None else f"{shard.name}: {summary}")
     return 0
 
 
@@ -940,11 +814,10 @@ def _write_dag_exports(renders: dict, export_dir: str) -> None:
 
 
 def _cmd_dag_status(args: argparse.Namespace) -> int:
-    from .campaign import plan, status_rows
+    from .campaign import campaign_status
 
-    store_path = Path(_store_path(args, required=True))
-    whole = plan(_store_campaign(store_path), shards=1)[0]
-    return _print_status(status_rows([whole], [store_path]), as_json=args.json)
+    stores = args.store or [_store_path(args, required=True)]
+    return _print_status(campaign_status(stores), as_json=args.json)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1102,7 +975,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.argv = argv
     try:
         # Tracing is process-wide: $REPRO_TRACE switches it on for any
-        # command (dag/shard runs trace too, not just `serve`, whose
+        # command (dag runs trace too, not just `serve`, whose
         # --trace flag still takes precedence over the variable).
         trace_dir = os.environ.get(TRACE_ENV_VAR)
         if trace_dir and getattr(args, "trace", None) is None:

@@ -49,8 +49,8 @@ and one-to-one curves are pure functions of the seed and carry the full
 guarantee.
 
 Runs are pure in-memory computations.  Persistent, resumable runs go
-through :mod:`repro.campaign` (``microrepro dag run``, or ``shard run``
-for one shard of a distributed campaign), whose
+through :mod:`repro.campaign` (``microrepro dag run``, or ``dag run
+--shard k/K`` for one shard of a distributed campaign), whose
 :func:`~repro.campaign.execute.execute_solves` hands the blocks its
 store lacks to the same :func:`execute_blocks`;
 :meth:`~repro.experiments.store.ResultStore.save_result` stores an

@@ -2,9 +2,8 @@
 
 Two parts of the system spread independent solves over worker
 processes: the solve service (``serve --workers N``) ships each flushed
-request group to a worker, and the block executor behind ``run``,
-``dag run`` and ``shard run --workers N`` ships one sweep point per
-job.  Both go through this module:
+request group to a worker, and the block executor behind ``run`` and
+``dag run --workers N`` ships one sweep point per job.  Both go through this module:
 
 * :class:`WorkerPool` owns ``workers`` forked processes, one duplex
   pipe each.  A job is one pickled ``(fn, args)`` frame; the worker

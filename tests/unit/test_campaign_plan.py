@@ -1,26 +1,32 @@
-"""Unit tests for the distributed campaign subsystem (plan / shard solves / merge)."""
+"""Unit tests for the distributed campaign subsystem (plan / records /
+shard solves / status / merge)."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import shutil
 
 import pytest
 
 from repro.campaign import (
+    CAMPAIGN_FILE,
     CampaignManifest,
-    ShardPlan,
+    CampaignRecord,
+    ShardSpec,
     WorkUnit,
+    campaign_status,
+    cost_model,
     execute_solves,
     expand_units,
-    load_plan,
-    load_shard_plans,
     merge_stores,
     parse_seed_spec,
     plan,
+    read_record,
     shard_status,
-    status_rows,
-    write_plans,
+    status_payload,
+    write_record,
 )
 from repro.campaign.status import cell_done
 from repro.exceptions import ExperimentError
@@ -37,6 +43,16 @@ def _manifest(**overrides) -> CampaignManifest:
     )
     defaults.update(overrides)
     return CampaignManifest(**defaults)
+
+
+def _run_shard(tmp_path, manifest, index, shards=2, by="block"):
+    """A store holding one shard of ``manifest``, computed and recorded as
+    ``dag run --shard index/shards --by by`` leaves it."""
+    record = CampaignRecord(manifest, ShardSpec(index, shards, by))
+    path = tmp_path / f"shard{index}of{shards}-r{manifest.repetitions}"
+    execute_solves(manifest, record.plan().units, ResultStore(path))
+    write_record(path, record)
+    return path
 
 
 class TestSeedSpec:
@@ -143,39 +159,37 @@ class TestPlanner:
             WorkUnit("fig6", 0, "H2", 10).group_key("machine")
 
 
-class TestPlanFiles:
-    def test_write_and_load_shard_plan(self, tmp_path):
+class TestCampaignRecord:
+    def test_an_unsharded_record_is_the_manifest(self, tmp_path):
         manifest = _manifest()
-        written = write_plans(manifest, tmp_path / "plans", shards=2, by="block")
-        assert len(written) == 2
-        # The shard files are the whole planner output.
-        assert sorted(path.name for path in (tmp_path / "plans").iterdir()) == [
-            "shard_0.json",
-            "shard_1.json",
-        ]
-        path, written_plan = written[1]
-        assert written_plan == plan(manifest, shards=2, by="block")[1]
-        shard = load_plan(path)
-        assert isinstance(shard, ShardPlan)
-        assert shard.index == 1 and shard.shards == 2
-        assert shard.manifest == manifest
-        assert shard.units == plan(manifest, shards=2, by="block")[1].units
+        write_record(tmp_path, CampaignRecord(manifest))
+        data = json.loads((tmp_path / CAMPAIGN_FILE).read_text(encoding="utf-8"))
+        assert data == manifest.to_dict()
+        assert read_record(tmp_path) == CampaignRecord(manifest)
 
-    def test_load_plan_rejects_a_campaign_manifest(self, tmp_path):
-        # A worker runs only an explicit unit list; it never re-plans.
-        path = tmp_path / "campaign.json"
-        path.write_text(json.dumps(_manifest().to_dict()), encoding="utf-8")
-        with pytest.raises(ExperimentError, match="not a shard plan"):
-            load_plan(path)
+    def test_a_sharded_record_round_trips_and_plans_its_shard(self, tmp_path):
+        # The record names the shard; its units are planned again on read.
+        manifest = _manifest()
+        record = CampaignRecord(manifest, ShardSpec.parse("1/2", "block"))
+        write_record(tmp_path, record)
+        data = json.loads((tmp_path / CAMPAIGN_FILE).read_text(encoding="utf-8"))
+        assert data["shard"] == {"index": 1, "shards": 2, "by": "block", "costs": cost_model()}
+        loaded = read_record(tmp_path)
+        assert loaded == record
+        assert loaded.plan() == plan(manifest, shards=2, by="block")[1]
 
-    def test_shard_file_rejects_units_outside_the_campaign(self, tmp_path):
-        (path, _), _ = write_plans(_manifest(), tmp_path / "plans", shards=2, by="seed")
-        data = json.loads(path.read_text(encoding="utf-8"))
-        figure_id, _, curve, sweep_value = data["units"][0]
-        data["units"].append([figure_id, 7, curve, sweep_value])  # seed 7 is not planned
-        path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(ExperimentError, match="not part of this campaign"):
-            load_plan(path)
+    @pytest.mark.parametrize("spec", ["2/2", "-1/2", "1/0", "a/b", "1", "0/2/3"])
+    def test_malformed_shard_values_are_rejected(self, spec):
+        with pytest.raises(ExperimentError, match=re.escape(repr(spec))):
+            ShardSpec.parse(spec)
+
+    def test_a_record_under_another_cost_model_is_not_replanned(self):
+        costs = cost_model()
+        costs["provider_costs"]["mip"] = 100.0
+        record = CampaignRecord(_manifest(), ShardSpec(0, 2, "block", costs))
+        with pytest.raises(ExperimentError, match="cost model") as info:
+            record.plan()
+        assert "'mip': 100.0" in str(info.value) and "'mip': 330.0" in str(info.value)
 
 
 class TestShardSolves:
@@ -211,6 +225,21 @@ class TestMergeStores:
     def test_no_sources_rejected(self, tmp_path):
         with pytest.raises(ExperimentError):
             merge_stores(tmp_path / "m", [])
+
+    def test_shards_of_two_campaigns_are_refused_before_writing(self, tmp_path):
+        first = _run_shard(tmp_path, _manifest(), 0)
+        other = _run_shard(tmp_path, _manifest(repetitions=3), 1)
+        with pytest.raises(ExperimentError, match="shards of different campaigns"):
+            merge_stores(tmp_path / "m", [first, other])
+        assert not (tmp_path / "m").exists()
+
+    def test_the_merged_store_records_the_whole_campaign(self, tmp_path):
+        manifest = _manifest(seeds=(0,))
+        shards = [_run_shard(tmp_path, manifest, k) for k in (0, 1)]
+        merge_stores(tmp_path / "m", shards)
+        assert read_record(tmp_path / "m") == CampaignRecord(manifest)
+        (row,) = campaign_status([tmp_path / "m"])
+        assert (row.shard, row.shards, row.complete) == (0, 1, True)
 
 
 class TestShardStatus:
@@ -266,55 +295,44 @@ class TestShardStatus:
         again = execute_solves(manifest, shard.units, store)
         assert again.hits == len(shard.units) and again.computed == 0
 
-    def test_load_shard_plans_from_planner_outputs(self, tmp_path):
-        manifest = _manifest()
-        written = write_plans(manifest, tmp_path / "plans", shards=2, by="block")
-        by_dir = load_shard_plans(tmp_path / "plans")
-        assert [s.units for s in by_dir] == [shard.units for _, shard in written]
-        single = load_shard_plans(written[1][0])
-        assert len(single) == 1
-        assert single[0].units == written[1][1].units
 
-    def test_load_shard_plans_rejects_a_planless_directory(self, tmp_path):
-        (tmp_path / "empty").mkdir()
-        with pytest.raises(ExperimentError, match="no shard_"):
-            load_shard_plans(tmp_path / "empty")
 
-    def test_load_shard_plans_rejects_a_missing_shard(self, tmp_path):
-        written = write_plans(_manifest(), tmp_path / "plans", shards=3, by="block")
-        written[1][0].unlink()
-        with pytest.raises(ExperimentError, match=r"shard\(s\) \[0, 2\] of a 3-shard plan"):
-            load_shard_plans(tmp_path / "plans")
-
-    def test_load_shard_plans_rejects_a_duplicated_shard(self, tmp_path):
-        # A shard file copied under another name: the directory holds
-        # shards 0, 0 and 1, and shard 0 would run twice.
-        write_plans(_manifest(), tmp_path / "plans", shards=2, by="block")
-        copy = tmp_path / "plans" / "shard_9.json"
-        copy.write_bytes((tmp_path / "plans" / "shard_0.json").read_bytes())
-        with pytest.raises(ExperimentError, match=r"shard\(s\) \[0, 0, 1\] of a 2-shard plan"):
-            load_shard_plans(tmp_path / "plans")
-
-    def test_load_shard_plans_rejects_shards_of_two_plans(self, tmp_path):
-        # shard_1.json of another campaign, dropped into the directory
-        # of a 2-shard plan: indices 0..1 are present but do not tile
-        # one campaign.
-        write_plans(_manifest(), tmp_path / "plans", shards=2, by="block")
-        write_plans(_manifest(repetitions=3), tmp_path / "other", shards=2, by="block")
-        (tmp_path / "other" / "shard_1.json").replace(tmp_path / "plans" / "shard_1.json")
-        with pytest.raises(ExperimentError, match="different plans"):
-            load_shard_plans(tmp_path / "plans")
-
-    def test_status_rows_pairs_stores_with_shards(self, tmp_path):
+class TestCampaignStatus:
+    def test_rows_follow_the_recorded_shards(self, tmp_path):
         manifest = _manifest(seeds=(0,))
-        write_plans(manifest, tmp_path / "plans", shards=2, by="block")
-        shards = load_shard_plans(tmp_path / "plans")
-        store = ResultStore(tmp_path / "s0")
-        execute_solves(manifest, shards[0].units, store)
-        rows = status_rows(shards, [tmp_path / "s0", tmp_path / "s1"])
-        assert rows[0].complete and not rows[1].complete
-        # A single store is checked against every shard (merged case).
-        merged_rows = status_rows(shards, [tmp_path / "s0"])
-        assert merged_rows[0].complete and not merged_rows[1].complete
-        with pytest.raises(ExperimentError, match="one store per shard"):
-            status_rows(shards, [tmp_path / "a", tmp_path / "b", tmp_path / "c"])
+        first, second = (_run_shard(tmp_path, manifest, k) for k in (0, 1))
+        # Each store names its shard, so the order they are listed in
+        # does not matter.
+        rows = campaign_status([second, first])
+        assert [row.shard for row in rows] == [0, 1]
+        assert [row.store for row in rows] == [str(first), str(second)]
+        assert [row.units for row in rows] == [
+            len(shard.units) for shard in plan(manifest, shards=2, by="block")
+        ]
+        assert status_payload(rows)["complete"]
+
+    def test_an_unlisted_shard_counts_every_unit_as_missing(self, tmp_path):
+        first = _run_shard(tmp_path, _manifest(seeds=(0,)), 0, shards=3)
+        rows = campaign_status([first])
+        assert [row.complete for row in rows] == [True, False, False]
+        assert rows[2].store == "-" and rows[2].missing == rows[2].units > 0
+        assert not status_payload(rows)["complete"]
+
+    def test_a_store_without_a_record_is_rejected(self, tmp_path):
+        ResultStore(tmp_path / "bare")
+        with pytest.raises(ExperimentError, match=f"no {CAMPAIGN_FILE}"):
+            campaign_status([tmp_path / "bare"])
+
+    def test_two_stores_of_one_shard_are_rejected(self, tmp_path):
+        # A shard store copied under another name would count twice.
+        first = _run_shard(tmp_path, _manifest(seeds=(0,)), 0)
+        shutil.copytree(first, tmp_path / "copy")
+        with pytest.raises(ExperimentError, match="both hold shard 0/2"):
+            campaign_status([first, tmp_path / "copy"])
+
+    def test_stores_of_two_campaigns_are_rejected(self, tmp_path):
+        # Indices 0..1 are present but do not tile one campaign.
+        first = _run_shard(tmp_path, _manifest(), 0)
+        other = _run_shard(tmp_path, _manifest(repetitions=3), 1)
+        with pytest.raises(ExperimentError, match="different campaigns"):
+            campaign_status([first, other])

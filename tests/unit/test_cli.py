@@ -51,7 +51,6 @@ class TestParser:
 #: it needs besides the shared manifest flags.
 _MANIFEST_COMMANDS = {
     "run": ["run", "fig6"],
-    "shard plan": ["shard", "plan", "fig6", "--shards", "2", "--out", "plans"],
     "dag plan": ["dag", "plan", "fig6"],
     "dag run": ["dag", "run", "fig6"],
 }
@@ -59,8 +58,8 @@ _MANIFEST_FIELDS = ("repetitions", "max_points", "no_milp", "milp_time_limit", "
 
 
 class TestManifestArguments:
-    """``run``, ``shard plan`` and ``dag plan/run`` share one block of
-    manifest flags: same names, defaults and dests everywhere."""
+    """``run`` and ``dag plan/run`` share one block of manifest flags:
+    same names, defaults and dests everywhere."""
 
     @pytest.mark.parametrize("command", sorted(_MANIFEST_COMMANDS))
     def test_shared_flags_parse_alike(self, command):
@@ -328,6 +327,8 @@ class TestCampaignCommands:
             ["--no-milp"],
             ["--milp-time-limit", "5"],
             ["--optional-curves"],
+            ["--shard", "0/2"],
+            ["--by", "block"],
         ],
     )
     def test_resume_rejects_manifest_options(self, tmp_path, capsys, option):
@@ -628,100 +629,134 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_plan_axis_choices_are_the_campaign_axes(self, capsys):
+    @pytest.mark.parametrize("command", ["dag plan", "dag run"])
+    def test_plan_axis_choices_are_the_campaign_axes(self, capsys, command):
         from repro.campaign import PLAN_AXES
 
         parser = build_parser()
-        plan = ["shard", "plan", "fig6", "--shards", "1", "--out", "plans", "--by"]
+        argv = [*_MANIFEST_COMMANDS[command], "--shard", "0/1", "--by"]
         for axis in PLAN_AXES:
-            assert parser.parse_args([*plan, axis]).by == axis
+            assert parser.parse_args([*argv, axis]).by == axis
         with pytest.raises(SystemExit):
-            parser.parse_args([*plan, "machine"])
+            parser.parse_args([*argv, "machine"])
         assert "invalid choice" in capsys.readouterr().err
 
 
-def _plan_args(out_dir, extra=()) -> list[str]:
-    return [
-        "shard", "plan", "fig6", "--seeds", "0..1", "--shards", "2", "--by", "block",
-        "--out", str(out_dir), "--repetitions", "1", "--max-points", "2", "--no-milp",
-        *extra,
-    ]
+_SHARD_MANIFEST = [
+    "fig6", "--seeds", "0..1", "--repetitions", "1", "--max-points", "2", "--no-milp",
+]
 
 
-class TestShardCommands:
-    def test_plan_writes_only_shard_files(self, tmp_path, capsys):
-        out = tmp_path / "plans"
-        assert main(_plan_args(out)) == 0
-        output = capsys.readouterr().out
-        assert "2 shard(s)" in output
-        assert sorted(path.name for path in out.iterdir()) == [
-            "shard_0.json",
-            "shard_1.json",
-        ]
+def _shard_run(store, shard, by="block") -> list[str]:
+    return ["dag", "run", *_SHARD_MANIFEST, "--shard", shard, "--by", by, "--store", str(store)]
 
-    def test_shard_run_and_merge_match_single_host(self, tmp_path, capsys):
-        out = tmp_path / "plans"
-        main(_plan_args(out))
+
+def _merge(tmp_path, *shards) -> int:
+    sources = [str(tmp_path / f"shard{k}") for k in shards]
+    return main(["store", "merge", "--store", str(tmp_path / "merged"), *sources])
+
+
+class TestShardedRuns:
+    @pytest.mark.parametrize("by", ["seed", "block"])
+    def test_sharded_runs_and_merge_match_single_host(self, tmp_path, capsys, by):
         for k in (0, 1):
-            code = main(
-                [
-                    "shard", "run", str(out / f"shard_{k}.json"),
-                    "--store", str(tmp_path / f"shard{k}"),
-                ]
-            )
-            assert code == 0
-        capsys.readouterr()
-        code = main(
-            [
-                "store", "merge", "--store", str(tmp_path / "merged"),
-                str(tmp_path / "shard0"), str(tmp_path / "shard1"),
-            ]
-        )
-        assert code == 0
+            assert main(_shard_run(tmp_path / f"shard{k}", f"{k}/2", by)) == 0
+            assert f"shard {k}/2: solve: 0 stored" in capsys.readouterr().out
+        assert _merge(tmp_path, 0, 1) == 0
         assert "cell(s) added" in capsys.readouterr().out
         # The merged store serves export exactly like a single-host store.
         single = tmp_path / "single"
-        main(
-            [
-                "dag", "run", "fig6", "--store", str(single), "--seeds", "0..1",
-                "--repetitions", "1", "--max-points", "2", "--no-milp",
-            ]
-        )
+        main(["dag", "run", *_SHARD_MANIFEST, "--store", str(single)])
         capsys.readouterr()
-        main(["export", "--store", str(tmp_path / "merged"), "fig6", "--seed", "0", "--csv"])
-        merged_csv = capsys.readouterr().out
-        main(["export", "--store", str(single), "fig6", "--seed", "0", "--csv"])
-        assert merged_csv == capsys.readouterr().out
+        for store in (tmp_path / "merged", single):
+            assert json.loads((store / CAMPAIGN_FILE).read_text())["figures"] == ["fig6"]
+        for query in (["--seed", "0"], ["--seed", "1"], ["--aggregate", "seeds"]):
+            main(["export", "--store", str(tmp_path / "merged"), "fig6", *query, "--csv"])
+            merged_csv = capsys.readouterr().out
+            main(["export", "--store", str(single), "fig6", *query, "--csv"])
+            assert merged_csv == capsys.readouterr().out
 
-    def test_shard_run_takes_only_a_shard_file(self, tmp_path, capsys):
-        # A campaign manifest (here the one `dag run` records in its
-        # store) is no shard: `shard run` never re-plans.
-        store_dir = tmp_path / "store"
-        main(
-            [
-                "dag", "run", "fig6", "--store", str(store_dir),
-                "--repetitions", "1", "--max-points", "1", "--no-milp",
-            ]
-        )
+    def test_the_shard_command_group_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard", "plan", "fig6", "--shards", "2", "--out", "plans"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
+
+    def test_dag_plan_reports_one_shard(self, tmp_path, capsys):
+        assert main(["dag", "plan", *_SHARD_MANIFEST]) == 0
+        whole = capsys.readouterr().out
+        assert whole.startswith("16 unit(s) over 2 run(s)")
+        assert main(["dag", "plan", *_SHARD_MANIFEST, "--shard", "1/2", "--by", "seed"]) == 0
+        assert capsys.readouterr().out.startswith("shard 1/2 by seed: 8 unit(s) over 1 run(s)")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dag_plan_of_a_missing_store_fails_and_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "typo"
+        assert main(["dag", "plan", *_SHARD_MANIFEST, "--store", str(missing)]) == 2
+        assert f"store not found: {missing}" in capsys.readouterr().err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("value", ["2/2", "-1/2", "1/0", "a/b", "1"])
+    @pytest.mark.parametrize("command", ["dag plan", "dag run"])
+    def test_malformed_shard_values_exit_2(self, tmp_path, capsys, command, value):
+        store = tmp_path / "store"
+        argv = [*_MANIFEST_COMMANDS[command], f"--shard={value}", "--store", str(store)]
+        assert main(argv) == 2
+        assert f"bad --shard {value!r}" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_by_needs_a_shard(self, tmp_path, capsys):
+        argv = [*_MANIFEST_COMMANDS["dag run"], "--by", "block", "--store", str(tmp_path / "s")]
+        assert main(argv) == 2
+        assert "--by only applies together with --shard" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_a_shard_run_has_no_exports(self, tmp_path, capsys):
+        argv = [*_shard_run(tmp_path / "shard0", "0/2"), "--export-dir", str(tmp_path / "ex")]
+        assert main(argv) == 2
+        assert "store merge" in capsys.readouterr().err
+        assert not (tmp_path / "shard0").exists() and not (tmp_path / "ex").exists()
+
+    def test_a_shard_store_resumes_its_shard(self, tmp_path, capsys):
+        store = tmp_path / "shard1"
+        main(_shard_run(store, "1/2"))
         capsys.readouterr()
-        code = main(
-            [
-                "shard", "run", str(store_dir / CAMPAIGN_FILE),
-                "--store", str(tmp_path / "s"),
-            ]
+        record = (store / CAMPAIGN_FILE).read_bytes()
+        assert json.loads(record)["shard"]["index"] == 1
+        assert main(["dag", "run", "--store", str(store)]) == 0
+        assert "shard 1/2: solve: 8 stored / 0 computed; 0 block solve(s)" in (
+            capsys.readouterr().out
         )
-        assert code == 2
-        assert "not a shard plan" in capsys.readouterr().err
-        out = tmp_path / "plans"
-        main(_plan_args(out))
-        for option in (["--shard", "1/2"], ["--by", "block"]):
-            with pytest.raises(SystemExit):
-                main(
-                    [
-                        "shard", "run", str(out / "shard_1.json"), *option,
-                        "--store", str(tmp_path / "s"),
-                    ]
-                )
+        assert (store / CAMPAIGN_FILE).read_bytes() == record
+
+    def test_more_figures_keep_the_sharded_record(self, tmp_path, capsys):
+        # Another figure would re-tile every shard of the campaign, so
+        # the store keeps the shard it records, as for other options.
+        store = tmp_path / "shard0"
+        main(_shard_run(store, "0/2"))
+        capsys.readouterr()
+        record = (store / CAMPAIGN_FILE).read_bytes()
+        argv = _shard_run(store, "0/2")
+        argv.insert(3, "fig8")
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "keeps its campaign" in err and "re-tile every shard" in err
+        assert (store / CAMPAIGN_FILE).read_bytes() == record
+
+    def test_another_cost_model_is_refused(self, tmp_path, capsys):
+        store = tmp_path / "shard0"
+        main(_shard_run(store, "0/2"))
+        capsys.readouterr()
+        record = json.loads((store / CAMPAIGN_FILE).read_text())
+        record["shard"]["costs"]["provider_costs"]["mip"] = 100.0
+        (store / CAMPAIGN_FILE).write_text(json.dumps(record))
+        results = (store / "results.jsonl").read_bytes()
+        for command in ("run", "status"):
+            argv = ["dag", command, "--store", str(store)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "'mip': 100.0" in err and "'mip': 330.0" in err
+        assert (store / "results.jsonl").read_bytes() == results
 
     def test_store_merge_missing_source_fails(self, tmp_path, capsys):
         code = main(
@@ -730,77 +765,57 @@ class TestShardCommands:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_shard_status_tracks_progress(self, tmp_path, capsys):
-        out = tmp_path / "plans"
-        main(_plan_args(out))
-        main(
-            [
-                "shard", "run", str(out / "shard_0.json"),
-                "--store", str(tmp_path / "shard0"),
-            ]
-        )
+    def test_store_merge_refuses_shards_of_two_campaigns(self, tmp_path, capsys):
+        main(_shard_run(tmp_path / "shard0", "0/2"))
+        other = _shard_run(tmp_path / "shard1", "1/2")
+        other[other.index("--repetitions") + 1] = "2"
+        main(other)
+        capsys.readouterr()
+        assert _merge(tmp_path, 0, 1) == 2
+        assert "shards of different campaigns" in capsys.readouterr().err
+        assert not (tmp_path / "merged").exists()
+
+    def test_status_tracks_a_half_finished_fleet(self, tmp_path, capsys):
+        main(_shard_run(tmp_path / "shard0", "0/2"))
         capsys.readouterr()
         # Shard 1 has not run: non-zero exit, its units are missing.
-        code = main(
-            [
-                "shard", "status", str(out),
-                str(tmp_path / "shard0"), str(tmp_path / "shard1"),
-            ]
-        )
-        assert code == 1
+        status = ["dag", "status", "--store", str(tmp_path / "shard0")]
+        assert main(status) == 1
         output = capsys.readouterr().out
         assert "0/2" in output and "1/2" in output
-        assert "pending" in output
+        assert "8/16 unit(s) stored at full depth, 8 pending" in output
+        main(_shard_run(tmp_path / "shard1", "1/2"))
+        capsys.readouterr()
+        assert main([*status, str(tmp_path / "shard1"), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["complete"] and payload["done"] == payload["units"] == 16
+        assert [row["shard"] for row in payload["shards"]] == ["0/2", "1/2"]
 
-        main(
-            [
-                "shard", "run", str(out / "shard_1.json"),
-                "--store", str(tmp_path / "shard1"),
-            ]
-        )
+    def test_two_stores_of_one_shard_exit_2(self, tmp_path, capsys):
+        for name in ("shard0", "shard1"):
+            main(_shard_run(tmp_path / name, "0/2"))
         capsys.readouterr()
         code = main(
-            [
-                "shard", "status", str(out),
-                str(tmp_path / "shard0"), str(tmp_path / "shard1"),
-            ]
-        )
-        assert code == 0
-        assert "campaign complete" in capsys.readouterr().out
-
-    def test_shard_status_against_one_merged_store(self, tmp_path, capsys):
-        out = tmp_path / "plans"
-        main(_plan_args(out))
-        for k in (0, 1):
-            main(
-                [
-                    "shard", "run", str(out / f"shard_{k}.json"),
-                    "--store", str(tmp_path / f"shard{k}"),
-                ]
-            )
-        main(
-            [
-                "store", "merge", "--store", str(tmp_path / "merged"),
-                str(tmp_path / "shard0"), str(tmp_path / "shard1"),
-            ]
-        )
-        capsys.readouterr()
-        code = main(["shard", "status", str(out), str(tmp_path / "merged")])
-        assert code == 0
-        assert "campaign complete" in capsys.readouterr().out
-
-    def test_shard_status_store_count_mismatch(self, tmp_path, capsys):
-        out = tmp_path / "plans"
-        main(_plan_args(out))
-        capsys.readouterr()
-        code = main(
-            [
-                "shard", "status", str(out),
-                str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "c"),
-            ]
+            ["dag", "status", "--store", str(tmp_path / "shard0"), str(tmp_path / "shard1")]
         )
         assert code == 2
-        assert "one store per shard" in capsys.readouterr().err
+        assert "both hold shard 0/2" in capsys.readouterr().err
+
+    def test_a_merged_store_is_a_whole_campaign(self, tmp_path, capsys):
+        for k in (0, 1):
+            main(_shard_run(tmp_path / f"shard{k}", f"{k}/2"))
+        _merge(tmp_path, 0, 1)
+        capsys.readouterr()
+        merged = str(tmp_path / "merged")
+        assert main(["dag", "status", "--store", merged]) == 0
+        assert "16/16 unit(s) stored at full depth; campaign complete" in capsys.readouterr().out
+        assert main(["dag", "run", "--store", merged]) == 0
+        assert "; 0 block solve(s)" in capsys.readouterr().out
+        # Re-merging a shard changes neither the cells nor the record.
+        record = (tmp_path / "merged" / CAMPAIGN_FILE).read_bytes()
+        assert _merge(tmp_path, 0) == 0
+        assert ": 0 cell(s) added" in capsys.readouterr().out
+        assert (tmp_path / "merged" / CAMPAIGN_FILE).read_bytes() == record
 
 
 class TestServiceCommands:

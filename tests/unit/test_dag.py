@@ -358,10 +358,11 @@ class TestDagPlanCli:
         manifest = _run_manifest(seeds=(0, 1))
         units = len(expand_units(manifest))
         store = tmp_path / "s"
+        # `dag plan` reads a store and never creates one.
+        opened = ResultStore(store)
         totals, before = self._plan(capsys, manifest_args, store)
         assert totals.startswith(f"{units} unit(s) over 2 run(s); est. solve cost ")
         assert before == f"store at {store}: 0/{units} unit(s) stored"
-        opened = ResultStore(store)
         run_pipeline(manifest, opened)
         _, after = self._plan(capsys, manifest_args, store)
         assert after == f"store at {store}: {units}/{units} unit(s) stored"

@@ -370,7 +370,7 @@ class TestPropagation:
                 assert record["parent_id"] == solve_span["span_id"]
 
     def test_dag_parallel_block_jobs_join_the_pipeline_trace(self, tmp_path):
-        from repro.campaign import CampaignManifest, run_pipeline
+        from repro.campaign import CampaignManifest, plan, run_pipeline
         from repro.experiments.store import ResultStore
 
         manifest = CampaignManifest(
@@ -383,7 +383,10 @@ class TestPropagation:
         )
         trace.configure(tmp_path / "traces")
         store = ResultStore(tmp_path / "s")
-        run_pipeline(manifest, store, workers=2)
+        # Shard 0 of 2 by seed: the one seed, so every unit (as `dag run
+        # --shard 0/2` runs it).
+        shard = plan(manifest, shards=2, by="seed")[0]
+        report = run_pipeline(manifest, store, shard=shard, workers=2).report
         trace.disable()
         spans = load_spans(tmp_path / "traces")
         by_name: dict[str, list[dict]] = {}
@@ -391,6 +394,10 @@ class TestPropagation:
             by_name.setdefault(record["name"], []).append(record)
         (pipeline_span,) = by_name["dag.pipeline"]
         (dispatch_span,) = by_name["dag.dispatch"]
+        keys = ("shard", "shards", "computed", "hits", "stolen")
+        assert [pipeline_span[key] for key in keys] == [
+            0, 2, len(shard.units), 0, report.stolen,
+        ]
         assert dispatch_span["trace_id"] == pipeline_span["trace_id"]
         blocks = by_name["dag.block_job"]
         assert len(blocks) == dispatch_span["executed"]
