@@ -27,7 +27,8 @@ def merge_stores(
     Returns the :class:`~repro.experiments.store.MergeReport`; raises
     :class:`~repro.exceptions.ExperimentError` on missing sources,
     sources holding shards of different campaigns, or conflicting
-    records (in each case the destination is untouched).  The campaign
+    records (in each case the destination is untouched, and not created
+    when it did not exist).  The campaign
     each source records goes into the destination's ``campaign.json``
     unsharded (:func:`~repro.campaign.record.kept_record`, whose notes
     go to ``log``), so ``dag status``, ``dag run`` and ``export`` treat
@@ -48,8 +49,13 @@ def merge_stores(
                 f"{sharded[0][0]} and {path} hold shards of different campaigns; "
                 "merge the shards of one 'dag run --shard' campaign"
             )
+    stores = [ResultStore(path) for path in sources]
+    if not Path(destination).is_dir():
+        # Check the sources against each other before the destination
+        # exists, so a refused merge leaves nothing behind.
+        stores[0].merge(*stores[1:], dry_run=True)
     target = ResultStore(destination)
-    report = target.merge(*(ResultStore(path) for path in sources))
+    report = target.merge(*stores)
     for _, record in recorded:
         kept, note = kept_record(CampaignRecord(record.manifest), target.path)
         if note is not None and log is not None:

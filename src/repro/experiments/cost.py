@@ -23,12 +23,7 @@ size at the block's sweep point.
 from __future__ import annotations
 
 from ..generators.scenarios import ScenarioConfig
-from ..heuristics import (
-    BinarySearchHeuristic,
-    LocalSearchHeuristic,
-    RandomHeuristic,
-    get_heuristic,
-)
+from ..heuristics import BinarySearchHeuristic, RandomHeuristic, get_heuristic
 from .providers import MIP_LABEL, OTO_LABEL, _parse_curve
 
 __all__ = ["classify_curve", "provider_cost", "block_cost"]
@@ -68,8 +63,6 @@ def classify_curve(curve: str) -> str:
     if label == OTO_LABEL:
         return "oto"
     heuristic = get_heuristic(label)
-    if isinstance(heuristic, LocalSearchHeuristic):
-        return "local_search"
     if isinstance(heuristic, BinarySearchHeuristic):
         return "bisection"
     if isinstance(heuristic, RandomHeuristic):

@@ -14,14 +14,17 @@ job).  Each chunk is sampled once, for all its curves.
 
 Built-in providers
 ------------------
-* :class:`HeuristicProvider` — any registered heuristic; solves the
-  chunk's rows in one lock-step ``solve_batch`` call when the
-  heuristic implements :class:`~repro.heuristics.BatchHeuristic`
-  (falling back to the per-instance loop otherwise) and scores them in
-  a single vectorized stack pass (bit-for-bit identical to sequential
-  solve + scalar evaluation calls);
+* :class:`HeuristicProvider` — any registered heuristic; an H4-family
+  heuristic reads its block of the chunk's fused lock-step pass
+  (:attr:`BlockChunk.solved`), another heuristic implementing
+  :class:`~repro.heuristics.BatchHeuristic` solves the chunk's rows in
+  one lock-step ``solve_batch`` call (falling back to the per-instance
+  loop otherwise), and the rows are scored in a single vectorized
+  stack pass (bit-for-bit identical to sequential solve + scalar
+  evaluation calls);
 * :class:`LocalSearchProvider` — best-single-move refinement of any base
-  heuristic's mapping (curve label ``"<base>+ls"``);
+  heuristic's mapping (curve label ``"<base>+ls"``, and ``"H4ls"``,
+  which refines H4w);
 * :class:`MilpProvider` — the exact specialized MIP (label ``"MIP"``);
 * :class:`OneToOneProvider` — the optimal one-to-one mapping (``"OtO"``).
 
@@ -36,8 +39,8 @@ process-independent.
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +52,8 @@ from ..exceptions import ExperimentError, ReproError, SolverError
 from ..generators.scenarios import ScenarioConfig, sample_instance
 from ..heuristics import get_heuristic
 from ..heuristics.base import solve_stack
-from ..heuristics.local_search import refine_specialized_batch
+from ..heuristics.greedy import GreedyCompletionHeuristic, solve_family
+from ..heuristics.local_search import LocalSearchHeuristic, refine_specialized_batch
 from ..simulation.rng import RandomStreamFactory
 
 __all__ = [
@@ -167,11 +171,16 @@ class BlockChunk:
     stack:
         The same rows as one :class:`~repro.batch.InstanceStack` (rows
         share the chain graph, not the type vectors).
+    solved:
+        The ``(rows, n)`` assignments of the greedy heuristics solved
+        together when the chunk was sampled, keyed by heuristic name
+        (see :meth:`sample`).
     """
 
     blocks: tuple[CellBlock, ...]
     instances: tuple[ProblemInstance, ...]
     stack: InstanceStack
+    solved: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def sample(
@@ -179,14 +188,23 @@ class BlockChunk:
         scenario: ScenarioConfig,
         sweep_values: Sequence[int],
         streams: RandomStreamFactory,
+        greedy: Iterable[GreedyCompletionHeuristic] = (),
     ) -> "BlockChunk":
-        """Sample each point's block and stack all their rows once."""
+        """Sample each point's block and stack all their rows once.
+
+        The distinct heuristics of ``greedy`` (by name) are solved over
+        the rows in one fused lock-step pass
+        (:func:`~repro.heuristics.greedy.solve_family`) when the chunk
+        is deep enough for it, so the curves that read them pay the
+        kernel's per-step cost once.
+        """
         blocks = tuple(
             CellBlock.sample(scenario, sweep_value, streams) for sweep_value in sweep_values
         )
         instances = tuple(instance for block in blocks for instance in block.instances)
         stack = InstanceStack.from_instances(instances)
-        return cls(blocks=blocks, instances=instances, stack=stack)
+        solved = solve_family(greedy, instances)
+        return cls(blocks=blocks, instances=instances, stack=stack, solved=solved)
 
     def rng_for(self, prefix: str) -> Callable[[int], np.random.Generator]:
         """Row ``r``'s generator: stream ``"<prefix>/<sweep value>"`` of its block.
@@ -231,6 +249,9 @@ class CurveProvider(abc.ABC):
 
     #: Curve label; unique within one experiment run.
     label: str = ""
+    #: The greedy heuristic whose lock-step solve the curve reads from
+    #: :attr:`BlockChunk.solved`, if any.
+    greedy: GreedyCompletionHeuristic | None = None
 
     @abc.abstractmethod
     def evaluate(self, chunk: BlockChunk) -> list[BlockResult]:
@@ -243,16 +264,17 @@ class CurveProvider(abc.ABC):
 class HeuristicProvider(CurveProvider):
     """Curve provider wrapping one registered heuristic.
 
-    When the heuristic implements the
-    :class:`~repro.heuristics.BatchHeuristic` protocol (the greedy H4
-    family, H4ls) and the chunk is deep enough for
-    :func:`~repro.heuristics.base.solve_stack`, all the chunk's rows are
-    solved in one lock-step ``solve_batch`` call.  Otherwise (shallow
-    chunks, randomized heuristics such as H1, the binary-search H2/H3
-    whose per-instance greedy walk beats any lock-step pass, or
-    third-party heuristics without a batch kernel) the mappings are
-    produced per instance.  Either way the periods come from one
-    vectorized stack pass, and both paths are bit-for-bit identical to
+    A greedy H4-family heuristic reads its block of the chunk's fused
+    lock-step pass (:attr:`BlockChunk.solved`) when the chunk has one.
+    Otherwise, when the heuristic implements the
+    :class:`~repro.heuristics.BatchHeuristic` protocol and the chunk is
+    deep enough for :func:`~repro.heuristics.base.solve_stack`, all the
+    chunk's rows are solved in one lock-step ``solve_batch`` call.  The
+    rest (shallow chunks, randomized heuristics such as H1, the
+    binary-search H2/H3 whose per-instance greedy walk beats any
+    lock-step pass, or third-party heuristics without a batch kernel)
+    is solved per instance.  Either way the periods come from one
+    vectorized stack pass, and every path is bit-for-bit identical to
     sequential solve + evaluate calls.
 
     Parameters
@@ -263,6 +285,8 @@ class HeuristicProvider(CurveProvider):
 
     def __init__(self, name: str):
         self._heuristic = get_heuristic(name)
+        if isinstance(self._heuristic, GreedyCompletionHeuristic):
+            self.greedy = self._heuristic
         # Keep the *requested* spelling: it is both the series key and the
         # RNG stream label, which the per-cell runner derived from the
         # scenario's declared name.
@@ -271,12 +295,16 @@ class HeuristicProvider(CurveProvider):
     def solve(self, chunk: BlockChunk) -> np.ndarray:
         """The ``(rows, n)`` assignment array of the heuristic over the chunk.
 
-        One :func:`repro.heuristics.base.solve_stack` entry — the same
-        one the solve service's micro-batcher uses — makes the
-        batch/loop choice on the chunk's *total* depth, so shallow sweep
-        points that would each fall below it still ride the lock-step
-        kernels together.
+        The chunk's fused block when it has one; else one
+        :func:`repro.heuristics.base.solve_stack` entry — the same one
+        the solve service's micro-batcher uses — makes the batch/loop
+        choice on the chunk's *total* depth, so shallow sweep points
+        that would each fall below it still ride the lock-step kernels
+        together.
         """
+        solved = chunk.solved.get(self._heuristic.name)
+        if solved is not None:
+            return solved
         return solve_stack(
             self._heuristic, chunk.instances, chunk.rng_for(f"heuristic/{self.label}")
         )
@@ -288,15 +316,18 @@ class HeuristicProvider(CurveProvider):
 class LocalSearchProvider(CurveProvider):
     """Best-single-move refinement of a base heuristic's mapping.
 
-    The curve labelled ``"<base>+ls"`` runs the base heuristic per
-    repetition, descends with
-    :func:`repro.heuristics.local_search.refine_specialized`, and keeps
-    the better of seed and refined mapping per instance (so the curve is
-    never above the base's).
+    The curve labelled ``"<base>+ls"``, and a registered local-search
+    heuristic's curve (``"H4ls"``, base H4w), takes the base heuristic's
+    mappings from :meth:`HeuristicProvider.solve` (so a greedy base's
+    seeds come from the chunk's fused pass), descends with
+    :func:`repro.heuristics.local_search.refine_specialized_batch`, and
+    keeps the better of seed and refined period per instance on the
+    chunk's stack (so the curve is never above the base's).
     """
 
     def __init__(self, base: str = "H4w", label: str | None = None):
         self._base = HeuristicProvider(base)
+        self.greedy = self._base.greedy
         self.label = label if label is not None else f"{base}{LOCAL_SEARCH_SUFFIX}"
 
     def evaluate(self, chunk: BlockChunk) -> list[BlockResult]:
@@ -352,17 +383,20 @@ def _is_heuristic(name: str) -> bool:
 
 
 def _parse_curve(label: str) -> tuple[str, str | None]:
-    """``(series key, base heuristic of a "<base>+ls" curve or None)``.
+    """``(series key, base heuristic of a local-search curve or None)``.
 
     Resolution order (case-insensitive): ``"MIP"``, ``"OtO"`` (keyed by
-    their canonical spelling), registered heuristics, then the
+    their canonical spelling), registered heuristics (a
+    :class:`~repro.heuristics.local_search.LocalSearchHeuristic` such as
+    H4ls is a local-search curve over its ``base``), then the
     ``"<base>+ls"`` local-search convention.
     """
     for canonical in (MIP_LABEL, OTO_LABEL):
         if label.lower() == canonical.lower():
             return canonical, None
     if _is_heuristic(label):
-        return label, None
+        heuristic = get_heuristic(label)
+        return label, heuristic.base if isinstance(heuristic, LocalSearchHeuristic) else None
     base = label[: -len(LOCAL_SEARCH_SUFFIX)]
     if label.lower().endswith(LOCAL_SEARCH_SUFFIX):
         if _is_heuristic(base):

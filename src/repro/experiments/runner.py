@@ -21,10 +21,12 @@ to :data:`CROSS_POINT_MAX_ROWS` rows — into one
 :class:`~repro.batch.InstanceStack` every curve provider scores in one
 vectorized pass.  Heuristics implementing the
 :class:`~repro.heuristics.BatchHeuristic` protocol (the H4 family,
-H4ls) additionally *solve* the whole chunk in one lock-step
-``solve_batch`` call, so neither solving nor scoring re-enters Python
-per repetition; heuristics without a batch kernel (H1, H2, H3) fall
-back to the per-instance solve loop transparently.  The equivalence
+H4ls) additionally *solve* the whole chunk lock-step, so neither
+solving nor scoring re-enters Python per repetition: the chunk's
+H4-family curves, with H4w for H4ls's seeds, share one fused
+``solve_batch`` pass, whose per-step cost is paid once for all of
+them.  Heuristics without a batch kernel (H1, H2, H3) fall back to the
+per-instance solve loop transparently.  The equivalence
 tests hold every mode to a per-instance ``Heuristic.solve`` oracle bit
 for bit.
 
@@ -374,7 +376,14 @@ def _chunk_points(scenario: ScenarioConfig, curves: dict[int, list[str]]) -> lis
 
 
 def _execute_serial(run: BlockRun, record, milp_time_limit: float) -> None:
-    """One run's blocks, one sampled chunk and one provider pass per curve."""
+    """One run's blocks, one sampled chunk and one provider pass per curve.
+
+    Before the curve loop, the chunk solves every greedy H4-family curve
+    it carries, and H4w for an H4ls curve's seeds, in one fused
+    lock-step pass (:meth:`BlockChunk.sample`, wherever
+    :func:`~repro.heuristics.base.solves_in_batch` holds at the chunk's
+    depth); those curves' providers then read their blocks from it.
+    """
     curves: dict[int, list[str]] = {}
     for sweep_value, label in run.blocks:
         curves.setdefault(sweep_value, []).append(label)
@@ -386,8 +395,10 @@ def _execute_serial(run: BlockRun, record, milp_time_limit: float) -> None:
     # up front draws exactly the blocks a per-point loop would.
     streams = RandomStreamFactory(np.random.SeedSequence(run.entropy))
     for points in _chunk_points(run.scenario, curves):
-        chunk = BlockChunk.sample(run.scenario, points, streams)
-        for label in curves[points[0]]:
+        labels = curves[points[0]]
+        greedy = filter(None, (providers[label].greedy for label in labels))
+        chunk = BlockChunk.sample(run.scenario, points, streams, greedy)
+        for label in labels:
             for block, result in zip(chunk.blocks, providers[label].evaluate(chunk)):
                 record(run, block.sweep_value, label, result.values(), result.failures)
 

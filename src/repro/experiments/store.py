@@ -427,7 +427,7 @@ class ResultStore(JsonlStore):
         return [CellRecord(**data) for _, data in self._payloads("cell")]
 
     # -- merging -----------------------------------------------------------------
-    def merge(self, *stores: "ResultStore") -> MergeReport:
+    def merge(self, *stores: "ResultStore", dry_run: bool = False) -> MergeReport:
         """Union other stores' records into this one (the shard-merge core).
 
         Cell records are matched by key: keys absent here are appended,
@@ -442,7 +442,8 @@ class ResultStore(JsonlStore):
         written, so a conflicting merge leaves this store untouched.
         Records land in sorted key order, making the merged byte stream
         independent of source completion times (only of source *order*,
-        which callers should keep stable).
+        which callers should keep stable).  ``dry_run`` runs the check
+        and the report but writes nothing.
         """
         plan = _MergePlan()
         plan.report.sources = len(stores)
@@ -469,6 +470,8 @@ class ResultStore(JsonlStore):
                 f"(nothing was written):\n  - {listing}"
                 + (f"\n  ... and {more} more" if more else "")
             )
+        if dry_run:
+            return plan.report
         for _, record in sorted(plan.cells.items()):
             self.put_cell(record)
         for _, meta in sorted(plan.metas.items()):

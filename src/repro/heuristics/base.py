@@ -54,7 +54,8 @@ nbTypesToGo`` bookkeeping that the paper makes explicit in Algorithm 1
 (H1).  It is applied uniformly to every heuristic, so that all of them
 return a valid specialized mapping whenever one exists (``m >= p``).
 :class:`BatchAssignmentState` keeps the same state and guard with a
-leading repetition axis.
+leading row axis (one row per instance and heuristic of a lock-step
+H4-family pass), the guard folded into one per-row free code.
 """
 
 from __future__ import annotations
@@ -220,129 +221,136 @@ class WalkTables:
 
 
 class BatchAssignmentState:
-    """The greedy walk's state over ``R`` stacked instances, lock-step.
+    """The greedy walk's state over ``copies`` x ``R`` stacked rows, lock-step.
 
-    The batch solvers advance all ``R`` repetitions of a block through the
-    same backward traversal simultaneously: every piece of per-instance
-    walk state (assignment, dedicated machines, accumulated busy time,
-    expected products, the free-machine feasibility guard) becomes an
-    array with a leading repetition axis, and each greedy step is a
-    handful of vectorized operations over ``(R, m)`` slices instead of
-    ``R`` Python loop iterations.
+    The batch solvers advance every row through the same backward
+    traversal simultaneously: every piece of per-instance walk state
+    (assignment, dedicated machines, accumulated busy time, expected
+    products, the free-machine feasibility guard) becomes an array with
+    a leading row axis, and each greedy step is a handful of vectorized
+    operations over ``(rows, m)`` slices instead of one Python loop
+    iteration per row.
+
+    Row ``h * R + r`` walks instance ``r`` for the ``h``-th of
+    ``copies`` walks (one per heuristic of a fused solve), so the state
+    has ``copies * R`` rows.  ``w`` and ``keep = 1 - f`` are stacked
+    once per instance, task-major (``(n, R, m)``), and every copy reads
+    them through its instance index; the copies of an instance differ
+    only in the machines their own walk picked.
 
     All instances must share the precedence graph (and therefore the
-    backward traversal order); types, ``w`` and ``f`` are per repetition.
-    Row ``r``'s arithmetic mirrors the scalar walk on instance ``r``
-    operation for operation, so the resulting assignments are bit-for-bit
-    identical to ``R`` sequential solves.
+    backward traversal order); types, ``w`` and ``f`` are per instance.
+    Row arithmetic mirrors the scalar walk on its instance operation for
+    operation, so the assignments are bit-for-bit identical to
+    sequential solves.  Eligibility is one comparison pair per step:
+    a machine is eligible when its owner is the task's type or the row's
+    *free code*, ``-1`` (free machines) when the feasibility guard lets
+    the task take one, else ``-2`` (no machine).
     """
 
     __slots__ = (
         "order",
-        "types",
-        "w",
-        "f",
-        "assignment",
         "machine_type",
         "accumulated",
-        "x",
-        "free_machines",
-        "pending_types",
+        "_w",
+        "_keep",
+        "_assignment",
+        "_x",
+        "_slack",
         "_succ",
+        "_task_types",
+        "_type_cells",
         "_has_machine",
-        "_all_rows",
+        "_row_cells",
+        "_instance_cells",
+        "_ones",
+        "_owner_cells",
+        "_accumulated_cells",
     )
 
-    def __init__(self, instances: Sequence[ProblemInstance]):
+    def __init__(self, instances: Sequence[ProblemInstance], copies: int = 1):
         if not instances:
             raise ReproError("cannot batch-solve zero instances")
         first = instances[0]
         self.order = backward_task_order(first)
         successors = shared_successor_table(instances)
-        self.types = np.stack([inst.application.types.as_array for inst in instances])
-        self.w = np.stack([inst.processing_times for inst in instances])
-        self.f = np.stack([inst.failure_rates for inst in instances])
-        self._succ = np.asarray(
-            [-1 if succ is None else succ for succ in successors], dtype=np.int64
+        self._succ = [-1 if succ is None else succ for succ in successors]
+        types = np.stack([inst.application.types.as_array for inst in instances])
+        R, n = types.shape
+        m = first.num_machines
+        rows = copies * R
+        # Task-major (n, R * m) tables: step ``task`` gathers from one
+        # contiguous row at ``instance * m + machine``.
+        self._w = np.stack([inst.processing_times for inst in instances], axis=1).reshape(
+            n, R * m
         )
-        R, n, m = self.w.shape
-        self.assignment = np.full((R, n), -1, dtype=np.int64)
+        keep = np.stack([inst.failure_rates for inst in instances], axis=1)
+        self._keep = np.subtract(1.0, keep, out=keep).reshape(n, R * m)
+        row_types = np.tile(types, (copies, 1))
+        num_types = int(types.max()) + 1
+        self._task_types = np.ascontiguousarray(row_types.T)
+        #: per task, each row's cell in the flat ``(rows, num_types)`` table
+        self._type_cells = np.ascontiguousarray(
+            (row_types + (np.arange(rows) * num_types)[:, np.newaxis]).T
+        )
+        self._has_machine = np.zeros(rows * num_types, dtype=bool)
+        self._row_cells = np.arange(rows) * m
+        self._instance_cells = np.tile(np.arange(R) * m, copies)
+        self._ones = np.ones(rows, dtype=np.float64)
         #: per-row machine -> dedicated type (-1 = free machine)
-        self.machine_type = np.full((R, m), -1, dtype=np.int64)
-        self.accumulated = np.zeros((R, m), dtype=np.float64)
-        self.x = np.full((R, n), -1.0, dtype=np.float64)
-        self.free_machines = np.full(R, m, dtype=np.int64)
-        # Distinct types present per row: all of them are pending until
-        # they gain their first dedicated machine, exactly as in the
-        # scalar state.
-        max_type = int(self.types.max())
-        self._has_machine = np.zeros((R, max_type + 1), dtype=bool)
-        sorted_types = np.sort(self.types, axis=1)
-        self.pending_types = 1 + np.count_nonzero(
-            sorted_types[:, 1:] != sorted_types[:, :-1], axis=1
-        ).astype(np.int64)
-        self._all_rows = np.arange(R)
+        self.machine_type = np.full((rows, m), -1, dtype=np.int64)
+        self.accumulated = np.zeros((rows, m), dtype=np.float64)
+        # Flat views of the two, indexed by ``row * m + machine``.
+        self._owner_cells = self.machine_type.reshape(-1)
+        self._accumulated_cells = self.accumulated.reshape(-1)
+        self._assignment = np.full((n, rows), -1, dtype=np.int64)
+        self._x = np.full((n, rows), -1.0, dtype=np.float64)
+        # ``free - pending``: free machines minus the distinct types that
+        # own none yet (all of them at the start), per row.
+        sorted_types = np.sort(types, axis=1)
+        pending = 1 + np.count_nonzero(sorted_types[:, 1:] != sorted_types[:, :-1], axis=1)
+        self._slack = np.tile(m - pending, copies).astype(np.int64)
 
     @property
-    def num_rows(self) -> int:
-        """Stack depth ``R``."""
-        return int(self.assignment.shape[0])
+    def assignment(self) -> np.ndarray:
+        """The ``(rows, n)`` assignment (``-1`` for tasks not yet assigned)."""
+        return np.ascontiguousarray(self._assignment.T)
 
-    @property
-    def num_machines(self) -> int:
-        """Platform size ``m``."""
-        return int(self.machine_type.shape[1])
+    def step(self, task: int, criterion: np.ndarray) -> None:
+        """Assign ``task`` in every row, lock-step.
 
-    def downstream_demand(self, task: int) -> np.ndarray:
-        """Per-row products required by ``task``'s successor (``(R,)``)."""
-        succ = int(self._succ[task])
-        if succ < 0:
-            return np.ones(self.num_rows, dtype=np.float64)
-        return self.x[:, succ]
-
-    def eligible_mask(self, task: int) -> np.ndarray:
-        """``(R, m)`` bool: the machines each row's walk may give ``task``."""
-        task_type = self.types[:, task]
-        dedicated_ok = self.machine_type == task_type[:, np.newaxis]
-        free = self.machine_type == -1
-        has_machine = self._has_machine[self._all_rows, task_type]
-        # nbFreeMachines / nbTypesToGo guard, rowwise: a type that already
-        # owns a machine must leave a free machine per pending type; a
-        # pending type may always claim one of the machines reserved for
-        # the pending set.
-        free_ok = np.where(
-            has_machine,
-            self.free_machines - 1 >= self.pending_types,
-            self.free_machines - 1 >= self.pending_types - 1,
-        )
-        return dedicated_ok | (free & free_ok[:, np.newaxis])
-
-    def assign(self, task: int, machines: np.ndarray) -> None:
-        """Assign ``task`` to ``machines[r]`` in every row, lock-step.
-
-        Eligibility is guaranteed by construction in the batch solvers
-        (they mask ineligible machines before choosing), so no per-row
-        check is re-run here.
+        Row ``r`` takes the eligible machine of least completion score
+        ``accumulated[r, u] + demand[r] * criterion[r, u]``, the lowest
+        index on exact ties, exactly as the scalar walk does.
         """
-        rows = self._all_rows
-        machines = np.asarray(machines, dtype=np.int64)
-        task_type = self.types[:, task]
-        newly = self.machine_type[rows, machines] == -1
-        if newly.any():
-            nrows, nmachines, ntypes = (
-                rows[newly],
-                machines[newly],
-                task_type[newly],
-            )
-            had_machine = self._has_machine[nrows, ntypes]
-            self.machine_type[nrows, nmachines] = ntypes
-            self.pending_types[nrows] -= ~had_machine
-            self._has_machine[nrows, ntypes] = True
-            self.free_machines[nrows] -= 1
-        x_task = self.downstream_demand(task) / (1.0 - self.f[rows, task, machines])
-        self.x[:, task] = x_task
-        self.accumulated[rows, machines] += x_task * self.w[rows, task, machines]
-        self.assignment[:, task] = machines
+        owner = self.machine_type
+        task_type = self._task_types[task]
+        type_cells = self._type_cells[task]
+        succ = self._succ[task]
+        demand = self._ones if succ < 0 else self._x[succ]
+        # nbFreeMachines / nbTypesToGo guard, rowwise: a type that already
+        # owns a machine must leave a free machine per pending type
+        # (free > pending); a pending type may always claim one of the
+        # machines reserved for the pending set (free >= pending).
+        has_machine = self._has_machine.take(type_cells)
+        code = (self._slack >= has_machine) - 2
+        eligible = (owner == task_type[:, np.newaxis]) | (owner == code[:, np.newaxis])
+        scores = demand[:, np.newaxis] * criterion
+        scores += self.accumulated
+        machines = np.where(eligible, scores, np.inf).argmin(axis=1)
+        # The picks are eligible, so the owner and has-machine writes are
+        # no-ops where the type already owns the machine; a free pick
+        # lowers the slack unless it is its type's first (which also
+        # takes the type off the pending count).
+        cells = self._row_cells + machines
+        self._slack -= (self._owner_cells.take(cells) < 0) & has_machine
+        self._owner_cells[cells] = task_type
+        self._has_machine[type_cells] = True
+        sources = self._instance_cells + machines
+        x_task = demand / self._keep[task].take(sources)
+        self._x[task] = x_task
+        self._accumulated_cells[cells] += x_task * self._w[task].take(sources)
+        self._assignment[task] = machines
 
 
 @runtime_checkable
@@ -371,11 +379,11 @@ def supports_batch(heuristic: object) -> bool:
 
 #: Smallest stack solved lock-step.  Both paths are bit-for-bit
 #: identical, so this is purely a speed choice, and the crossover moves
-#: with ``m``: per row, the plain-Python H4/H4w walk and the lock-step
-#: kernel tie at 3 rows at m=100 (n=150), at 6 rows at m=50 (n=100) and
-#: at about 12 rows at m=10 (n=60); H4ls is within noise either way.
-#: The threshold is the m=100 crossover, so smaller platforms solve
-#: lock-step somewhat early.
+#: with ``m`` and with the heuristics sharing a pass: per row, the
+#: plain-Python H4w walk and a one-heuristic lock-step pass tie at about
+#: 2 rows at m=100 (n=150), 3 at m=50 (n=100) and 6 at m=10 (n=60),
+#: while a fused H4 + H4w pass ties with their two walks at 3 rows at
+#: m=10.  The threshold is the m=50 single-heuristic crossover.
 BATCH_MIN_ROWS = 3
 
 

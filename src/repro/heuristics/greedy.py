@@ -17,23 +17,41 @@ accumulated on machine ``u``.  They differ only in the criterion:
 ``F[i, u] = 1 / (1 - f[i, u])``.  Whatever criterion is used for the
 *choice*, the accumulated load and the final mapping are always evaluated
 with the true failure-aware expected product counts.
+
+Because only the criterion differs, one lock-step kernel serves the
+whole family: :meth:`GreedyCompletionHeuristic.solve_batch` advances
+``k`` of these heuristics over ``R`` stacked instances as ``k * R``
+rows of one :class:`~repro.heuristics.base.BatchAssignmentState`, with
+``w`` and ``f`` held once per instance and only the criterion stacked
+per heuristic.  A lone heuristic's batch solve is the ``k = 1`` case,
+and :func:`solve_family` is the experiment engine's entry, which solves
+a chunk's H4-family curves (and H4ls's H4w seeds) in one pass.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from ..core.instance import ProblemInstance
 from ..core.mapping import Mapping
 from ..exceptions import ReproError
-from .base import BatchAssignmentState, Heuristic, WalkTables, register_heuristic
+from .base import (
+    BatchAssignmentState,
+    Heuristic,
+    WalkTables,
+    register_heuristic,
+    solves_in_batch,
+    validate_assignments,
+)
 
 __all__ = [
     "GreedyCompletionHeuristic",
+    "solve_family",
     "BestPerformanceHeuristic",
     "FastestMachineHeuristic",
     "ReliableMachineHeuristic",
@@ -110,26 +128,65 @@ class GreedyCompletionHeuristic(Heuristic):
             assignment[task] = pick
         return Mapping(np.asarray(assignment, dtype=np.int64), tables.num_machines), 1, {}
 
-    def solve_batch(self, instances: Sequence[ProblemInstance]) -> np.ndarray:
-        """Solve all ``R`` instances lock-step; row ``r`` equals the
-        sequential :meth:`solve_mapping` on ``instances[r]`` bit for bit.
+    def solve_batch(
+        self,
+        instances: Sequence[ProblemInstance],
+        *,
+        fused: Sequence["GreedyCompletionHeuristic"] = (),
+    ) -> np.ndarray:
+        """Solve all ``R`` instances lock-step, for this heuristic and
+        each of ``fused`` in one pass; ``(k * R, n)`` for ``k`` heuristics.
 
-        Every greedy step scores the current task on all machines of all
-        repetitions in one ``(R, m)`` expression — the per-repetition
-        Python loop of the per-instance path collapses into ``n``
-        vectorized steps.
+        Rows ``h * R`` to ``(h + 1) * R - 1`` are heuristic ``h``'s
+        (this one first, then ``fused`` in order), and row ``h * R + r``
+        equals its sequential :meth:`solve_mapping` on ``instances[r]``
+        bit for bit.  Every greedy step scores the current task on all
+        machines of all ``k * R`` rows in one ``(k * R, m)`` expression,
+        so the per-step cost of the lock-step kernel is paid once for
+        the whole family rather than once per heuristic.  Only the
+        criterion is stacked per heuristic; ``w`` and ``f`` are held
+        once per instance.
         """
-        state = BatchAssignmentState(instances)
-        criterion = np.stack([self.criterion_matrix(inst) for inst in instances])
+        heuristics = (self, *fused)
+        state = BatchAssignmentState(instances, copies=len(heuristics))
+        # Task-major (n, k * R, m), filled one matrix at a time so no
+        # heuristic's R matrices are alive at once besides the stack.
+        n, m = instances[0].num_tasks, instances[0].num_machines
+        criterion = np.empty((n, len(heuristics) * len(instances), m), dtype=np.float64)
+        for row, (heuristic, instance) in enumerate(itertools.product(heuristics, instances)):
+            criterion[:, row, :] = heuristic.criterion_matrix(instance)
         for task in state.order:
-            demand = state.downstream_demand(task)
-            scores = np.where(
-                state.eligible_mask(task),
-                state.accumulated + demand[:, np.newaxis] * criterion[:, task, :],
-                np.inf,
-            )
-            state.assign(task, np.argmin(scores, axis=1))
+            state.step(task, criterion[task])
         return state.assignment
+
+
+def solve_family(
+    heuristics: Iterable[GreedyCompletionHeuristic],
+    instances: Sequence[ProblemInstance],
+) -> dict[str, np.ndarray]:
+    """Every distinct heuristic's ``(R, n)`` assignments from one lock-step pass.
+
+    The experiment engine's fused solve of a chunk's greedy curves: one
+    feasibility-checked, validated :meth:`~GreedyCompletionHeuristic.solve_batch`
+    call for the distinct (by name) ``heuristics``, keyed by name.  Each
+    block equals that heuristic's own ``solve_batch(instances)`` bit for
+    bit, since the kernel's rows are independent.  A heuristic whose
+    class overrides ``solve_batch`` keeps its own kernel and is left
+    out, as is everything when :func:`solves_in_batch` does not hold at
+    this depth: those curves then solve on their own.
+    """
+    shared = GreedyCompletionHeuristic.solve_batch
+    heuristics = list({h.name: h for h in heuristics if type(h).solve_batch is shared}.values())
+    if not heuristics or not solves_in_batch(heuristics[0], len(instances)):
+        return {}
+    first, *fused = heuristics
+    for instance in instances:
+        first.check_feasible(instance)
+    # A single heuristic is the plain BatchHeuristic call.
+    rows = first.solve_batch(instances, fused=fused) if fused else first.solve_batch(instances)
+    validate_assignments(tuple(instances) * len(heuristics), rows)
+    depth = len(instances)
+    return {h.name: rows[i * depth : (i + 1) * depth] for i, h in enumerate(heuristics)}
 
 
 @register_heuristic

@@ -221,7 +221,12 @@ class LocalSearchHeuristic(Heuristic):
 
         The seed/refined comparison runs through the stack's vectorized
         evaluation, which is bit-for-bit the scalar evaluation — so each
-        row returns exactly what :meth:`solve_mapping` would.
+        row returns exactly what :meth:`solve_mapping` would.  This is
+        the solve service's path; the experiment engine scores an H4ls
+        curve as a local-search curve over H4w instead
+        (:class:`~repro.experiments.providers.LocalSearchProvider`), so
+        its seeds come from the chunk's fused H4-family pass and its
+        comparison runs on the chunk's stack.
         """
         seeds = self._seeder.solve_batch(instances)
         refined, _ = refine_specialized_batch(instances, seeds)

@@ -31,7 +31,8 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.providers import MIP_LABEL, BlockChunk, HeuristicProvider
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
-from repro.heuristics.base import BATCH_MIN_ROWS
+from repro.heuristics.base import BATCH_MIN_ROWS, BatchAssignmentState
+from repro.heuristics.greedy import GreedyCompletionHeuristic
 from repro.simulation.rng import RandomStreamFactory
 from tests.helpers import kernel_assignments, loop_assignments, per_instance_series
 
@@ -210,26 +211,18 @@ class TestBatchSolveEquivalence:
         assert batchable >= 1  # at least one H4-family lock-step kernel
 
     def test_engine_uses_batch_solve_above_threshold(self, monkeypatch):
-        """A run at production depth routes the batchable curves through
-        solve_batch, H2 through the per-instance loop, and still matches
-        the per-instance oracle bit for bit."""
-        calls = []
+        """A run at production depth solves the batchable curves in one
+        fused solve_batch call per chunk, H2 through the per-instance
+        loop, and still matches the per-instance oracle bit for bit."""
         scenario = _small_scenario(
             repetitions=BATCH_MIN_ROWS,
             heuristics=("H2", "H4", "H4w"),
         )
         assert not supports_batch(get_heuristic("H2"))
-        for name in ("H4", "H4w"):
-            cls = type(get_heuristic(name))
-            original = cls.solve_batch
-
-            def counting(self, instances, _original=original):
-                calls.append(type(self).name)
-                return _original(self, instances)
-
-            monkeypatch.setattr(cls, "solve_batch", counting)
+        calls = _spy_greedy_solves(monkeypatch)
         block = run_scenario(scenario, seed=29)
-        assert sorted(set(calls)) == ["H4", "H4w"]
+        # A tasks sweep chunks per point: one fused H4 + H4w call each.
+        assert calls == [("H4", BATCH_MIN_ROWS, ("H4w",))] * len(scenario.sweep_values)
         _assert_identical(_oracle(scenario, 29), block.series)
 
 
@@ -261,20 +254,11 @@ class TestCrossPointStacking:
         _assert_identical(_oracle(scenario, 7), run_scenario(scenario, seed=7).series)
 
     def test_aligned_points_solve_in_one_batch_call(self, monkeypatch):
-        calls = []
         scenario = self._types_scenario(heuristics=("H4", "H4w"))
-        for name in scenario.heuristics:
-            cls = type(get_heuristic(name))
-            original = cls.solve_batch
-
-            def counting(self, instances, _original=original):
-                calls.append((type(self).name, len(instances)))
-                return _original(self, instances)
-
-            monkeypatch.setattr(cls, "solve_batch", counting)
+        calls = _spy_greedy_solves(monkeypatch)
         run_scenario(scenario, seed=7)
         rows = len(scenario.sweep_values) * scenario.repetitions
-        assert sorted(calls) == [("H4", rows), ("H4w", rows)]
+        assert calls == [("H4", rows, ("H4w",))]
 
     def test_provider_stacking_matches_per_block(self):
         scenario = self._types_scenario(heuristics=("H2",))
@@ -349,9 +333,9 @@ class TestCrossPointStacking:
         """Every curve of a chunk shares its one stack.
 
         At the figures benchmark's pass scale (perfbench ``PASS``), fig5
-        (a tasks sweep, 3 points) builds one stack per point, fig6 one
-        per point plus one per H4ls refine, and fig9 (a types sweep)
-        one for the whole figure."""
+        and fig6 (tasks sweeps, 3 and 4 points) build one stack per
+        point, H4ls refining on it too, and fig9 (a types sweep) one for
+        the whole figure."""
         builds = []
         original = InstanceStack.__dict__["from_instances"].__func__
 
@@ -362,7 +346,7 @@ class TestCrossPointStacking:
         monkeypatch.setattr(InstanceStack, "from_instances", classmethod(counting))
         for figure_id, repetitions, max_points, optional, expected in (
             ("fig5", 6, 3, False, 3),
-            ("fig6", 6, 4, True, 8),
+            ("fig6", 6, 4, True, 4),
             ("fig9", 4, 2, False, 1),
         ):
             builds.clear()
@@ -375,6 +359,48 @@ class TestCrossPointStacking:
                 include_optional=optional,
             )
             assert len(builds) == expected, figure_id
+
+    def test_one_lock_step_pass_per_chunk_at_the_benchmark_scale(self, monkeypatch):
+        """At the figures benchmark's pass scale, each fig5 chunk (one
+        point) builds exactly one lock-step state for H4, H4w and H4f,
+        and fig6's H4ls curve takes its seeds from that pass: no second
+        H4w solve."""
+        states = []
+        original = BatchAssignmentState.__init__
+
+        def counting(self, *args, **kwargs):
+            states.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchAssignmentState, "__init__", counting)
+        calls = _spy_greedy_solves(monkeypatch)
+        run_figure("fig5", seed=0, repetitions=6, max_points=3, include_milp=False)
+        assert len(states) == 3
+        assert calls == [("H4", 6, ("H4w", "H4f"))] * 3
+        calls.clear()
+        run_figure(
+            "fig6",
+            seed=0,
+            repetitions=6,
+            max_points=4,
+            include_milp=False,
+            include_optional=True,
+        )
+        assert calls == [("H4", 6, ("H4w",))] * 4
+
+
+def _spy_greedy_solves(monkeypatch) -> list[tuple[str, int, tuple[str, ...]]]:
+    """Record every H4-family ``solve_batch`` call as ``(heuristic,
+    rows, fused heuristics)``."""
+    calls = []
+    original = GreedyCompletionHeuristic.solve_batch
+
+    def counting(self, instances, *, fused=()):
+        calls.append((self.name, len(instances), tuple(h.name for h in fused)))
+        return original(self, instances, fused=fused)
+
+    monkeypatch.setattr(GreedyCompletionHeuristic, "solve_batch", counting)
+    return calls
 
 
 class TestBatchFallback:

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import Application, FailureModel, Platform, ProblemInstance, TypeAssignment
 from repro.exceptions import MappingRuleViolation, ReproError
 from repro.experiments.providers import (
     BlockChunk,
@@ -30,6 +33,7 @@ from repro.heuristics.binary_search import (
     HeterogeneityBinarySearchHeuristic,
     RankBinarySearchHeuristic,
 )
+from repro.heuristics.greedy import solve_family
 from repro.heuristics.local_search import (
     refine_specialized,
     refine_specialized_batch,
@@ -113,6 +117,97 @@ class TestSolveBatchEquivalence:
         for name in ("H2", "H4w"):
             batch = stacked_assignments(get_heuristic(name), chunk)
             assert (batch == sequential_assignments(name, chunk)).all()
+
+
+@st.composite
+def _fused_blocks(draw):
+    """``R`` in 3..12 instances on one precedence graph, plus a non-empty
+    subset of the H4 family in any order.
+
+    Tie-heavy on purpose: ``w`` is a few integers per type, and the
+    platform is often barely feasible (``m = p``).  Failure rates are
+    per cell or task-dependent (``f[i, u] = f[i]``).
+    """
+    n = draw(st.integers(1, 14))
+    p = draw(st.integers(1, min(n, 4)))
+    m = draw(st.sampled_from([p, p, p + 1, p + 3]))
+    successors = [draw(st.none() | st.integers(i + 1, n - 1)) for i in range(n - 1)]
+    chain = draw(st.booleans())
+    edges = [(i, j) for i, j in enumerate(successors) if j is not None]
+    task_dependent = draw(st.booleans())
+    rate = st.sampled_from([0.0, 0.01, 0.05, 0.2])
+    instances = []
+    for _ in range(draw(st.integers(3, 12))):
+        types = draw(st.permutations(range(p)))
+        types += draw(st.lists(st.integers(0, p - 1), min_size=n - p, max_size=n - p))
+        assignment = TypeAssignment(types, num_types=p)
+        app = Application.chain(assignment) if chain else Application(assignment, edges)
+        grid = st.lists(st.integers(1, 3), min_size=m, max_size=m)
+        per_type_w = np.asarray(draw(st.lists(grid, min_size=p, max_size=p)), dtype=np.float64)
+        if task_dependent:
+            f = np.repeat(
+                np.asarray(draw(st.lists(rate, min_size=n, max_size=n)))[:, np.newaxis], m, axis=1
+            )
+        else:
+            cells = st.lists(st.lists(rate, min_size=m, max_size=m), min_size=n, max_size=n)
+            f = np.asarray(draw(cells))
+        w = per_type_w[np.asarray(types)]
+        instances.append(ProblemInstance(app, Platform(w), FailureModel(f)))
+    names = draw(st.lists(st.sampled_from(["H4", "H4w", "H4f"]), min_size=1, max_size=3, unique=True))
+    return instances, names
+
+
+class TestFusedSolve:
+    @settings(max_examples=150)
+    @given(block=_fused_blocks())
+    def test_each_block_equals_its_own_solves(self, block):
+        """Block ``h`` of one fused pass is heuristic ``h``'s own
+        ``solve_batch`` and its per-instance ``solve_mapping``."""
+        instances, names = block
+        heuristics = [get_heuristic(name) for name in names]
+        first, *fused = heuristics
+        rows = first.solve_batch(instances, fused=fused)
+        depth = len(instances)
+        assert rows.shape == (len(names) * depth, instances[0].num_tasks)
+        solved = solve_family(heuristics, instances)
+        assert list(solved) == names
+        for h, heuristic in enumerate(heuristics):
+            own = rows[h * depth : (h + 1) * depth]
+            assert (own == heuristic.solve_batch(instances)).all(), heuristic.name
+            assert (own == solved[heuristic.name]).all(), heuristic.name
+            for row, instance in zip(own, instances):
+                assert (row == heuristic.solve_mapping(instance)[0].as_array).all()
+
+    def test_below_the_batch_depth_nothing_is_solved(self):
+        chunk = make_chunk(repetitions=BATCH_MIN_ROWS - 1)
+        assert solve_family([get_heuristic("H4"), get_heuristic("H4w")], chunk.instances) == {}
+
+    def test_an_overridden_solve_batch_keeps_its_own_kernel(self):
+        class Custom(type(get_heuristic("H4w"))):
+            def solve_batch(self, instances):
+                return super().solve_batch(instances)
+
+        chunk = make_chunk()
+        solved = solve_family([get_heuristic("H4"), Custom()], chunk.instances)
+        assert list(solved) == ["H4"]
+
+    def test_a_chunk_sampled_with_its_greedy_curves_holds_their_blocks(self):
+        scenario = ScenarioConfig(
+            name="batch-unit",
+            num_machines=8,
+            num_types=3,
+            sweep="tasks",
+            sweep_values=(12,),
+            repetitions=5,
+            heuristics=("H4w",),
+        )
+        greedy = [get_heuristic("H4f"), get_heuristic("H4w"), get_heuristic("H4f")]
+        chunk = BlockChunk.sample(scenario, (12,), RandomStreamFactory(3), greedy)
+        assert list(chunk.solved) == ["H4f", "H4w"]
+        for name in ("H4f", "H4w"):
+            expected = sequential_assignments(name, chunk)
+            assert (chunk.solved[name] == expected).all()
+            assert (HeuristicProvider(name).solve(chunk) == expected).all()
 
 
 class TestBatchAssignmentState:

@@ -6,6 +6,7 @@ import asyncio
 import contextlib
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -773,6 +774,17 @@ class TestShardedRuns:
         capsys.readouterr()
         assert _merge(tmp_path, 0, 1) == 2
         assert "shards of different campaigns" in capsys.readouterr().err
+        assert not (tmp_path / "merged").exists()
+
+    def test_a_conflicting_merge_exits_2_and_creates_nothing(self, tmp_path, capsys):
+        for name, shard in (("shard0", "0/2"), ("shard1", "0/2")):
+            main(_shard_run(tmp_path / name, shard))
+        altered = ResultStore(tmp_path / "shard1")
+        record = altered.cells()[0]
+        altered.put_cell(replace(record, values=[v + 1.0 for v in record.values]))
+        capsys.readouterr()
+        assert _merge(tmp_path, 0, 1) == 2
+        assert "conflicting record" in capsys.readouterr().err
         assert not (tmp_path / "merged").exists()
 
     def test_status_tracks_a_half_finished_fleet(self, tmp_path, capsys):
